@@ -24,8 +24,7 @@ every registered execution backend (:mod:`repro.gates.backends`) in the
 fault-major regime -- the whole collapsed universe through one fault
 matrix per word chunk -- with bit-identical classifications required
 and the ``fused`` backend gated at ``BENCH_BACKEND_SPEEDUP``x over the
-``python_loop`` reference.  The numba gate applies only when numba is
-importable.
+``python_loop`` reference.
 """
 
 import os
@@ -35,11 +34,9 @@ import numpy as np
 
 from repro.gates import builders
 from repro.gates.backends import list_backends
-from repro.gates.backends.threaded import resolve_threads
 from repro.gates.engine import run_stuck_at_campaign
 from repro.gates.faults import full_fault_list
 from repro.gates.simulate import NetlistSimulator, ReferenceSimulator
-from repro.gates.tune import resolve_plan
 
 # Floors are env-overridable so shared CI runners (noisy neighbours,
 # unknown CPUs) can gate on relaxed ratios while local runs keep the
@@ -52,21 +49,6 @@ COMPILED_FLOOR = float(os.environ.get("BENCH_COMPILED_FLOOR", "5.0"))
 #: Acceptance floor of the ``fused`` backend over ``python_loop`` on
 #: the RCA-8 exhaustive stuck-at campaign (fault-major regime).
 BACKEND_SPEEDUP_FLOOR = float(os.environ.get("BENCH_BACKEND_SPEEDUP", "3.0"))
-#: Floor of the optional numba backend over ``python_loop`` (gated only
-#: when numba is installed; a JIT CSR walk should clear this easily).
-NUMBA_SPEEDUP_FLOOR = float(os.environ.get("BENCH_NUMBA_SPEEDUP", "2.0"))
-#: Floor of the tuned tier (``threaded``/``auto``) over single-thread
-#: ``fused`` on the RCA-8 exhaustive campaign with whole-universe fault
-#: batches.  Gated only on multi-core runners -- on one core the tuner
-#: (correctly) answers "fused" and there is nothing to win.
-TUNED_SPEEDUP_FLOOR = float(os.environ.get("BENCH_TUNED_SPEEDUP", "1.5"))
-#: Floor of the optional cupy backend over ``fused`` (gated only when a
-#: CUDA device is actually present).
-CUPY_SPEEDUP_FLOOR = float(os.environ.get("BENCH_CUPY_SPEEDUP", "1.0"))
-#: ``backend="auto"`` must never be materially slower than the default
-#: fused path on any bench case; the tolerance absorbs timer noise at
-#: sub-millisecond scales plus the one-off cost model evaluation.
-AUTO_SLOWDOWN_TOLERANCE = float(os.environ.get("BENCH_AUTO_TOLERANCE", "1.25"))
 #: Fault batch size of the backend head-to-head.  One batch carries the
 #: whole collapsed RCA-8 universe (194 groups), the regime the backend
 #: layer targets: the reference loop must allocate a fresh ~45 MB
@@ -125,10 +107,8 @@ def test_bench_backend_speedup(once, record):
     """Registered backends, head to head, on the RCA-8 campaign."""
     once(lambda: None)
     netlist = builders.ripple_carry_adder(8)
-    backends = [name for name in ("python_loop", "fused", "threaded",
-                                  "numba", "cupy")
-                if name in list_backends()]
-    assert "python_loop" in backends and "fused" in backends
+    backends = [name for name in list_backends() if name != "reference"]
+    assert backends == ["python_loop", "fused"]
 
     def campaign(backend):
         return lambda: run_stuck_at_campaign(
@@ -161,110 +141,6 @@ def test_bench_backend_speedup(once, record):
         f"python_loop (fused {by_name['fused'] * 1e3:.3f}ms vs "
         f"{t_loop * 1e3:.3f}ms)"
     )
-    if "numba" in by_name:
-        assert t_loop / by_name["numba"] >= NUMBA_SPEEDUP_FLOOR, (
-            f"numba backend only {t_loop / by_name['numba']:.2f}x faster "
-            f"than python_loop"
-        )
-    if "cupy" in by_name:
-        assert by_name["fused"] / by_name["cupy"] >= CUPY_SPEEDUP_FLOOR, (
-            f"cupy backend only {by_name['fused'] / by_name['cupy']:.2f}x "
-            f"vs fused"
-        )
-
-
-def test_bench_tuned_vs_fused(once, record):
-    """The tuned tier vs single-thread fused, whole-universe batches.
-
-    The acceptance experiment of the parallel kernel tier: the RCA-8
-    exhaustive campaign with the whole collapsed universe in one fault
-    batch, ``threaded`` and ``auto`` against the single-thread ``fused``
-    baseline.  The >= ``BENCH_TUNED_SPEEDUP``x gate applies only on
-    multi-core runners; everywhere the three paths must stay
-    bit-identical, and ``auto``'s resolved plan is recorded into the
-    trajectory.
-    """
-    once(lambda: None)
-    netlist = builders.ripple_carry_adder(8)
-    plan = resolve_plan(netlist, backend="auto",
-                        fault_chunk=BACKEND_FAULT_CHUNK)
-
-    def campaign(backend):
-        return lambda: run_stuck_at_campaign(
-            netlist, backend=backend, fault_chunk=BACKEND_FAULT_CHUNK
-        )
-
-    times, results = _best(
-        [campaign("fused"), campaign("threaded"), campaign("auto")],
-        repeats=7, inner=1,
-    )
-    t_fused, t_threaded, t_auto = times
-    for result in results[1:]:
-        assert np.array_equal(result.detected, results[0].detected)
-        assert np.array_equal(result.first_detected,
-                              results[0].first_detected)
-
-    n_threads = resolve_threads()
-    print()
-    print(f"Tuned tier -- RCA-8 exhaustive campaign, whole-universe "
-          f"batches ({n_threads} thread(s); auto -> {plan.backend}: "
-          f"{plan.reason})")
-    for label, t in (("fused", t_fused), ("threaded", t_threaded),
-                     ("auto", t_auto)):
-        print(f"  {label:12s} {t * 1e3:9.3f}ms {t_fused / t:8.2f}x")
-    record("tuned_fused", t_fused, backend="fused")
-    record("tuned_threaded", t_threaded,
-           speedup_vs_fused=t_fused / t_threaded, threads=n_threads)
-    record("tuned_auto", t_auto, speedup_vs_fused=t_fused / t_auto,
-           plan=plan.to_dict())
-
-    if n_threads >= 2:
-        best_tuned = min(t_threaded, t_auto)
-        assert t_fused / best_tuned >= TUNED_SPEEDUP_FLOOR, (
-            f"tuned tier only {t_fused / best_tuned:.2f}x over fused on "
-            f"{n_threads} threads (threaded {t_threaded * 1e3:.3f}ms, "
-            f"auto {t_auto * 1e3:.3f}ms vs fused {t_fused * 1e3:.3f}ms)"
-        )
-    # auto never materially slower than the default path, any host.
-    assert t_auto <= t_fused * AUTO_SLOWDOWN_TOLERANCE, (
-        f"backend='auto' regressed vs fused: {t_auto * 1e3:.3f}ms vs "
-        f"{t_fused * 1e3:.3f}ms"
-    )
-
-
-def test_bench_auto_never_slower(once, record):
-    """``backend="auto"`` vs fused on the existing bench campaigns."""
-    once(lambda: None)
-    cases = [
-        ("full_adder", builders.full_adder(), None),
-        ("rca8_default_chunks", builders.ripple_carry_adder(8), None),
-        ("rca8_whole_universe", builders.ripple_carry_adder(8),
-         BACKEND_FAULT_CHUNK),
-    ]
-    print()
-    print("auto-vs-fused -- existing bench campaigns")
-    for name, netlist, fault_chunk in cases:
-        kwargs = {} if fault_chunk is None else {"fault_chunk": fault_chunk}
-        (t_fused, t_auto), (r_fused, r_auto) = _best(
-            [
-                lambda: run_stuck_at_campaign(
-                    netlist, backend="fused", **kwargs),
-                lambda: run_stuck_at_campaign(
-                    netlist, backend="auto", **kwargs),
-            ],
-            repeats=7, inner=1,
-        )
-        assert np.array_equal(r_auto.detected, r_fused.detected)
-        plan = resolve_plan(netlist, backend="auto", **kwargs)
-        print(f"  {name:22s} fused {t_fused * 1e3:8.3f}ms"
-              f"  auto {t_auto * 1e3:8.3f}ms ({plan.backend})")
-        record(f"auto_{name}", t_auto, fused_seconds=t_fused,
-               plan=plan.to_dict())
-        assert t_auto <= t_fused * AUTO_SLOWDOWN_TOLERANCE, (
-            f"{name}: backend='auto' {t_auto * 1e3:.3f}ms vs fused "
-            f"{t_fused * 1e3:.3f}ms exceeds tolerance "
-            f"{AUTO_SLOWDOWN_TOLERANCE}x"
-        )
 
 
 def test_bench_engine_full_adder(once, record):

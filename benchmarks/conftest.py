@@ -87,17 +87,14 @@ class BenchRecorder:
 
         os.makedirs(self.directory, exist_ok=True)
         meta = {
-            # allow_auto: REPRO_BACKEND=auto is a valid way to run the
-            # bench suite; record the sentinel itself as the session
-            # backend, the per-plan records below carry the resolution.
-            "backend": resolve_backend_name(allow_auto=True),
+            "backend": resolve_backend_name(),
             "available_backends": list(list_backends()),
             "python": platform.python_version(),
             "machine": platform.machine(),
             "cpus": os.cpu_count() or 1,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            # Every autotuner resolution made during the session:
-            # backend choice + chunking + the reason, per shape.
+            # Every plan resolved during the session: sparse/dense
+            # choice + chunking + the reason, per shape.
             "tuning_plans": [plan.to_dict() for plan in plan_log()],
             # Sparse/dense tier summary: how often the cone-sparse path
             # engaged and the cone densities the decisions keyed on.

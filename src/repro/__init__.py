@@ -57,7 +57,6 @@ from repro.faults import (
     incremental_stuck_at_campaign,
 )
 from repro.gates.backends import (
-    AUTO_BACKEND,
     BACKEND_ENV,
     DEFAULT_BACKEND,
     list_backends,
@@ -66,7 +65,6 @@ from repro.gates.backends import (
 from repro.gates.tune import (
     TuningPlan,
     resolve_chunking,
-    resolve_plan,
     resolve_sparse,
 )
 from repro.obs import (
@@ -136,14 +134,12 @@ __all__ = [
     "hardest_faults",
     "lint_netlist",
     "scoap",
-    "AUTO_BACKEND",
     "BACKEND_ENV",
     "DEFAULT_BACKEND",
     "list_backends",
     "resolve_backend_name",
     "TuningPlan",
     "resolve_chunking",
-    "resolve_plan",
     "resolve_sparse",
     "METRICS_ENV",
     "MetricsRegistry",

@@ -282,7 +282,7 @@ class GateConeAnalysis:
     ``gate_cone_sizes[g]`` counts the gate itself plus its downstream
     cone, so sizes rank gates by blast radius; ``mean_cone_fraction``
     is the average ``net_cone_sizes / n_gates`` over all nets -- the
-    cone-density statistic the sparse/dense autotuner heuristic keys
+    cone-density statistic the sparse/dense heuristic keys
     on (dense netlists reconverge fast, so sparse schedules save
     nothing there).
     """

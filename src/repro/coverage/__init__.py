@@ -32,7 +32,20 @@ from repro.coverage.engine import (
     evaluate_operator,
     evaluate_subtractor,
 )
-from repro.coverage.report import render_table1, render_table2, render_two_bit_analysis
+
+#: Re-exports served lazily from :mod:`repro.coverage.report`: importing
+#: that module eagerly here would load the CLI before ``python -m
+#: repro.coverage.report`` executes it, which runpy warns about.
+_REPORT_EXPORTS = ("render_table1", "render_table2", "render_two_bit_analysis")
+
+
+def __getattr__(name: str):
+    if name in _REPORT_EXPORTS:
+        from repro.coverage import report
+
+        return getattr(report, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "adder_situations",

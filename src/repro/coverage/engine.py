@@ -98,8 +98,7 @@ from repro.faults.universe import (
     divider_fault_cases,
     multiplier_fault_cases,
 )
-from repro.gates.backends import AUTO_BACKEND, resolve_backend_name
-from repro.gates.compile import compile_netlist
+from repro.gates.backends import resolve_backend_name
 from repro.gates.engine import (
     StuckAtCampaignResult,
     engine_for,
@@ -107,7 +106,7 @@ from repro.gates.engine import (
     popcount_words,
 )
 from repro.gates.netlist import Netlist
-from repro.gates.tune import resolve_chunking, resolve_plan
+from repro.gates.tune import resolve_chunking
 from repro.obs.trace import span as obs_span
 from repro.store import (
     CacheKey,
@@ -136,9 +135,8 @@ DEFAULT_SEED = 20050307  # DATE'05 conference date
 #: the fault matrix ``GATE_WORD_CHUNK`` words (x64 vectors) at a time,
 #: fault groups ``GATE_FAULT_CHUNK`` rows at a time.  These are the
 #: *defaults* of the shared resolution rule
-#: (:func:`repro.gates.tune.resolve_chunking`): an explicit keyword or
-#: the ``REPRO_WORD_CHUNK``/``REPRO_FAULT_CHUNK`` environment variables
-#: override them.
+#: (:func:`repro.gates.tune.resolve_chunking`): an explicit keyword
+#: overrides them.
 GATE_WORD_CHUNK = 256
 GATE_FAULT_CHUNK = 64
 
@@ -639,19 +637,8 @@ def _run_gate(
         default_word_chunk=GATE_WORD_CHUNK,
         default_fault_chunk=GATE_FAULT_CHUNK,
     )
-    backend = resolve_backend_name(backend, allow_auto=True)
-    if backend == AUTO_BACKEND:
-        # The sweep's universe sizes are known exactly here, so the
-        # autotuner plans on them; workers get the concrete name.
-        backend = resolve_plan(
-            compile_netlist(arch.netlist),
-            backend=AUTO_BACKEND,
-            n_groups=n_cases,
-            n_words=arch.n_words,
-            word_chunk=word_chunk,
-            fault_chunk=fault_chunk,
-            matrix_budget=matrix_budget,
-        ).backend
+    # Workers receive the resolved name, not the environment.
+    backend = resolve_backend_name(backend)
     key = None
     if store is not None:
         # The final key covers everything that determines the numbers

@@ -54,8 +54,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gates.backends import AUTO_BACKEND, list_backends, resolve_backend_name
-from repro.gates.compile import compile_netlist
+from repro.gates.backends import list_backends, resolve_backend_name
 from repro.gates.engine import (
     StuckAtCampaignResult,
     run_stuck_at_campaign,
@@ -324,11 +323,7 @@ def incremental_stuck_at_campaign(
             "collapsing (verdicts are inferred across cone boundaries); use "
             'collapse="equivalence" or "none"'
         )
-    backend_name = resolve_backend_name(backend, allow_auto=True)
-    if backend_name == AUTO_BACKEND:
-        from repro.gates.tune import resolve_plan
-
-        backend_name = resolve_plan(compile_netlist(new)).backend
+    backend_name = resolve_backend_name(backend)
     store = resolve_store(store)
 
     with obs_span("incremental_campaign", netlist=new.name):

@@ -36,7 +36,7 @@ from repro.arch.alu import FaultableALU
 from repro.errors import CheckError, ReproError
 from repro.faults.model import FaultDescriptor
 from repro.faults.sharding import resolve_workers, run_sharded, shard_bounds
-from repro.gates.backends import AUTO_BACKEND, resolve_backend_name
+from repro.gates.backends import resolve_backend_name
 from repro.gates.compile import compile_netlist
 from repro.gates.engine import StuckAtCampaignResult, run_stuck_at_campaign
 from repro.gates.faults import (
@@ -265,16 +265,7 @@ def _run_sharded_stuck_at_impl(
             if np.asarray(v).ndim == 1
         ]
         n_vectors = lengths[0] if lengths else 1
-    backend = resolve_backend_name(backend, allow_auto=True)
-    if backend == AUTO_BACKEND:
-        from repro.gates.tune import resolve_plan
-
-        backend = resolve_plan(
-            compile_netlist(netlist),
-            backend=AUTO_BACKEND,
-            n_groups=len(fault_seq),
-            n_words=max(1, -(-n_vectors // 64)),
-        ).backend
+    backend = resolve_backend_name(backend)
     from repro.gates.tune import resolve_sparse
 
     # Resolve sparse/dense once, in the parent: workers inherit the

@@ -25,15 +25,13 @@ This package models combinational circuits at the structural gate level:
   (:func:`engine.exhaustive_word_range`, :func:`engine.popcount_words`)
   that let exhaustive sweeps run in O(chunk) memory;
 * :mod:`repro.gates.backends` -- the pluggable execution layer under
-  the engine: the ``python_loop`` reference loop, the levelized
-  ``fused`` default, the ``threaded`` tile-parallel tier, the optional
-  ``numba`` JIT and ``cupy`` GPU walks and the ``reference``
-  interpreter, selected per call via ``backend=`` or the
-  ``REPRO_BACKEND`` environment variable, all bit-identical;
-* :mod:`repro.gates.tune` -- the shape-aware autotuner behind
-  ``backend="auto"``: a deterministic cost model (optionally micro-probe
-  calibrated) resolving backend, chunk sizes and thread count from the
-  campaign shape, with every resolved plan logged for benchmarks;
+  the engine: the ``python_loop`` loop, the levelized ``fused``
+  default and the ``reference`` interpreter, selected per call via
+  ``backend=`` or the ``REPRO_BACKEND`` environment variable, all
+  bit-identical;
+* :mod:`repro.gates.tune` -- campaign planning: chunk resolution and
+  the sparse/dense decision, with every resolved plan logged for
+  benchmarks;
 * :mod:`repro.gates.simulate` -- the public simulation surface:
   :class:`NetlistSimulator` (thin adapter over the compiled engine),
   cached one-shot :func:`simulate` / :func:`simulate_vector`, and the
@@ -50,11 +48,9 @@ fault list of the standard five-gate full adder built here.
 
 from repro.gates.netlist import Gate, Net, Netlist
 from repro.gates.backends import (
-    AUTO_BACKEND,
     BACKEND_ENV,
     DEFAULT_BACKEND,
     Backend,
-    backend_unavailable_reason,
     list_backends,
     register_backend,
     resolve_backend_name,
@@ -89,7 +85,6 @@ from repro.gates.tune import (
     TuningPlan,
     plan_log,
     resolve_chunking,
-    resolve_plan,
 )
 from repro.gates import builders
 
@@ -97,11 +92,9 @@ __all__ = [
     "Gate",
     "Net",
     "Netlist",
-    "AUTO_BACKEND",
     "BACKEND_ENV",
     "DEFAULT_BACKEND",
     "Backend",
-    "backend_unavailable_reason",
     "list_backends",
     "register_backend",
     "resolve_backend_name",
@@ -131,6 +124,5 @@ __all__ = [
     "TuningPlan",
     "plan_log",
     "resolve_chunking",
-    "resolve_plan",
     "builders",
 ]

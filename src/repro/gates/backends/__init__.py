@@ -10,25 +10,13 @@ registered backend, and all backends are bit-identical on every path.
 Registered backends:
 
 ``python_loop``
-    The original per-gate NumPy ufunc loop, kept verbatim as the
-    reference implementation (:mod:`.python_loop`).
+    The original per-gate NumPy ufunc loop, kept verbatim as an
+    independent implementation the differential suites compare
+    against (:mod:`.python_loop`).
 ``fused``
     Levelized batched evaluation with tainted-prefix fault walks and a
     persistent workspace -- the default and the fast path
     (:mod:`.fused`).
-``threaded``
-    Fused kernels tiled over a (fault-row x word-range) grid across a
-    thread pool -- numpy's bitwise ufuncs release the GIL, so the tiles
-    genuinely overlap; degrades to the plain fused path on single-core
-    hosts (:mod:`.threaded`).
-``numba``
-    Optional JIT CSR walk (serial and ``prange`` row-parallel
-    kernels); registered only when numba is importable, otherwise
-    reported unavailable with a clear reason (:mod:`.numba_backend`).
-``cupy``
-    Optional GPU walk over the same compiled arrays and override
-    plans; registered unavailable with a clear reason when CuPy or a
-    CUDA device is missing (:mod:`.cupy_backend`).
 ``reference``
     The cell-library interpreter under the backend protocol, so
     differential tests can enumerate the registry instead of
@@ -38,10 +26,7 @@ Selection precedence: an explicit ``backend=`` keyword anywhere in the
 stack beats the ``REPRO_BACKEND`` environment variable, which beats
 :data:`DEFAULT_BACKEND`.  Worker processes of sharded campaigns receive
 the already-resolved name, so one flag switches the whole stack
-bit-identically.  The sentinel :data:`AUTO_BACKEND` (``"auto"``) is not
-a backend: entry points that accept it resolve it to a concrete name
-through the shape-aware autotuner (:mod:`repro.gates.tune`) before any
-evaluation happens.
+bit-identically.
 """
 
 from __future__ import annotations
@@ -55,9 +40,6 @@ from repro.gates.backends.plan import FaultGroup, OverridePlan
 from repro.gates.backends.fused import FusedBackend
 from repro.gates.backends.python_loop import PythonLoopBackend
 from repro.gates.backends.reference import ReferenceBackend
-from repro.gates.backends.threaded import ThreadedBackend
-from repro.gates.backends import cupy_backend as _cupy_module
-from repro.gates.backends import numba_backend as _numba_module
 from repro.gates.compile import CompiledNetlist
 
 #: Environment variable naming the default backend for the process.
@@ -66,62 +48,33 @@ BACKEND_ENV = "REPRO_BACKEND"
 #: Built-in default when neither a keyword nor the env var selects one.
 DEFAULT_BACKEND = "fused"
 
-#: Sentinel selection resolved by the autotuner, never a registry entry.
-AUTO_BACKEND = "auto"
-
-#: name -> factory for available backends (insertion order = listing order).
+#: name -> factory (insertion order = listing order).
 _REGISTRY: Dict[str, Callable[[CompiledNetlist], Backend]] = {}
-
-#: name -> reason for backends that are known but not usable here.
-_UNAVAILABLE: Dict[str, str] = {}
 
 
 def register_backend(
-    name: str,
-    factory: Optional[Callable[[CompiledNetlist], Backend]],
-    unavailable_reason: Optional[str] = None,
+    name: str, factory: Callable[[CompiledNetlist], Backend]
 ) -> None:
     """Register an execution backend under ``name``.
 
-    ``factory(compiled)`` must return a bound :class:`Backend`.  Pass
-    ``factory=None`` with an ``unavailable_reason`` to register a known
-    backend that cannot run in this environment (e.g. a missing
-    optional dependency): selecting it raises a clear error instead of
-    an import failure, and :func:`list_backends` skips it.
+    ``factory(compiled)`` must return a bound :class:`Backend`.
     """
-    if factory is None:
-        _UNAVAILABLE[name] = unavailable_reason or "unavailable"
-        _REGISTRY.pop(name, None)
-        return
-    _UNAVAILABLE.pop(name, None)
     _REGISTRY[name] = factory
 
 
 def list_backends() -> Tuple[str, ...]:
-    """Names of the backends that can actually run here, in registry order."""
+    """Names of the registered backends, in registry order."""
     return tuple(_REGISTRY)
 
 
-def backend_unavailable_reason(name: str) -> Optional[str]:
-    """Why ``name`` cannot run here (``None`` if it can, or is unknown)."""
-    return _UNAVAILABLE.get(name)
-
-
-def resolve_backend_name(
-    backend: Optional[str] = None, allow_auto: bool = False
-) -> str:
+def resolve_backend_name(backend: Optional[str] = None) -> str:
     """Resolve a backend selection to a registered name.
 
     Precedence: the explicit ``backend`` argument, then the
     ``REPRO_BACKEND`` environment variable, then
-    :data:`DEFAULT_BACKEND`.  Unknown or unavailable selections raise
-    :class:`~repro.errors.SimulationError` naming the alternatives.
-
-    With ``allow_auto`` the sentinel :data:`AUTO_BACKEND` passes
-    through unresolved -- entry points that understand it hand it to
-    :func:`repro.gates.tune.resolve_plan` for a concrete choice;
-    without it, ``"auto"`` reaching a layer that needs a real backend
-    is an error naming the registry.
+    :data:`DEFAULT_BACKEND`.  Unknown selections raise
+    :class:`~repro.errors.SimulationError` naming the source of the
+    selection and the available backends.
     """
     source = "backend="
     if backend is None:
@@ -130,22 +83,8 @@ def resolve_backend_name(
             backend, source = env, f"{BACKEND_ENV}="
         else:
             return DEFAULT_BACKEND
-    if backend == AUTO_BACKEND:
-        if allow_auto:
-            return AUTO_BACKEND
-        raise SimulationError(
-            f"backend {source}{AUTO_BACKEND!r} is a tuning sentinel, not an "
-            f"execution backend; this entry point needs a concrete name "
-            f"from: {list(list_backends())}"
-        )
     if backend in _REGISTRY:
         return backend
-    reason = _UNAVAILABLE.get(backend)
-    if reason is not None:
-        raise SimulationError(
-            f"backend {source}{backend!r} is unavailable: {reason}; "
-            f"available backends: {list(list_backends())}"
-        )
     raise SimulationError(
         f"unknown backend {source}{backend!r}; "
         f"available backends: {list(list_backends())}"
@@ -159,15 +98,6 @@ def create_backend(backend: Optional[str], compiled: CompiledNetlist) -> Backend
 
 register_backend(PythonLoopBackend.name, PythonLoopBackend)
 register_backend(FusedBackend.name, FusedBackend)
-register_backend(ThreadedBackend.name, ThreadedBackend)
-if _numba_module.NumbaBackend is not None:
-    register_backend(_numba_module.NumbaBackend.name, _numba_module.NumbaBackend)
-else:
-    register_backend("numba", None, _numba_module.UNAVAILABLE_REASON)
-if _cupy_module.CupyBackend is not None:
-    register_backend(_cupy_module.CupyBackend.name, _cupy_module.CupyBackend)
-else:
-    register_backend("cupy", None, _cupy_module.UNAVAILABLE_REASON)
 register_backend(ReferenceBackend.name, ReferenceBackend)
 
 __all__ = [
@@ -176,10 +106,8 @@ __all__ = [
     "FaultGroup",
     "BACKEND_ENV",
     "DEFAULT_BACKEND",
-    "AUTO_BACKEND",
     "register_backend",
     "list_backends",
-    "backend_unavailable_reason",
     "resolve_backend_name",
     "create_backend",
 ]

@@ -38,10 +38,7 @@ every top-level kernel call records its wall time into the
 ``repro_kernel_seconds{backend=...,kernel=...}`` histogram.  The hook
 is woven in by :meth:`Backend.__init_subclass__`, so backends get it
 for free; only the *outermost* kernel on a thread records (a default
-``run_detect`` delegating to ``run_matrix`` counts once), and backends
-flagged ``_obs_exempt`` -- the per-tile inner backends of
-:class:`~repro.gates.backends.threaded.ThreadedBackend` -- never
-record, so a tiled call is one observation, not one per tile.
+``run_detect`` delegating to ``run_matrix`` counts once).
 """
 
 from __future__ import annotations
@@ -107,7 +104,7 @@ def _profiled(kernel: str, fn: Callable) -> Callable:
 
     @functools.wraps(fn)
     def wrapper(self, *args, **kwargs):
-        if getattr(self, "_obs_exempt", False) or not _metrics.kernel_profiling_enabled():
+        if not _metrics.kernel_profiling_enabled():
             return fn(self, *args, **kwargs)
         if getattr(_PROFILE_LOCAL, "depth", 0):
             # A derived kernel delegating to a primitive on the same
@@ -139,14 +136,10 @@ class Backend(ABC):
     #: Registry name; class attribute set by each implementation.
     name: ClassVar[str] = "abstract"
 
-    #: When true, this instance's kernels never record timings (set on
-    #: the inner per-tile backends of ThreadedBackend).
-    _obs_exempt: bool = False
-
     #: Whether :meth:`run_detect_sparse` actually restricts evaluation
     #: to the scheduled cone gates.  The base default delegates to the
     #: dense :meth:`run_detect` (bit-identical, no savings), so the
-    #: sparse/dense autotuner only *prefers* sparse on backends that
+    #: sparse/dense heuristic only *prefers* sparse on backends that
     #: set this.
     supports_sparse: ClassVar[bool] = False
 

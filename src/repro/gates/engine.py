@@ -38,10 +38,9 @@ only.
 
 Execution itself is pluggable (:mod:`repro.gates.backends`): the engine
 binds one backend per instance -- the verbatim ``python_loop``, the
-levelized ``fused`` default, the optional ``numba`` JIT, or the
-``reference`` interpreter -- selected by the ``backend=`` keyword, the
-``REPRO_BACKEND`` environment variable, or the registry default, in
-that order.  All backends are bit-identical on every path.
+levelized ``fused`` default, or the ``reference`` interpreter --
+selected by the ``backend=`` keyword, the ``REPRO_BACKEND`` environment
+variable, or the registry default, in that order.  All backends are bit-identical on every path.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.gates.backends import (
-    AUTO_BACKEND,
     Backend,
     FaultGroup,
     OverridePlan,
@@ -233,6 +231,33 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
     return _POP8[as_bytes].sum(axis=-1, dtype=np.int64)
 
 
+def first_hits(
+    diff: np.ndarray, tail_mask: np.uint64 = ALL_ONES, base_vector: int = 0
+) -> List[Tuple[int, int]]:
+    """Earliest set vector of every row of a detection-word matrix.
+
+    ``diff`` is ``(n_rows, n_words)`` packed detection words; lanes of
+    the last word outside ``tail_mask`` are phantom vectors and are
+    cleared in place.  Returns ``(row, vector)`` pairs, row-ascending,
+    for rows with any set bit, where ``vector`` is ``base_vector`` plus
+    the index of the row's lowest set lane -- the single first-witness
+    reduction shared by campaigns, dictionaries and ATPG.
+    """
+    if tail_mask != ALL_ONES:
+        diff[:, -1] &= tail_mask
+    nonzero = diff != 0
+    hit_rows = np.nonzero(nonzero.any(axis=1))[0]
+    if not hit_rows.size:
+        return []
+    word_idx = np.argmax(nonzero[hit_rows], axis=1)
+    word = diff[hit_rows, word_idx]
+    # Lowest set bit; exact via float64 log2 of a power of 2.
+    low = word & (np.uint64(0) - word)
+    bit = np.log2(low.astype(np.float64)).astype(np.int64)
+    vectors = base_vector + word_idx * LANES + bit
+    return list(zip(hit_rows.tolist(), vectors.tolist()))
+
+
 #: Bounds of the auto-sized fault-matrix working-set budget (bytes).
 #: The budget caps ``n_nets * (fault_chunk + 1) * word_chunk`` uint64
 #: cells per evaluation chunk; chunking never changes any count, so the
@@ -358,12 +383,7 @@ class BitParallelEngine:
         self, compiled: CompiledNetlist, backend: Optional[str] = None
     ) -> None:
         self.compiled = compiled
-        resolved = resolve_backend_name(backend, allow_auto=True)
-        if resolved == AUTO_BACKEND:
-            from repro.gates.tune import resolve_plan
-
-            resolved = resolve_plan(compiled).backend
-        self.backend_name = resolved
+        self.backend_name = resolve_backend_name(backend)
         self.backend: Backend = create_backend(self.backend_name, compiled)
         self._input_ids = [int(i) for i in compiled.input_ids]
         self._output_ids = [int(i) for i in compiled.output_ids]
@@ -562,10 +582,8 @@ class BitParallelEngine:
         ``first_detected`` for *inferred* classes to "a valid detecting
         vector" rather than the earliest one.  With ``fault_dropping``
         (default) faults detected in an earlier vector chunk drop out
-        of later chunks.  Chunk sizes resolve through
-        :func:`repro.gates.tune.resolve_chunking` (keyword >
-        ``REPRO_WORD_CHUNK``/``REPRO_FAULT_CHUNK`` env > 512/64) and
-        never change any classification.
+        of later chunks.  Chunk sizes default to 512 words / 64 fault
+        classes and never change any classification.
 
         ``sparse`` selects the cone-sparse execution tier
         (:mod:`repro.gates.sparse`): fault batches are clustered by
@@ -647,11 +665,7 @@ class BitParallelEngine:
         detected = np.zeros(n_faults, dtype=bool)
         first_detected = np.full(n_faults, -1, dtype=np.int64)
         n_runs = 0
-        out_ids = self._output_ids
-
         n_words = packed.n_words
-        word_chunk = max(1, word_chunk)
-        fault_chunk = max(1, fault_chunk)
         use_sparse = resolve_sparse(
             c,
             self.backend_name,
@@ -709,26 +723,13 @@ class BitParallelEngine:
                     # detection words -- no separate fault-free pass needed.
                     diff = self.backend.run_detect(chunk.words, plan, n_batch)
                     runs += n_batch
-                    if not out_ids:  # no primary outputs: nothing observable
-                        continue
-                    if mask != ALL_ONES:
-                        diff[:, -1] &= mask
-                    nonzero = diff != 0
-                    hit_rows = np.nonzero(nonzero.any(axis=1))[0]
-                    if hit_rows.size:
-                        word_idx = np.argmax(nonzero[hit_rows], axis=1)
-                        word = diff[hit_rows, word_idx]
-                        # Lowest set bit; exact via float64 log2 of a power of 2.
-                        low = word & (np.uint64(0) - word)
-                        bit = np.log2(low.astype(np.float64)).astype(np.int64)
-                        vectors = base_vector + word_idx * LANES + bit
-                        for row, vector in zip(hit_rows.tolist(), vectors.tolist()):
-                            for fi in groups[batch[row]]:
-                                # Without fault dropping a fault can re-detect
-                                # in later chunks; keep the earliest vector.
-                                if not detected[fi]:
-                                    detected[fi] = True
-                                    first_detected[fi] = vector
+                    for row, vector in first_hits(diff, mask, base_vector):
+                        for fi in groups[batch[row]]:
+                            # Without fault dropping a fault can re-detect
+                            # in later chunks; keep the earliest vector.
+                            if not detected[fi]:
+                                detected[fi] = True
+                                first_detected[fi] = vector
                 if fault_dropping:
                     active = [g for g in active if not detected[groups[g][0]]]
             return runs
@@ -843,18 +844,7 @@ class BitParallelEngine:
                         batch.out_ids,
                     )
                     runs += n_batch
-                    if mask != ALL_ONES:
-                        diff[:, -1] &= mask
-                    nonzero = diff != 0
-                    hit_rows = np.nonzero(nonzero.any(axis=1))[0]
-                    if not hit_rows.size:
-                        continue
-                    word_idx = np.argmax(nonzero[hit_rows], axis=1)
-                    word = diff[hit_rows, word_idx]
-                    low = word & (np.uint64(0) - word)
-                    bit = np.log2(low.astype(np.float64)).astype(np.int64)
-                    vectors = base_vector + word_idx * LANES + bit
-                    for row, vector in zip(hit_rows.tolist(), vectors.tolist()):
+                    for row, vector in first_hits(diff, mask, base_vector):
                         for fi in groups[sched_for[batch.members[row]]]:
                             if not detected[fi]:
                                 detected[fi] = True
@@ -948,15 +938,9 @@ def engine_for(netlist: Netlist, backend: Optional[str] = None) -> BitParallelEn
     :class:`CompiledNetlist` *per backend*, so repeated campaigns share
     the resolved backend schedule and the packed exhaustive vector set.
     ``backend`` resolves through the standard precedence (keyword >
-    ``REPRO_BACKEND`` env > default); the ``"auto"`` sentinel resolves
-    through the shape-aware autotuner to a concrete name first, so the
-    cache is always keyed on real backends.
+    ``REPRO_BACKEND`` env > default).
     """
-    name = resolve_backend_name(backend, allow_auto=True)
-    if name == AUTO_BACKEND:
-        from repro.gates.tune import resolve_plan
-
-        name = resolve_plan(compile_netlist(netlist)).backend
+    name = resolve_backend_name(backend)
     return _engine_cache(name)(compile_netlist(netlist))
 
 
@@ -975,9 +959,8 @@ def run_stuck_at_campaign(
 
     ``inputs`` maps primary inputs to 0/1 vectors (all the same length);
     omitted, the exhaustive vector set is used.  ``backend`` selects the
-    execution backend -- ``"auto"`` engages the shape-aware autotuner
-    (:mod:`repro.gates.tune`); classifications are bit-identical across
-    all of them.  ``sparse`` selects the cone-sparse execution tier
+    execution backend; classifications are bit-identical across all of
+    them.  ``sparse`` selects the cone-sparse execution tier
     (``None`` auto-resolves; see :meth:`BitParallelEngine.campaign`).
     """
     engine = engine_for(netlist, backend)

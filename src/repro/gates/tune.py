@@ -1,33 +1,19 @@
-"""Shape-aware campaign autotuning: backend + chunk-geometry resolution.
+"""Campaign planning: chunk geometry and the sparse/dense decision.
 
 Two services, both deterministic:
 
 **Chunk resolution** (:func:`resolve_chunking`).  Every streaming
 consumer of the fault matrix -- campaigns, coverage sweeps, fault
-dictionaries, ATPG -- historically hard-coded its ``word_chunk`` /
-``fault_chunk`` defaults.  They now share this single resolution rule:
-an explicit keyword beats the ``REPRO_WORD_CHUNK`` /
-``REPRO_FAULT_CHUNK`` environment variables, which beat the caller's
-default, so tuned and manual paths cannot drift apart.
+dictionaries, ATPG -- shares one rule: an explicit ``word_chunk`` /
+``fault_chunk`` keyword beats the caller's default.  Chunking never
+changes any result, only memory traffic and per-chunk overhead.
 
-**Plan resolution** (:func:`resolve_plan`).  ``backend="auto"``
-anywhere in the stack resolves here: a deterministic cost model over
-the netlist *shape* -- net count, depth, fault-universe and
-word-universe sizes, and the resulting per-chunk ``row_cells`` --
-picks a concrete backend plus ``word_chunk`` / ``fault_chunk`` /
-``matrix_budget`` / thread count.  The model prefers the widest
-available tier whose overheads the workload amortises: ``cupy`` for
-huge matrices when a GPU is present, ``threaded`` when the host has
-cores to feed and the matrix is big enough to tile, the single-thread
-``fused`` kernel otherwise.  Because every backend is bit-identical,
-the plan only ever changes *speed*; the differential suite enforces
-that.
-
-An optional one-shot micro-probe (``calibrate=True``) replaces the
-model's backend choice with a measured one: each candidate backend
-times a small representative detect batch, and the winner is cached
-per (netlist content hash, candidate set, host) -- in-process always,
-and across processes in the JSON file named by ``REPRO_TUNE_CACHE``.
+**Sparse/dense resolution** (:func:`resolve_sparse`).  Whether a
+campaign runs the cone-sparse execution tier (:mod:`repro.gates.sparse`)
+is decided from the ``sparse=`` keyword, the ``REPRO_SPARSE``
+environment variable, or a cone-density heuristic over the netlist
+shape.  Sparse and dense are bit-identical, so the decision only ever
+changes *speed*; the differential suite enforces that.
 
 Every resolved plan (choice + reason) is appended to a bounded
 in-process log (:func:`plan_log`), which the benchmark harness records
@@ -37,38 +23,18 @@ itself* is caught, not just a regression in kernel speed.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import platform
-import time
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Deque, Dict, Optional, Tuple, Union
 
 from repro.errors import SimulationError
-from repro.gates.backends import (
-    AUTO_BACKEND,
-    OverridePlan,
-    _REGISTRY,
-    list_backends,
-    resolve_backend_name,
-)
-from repro.gates.backends.threaded import resolve_threads
+from repro.gates.backends import _REGISTRY, resolve_backend_name
 from repro.gates.compile import CompiledNetlist, compile_netlist
 from repro.gates.netlist import Netlist
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
-
-#: Environment overrides of the streaming chunk geometry.
-WORD_CHUNK_ENV = "REPRO_WORD_CHUNK"
-FAULT_CHUNK_ENV = "REPRO_FAULT_CHUNK"
-
-#: Path of the cross-process calibration cache (JSON); unset = in-process only.
-TUNE_CACHE_ENV = "REPRO_TUNE_CACHE"
 
 #: Force the cone-sparse execution tier on ("1") or off ("0") for every
 #: campaign whose caller does not pass ``sparse=`` explicitly.
@@ -92,19 +58,6 @@ SPARSE_MIN_WORDS = 512
 DEFAULT_WORD_CHUNK = 512
 DEFAULT_FAULT_CHUNK = 64
 
-#: Total (fault row x word) cells below which the threaded tier cannot
-#: amortise its pool handoffs -- matches the threaded backend's own
-#: sequential-fallback threshold times a few chunks.
-THREADED_MIN_CELLS = 1 << 15
-
-#: Total cells below which a GPU round-trip costs more than it saves.
-CUPY_MIN_CELLS = 1 << 18
-
-#: Probe geometry of the one-shot calibration micro-run.
-_PROBE_WORDS = 32
-_PROBE_FAULTS = 64
-_PROBE_REPEATS = 2
-
 #: Capacity of the in-process plan log.  Beyond this many resolved
 #: plans the oldest entries fall off (counted by the
 #: ``repro_plan_log_dropped_total`` metric, so the truncation is never
@@ -114,12 +67,9 @@ PLAN_LOG_MAX = 256
 #: Bounded log of resolved plans, newest last (see :func:`plan_log`).
 _PLAN_LOG: Deque["TuningPlan"] = deque(maxlen=PLAN_LOG_MAX)
 
-#: (content hash, candidates, host) -> winning backend name.
-_CALIBRATION_CACHE: Dict[str, str] = {}
-
-#: Resolution memo: repeated identical resolutions (the per-call pattern
-#: of ``backend="auto"`` in hot loops) must cost dict-lookup time, not a
-#: model evaluation -- and must not flood the plan log.  Keyed on the
+#: Resolution memo: repeated identical resolutions (the per-campaign
+#: pattern in hot loops) must cost dict-lookup time, not a heuristic
+#: evaluation -- and must not flood the plan log.  Keyed on the
 #: compiled object's identity (weakref-checked against id reuse), every
 #: explicit argument and every environment knob the resolution reads.
 _PLAN_MEMO: Dict[Tuple, Tuple[weakref.ref, "TuningPlan"]] = {}
@@ -130,11 +80,7 @@ def _env_knobs() -> Tuple:
     """The environment state a plan resolution depends on."""
     return (
         os.environ.get("REPRO_BACKEND"),
-        os.environ.get(WORD_CHUNK_ENV),
-        os.environ.get(FAULT_CHUNK_ENV),
-        os.environ.get("REPRO_THREADS"),
         os.environ.get("REPRO_GATE_MATRIX_BUDGET"),
-        os.environ.get(TUNE_CACHE_ENV),
         os.environ.get(SPARSE_ENV),
     )
 
@@ -151,19 +97,6 @@ def _env_bool(env: str) -> Optional[bool]:
     raise SimulationError(f"{env}={raw!r} is not a boolean flag")
 
 
-def _env_int(env: str) -> Optional[int]:
-    raw = os.environ.get(env)
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SimulationError(f"{env}={raw!r} is not an integer") from None
-    if value < 1:
-        raise SimulationError(f"{env}={raw!r} must be a positive chunk size")
-    return value
-
-
 def resolve_chunking(
     word_chunk: Optional[int] = None,
     fault_chunk: Optional[int] = None,
@@ -173,27 +106,20 @@ def resolve_chunking(
 ) -> Tuple[int, int]:
     """The single chunk-geometry resolution rule of the whole stack.
 
-    Per knob: explicit keyword > ``REPRO_WORD_CHUNK`` /
-    ``REPRO_FAULT_CHUNK`` environment variable > the caller's default
-    (campaigns pass 512/64, the coverage and dictionary builders
-    256/64, exactly their historical constants).  Chunking never
-    changes any result -- only memory traffic and overhead -- so the
-    env overrides are safe global tuning levers.
+    Per knob: explicit keyword, else the caller's default (campaigns
+    pass 512/64, the coverage and dictionary builders 256/64, exactly
+    their historical constants), clamped to at least one.
     """
     if word_chunk is None:
-        word_chunk = _env_int(WORD_CHUNK_ENV)
-        if word_chunk is None:
-            word_chunk = default_word_chunk
+        word_chunk = default_word_chunk
     if fault_chunk is None:
-        fault_chunk = _env_int(FAULT_CHUNK_ENV)
-        if fault_chunk is None:
-            fault_chunk = default_fault_chunk
+        fault_chunk = default_fault_chunk
     return max(1, int(word_chunk)), max(1, int(fault_chunk))
 
 
 @dataclass(frozen=True)
 class NetlistShape:
-    """The shape facts the cost model decides on."""
+    """The shape facts a plan decides on."""
 
     n_nets: int
     n_gates: int
@@ -231,8 +157,7 @@ class TuningPlan:
     word_chunk: int
     fault_chunk: int
     matrix_budget: int
-    threads: int
-    source: str  #: "model" | "calibrated" | "explicit" | "sparse-*"
+    source: str  #: "sparse-explicit" | "sparse-env" | "sparse-model"
     reason: str
     shape: NetlistShape
     sparse: bool = False  #: cone-sparse execution tier on for this workload
@@ -244,39 +169,12 @@ class TuningPlan:
             "word_chunk": self.word_chunk,
             "fault_chunk": self.fault_chunk,
             "matrix_budget": self.matrix_budget,
-            "threads": self.threads,
             "source": self.source,
             "reason": self.reason,
             "shape": self.shape.to_dict(),
             "sparse": self.sparse,
             "cone_density": self.cone_density,
         }
-
-
-def netlist_content_hash(compiled: CompiledNetlist) -> str:
-    """Content hash over the compiled CSR arrays.
-
-    Two structurally identical netlists hash equal regardless of object
-    identity or name, which is what keys calibration results across
-    processes and sessions.
-    """
-    digest = hashlib.sha1()
-    for arr in (
-        compiled.base_ops,
-        compiled.inverts,
-        compiled.operand_offsets,
-        compiled.operands,
-        compiled.gate_output_ids,
-        compiled.input_ids,
-        compiled.output_ids,
-    ):
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()
-
-
-def _host_key() -> str:
-    """Host identity of a calibration result (never the netlist's)."""
-    return f"{platform.system()}-{platform.machine()}-cpu{os.cpu_count() or 1}"
 
 
 def plan_log() -> Tuple[TuningPlan, ...]:
@@ -299,244 +197,6 @@ def clear_plan_log() -> None:
     resolution of any shape is re-derived and re-logged)."""
     _PLAN_LOG.clear()
     _PLAN_MEMO.clear()
-
-
-def clear_calibration_cache() -> None:
-    """Drop the in-process calibration results (the file cache stays)."""
-    _CALIBRATION_CACHE.clear()
-
-
-# ----------------------------------------------------------------------
-# The cost model
-# ----------------------------------------------------------------------
-def _model_backend(shape: NetlistShape) -> Tuple[str, int, str]:
-    """(backend, threads, reason) from shape alone -- fully deterministic."""
-    available = list_backends()
-    threads = resolve_threads()
-    cells = shape.total_cells
-    if "cupy" in available and cells >= CUPY_MIN_CELLS:
-        return (
-            "cupy",
-            threads,
-            f"gpu tier: {cells} matrix cells >= {CUPY_MIN_CELLS} amortise "
-            f"the device round-trip",
-        )
-    if "threaded" in available and threads > 1 and cells >= THREADED_MIN_CELLS:
-        return (
-            "threaded",
-            threads,
-            f"thread tier: {threads} threads, {cells} matrix cells >= "
-            f"{THREADED_MIN_CELLS}",
-        )
-    if threads <= 1:
-        reason = "single-thread fused: host has one usable core"
-    elif cells < THREADED_MIN_CELLS:
-        reason = (
-            f"single-thread fused: {cells} matrix cells < "
-            f"{THREADED_MIN_CELLS} would not amortise tiling"
-        )
-    else:
-        reason = "single-thread fused: no parallel tier registered"
-    return "fused", threads, reason
-
-
-def _calibration_candidates(threads: int) -> Tuple[str, ...]:
-    names: List[str] = ["fused"]
-    available = list_backends()
-    if "threaded" in available and threads > 1:
-        names.append("threaded")
-    if "cupy" in available:
-        names.append("cupy")
-    return tuple(names)
-
-
-def _load_file_cache(path: str) -> Dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    return {str(k): str(v) for k, v in data.items()} if isinstance(data, dict) else {}
-
-
-def _store_file_cache(path: str, entries: Dict[str, str]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(entries, fh, indent=0, sort_keys=True)
-    except OSError:
-        pass  # a read-only cache location degrades to in-process caching
-
-
-def _probe_seconds(backend, words: np.ndarray, plan: OverridePlan, n_rows: int) -> float:
-    best = float("inf")
-    for _ in range(_PROBE_REPEATS):
-        start = time.perf_counter()
-        backend.run_detect(words, plan, n_rows)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _calibrate(compiled: CompiledNetlist, candidates: Tuple[str, ...]) -> str:
-    """Measured backend choice, cached per (content, candidates, host)."""
-    key = ":".join(
-        (netlist_content_hash(compiled), ",".join(candidates), _host_key())
-    )
-    hit = _CALIBRATION_CACHE.get(key)
-    if hit is not None:
-        return hit
-    cache_path = os.environ.get(TUNE_CACHE_ENV)
-    file_entries: Dict[str, str] = {}
-    if cache_path:
-        file_entries = _load_file_cache(cache_path)
-        hit = file_entries.get(key)
-        if hit in candidates:
-            _CALIBRATION_CACHE[key] = hit
-            return hit
-    from repro.gates.engine import exhaustive_word_range
-    from repro.gates.faults import default_fault_universe
-
-    n_inputs = compiled.n_inputs
-    universe_words = max(1, (1 << min(n_inputs, 30)) >> 6)
-    words = exhaustive_word_range(n_inputs, 0, min(universe_words, _PROBE_WORDS))
-    faults = default_fault_universe(compiled.source)[:_PROBE_FAULTS]
-    plan = OverridePlan(compiled, list(faults))
-    timings = {}
-    for name in candidates:
-        backend = _REGISTRY[name](compiled)
-        backend.run_detect(words, plan, plan.n_rows)  # warm caches / JIT
-        timings[name] = _probe_seconds(backend, words, plan, plan.n_rows)
-    winner = min(timings, key=timings.get)
-    _CALIBRATION_CACHE[key] = winner
-    if cache_path:
-        file_entries[key] = winner
-        _store_file_cache(cache_path, file_entries)
-    return winner
-
-
-# ----------------------------------------------------------------------
-# The entry point
-# ----------------------------------------------------------------------
-def resolve_plan(
-    netlist: Union[Netlist, CompiledNetlist],
-    backend: Optional[str] = None,
-    *,
-    n_groups: Optional[int] = None,
-    n_words: Optional[int] = None,
-    word_chunk: Optional[int] = None,
-    fault_chunk: Optional[int] = None,
-    matrix_budget: Optional[int] = None,
-    default_word_chunk: int = DEFAULT_WORD_CHUNK,
-    default_fault_chunk: int = DEFAULT_FAULT_CHUNK,
-    calibrate: bool = False,
-) -> TuningPlan:
-    """Resolve a concrete execution plan for one campaign-shaped workload.
-
-    ``backend`` follows the standard precedence (keyword >
-    ``REPRO_BACKEND`` env > registry default); a concrete name is
-    passed through unchanged (``source="explicit"``), while ``"auto"``
-    engages the cost model (``source="model"``) or, with
-    ``calibrate=True``, the cached micro-probe
-    (``source="calibrated"``).  ``n_groups`` / ``n_words`` override the
-    shape estimates when the caller knows the real universe sizes;
-    chunk and budget knobs resolve through :func:`resolve_chunking` and
-    :func:`~repro.gates.engine.resolve_matrix_budget`, so an explicit
-    keyword always wins.  The resolved plan is appended to
-    :func:`plan_log`.
-    """
-    from repro.gates.engine import matrix_word_chunk, resolve_matrix_budget
-
-    compiled = (
-        netlist if isinstance(netlist, CompiledNetlist) else compile_netlist(netlist)
-    )
-    memo_key = (
-        id(compiled), backend, n_groups, n_words, word_chunk, fault_chunk,
-        matrix_budget, default_word_chunk, default_fault_chunk, calibrate,
-        _env_knobs(),
-    )
-    hit = _PLAN_MEMO.get(memo_key)
-    if hit is not None and hit[0]() is compiled:
-        return hit[1]
-    word_chunk, fault_chunk = resolve_chunking(
-        word_chunk,
-        fault_chunk,
-        default_word_chunk=default_word_chunk,
-        default_fault_chunk=default_fault_chunk,
-    )
-    if n_groups is not None:
-        n_faults = int(n_groups)
-    else:
-        # Cheap structural estimate: one stem per net plus one branch
-        # per fanout pin, two polarities each -- close enough for the
-        # work-size thresholds without building the universe.
-        n_faults = 2 * (compiled.n_nets + int(len(compiled.operands)))
-    if n_words is None:
-        n_words = max(1, (1 << min(compiled.n_inputs, 30)) >> 6)
-    row_cells = compiled.n_nets * (fault_chunk + 1)
-    shape = NetlistShape(
-        n_nets=compiled.n_nets,
-        n_gates=compiled.n_gates,
-        n_inputs=compiled.n_inputs,
-        n_outputs=len(compiled.output_ids),
-        depth=compiled.depth,
-        n_faults=n_faults,
-        n_words=int(n_words),
-        row_cells=row_cells,
-    )
-    resolved = resolve_backend_name(backend, allow_auto=True)
-    threads = resolve_threads()
-    if resolved != AUTO_BACKEND:
-        source = "explicit"
-        chosen = resolved
-        reason = f"explicit selection {resolved!r}"
-    elif calibrate:
-        source = "calibrated"
-        candidates = _calibration_candidates(threads)
-        chosen = _calibrate(compiled, candidates)
-        reason = f"micro-probe winner among {list(candidates)}"
-    else:
-        source = "model"
-        chosen, threads, reason = _model_backend(shape)
-    budget = resolve_matrix_budget(row_cells, matrix_budget)
-    plan = TuningPlan(
-        backend=chosen,
-        word_chunk=matrix_word_chunk(row_cells, word_chunk, budget),
-        fault_chunk=fault_chunk,
-        matrix_budget=budget,
-        threads=threads,
-        source=source,
-        reason=reason,
-        shape=shape,
-    )
-    if len(_PLAN_LOG) == PLAN_LOG_MAX:
-        obs_metrics.inc("repro_plan_log_dropped_total")
-    _PLAN_LOG.append(plan)
-    obs_events.emit(
-        obs_events.TUNING_PLAN,
-        backend=chosen,
-        source=source,
-        reason=reason,
-        word_chunk=plan.word_chunk,
-        fault_chunk=plan.fault_chunk,
-        threads=threads,
-        n_faults=shape.n_faults,
-        n_words=shape.n_words,
-    )
-    try:
-        ref = weakref.ref(
-            compiled, lambda _r, _k=memo_key: _PLAN_MEMO.pop(_k, None)
-        )
-    except TypeError:  # pragma: no cover - non-weakrefable compiled form
-        ref = lambda: compiled
-    _PLAN_MEMO[memo_key] = (ref, plan)
-    while len(_PLAN_MEMO) > _PLAN_MEMO_MAX:
-        del _PLAN_MEMO[next(iter(_PLAN_MEMO))]
-    return plan
-
-
-# ----------------------------------------------------------------------
-# The sparse/dense decision
-# ----------------------------------------------------------------------
-_SPARSE_MEMO: Dict[Tuple, Tuple[weakref.ref, TuningPlan]] = {}
 
 
 def backend_supports_sparse(name: str) -> bool:
@@ -565,6 +225,8 @@ def resolve_sparse(
     decision is returned as a :class:`TuningPlan` with ``sparse`` /
     ``cone_density`` set, logged to :func:`plan_log` and emitted as a
     ``tuning_plan`` event, so benchmark trajectories record the choice.
+    ``n_groups`` / ``n_words`` override the shape estimates when the
+    caller knows the real universe sizes.
 
     Sparse execution is bit-identical to dense on every backend (the
     base kernel falls back to the dense path), so forcing it on via
@@ -576,10 +238,10 @@ def resolve_sparse(
         netlist if isinstance(netlist, CompiledNetlist) else compile_netlist(netlist)
     )
     memo_key = (
-        "sparse", id(compiled), backend, sparse, n_groups, n_words,
+        id(compiled), backend, sparse, n_groups, n_words,
         word_chunk, fault_chunk, _env_knobs(),
     )
-    hit = _SPARSE_MEMO.get(memo_key)
+    hit = _PLAN_MEMO.get(memo_key)
     if hit is not None and hit[0]() is compiled:
         return hit[1]
     word_chunk, fault_chunk = resolve_chunking(word_chunk, fault_chunk)
@@ -638,6 +300,9 @@ def resolve_sparse(
     if n_groups is not None:
         n_faults = int(n_groups)
     else:
+        # Cheap structural estimate: one stem per net plus one branch
+        # per fanout pin, two polarities each -- close enough for the
+        # recorded shape without building the universe.
         n_faults = 2 * (compiled.n_nets + int(len(compiled.operands)))
     row_cells = compiled.n_nets * (fault_chunk + 1)
     shape = NetlistShape(
@@ -656,7 +321,6 @@ def resolve_sparse(
         word_chunk=matrix_word_chunk(row_cells, word_chunk, budget),
         fault_chunk=fault_chunk,
         matrix_budget=budget,
-        threads=resolve_threads(),
         source=source,
         reason=reason,
         shape=shape,
@@ -678,21 +342,17 @@ def resolve_sparse(
     )
     try:
         ref = weakref.ref(
-            compiled, lambda _r, _k=memo_key: _SPARSE_MEMO.pop(_k, None)
+            compiled, lambda _r, _k=memo_key: _PLAN_MEMO.pop(_k, None)
         )
     except TypeError:  # pragma: no cover - non-weakrefable compiled form
         ref = lambda: compiled
-    _SPARSE_MEMO[memo_key] = (ref, plan)
-    while len(_SPARSE_MEMO) > _PLAN_MEMO_MAX:
-        del _SPARSE_MEMO[next(iter(_SPARSE_MEMO))]
+    _PLAN_MEMO[memo_key] = (ref, plan)
+    while len(_PLAN_MEMO) > _PLAN_MEMO_MAX:
+        del _PLAN_MEMO[next(iter(_PLAN_MEMO))]
     return plan
 
 
 __all__ = [
-    "AUTO_BACKEND",
-    "WORD_CHUNK_ENV",
-    "FAULT_CHUNK_ENV",
-    "TUNE_CACHE_ENV",
     "SPARSE_ENV",
     "SPARSE_DENSITY_MAX",
     "SPARSE_MIN_GATES",
@@ -705,10 +365,7 @@ __all__ = [
     "PLAN_LOG_MAX",
     "TuningPlan",
     "resolve_chunking",
-    "resolve_plan",
-    "netlist_content_hash",
     "plan_log",
     "last_plan",
     "clear_plan_log",
-    "clear_calibration_cache",
 ]

@@ -21,7 +21,7 @@ event                  emitted by
                        instead of recomputed
 ``store_corrupt``      :class:`repro.store.store.ResultStore` on
                        detect-discard-recompute of a bad artifact
-``tuning_plan``        :func:`repro.gates.tune.resolve_plan` for every
+``tuning_plan``        :func:`repro.gates.tune.resolve_sparse` for every
                        freshly resolved plan (``reason`` verbatim)
 ``campaign_completed`` :meth:`repro.gates.engine.BitParallelEngine.
                        campaign` with fault/vector/run totals

@@ -10,11 +10,11 @@ A :class:`MetricsRegistry` holds three metric families, all labelled:
 
 Storage is **lock-striped**: every ``(family, name, labels)`` series
 hashes to one of :data:`N_STRIPES` independent ``(lock, dict)`` cells,
-so concurrent writers -- e.g. :class:`~repro.gates.backends.threaded.
-ThreadedBackend` tiles recording kernel timings from pool threads --
-only contend when they hit the same stripe, never on one global lock.
-Totals are exact under any interleaving (``tests/test_obs.py`` hammers
-this from real backend tiles at several thread counts).
+so concurrent writers -- e.g. kernels recording timings from several
+threads -- only contend when they hit the same stripe, never on one
+global lock.  Totals are exact under any interleaving
+(``tests/test_obs.py`` hammers this from plain threads at several
+thread counts).
 
 One process-wide registry (:func:`registry`) backs the module-level
 helpers :func:`inc` / :func:`set_gauge` / :func:`observe`; campaign

@@ -3,8 +3,8 @@
 Every artifact the result store memoises is a pure function of a small
 set of inputs: the netlist structure, the fault universe (in order --
 artifacts are order-aligned with it), the vector universe, the
-evaluation method, the execution backend (as *resolved*, never the
-``"auto"`` sentinel) and the remaining campaign parameters.  This
+evaluation method, the execution backend (as *resolved*, never
+``None``) and the remaining campaign parameters.  This
 module turns each of those inputs into a stable hex digest and combines
 them into a :class:`CacheKey`.
 
@@ -200,8 +200,8 @@ class CacheKey:
     ``netlist``/``universe``/``space`` are the content digests of the
     circuit, fault list and vector universe; ``method`` the evaluation
     path; ``backend`` the *resolved* execution-backend name (callers
-    must resolve the ``"auto"`` sentinel on the real universe before
-    keying); ``params`` a digest of the remaining campaign parameters
+    resolve ``backend=None`` through the environment before keying);
+    ``params`` a digest of the remaining campaign parameters
     (chunking, collapse flags, seeds).  ``shard`` is empty for final
     artifacts and a ``"lo:hi"``-style span for checkpointed partials --
     the only field a resumable grid varies.

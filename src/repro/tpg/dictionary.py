@@ -35,8 +35,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.faults.sharding import resolve_workers, run_sharded, shard_bounds
-from repro.gates.backends import AUTO_BACKEND, resolve_backend_name
-from repro.gates.compile import compile_netlist
+from repro.gates.backends import resolve_backend_name
 from repro.gates.engine import (
     ALL_ONES,
     LANES,
@@ -56,7 +55,7 @@ from repro.gates.faults import (
     structural_equivalence_groups,
 )
 from repro.gates.netlist import Netlist
-from repro.gates.tune import resolve_chunking, resolve_plan
+from repro.gates.tune import resolve_chunking
 from repro.obs.trace import span as obs_span
 from repro.store import (
     CacheKey,
@@ -73,27 +72,21 @@ from repro.store import (
 #: the fault matrix ``DICT_WORD_CHUNK`` words (x64 vectors) at a time,
 #: equivalence-class representatives ``DICT_FAULT_CHUNK`` rows at a time.
 #: Defaults of the shared resolution rule
-#: (:func:`repro.gates.tune.resolve_chunking`); explicit keywords and
-#: the ``REPRO_WORD_CHUNK``/``REPRO_FAULT_CHUNK`` env vars override.
+#: (:func:`repro.gates.tune.resolve_chunking`); explicit keywords
+#: override.
 DICT_WORD_CHUNK = 256
 DICT_FAULT_CHUNK = 64
 
 
 def _resolve_dict_backend(
-    netlist: Netlist,
     backend: Optional[str],
-    n_groups: int,
-    n_words: int,
     word_chunk: Optional[int],
     fault_chunk: Optional[int],
-    matrix_budget: Optional[int],
 ) -> Tuple[str, int, int]:
     """Shared backend + chunk resolution of the dictionary builders.
 
-    Returns ``(concrete backend name, word_chunk, fault_chunk)``; the
-    ``"auto"`` sentinel goes through the shape-aware autotuner with the
-    builder's real universe sizes, so sharded workers always receive a
-    concrete name.
+    Returns ``(backend name, word_chunk, fault_chunk)``; sharded
+    workers receive the resolved name, not the environment.
     """
     word_chunk, fault_chunk = resolve_chunking(
         word_chunk,
@@ -101,18 +94,7 @@ def _resolve_dict_backend(
         default_word_chunk=DICT_WORD_CHUNK,
         default_fault_chunk=DICT_FAULT_CHUNK,
     )
-    backend = resolve_backend_name(backend, allow_auto=True)
-    if backend == AUTO_BACKEND:
-        backend = resolve_plan(
-            compile_netlist(netlist),
-            backend=AUTO_BACKEND,
-            n_groups=n_groups,
-            n_words=n_words,
-            word_chunk=word_chunk,
-            fault_chunk=fault_chunk,
-            matrix_budget=matrix_budget,
-        ).backend
-    return backend, word_chunk, fault_chunk
+    return resolve_backend_name(backend), word_chunk, fault_chunk
 
 
 @dataclass(frozen=True)
@@ -676,8 +658,7 @@ def _build_fault_dictionary_impl(
     fault_seq, groups = _resolve_universe(netlist, fault_tuple, collapse)
     n_words = space.n_words
     backend, word_chunk, fault_chunk = _resolve_dict_backend(
-        netlist, backend, len(groups), n_words,
-        word_chunk, fault_chunk, matrix_budget,
+        backend, word_chunk, fault_chunk
     )
     store = resolve_store(store)
     key = None
@@ -755,8 +736,7 @@ def dictionary_for_vectors(
     bits = np.asarray(bits, dtype=np.uint8)
     n_tests = bits.shape[0]
     backend, word_chunk, fault_chunk = _resolve_dict_backend(
-        netlist, backend, len(groups), max(1, -(-n_tests // LANES)),
-        word_chunk, fault_chunk, matrix_budget,
+        backend, word_chunk, fault_chunk
     )
     store = resolve_store(store)
     key = None

@@ -35,8 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gates.backends import AUTO_BACKEND, resolve_backend_name
-from repro.gates.compile import compile_netlist
+from repro.gates.backends import resolve_backend_name
 from repro.gates.builders import (
     restoring_divider,
     ripple_borrow_subtractor,
@@ -47,12 +46,13 @@ from repro.gates.engine import (
     LANES,
     MAX_EXHAUSTIVE_INPUTS,
     engine_for,
+    first_hits,
     matrix_word_chunk,
     popcount_words,
 )
 from repro.gates.faults import StuckAtFault, resolve_collapse_mode
 from repro.gates.netlist import Netlist
-from repro.gates.tune import resolve_chunking, resolve_plan
+from repro.gates.tune import resolve_chunking
 from repro.obs.trace import span as obs_span
 from repro.store import (
     CacheKey,
@@ -66,7 +66,6 @@ from repro.tpg.compaction import CompactTestSet, compact_from_dictionary, greedy
 from repro.tpg.dictionary import (
     FaultDictionary,
     TestSpace,
-    _resolve_dict_backend,
     _resolve_universe,
     build_fault_dictionary,
     dictionary_for_vectors,
@@ -178,24 +177,6 @@ class TPGResult:
         )
 
 
-def _first_hits(diff: np.ndarray) -> List[Tuple[int, int, int]]:
-    """Per-row first set lane of a difference matrix.
-
-    Returns ``(row, word, lane)`` triples, row-ascending, for rows with
-    any set bit -- the campaign's lowest-bit trick, reused so the
-    "first detecting vector" choice is deterministic.
-    """
-    nonzero = diff != 0
-    hit_rows = np.nonzero(nonzero.any(axis=1))[0]
-    if not hit_rows.size:
-        return []
-    word_idx = np.argmax(nonzero[hit_rows], axis=1)
-    word = diff[hit_rows, word_idx]
-    low = word & (np.uint64(0) - word)
-    lane = np.log2(low.astype(np.float64)).astype(np.int64)
-    return list(zip(hit_rows.tolist(), word_idx.tolist(), lane.tolist()))
-
-
 def generate_tests(
     netlist: Netlist,
     space: Optional[TestSpace] = None,
@@ -216,9 +197,8 @@ def generate_tests(
     Deterministic for a given ``seed``: the RNG stream, class iteration
     order and first-detect tie-breaks are all fixed, so two runs return
     identical test tables and compact sets -- under any execution
-    backend (``backend`` resolves keyword > ``REPRO_BACKEND`` > default,
-    with ``"auto"`` resolved to a concrete name by the shape-aware
-    autotuner, and is recorded on the resulting dictionary).  When the free-input count
+    backend (``backend`` resolves keyword > ``REPRO_BACKEND`` > default
+    and is recorded on the resulting dictionary).  When the free-input count
     exceeds the exhaustive-packing cap the residual sweep is skipped and
     surviving faults stay ``unresolved`` instead of proven redundant
     (``TPGResult.exhausted`` records which).
@@ -298,17 +278,7 @@ def _generate_tests_impl(
     word_chunk, fault_chunk = resolve_chunking(
         word_chunk, fault_chunk, default_word_chunk=256, default_fault_chunk=64
     )
-    backend = resolve_backend_name(backend, allow_auto=True)
-    if backend == AUTO_BACKEND:
-        backend = resolve_plan(
-            compile_netlist(netlist),
-            backend=AUTO_BACKEND,
-            n_groups=len(groups),
-            n_words=space.n_words,
-            word_chunk=word_chunk,
-            fault_chunk=fault_chunk,
-        ).backend
-    fault_chunk = max(1, fault_chunk)
+    backend = resolve_backend_name(backend)
     store = resolve_store(store)
     cache_key = None
     table: Optional[np.ndarray] = None
@@ -352,7 +322,8 @@ def _generate_tests_impl(
         phases = 0
         stale = 0
 
-        def record_vector(rows: np.ndarray, word: int, lane: int) -> None:
+        def record_vector(rows: np.ndarray, vector: int) -> None:
+            word, lane = divmod(vector, LANES)
             bits = ((rows[:, word] >> np.uint64(lane)) & np.uint64(1)).astype(np.uint8)
             key = bits.tobytes()
             if key not in seen:
@@ -369,8 +340,8 @@ def _generate_tests_impl(
                 diff = engine.detect_words(rows, [reps[g] for g in block])
                 if valid is not None:
                     diff &= valid
-                for row, word, lane in _first_hits(diff):
-                    record_vector(rows, word, lane)
+                for row, vector in first_hits(diff):
+                    record_vector(rows, vector)
                     active.remove(block[row])
                     newly += 1
             return newly
@@ -492,11 +463,8 @@ def compact_test_set(
     store = resolve_store(store)
     key = None
     if store is not None:
-        fault_seq, groups = _resolve_universe(
+        fault_seq, _ = _resolve_universe(
             netlist, None, "equivalence" if mode == "dominance" else mode
-        )
-        resolved_backend, _, _ = _resolve_dict_backend(
-            netlist, backend, len(groups), space.n_words, None, None, None
         )
         key = CacheKey(
             kind="compact",
@@ -504,7 +472,7 @@ def compact_test_set(
             universe=digest_faults(fault_seq),
             space=digest_test_space(space),
             method=method,
-            backend=resolved_backend,
+            backend=resolve_backend_name(backend),
             params=digest_params(
                 seed=seed if method == "atpg" else None, collapse=mode
             ),

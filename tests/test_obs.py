@@ -1,7 +1,8 @@
 """The unified telemetry subsystem (:mod:`repro.obs`).
 
 Covers the lock-striped metrics registry (exact totals under a
-multi-thread hammer and under real ThreadedBackend tile concurrency),
+multi-thread hammer and under concurrent kernel calls from plain
+threads),
 span nesting and ring-buffer overflow, kernel-profiling hooks (one
 observation per top-level kernel call, gated off by default), the
 campaign lifecycle events (shard balance, checkpoint resume/write,
@@ -23,7 +24,6 @@ from repro.faults.sharding import run_sharded
 from repro.gates import builders
 from repro.gates.backends.fused import FusedBackend
 from repro.gates.backends.plan import OverridePlan
-from repro.gates.backends.threaded import ThreadedBackend
 from repro.gates.compile import compile_netlist
 from repro.gates.engine import exhaustive_word_range, run_stuck_at_campaign
 from repro.gates.faults import default_fault_universe
@@ -31,7 +31,7 @@ from repro.gates.tune import (
     PLAN_LOG_MAX,
     clear_plan_log,
     last_plan,
-    resolve_plan,
+    resolve_sparse,
 )
 from repro.obs import events, metrics, trace
 from repro.obs import report as obs_report
@@ -232,10 +232,11 @@ def test_kernel_profiling_records_once_per_toplevel_call():
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_threaded_tiles_hammer_counters(threads, monkeypatch):
-    """Exact metric totals under real pool-thread concurrency: every
-    tile of every ThreadedBackend kernel call increments counters from
-    its worker thread; totals must match a lock-protected shadow count
-    and results must stay bit-identical to the fused backend."""
+    """Exact metric totals under real kernel concurrency: ``threads``
+    plain threads each drive their own fused backend, and every kernel
+    call increments counters from its thread; totals must match a
+    lock-protected shadow count and results must stay bit-identical to
+    a single-threaded call."""
     compiled, words, plan = _rca_probe()
     # Force profiling off for the reference call: the fused histogram
     # must stay empty even when REPRO_METRICS/REPRO_TRACE is exported
@@ -256,19 +257,36 @@ def test_threaded_tiles_hammer_counters(threads, monkeypatch):
         return original(self, w, p, n)
 
     monkeypatch.setattr(FusedBackend, "run_detect", counting)
-    be = ThreadedBackend(compiled, threads=threads)
     n_calls = 4
-    for _ in range(n_calls):
-        got = be.run_detect(words, plan, plan.n_rows)
-        assert np.array_equal(got, expected)
+    mismatches = []
+
+    def worker():
+        # The fused workspace is per instance: one backend per thread.
+        be = FusedBackend(compiled)
+        for _ in range(n_calls):
+            got = be.run_detect(words, plan, plan.n_rows)
+            if not np.array_equal(got, expected):
+                mismatches.append(threading.current_thread().name)
+
+    pool = [threading.Thread(target=worker) for _ in range(threads)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
+    try:
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in pool)
+    assert not mismatches
+    assert len(shadow) == threads * n_calls
     assert metrics.get_counter("tile_hammer_total", kernel="run_detect") == 10 * len(shadow)
-    assert len(shadow) >= n_calls  # >= one tile per call; more when pooled
-    # The threaded kernel records exactly one timing per top-level call
-    # (inner per-tile backends are exempt).
+    # Every top-level call records exactly one timing, whichever thread
+    # made it.
     hists = metrics.registry().snapshot()["histograms"]
-    key = "repro_kernel_seconds{backend=threaded,kernel=run_detect}"
-    assert hists[key]["count"] == n_calls
-    assert not any("backend=fused" in k for k in hists)
+    key = "repro_kernel_seconds{backend=fused,kernel=run_detect}"
+    assert hists[key]["count"] == threads * n_calls
 
 
 # ----------------------------------------------------------------------
@@ -362,13 +380,13 @@ def test_store_stats_surface_as_gauges(tmp_path):
 def test_tuning_plan_event_carries_reason_verbatim():
     clear_plan_log()
     compiled = compile_netlist(builders.ripple_carry_adder(4))
-    resolve_plan(compiled, backend="fused", n_words=17)
+    resolve_sparse(compiled, backend="fused", n_words=17)
     plan = last_plan()
     assert plan is not None
     plans = [
         r for r in trace.ring_records() if r.get("name") == events.TUNING_PLAN
     ]
-    assert plans, "resolve_plan emitted no tuning_plan event"
+    assert plans, "resolve_sparse emitted no tuning_plan event"
     attrs = plans[-1]["attrs"]
     assert attrs["reason"] == plan.reason
     assert attrs["backend"] == plan.backend
@@ -383,7 +401,7 @@ def test_plan_log_overflow_counted():
     # Distinct n_words values defeat the resolution memo, so every call
     # appends a fresh plan.
     for n_words in range(1, PLAN_LOG_MAX + extra + 1):
-        resolve_plan(compiled, backend="fused", n_words=n_words)
+        resolve_sparse(compiled, backend="fused", n_words=n_words)
     dropped = metrics.get_counter("repro_plan_log_dropped_total") - before
     assert dropped == extra
     from repro.gates.tune import plan_log

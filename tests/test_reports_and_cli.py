@@ -1,5 +1,9 @@
 """Tests for the report renderers, CLI entry points and HDL emitters."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.coverage import report as coverage_report
@@ -28,6 +32,25 @@ class TestCoverageReportCli:
     def test_bad_table_rejected(self):
         with pytest.raises(SystemExit):
             coverage_report.main(["table9"])
+
+    def test_module_cli_has_no_runtime_warning(self):
+        # ``python -m`` must find the CLI module unimported after the
+        # package import, or runpy warns on stderr.
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "repro.coverage.report",
+             "table2", "--widths", "1", "2"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Table 2" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 class TestCodesignReportCli:

@@ -333,7 +333,7 @@ class TestSparseEnvForcing:
 class TestResolveSparse:
     def test_backend_support_flags(self):
         assert backend_supports_sparse("fused")
-        assert backend_supports_sparse("threaded")
+        assert not backend_supports_sparse("threaded")  # not registered
         assert not backend_supports_sparse("python_loop")
         assert not backend_supports_sparse("reference")
 

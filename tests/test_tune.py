@@ -1,131 +1,80 @@
-"""The shape-aware autotuner and the parallel kernel tier.
+"""Campaign planning (:mod:`repro.gates.tune`) and backend selection.
 
-Covers the resolution rules (chunking precedence, the ``"auto"``
-sentinel), determinism of the cost model, the calibration cache
-round-trip, bit-identity of ``backend="auto"`` against every explicit
-backend on all four units and the Table 2 architectures, thread-count
-invariance of the threaded backend, and graceful registration of the
-optional cupy backend.
+Covers the chunk-resolution rule (keyword > caller default), the
+determinism and bookkeeping of resolved plans (shape facts, chunk
+knobs, the plan log and its resolution memo), and the rejection of
+backend names that are not registered -- including the former
+``"auto"`` sentinel and the removed ``threaded``/``numba``/``cupy``
+tiers -- with an error naming the selection's source and the
+available backends.
 """
 
-import json
-
-import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.gates import builders
-from repro.gates.backends import (
-    AUTO_BACKEND,
-    backend_unavailable_reason,
-    list_backends,
-    resolve_backend_name,
-)
-from repro.gates.backends.plan import OverridePlan
-from repro.gates.backends.threaded import (
-    THREADS_ENV,
-    ThreadedBackend,
-    resolve_threads,
-    slice_plan,
-)
+from repro.gates.backends import BACKEND_ENV, list_backends, resolve_backend_name
 from repro.gates.compile import compile_netlist
-from repro.gates.engine import engine_for, run_stuck_at_campaign
-from repro.gates.faults import default_fault_universe
+from repro.gates.engine import engine_for
 from repro.gates.tune import (
-    FAULT_CHUNK_ENV,
-    TUNE_CACHE_ENV,
-    WORD_CHUNK_ENV,
-    clear_calibration_cache,
     clear_plan_log,
     last_plan,
-    netlist_content_hash,
     plan_log,
     resolve_chunking,
-    resolve_plan,
+    resolve_sparse,
 )
-from repro.arch.testbench import table2_architecture
-from repro.coverage.engine import evaluate_operator
-from repro.tpg.dictionary import build_fault_dictionary
-from repro.tpg.generate import table2_space, unit_netlist, unit_test_set
-
-UNITS = ("add", "sub", "mul", "div")
-CONCRETE = tuple(n for n in list_backends() if n != "reference")
 
 
 # ----------------------------------------------------------------------
 # Chunk resolution: one rule for the whole stack
 # ----------------------------------------------------------------------
 class TestResolveChunking:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv(WORD_CHUNK_ENV, raising=False)
-        monkeypatch.delenv(FAULT_CHUNK_ENV, raising=False)
+    def test_defaults(self):
         assert resolve_chunking() == (512, 64)
         assert resolve_chunking(
             default_word_chunk=256, default_fault_chunk=32
         ) == (256, 32)
 
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(WORD_CHUNK_ENV, "128")
-        monkeypatch.setenv(FAULT_CHUNK_ENV, "16")
-        assert resolve_chunking() == (128, 16)
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(WORD_CHUNK_ENV, "128")
-        monkeypatch.setenv(FAULT_CHUNK_ENV, "16")
+    def test_explicit_beats_default(self):
         assert resolve_chunking(64, 8) == (64, 8)
-        assert resolve_chunking(word_chunk=64) == (64, 16)
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(WORD_CHUNK_ENV, "lots")
-        with pytest.raises(SimulationError, match="not an integer"):
-            resolve_chunking()
-        monkeypatch.setenv(WORD_CHUNK_ENV, "0")
-        with pytest.raises(SimulationError, match="positive"):
-            resolve_chunking()
+        assert resolve_chunking(word_chunk=64) == (64, 64)
+        assert resolve_chunking(
+            fault_chunk=8, default_word_chunk=256
+        ) == (256, 8)
 
     def test_clamped_to_one(self):
         assert resolve_chunking(-5, -5) == (1, 1)
 
 
 # ----------------------------------------------------------------------
-# Plan resolution: the cost model
+# Plan resolution: shape facts and the plan log
 # ----------------------------------------------------------------------
 class TestResolvePlan:
     def test_deterministic_for_fixed_shape(self):
         netlist = builders.ripple_carry_adder(4)
         clear_plan_log()
-        first = resolve_plan(netlist, backend=AUTO_BACKEND)
+        first = resolve_sparse(netlist)
         clear_plan_log()
-        again = resolve_plan(netlist, backend=AUTO_BACKEND)
+        again = resolve_sparse(netlist)
         assert first == again
-        assert first.source == "model"
+        assert first.source.startswith("sparse-")
         assert first.backend in list_backends()
         assert first.reason
 
     def test_explicit_backend_passes_through(self):
-        plan = resolve_plan(builders.full_adder(), backend="python_loop")
+        plan = resolve_sparse(builders.full_adder(), backend="python_loop")
         assert plan.backend == "python_loop"
-        assert plan.source == "explicit"
-
-    def test_auto_sentinel_needs_allow_auto(self):
-        assert resolve_backend_name("auto", allow_auto=True) == AUTO_BACKEND
-        with pytest.raises(SimulationError, match="tuning sentinel"):
-            resolve_backend_name("auto")
 
     def test_shape_uses_caller_universe_sizes(self):
         netlist = builders.ripple_carry_adder(4)
-        plan = resolve_plan(
-            netlist, backend=AUTO_BACKEND, n_groups=7, n_words=3
-        )
+        plan = resolve_sparse(netlist, n_groups=7, n_words=3)
         assert plan.shape.n_faults == 7
         assert plan.shape.n_words == 3
         assert plan.shape.total_cells == 21
 
     def test_chunk_knobs_respected(self):
         netlist = builders.ripple_carry_adder(4)
-        plan = resolve_plan(
-            netlist, backend=AUTO_BACKEND, word_chunk=32, fault_chunk=8
-        )
+        plan = resolve_sparse(netlist, word_chunk=32, fault_chunk=8)
         assert plan.fault_chunk == 8
         assert plan.word_chunk <= 32
         compiled = compile_netlist(netlist)
@@ -134,187 +83,50 @@ class TestResolvePlan:
     def test_plan_log_records_and_memo_dedups(self):
         netlist = builders.ripple_carry_adder(3)
         clear_plan_log()
-        plan = resolve_plan(netlist, backend=AUTO_BACKEND)
+        plan = resolve_sparse(netlist)
         assert last_plan() == plan
         assert len(plan_log()) == 1
         # A repeated identical resolution is served from the memo and
         # does not grow the log.
-        assert resolve_plan(netlist, backend=AUTO_BACKEND) == plan
+        assert resolve_sparse(netlist) == plan
         assert len(plan_log()) == 1
         clear_plan_log()
         assert last_plan() is None
 
-    def test_engine_for_accepts_auto(self):
-        engine = engine_for(builders.full_adder(), "auto")
-        assert engine.backend_name in list_backends()
-
 
 # ----------------------------------------------------------------------
-# Calibration cache round-trip
+# Selections that name no registered backend
 # ----------------------------------------------------------------------
-class TestCalibration:
-    def test_calibrated_plan_and_file_round_trip(self, tmp_path, monkeypatch):
-        cache = tmp_path / "tune_cache.json"
-        monkeypatch.setenv(TUNE_CACHE_ENV, str(cache))
-        netlist = builders.ripple_carry_adder(3)
-        clear_calibration_cache()
-        plan = resolve_plan(netlist, backend=AUTO_BACKEND, calibrate=True)
-        assert plan.source == "calibrated"
-        assert plan.backend in list_backends()
-        entries = json.loads(cache.read_text())
-        content = netlist_content_hash(compile_netlist(netlist))
-        assert any(key.startswith(content) for key in entries)
-        assert plan.backend in entries.values()
-        # Drop the in-process cache: the answer must come back from the
-        # file, without re-probing a different winner.
-        clear_calibration_cache()
-        clear_plan_log()
-        again = resolve_plan(netlist, backend=AUTO_BACKEND, calibrate=True)
-        assert again.backend == plan.backend
-        assert again.source == "calibrated"
-
-    def test_content_hash_ignores_identity(self):
-        one = compile_netlist(builders.ripple_carry_adder(3))
-        two = compile_netlist(builders.ripple_carry_adder(3))
-        assert one is not two
-        assert netlist_content_hash(one) == netlist_content_hash(two)
-        other = compile_netlist(builders.ripple_carry_adder(4))
-        assert netlist_content_hash(one) != netlist_content_hash(other)
-
-
-# ----------------------------------------------------------------------
-# Bit-identity: auto vs every explicit backend
-# ----------------------------------------------------------------------
-class TestAutoBitIdentity:
-    @pytest.mark.parametrize("unit", UNITS)
-    @pytest.mark.parametrize("width", (3, 4))
-    def test_unit_campaigns(self, unit, width):
-        netlist = unit_netlist(unit, width)
-        auto = run_stuck_at_campaign(netlist, backend="auto")
-        for name in CONCRETE:
-            explicit = run_stuck_at_campaign(netlist, backend=name)
-            assert np.array_equal(auto.detected, explicit.detected), name
-            assert np.array_equal(
-                auto.first_detected, explicit.first_detected
-            ), name
-
-    @pytest.mark.parametrize("operator", UNITS)
-    def test_table2_architectures(self, operator):
-        arch = table2_architecture(operator, 3, "xor3_majority")
-        space = table2_space(arch)
-        rows = space.input_rows(0, space.n_words)
-        auto = engine_for(arch.netlist, "auto")
-        outs = {
-            name: engine_for(arch.netlist, name).backend.run_words(rows)
-            for name in CONCRETE
-        }
-        base = auto.backend.run_words(rows)
-        for name, out in outs.items():
-            assert np.array_equal(base, out), name
-
-    def test_coverage_sweep(self):
-        auto = evaluate_operator(
-            "add", 3, method="gate", workers=1, backend="auto"
-        )
-        fused = evaluate_operator(
-            "add", 3, method="gate", workers=1, backend="fused"
-        )
-        key = lambda stats: {
-            tech: (s.situations, s.covered, s.detected_while_correct)
-            for tech, s in stats.items()
-        }
-        assert key(auto) == key(fused)
-
-    def test_dictionary_and_compact_set(self):
-        netlist = unit_netlist("add", 3)
-        auto = build_fault_dictionary(netlist, backend="auto")
-        fused = build_fault_dictionary(netlist, backend="fused")
-        assert np.array_equal(auto.words, fused.words)
-        # The recorded provenance is the tuner's concrete resolution.
-        assert auto.backend in list_backends()
-        set_auto = unit_test_set("add", 3, backend="auto")
-        set_fused = unit_test_set("add", 3, backend="fused")
-        assert np.array_equal(set_auto.vectors, set_fused.vectors)
-        assert np.array_equal(set_auto.detected, set_fused.detected)
-
-
-# ----------------------------------------------------------------------
-# Threaded backend: thread-count invariance
-# ----------------------------------------------------------------------
-class TestThreadedInvariance:
-    def test_resolve_threads_precedence(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "3")
-        assert resolve_threads() == 3
-        assert resolve_threads(5) == 5
-        monkeypatch.setenv(THREADS_ENV, "soon")
-        with pytest.raises(SimulationError, match=THREADS_ENV):
-            resolve_threads()
-        monkeypatch.delenv(THREADS_ENV)
-        assert resolve_threads() >= 1
-
-    @pytest.mark.parametrize("threads", (1, 2, 3))
-    def test_campaign_invariant_across_thread_counts(self, threads):
-        netlist = builders.ripple_carry_adder(4)
-        compiled = compile_netlist(netlist)
-        faults = default_fault_universe(netlist)
-        plan = OverridePlan(compiled, list(faults))
-        words = engine_for(netlist).exhaustive().words
-        fused = engine_for(netlist, "fused")
-        want_detect = fused.backend.run_detect(words, plan, plan.n_rows)
-        want_matrix = np.array(
-            fused.backend.run_matrix(words, plan, plan.n_rows), copy=True
-        )
-        backend = ThreadedBackend(compiled, threads=threads)
-        # Force tiling even at this size so >1 thread counts actually
-        # exercise the grid path, not the sequential fallback.
-        import repro.gates.backends.threaded as thr
-
-        old = thr.PARALLEL_MIN_CELLS
-        thr.PARALLEL_MIN_CELLS = 1
-        try:
-            got_detect = backend.run_detect(words, plan, plan.n_rows)
-            got_matrix = backend.run_matrix(words, plan, plan.n_rows)
-        finally:
-            thr.PARALLEL_MIN_CELLS = old
-        assert np.array_equal(got_detect, want_detect)
-        assert np.array_equal(got_matrix, want_matrix)
-
-    def test_slice_plan_partitions_rows(self):
-        netlist = builders.ripple_carry_adder(3)
-        compiled = compile_netlist(netlist)
-        faults = default_fault_universe(netlist)
-        plan = OverridePlan(compiled, list(faults))
-        lo, hi = 2, plan.n_rows - 3
-        sub = slice_plan(plan, lo, hi)
-        assert sub.n_rows == hi - lo
-        assert np.array_equal(sub.row_levels, plan.row_levels[lo:hi])
-        for net_id, (rows, consts) in sub.stem.items():
-            full_rows, full_consts = plan.stem[net_id]
-            for row, const in zip(rows, consts):
-                idx = full_rows.index(row + lo)
-                assert full_consts[idx] == const
-
-
-# ----------------------------------------------------------------------
-# Optional backends: graceful registration
-# ----------------------------------------------------------------------
-class TestOptionalRegistration:
-    @pytest.mark.parametrize("name", ("numba", "cupy"))
-    def test_registered_or_reasoned(self, name):
-        if name in list_backends():
-            assert backend_unavailable_reason(name) is None
-        else:
-            reason = backend_unavailable_reason(name)
-            assert reason, name
-            with pytest.raises(SimulationError, match="unavailable"):
-                resolve_backend_name(name)
-
-    def test_model_never_picks_unavailable(self):
-        # Even a huge shape must resolve to something registered.
-        plan = resolve_plan(
-            builders.ripple_carry_adder(4),
-            backend=AUTO_BACKEND,
-            n_groups=1 << 12,
-            n_words=1 << 12,
-        )
-        assert plan.backend in list_backends()
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        ("backend=", "auto"),
+        ("backend=", "threaded"),
+        ("backend=", "numba"),
+        ("backend=", "cupy"),
+        (f"{BACKEND_ENV}=", "threaded"),
+    ],
+    ids=[
+        "backend=auto",
+        "backend=threaded",
+        "backend=numba",
+        "backend=cupy",
+        f"{BACKEND_ENV}=threaded",
+    ],
+)
+def test_unregistered_backend_rejected(source, name, monkeypatch):
+    if source == "backend=":
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        selection = name
+    else:
+        monkeypatch.setenv(BACKEND_ENV, name)
+        selection = None
+    for resolve in (
+        lambda: resolve_backend_name(selection),
+        lambda: engine_for(builders.full_adder(), selection),
+    ):
+        with pytest.raises(SimulationError) as info:
+            resolve()
+        message = str(info.value)
+        assert f"{source}{name!r}" in message
+        assert str(list(list_backends())) in message
