@@ -4,8 +4,10 @@ This package implements the paper's test architecture (Section 4.1): the
 arithmetic units are composed of full-adder cells; fault injection
 replaces exactly one cell's behaviour with a faulty truth table derived
 from gate-level stuck-at simulation of the cell netlist
-(:mod:`repro.gates`).  All operations are vectorised over NumPy arrays so
-exhaustive coverage campaigns stay fast.
+(:mod:`repro.gates`).  The units evaluate their chains in closed form
+around the one faulty cell (:func:`~repro.arch.adders.ripple_add`), on
+Python ints for the VM's scalar calls and vectorised over NumPy arrays
+for exhaustive coverage campaigns.
 
 Public API:
 

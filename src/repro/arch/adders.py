@@ -6,24 +6,52 @@ faulty truth table.  Subtraction and negation are realised exactly as the
 paper describes the ``g`` function: one's-complement the second operand
 and assert the carry-in -- both flow through the *same* (possibly
 faulty) adder chain, which is what makes error compensation possible.
+
+:func:`ripple_add` evaluates such a chain in closed form; the
+multiplier rows and the divider's subtractor chain reuse it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-import numpy as np
-
-from repro.arch.bitops import (
-    ArrayLike,
-    broadcast_pair,
-    check_width,
-    mask_of,
-    ones_complement,
-)
-from repro.arch.cell import FullAdderCell, reference_cell
+from repro.arch.bitops import ArrayLike, as_u64, check_width, mask_of, unit_operands
+from repro.arch.cell import FullAdderCell
 from repro.errors import FaultError, SimulationError
+
+
+def ripple_add(
+    a: ArrayLike,
+    b: ArrayLike,
+    cin: int,
+    width: int,
+    cell: Optional[FullAdderCell] = None,
+    position: Optional[int] = None,
+) -> Tuple[ArrayLike, ArrayLike]:
+    """``(sum mod 2**width, carry_out)`` of a ``width``-cell ripple chain.
+
+    The cell at ``position`` follows ``cell``'s truth table (every cell
+    is fault-free when ``cell`` is None).  Only one cell can be faulty,
+    so the chain is exact integer arithmetic around it: the fault-free
+    cells below ``position`` add the low bits, whose sum carries into the
+    faulty cell at bit ``position``; the fault-free cells above add the
+    high bits plus the faulty cell's carry-out.  Operands are
+    ``width``-bit Python ints or broadcastable ``uint64`` arrays; the
+    same formulas serve both, only the LUT lookup depends on the type.
+    """
+    mask = (1 << width) - 1
+    if cell is None:
+        total = a + b + cin
+        return total & mask, total >> width
+    p = position
+    low_mask = (1 << p) - 1
+    low = (a & low_mask) + (b & low_mask) + cin
+    idx = ((a >> p) & 1) | (((b >> p) & 1) << 1) | ((low >> p) << 2)
+    s_lut, c_lut = (cell.sum_lut, cell.carry_lut) if isinstance(idx, int) else cell.luts()
+    high = (a >> (p + 1)) + (b >> (p + 1)) + c_lut[idx]
+    total = (low & low_mask) | (s_lut[idx] << p) | (high << (p + 1))
+    return total & mask, high >> (width - 1 - p)
 
 
 @dataclass
@@ -39,9 +67,11 @@ class RippleCarryAdderUnit:
     width: int
     faulty_cell: Optional[FullAdderCell] = None
     fault_position: Optional[int] = None
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_width(self.width)
+        self.width = check_width(self.width)
+        self.mask = mask_of(self.width)
         if (self.faulty_cell is None) != (self.fault_position is None):
             raise FaultError(
                 "faulty_cell and fault_position must be given together"
@@ -52,64 +82,35 @@ class RippleCarryAdderUnit:
             raise FaultError(
                 f"fault_position {self.fault_position} outside [0, {self.width})"
             )
-        self._ref = reference_cell(
-            self.faulty_cell.fault.netlist_style
-            if self.faulty_cell is not None and self.faulty_cell.fault is not None
-            else "xor3_majority"
-        )
 
     # ------------------------------------------------------------------
     @property
     def is_faulty(self) -> bool:
         return self.faulty_cell is not None
 
-    @property
-    def mask(self) -> int:
-        return mask_of(self.width)
-
     # ------------------------------------------------------------------
     def add(
         self, a: ArrayLike, b: ArrayLike, cin: int = 0
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[ArrayLike, ArrayLike]:
         """Ripple-carry addition; returns ``(sum mod 2**width, carry_out)``.
 
         Operands are unsigned ``width``-bit patterns (two's-complement
         values should be masked by the caller; see
-        :mod:`repro.arch.bitops`).  Vectorised: operands may be NumPy
-        arrays of any broadcastable shape.
+        :mod:`repro.arch.bitops`).  Two Python ints give Python ints;
+        otherwise operands may be NumPy arrays of any broadcastable
+        shape and the results are ``uint64`` arrays.
         """
         if cin not in (0, 1):
             raise SimulationError(f"carry-in must be 0 or 1, got {cin!r}")
-        a_arr, b_arr = broadcast_pair(a, b)
-        if int(np.max(a_arr, initial=0)) > self.mask or int(
-            np.max(b_arr, initial=0)
-        ) > self.mask:
-            raise SimulationError(
-                f"operand exceeds {self.width}-bit range of this unit"
-            )
-        shape = np.broadcast_shapes(a_arr.shape, b_arr.shape)
-        total = np.zeros(shape, dtype=np.uint64)
-        carry = np.full(shape, np.uint64(cin), dtype=np.uint64)
-        one = np.uint64(1)
-        two = np.uint64(2)
-        if self.faulty_cell is not None:
-            s_lut, c_lut = self.faulty_cell.luts()
-        for i in range(self.width):
-            shift = np.uint64(i)
-            ai = (a_arr >> shift) & one
-            bi = (b_arr >> shift) & one
-            if self.fault_position == i:
-                idx = (ai | (bi << one) | (carry << two)).astype(np.int64)
-                si = s_lut[idx]
-                ci = c_lut[idx]
-            else:
-                si = ai ^ bi ^ carry
-                ci = (ai & bi) | (carry & (ai ^ bi))
-            total |= si << shift
-            carry = ci
-        return total, carry
+        a, b = unit_operands(a, b, self.mask)
+        total, carry = ripple_add(
+            a, b, int(cin), self.width, self.faulty_cell, self.fault_position
+        )
+        if isinstance(a, int):
+            return total, carry
+        return as_u64(total), as_u64(carry)
 
-    def sub(self, a: ArrayLike, b: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
+    def sub(self, a: ArrayLike, b: ArrayLike) -> Tuple[ArrayLike, ArrayLike]:
         """Two's-complement subtraction ``a - b`` through the adder core.
 
         Implements the paper's ``g`` function: the subtrahend is
@@ -118,23 +119,9 @@ class RippleCarryAdderUnit:
         nominal one.  Returns ``(difference mod 2**width, carry_out)``
         where the carry-out is the *not-borrow* flag.
         """
-        _, b_arr = broadcast_pair(a, b)
-        return self.add(a, ones_complement(b_arr, self.width), cin=1)
+        a, b = unit_operands(a, b, self.mask)
+        return self.add(a, b ^ self.mask, cin=1)
 
-    def neg(self, a: ArrayLike) -> np.ndarray:
-        """Two's-complement negation ``-a`` through the adder core."""
-        a_arr = np.asarray(a, dtype=np.uint64)
-        zero = np.zeros_like(a_arr)
-        result, _ = self.add(zero, ones_complement(a_arr, self.width), cin=1)
-        return result
-
-    # ------------------------------------------------------------------
-    def golden_add(self, a: ArrayLike, b: ArrayLike, cin: int = 0) -> np.ndarray:
-        """Reference addition (never faulty), for expected values."""
-        a_arr, b_arr = broadcast_pair(a, b)
-        return (a_arr + b_arr + np.uint64(cin)) & np.uint64(self.mask)
-
-    def golden_sub(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        """Reference subtraction (never faulty)."""
-        a_arr, b_arr = broadcast_pair(a, b)
-        return (a_arr - b_arr) & np.uint64(self.mask)
+    def neg(self, a: ArrayLike) -> ArrayLike:
+        """Two's-complement negation ``-a``, i.e. ``0 - a`` through the adder core."""
+        return self.sub(0, a)[0]

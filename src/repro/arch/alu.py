@@ -17,7 +17,14 @@ from typing import Optional
 import numpy as np
 
 from repro.arch.adders import RippleCarryAdderUnit
-from repro.arch.bitops import ArrayLike, check_width, to_signed, to_unsigned
+from repro.arch.bitops import (
+    ArrayLike,
+    check_width,
+    mask_of,
+    to_signed,
+    to_unsigned,
+    wrap_signed,
+)
 from repro.arch.cell import FullAdderCell
 from repro.arch.divider import RestoringDividerUnit
 from repro.arch.multiplier import ArrayMultiplierUnit
@@ -45,9 +52,13 @@ class FaultableALU:
     _multiplier: ArrayMultiplierUnit = field(init=False, repr=False)
     _divider: RestoringDividerUnit = field(init=False, repr=False)
     _fault_unit: Optional[str] = field(default=None, init=False)
+    _mask: int = field(init=False, repr=False, compare=False)
+    _half: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_width(self.width)
+        self.width = check_width(self.width)
+        self._mask = mask_of(self.width)
+        self._half = 1 << (self.width - 1)
         self._adder = RippleCarryAdderUnit(self.width)
         self._multiplier = ArrayMultiplierUnit(self.width)
         self._divider = RestoringDividerUnit(self.width)
@@ -95,12 +106,17 @@ class FaultableALU:
         return self._fault_unit
 
     # ------------------------------------------------------------------
-    # Signed fixed-width operations
+    # Signed fixed-width operations: a Python int in gives a Python int
+    # out without touching NumPy; arrays take the bitops array path.
     # ------------------------------------------------------------------
     def _u(self, value: ArrayLike) -> ArrayLike:
+        if type(value) is int:
+            return value & self._mask
         return to_unsigned(value, self.width)
 
     def _s(self, value: ArrayLike) -> ArrayLike:
+        if type(value) is int:
+            return wrap_signed(value, self._half)
         return to_signed(value, self.width)
 
     def add(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
@@ -115,7 +131,7 @@ class FaultableALU:
 
     def neg(self, a: ArrayLike) -> ArrayLike:
         """Signed fixed-width ``-a`` through the adder core."""
-        return self._s(self._adder.neg(np.asarray(self._u(a), dtype=np.uint64)))
+        return self._s(self._adder.neg(self._u(a)))
 
     def mul(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
         """Signed fixed-width ``a * b`` (truncated, C semantics)."""
@@ -145,9 +161,7 @@ class FaultableALU:
             return self._s(q * sign_q), self._s(r * sign_r)
         if b_s == 0:
             raise SimulationError("division by zero")
-        q_mag, r_mag = self._divider.divmod(abs(a_s), abs(b_s))
-        q = int(q_mag)
-        r = int(r_mag)
+        q, r = self._divider.divmod(abs(a_s), abs(b_s))
         if (a_s < 0) != (b_s < 0):
             q = -q
         if a_s < 0:

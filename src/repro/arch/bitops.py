@@ -48,8 +48,16 @@ def to_signed(value: ArrayLike, width: int) -> ArrayLike:
     if isinstance(value, np.ndarray):
         v = value.astype(np.int64) & np.int64(mask)
         return np.where(v >= half, v - (np.int64(mask) + 1), v)
-    v = int(value) & mask
-    return v - (mask + 1) if v >= half else v
+    return wrap_signed(int(value), half)
+
+
+def wrap_signed(value: int, half: int) -> int:
+    """Two's-complement value of a Python int's low ``width`` bits.
+
+    ``half`` is ``1 << (width - 1)``; hot paths precompute it once
+    instead of re-validating ``width`` per call as :func:`to_signed` does.
+    """
+    return ((value + half) & ((half << 1) - 1)) - half
 
 
 def bit_at(value: ArrayLike, index: int) -> ArrayLike:
@@ -81,3 +89,27 @@ def broadcast_pair(a: ArrayLike, b: ArrayLike) -> tuple:
     except ValueError as exc:
         raise SimulationError(f"operand shapes do not broadcast: {exc}") from exc
     return a_arr, b_arr
+
+
+def unit_operands(a: ArrayLike, b: ArrayLike, mask: int) -> tuple:
+    """Validate two unsigned operands of a unit whose range is ``[0, mask]``.
+
+    Two Python ints stay Python ints, so the scalar path never touches
+    NumPy; anything else becomes a broadcast-compatible ``uint64`` pair.
+    Negative or too-wide operands raise the same
+    :class:`~repro.errors.SimulationError` on both paths.
+    """
+    if type(a) is int and type(b) is int:
+        ok = 0 <= a <= mask and 0 <= b <= mask
+    else:
+        try:
+            a, b = broadcast_pair(a, b)
+        except OverflowError:  # a negative or huge Python int
+            ok = False
+        else:
+            ok = int(np.max(a, initial=0)) <= mask and int(np.max(b, initial=0)) <= mask
+    if not ok:
+        raise SimulationError(
+            f"operand outside the {mask.bit_length()}-bit range of this unit"
+        )
+    return a, b

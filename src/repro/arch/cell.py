@@ -20,6 +20,7 @@ Two cell netlists are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -73,13 +74,21 @@ class FullAdderCell:
     def is_faulty(self) -> bool:
         return self.fault is not None
 
-    # NumPy views, cached lazily per instance (frozen dataclass, so via dict)
     def luts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (sum, carry) LUTs as uint64 arrays for vector indexing."""
-        return (
+        """Return (sum, carry) LUTs as read-only uint64 arrays for vector indexing."""
+        return self._lut_arrays
+
+    @cached_property
+    def _lut_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        # Built once per instance: cached_property writes the instance
+        # __dict__ directly, which a frozen dataclass still allows.
+        arrays = (
             np.asarray(self.sum_lut, dtype=np.uint64),
             np.asarray(self.carry_lut, dtype=np.uint64),
         )
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
     def evaluate(self, a: int, b: int, cin: int) -> Tuple[int, int]:
         """Scalar evaluation of the cell."""

@@ -16,12 +16,11 @@ zero raises :class:`~repro.errors.SimulationError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-import numpy as np
-
-from repro.arch.bitops import ArrayLike, broadcast_pair, check_width, mask_of
+from repro.arch.adders import ripple_add
+from repro.arch.bitops import ArrayLike, as_u64, check_width, mask_of, unit_operands
 from repro.arch.cell import FullAdderCell
 from repro.errors import FaultError, SimulationError
 
@@ -41,13 +40,15 @@ class RestoringDividerUnit:
     width: int
     faulty_cell: Optional[FullAdderCell] = None
     fault_position: Optional[int] = None
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The guard-bit chain needs width + 1 <= 64 uint64 lanes, which
         # check_width's generic 62-bit unit limit already guarantees --
         # no separate divider bound exists (the seed's width + 1 > 62
         # guard wrongly rejected width 62).
-        check_width(self.width)
+        self.width = check_width(self.width)
+        self.mask = mask_of(self.width)
         if (self.faulty_cell is None) != (self.fault_position is None):
             raise FaultError("faulty_cell and fault_position must be given together")
         if self.fault_position is not None and not (
@@ -62,86 +63,45 @@ class RestoringDividerUnit:
     def is_faulty(self) -> bool:
         return self.faulty_cell is not None
 
-    @property
-    def mask(self) -> int:
-        return mask_of(self.width)
-
-    def _chain_sub(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``a - b`` through the internal (width+1)-cell chain.
-
-        Returns ``(difference, not_borrow)`` where ``not_borrow == 1``
-        means ``a >= b`` in the fault-free case.
-        """
-        chain_width = self.width + 1
-        # Complement within the chain width directly: ``ones_complement``
-        # delegates to ``mask_of`` whose generic unit limit (62 bits)
-        # would reject the 63-bit chain of a width-62 divider even
-        # though the uint64 lanes hold it fine.
-        chain_mask = np.uint64((1 << chain_width) - 1)
-        nb = (~b) & chain_mask
-        shape = np.broadcast_shapes(a.shape, nb.shape)
-        total = np.zeros(shape, dtype=np.uint64)
-        carry = np.ones(shape, dtype=np.uint64)  # +1 of the two's complement
-        one = np.uint64(1)
-        two = np.uint64(2)
-        if self.faulty_cell is not None:
-            s_lut, c_lut = self.faulty_cell.luts()
-        for i in range(chain_width):
-            shift = np.uint64(i)
-            ai = (a >> shift) & one
-            bi = (nb >> shift) & one
-            if self.fault_position == i:
-                idx = (ai | (bi << one) | (carry << two)).astype(np.int64)
-                si = s_lut[idx]
-                ci = c_lut[idx]
-            else:
-                si = ai ^ bi ^ carry
-                ci = (ai & bi) | (carry & (ai ^ bi))
-            total |= si << shift
-            carry = ci
-        return total, carry
-
     # ------------------------------------------------------------------
-    def divmod(self, a: ArrayLike, b: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
+    def divmod(self, a: ArrayLike, b: ArrayLike) -> Tuple[ArrayLike, ArrayLike]:
         """Restoring division; returns ``(quotient, remainder)``.
 
-        Vectorised; every element of ``b`` must be non-zero.
+        Two Python ints give Python ints; otherwise vectorised over
+        broadcastable NumPy operands, returning ``uint64`` arrays.  Every
+        divisor must be non-zero.
         """
-        a_arr, b_arr = broadcast_pair(a, b)
-        if np.any(b_arr == 0):
+        a, b = unit_operands(a, b, self.mask)
+        zero_divisor = b == 0 if isinstance(b, int) else (b == 0).any()
+        if zero_divisor:
             raise SimulationError("division by zero in RestoringDividerUnit")
-        if int(np.max(a_arr, initial=0)) > self.mask or int(
-            np.max(b_arr, initial=0)
-        ) > self.mask:
-            raise SimulationError(
-                f"operand exceeds {self.width}-bit range of this unit"
-            )
-        shape = np.broadcast_shapes(a_arr.shape, b_arr.shape)
-        remainder = np.zeros(shape, dtype=np.uint64)
-        quotient = np.zeros(shape, dtype=np.uint64)
-        one = np.uint64(1)
-        for k in range(self.width - 1, -1, -1):
-            remainder = (remainder << one) | ((a_arr >> np.uint64(k)) & one)
-            trial, not_borrow = self._chain_sub(remainder, b_arr)
-            take = not_borrow.astype(bool)
-            remainder = np.where(take, trial, remainder).astype(np.uint64)
-            quotient |= not_borrow << np.uint64(k)
-        # Keep results in unit range even under faults.
-        mask = np.uint64(self.mask)
-        return quotient & mask, remainder & mask
+        if self.faulty_cell is None:
+            quotient, remainder = a // b, a % b
+        else:
+            chain = self.width + 1
+            chain_mask = (1 << chain) - 1
+            not_b = b ^ chain_mask  # a - b is a + ~b + 1 in the chain
+            quotient = remainder = 0
+            for k in range(self.width - 1, -1, -1):
+                # The chain sees only its width + 1 low bits of the
+                # shifted partial remainder; a fault can set higher ones.
+                remainder = ((remainder << 1) | ((a >> k) & 1)) & chain_mask
+                trial, not_borrow = ripple_add(
+                    remainder, not_b, 1, chain, self.faulty_cell, self.fault_position
+                )
+                # Keep the difference unless it borrowed (restoring step).
+                remainder = remainder ^ (not_borrow * (trial ^ remainder))
+                quotient = quotient | (not_borrow << k)
+            # A fault can leave the remainder wider than the unit.
+            remainder = remainder & self.mask
+        if isinstance(a, int):
+            return quotient, remainder
+        return as_u64(quotient), as_u64(remainder)
 
-    def div(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+    def div(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
         """Quotient only."""
         return self.divmod(a, b)[0]
 
-    def mod(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+    def mod(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
         """Remainder only."""
         return self.divmod(a, b)[1]
-
-    # ------------------------------------------------------------------
-    def golden_divmod(self, a: ArrayLike, b: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
-        """Reference division (never faulty)."""
-        a_arr, b_arr = broadcast_pair(a, b)
-        if np.any(b_arr == 0):
-            raise SimulationError("division by zero in RestoringDividerUnit")
-        return a_arr // b_arr, a_arr % b_arr

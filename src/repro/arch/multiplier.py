@@ -6,21 +6,17 @@ matching the paper's software-oriented integer model where ``a * b`` is
 computed in fixed-width integers.  Row ``i`` adds the partial product
 ``(a & -bit_i(b)) << i`` into the running sum through a row of full-adder
 cells; the faulty cell is identified by ``(row, column)``.
-
-The full-precision (2n-bit) variant is available via ``full_width=True``
-for callers that need the exact product (e.g. the divider check).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
-from repro.arch.bitops import ArrayLike, broadcast_pair, check_width, mask_of
+from repro.arch.adders import ripple_add
+from repro.arch.bitops import ArrayLike, as_u64, check_width, mask_of, unit_operands
 from repro.arch.cell import FullAdderCell
-from repro.errors import FaultError, SimulationError
+from repro.errors import FaultError
 
 
 @dataclass
@@ -38,9 +34,11 @@ class ArrayMultiplierUnit:
     faulty_cell: Optional[FullAdderCell] = None
     fault_row: Optional[int] = None
     fault_col: Optional[int] = None
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_width(self.width)
+        self.width = check_width(self.width)
+        self.mask = mask_of(self.width)
         have = (self.faulty_cell is not None, self.fault_row is not None, self.fault_col is not None)
         if any(have) and not all(have):
             raise FaultError("faulty_cell, fault_row and fault_col must be given together")
@@ -59,10 +57,6 @@ class ArrayMultiplierUnit:
     def is_faulty(self) -> bool:
         return self.faulty_cell is not None
 
-    @property
-    def mask(self) -> int:
-        return mask_of(self.width)
-
     @staticmethod
     def cell_positions(width: int) -> List[Tuple[int, int]]:
         """All (row, column) cell positions of the truncated array."""
@@ -73,54 +67,32 @@ class ArrayMultiplierUnit:
         ]
 
     # ------------------------------------------------------------------
-    def mul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+    def mul(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
         """Truncated product ``(a * b) mod 2**width``.
 
-        Vectorised over broadcastable NumPy operands.
+        Two Python ints give a Python int; otherwise vectorised over
+        broadcastable NumPy operands, returning a ``uint64`` array.
+        Every row but the faulty one is an exact modular add of its
+        partial product, so only that row runs through :func:`ripple_add`.
         """
-        a_arr, b_arr = broadcast_pair(a, b)
-        if int(np.max(a_arr, initial=0)) > self.mask or int(
-            np.max(b_arr, initial=0)
-        ) > self.mask:
-            raise SimulationError(
-                f"operand exceeds {self.width}-bit range of this unit"
+        a, b = unit_operands(a, b, self.mask)
+        mask = self.mask
+        if self.faulty_cell is None:
+            product = (a * b) & mask
+        else:
+            r = self.fault_row
+            low_rows = (1 << r) - 1
+            # Rows 0 .. r-1: the exact product of b's low r bits.
+            product = (a * (b & low_rows)) & mask
+            # Row r: its n - r cells add the partial product into the
+            # accumulator's top bits; the row's carry-out is truncated.
+            row, _ = ripple_add(
+                product >> r, (a * ((b >> r) & 1)) & (mask >> r), 0,
+                self.width - r, self.faulty_cell, self.fault_col,
             )
-        shape = np.broadcast_shapes(a_arr.shape, b_arr.shape)
-        one = np.uint64(1)
-        two = np.uint64(2)
-        n = self.width
-        # Row 0: partial product enters the accumulator unchanged.
-        b0 = (b_arr >> np.uint64(0)) & one
-        product = np.where(b0.astype(bool), a_arr, np.uint64(0)).astype(np.uint64)
-        if self.faulty_cell is not None:
-            s_lut, c_lut = self.faulty_cell.luts()
-        for row in range(1, n):
-            row_width = n - row
-            bi = (b_arr >> np.uint64(row)) & one
-            pp = np.where(bi.astype(bool), a_arr, np.uint64(0)).astype(np.uint64)
-            high = product >> np.uint64(row)
-            acc = np.zeros(shape, dtype=np.uint64)
-            carry = np.zeros(shape, dtype=np.uint64)
-            for col in range(row_width):
-                shift = np.uint64(col)
-                xi = (high >> shift) & one
-                yi = (pp >> shift) & one
-                if self.fault_row == row and self.fault_col == col:
-                    idx = (xi | (yi << one) | (carry << two)).astype(np.int64)
-                    si = s_lut[idx]
-                    ci = c_lut[idx]
-                else:
-                    si = xi ^ yi ^ carry
-                    ci = (xi & yi) | (carry & (xi ^ yi))
-                acc |= si << shift
-                carry = ci
-            low_mask = np.uint64((1 << row) - 1)
-            product = (product & low_mask) | (acc << np.uint64(row))
-        return product
-
-    # ------------------------------------------------------------------
-    def golden_mul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        """Reference truncated product (never faulty)."""
-        a_arr, b_arr = broadcast_pair(a, b)
-        # uint64 multiplication wraps mod 2**64; mask down to unit width.
-        return (a_arr * b_arr) & np.uint64(self.mask)
+            product = (product & low_rows) | (row << r)
+            # Rows r+1 .. n-1: exact again.  Masking the term before the
+            # add keeps it from wrapping (uint64 products wrap silently,
+            # a wrapping add of 0-d results would warn).
+            product = (product + ((a * ((b >> (r + 1)) << (r + 1))) & mask)) & mask
+        return product if isinstance(a, int) else as_u64(product)

@@ -34,7 +34,18 @@ from repro.codesign.timing import TimingModel
 from repro.codesign.swmodel import SoftwareEstimate, estimate_software
 from repro.codesign.partition import PartitionDecision, partition
 from repro.codesign.flow import FlowResult, HardwareResult, ReliableCoDesignFlow
-from repro.codesign.report import render_table3
+
+
+def __getattr__(name: str):
+    # Served lazily from :mod:`repro.codesign.report`: importing it
+    # eagerly here would load the CLI before ``python -m
+    # repro.codesign.report`` executes it, which runpy warns about.
+    if name == "render_table3":
+        from repro.codesign.report import render_table3
+
+        return render_table3
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DataflowGraph",

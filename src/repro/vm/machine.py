@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.arch.alu import FaultableALU
-from repro.arch.bitops import to_signed
+from repro.arch.bitops import wrap_signed
 from repro.errors import SimulationError
 from repro.vm.isa import NUM_REGISTERS, Opcode
 from repro.vm.program import Program
@@ -65,6 +65,7 @@ class Machine:
         self.width = width
         self.alu = alu if alu is not None else FaultableALU(width)
         self.max_steps = max_steps
+        self._half = 1 << (self.alu.width - 1)
 
     # ------------------------------------------------------------------
     def run(
@@ -79,7 +80,8 @@ class Machine:
         cycles = 0
         steps = 0
         code = program.instructions
-        wrap = lambda v: to_signed(v, self.width)  # noqa: E731
+        half = self._half
+        wrap = lambda v: wrap_signed(int(v), half)  # noqa: E731
 
         while 0 <= pc < len(code):
             steps += 1

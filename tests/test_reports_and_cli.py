@@ -12,6 +12,28 @@ from repro.gates.emit import to_verilog, to_vhdl
 from repro.gates.simulate import simulate
 
 
+def _run_module_cli(module, *args):
+    """Run ``python -m module args`` with RuntimeWarnings as errors.
+
+    ``python -m`` must find the CLI module unimported after the package
+    import, or runpy warns on stderr (an error here).
+    """
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
+    return proc
+
+
 class TestCoverageReportCli:
     def test_table2_main(self, capsys):
         assert coverage_report.main(["table2", "--widths", "1", "2"]) == 0
@@ -34,23 +56,8 @@ class TestCoverageReportCli:
             coverage_report.main(["table9"])
 
     def test_module_cli_has_no_runtime_warning(self):
-        # ``python -m`` must find the CLI module unimported after the
-        # package import, or runpy warns on stderr.
-        import repro
-
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-W", "default", "-m", "repro.coverage.report",
-             "table2", "--widths", "1", "2"],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
+        proc = _run_module_cli("repro.coverage.report", "table2", "--widths", "1", "2")
         assert "Table 2" in proc.stdout
-        assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 class TestCodesignReportCli:
@@ -61,6 +68,18 @@ class TestCodesignReportCli:
         out = capsys.readouterr().out
         assert "Table 3" in out
         assert "2 + 7n" in out
+
+    def test_module_cli_has_no_runtime_warning(self):
+        proc = _run_module_cli("repro.codesign.report", "table3", "--samples", "1000")
+        assert "Table 3" in proc.stdout and "2 + 7n" in proc.stdout
+
+    def test_render_table3_reexported_lazily(self):
+        import repro.codesign
+        from repro.codesign.report import render_table3
+
+        assert repro.codesign.render_table3 is render_table3
+        with pytest.raises(AttributeError):
+            repro.codesign.no_such_name
 
 
 class TestVhdlEmission:
