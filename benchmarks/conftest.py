@@ -49,23 +49,6 @@ def once(benchmark):
     return runner
 
 
-def _sparse_summary(plans):
-    """Cone-density statistics of the session's sparse/dense decisions."""
-    sparse_plans = [p for p in plans if p.source.startswith("sparse")]
-    densities = [
-        p.cone_density for p in sparse_plans if p.cone_density is not None
-    ]
-    return {
-        "n_decisions": len(sparse_plans),
-        "n_sparse": sum(1 for p in sparse_plans if p.sparse),
-        "cone_density_min": min(densities) if densities else None,
-        "cone_density_max": max(densities) if densities else None,
-        "cone_density_mean": (
-            sum(densities) / len(densities) if densities else None
-        ),
-    }
-
-
 class BenchRecorder:
     """Collects per-case benchmark timings and writes them as JSON."""
 
@@ -82,7 +65,6 @@ class BenchRecorder:
         if not self.suites:
             return
         from repro.gates.backends import list_backends, resolve_backend_name
-        from repro.gates.tune import plan_log
         from repro.obs import registry
 
         os.makedirs(self.directory, exist_ok=True)
@@ -93,12 +75,6 @@ class BenchRecorder:
             "machine": platform.machine(),
             "cpus": os.cpu_count() or 1,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            # Every plan resolved during the session: sparse/dense
-            # choice + chunking + the reason, per shape.
-            "tuning_plans": [plan.to_dict() for plan in plan_log()],
-            # Sparse/dense tier summary: how often the cone-sparse path
-            # engaged and the cone densities the decisions keyed on.
-            "sparse": _sparse_summary(plan_log()),
             # End-of-session telemetry snapshot (store hit rates, event
             # counts, per-backend kernel histograms when profiling on).
             "metrics": registry().snapshot(),

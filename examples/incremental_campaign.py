@@ -1,10 +1,10 @@
-"""Edit-sim loop: cone-sparse kernels + incremental recomputation.
+"""Edit-sim loop: cone-scheduled campaigns + incremental recomputation.
 
 The walk-through:
 
-1. run the RCA-8 whole-universe campaign dense and cone-sparse -- the
-   sparse tier walks only each fault batch's fan-out cone and is
-   bit-identical in every verdict field;
+1. run the RCA-8 whole-universe campaign -- the sweep walks only each
+   fault batch's fan-out cone and retires detected faults between
+   escalating vector slabs;
 2. edit one gate (the bit-0 sum XOR, whose cone reaches a single
    primary output) and recompute incrementally -- the edit's dirty
    cone is proved, untouched verdicts are reused from the previous
@@ -35,19 +35,11 @@ WIDTH = 8
 def main() -> None:
     v1 = builders.ripple_carry_adder(WIDTH)
 
-    # 1. Dense vs cone-sparse: same verdicts, less work.
+    # 1. The whole-universe campaign on the cone-scheduled sweep.
     t0 = time.perf_counter()
-    dense = run_stuck_at_campaign(v1, sparse=False)
-    t_dense = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sparse = run_stuck_at_campaign(v1, sparse=True)
-    t_sparse = time.perf_counter() - t0
-    assert np.array_equal(dense.detected, sparse.detected)
-    assert np.array_equal(dense.first_detected, sparse.first_detected)
-    print(
-        f"RCA-{WIDTH} campaign: dense {t_dense * 1e3:.1f} ms, "
-        f"sparse {t_sparse * 1e3:.1f} ms, verdicts bit-identical"
-    )
+    first = run_stuck_at_campaign(v1)
+    t_first = time.perf_counter() - t0
+    print(f"RCA-{WIDTH} campaign: {t_first * 1e3:.1f} ms, {first.summary()}")
 
     # 2. One-gate edit, recomputed incrementally against the old result.
     v2 = v1.copy()
@@ -55,7 +47,7 @@ def main() -> None:
     print("edit:", diff_netlists(v1, v2).describe())
 
     t0 = time.perf_counter()
-    inc = incremental_stuck_at_campaign(v1, v2, old_result=dense)
+    inc = incremental_stuck_at_campaign(v1, v2, old_result=first)
     t_inc = time.perf_counter() - t0
     t0 = time.perf_counter()
     scratch = run_stuck_at_campaign(v2)

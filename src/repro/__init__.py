@@ -62,11 +62,7 @@ from repro.gates.backends import (
     list_backends,
     resolve_backend_name,
 )
-from repro.gates.tune import (
-    TuningPlan,
-    resolve_chunking,
-    resolve_sparse,
-)
+from repro.gates.engine import resolve_chunking
 from repro.obs import (
     METRICS_ENV,
     MetricsRegistry,
@@ -138,9 +134,7 @@ __all__ = [
     "DEFAULT_BACKEND",
     "list_backends",
     "resolve_backend_name",
-    "TuningPlan",
     "resolve_chunking",
-    "resolve_sparse",
     "METRICS_ENV",
     "MetricsRegistry",
     "TRACE_ENV",

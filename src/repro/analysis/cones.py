@@ -281,10 +281,8 @@ class GateConeAnalysis:
 
     ``gate_cone_sizes[g]`` counts the gate itself plus its downstream
     cone, so sizes rank gates by blast radius; ``mean_cone_fraction``
-    is the average ``net_cone_sizes / n_gates`` over all nets -- the
-    cone-density statistic the sparse/dense heuristic keys
-    on (dense netlists reconverge fast, so sparse schedules save
-    nothing there).
+    is the average ``net_cone_sizes / n_gates`` over all nets -- how
+    much of the netlist a single fault can perturb on average.
     """
 
     netlist_name: str
@@ -438,7 +436,7 @@ def _gate_cones_from_payload(payload: dict) -> GateConeAnalysis:
 def analyze_gate_cones(netlist: Netlist, store: object = None) -> GateConeAnalysis:
     """Per-gate fan-out cones of ``netlist``, memoised per version.
 
-    The packed masks feed the cone-sparse fault schedules
+    The packed masks feed the campaign's cone schedules
     (:mod:`repro.gates.sparse`) and the incremental-campaign
     invalidation rule (:mod:`repro.faults.incremental`).  With a result
     store active they persist under the netlist content digest like the

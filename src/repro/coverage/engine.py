@@ -104,9 +104,9 @@ from repro.gates.engine import (
     engine_for,
     matrix_word_chunk,
     popcount_words,
+    resolve_chunking,
 )
 from repro.gates.netlist import Netlist
-from repro.gates.tune import resolve_chunking
 from repro.obs.trace import span as obs_span
 from repro.store import (
     CacheKey,
@@ -135,7 +135,7 @@ DEFAULT_SEED = 20050307  # DATE'05 conference date
 #: the fault matrix ``GATE_WORD_CHUNK`` words (x64 vectors) at a time,
 #: fault groups ``GATE_FAULT_CHUNK`` rows at a time.  These are the
 #: *defaults* of the shared resolution rule
-#: (:func:`repro.gates.tune.resolve_chunking`): an explicit keyword
+#: (:func:`repro.gates.engine.resolve_chunking`): an explicit keyword
 #: overrides them.
 GATE_WORD_CHUNK = 256
 GATE_FAULT_CHUNK = 64
@@ -969,7 +969,6 @@ def evaluate_gate_level(
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
-    sparse: Optional[bool] = None,
 ) -> Tuple[GateLevelCoverage, StuckAtCampaignResult]:
     """Batched stuck-at coverage of a gate-level netlist.
 
@@ -983,10 +982,8 @@ def evaluate_gate_level(
     detection back bit-identically, so the coverage stats never change,
     only ``simulated_runs``.  ``workers`` shards the fault list across
     processes (auto by universe size) and ``backend`` selects the
-    execution backend, both bit-identically.  ``sparse`` selects the
-    cone-sparse execution tier (``None`` auto-resolves; see
-    :func:`repro.gates.tune.resolve_sparse`), also bit-identically.
-    Returns the aggregate stats plus the raw campaign result.
+    execution backend, both bit-identically.  Returns the aggregate
+    stats plus the raw campaign result.
     """
     from repro.faults.injector import run_sharded_stuck_at_campaign
 
@@ -998,7 +995,6 @@ def evaluate_gate_level(
         workers=workers,
         backend=backend,
         store=store,
-        sparse=sparse,
     )
     stats = GateLevelCoverage(
         netlist=netlist.name,

@@ -293,7 +293,6 @@ def incremental_stuck_at_campaign(
     fault_dropping: bool = True,
     backend: Optional[str] = None,
     store=None,
-    sparse: Optional[bool] = None,
 ) -> IncrementalCampaignResult:
     """Exhaustive stuck-at campaign over ``new``, reusing ``old``'s verdicts.
 
@@ -328,8 +327,7 @@ def incremental_stuck_at_campaign(
 
     with obs_span("incremental_campaign", netlist=new.name):
         result = _incremental_impl(
-            old, new, old_result, mode, fault_dropping, backend_name, store,
-            sparse,
+            old, new, old_result, mode, fault_dropping, backend_name, store
         )
     obs_events.emit(
         obs_events.INCREMENTAL_CAMPAIGN,
@@ -350,7 +348,6 @@ def _scratch(
     fault_dropping: bool,
     backend: str,
     store,
-    sparse: Optional[bool],
     reason: str,
 ) -> IncrementalCampaignResult:
     from repro.faults.injector import run_sharded_stuck_at_campaign
@@ -362,7 +359,6 @@ def _scratch(
         workers=1,
         backend=backend,
         store=store,
-        sparse=sparse,
     )
     return IncrementalCampaignResult(
         result=result,
@@ -516,13 +512,12 @@ def _incremental_impl(
     fault_dropping: bool,
     backend: str,
     store,
-    sparse: Optional[bool],
 ) -> IncrementalCampaignResult:
     proof = _reuse_proof(old, new, mode)
     diff = proof.diff
     if diff.io_changed:
         return _scratch(
-            new, diff, mode, fault_dropping, backend, store, sparse,
+            new, diff, mode, fault_dropping, backend, store,
             "scratch: primary I/O interface changed",
         )
     if old_result is None:
@@ -531,7 +526,7 @@ def _incremental_impl(
         )
         if old_result is None:
             return _scratch(
-                new, diff, mode, fault_dropping, backend, store, sparse,
+                new, diff, mode, fault_dropping, backend, store,
                 "scratch: no old campaign result (none passed, none stored)",
             )
     if (
@@ -539,7 +534,7 @@ def _incremental_impl(
         or old_result.n_vectors != 1 << len(old.primary_inputs)
     ):
         return _scratch(
-            new, diff, mode, fault_dropping, backend, store, sparse,
+            new, diff, mode, fault_dropping, backend, store,
             "scratch: old result does not cover the exhaustive default universe",
         )
 
@@ -566,7 +561,6 @@ def _incremental_impl(
             collapse="none",
             fault_dropping=fault_dropping,
             backend=backend,
-            sparse=sparse,
         )
         n_runs = part.n_simulated_runs
         detected[proof.rem_fi] = part.detected[proof.rem_src]

@@ -37,7 +37,6 @@ from repro.errors import CheckError, ReproError
 from repro.faults.model import FaultDescriptor
 from repro.faults.sharding import resolve_workers, run_sharded, shard_bounds
 from repro.gates.backends import resolve_backend_name
-from repro.gates.compile import compile_netlist
 from repro.gates.engine import StuckAtCampaignResult, run_stuck_at_campaign
 from repro.gates.faults import (
     StuckAtFault,
@@ -177,14 +176,12 @@ def _campaign_shard(
     collapse: Union[bool, str],
     fault_dropping: bool,
     backend: Optional[str] = None,
-    sparse: Optional[bool] = None,
 ) -> StuckAtCampaignResult:
     """Shard worker: the batched campaign over one fault-list slice.
 
-    ``backend`` and ``sparse`` arrive pre-resolved from the parent, so
-    every worker process re-selects the same execution backend and
-    sparse/dense tier regardless of its own environment and sharded
-    merges stay bit-identical.
+    ``backend`` arrives pre-resolved from the parent, so every worker
+    process re-selects the same execution backend regardless of its own
+    environment and sharded merges stay bit-identical.
     """
     return run_stuck_at_campaign(
         netlist,
@@ -193,7 +190,6 @@ def _campaign_shard(
         collapse=collapse,
         fault_dropping=fault_dropping,
         backend=backend,
-        sparse=sparse,
     )
 
 
@@ -206,7 +202,6 @@ def run_sharded_stuck_at_campaign(
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
-    sparse: Optional[bool] = None,
 ) -> StuckAtCampaignResult:
     """:func:`~repro.gates.engine.run_stuck_at_campaign` with fault sharding.
 
@@ -222,12 +217,7 @@ def run_sharded_stuck_at_campaign(
     collapsing actually performed.  ``workers=None`` auto-selects by
     universe size (faults x vectors) and machine parallelism.
     ``backend`` selects the execution backend; it is resolved once here
-    (including the ``"auto"`` sentinel, tuned on the campaign's real
-    fault/vector universe) and the resolved name is handed to every
-    worker.  ``sparse`` likewise resolves once
-    (:func:`repro.gates.tune.resolve_sparse`) and the concrete
-    sparse/dense choice is handed down; results are bit-identical
-    either way, so store keys do not carry it.
+    and the resolved name is handed to every worker.
 
     With a result store active (``store=`` or ``REPRO_STORE``), the
     merged result memoises under a content key and every shard
@@ -238,7 +228,7 @@ def run_sharded_stuck_at_campaign(
     with obs_span("sharded_campaign", netlist=netlist.name):
         return _run_sharded_stuck_at_impl(
             netlist, vectors, faults, collapse, fault_dropping, workers,
-            backend, store, sparse,
+            backend, store,
         )
 
 
@@ -251,7 +241,6 @@ def _run_sharded_stuck_at_impl(
     workers: Optional[int],
     backend: Optional[str],
     store,
-    sparse: Optional[bool] = None,
 ) -> StuckAtCampaignResult:
     fault_seq: Tuple[StuckAtFault, ...] = (
         tuple(faults) if faults is not None else default_fault_universe(netlist)
@@ -266,17 +255,6 @@ def _run_sharded_stuck_at_impl(
         ]
         n_vectors = lengths[0] if lengths else 1
     backend = resolve_backend_name(backend)
-    from repro.gates.tune import resolve_sparse
-
-    # Resolve sparse/dense once, in the parent: workers inherit the
-    # concrete choice, not the environment that produced it.
-    sparse = resolve_sparse(
-        compile_netlist(netlist),
-        backend,
-        sparse=sparse,
-        n_groups=len(fault_seq),
-        n_words=max(1, -(-n_vectors // 64)),
-    ).sparse
     store = resolve_store(store)
     key = None
     if store is not None:
@@ -311,7 +289,6 @@ def _run_sharded_stuck_at_impl(
             collapse=collapse,
             fault_dropping=fault_dropping,
             backend=backend,
-            sparse=sparse,
         )
         if store is not None:
             store.put(key, result, {"workers": 1})
@@ -319,7 +296,7 @@ def _run_sharded_stuck_at_impl(
     bounds = shard_bounds(len(fault_seq), n_workers)
     arg_tuples = [
         (netlist, vectors, list(fault_seq[lo:hi]), collapse, fault_dropping,
-         backend, sparse)
+         backend)
         for lo, hi in bounds
     ]
     if store is not None:
@@ -368,7 +345,6 @@ def run_gate_level_campaign(
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
-    sparse: Optional[bool] = None,
 ) -> Tuple[CampaignResult, StuckAtCampaignResult]:
     """Batched stuck-at campaign over a gate-level netlist.
 
@@ -398,7 +374,6 @@ def run_gate_level_campaign(
         workers=workers,
         backend=backend,
         store=store,
-        sparse=sparse,
     )
     result = CampaignResult()
     for fault, hit in zip(raw.faults, raw.detected):

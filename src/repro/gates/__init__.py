@@ -21,17 +21,17 @@ This package models combinational circuits at the structural gate level:
   compiled form: 64 test vectors per ``uint64`` word, fault-major
   matrix evaluation (single faults or multi-site fault groups), batched
   stuck-at campaigns with structural collapsing and fault dropping
-  (:func:`run_stuck_at_campaign`), and the streaming helpers
+  (:func:`run_stuck_at_campaign`), the streaming helpers
   (:func:`engine.exhaustive_word_range`, :func:`engine.popcount_words`)
-  that let exhaustive sweeps run in O(chunk) memory;
+  that let exhaustive sweeps run in O(chunk) memory, and the one
+  chunk-resolution rule (:func:`resolve_chunking`);
+* :mod:`repro.gates.sparse` -- cone schedules: fault classes clustered
+  by fan-out cone into the batches the campaign sweep runs;
 * :mod:`repro.gates.backends` -- the pluggable execution layer under
   the engine: the ``python_loop`` loop, the levelized ``fused``
   default and the ``reference`` interpreter, selected per call via
   ``backend=`` or the ``REPRO_BACKEND`` environment variable, all
   bit-identical;
-* :mod:`repro.gates.tune` -- campaign planning: chunk resolution and
-  the sparse/dense decision, with every resolved plan logged for
-  benchmarks;
 * :mod:`repro.gates.simulate` -- the public simulation surface:
   :class:`NetlistSimulator` (thin adapter over the compiled engine),
   cached one-shot :func:`simulate` / :func:`simulate_vector`, and the
@@ -64,6 +64,7 @@ from repro.gates.engine import (
     engine_for,
     exhaustive_word_range,
     popcount_words,
+    resolve_chunking,
     run_stuck_at_campaign,
 )
 from repro.gates.faults import (
@@ -79,12 +80,6 @@ from repro.gates.simulate import (
     get_simulator,
     simulate,
     simulate_vector,
-)
-from repro.gates.tune import (
-    NetlistShape,
-    TuningPlan,
-    plan_log,
-    resolve_chunking,
 )
 from repro.gates import builders
 
@@ -109,6 +104,7 @@ __all__ = [
     "engine_for",
     "exhaustive_word_range",
     "popcount_words",
+    "resolve_chunking",
     "run_stuck_at_campaign",
     "FaultSite",
     "StuckAtFault",
@@ -120,9 +116,5 @@ __all__ = [
     "get_simulator",
     "simulate",
     "simulate_vector",
-    "NetlistShape",
-    "TuningPlan",
-    "plan_log",
-    "resolve_chunking",
     "builders",
 ]

@@ -20,7 +20,9 @@ backend only writes the first two; fast backends override them:
 * :meth:`Backend.run_outputs` -- primary-output rows only;
 * :meth:`Backend.run_detect` -- per-row *detection words*: the OR over
   primary outputs of ``faulty XOR fault-free``, which is the single
-  quantity campaigns, dictionaries and ATPG actually consume.
+  quantity campaigns, dictionaries and ATPG actually consume.  It
+  optionally takes a cone schedule (:mod:`repro.gates.sparse`) that a
+  backend may use to evaluate only the batch's union fan-out cone.
 
 Bit-identity contract: every backend must produce bit-identical results
 on every path -- ``run_matrix`` matrices equal element-wise, derived
@@ -84,13 +86,7 @@ def gate_program(compiled: CompiledNetlist) -> List[GateOp]:
 
 
 #: Kernel methods eligible for timing instrumentation.
-KERNEL_NAMES = (
-    "run_words",
-    "run_matrix",
-    "run_outputs",
-    "run_detect",
-    "run_detect_sparse",
-)
+KERNEL_NAMES = ("run_words", "run_matrix", "run_outputs", "run_detect")
 
 _PROFILE_LOCAL = threading.local()
 
@@ -135,13 +131,6 @@ class Backend(ABC):
 
     #: Registry name; class attribute set by each implementation.
     name: ClassVar[str] = "abstract"
-
-    #: Whether :meth:`run_detect_sparse` actually restricts evaluation
-    #: to the scheduled cone gates.  The base default delegates to the
-    #: dense :meth:`run_detect` (bit-identical, no savings), so the
-    #: sparse/dense heuristic only *prefers* sparse on backends that
-    #: set this.
-    supports_sparse: ClassVar[bool] = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -188,15 +177,27 @@ class Backend(ABC):
         return self.run_matrix(words, plan, n_rows)[self._output_ids]
 
     def run_detect(
-        self, words: np.ndarray, plan: OverridePlan, n_rows: int
+        self,
+        words: np.ndarray,
+        plan: OverridePlan,
+        n_rows: int,
+        gates: Optional[np.ndarray] = None,
+        out_ids: Optional[Tuple[int, ...]] = None,
     ) -> np.ndarray:
         """Detection words vs the fault-free run, ``(n_rows, n_words)``.
 
         Lane ``v % 64`` of word ``v // 64`` in row ``r`` is set iff some
         primary output differs from the golden run for vector ``v``
-        under fault group ``r``.  The default implementation rides one
-        override-free golden row along the fault matrix -- exactly the
-        historical campaign inner loop.
+        under fault group ``r``.
+
+        ``gates`` / ``out_ids`` optionally carry one batch of a cone
+        schedule (:func:`repro.gates.sparse.build_schedule`): the
+        ascending compiled gate indices of the batch's union fan-out
+        cone and the primary-output net ids reachable from its sites.
+        Gates and outputs outside the cone are provably golden, so a
+        backend may skip them bit-identically.  The default
+        implementation ignores the schedule and rides one override-free
+        golden row along the full fault matrix.
         """
         vals = self.run_matrix(words, plan, n_rows + 1)
         diff: np.ndarray = np.zeros((n_rows, words.shape[1]), dtype=np.uint64)
@@ -205,36 +206,10 @@ class Backend(ABC):
             diff |= out[:-1] ^ out[-1]
         return diff
 
-    def run_detect_sparse(
-        self,
-        words: np.ndarray,
-        plan: OverridePlan,
-        n_rows: int,
-        gates: np.ndarray,
-        out_ids: Optional[Tuple[int, ...]] = None,
-    ) -> np.ndarray:
-        """Detection words of one cone-sparse batch.
-
-        ``gates`` is the ascending compiled gate-index array of the
-        batch's union fan-out cone (see :mod:`repro.gates.sparse`):
-        every gate a fault row of ``plan`` can perturb, in topological
-        order.  ``out_ids`` optionally restricts the detection
-        reduction to the primary-output net ids reachable from the
-        batch's sites; outputs outside the cone are provably golden,
-        so restricting is bit-identical.
-
-        The default implementation ignores the schedule and delegates
-        to the dense :meth:`run_detect` -- correct on any backend, so
-        the sparse campaign sweep runs everywhere; backends flagged
-        ``supports_sparse`` override this with a walk that only
-        evaluates ``gates``.
-        """
-        return self.run_detect(words, plan, n_rows)
-
 
 # Subclass overrides are instrumented by __init_subclass__; the derived
 # kernels defined on the base itself are wrapped here so backends that
 # inherit them unchanged still record.
-for _kernel in ("run_outputs", "run_detect", "run_detect_sparse"):
+for _kernel in ("run_outputs", "run_detect"):
     setattr(Backend, _kernel, _profiled(_kernel, Backend.__dict__[_kernel]))
 del _kernel

@@ -23,13 +23,17 @@ for everything beyond.  Each gate folds its operands segment by
 segment (matrix x matrix where both prefixes reach, matrix x
 broadcast-golden between the marks) and override rows are fixed up
 individually, so the arithmetic volume drops to the tainted fraction
-of the matrix -- on the RCA-8 campaign roughly half, on shallow-site
-batches far more.  Results are bit-identical to the reference loop:
-untainted rows *are* the golden run.
+of the matrix -- about 0.7 of it on the RCA-8 campaign, 0.5 on the
+8-bit array multiplier.  Results are bit-identical to the reference loop:
+untainted rows *are* the golden run.  Given a cone schedule,
+:meth:`FusedBackend.run_detect` further restricts the walk to the
+batch's union fan-out cone and reduces only its reachable outputs.
 
 A persistent workspace (capped at :data:`WORKSPACE_KEEP_BYTES`) backs
 the matrix walks, so steady-state campaigns stop paying the
-allocate/fault/trim cycle of a fresh multi-megabyte matrix per chunk.
+allocate/fault/trim cycle of a fresh multi-megabyte matrix per chunk,
+and one golden run per packed vector set serves every word slab a
+campaign streams through it.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.gates.backends.base import UFUNCS, Backend, gate_program
-from repro.gates.backends.plan import OverridePlan
+from repro.gates.backends.plan import OverridePlan, _row_index
 from repro.gates.compile import CompiledNetlist
 
 #: Largest matrix workspace kept alive across calls (bytes).  Bigger
@@ -53,17 +57,19 @@ WORKSPACE_KEEP_BYTES = 64 << 20
 #: tainted-prefix walk and ride the batched matrix path: at tiny sizes
 #: the walk's per-gate slicing costs more Python time than the whole
 #: evaluation, while the level-batched matrix walk stays O(levels x
-#: opcodes) per call.
+#: opcodes) per call.  A cone-scheduled detect call keeps the walk when
+#: its cone leaves gates out, since then the walk touches fewer gates
+#: than the batched path evaluates.
 SMALL_DETECT_CELLS = 1 << 13
 
-#: Above this many (row x word) cells the sparse walk stops testing for
+#: Above this many (row x word) cells the cone walk stops testing for
 #: dead-effect early exit: the convergence probe compares every touched
 #: prefix against golden, which only pays for itself on the small
 #: batches of incremental re-runs and per-fault probes.
 SPARSE_EXIT_CELLS = 1 << 11
 
-# Work counters of the cone-sparse tier (always live, surfaced in the
-# telemetry snapshot and the BENCH_*.json records).  Resolved lazily so
+# Work counters of cone-scheduled detect walks (always live, surfaced in
+# the telemetry snapshot and the BENCH_*.json records).  Resolved lazily so
 # importing the backend never touches the metrics registry.
 _SPARSE_HANDLES = None
 
@@ -86,6 +92,35 @@ def _note_sparse(evaluated: int, skipped: int, early_exit: bool) -> None:
         _SPARSE_HANDLES[2].inc()
 
 
+def _column_offset(block: np.ndarray, words: np.ndarray) -> Optional[int]:
+    """First column of ``words`` inside ``block`` when ``words`` is a
+    column-range view of it (or ``block`` itself), else None."""
+    if words is block:
+        return 0
+    if (
+        not isinstance(block, np.ndarray)
+        or words.base is not (block if block.base is None else block.base)
+        or block.ndim != 2
+        or words.shape[0] != block.shape[0]
+        or words.strides != block.strides
+    ):
+        return None
+    delta = words.ctypes.data - block.ctypes.data
+    off, rem = divmod(delta, block.strides[1])
+    if rem or off < 0 or off + words.shape[1] > block.shape[1]:
+        return None
+    return off
+
+
+def _top(idx) -> int:
+    """One past the deepest row of an override entry's row index."""
+    return idx.stop if isinstance(idx, slice) else max(idx) + 1
+
+
+def _rows_of(idx):
+    return range(idx.start, idx.stop) if isinstance(idx, slice) else idx
+
+
 class _Group:
     """One fused (level, opcode) batch of independent gates."""
 
@@ -105,7 +140,6 @@ class FusedBackend(Backend):
     """Batched per-level evaluation with tainted-prefix fault walks."""
 
     name = "fused"
-    supports_sparse = True
 
     def __init__(self, compiled: CompiledNetlist) -> None:
         super().__init__(compiled)
@@ -142,10 +176,10 @@ class FusedBackend(Backend):
             (g, *op) for g, op in enumerate(gate_program(compiled))
         ]
         self._ws: Optional[np.ndarray] = None
-        # Fault-free run of the most recent word chunk: campaigns call
-        # the detect kernel several times per chunk (one per fault
-        # batch), and the golden evaluation is shared.  Holds (words
-        # reference, words snapshot, golden): the reference keeps the id
+        # Fault-free run of the most recent vector block (see _golden):
+        # campaigns call the detect kernel once per fault batch and word
+        # slab, and the golden evaluation is shared.  Holds (block
+        # reference, block snapshot, golden): the reference keeps the id
         # stable and the snapshot detects in-place mutation by callers.
         self._golden_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         # Cone-restricted sub-programs keyed on the schedule's gate
@@ -283,26 +317,40 @@ class FusedBackend(Backend):
     # Tainted-prefix walk and the derived kernels built on it
     # ------------------------------------------------------------------
     def _golden(self, words: np.ndarray) -> np.ndarray:
-        """Fault-free run of ``words``, cached per chunk array.
+        """Fault-free run of ``words``, cached per vector block.
 
-        Campaigns stream one word chunk through several fault batches;
-        the shared golden run is computed once per chunk.  The cache
-        keeps a strong reference to the words array (so the identity
-        cannot be recycled) plus a content snapshot: a caller mutating
-        its buffer in place between calls gets a fresh golden run, not
-        a stale one.  The snapshot compare is O(words) -- far below the
+        Campaigns stream word slabs of one packed vector set through
+        many fault batches.  On a miss the whole parent block of a
+        column-slice view is evaluated once (when its golden run fits
+        :data:`WORKSPACE_KEEP_BYTES`), so every later slab of the set
+        -- and every repeated campaign over it -- slices the cached run
+        instead of re-evaluating the netlist.  The cache holds a strong
+        reference to the block (so its identity cannot be recycled)
+        plus a content snapshot: a caller mutating its buffer in place
+        gets a fresh golden run, not a stale one.  The snapshot compare
+        covers only the requested columns, O(words) -- far below the
         run it saves.
         """
         cached = self._golden_cache
+        if cached is not None:
+            block, snapshot, golden = cached
+            off = _column_offset(block, words)
+            if off is not None:
+                hi = off + words.shape[1]
+                if np.array_equal(words, snapshot[:, off:hi]):
+                    return golden[:, off:hi]
+        block = words
+        parent = words.base
         if (
-            cached is not None
-            and cached[0] is words
-            and np.array_equal(words, cached[1])
+            parent is not None
+            and _column_offset(parent, words) is not None
+            and self.compiled.n_nets * parent.shape[1] * 8 <= WORKSPACE_KEEP_BYTES
         ):
-            return cached[2]
-        golden = self.run_words(words)
-        self._golden_cache = (words, words.copy(), golden)
-        return golden
+            block = parent
+        golden = self.run_words(block)
+        self._golden_cache = (block, block.copy(), golden)
+        off = _column_offset(block, words)
+        return golden[:, off : off + words.shape[1]]
 
     def _prefix_walk(
         self,
@@ -320,13 +368,16 @@ class FusedBackend(Backend):
         the permuted tainted rows and everything beyond equals
         ``golden[net]``.  The walk is the per-gate reference loop
         sliced to each gate's high-water mark: operands whose mark lags
-        are first topped up with broadcast golden rows, so every ufunc
-        still runs on plain contiguous slices.
+        are first topped up with golden rows, and untainted operands
+        broadcast their golden row through the ufunc.  Rows already
+        ascending in level (every cone-schedule batch) skip the
+        permutation, and override entries on contiguous rows index by
+        slice.
 
-        ``program`` restricts the walk to a cone-sparse sub-program
+        ``program`` restricts the walk to a cone sub-program
         (ascending compiled order); gates outside it are provably
-        golden under ``plan``, which the sparse schedule guarantees.
-        With ``stats`` (sparse calls) the walk additionally probes for
+        golden under ``plan``, which the cone schedule guarantees.
+        With ``stats`` (cone-scheduled calls) the walk additionally probes for
         *dead-effect early exit* on small workloads: past the deepest
         override level, at each level boundary, if every materialised
         prefix of a non-overridden net has reconverged to golden the
@@ -336,19 +387,20 @@ class FusedBackend(Backend):
         depth_plus = self.compiled.depth + 1
         row_levels = np.full(n_rows, depth_plus, dtype=np.int64)
         row_levels[: plan.n_rows] = plan.row_levels[:n_rows]
-        order = np.argsort(row_levels, kind="stable")
-        identity = bool(np.array_equal(order, np.arange(n_rows)))
+        identity = bool((row_levels[1:] >= row_levels[:-1]).all())
         if identity:
-            inv = order
+            # Cone schedules emit rows ascending in level already.
+            inv = np.arange(n_rows)
             stems = plan.stem
             branches = plan.branch_by_gate
         else:
+            order = np.argsort(row_levels, kind="stable")
             inv = np.empty_like(order)
             inv[order] = np.arange(n_rows)
 
             def remap(entry):
-                rows, consts = entry
-                return ([int(inv[r]) for r in rows], consts)
+                idx, consts = entry
+                return (_row_index([int(inv[r]) for r in _rows_of(idx)]), consts)
 
             stems = {nid: remap(e) for nid, e in plan.stem.items()}
             branches = {
@@ -358,14 +410,13 @@ class FusedBackend(Backend):
         golden = self._golden(words)
         vals = self._workspace(n_rows, words.shape[1])
         hw = [0] * self.compiled.n_nets
-        for nid, entry in stems.items():
+        for nid, (idx, consts) in stems.items():
             if hw[nid] == 0 and not self.compiled.net_levels[nid]:
                 # Stem on a primary input (or level-0 net): materialise
                 # up to the deepest overridden row, golden in between.
-                rows, consts = entry
-                top = max(rows) + 1
+                top = _top(idx)
                 vals[nid][:top] = golden[nid]
-                vals[nid][rows] = consts
+                vals[nid][idx] = consts
                 hw[nid] = top
         entries = self._flat_program if program is None else program
         probe_exit = (
@@ -377,7 +428,7 @@ class FusedBackend(Backend):
             stem_nets = set(stems)
             touched = list(stem_nets)
             prev_level = -1
-        for idx, (g, ufunc, invert, operand_ids, out_id) in enumerate(entries):
+        for pos, (g, ufunc, invert, operand_ids, out_id) in enumerate(entries):
             if probe_exit:
                 lvl = int(levels_arr[g])
                 if lvl != prev_level:
@@ -385,7 +436,7 @@ class FusedBackend(Backend):
                         touched, stem_nets, vals, hw, golden
                     ):
                         stats["early_exit"] = True
-                        stats["skipped"] = len(entries) - idx
+                        stats["skipped"] = len(entries) - pos
                         break
                     prev_level = lvl
             gate_branches = branches.get(g)
@@ -399,43 +450,42 @@ class FusedBackend(Backend):
             if gate_branches is not None:
                 # Branch-overridden rows must be evaluated even when no
                 # operand is tainted yet.
-                for rows, _ in gate_branches.values():
-                    n_override += len(rows)
-                    top = max(rows) + 1
+                for idx, consts in gate_branches.values():
+                    n_override += len(consts)
+                    top = _top(idx)
                     if top > m_in:
                         m_in = top
             out_rows = vals[out_id]
             if m_in:
-                # Top up lagging operands with golden rows so the gate
-                # folds over uniform contiguous slices.
+                # Operands with a lagging tainted prefix are topped up
+                # with golden rows; fully golden operands broadcast
+                # their single golden row through the ufunc instead.
+                pins = []
                 for nid in operand_ids:
                     h = hw[nid]
+                    if not h:
+                        pins.append(golden[nid])
+                        continue
                     if h < m_in:
                         vals[nid][h:m_in] = golden[nid]
                         hw[nid] = m_in
-                        if probe_exit and h == 0:
-                            touched.append(nid)
+                    pins.append(vals[nid][:m_in])
                 dense = gate_branches is not None and n_override * 8 >= m_in
                 if dense:
                     # Many overridden rows: recompute the whole prefix
                     # with overridden pin copies, as the reference loop.
-                    pins = []
-                    for pin, nid in enumerate(operand_ids):
-                        pv = vals[nid][:m_in]
-                        entry = gate_branches.get(pin)
-                        if entry is not None:
-                            pv = pv.copy()
-                            plan.apply(entry, pv)
-                        pins.append(pv)
-                else:
-                    pins = [vals[nid][:m_in] for nid in operand_ids]
+                    for pin, (pidx, consts) in gate_branches.items():
+                        pv = np.empty((m_in, words.shape[1]), dtype=np.uint64)
+                        pv[...] = pins[pin]
+                        pv[pidx] = consts
+                        pins[pin] = pv
+                out_seg = out_rows[:m_in]
                 if ufunc is None:
                     if invert:
-                        np.invert(pins[0], out=out_rows[:m_in])
+                        np.invert(pins[0], out=out_seg)
                     else:
-                        np.copyto(out_rows[:m_in], pins[0])
+                        np.copyto(out_seg, pins[0])
                 else:
-                    out_seg = out_rows[:m_in]
                     ufunc(pins[0], pins[1], out=out_seg)
                     for pv in pins[2:]:
                         ufunc(out_seg, pv, out=out_seg)
@@ -443,15 +493,16 @@ class FusedBackend(Backend):
                         np.invert(out_seg, out=out_seg)
                 if gate_branches is not None and not dense:
                     self._fix_branch_rows(
-                        ufunc, invert, operand_ids, gate_branches, vals, out_rows
+                        ufunc, invert, operand_ids, gate_branches, vals, hw,
+                        golden, out_rows,
                     )
             if stem_entry is not None:
-                rows, consts = stem_entry
-                top = max(rows) + 1
+                sidx, consts = stem_entry
+                top = _top(sidx)
                 if top > m_in:
                     out_rows[m_in:top] = golden[out_id]
                     m_in = top
-                out_rows[rows] = consts
+                out_rows[sidx] = consts
             if probe_exit and m_in and not hw[out_id]:
                 touched.append(out_id)
             hw[out_id] = m_in
@@ -497,8 +548,10 @@ class FusedBackend(Backend):
         return True
 
     @staticmethod
-    def _fix_branch_rows(ufunc, invert, operand_ids, gate_branches, vals, out_rows):
-        """Vectorised sparse fix-up of branch-overridden rows.
+    def _fix_branch_rows(
+        ufunc, invert, operand_ids, gate_branches, vals, hw, golden, out_rows
+    ):
+        """Sparse fix-up of branch-overridden rows.
 
         The gate's prefix was already folded override-free; each entry's
         rows are recomputed with the overridden pin replaced by its
@@ -509,20 +562,21 @@ class FusedBackend(Backend):
         collisions = set()
         if len(entries) > 1:
             seen = set()
-            for _, (rows, _) in entries:
-                for r in rows:
+            for _, (idx, _) in entries:
+                for r in _rows_of(idx):
                     if r in seen:
                         collisions.add(r)
                     seen.add(r)
-        for pin, (rows, consts) in entries:
+        for pin, (idx, consts) in entries:
             if collisions:
+                rows = _rows_of(idx)
                 keep = [i for i, r in enumerate(rows) if r not in collisions]
                 if not keep:
                     continue
-                rows = [rows[i] for i in keep]
+                idx = [rows[i] for i in keep]
                 consts = consts[keep]
             pvals = [
-                consts if p == pin else vals[nid][rows]
+                consts if p == pin else (vals[nid][idx] if hw[nid] else golden[nid])
                 for p, nid in enumerate(operand_ids)
             ]
             if ufunc is None:
@@ -530,16 +584,16 @@ class FusedBackend(Backend):
             else:
                 current = ufunc(pvals[0], pvals[1])
                 for v in pvals[2:]:
-                    current = ufunc(current, v, out=current)
-            out_rows[rows] = ~current if invert else current
+                    current = ufunc(current, v)
+            out_rows[idx] = ~current if invert else current
         for r in collisions:
             pin_consts = {
-                pin: consts[rows.index(r), 0]
-                for pin, (rows, consts) in entries
-                if r in rows
+                pin: consts[_rows_of(idx).index(r), 0]
+                for pin, (idx, consts) in entries
+                if r in _rows_of(idx)
             }
             rvals = [
-                pin_consts.get(p, vals[nid][r])
+                pin_consts.get(p, vals[nid][r] if hw[nid] else golden[nid])
                 for p, nid in enumerate(operand_ids)
             ]
             current = rvals[0]
@@ -552,22 +606,6 @@ class FusedBackend(Backend):
                 np.copyto(out_rows[r], current)
             else:
                 out_rows[r][...] = current
-
-    def run_detect(
-        self, words: np.ndarray, plan: OverridePlan, n_rows: int
-    ) -> np.ndarray:
-        if n_rows * words.shape[1] < SMALL_DETECT_CELLS:
-            return super().run_detect(words, plan, n_rows)
-        vals, hw, golden, inv, identity = self._prefix_walk(words, plan, n_rows)
-        n_words = words.shape[1]
-        diff = np.zeros((n_rows, n_words), dtype=np.uint64)
-        scratch = np.empty((n_rows, n_words), dtype=np.uint64)
-        for out_id in self._output_ids:
-            h = hw[out_id]
-            if h:
-                np.bitwise_xor(vals[out_id][:h], golden[out_id], out=scratch[:h])
-                np.bitwise_or(diff[:h], scratch[:h], out=diff[:h])
-        return diff if identity else diff[inv]
 
     def _sparse_program(self, gates: np.ndarray) -> Tuple[list, frozenset]:
         """Cone-restricted sub-program for one schedule batch, cached."""
@@ -609,25 +647,30 @@ class FusedBackend(Backend):
                         f"stem-override net {nid}"
                     )
 
-    def run_detect_sparse(
+    def run_detect(
         self,
         words: np.ndarray,
         plan: OverridePlan,
         n_rows: int,
-        gates: np.ndarray,
+        gates: Optional[np.ndarray] = None,
         out_ids: Optional[Tuple[int, ...]] = None,
     ) -> np.ndarray:
         n_words = words.shape[1]
-        n_total = self.compiled.n_gates
+        if n_rows * n_words < SMALL_DETECT_CELLS and (
+            gates is None or len(gates) == self.compiled.n_gates
+        ):
+            return super().run_detect(words, plan, n_rows)
+        program = stats = None
         outs = self._output_ids if out_ids is None else list(out_ids)
-        if not outs:
-            # No primary output is reachable from the batch's sites:
-            # nothing can detect, nothing needs evaluating.
-            _note_sparse(0, n_total, False)
-            return np.zeros((n_rows, n_words), dtype=np.uint64)
-        program, gate_set = self._sparse_program(gates)
-        self._check_sparse_plan(plan, gate_set)
-        stats = {"early_exit": False, "skipped": 0}
+        if gates is not None:
+            if not outs:
+                # No primary output is reachable from the batch's sites:
+                # nothing can detect, nothing needs evaluating.
+                _note_sparse(0, self.compiled.n_gates, False)
+                return np.zeros((n_rows, n_words), dtype=np.uint64)
+            program, gate_set = self._sparse_program(gates)
+            self._check_sparse_plan(plan, gate_set)
+            stats = {"early_exit": False, "skipped": 0}
         vals, hw, golden, inv, identity = self._prefix_walk(
             words, plan, n_rows, program=program, stats=stats
         )
@@ -638,8 +681,10 @@ class FusedBackend(Backend):
             if h:
                 np.bitwise_xor(vals[out_id][:h], golden[out_id], out=scratch[:h])
                 np.bitwise_or(diff[:h], scratch[:h], out=diff[:h])
-        evaluated = len(program) - int(stats["skipped"])
-        _note_sparse(evaluated, n_total - evaluated, bool(stats["early_exit"]))
+        if stats is not None:
+            evaluated = len(program) - stats["skipped"]
+            skipped = self.compiled.n_gates - evaluated
+            _note_sparse(evaluated, skipped, stats["early_exit"])
         return diff if identity else diff[inv]
 
     def run_outputs(

@@ -35,6 +35,10 @@ ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: nominal and checking copies of a functional unit).
 FaultGroup = Union[StuckAtFault, Sequence[StuckAtFault]]
 
+#: Rows of one override entry: a slice for an ascending run of rows,
+#: else a list; either indexes the row axis of a value matrix.
+RowIndex = Union[slice, List[int]]
+
 
 def _stuck_column(values: List[int]) -> np.ndarray:
     """Per-row stuck constants as an ``(n, 1)`` uint64 column."""
@@ -42,6 +46,15 @@ def _stuck_column(values: List[int]) -> np.ndarray:
     for i, v in enumerate(values):
         col[i, 0] = ALL_ONES if v else 0
     return col
+
+
+def _row_index(rows: List[int]) -> RowIndex:
+    """``rows`` as a slice when they form one ascending run (the common
+    case: a site's rows are adjacent in a cone schedule), else as-is."""
+    lo = rows[0]
+    if rows[-1] - lo + 1 == len(rows) and rows == list(range(lo, lo + len(rows))):
+        return slice(lo, lo + len(rows))
+    return rows
 
 
 class OverridePlan:
@@ -74,11 +87,12 @@ class OverridePlan:
         # Each site becomes one fancy assignment: rows plus a per-row
         # constant column (0 or all-ones) broadcast across the words.
         self.stem = {
-            nid: (rows, _stuck_column(values)) for nid, (rows, values) in stem.items()
+            nid: (_row_index(rows), _stuck_column(values))
+            for nid, (rows, values) in stem.items()
         }
         self.branch_by_gate = {
             gate: {
-                pin: (rows, _stuck_column(values))
+                pin: (_row_index(rows), _stuck_column(values))
                 for pin, (rows, values) in pins.items()
             }
             for gate, pins in branch.items()
@@ -117,6 +131,6 @@ class OverridePlan:
         return int(compiled.gate_levels[gate])
 
     @staticmethod
-    def apply(entry: Tuple[List[int], np.ndarray], values: np.ndarray) -> None:
+    def apply(entry: Tuple[RowIndex, np.ndarray], values: np.ndarray) -> None:
         rows, consts = entry
         values[rows] = consts

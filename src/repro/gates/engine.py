@@ -17,8 +17,9 @@ Three levels of service:
   stuck-at universe is simulated as a *fault-major matrix* (``n_nets x
   n_faults x n_words``) against one shared golden run, with structural
   fault collapsing (only one representative per equivalence class is
-  simulated) and fault dropping (detected faults leave the matrix
-  between vector chunks);
+  simulated), cone scheduling (each fault batch walks only its union
+  fan-out cone, :mod:`repro.gates.sparse`) and fault dropping (detected
+  faults leave the schedule between escalating vector slabs);
 * :meth:`BitParallelEngine.run_fault_groups` -- the same fault-major
   matrix for *multi-site fault groups* (several stuck-ats injected
   together per row), which is how the Table 2 coverage sweep replicates
@@ -40,7 +41,13 @@ Execution itself is pluggable (:mod:`repro.gates.backends`): the engine
 binds one backend per instance -- the verbatim ``python_loop``, the
 levelized ``fused`` default, or the ``reference`` interpreter --
 selected by the ``backend=`` keyword, the ``REPRO_BACKEND`` environment
-variable, or the registry default, in that order.  All backends are bit-identical on every path.
+variable, or the registry default, in that order.  All backends are
+bit-identical on every path.
+
+Chunk geometry (:func:`resolve_chunking`, :func:`matrix_word_chunk`)
+and the fault-matrix memory budget (:func:`resolve_matrix_budget`,
+``REPRO_GATE_MATRIX_BUDGET``) are resolved here too, once for every
+streaming consumer of the fault matrix.
 """
 
 from __future__ import annotations
@@ -294,10 +301,43 @@ def resolve_matrix_budget(row_cells: int, budget: Optional[int] = None) -> int:
                 raise SimulationError(
                     f"{GATE_MATRIX_BUDGET_ENV}={env!r} is not a byte count"
                 ) from None
+            if budget <= 0:
+                raise SimulationError(
+                    f"{GATE_MATRIX_BUDGET_ENV}={env!r} must be a positive byte count"
+                )
     if budget is not None:
         return max(1, int(budget))
     auto = int(row_cells) * 8 * GATE_MATRIX_TARGET_WORDS
     return min(GATE_MATRIX_BUDGET_MAX, max(GATE_MATRIX_BUDGET_MIN, auto))
+
+
+#: Campaign chunk defaults: vector words and fault classes per kernel
+#: call of the campaign sweep.
+DEFAULT_WORD_CHUNK = 512
+DEFAULT_FAULT_CHUNK = 64
+
+
+def resolve_chunking(
+    word_chunk: Optional[int] = None,
+    fault_chunk: Optional[int] = None,
+    *,
+    default_word_chunk: int = DEFAULT_WORD_CHUNK,
+    default_fault_chunk: int = DEFAULT_FAULT_CHUNK,
+) -> Tuple[int, int]:
+    """The single chunk-geometry resolution rule of the whole stack.
+
+    Every streaming consumer of the fault matrix -- campaigns, coverage
+    sweeps, fault dictionaries, ATPG -- resolves its chunks here.  Per
+    knob: explicit keyword, else the caller's default (campaigns pass
+    512/64, the coverage and dictionary builders 256/64), clamped to at
+    least one.  Chunking never changes any result, only memory traffic
+    and per-chunk overhead.
+    """
+    if word_chunk is None:
+        word_chunk = default_word_chunk
+    if fault_chunk is None:
+        fault_chunk = default_fault_chunk
+    return max(1, int(word_chunk)), max(1, int(fault_chunk))
 
 
 def matrix_word_chunk(
@@ -306,10 +346,6 @@ def matrix_word_chunk(
     """Clamp a requested ``word_chunk`` to the resolved matrix budget."""
     resolved = resolve_matrix_budget(row_cells, budget)
     return max(8, min(max(1, word_chunk), resolved // (8 * max(1, row_cells))))
-
-
-#: Backward-compatible alias: the plan now lives with the backends.
-_OverridePlan = OverridePlan
 
 
 @dataclass
@@ -388,16 +424,11 @@ class BitParallelEngine:
         self._input_ids = [int(i) for i in compiled.input_ids]
         self._output_ids = [int(i) for i in compiled.output_ids]
         self._exhaustive: Optional[PackedVectors] = None
-        # First-round campaign plans for the default collapsed universe,
-        # rebuilt only when the memoised groups tuple changes identity.
-        self._round_plans: Optional[Tuple[int, Dict[Tuple[int, int], OverridePlan]]] = None
-        # First-round sparse schedule (batches + plans) for the default
-        # collapsed universe, same identity-keyed lifetime.
-        # Sparse-sweep schedule cache: (id(groups), active classes,
+        # Campaign schedule cache: (id(groups), active classes,
         # rows-per-batch) -> (batches, plans).  Only default-universe
         # rounds are cached (their groups tuple is memoised and alive,
         # so the id cannot be recycled); FIFO-bounded.
-        self._sparse_rounds: Dict[
+        self._rounds: Dict[
             Tuple[int, Tuple[int, ...], int], Tuple[List, List[OverridePlan]]
         ] = {}
 
@@ -563,7 +594,6 @@ class BitParallelEngine:
         fault_dropping: bool = True,
         word_chunk: Optional[int] = None,
         fault_chunk: Optional[int] = None,
-        sparse: Optional[bool] = None,
     ) -> StuckAtCampaignResult:
         """Simulate a stuck-at universe against one shared golden run.
 
@@ -580,22 +610,18 @@ class BitParallelEngine:
         ``detected`` array and every classification are bit-identical
         across all three modes; dominance only weakens
         ``first_detected`` for *inferred* classes to "a valid detecting
-        vector" rather than the earliest one.  With ``fault_dropping``
-        (default) faults detected in an earlier vector chunk drop out
-        of later chunks.  Chunk sizes default to 512 words / 64 fault
-        classes and never change any classification.
+        vector" rather than the earliest one.
 
-        ``sparse`` selects the cone-sparse execution tier
-        (:mod:`repro.gates.sparse`): fault batches are clustered by
-        fan-out cone similarity and the backend walks only the union
-        cone of each batch, with a dead-effect early exit that skips
-        the rest of a word chunk once every fault of a batch is
-        detected.  ``None`` (default) resolves through
-        :func:`repro.gates.tune.resolve_sparse` (``REPRO_SPARSE`` env,
-        then the cone-density heuristic).  The ``detected`` array and
-        ``first_detected`` witnesses are bit-identical to the dense
-        sweep on every backend; only ``n_simulated_runs`` (a work
-        counter) and speed differ.
+        The sweep is cone-scheduled (:mod:`repro.gates.sparse`): fault
+        classes are clustered by fan-out cone similarity and the
+        backend walks only the union cone of each batch.  With
+        ``fault_dropping`` (default) the vector space advances in word
+        slabs that start at :data:`~repro.gates.sparse.SPARSE_WORD_SUBCHUNK`
+        words and double each step up to ``word_chunk`` words (default
+        512), and detected classes leave the schedule between slabs;
+        without it the sweep streams ``word_chunk``-word slabs over
+        every class.  ``fault_chunk`` (default 64) is the smallest batch
+        a wide slab is split into.  Neither changes any classification.
         """
         with obs_span(
             "campaign",
@@ -609,7 +635,6 @@ class BitParallelEngine:
                 fault_dropping=fault_dropping,
                 word_chunk=word_chunk,
                 fault_chunk=fault_chunk,
-                sparse=sparse,
             )
             obs_events.emit(
                 obs_events.CAMPAIGN_COMPLETED,
@@ -629,9 +654,9 @@ class BitParallelEngine:
         fault_dropping: bool,
         word_chunk: Optional[int],
         fault_chunk: Optional[int],
-        sparse: Optional[bool] = None,
     ) -> StuckAtCampaignResult:
-        from repro.gates.tune import resolve_chunking, resolve_sparse
+        from repro.analysis.cones import analyze_cones, analyze_gate_cones
+        from repro.gates import sparse
 
         mode = resolve_collapse_mode(collapse)
         word_chunk, fault_chunk = resolve_chunking(word_chunk, fault_chunk)
@@ -666,111 +691,65 @@ class BitParallelEngine:
         first_detected = np.full(n_faults, -1, dtype=np.int64)
         n_runs = 0
         n_words = packed.n_words
-        use_sparse = resolve_sparse(
-            c,
-            self.backend_name,
-            sparse=sparse,
-            n_groups=len(groups),
-            n_words=n_words,
-            word_chunk=word_chunk,
-            fault_chunk=fault_chunk,
-        ).sparse
-        plan_cache: Optional[Dict[Tuple[int, int], OverridePlan]] = None
-        if faults is None and mode == "equivalence":
-            # Plans over the memoised universe are identical across
-            # campaigns (and across word chunks until faults drop), so
-            # cache them per contiguous batch on the engine.
-            if self._round_plans is None or self._round_plans[0] != id(groups):
-                self._round_plans = (id(groups), {})
-            plan_cache = self._round_plans[1]
+        gate_cones = analyze_gate_cones(netlist)
+        po_cones = analyze_cones(netlist)
+        full_default = faults is None and mode == "equivalence"
 
-        def sweep(class_ids: List[int], cache: Optional[Dict]) -> int:
-            """Run the word-chunk x fault-chunk loops over ``class_ids``
-            (ascending), updating ``detected``/``first_detected``;
-            returns the number of representative runs."""
-            nonlocal detected, first_detected
-            active = list(class_ids)
-            runs = 0
-            for lo in range(0, max(n_words, 1), word_chunk):
-                if not active:
-                    break
-                if lo == 0 and word_chunk >= n_words:
-                    chunk = packed
-                else:
-                    chunk = packed.word_slice(lo, lo + word_chunk)
-                if chunk.n_words == 0:
-                    break
-                mask = chunk.tail_mask
-                base_vector = lo * LANES
-                for blo in range(0, len(active), fault_chunk):
-                    batch = active[blo : blo + fault_chunk]
-                    n_batch = len(batch)
-                    plan: Optional[OverridePlan] = None
-                    key: Optional[Tuple[int, int]] = None
-                    if cache is not None and batch[-1] - batch[0] + 1 == n_batch:
-                        # ``active`` is ascending, so equal span and length
-                        # mean the batch is exactly [batch[0], batch[-1]].
-                        key = (batch[0], n_batch)
-                        plan = cache.get(key)
-                    if plan is None:
-                        reps = [fault_seq[groups[g][0]] for g in batch]
-                        plan = OverridePlan(self.compiled, reps)
-                        if key is not None:
-                            if len(cache) > 64:
-                                cache.clear()
-                            cache[key] = plan
-                    # The backend folds a shared golden run into the
-                    # detection words -- no separate fault-free pass needed.
-                    diff = self.backend.run_detect(chunk.words, plan, n_batch)
-                    runs += n_batch
-                    for row, vector in first_hits(diff, mask, base_vector):
-                        for fi in groups[batch[row]]:
-                            # Without fault dropping a fault can re-detect
-                            # in later chunks; keep the earliest vector.
-                            if not detected[fi]:
-                                detected[fi] = True
-                                first_detected[fi] = vector
-                if fault_dropping:
-                    active = [g for g in active if not detected[groups[g][0]]]
-            return runs
-
-        def sweep_sparse(class_ids: List[int], cache: Optional[Dict]) -> int:
-            """Cone-sparse variant of ``sweep``: fault classes are
-            clustered by fan-out cone (:mod:`repro.gates.sparse`), the
-            backend walks only each batch's union cone, and -- under
-            fault dropping -- the vector space advances in word slabs
-            that start at :data:`~repro.gates.sparse.SPARSE_WORD_SUBCHUNK`
-            and double each step.  Most faults fall to the earliest
-            vectors, so the cheap first slab retires the bulk of the
-            universe (the dead-effect early exit); every wider slab
-            re-schedules only the surviving classes, whose union cones
-            tighten as the shallow fault sites drop out.  ``detected``
-            / ``first_detected`` are bit-identical to the dense sweep
-            (slabs advance in vector order, so the earliest witness
-            wins exactly as before); only the run counter's
-            granularity differs.
-            """
-            del cache  # cone clustering replaces the contiguous-batch cache
-            from repro.analysis.cones import analyze_cones, analyze_gate_cones
-            from repro.gates.sparse import (
-                SPARSE_CELL_BUDGET,
-                SPARSE_WORD_SUBCHUNK,
-                build_schedule,
+        def schedule(
+            active: List[int], rows: int
+        ) -> Tuple[List, List[OverridePlan]]:
+            """Cone-clustered batches and their plans for ``active``,
+            one row per class simulating its representative fault (the
+            members of a structural equivalence class share one faulty
+            function); default-universe rounds are cached on the engine
+            (dropping is deterministic, so repeated campaigns replay
+            them)."""
+            key = (id(groups), tuple(active), rows)
+            cached = self._rounds.get(key) if full_default else None
+            if cached is not None:
+                return cached
+            sched_groups = [fault_seq[groups[g][0]] for g in active]
+            batches = list(
+                sparse.build_schedule(
+                    c, sched_groups, rows, gate_cones, po_cones
+                ).batches
             )
+            plans = [
+                OverridePlan(c, [sched_groups[m] for m in b.members])
+                for b in batches
+            ]
+            if full_default:
+                while len(self._rounds) >= 32:
+                    del self._rounds[next(iter(self._rounds))]
+                self._rounds[key] = (batches, plans)
+            return batches, plans
 
-            nonlocal detected, first_detected
-            gate_cones = analyze_gate_cones(netlist)
-            po_cones = analyze_cones(netlist)
+        def sweep(class_ids: List[int]) -> int:
+            """Run the cone-scheduled slab sweep over ``class_ids``,
+            updating ``detected``/``first_detected``; returns the number
+            of representative runs.
+
+            Under fault dropping the first slab is narrow and each next
+            one twice as wide: most faults fall to the earliest vectors,
+            so the cheap first slab retires the bulk of the universe and
+            every wider slab re-schedules only the surviving classes,
+            whose union cones tighten as the shallow fault sites drop
+            out.  Slabs advance in vector order, so the first hit of a
+            class is its earliest detecting vector.
+            """
             active = list(class_ids)
-            full_default = faults is None and mode == "equivalence"
             runs = 0
             sched_for: Optional[List[int]] = None
-            fc_for = 0
+            rows_for = 0
             batches: List = []
             plans: List[OverridePlan] = []
             # Without fault dropping no class ever retires, so slab
-            # escalation buys nothing: stream plain word chunks.
-            slab = SPARSE_WORD_SUBCHUNK if fault_dropping else word_chunk
+            # escalation buys nothing: stream plain word chunks.  Either
+            # way no slab exceeds ``word_chunk`` words, which bounds the
+            # detect matrix on large vector sets.
+            slab = word_chunk
+            if fault_dropping:
+                slab = min(sparse.SPARSE_WORD_SUBCHUNK, word_chunk)
             lo = 0
             while lo < max(n_words, 1) and active:
                 hi = min(lo + slab, n_words)
@@ -781,88 +760,50 @@ class BitParallelEngine:
                 if part.n_words == 0:
                     break
                 # Rows per kernel call: narrow slabs take every active
-                # class in one dense-shaped batch (the probe most
-                # faults die in), wide slabs fall back toward the
-                # campaign fault chunk to bound the matrix footprint.
-                fc_eff = max(
-                    fault_chunk, SPARSE_CELL_BUDGET // max(1, part.n_words)
+                # class in one batch (the probe most faults die in),
+                # wide slabs fall back toward the campaign fault chunk
+                # to bound the matrix footprint.
+                rows = max(
+                    fault_chunk, sparse.SPARSE_CELL_BUDGET // max(1, part.n_words)
                 )
-                if sched_for != active or fc_for != fc_eff:
-                    # Reschedule when dropping changed the active set
-                    # or the slab width changed the batching; default-
-                    # universe rounds are cached on the engine like the
-                    # dense plan cache (dropping is deterministic, so
-                    # repeated campaigns replay the same rounds).
-                    ckey = (id(groups), tuple(active), fc_eff)
-                    cached = (
-                        self._sparse_rounds.get(ckey) if full_default else None
-                    )
-                    sched_for = list(active)
-                    if cached is not None:
-                        batches, plans = cached
-                    else:
-                        sched_groups = [
-                            tuple(fault_seq[fi] for fi in groups[g])
-                            for g in sched_for
-                        ]
-                        schedule = build_schedule(
-                            c, sched_groups, fc_eff, gate_cones, po_cones
-                        )
-                        batches = list(schedule.batches)
-                        plans = [
-                            OverridePlan(
-                                self.compiled,
-                                [sched_groups[m] for m in b.members],
-                            )
-                            for b in batches
-                        ]
-                        if full_default:
-                            while len(self._sparse_rounds) >= 32:
-                                del self._sparse_rounds[
-                                    next(iter(self._sparse_rounds))
-                                ]
-                            self._sparse_rounds[ckey] = (batches, plans)
-                    fc_for = fc_eff
+                if sched_for != active or rows_for != rows:
+                    sched_for, rows_for = list(active), rows
+                    batches, plans = schedule(sched_for, rows)
                 mask = part.tail_mask
                 base_vector = lo * LANES
-                for bi, batch in enumerate(batches):
+                for batch, plan in zip(batches, plans):
                     # Batches whose sites reach no primary output are
                     # provably undetectable: no kernel runs at all.
                     if not batch.out_ids:
                         continue
                     if fault_dropping and all(
-                        detected[groups[sched_for[m]][0]]
-                        for m in batch.members
+                        detected[groups[sched_for[m]][0]] for m in batch.members
                     ):
                         continue
                     n_batch = len(batch.members)
-                    diff = self.backend.run_detect_sparse(
-                        part.words,
-                        plans[bi],
-                        n_batch,
-                        batch.gates,
-                        batch.out_ids,
+                    # The backend folds a shared golden run into the
+                    # detection words -- no separate fault-free pass needed.
+                    diff = self.backend.run_detect(
+                        part.words, plan, n_batch, batch.gates, batch.out_ids
                     )
                     runs += n_batch
                     for row, vector in first_hits(diff, mask, base_vector):
                         for fi in groups[sched_for[batch.members[row]]]:
+                            # Without fault dropping a fault can re-detect
+                            # in later slabs; keep the earliest vector.
                             if not detected[fi]:
                                 detected[fi] = True
                                 first_detected[fi] = vector
                 if fault_dropping:
                     active = [g for g in active if not detected[groups[g][0]]]
+                    slab = min(slab * 2, word_chunk)
                 lo = hi
-                if fault_dropping:
-                    slab *= 2
             return runs
 
-        if use_sparse:
-            sweep = sweep_sparse
-
         if cmap is None:
-            n_runs += sweep(list(range(len(groups))), plan_cache)
+            n_runs += sweep(list(range(len(groups))))
         else:
-            n_runs += sweep(sorted(cmap.kept), None)
+            n_runs += sweep(sorted(cmap.kept))
             # Resolve the dominated-away classes in topological waves:
             # detected as soon as any predecessor is (with the earliest
             # predecessor witness as the detecting vector), residually
@@ -896,7 +837,7 @@ class BitParallelEngine:
                 if to_sim or (deferred and not to_sim):
                     if not to_sim:
                         deferred = []  # defensive: cannot happen on a DAG
-                    n_runs += sweep(wave, None)
+                    n_runs += sweep(wave)
                     for ci in wave:
                         status[ci] = bool(detected[groups[ci][0]])
                 pending = deferred
@@ -953,15 +894,13 @@ def run_stuck_at_campaign(
     word_chunk: Optional[int] = None,
     fault_chunk: Optional[int] = None,
     backend: Optional[str] = None,
-    sparse: Optional[bool] = None,
 ) -> StuckAtCampaignResult:
     """One-call batched campaign over ``netlist``'s stuck-at universe.
 
     ``inputs`` maps primary inputs to 0/1 vectors (all the same length);
     omitted, the exhaustive vector set is used.  ``backend`` selects the
     execution backend; classifications are bit-identical across all of
-    them.  ``sparse`` selects the cone-sparse execution tier
-    (``None`` auto-resolves; see :meth:`BitParallelEngine.campaign`).
+    them.
     """
     engine = engine_for(netlist, backend)
     packed: Optional[PackedVectors] = None
@@ -975,5 +914,4 @@ def run_stuck_at_campaign(
         fault_dropping=fault_dropping,
         word_chunk=word_chunk,
         fault_chunk=fault_chunk,
-        sparse=sparse,
     )

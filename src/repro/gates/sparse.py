@@ -1,24 +1,26 @@
-"""Cone-sparse fault schedules over the compiled CSR arrays.
+"""Cone schedules of the campaign sweep over the compiled CSR arrays.
 
 A stuck-at fault can only perturb the gates in the transitive fan-out
 cone of its site; every gate outside that cone recomputes the golden
 value a campaign already has.  This module turns the per-gate cone
 bitmasks of :func:`repro.analysis.cones.analyze_gate_cones` into
-*sparse schedules*: fault groups are clustered by cone similarity into
+*cone schedules*: fault groups are clustered by cone similarity into
 fixed-size batches (keeping the vectorized fault-major matrix shape),
 and each batch carries
 
 * ``gates`` -- the ascending compiled gate indices of the union cone,
-  the only gates a sparse backend walk needs to evaluate, and
+  the only gates a backend's detect walk needs to evaluate, and
 * ``out_ids`` -- the compiled net ids of the primary outputs reachable
   from any member site; outputs outside this set provably carry no
   detection bits, so the XOR/OR detection reduction skips them.
 
-Clustering sorts groups by first-divergence level then cone mask, so
-consecutive groups share cone structure and batch union cones stay
-close to the per-member cones.  The schedule is consumed by
-:meth:`repro.gates.backends.base.Backend.run_detect_sparse` and by the
-sparse campaign sweep in :mod:`repro.gates.engine`.
+Clustering sorts groups by first-divergence level, then cone mask,
+then fault site, so consecutive groups share cone structure, batch
+union cones stay close to the per-member cones, and a batch's rows
+arrive ascending in level with each site's rows adjacent (the order
+the fused detect walk evaluates them in).  The schedule is consumed by the
+campaign sweep in :mod:`repro.gates.engine` and by
+:meth:`repro.gates.backends.base.Backend.run_detect`.
 
 Invariants a schedule guarantees (backends rely on them):
 
@@ -45,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis -> gates)
 
 _WORD = 64
 
-#: Words in the first detection slab of the sparse campaign sweep.
+#: Words in the first detection slab of the campaign sweep.
 #: With fault dropping on, the sweep walks the vector space in slabs
 #: that start here and double each step: most faults fall to the
 #: earliest vectors, so the cheap first probe retires the bulk of the
@@ -54,7 +56,7 @@ _WORD = 64
 #: dead-effect early exit at campaign granularity.
 SPARSE_WORD_SUBCHUNK = 64
 
-#: Cell budget (matrix rows x words) of one sparse kernel call: narrow
+#: Cell budget (matrix rows x words) of one detect call: narrow
 #: slabs batch every active class into a single dense-shaped call,
 #: wide slabs fall back toward the campaign fault chunk.
 SPARSE_CELL_BUDGET = 1 << 15
@@ -96,16 +98,18 @@ def _mask_to_indices(mask: np.ndarray, limit: int) -> np.ndarray:
     return idx[idx < limit].astype(np.int64)
 
 
-def _site_level(compiled: CompiledNetlist, fault: StuckAtFault) -> int:
-    """First-divergence level of one site (mirrors OverridePlan)."""
+def _site_level(compiled: CompiledNetlist, fault: StuckAtFault) -> Tuple[int, int]:
+    """First-divergence level of one site (mirrors OverridePlan) and a
+    key unique per stem net / branch pin."""
     if fault.site.is_stem:
         nid = compiled.net_id(fault.site.net)
         lo, hi = compiled.fanout_offsets[nid], compiled.fanout_offsets[nid + 1]
         if hi > lo:
-            return int(compiled.gate_levels[compiled.fanout_gates[lo:hi]].min())
-        return int(compiled.net_levels[nid])
-    gate, _pin = compiled.pin_id(*fault.site.branch)
-    return int(compiled.gate_levels[gate])
+            return int(compiled.gate_levels[compiled.fanout_gates[lo:hi]].min()), nid
+        return int(compiled.net_levels[nid]), nid
+    gate, pin = compiled.pin_id(*fault.site.branch)
+    key = compiled.n_nets + int(compiled.operand_offsets[gate]) + pin
+    return int(compiled.gate_levels[gate]), key
 
 
 def fault_cone_mask(
@@ -152,11 +156,10 @@ def build_schedule(
     gate_cones: "GateConeAnalysis",
     cones: Optional["ConeAnalysis"] = None,
 ) -> SparseSchedule:
-    """Cluster ``fault_groups`` into cone-similar sparse batches.
+    """Cluster ``fault_groups`` into cone-similar batches.
 
-    ``fault_chunk`` bounds the batch size exactly like the dense
-    campaign sweep, so the fault-major matrix shape (and therefore the
-    backend workspace layout) is unchanged.  With ``cones`` the batches
+    ``fault_chunk`` bounds the batch size, i.e. the fault-major matrix
+    rows of one backend call.  With ``cones`` the batches
     also carry the restricted primary-output id sets; without it every
     batch reduces over all outputs (still bit-identical, just more
     XOR/OR work).
@@ -168,20 +171,24 @@ def build_schedule(
     masks = np.zeros((n_groups, gw), dtype=np.uint64)
     reach = np.zeros((n_groups, ow), dtype=np.uint64)
     levels = np.full(n_groups, compiled.depth + 1, dtype=np.int64)
+    sites = np.zeros(n_groups, dtype=np.int64)
     for i, entry in enumerate(fault_groups):
-        for fault in _as_group(entry):
+        for k, fault in enumerate(_as_group(entry)):
             masks[i] |= fault_cone_mask(compiled, gate_cones, fault)
             if cones is not None:
                 reach[i] |= _fault_reach_mask(compiled, cones, fault)
-            level = _site_level(compiled, fault)
+            level, site = _site_level(compiled, fault)
             if level < levels[i]:
                 levels[i] = level
+            if k == 0 or site < sites[i]:
+                sites[i] = site
     if cones is None:
         reach[:] = np.uint64(0xFFFFFFFFFFFFFFFF)
 
     # Primary key: first-divergence level; then the cone mask words, so
-    # equal-level groups with overlapping cones land in the same batch.
-    keys = [masks[:, w] for w in range(gw - 1, -1, -1)] + [levels]
+    # equal-level groups with overlapping cones land in the same batch;
+    # then the site, so rows overriding one site sit side by side.
+    keys = [sites] + [masks[:, w] for w in range(gw - 1, -1, -1)] + [levels]
     order = np.lexsort(keys)
 
     output_ids = [int(i) for i in compiled.output_ids]

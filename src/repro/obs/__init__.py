@@ -10,7 +10,7 @@ The observability layer the campaign stack reports through:
   ``REPRO_TRACE`` set, a JSON-lines file safe across shard processes;
 * :mod:`repro.obs.events` -- the campaign lifecycle vocabulary (shard
   submitted/started/completed/merged, checkpoint written/resumed,
-  store corruption, tuning-plan choices) every subsystem emits through;
+  store corruption, campaign completed) every subsystem emits through;
 * :mod:`repro.obs.report` -- ``python -m repro.obs.report trace.jsonl``
   reconstructs per-shard timings, straggler ratio, store hit rate and
   per-backend kernel time from a trace alone.

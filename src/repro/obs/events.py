@@ -21,8 +21,6 @@ event                  emitted by
                        instead of recomputed
 ``store_corrupt``      :class:`repro.store.store.ResultStore` on
                        detect-discard-recompute of a bad artifact
-``tuning_plan``        :func:`repro.gates.tune.resolve_sparse` for every
-                       freshly resolved plan (``reason`` verbatim)
 ``campaign_completed`` :meth:`repro.gates.engine.BitParallelEngine.
                        campaign` with fault/vector/run totals
 =====================  ==============================================
@@ -47,7 +45,6 @@ SHARDS_MERGED = "shards_merged"
 CHECKPOINT_WRITTEN = "checkpoint_written"
 CHECKPOINT_RESUMED = "checkpoint_resumed"
 STORE_CORRUPT = "store_corrupt"
-TUNING_PLAN = "tuning_plan"
 CAMPAIGN_COMPLETED = "campaign_completed"
 INCREMENTAL_CAMPAIGN = "incremental_campaign"
 
@@ -61,7 +58,6 @@ EVENT_NAMES = (
     CHECKPOINT_WRITTEN,
     CHECKPOINT_RESUMED,
     STORE_CORRUPT,
-    TUNING_PLAN,
     CAMPAIGN_COMPLETED,
     INCREMENTAL_CAMPAIGN,
 )
@@ -96,6 +92,5 @@ __all__ = [
     "SHARD_STARTED",
     "SHARD_SUBMITTED",
     "STORE_CORRUPT",
-    "TUNING_PLAN",
     "emit",
 ]

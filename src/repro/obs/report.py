@@ -9,9 +9,9 @@ but the JSON-lines records, what a sharded campaign actually did:
 * per-shard in-worker durations with the **straggler ratio**
   (slowest shard / median shard -- the number that distinguishes a
   stalled campaign from a merely imbalanced one);
-* checkpoint resume/write counts, tuning-plan choices with their
-  verbatim reasons, and -- from the embedded ``metrics`` records,
-  merged across pids -- store hit rate and per-backend kernel time.
+* checkpoint resume/write counts and -- from the embedded ``metrics``
+  records, merged across pids -- store hit rate and per-backend kernel
+  time.
 
 ``--live`` summarizes the current process's registry snapshot instead
 (no trace file needed), which is what a long-running service endpoint
@@ -67,7 +67,6 @@ def summarize(records: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
         "campaigns": _campaigns(spans, event_records),
         "shards": _shards(event_records),
         "checkpoints": _checkpoints(event_records),
-        "tuning_plans": _tuning_plans(event_records),
         "store": store_summary(snapshot),
         "kernels": kernel_summary(snapshot),
         "events": _event_counts(event_records),
@@ -161,16 +160,6 @@ def _checkpoints(event_records: List[Mapping[str, Any]]) -> Optional[Dict[str, i
     if not (written or resumed):
         return None
     return {"written": written, "resumed": resumed}
-
-
-def _tuning_plans(event_records: List[Mapping[str, Any]]) -> List[Dict[str, Any]]:
-    out: List[Dict[str, Any]] = []
-    for record in event_records:
-        if record.get("name") != _events.TUNING_PLAN:
-            continue
-        attrs = dict(record.get("attrs", {}))
-        out.append(attrs)
-    return out
 
 
 def _event_counts(event_records: List[Mapping[str, Any]]) -> Dict[str, int]:
@@ -292,12 +281,6 @@ def render(summary: Mapping[str, Any], out: TextIO) -> None:
             f"store: hits={store['hits']} misses={store['misses']}"
             f" puts={store['puts']} corrupt={store['corrupt']}"
             f" hit_rate={store['hit_rate']:.1%}",
-            file=out,
-        )
-    for plan in summary.get("tuning_plans") or []:
-        print(
-            f"plan: backend={plan.get('backend')} source={plan.get('source')}"
-            f" reason={plan.get('reason')!r}",
             file=out,
         )
     kernels = summary.get("kernels") or []

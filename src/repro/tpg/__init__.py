@@ -59,7 +59,20 @@ from repro.tpg.generate import (
     unit_space,
     unit_test_set,
 )
-from repro.tpg.report import TPGUnitRow, render_tpg_report, tpg_unit_results
+
+#: Re-exports served lazily from :mod:`repro.tpg.report`: importing that
+#: module eagerly here would load the CLI before ``python -m
+#: repro.tpg.report`` executes it, which runpy warns about.
+_REPORT_EXPORTS = ("TPGUnitRow", "render_tpg_report", "tpg_unit_results")
+
+
+def __getattr__(name: str):
+    if name in _REPORT_EXPORTS:
+        from repro.tpg import report
+
+        return getattr(report, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CompactTestSet",

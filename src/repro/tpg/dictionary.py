@@ -45,6 +45,7 @@ from repro.gates.engine import (
     matrix_word_chunk,
     pack_bits,
     popcount_words,
+    resolve_chunking,
 )
 from repro.gates.faults import (
     FaultSite,
@@ -55,7 +56,6 @@ from repro.gates.faults import (
     structural_equivalence_groups,
 )
 from repro.gates.netlist import Netlist
-from repro.gates.tune import resolve_chunking
 from repro.obs.trace import span as obs_span
 from repro.store import (
     CacheKey,
@@ -72,7 +72,7 @@ from repro.store import (
 #: the fault matrix ``DICT_WORD_CHUNK`` words (x64 vectors) at a time,
 #: equivalence-class representatives ``DICT_FAULT_CHUNK`` rows at a time.
 #: Defaults of the shared resolution rule
-#: (:func:`repro.gates.tune.resolve_chunking`); explicit keywords
+#: (:func:`repro.gates.engine.resolve_chunking`); explicit keywords
 #: override.
 DICT_WORD_CHUNK = 256
 DICT_FAULT_CHUNK = 64

@@ -49,10 +49,10 @@ from repro.gates.engine import (
     first_hits,
     matrix_word_chunk,
     popcount_words,
+    resolve_chunking,
 )
 from repro.gates.faults import StuckAtFault, resolve_collapse_mode
 from repro.gates.netlist import Netlist
-from repro.gates.tune import resolve_chunking
 from repro.obs.trace import span as obs_span
 from repro.store import (
     CacheKey,

@@ -356,6 +356,65 @@ class TestSimulatorEquivalence:
             fused.detect_words(words, reps), loop.detect_words(words, reps)
         )
 
+    def test_slab_views_share_one_golden_run(self, monkeypatch):
+        # Column-slab views of one vector block (how campaigns stream
+        # their word slabs) share a single golden run of the block; an
+        # in-place edit of the block between slabs invalidates it.
+        netlist = builders.ripple_carry_adder(8)
+        reps = list(default_fault_universe(netlist)[:20])
+        words = engine_for(netlist).exhaustive().words.copy()
+        fused = engine_for(netlist, "fused")
+        loop = engine_for(netlist, "python_loop")
+        shapes = []
+        run_words = fused.backend.run_words
+
+        def counting(block):
+            shapes.append(block.shape)
+            return run_words(block)
+
+        monkeypatch.setattr(fused.backend, "run_words", counting)
+        fused.backend._golden_cache = None
+        for lo, hi in ((0, 512), (512, 1280), (1280, 2048)):
+            slab = words[:, lo:hi]
+            assert np.array_equal(
+                fused.detect_words(slab, reps), loop.detect_words(slab, reps)
+            )
+        assert shapes == [words.shape]
+        words[:, 1280:] = np.roll(words[:, 1280:], 5, axis=1)
+        slab = words[:, 1280:]
+        assert np.array_equal(
+            fused.detect_words(slab, reps), loop.detect_words(slab, reps)
+        )
+        assert len(shapes) == 2
+
+    def test_scattered_site_rows_stay_a_row_list(self):
+        # A site overridden on non-adjacent rows keeps its row list;
+        # adjacent rows collapse to a slice.  Both index every backend
+        # identically, at every detect-call size.
+        netlist = builders.ripple_carry_adder(8)
+        compiled = compile_netlist(netlist)
+        universe = default_fault_universe(netlist)
+        by_site = {}
+        for fault in universe:
+            by_site.setdefault(fault.site, []).append(fault)
+        pairs = [fs for fs in by_site.values() if len(fs) == 2][:12]
+        # Row order: each site's two faults 12 rows apart.
+        groups = [fs[0] for fs in pairs] + [fs[1] for fs in pairs]
+        plan = OverridePlan(compiled, groups)
+        entries = list(plan.stem.values()) + [
+            e for pins in plan.branch_by_gate.values() for e in pins.values()
+        ]
+        assert all(isinstance(idx, list) for idx, _ in entries)
+        adjacent = OverridePlan(compiled, [f for fs in pairs for f in fs])
+        assert all(isinstance(idx, slice) for idx, _ in adjacent.stem.values())
+        words = engine_for(netlist).exhaustive().words
+        for n_words in (4, 2048):
+            part = words[:, :n_words]
+            for faults in (groups, [f for fs in pairs for f in fs]):
+                got = engine_for(netlist, "fused").detect_words(part, faults)
+                want = engine_for(netlist, "python_loop").detect_words(part, faults)
+                assert np.array_equal(got, want)
+
     def test_workspace_reuse_does_not_corrupt(self):
         # Two consecutive fused matrix calls may share a workspace; the
         # second must not corrupt results derived from the first.

@@ -241,9 +241,7 @@ class TestIncrementalBitIdentity:
         old = run_stuck_at_campaign(base)
         new = base.copy()
         new.replace_gate("fa1_x2", cell_type=CellType.XNOR)
-        inc = incremental_stuck_at_campaign(
-            base, new, old_result=old, sparse=True
-        )
+        inc = incremental_stuck_at_campaign(base, new, old_result=old)
         _assert_same_verdicts(run_stuck_at_campaign(new), inc.result)
 
 

@@ -6,8 +6,7 @@ threads),
 span nesting and ring-buffer overflow, kernel-profiling hooks (one
 observation per top-level kernel call, gated off by default), the
 campaign lifecycle events (shard balance, checkpoint resume/write,
-store corruption, tuning plans with verbatim reasons and the
-plan-log-dropped counter), the bit-identity of traced vs untraced
+store corruption), the bit-identity of traced vs untraced
 campaigns, the exporters, the dump-on-exit file, and the report tool.
 """
 
@@ -27,12 +26,6 @@ from repro.gates.backends.plan import OverridePlan
 from repro.gates.compile import compile_netlist
 from repro.gates.engine import exhaustive_word_range, run_stuck_at_campaign
 from repro.gates.faults import default_fault_universe
-from repro.gates.tune import (
-    PLAN_LOG_MAX,
-    clear_plan_log,
-    last_plan,
-    resolve_sparse,
-)
 from repro.obs import events, metrics, trace
 from repro.obs import report as obs_report
 from repro.obs.metrics import MetricsRegistry
@@ -372,42 +365,6 @@ def test_store_stats_surface_as_gauges(tmp_path):
     assert gauges["repro_store_open"] >= 1.0
     assert gauges["repro_store_stats_puts"] >= 1.0
     assert gauges["repro_store_stats_hits"] >= 1.0
-
-
-# ----------------------------------------------------------------------
-# Tuning-plan telemetry
-# ----------------------------------------------------------------------
-def test_tuning_plan_event_carries_reason_verbatim():
-    clear_plan_log()
-    compiled = compile_netlist(builders.ripple_carry_adder(4))
-    resolve_sparse(compiled, backend="fused", n_words=17)
-    plan = last_plan()
-    assert plan is not None
-    plans = [
-        r for r in trace.ring_records() if r.get("name") == events.TUNING_PLAN
-    ]
-    assert plans, "resolve_sparse emitted no tuning_plan event"
-    attrs = plans[-1]["attrs"]
-    assert attrs["reason"] == plan.reason
-    assert attrs["backend"] == plan.backend
-    assert attrs["source"] == plan.source
-
-
-def test_plan_log_overflow_counted():
-    clear_plan_log()
-    compiled = compile_netlist(builders.ripple_carry_adder(4))
-    before = metrics.get_counter("repro_plan_log_dropped_total")
-    extra = 5
-    # Distinct n_words values defeat the resolution memo, so every call
-    # appends a fresh plan.
-    for n_words in range(1, PLAN_LOG_MAX + extra + 1):
-        resolve_sparse(compiled, backend="fused", n_words=n_words)
-    dropped = metrics.get_counter("repro_plan_log_dropped_total") - before
-    assert dropped == extra
-    from repro.gates.tune import plan_log
-
-    assert len(plan_log()) == PLAN_LOG_MAX
-    clear_plan_log()
 
 
 # ----------------------------------------------------------------------

@@ -82,6 +82,20 @@ class TestCodesignReportCli:
             repro.codesign.no_such_name
 
 
+class TestTpgReportCli:
+    def test_module_cli_has_no_runtime_warning(self):
+        proc = _run_module_cli("repro.tpg.report", "--units", "add", "--width", "3")
+        assert "compact self-test sets" in proc.stdout
+
+    def test_report_exports_served_lazily(self):
+        import repro.tpg
+        from repro.tpg.report import render_tpg_report
+
+        assert repro.tpg.render_tpg_report is render_tpg_report
+        with pytest.raises(AttributeError):
+            repro.tpg.no_such_name
+
+
 class TestVhdlEmission:
     def test_vhdl_structure(self):
         text = to_vhdl(full_adder())

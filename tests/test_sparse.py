@@ -1,20 +1,22 @@
-"""The cone-sparse execution tier: schedules, kernels, campaigns.
+"""The cone-scheduled campaign sweep: schedules, kernels, campaigns.
 
-Three layers of bit-identity, differentially against the dense paths:
+Three layers of checks:
 
 * structural -- gate cones match brute-force reachability, and every
-  sparse schedule covers each member fault's full cone with an
+  cone schedule covers each member fault's full cone with an
   ascending (topological) gate list;
-* kernel -- ``run_detect_sparse`` equals ``run_detect`` element-wise on
-  every registered backend, for every batch of a real schedule;
-* campaign -- ``sparse=True`` campaigns equal dense campaigns in every
-  verdict field (``n_simulated_runs`` is a work counter and is the one
-  field allowed to differ), across backends, collapse modes, the four
-  paper units and the Table 2 test architectures.
+* kernel -- ``run_detect`` given a schedule batch equals ``run_detect``
+  without one, element-wise, on every fast backend;
+* campaign -- every verdict field (``detected``, ``first_detected``,
+  ``groups``; ``n_simulated_runs`` is a work counter and is not
+  checked) equals a brute-force oracle built from faulty truth tables
+  that never enters the campaign sweep, across backends, collapse
+  modes, fault dropping, chunk geometry, the four paper units, the
+  Table 2 test architectures, a 15-input exhaustive universe that
+  spans several vector slabs and a partial vector set with a ragged
+  tail word.
 
-Plus the decision layer: :func:`repro.gates.tune.resolve_sparse`
-precedence (keyword > ``REPRO_SPARSE`` env > cone-density heuristic)
-and the skip/early-exit observability counters.
+Plus the skip counter the cone walk reports.
 """
 
 import numpy as np
@@ -27,33 +29,27 @@ from repro.gates import builders
 from repro.gates.backends import create_backend, list_backends
 from repro.gates.backends.plan import OverridePlan
 from repro.gates.compile import compile_netlist
-from repro.gates.engine import exhaustive_words, run_stuck_at_campaign
-from repro.gates.faults import default_fault_universe
-from repro.gates.sparse import build_schedule, fault_cone_mask
-from repro.gates.tune import (
-    SPARSE_DENSITY_MAX,
-    SPARSE_ENV,
-    SPARSE_MIN_WORDS,
-    backend_supports_sparse,
-    resolve_sparse,
+from repro.gates.backends.fused import SMALL_DETECT_CELLS
+from repro.gates.engine import (
+    LANES,
+    engine_for,
+    exhaustive_words,
+    run_stuck_at_campaign,
+    unpack_bits,
 )
+from repro.gates.faults import (
+    default_equivalence_groups,
+    default_fault_universe,
+    resolve_collapse_mode,
+)
+from repro.gates.sparse import SPARSE_WORD_SUBCHUNK, build_schedule, fault_cone_mask
 from repro.obs import registry
-from repro.tpg.dictionary import build_fault_dictionary
-from repro.tpg.generate import unit_netlist, unit_test_set
+from repro.tpg.generate import unit_netlist
 
 ALL_BACKENDS = list_backends()
 FAST_BACKENDS = tuple(n for n in ALL_BACKENDS if n != "reference")
 UNITS = ("add", "sub", "mul", "div")
-
-
-def _assert_same_verdicts(dense, sparse):
-    """Every campaign field except the n_simulated_runs work counter."""
-    assert dense.netlist_name == sparse.netlist_name
-    assert dense.faults == sparse.faults
-    assert np.array_equal(dense.detected, sparse.detected)
-    assert np.array_equal(dense.first_detected, sparse.first_detected)
-    assert dense.n_vectors == sparse.n_vectors
-    assert dense.groups == sparse.groups
+COLLAPSE_MODES = ("equivalence", "dominance", "none")
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +180,7 @@ class TestSchedule:
 
 
 # ----------------------------------------------------------------------
-# Kernel-level bit-identity across the registry
+# Kernel-level bit-identity: a schedule never changes detection words
 # ----------------------------------------------------------------------
 class TestKernelDifferential:
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
@@ -194,6 +190,10 @@ class TestKernelDifferential:
         compiled = compile_netlist(netlist)
         impl = create_backend(backend, compiled)
         packed = exhaustive_words(compiled.n_inputs)
+        # Repeat the vector set so full 16-row batches are large enough
+        # for the fused cone walk rather than its small-call fallback.
+        reps = -(-SMALL_DETECT_CELLS // (16 * packed.n_words))
+        words = np.tile(packed.words, (1, reps))
         universe = default_fault_universe(netlist)
         gate_cones = analyze_gate_cones(netlist)
         cones = analyze_cones(netlist)
@@ -201,16 +201,15 @@ class TestKernelDifferential:
         for batch in sched.batches:
             faults = [universe[m] for m in batch.members]
             plan = OverridePlan(compiled, faults)
-            dense = impl.run_detect(packed.words, plan, len(faults))
-            sparse = impl.run_detect_sparse(
-                packed.words, plan, len(faults), batch.gates, batch.out_ids
+            dense = impl.run_detect(words, plan, len(faults))
+            sparse = impl.run_detect(
+                words, plan, len(faults), batch.gates, batch.out_ids
             )
             assert np.array_equal(dense, sparse)
 
     def test_base_fallback_on_unsupported_backend(self):
-        # python_loop has no sparse kernels: the base-class default must
-        # still accept a schedule and produce dense-identical words.
-        assert not backend_supports_sparse("python_loop")
+        # python_loop inherits the base run_detect, which must accept a
+        # schedule, ignore it and produce the unscheduled words.
         netlist = builders.full_adder()
         compiled = compile_netlist(netlist)
         impl = create_backend("python_loop", compiled)
@@ -223,71 +222,137 @@ class TestKernelDifferential:
         plan = OverridePlan(compiled, faults)
         assert np.array_equal(
             impl.run_detect(packed.words, plan, len(faults)),
-            impl.run_detect_sparse(
+            impl.run_detect(
                 packed.words, plan, len(faults), batch.gates, batch.out_ids
             ),
         )
 
+    def test_schedule_missing_a_fault_site_rejected(self):
+        netlist = builders.ripple_carry_adder(4)
+        compiled = compile_netlist(netlist)
+        impl = create_backend("fused", compiled)
+        words = np.tile(exhaustive_words(compiled.n_inputs).words, (1, 128))
+        universe = default_fault_universe(netlist)
+        branch = [f for f in universe if not f.site.is_stem][:8]
+        plan = OverridePlan(compiled, branch)
+        with pytest.raises(SimulationError, match="does not cover"):
+            impl.run_detect(
+                words, plan, len(branch), np.zeros(0, dtype=np.int64), None
+            )
+
 
 # ----------------------------------------------------------------------
-# Campaign-level bit-identity
+# Brute-force oracle: faulty truth tables vs the golden truth table
+# ----------------------------------------------------------------------
+def _vector_ids(netlist, inputs):
+    """Exhaustive-set index of every vector of a partial input set."""
+    ids = np.zeros(len(next(iter(inputs.values()))), dtype=np.int64)
+    for k, name in enumerate(netlist.primary_inputs):
+        ids |= np.asarray(inputs[name], dtype=np.int64) << k
+    return ids
+
+
+def _oracle_hits(netlist, faults, inputs=None):
+    """``hits[i, j]``: fault ``faults[i]`` changes some output on vector j.
+
+    Built per fault (not per class) from
+    :meth:`~repro.gates.engine.BitParallelEngine.truth_tables` on the
+    independent ``python_loop`` backend against the golden truth table;
+    no campaign code runs.  ``inputs`` selects a partial vector set,
+    otherwise the exhaustive set is used.
+    """
+    engine = engine_for(netlist, "python_loop")
+    packed = engine.exhaustive()
+    golden = unpack_bits(engine.output_words(packed), packed.n_vectors).T
+    ids = None if inputs is None else _vector_ids(netlist, inputs)
+    if ids is not None:
+        golden = golden[ids]
+    rows = []
+    for lo in range(0, len(faults), 16):
+        tables = engine.truth_tables(faults[lo : lo + 16], fault_chunk=16)
+        if ids is not None:
+            tables = tables[:, ids]
+        rows.append((tables != golden).any(axis=2))
+    return np.concatenate(rows)
+
+
+def _expected_groups(netlist, n_faults, mode):
+    if mode == "equivalence":
+        return default_equivalence_groups(netlist)
+    if mode == "dominance":
+        from repro.analysis.collapse import collapse_faults
+
+        return collapse_faults(netlist, mode=mode).groups
+    return tuple((i,) for i in range(n_faults))
+
+
+def _assert_matches_oracle(result, netlist, collapse=True, inputs=None, hits=None):
+    """``result`` is the default-universe campaign over ``netlist``;
+    ``hits`` its precomputed :func:`_oracle_hits`, if at hand."""
+    mode = resolve_collapse_mode(collapse)
+    if hits is None:
+        hits = _oracle_hits(netlist, default_fault_universe(netlist), inputs)
+    detected = hits.any(axis=1)
+    earliest = np.where(detected, hits.argmax(axis=1), -1)
+    assert result.faults == default_fault_universe(netlist)
+    assert result.n_vectors == hits.shape[1]
+    assert np.array_equal(result.detected, detected)
+    first = result.first_detected
+    if mode == "dominance":
+        # Inferred classes carry a valid witness, not the earliest one.
+        assert np.all(first[~detected] == -1)
+        assert hits[np.nonzero(detected)[0], first[detected]].all()
+    else:
+        assert np.array_equal(first, earliest)
+    expected = _expected_groups(netlist, len(result.faults), mode)
+    assert result.groups == tuple(tuple(g) for g in expected)
+
+
+# ----------------------------------------------------------------------
+# Campaign verdicts against the oracle
 # ----------------------------------------------------------------------
 class TestCampaignEquivalence:
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("unit", UNITS)
     def test_unit_campaigns(self, backend, unit):
         netlist = unit_netlist(unit, 3)
-        dense = run_stuck_at_campaign(netlist, backend=backend, sparse=False)
-        sparse = run_stuck_at_campaign(netlist, backend=backend, sparse=True)
-        _assert_same_verdicts(dense, sparse)
+        _assert_matches_oracle(
+            run_stuck_at_campaign(netlist, backend=backend), netlist
+        )
 
     @pytest.mark.parametrize("unit", ("add", "sub"))
     def test_unit_campaigns_width4(self, unit):
         netlist = unit_netlist(unit, 4)
-        _assert_same_verdicts(
-            run_stuck_at_campaign(netlist, sparse=False),
-            run_stuck_at_campaign(netlist, sparse=True),
-        )
+        _assert_matches_oracle(run_stuck_at_campaign(netlist), netlist)
 
-    @pytest.mark.parametrize("collapse", ["equivalence", "none", "dominance"])
+    @pytest.mark.parametrize("collapse", COLLAPSE_MODES)
     def test_collapse_modes(self, collapse):
         netlist = builders.ripple_carry_adder(4)
-        _assert_same_verdicts(
-            run_stuck_at_campaign(netlist, collapse=collapse, sparse=False),
-            run_stuck_at_campaign(netlist, collapse=collapse, sparse=True),
+        _assert_matches_oracle(
+            run_stuck_at_campaign(netlist, collapse=collapse), netlist, collapse
         )
 
     def test_no_fault_dropping(self):
         netlist = builders.carry_lookahead_adder(3)
-        _assert_same_verdicts(
-            run_stuck_at_campaign(netlist, fault_dropping=False, sparse=False),
-            run_stuck_at_campaign(netlist, fault_dropping=False, sparse=True),
+        _assert_matches_oracle(
+            run_stuck_at_campaign(netlist, fault_dropping=False), netlist
         )
 
     @pytest.mark.parametrize("operator", UNITS)
     def test_table2_architectures(self, operator):
         arch = table2_architecture(operator, 3)
-        _assert_same_verdicts(
-            run_stuck_at_campaign(arch.netlist, sparse=False),
-            run_stuck_at_campaign(arch.netlist, sparse=True),
-        )
+        _assert_matches_oracle(run_stuck_at_campaign(arch.netlist), arch.netlist)
 
     def test_odd_chunk_geometry(self):
         netlist = builders.ripple_carry_adder(5)
+        hits = _oracle_hits(netlist, default_fault_universe(netlist))
         for word_chunk, fault_chunk in ((1, 3), (2, 7), (512, 1)):
-            _assert_same_verdicts(
+            _assert_matches_oracle(
                 run_stuck_at_campaign(
-                    netlist,
-                    word_chunk=word_chunk,
-                    fault_chunk=fault_chunk,
-                    sparse=False,
+                    netlist, word_chunk=word_chunk, fault_chunk=fault_chunk
                 ),
-                run_stuck_at_campaign(
-                    netlist,
-                    word_chunk=word_chunk,
-                    fault_chunk=fault_chunk,
-                    sparse=True,
-                ),
+                netlist,
+                hits=hits,
             )
 
     def test_partial_vector_set(self):
@@ -297,103 +362,110 @@ class TestCampaignEquivalence:
             name: rng.integers(0, 2, 97, dtype=np.uint8)
             for name in netlist.primary_inputs
         }
-        _assert_same_verdicts(
-            run_stuck_at_campaign(netlist, inputs=inputs, sparse=False),
-            run_stuck_at_campaign(netlist, inputs=inputs, sparse=True),
+        _assert_matches_oracle(
+            run_stuck_at_campaign(netlist, inputs=inputs), netlist, inputs=inputs
         )
 
 
-class TestSparseEnvForcing:
-    """REPRO_SPARSE=1 must be a safe global lever on every build path."""
-
-    def test_dictionary_bit_identical(self, monkeypatch):
-        netlist = unit_netlist("add", 3)
-        monkeypatch.delenv(SPARSE_ENV, raising=False)
-        base = build_fault_dictionary(netlist)
-        monkeypatch.setenv(SPARSE_ENV, "1")
-        forced = build_fault_dictionary(netlist)
-        assert base.faults == forced.faults
-        assert np.array_equal(base.words, forced.words)
-        assert base.groups == forced.groups
-
-    def test_compact_test_set_identical(self, monkeypatch):
-        monkeypatch.delenv(SPARSE_ENV, raising=False)
-        base = unit_test_set("add", 3)
-        monkeypatch.setenv(SPARSE_ENV, "1")
-        forced = unit_test_set("add", 3)
-        assert len(base.vectors) == len(forced.vectors)
-        for left, right in zip(base.vectors, forced.vectors):
-            assert np.array_equal(left, right)
-        assert np.array_equal(base.detected, forced.detected)
+def _wide():
+    # 15 inputs: 512 words, so fault dropping runs slabs [0, 64),
+    # [64, 192), [192, 448) and [448, 512).  Input k first toggles at
+    # vector 2**k, so faults needing cin (input 14) high are first
+    # detected in the third slab.
+    return builders.ripple_carry_adder(7)
 
 
-# ----------------------------------------------------------------------
-# The sparse/dense decision
-# ----------------------------------------------------------------------
-class TestResolveSparse:
-    def test_backend_support_flags(self):
-        assert backend_supports_sparse("fused")
-        assert not backend_supports_sparse("threaded")  # not registered
-        assert not backend_supports_sparse("python_loop")
-        assert not backend_supports_sparse("reference")
+def _partial(netlist):
+    # 100 vectors: two words, the second with 36 valid lanes.  a0 is held
+    # at 1, so a0 stuck-at-1 escapes the set, while the zero-padded
+    # phantom lanes of the tail word would detect it.
+    rng = np.random.default_rng(5)
+    inputs = {
+        name: rng.integers(0, 2, 100, dtype=np.uint8)
+        for name in netlist.primary_inputs
+    }
+    inputs["a0"][:] = 1
+    return inputs
 
-    def test_heuristic_prefers_sparse_on_low_density(self, monkeypatch):
-        monkeypatch.delenv(SPARSE_ENV, raising=False)
-        netlist = builders.ripple_carry_adder(8)
-        plan = resolve_sparse(netlist, "fused")
-        assert plan.sparse
-        assert plan.source == "sparse-model"
-        assert plan.cone_density is not None
-        assert plan.cone_density <= SPARSE_DENSITY_MAX
-        assert "cone fraction" in plan.reason
 
-    def test_heuristic_dense_on_small_vector_space(self, monkeypatch):
-        # RCA-4 has 9 inputs -> 8 words: the slab early exit has no
-        # word-dimension room, so the model must stay dense.
-        monkeypatch.delenv(SPARSE_ENV, raising=False)
-        plan = resolve_sparse(builders.ripple_carry_adder(4), "fused")
-        assert not plan.sparse
-        assert plan.source == "sparse-model"
-        assert f"< {SPARSE_MIN_WORDS}" in plan.reason
-        big = resolve_sparse(
-            builders.ripple_carry_adder(4), "fused", n_words=SPARSE_MIN_WORDS
+@pytest.fixture(scope="module")
+def wide_hits():
+    netlist = _wide()
+    return _oracle_hits(netlist, default_fault_universe(netlist))
+
+
+@pytest.fixture(scope="module")
+def partial_hits():
+    netlist = builders.ripple_carry_adder(4)
+    return _oracle_hits(netlist, default_fault_universe(netlist), _partial(netlist))
+
+
+class TestCampaignOracle:
+    """The full grid on two vector sets that stress slab bookkeeping."""
+
+    def test_wide_universe_needs_late_slabs(self, wide_hits):
+        first = wide_hits.argmax(axis=1)[wide_hits.any(axis=1)]
+        third_slab = (SPARSE_WORD_SUBCHUNK + 2 * SPARSE_WORD_SUBCHUNK) * LANES
+        assert first.max() >= third_slab
+
+    def test_slabs_capped_at_word_chunk(self, monkeypatch):
+        engine = engine_for(_wide(), "fused")
+        widths = []
+        run_detect = engine.backend.run_detect
+
+        def spy(words, *args):
+            widths.append(words.shape[1])
+            return run_detect(words, *args)
+
+        monkeypatch.setattr(engine.backend, "run_detect", spy)
+        engine.campaign(word_chunk=96)
+        assert widths[0] == SPARSE_WORD_SUBCHUNK
+        assert max(widths) == 96
+
+    def test_partial_set_has_phantom_only_detections(self, partial_hits):
+        netlist = builders.ripple_carry_adder(4)
+        assert partial_hits.shape[1] % LANES
+        zero = {name: np.zeros(1, dtype=np.uint8) for name in netlist.primary_inputs}
+        universe = default_fault_universe(netlist)
+        phantom = _oracle_hits(netlist, universe, zero).any(axis=1)
+        assert np.any(phantom & ~partial_hits.any(axis=1))
+
+    @pytest.mark.parametrize("geometry", ((None, None), (7, 5)), ids=("default", "odd"))
+    @pytest.mark.parametrize("fault_dropping", (True, False), ids=("drop", "keep"))
+    @pytest.mark.parametrize("collapse", COLLAPSE_MODES)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_exhaustive_wide(self, backend, collapse, fault_dropping, geometry, wide_hits):
+        netlist = _wide()
+        word_chunk, fault_chunk = geometry
+        result = run_stuck_at_campaign(
+            netlist,
+            collapse=collapse,
+            fault_dropping=fault_dropping,
+            word_chunk=word_chunk,
+            fault_chunk=fault_chunk,
+            backend=backend,
         )
-        assert big.sparse
+        _assert_matches_oracle(result, netlist, collapse, hits=wide_hits)
 
-    def test_heuristic_dense_without_kernels(self, monkeypatch):
-        monkeypatch.delenv(SPARSE_ENV, raising=False)
-        plan = resolve_sparse(builders.ripple_carry_adder(4), "python_loop")
-        assert not plan.sparse
-        assert "no sparse kernels" in plan.reason
-
-    def test_env_beats_heuristic(self, monkeypatch):
-        monkeypatch.setenv(SPARSE_ENV, "1")
-        plan = resolve_sparse(builders.ripple_carry_adder(4), "python_loop")
-        assert plan.sparse and plan.source == "sparse-env"
-        monkeypatch.setenv(SPARSE_ENV, "0")
-        plan = resolve_sparse(builders.ripple_carry_adder(4), "fused")
-        assert not plan.sparse and plan.source == "sparse-env"
-
-    def test_keyword_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SPARSE_ENV, "0")
-        plan = resolve_sparse(
-            builders.ripple_carry_adder(4), "fused", sparse=True
+    @pytest.mark.parametrize("geometry", ((None, None), (1, 3)), ids=("default", "odd"))
+    @pytest.mark.parametrize("fault_dropping", (True, False), ids=("drop", "keep"))
+    @pytest.mark.parametrize("collapse", COLLAPSE_MODES)
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_partial_ragged_tail(
+        self, backend, collapse, fault_dropping, geometry, partial_hits
+    ):
+        netlist = builders.ripple_carry_adder(4)
+        word_chunk, fault_chunk = geometry
+        result = run_stuck_at_campaign(
+            netlist,
+            inputs=_partial(netlist),
+            collapse=collapse,
+            fault_dropping=fault_dropping,
+            word_chunk=word_chunk,
+            fault_chunk=fault_chunk,
+            backend=backend,
         )
-        assert plan.sparse and plan.source == "sparse-explicit"
-
-    def test_invalid_env_errors(self, monkeypatch):
-        monkeypatch.setenv(SPARSE_ENV, "maybe")
-        with pytest.raises(SimulationError, match=SPARSE_ENV):
-            resolve_sparse(builders.ripple_carry_adder(4), "fused")
-
-    def test_forced_sparse_on_unsupported_backend_still_correct(self):
-        # The tier is an optimisation: forcing it where no sparse
-        # kernels exist must degrade to dense, not break.
-        netlist = builders.ripple_carry_adder(3)
-        _assert_same_verdicts(
-            run_stuck_at_campaign(netlist, backend="python_loop", sparse=False),
-            run_stuck_at_campaign(netlist, backend="python_loop", sparse=True),
-        )
+        _assert_matches_oracle(result, netlist, collapse, hits=partial_hits)
 
 
 # ----------------------------------------------------------------------
@@ -401,25 +473,13 @@ class TestResolveSparse:
 # ----------------------------------------------------------------------
 class TestSparseObservability:
     def test_skip_counter_advances(self):
-        # RCA-8 is wide enough that the post-probe slabs re-schedule
-        # the surviving faults under tighter union cones -- those calls
-        # must report skipped gates.
+        # Without fault dropping every RCA-8 batch streams full
+        # 512-word slabs; batches of deep fault sites have union cones
+        # far smaller than the netlist, so their walks skip gates.
         reg = registry()
         before = reg.counter_total("repro_sparse_gates_skipped_total")
         run_stuck_at_campaign(
-            builders.ripple_carry_adder(8), backend="fused", sparse=True
+            builders.ripple_carry_adder(8), backend="fused", fault_dropping=False
         )
         after = reg.counter_total("repro_sparse_gates_skipped_total")
         assert after > before
-
-    def test_decision_is_logged(self):
-        from repro.gates.tune import clear_plan_log, plan_log
-
-        clear_plan_log()
-        run_stuck_at_campaign(builders.full_adder(), sparse=True)
-        sparse_plans = [
-            p for p in plan_log() if p.source.startswith("sparse")
-        ]
-        assert sparse_plans
-        assert sparse_plans[-1].sparse
-        assert sparse_plans[-1].cone_density is not None

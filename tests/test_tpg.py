@@ -448,6 +448,12 @@ class TestMatrixBudget:
         with pytest.raises(SimulationError):
             resolve_matrix_budget(1)
 
+    @pytest.mark.parametrize("raw", ["-5", "0"])
+    def test_non_positive_env_rejected(self, raw, monkeypatch):
+        monkeypatch.setenv(GATE_MATRIX_BUDGET_ENV, raw)
+        with pytest.raises(SimulationError, match=GATE_MATRIX_BUDGET_ENV):
+            resolve_matrix_budget(1)
+
     def test_budget_keyword_changes_nothing_about_the_numbers(self):
         def key(stats):
             return {

@@ -1,28 +1,28 @@
-"""Campaign planning (:mod:`repro.gates.tune`) and backend selection.
+"""Chunk geometry, campaign schedules and backend selection.
 
 Covers the chunk-resolution rule (keyword > caller default), the
-determinism and bookkeeping of resolved plans (shape facts, chunk
-knobs, the plan log and its resolution memo), and the rejection of
-backend names that are not registered -- including the former
-``"auto"`` sentinel and the removed ``threaded``/``numba``/``cupy``
-tiers -- with an error naming the selection's source and the
-available backends.
+budget clamp on the word chunk, the determinism and per-engine reuse
+of campaign schedules, and the rejection of backend names
+that are not registered -- including the former ``"auto"`` sentinel and
+the removed ``threaded``/``numba``/``cupy`` tiers -- with an error
+naming the selection's source and the available backends.
 """
 
 import pytest
 
+from repro.analysis.cones import analyze_cones, analyze_gate_cones
 from repro.errors import SimulationError
-from repro.gates import builders
+from repro.gates import builders, sparse
 from repro.gates.backends import BACKEND_ENV, list_backends, resolve_backend_name
 from repro.gates.compile import compile_netlist
-from repro.gates.engine import engine_for
-from repro.gates.tune import (
-    clear_plan_log,
-    last_plan,
-    plan_log,
+from repro.gates.engine import (
+    GATE_MATRIX_BUDGET_ENV,
+    engine_for,
+    matrix_word_chunk,
     resolve_chunking,
-    resolve_sparse,
+    run_stuck_at_campaign,
 )
+from repro.gates.faults import default_fault_universe
 
 
 # ----------------------------------------------------------------------
@@ -47,51 +47,55 @@ class TestResolveChunking:
 
 
 # ----------------------------------------------------------------------
-# Plan resolution: shape facts and the plan log
+# Campaign plans: schedules, chunk knobs and backend selection
 # ----------------------------------------------------------------------
 class TestResolvePlan:
     def test_deterministic_for_fixed_shape(self):
+        # The engine replays cached schedules across campaigns, which
+        # is only sound if scheduling one class list is deterministic.
         netlist = builders.ripple_carry_adder(4)
-        clear_plan_log()
-        first = resolve_sparse(netlist)
-        clear_plan_log()
-        again = resolve_sparse(netlist)
-        assert first == again
-        assert first.source.startswith("sparse-")
-        assert first.backend in list_backends()
-        assert first.reason
-
-    def test_explicit_backend_passes_through(self):
-        plan = resolve_sparse(builders.full_adder(), backend="python_loop")
-        assert plan.backend == "python_loop"
-
-    def test_shape_uses_caller_universe_sizes(self):
-        netlist = builders.ripple_carry_adder(4)
-        plan = resolve_sparse(netlist, n_groups=7, n_words=3)
-        assert plan.shape.n_faults == 7
-        assert plan.shape.n_words == 3
-        assert plan.shape.total_cells == 21
-
-    def test_chunk_knobs_respected(self):
-        netlist = builders.ripple_carry_adder(4)
-        plan = resolve_sparse(netlist, word_chunk=32, fault_chunk=8)
-        assert plan.fault_chunk == 8
-        assert plan.word_chunk <= 32
         compiled = compile_netlist(netlist)
-        assert plan.shape.row_cells == compiled.n_nets * 9
+        universe = list(default_fault_universe(netlist))
+        gate_cones = analyze_gate_cones(netlist)
+        cones = analyze_cones(netlist)
+        first, again = (
+            sparse.build_schedule(compiled, universe, 16, gate_cones, cones)
+            for _ in range(2)
+        )
+        assert len(first.batches) == len(again.batches)
+        for a, b in zip(first.batches, again.batches):
+            assert a.members == b.members
+            assert a.out_ids == b.out_ids
+            assert (a.gates == b.gates).all()
 
-    def test_plan_log_records_and_memo_dedups(self):
-        netlist = builders.ripple_carry_adder(3)
-        clear_plan_log()
-        plan = resolve_sparse(netlist)
-        assert last_plan() == plan
-        assert len(plan_log()) == 1
-        # A repeated identical resolution is served from the memo and
-        # does not grow the log.
-        assert resolve_sparse(netlist) == plan
-        assert len(plan_log()) == 1
-        clear_plan_log()
-        assert last_plan() is None
+    def test_explicit_backend_passes_through(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, "fused")
+        engine = engine_for(builders.full_adder(), "python_loop")
+        assert engine.backend_name == "python_loop"
+        assert engine.backend.name == "python_loop"
+
+    def test_chunk_knobs_respected(self, monkeypatch):
+        monkeypatch.delenv(GATE_MATRIX_BUDGET_ENV, raising=False)
+        netlist = builders.ripple_carry_adder(4)
+        compiled = compile_netlist(netlist)
+        row_cells = compiled.n_nets * 9
+        assert matrix_word_chunk(row_cells, 32) == 32
+        # A budget too small for the request clamps the word chunk.
+        assert 8 <= matrix_word_chunk(row_cells, 32, budget=8 * row_cells) < 32
+
+    def test_repeated_campaign_replays_cached_schedule(self, monkeypatch):
+        netlist = builders.ripple_carry_adder(5)
+        first = run_stuck_at_campaign(netlist)
+        calls = []
+        build = sparse.build_schedule
+        monkeypatch.setattr(
+            sparse,
+            "build_schedule",
+            lambda *a, **k: calls.append(1) or build(*a, **k),
+        )
+        again = run_stuck_at_campaign(netlist)
+        assert not calls
+        assert (first.first_detected == again.first_detected).all()
 
 
 # ----------------------------------------------------------------------
