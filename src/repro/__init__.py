@@ -37,16 +37,12 @@ from repro.analysis import (
     CollapseMap,
     ConeAnalysis,
     GateConeAnalysis,
-    LintIssue,
-    LintReport,
     ScoapMeasures,
     analyze_cones,
     analyze_gate_cones,
-    assert_clean,
     collapse_faults,
     fault_efforts,
     hardest_faults,
-    lint_netlist,
     scoap,
 )
 from repro.core import SCK, SCKContext, current_context
@@ -107,6 +103,17 @@ from repro.errors import (
 )
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # Lint names are served lazily by repro.analysis, so that
+    # ``python -m repro.analysis.lint`` finds its module unimported.
+    from repro import analysis
+
+    if name in analysis._LINT_EXPORTS:
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "SCK",

@@ -33,18 +33,26 @@ from repro.analysis.cones import (
     analyze_cones,
     analyze_gate_cones,
 )
-from repro.analysis.lint import (
-    LintIssue,
-    LintReport,
-    assert_clean,
-    lint_netlist,
-)
 from repro.analysis.testability import (
     ScoapMeasures,
     fault_efforts,
     hardest_faults,
     scoap,
 )
+
+#: Re-exports served lazily from :mod:`repro.analysis.lint`: importing
+#: that module eagerly here would load the CLI before ``python -m
+#: repro.analysis.lint`` executes it, which runpy warns about.
+_LINT_EXPORTS = ("LintIssue", "LintReport", "assert_clean", "lint_netlist")
+
+
+def __getattr__(name: str):
+    if name in _LINT_EXPORTS:
+        from repro.analysis import lint
+
+        return getattr(lint, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CollapseMap",

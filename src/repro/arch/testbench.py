@@ -44,7 +44,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.lint import assert_clean
 from repro.arch.cell import DEFAULT_CELL_NETLIST, cell_netlist
 from repro.arch.multiplier import ArrayMultiplierUnit
 from repro.errors import SimulationError
@@ -152,6 +151,10 @@ class _Table2ArchitectureBase:
         # Every shipped architecture must be structurally lint-clean
         # (no loops, floating or multiply-driven nets); catching a bad
         # builder here is much cheaper than debugging its campaigns.
+        # Imported here so ``python -m repro.analysis.lint`` finds its
+        # module unimported after the package import.
+        from repro.analysis.lint import assert_clean
+
         assert_clean(self.netlist)
 
     # ------------------------------------------------------------------

@@ -10,13 +10,13 @@ registered backend, and all backends are bit-identical on every path.
 Registered backends:
 
 ``python_loop``
-    The original per-gate NumPy ufunc loop, kept verbatim as an
-    independent implementation the differential suites compare
-    against (:mod:`.python_loop`).
+    The original per-gate NumPy ufunc loop, the one evaluation loop of
+    the stack; with the base class's derived kernels it is the
+    baseline the differential suites compare against
+    (:mod:`.python_loop`).
 ``fused``
-    Levelized batched evaluation with tainted-prefix fault walks and a
-    persistent workspace -- the default and the fast path
-    (:mod:`.fused`).
+    The same loop with tainted-prefix walks for the derived kernels
+    and a persistent workspace -- the default (:mod:`.fused`).
 ``reference``
     The cell-library interpreter under the backend protocol, so
     differential tests can enumerate the registry instead of

@@ -29,10 +29,10 @@ on every path -- ``run_matrix`` matrices equal element-wise, derived
 kernels equal element-wise.  The differential suite
 (``tests/test_backends.py``) enumerates the registry and asserts this.
 
-Aliasing contract: ``run_words`` / ``run_matrix`` may return views into
-a backend-internal workspace that are only valid until the next kernel
-call on the same backend; ``run_outputs`` / ``run_detect`` always
-return caller-owned arrays.
+Aliasing contract: every kernel returns a caller-owned array.  A
+backend may keep a workspace between calls (``fused`` does, for its
+prefix walks), but no kernel returns a view into it, so a result stays
+valid across later kernel calls on the same backend.
 
 Profiling contract: when :func:`repro.obs.metrics.kernel_profiling_
 enabled` is true (``REPRO_METRICS``/``REPRO_TRACE`` set, or forced),

@@ -1,23 +1,15 @@
-"""Levelized-fused execution backend.
+"""Tainted-prefix execution backend -- the default.
 
-Two ideas on top of the reference per-gate loop
-(:mod:`repro.gates.backends.python_loop`):
+:class:`FusedBackend` inherits the per-gate loop of
+:mod:`repro.gates.backends.python_loop` unchanged: golden runs,
+``run_words`` and ``run_matrix`` are that one loop.  On top of it, the
+derived kernels (:meth:`FusedBackend.run_detect` /
+:meth:`run_outputs`) never materialise the full fault-major matrix.
 
-**Level fusion.**  At bind time gates are grouped by (topological
-level, base op, invert, arity).  Levels are the longest distance from
-the primary inputs, so all gates of one group are independent and one
-batched gather -> ufunc -> scatter evaluates the whole group; the
-Python dispatch cost drops from O(n_gates) to O(levels x opcodes) per
-evaluation.  Groups of one gate (the common case in deep carry chains)
-skip the gather and operate in place on zero-copy views, so fusion
-never does more memory traffic than the per-gate loop.
-
-**Tainted-prefix fault evaluation.**  For the derived kernels
-(:meth:`FusedBackend.run_detect` / :meth:`run_outputs`) the full
-fault-major matrix is never materialised.  A fault row cannot differ
-from the fault-free run below the topological level of its shallowest
-site (:attr:`OverridePlan.row_levels`), so rows are sorted by that
-level and every net carries only a *tainted prefix* of rows -- the
+**Tainted-prefix fault evaluation.**  A fault row cannot differ from
+the fault-free run below the topological level of its shallowest site
+(:attr:`OverridePlan.row_levels`), so rows are sorted by that level
+and every net carries only a *tainted prefix* of rows -- the
 high-water mark ``hw[net]`` -- with the shared golden row standing in
 for everything beyond.  Each gate folds its operands segment by
 segment (matrix x matrix where both prefixes reach, matrix x
@@ -30,7 +22,7 @@ untainted rows *are* the golden run.  Given a cone schedule,
 batch's union fan-out cone and reduces only its reachable outputs.
 
 A persistent workspace (capped at :data:`WORKSPACE_KEEP_BYTES`) backs
-the matrix walks, so steady-state campaigns stop paying the
+the prefix walks, so steady-state campaigns stop paying the
 allocate/fault/trim cycle of a fresh multi-megabyte matrix per chunk,
 and one golden run per packed vector set serves every word slab a
 campaign streams through it.
@@ -38,13 +30,13 @@ campaign streams through it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gates.backends.base import UFUNCS, Backend, gate_program
 from repro.gates.backends.plan import OverridePlan, _row_index
+from repro.gates.backends.python_loop import PythonLoopBackend
 from repro.gates.compile import CompiledNetlist
 
 #: Largest matrix workspace kept alive across calls (bytes).  Bigger
@@ -52,15 +44,6 @@ from repro.gates.compile import CompiledNetlist
 #: netlist do not pin huge buffers (the same concern as the engine's
 #: exhaustive-set cache guard).
 WORKSPACE_KEEP_BYTES = 64 << 20
-
-#: Below this many (row x word) cells the derived kernels skip the
-#: tainted-prefix walk and ride the batched matrix path: at tiny sizes
-#: the walk's per-gate slicing costs more Python time than the whole
-#: evaluation, while the level-batched matrix walk stays O(levels x
-#: opcodes) per call.  A cone-scheduled detect call keeps the walk when
-#: its cone leaves gates out, since then the walk touches fewer gates
-#: than the batched path evaluates.
-SMALL_DETECT_CELLS = 1 << 13
 
 #: Above this many (row x word) cells the cone walk stops testing for
 #: dead-effect early exit: the convergence probe compares every touched
@@ -121,60 +104,17 @@ def _rows_of(idx):
     return range(idx.start, idx.stop) if isinstance(idx, slice) else idx
 
 
-class _Group:
-    """One fused (level, opcode) batch of independent gates."""
-
-    __slots__ = ("level", "ufunc", "invert", "arity", "srcs", "outs", "gates")
-
-    def __init__(self, level, ufunc, invert, arity, srcs, outs, gates):
-        self.level = level
-        self.ufunc = ufunc
-        self.invert = invert
-        self.arity = arity
-        self.srcs = srcs  # per-pin operand net ids, (n_gates_in_group,)
-        self.outs = outs  # output net ids, (n_gates_in_group,)
-        self.gates = gates  # compiled gate indices, list
-
-
-class FusedBackend(Backend):
-    """Batched per-level evaluation with tainted-prefix fault walks."""
+class FusedBackend(PythonLoopBackend):
+    """The per-gate loop plus tainted-prefix fault walks."""
 
     name = "fused"
 
     def __init__(self, compiled: CompiledNetlist) -> None:
         super().__init__(compiled)
-        offsets = compiled.operand_offsets
-        levels = compiled.gate_levels
-        grouped: Dict[Tuple[int, int, bool, int], List[int]] = {}
-        for g in range(compiled.n_gates):
-            key = (
-                int(levels[g]),
-                int(compiled.base_ops[g]),
-                bool(compiled.inverts[g]),
-                int(offsets[g + 1] - offsets[g]),
-            )
-            grouped.setdefault(key, []).append(g)
-        self._schedule: List[_Group] = []
-        for (level, base, invert, arity), gates in sorted(grouped.items()):
-            srcs = [
-                np.array(
-                    [int(compiled.operands[offsets[g] + p]) for g in gates],
-                    dtype=np.intp,
-                )
-                for p in range(arity)
-            ]
-            outs = np.array(
-                [int(compiled.gate_output_ids[g]) for g in gates], dtype=np.intp
-            )
-            self._schedule.append(
-                _Group(level, UFUNCS.get(base), invert, arity, srcs, outs, gates)
-            )
-        self._input_id_array = np.asarray(compiled.input_ids, dtype=np.intp)
-        # Flat per-gate dispatch (topological order) for the prefix
-        # walk, where gates are sliced individually by high-water mark.
-        self._flat_program = [
-            (g, *op) for g, op in enumerate(gate_program(compiled))
-        ]
+        # Per-gate dispatch tagged with the compiled gate index for the
+        # prefix walk, where gates are sliced individually by high-water
+        # mark.
+        self._flat_program = [(g, *op) for g, op in enumerate(self._program)]
         self._ws: Optional[np.ndarray] = None
         # Fault-free run of the most recent vector block (see _golden):
         # campaigns call the detect kernel once per fault batch and word
@@ -196,122 +136,6 @@ class FusedBackend(Backend):
         if self._ws is None or self._ws.size < need:
             self._ws = np.empty(need, dtype=np.uint64)
         return self._ws[:need].reshape(self.compiled.n_nets, n_rows, n_words)
-
-    # ------------------------------------------------------------------
-    # Primitive kernels
-    # ------------------------------------------------------------------
-    def run_words(self, words: np.ndarray) -> np.ndarray:
-        vals = np.empty((self.compiled.n_nets, words.shape[1]), dtype=np.uint64)
-        vals[self._input_id_array] = words
-        for grp in self._schedule:
-            ufunc = grp.ufunc
-            if len(grp.gates) == 1:
-                out = vals[grp.outs[0]]
-                if ufunc is None:
-                    if grp.invert:
-                        np.invert(vals[grp.srcs[0][0]], out=out)
-                    else:
-                        np.copyto(out, vals[grp.srcs[0][0]])
-                else:
-                    ufunc(vals[grp.srcs[0][0]], vals[grp.srcs[1][0]], out=out)
-                    for p in range(2, grp.arity):
-                        ufunc(out, vals[grp.srcs[p][0]], out=out)
-                    if grp.invert:
-                        np.invert(out, out=out)
-                continue
-            acc = vals[grp.srcs[0]]  # gather copy
-            if ufunc is None:
-                if grp.invert:
-                    np.invert(acc, out=acc)
-            else:
-                for p in range(1, grp.arity):
-                    ufunc(acc, vals[grp.srcs[p]], out=acc)
-                if grp.invert:
-                    np.invert(acc, out=acc)
-            vals[grp.outs] = acc
-        return vals
-
-    def run_matrix(
-        self, words: np.ndarray, plan: OverridePlan, n_rows: int
-    ) -> np.ndarray:
-        """Full fault-major matrix via the batched level schedule.
-
-        Semantically identical to the reference loop; returns a view of
-        the backend workspace (valid until the next kernel call).
-        """
-        n_words = words.shape[1]
-        stems = plan.stem
-        branches = plan.branch_by_gate
-        apply = plan.apply
-        vals = self._workspace(n_rows, n_words)
-        vals[self._input_id_array] = words[:, None, :]
-        for nid in self._input_ids:
-            entry = stems.get(nid)
-            if entry is not None:
-                apply(entry, vals[nid])
-        for grp in self._schedule:
-            ufunc = grp.ufunc
-            if len(grp.gates) == 1:
-                g = grp.gates[0]
-                gate_branches = branches.get(g)
-                pins = []
-                for p in range(grp.arity):
-                    pv = vals[grp.srcs[p][0]]
-                    if gate_branches is not None:
-                        entry = gate_branches.get(p)
-                        if entry is not None:
-                            pv = pv.copy()
-                            apply(entry, pv)
-                    pins.append(pv)
-                out = vals[grp.outs[0]]
-                if ufunc is None:
-                    if grp.invert:
-                        np.invert(pins[0], out=out)
-                    else:
-                        np.copyto(out, pins[0])
-                else:
-                    ufunc(pins[0], pins[1], out=out)
-                    for pv in pins[2:]:
-                        ufunc(out, pv, out=out)
-                    if grp.invert:
-                        np.invert(out, out=out)
-                entry = stems.get(int(grp.outs[0]))
-                if entry is not None:
-                    apply(entry, out)
-                continue
-            dirty = branches and any(g in branches for g in grp.gates)
-            acc = vals[grp.srcs[0]]  # gather copy (n_gates, n_rows, n_words)
-            if dirty:
-                for j, g in enumerate(grp.gates):
-                    gb = branches.get(g)
-                    if gb is not None:
-                        entry = gb.get(0)
-                        if entry is not None:
-                            apply(entry, acc[j])
-            if ufunc is None:
-                if grp.invert:
-                    np.invert(acc, out=acc)
-            else:
-                for p in range(1, grp.arity):
-                    # The gather is advanced indexing, so ``b`` is
-                    # already a fresh copy safe to override in place.
-                    b = vals[grp.srcs[p]]
-                    if dirty:
-                        for j, g in enumerate(grp.gates):
-                            gb = branches.get(g)
-                            if gb is not None:
-                                entry = gb.get(p)
-                                if entry is not None:
-                                    apply(entry, b[j])
-                    ufunc(acc, b, out=acc)
-                if grp.invert:
-                    np.invert(acc, out=acc)
-            vals[grp.outs] = acc
-            for j in range(len(grp.gates)):
-                entry = stems.get(int(grp.outs[j]))
-                if entry is not None:
-                    apply(entry, vals[grp.outs[j]])
-        return vals
 
     # ------------------------------------------------------------------
     # Tainted-prefix walk and the derived kernels built on it
@@ -656,10 +480,6 @@ class FusedBackend(Backend):
         out_ids: Optional[Tuple[int, ...]] = None,
     ) -> np.ndarray:
         n_words = words.shape[1]
-        if n_rows * n_words < SMALL_DETECT_CELLS and (
-            gates is None or len(gates) == self.compiled.n_gates
-        ):
-            return super().run_detect(words, plan, n_rows)
         program = stats = None
         outs = self._output_ids if out_ids is None else list(out_ids)
         if gates is not None:
@@ -690,8 +510,6 @@ class FusedBackend(Backend):
     def run_outputs(
         self, words: np.ndarray, plan: OverridePlan, n_rows: int
     ) -> np.ndarray:
-        if n_rows * words.shape[1] < SMALL_DETECT_CELLS:
-            return super().run_outputs(words, plan, n_rows)
         vals, hw, golden, inv, identity = self._prefix_walk(words, plan, n_rows)
         n_words = words.shape[1]
         res = np.empty((len(self._output_ids), n_rows, n_words), dtype=np.uint64)

@@ -1,11 +1,14 @@
-"""The per-gate NumPy ufunc loop -- the reference execution backend.
+"""The per-gate NumPy ufunc loop -- the one evaluation loop.
 
 This is the original :class:`~repro.gates.engine.BitParallelEngine`
 hot path moved verbatim: one resolved dispatch tuple per gate, one
 word-wide ufunc call per gate, fresh result matrices every call.  It
-is the semantic baseline the faster backends are differentially tested
-against, and the denominator of the backend-speedup gate in
-``benchmarks/bench_engine.py``.
+is the stack's only packed-word evaluation loop: the default ``fused``
+backend subclasses it and adds tainted-prefix walks for the derived
+kernels only.  Registered on its own, with the base class's derived
+kernels (full matrix, then reduce), it is the semantic baseline the
+fused walks are differentially tested against, and the denominator of
+the backend-speedup gate in ``benchmarks/bench_engine.py``.
 """
 
 from __future__ import annotations

@@ -499,18 +499,8 @@ class BitParallelEngine:
         """Evaluate every net; returns a ``(n_nets, n_words)`` matrix."""
         if fault is not None:
             plan = OverridePlan(self.compiled, [fault])
-            return self.backend.run_matrix(packed.words, plan, 1)[:, 0, :].copy()
+            return self.backend.run_matrix(packed.words, plan, 1)[:, 0, :]
         return self.backend.run_words(packed.words)
-
-    def _run_matrix(
-        self, words: np.ndarray, plan: OverridePlan, n_faults: int
-    ) -> np.ndarray:
-        """Fault-major evaluation, ``(n_nets, n_faults, n_words)``.
-
-        Thin delegate to the bound backend's matrix kernel; the result
-        may be a backend-workspace view, valid until the next call.
-        """
-        return self.backend.run_matrix(words, plan, n_faults)
 
     def output_words(
         self, packed: PackedVectors, fault: Optional[StuckAtFault] = None

@@ -416,20 +416,102 @@ class TestSimulatorEquivalence:
                 assert np.array_equal(got, want)
 
     def test_workspace_reuse_does_not_corrupt(self):
-        # Two consecutive fused matrix calls may share a workspace; the
-        # second must not corrupt results derived from the first.
+        # Back-to-back fused derived-kernel calls share the prefix-walk
+        # workspace; a later call must not corrupt the caller-owned
+        # results of an earlier one.
         netlist = builders.ripple_carry_adder(3)
         compiled = compile_netlist(netlist)
-        backend = create_backend("fused", compiled)
-        packed = engine_for(netlist).exhaustive()
+        fused = create_backend("fused", compiled)
+        loop = create_backend("python_loop", compiled)
+        words = engine_for(netlist).exhaustive().words
         faults = default_fault_universe(netlist)
-        plan_a = OverridePlan(compiled, [faults[0]])
-        plan_b = OverridePlan(compiled, [faults[3]])
-        first = np.array(backend.run_matrix(packed.words, plan_a, 2))
-        second = np.array(backend.run_matrix(packed.words, plan_b, 2))
-        again = np.array(backend.run_matrix(packed.words, plan_a, 2))
-        assert np.array_equal(first, again)
-        assert not np.array_equal(first, second)
+        plan_a = OverridePlan(compiled, list(faults[:12]))
+        plan_b = OverridePlan(compiled, list(faults[-12:]))
+        outs_a = fused.run_outputs(words, plan_a, 12)
+        det_a = fused.run_detect(words, plan_a, 12)
+        kept = (outs_a.copy(), det_a.copy())
+        det_b = fused.run_detect(words, plan_b, 12)
+        outs_b = fused.run_outputs(words, plan_b, 12)
+        assert np.array_equal(outs_a, kept[0])
+        assert np.array_equal(det_a, kept[1])
+        assert np.array_equal(fused.run_outputs(words, plan_a, 12), kept[0])
+        assert np.array_equal(fused.run_detect(words, plan_a, 12), kept[1])
+        assert np.array_equal(outs_a, loop.run_outputs(words, plan_a, 12))
+        assert np.array_equal(det_b, loop.run_detect(words, plan_b, 12))
+        assert np.array_equal(outs_b, loop.run_outputs(words, plan_b, 12))
+        assert not np.array_equal(det_a, det_b)
+
+
+def _pi_stem_faults(netlist, faults):
+    inputs = set(netlist.primary_inputs)
+    return [f for f in faults if f.site.is_stem and f.site.net in inputs]
+
+
+def _small_call_case(case):
+    """``(netlist, fault groups)`` for one small prefix-walk call shape."""
+    if case == "sub_word_universe":
+        # 3 inputs: 8 real vectors, lanes 8..63 of the one word phantom.
+        netlist = builders.full_adder()
+        return netlist, list(default_fault_universe(netlist))
+    netlist = builders.ripple_carry_adder(4)
+    faults = default_fault_universe(netlist)
+    if case == "primary_input_stems":
+        return netlist, _pi_stem_faults(netlist, faults)
+    if case == "rows_out_of_level_order":
+        return netlist, list(faults)[::-1]
+    assert case == "two_pins_one_row"
+    # A row stuck on both pins of the deepest gate with two branch
+    # sites, behind enough shallow rows that the walk fixes it up
+    # sparsely.
+    branch = {f.site.branch: f for f in faults if f.site.branch and f.value}
+    gate = next(
+        g.name
+        for g in reversed(netlist.topological_gates())
+        if (g.name, 0) in branch and (g.name, 1) in branch
+    )
+    pin0, pin1 = branch[(gate, 0)], branch[(gate, 1)]
+    return netlist, _pi_stem_faults(netlist, faults)[:20] + [(pin0, pin1)]
+
+
+class TestSmallCallDifferential:
+    """Fused prefix walks on tiny calls (under 8192 row x word cells)
+    agree with the interpreting oracle on every derived kernel, across
+    the walk's special cases."""
+
+    @pytest.mark.parametrize(
+        "case",
+        (
+            "sub_word_universe",
+            "primary_input_stems",
+            "rows_out_of_level_order",
+            "two_pins_one_row",
+        ),
+    )
+    def test_fused_matches_reference(self, case):
+        netlist, groups = _small_call_case(case)
+        compiled = compile_netlist(netlist)
+        words = engine_for(netlist).exhaustive().words
+        plan = OverridePlan(compiled, groups)
+        n = len(groups)
+        assert n * words.shape[1] < 1 << 13
+        levels = plan.row_levels
+        if case == "sub_word_universe":
+            assert 1 << compiled.n_inputs < 64
+        elif case == "primary_input_stems":
+            assert not any(compiled.net_levels[nid] for nid in plan.stem)
+        elif case == "rows_out_of_level_order":
+            assert (levels[1:] < levels[:-1]).any()
+        else:
+            (pins,) = plan.branch_by_gate.values()
+            assert [idx for idx, _ in pins.values()] == [slice(n - 1, n)] * 2
+        fused = create_backend("fused", compiled)
+        oracle = create_backend("reference", compiled)
+        detect = fused.run_detect(words, plan, n)
+        assert np.array_equal(detect, oracle.run_detect(words, plan, n))
+        assert detect.any()
+        assert np.array_equal(
+            fused.run_outputs(words, plan, n), oracle.run_outputs(words, plan, n)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -96,6 +96,24 @@ class TestTpgReportCli:
             repro.tpg.no_such_name
 
 
+class TestLintCli:
+    def test_module_cli_has_no_runtime_warning(self):
+        proc = _run_module_cli("repro.analysis.lint", "--width", "3")
+        assert "OK   rca: 0 error(s)" in proc.stdout
+
+    def test_lint_exports_served_lazily(self):
+        import repro
+        import repro.analysis
+        from repro.analysis.lint import lint_netlist
+
+        assert repro.analysis.lint_netlist is lint_netlist
+        assert repro.lint_netlist is lint_netlist
+        with pytest.raises(AttributeError):
+            repro.analysis.no_such_name
+        with pytest.raises(AttributeError):
+            repro.no_such_name
+
+
 class TestVhdlEmission:
     def test_vhdl_structure(self):
         text = to_vhdl(full_adder())

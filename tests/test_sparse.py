@@ -29,7 +29,6 @@ from repro.gates import builders
 from repro.gates.backends import create_backend, list_backends
 from repro.gates.backends.plan import OverridePlan
 from repro.gates.compile import compile_netlist
-from repro.gates.backends.fused import SMALL_DETECT_CELLS
 from repro.gates.engine import (
     LANES,
     engine_for,
@@ -189,11 +188,7 @@ class TestKernelDifferential:
         netlist = unit_netlist(unit, 3)
         compiled = compile_netlist(netlist)
         impl = create_backend(backend, compiled)
-        packed = exhaustive_words(compiled.n_inputs)
-        # Repeat the vector set so full 16-row batches are large enough
-        # for the fused cone walk rather than its small-call fallback.
-        reps = -(-SMALL_DETECT_CELLS // (16 * packed.n_words))
-        words = np.tile(packed.words, (1, reps))
+        words = exhaustive_words(compiled.n_inputs).words
         universe = default_fault_universe(netlist)
         gate_cones = analyze_gate_cones(netlist)
         cones = analyze_cones(netlist)
