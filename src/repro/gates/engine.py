@@ -105,11 +105,17 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def unpack_bits(words: np.ndarray, n_vectors: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`; works on any leading shape."""
-    words = np.asarray(words, dtype=np.uint64)
-    bits = (words[..., :, None] >> _SHIFTS) & np.uint64(1)
-    flat = bits.reshape(*words.shape[:-1], words.shape[-1] * LANES)
-    return flat[..., :n_vectors].astype(np.uint8)
+    """Inverse of :func:`pack_bits`; works on any leading shape.
+
+    The last axis holds packed words; the result replaces it with the
+    first ``n_vectors`` lanes as uint8 0/1 (lane ``v % 64`` of word
+    ``v // 64``).  The words are viewed as little-endian bytes so
+    ``np.unpackbits(bitorder="little")`` yields lanes in order on any
+    host byte order.
+    """
+    words = np.ascontiguousarray(words, dtype="<u8")
+    n = min(n_vectors, words.shape[-1] * LANES)
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,13 @@ Two classical reductions, both exact with respect to the dictionary:
 
 * :func:`greedy_cover` -- the greedy set-cover heuristic: repeatedly
   keep the vector detecting the most still-uncovered faults until every
-  detectable fault is covered.  Each round is one bitwise AND + popcount
-  over the vector-major matrix, so the n = 8 adder's 131072-vector
-  universe compacts in milliseconds; ties break to the lowest vector
-  index, making the result deterministic.
+  detectable fault is covered.  Scores are kept incrementally on the
+  dictionary's own fault-major words: they start as per-vector
+  detection counts, and each round subtracts the rows of the faults it
+  newly covers, so every row is unpacked at most twice and the n = 8
+  multiplier's 65536-vector universe compacts in tens of milliseconds.
+  Ties break to the lowest vector index, making the result
+  deterministic.
 * :func:`reverse_compact` -- reverse-order pass over an *existing* test
   set (e.g. the discovery-ordered ATPG vectors): walking newest-first,
   drop every vector whose detected faults are all detected by the
@@ -23,53 +26,20 @@ contributed at selection time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gates.engine import LANES, popcount_words, unpack_bits
+from repro.gates.engine import unpack_bits
 from repro.gates.faults import StuckAtFault
 from repro.tpg.dictionary import FaultDictionary, TestSpace, inputs_from_bits
 
-_SHIFTS = np.arange(LANES, dtype=np.uint64)
-
-#: Vector-major transposition streams the dictionary this many universe
-#: vectors at a time (bounds the unpacked uint8 working set).
-VECTOR_CHUNK = 1 << 16
-
-
-def _pack_fault_axis(bits: np.ndarray) -> np.ndarray:
-    """Pack a ``(n_vectors, n_faults)`` 0/1 matrix along the fault axis."""
-    n_vectors, n_faults = bits.shape
-    n_fw = max(1, (n_faults + LANES - 1) // LANES)
-    if n_fw * LANES != n_faults:
-        pad = np.zeros((n_vectors, n_fw * LANES - n_faults), dtype=bits.dtype)
-        bits = np.concatenate([bits, pad], axis=1)
-    lanes = bits.reshape(n_vectors, n_fw, LANES).astype(np.uint64) << _SHIFTS
-    return np.bitwise_or.reduce(lanes, axis=2)
-
-
-def vector_major(
-    dictionary: FaultDictionary, vector_chunk: int = VECTOR_CHUNK
-) -> np.ndarray:
-    """Transpose the dictionary into ``(n_vectors, n_fault_words)``.
-
-    Row ``v`` packs vector ``v``'s detected-fault set 64 faults per
-    word -- the layout greedy cover scores with one AND + popcount.
-    """
-    n_vectors = dictionary.n_vectors
-    n_fw = max(1, (dictionary.n_faults + LANES - 1) // LANES)
-    out = np.zeros((n_vectors, n_fw), dtype=np.uint64)
-    vector_chunk = max(LANES, (vector_chunk // LANES) * LANES)
-    for lo in range(0, n_vectors, vector_chunk):
-        hi = min(lo + vector_chunk, n_vectors)
-        wlo, whi = lo // LANES, (hi + LANES - 1) // LANES
-        chunk = dictionary.words[:, wlo:whi]
-        bits = unpack_bits(chunk, hi - lo)  # (n_faults, hi - lo)
-        out[lo:hi] = _pack_fault_axis(bits.T)
-    return out
+#: Fault rows unpacked per block while scoring (bounds the uint8
+#: working set at ``_FAULT_BLOCK * n_vectors`` bytes).
+_FAULT_BLOCK = 256
 
 
 @dataclass
@@ -88,27 +58,37 @@ class GreedyCover:
     detected: np.ndarray
 
 
-def greedy_cover(
-    dictionary: FaultDictionary, vector_chunk: int = VECTOR_CHUNK
-) -> GreedyCover:
-    """Greedy set-cover of the dictionary's detectable faults."""
-    if dictionary.n_vectors == 0:
-        return GreedyCover((), (), np.zeros(dictionary.n_faults, dtype=bool))
-    vmat = vector_major(dictionary, vector_chunk)
-    remaining = _pack_fault_axis(
-        dictionary.detected.astype(np.uint8)[None, :]
-    )[0]
+def _row_counts(dictionary: FaultDictionary, rows: np.ndarray) -> np.ndarray:
+    """Per-vector count of the given fault rows that detect it."""
+    counts = np.zeros(dictionary.n_vectors, dtype=np.int64)
+    for lo in range(0, len(rows), _FAULT_BLOCK):
+        block = dictionary.words[rows[lo:lo + _FAULT_BLOCK]]
+        counts += unpack_bits(block, dictionary.n_vectors).sum(axis=0, dtype=np.int64)
+    return counts
+
+
+def greedy_cover(dictionary: FaultDictionary) -> GreedyCover:
+    """Greedy set-cover of the dictionary's detectable faults.
+
+    ``scores[v]`` is always the number of still-uncovered faults vector
+    ``v`` detects: each round keeps the lowest-index maximum and
+    subtracts the rows of the faults it newly covers.
+    """
+    remaining = dictionary.detected
+    scores = _row_counts(dictionary, np.flatnonzero(remaining))
     order: List[int] = []
     marginal: List[int] = []
     while remaining.any():
-        scores = popcount_words(vmat & remaining)
         best = int(np.argmax(scores))
         gain = int(scores[best])
         if gain == 0:  # pragma: no cover - detectable faults always score
             break
-        order.append(dictionary.vector_base + best)
+        vector = dictionary.vector_base + best
+        newly = np.flatnonzero(remaining & dictionary.column_bits(vector).astype(bool))
+        order.append(vector)
         marginal.append(gain)
-        remaining &= ~vmat[best]
+        remaining[newly] = False
+        scores -= _row_counts(dictionary, newly)
     return GreedyCover(tuple(order), tuple(marginal), dictionary.covered_by(order))
 
 
@@ -120,18 +100,21 @@ def reverse_compact(
     ``order`` defaults to every dictionary vector in index order (the
     natural choice when the dictionary spans an ATPG-discovered test
     table).  Returns the kept vectors, original order preserved; the
-    kept set detects exactly the faults the full order did.  Columns
-    are unpacked one vector at a time from the packed vector-major
-    transpose, so full-universe dictionaries stay at megabytes.
+    kept set detects exactly the faults the full order did.  Each
+    vector's detection column is read straight from the fault-major
+    words (:meth:`FaultDictionary.column_bits`), which rejects vectors
+    outside the dictionary; a vector listed twice is rejected too.
     """
     base = dictionary.vector_base
     if order is None:
         order = range(base, base + dictionary.n_vectors)
     order = list(order)
-    vmat = vector_major(dictionary)
+    repeated = [v for v, n in Counter(order).items() if n > 1]
+    if repeated:
+        raise SimulationError(f"vector {repeated[0]} appears more than once in the order")
 
     def bits_of(v: int) -> np.ndarray:
-        return unpack_bits(vmat[v - base], dictionary.n_faults).astype(np.int64)
+        return dictionary.column_bits(v).astype(np.int64)
 
     if len(order) == dictionary.n_vectors and order == list(
         range(base, base + dictionary.n_vectors)
@@ -234,10 +217,8 @@ def compact_from_dictionary(
 __all__ = [
     "CompactTestSet",
     "GreedyCover",
-    "VECTOR_CHUNK",
     "compact_from_dictionary",
     "greedy_cover",
     "inputs_from_bits",
     "reverse_compact",
-    "vector_major",
 ]

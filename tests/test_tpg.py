@@ -14,6 +14,9 @@ The load-bearing properties:
   matrix budget) change nothing about the numbers.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from repro.gates.engine import (
     GATE_MATRIX_BUDGET_ENV,
     GATE_MATRIX_BUDGET_MAX,
     GATE_MATRIX_BUDGET_MIN,
+    pack_bits,
     resolve_matrix_budget,
     run_stuck_at_campaign,
 )
@@ -187,6 +191,50 @@ class TestFaultDictionary:
 # ----------------------------------------------------------------------
 # Compaction
 # ----------------------------------------------------------------------
+def _dictionary_from_bits(bits: np.ndarray, vector_base: int = 0) -> FaultDictionary:
+    """A dictionary with the given ``(n_faults, n_vectors)`` detection bits."""
+    template = build_fault_dictionary(builders.ripple_carry_adder(3))
+    n_faults, n_vectors = bits.shape
+    words = np.array(
+        [pack_bits(row) for row in bits], dtype=np.uint64
+    ).reshape(n_faults, (n_vectors + 63) // 64)
+    return dataclasses.replace(
+        template,
+        faults=template.faults[:n_faults],
+        groups=(),
+        words=words,
+        n_vectors=n_vectors,
+        vector_base=vector_base,
+    )
+
+
+def _oracle_cover(d: FaultDictionary):
+    """Brute-force greedy: rescore every vector every round."""
+    columns = [d.column_bits(d.vector_base + v).astype(bool) for v in range(d.n_vectors)]
+    remaining = d.detected.copy()
+    order, marginal = [], []
+    while remaining.any():
+        scores = [int(np.sum(col & remaining)) for col in columns]
+        best = scores.index(max(scores))  # lowest index among the maxima
+        order.append(d.vector_base + best)
+        marginal.append(scores[best])
+        remaining &= ~columns[best]
+    detected = np.zeros(d.n_faults, dtype=bool)
+    for v in order:
+        detected |= columns[v - d.vector_base]
+    return tuple(order), tuple(marginal), detected
+
+
+def _assert_cover_matches_oracle(d: FaultDictionary):
+    cover = greedy_cover(d)
+    order, marginal, detected = _oracle_cover(d)
+    assert cover.order == order
+    assert cover.marginal == marginal
+    assert np.array_equal(cover.detected, detected)
+    assert np.array_equal(cover.detected, d.detected)
+    return cover
+
+
 class TestCompaction:
     def test_greedy_covers_everything_detectable(self):
         nl = builders.ripple_carry_adder(2)
@@ -211,8 +259,8 @@ class TestCompaction:
         assert np.array_equal(d.covered_by(kept), d.detected)
 
     def test_reverse_compact_full_universe_stays_cheap(self):
-        # The packed-transpose path: a 2**11-vector universe compacts
-        # without materialising per-vector int64 columns.
+        # A 2**11-vector universe: columns are read one vector at a
+        # time from the fault-major words.
         nl = builders.ripple_carry_adder(5)
         d = build_fault_dictionary(nl)
         kept = reverse_compact(d)
@@ -220,6 +268,60 @@ class TestCompaction:
         # Explicit sub-orders agree with the generic counting path.
         sub = reverse_compact(d, order=list(kept))
         assert np.array_equal(d.covered_by(sub), d.covered_by(kept))
+
+    def test_reverse_compact_rejects_repeated_vectors(self):
+        d = build_fault_dictionary(builders.full_adder())
+        with pytest.raises(SimulationError, match="vector 0 appears more than once"):
+            reverse_compact(d, order=list(range(8)) * 2)
+
+    def test_reverse_compact_rejects_out_of_range_vectors(self):
+        d = build_fault_dictionary(builders.full_adder())
+        with pytest.raises(SimulationError, match="outside dictionary range"):
+            reverse_compact(d, order=[-1, 3])
+        with pytest.raises(SimulationError, match="outside dictionary range"):
+            reverse_compact(d, order=[8])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_greedy_matches_oracle_on_random_dictionaries(self, seed):
+        rng = np.random.default_rng(seed)
+        n_vectors = (1, 37, 63, 65, 130, 201)[seed]
+        density = (0.4, 0.02, 0.1)[seed % 3]
+        d = _dictionary_from_bits(
+            rng.random((int(rng.integers(1, 60)), n_vectors)) < density,
+            vector_base=(0, 5, 192)[seed % 3],
+        )
+        _assert_cover_matches_oracle(d)
+
+    def test_greedy_matches_oracle_on_ties_and_undetected_faults(self):
+        bits = np.zeros((5, 6), dtype=bool)
+        bits[0:2, [1, 2, 4]] = True  # faults 0-1: vectors 1, 2 and 4
+        bits[2:4, [3, 5]] = True  # faults 2-3: vectors 3 and 5
+        # Fault 4 is undetected; every round is a tie.
+        cover = _assert_cover_matches_oracle(_dictionary_from_bits(bits, vector_base=64))
+        assert cover.order == (65, 67)
+        assert cover.marginal == (2, 2)
+        assert not cover.detected[4]
+
+    def test_greedy_matches_oracle_on_zero_vector_dictionary(self):
+        _assert_cover_matches_oracle(_dictionary_from_bits(np.zeros((3, 0), dtype=bool)))
+
+    @pytest.mark.parametrize("unit", ["mul", "div"])
+    def test_greedy_matches_oracle_on_unit_dictionaries(self, unit):
+        space = unit_space(unit, 4)
+        _assert_cover_matches_oracle(build_fault_dictionary(space.netlist, space))
+
+    def test_greedy_memory_stays_bounded(self):
+        # 550 faults x 4096 vectors: scoring must not build a transposed
+        # copy of the dictionary (tens of megabytes here).
+        space = unit_space("mul", 6)
+        d = build_fault_dictionary(space.netlist, space)
+        tracemalloc.start()
+        try:
+            greedy_cover(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_reverse_compact_respects_given_order(self):
         nl = builders.full_adder()
