@@ -34,6 +34,7 @@ import time
 import numpy as np
 
 from repro.gates import builders
+from repro.gates import engine as gate_engine
 from repro.gates.backends import list_backends
 from repro.gates.engine import run_stuck_at_campaign
 from repro.gates.faults import full_fault_list
@@ -101,17 +102,16 @@ def _throughput(n_vectors, n_faults, seconds):
     return n_vectors * n_faults / seconds
 
 
-def test_bench_backend_speedup(once, record):
+def test_bench_backend_speedup(once, record, monkeypatch):
     """Registered backends, head to head, on the RCA-8 campaign."""
     once(lambda: None)
+    monkeypatch.setattr(gate_engine, "CAMPAIGN_FAULT_CHUNK", BACKEND_FAULT_CHUNK)
     netlist = builders.ripple_carry_adder(8)
     backends = [name for name in list_backends() if name != "reference"]
     assert backends == ["python_loop", "fused"]
 
     def campaign(backend):
-        return lambda: run_stuck_at_campaign(
-            netlist, backend=backend, fault_chunk=BACKEND_FAULT_CHUNK
-        )
+        return lambda: run_stuck_at_campaign(netlist, backend=backend)
 
     times, results = _best([campaign(name) for name in backends],
                            repeats=7, inner=1)

@@ -30,6 +30,11 @@ DEFAULT_DOCS = (
     "examples/static_analysis.py",
     "examples/traced_campaign.py",
     "examples/incremental_campaign.py",
+    "examples/quickstart.py",
+    "examples/coverage_study.py",
+    "examples/fault_campaign.py",
+    "examples/fir_codesign.py",
+    "examples/generate_hdl.py",
 )
 
 

@@ -58,7 +58,6 @@ from repro.gates.backends import (
     list_backends,
     resolve_backend_name,
 )
-from repro.gates.engine import resolve_chunking
 from repro.obs import (
     METRICS_ENV,
     MetricsRegistry,
@@ -141,7 +140,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "list_backends",
     "resolve_backend_name",
-    "resolve_chunking",
     "METRICS_ENV",
     "MetricsRegistry",
     "TRACE_ENV",

@@ -104,7 +104,6 @@ from repro.gates.engine import (
     engine_for,
     matrix_word_chunk,
     popcount_words,
-    resolve_chunking,
 )
 from repro.gates.netlist import Netlist
 from repro.obs.trace import span as obs_span
@@ -133,10 +132,10 @@ DEFAULT_SEED = 20050307  # DATE'05 conference date
 
 #: Streaming chunk sizes of the gate-level sweep: vectors move through
 #: the fault matrix ``GATE_WORD_CHUNK`` words (x64 vectors) at a time,
-#: fault groups ``GATE_FAULT_CHUNK`` rows at a time.  These are the
-#: *defaults* of the shared resolution rule
-#: (:func:`repro.gates.engine.resolve_chunking`): an explicit keyword
-#: overrides them.
+#: fault groups ``GATE_FAULT_CHUNK`` rows at a time (the word chunk
+#: clamped to the netlist's matrix budget,
+#: :func:`repro.gates.engine.matrix_word_chunk`).  Chunking never
+#: changes a count.
 GATE_WORD_CHUNK = 256
 GATE_FAULT_CHUNK = 64
 
@@ -492,13 +491,10 @@ def _gate_case_counts(
     operator: str,
     width: int,
     cell_netlist: str,
-    word_chunk: int,
-    fault_chunk: int,
     case_lo: int,
     case_hi: int,
     word_lo: int,
     word_hi: int,
-    matrix_budget: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> List[_CaseCounts]:
     """Shard worker: sweep counts for collapsed cases [case_lo, case_hi)
@@ -539,9 +535,9 @@ def _gate_case_counts(
     detect_names = list(arch.detect_rows)
     # correct, then (covered, detected-while-correct) per technique.
     tallies = np.zeros((len(sim_indices), 1 + 2 * len(names)), dtype=np.int64)
-    fault_chunk = max(1, fault_chunk)
+    fault_chunk = GATE_FAULT_CHUNK
     row_cells = engine.compiled.n_nets * (min(fault_chunk, max(1, len(fault_groups))) + 1)
-    word_chunk = matrix_word_chunk(row_cells, word_chunk, matrix_budget)
+    word_chunk = matrix_word_chunk(row_cells, GATE_WORD_CHUNK)
     for chunk_lo in range(word_lo, word_hi, word_chunk):
         chunk_hi = min(chunk_lo + word_chunk, word_hi)
         rows = arch.input_rows(chunk_lo, chunk_hi)
@@ -619,9 +615,6 @@ def _run_gate(
     width: int,
     cell_netlist: str,
     workers: Optional[int],
-    word_chunk: Optional[int],
-    fault_chunk: Optional[int],
-    matrix_budget: Optional[int] = None,
     backend: Optional[str] = None,
     store: Optional[ResultStore] = None,
 ) -> Dict[str, CoverageStats]:
@@ -631,19 +624,14 @@ def _run_gate(
         )
     arch = table2_architecture(operator, width, cell_netlist)
     n_cases = len(collapsed_cell_library(cell_netlist)) * len(arch.positions)
-    word_chunk, fault_chunk = resolve_chunking(
-        word_chunk,
-        fault_chunk,
-        default_word_chunk=GATE_WORD_CHUNK,
-        default_fault_chunk=GATE_FAULT_CHUNK,
-    )
     # Workers receive the resolved name, not the environment.
     backend = resolve_backend_name(backend)
     key = None
     if store is not None:
         # The final key covers everything that determines the numbers
-        # plus the hashed campaign parameters -- but *not* the worker
-        # count or grid shape, so any sharding reuses the same entry.
+        # -- but *not* the worker count, grid shape or chunk geometry,
+        # none of which changes a count, so any sharding reuses the
+        # same entry.
         key = CacheKey(
             kind="coverage",
             netlist=digest_netlist(arch.netlist),
@@ -651,11 +639,6 @@ def _run_gate(
             space=digest_params(exhaustive=True),
             method="gate",
             backend=backend,
-            params=digest_params(
-                word_chunk=word_chunk,
-                fault_chunk=fault_chunk,
-                matrix_budget=matrix_budget,
-            ),
         )
         cached = store.get(key)
         if cached is not None:
@@ -668,8 +651,8 @@ def _run_gate(
         word_first=arch.n_words >= GATE_GRID_WORD_FIRST,
     )
     arg_tuples = [
-        (operator, width, cell_netlist, word_chunk, fault_chunk,
-         case_lo, case_hi, word_lo, word_hi, matrix_budget, backend)
+        (operator, width, cell_netlist, case_lo, case_hi, word_lo, word_hi,
+         backend)
         for case_lo, case_hi, word_lo, word_hi in grid
     ]
     if store is not None:
@@ -748,9 +731,6 @@ def _evaluate(
     seed: int,
     method: str,
     workers: Optional[int],
-    word_chunk: Optional[int],
-    fault_chunk: Optional[int],
-    matrix_budget: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
@@ -777,8 +757,7 @@ def _evaluate(
     ):
         if method == "gate":
             return _run_gate(
-                operator, width, cell_netlist, workers, word_chunk,
-                fault_chunk, matrix_budget, backend, store,
+                operator, width, cell_netlist, workers, backend, store
             )
         if method == "transfer":
             return _run_transfer(operator, width, cell_netlist, store)
@@ -803,9 +782,6 @@ def evaluate_adder(
     seed: int = DEFAULT_SEED,
     method: str = "auto",
     workers: Optional[int] = None,
-    word_chunk: Optional[int] = None,
-    fault_chunk: Optional[int] = None,
-    matrix_budget: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
@@ -824,8 +800,7 @@ def evaluate_adder(
     """
     return _evaluate(
         "add", width, cell_netlist, exhaustive_limit, samples, seed,
-        method, workers, word_chunk, fault_chunk, matrix_budget, backend,
-        store,
+        method, workers, backend, store,
     )
 
 
@@ -837,9 +812,6 @@ def evaluate_subtractor(
     seed: int = DEFAULT_SEED,
     method: str = "auto",
     workers: Optional[int] = None,
-    word_chunk: Optional[int] = None,
-    fault_chunk: Optional[int] = None,
-    matrix_budget: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
@@ -854,8 +826,7 @@ def evaluate_subtractor(
     """
     return _evaluate(
         "sub", width, cell_netlist, exhaustive_limit, samples, seed,
-        method, workers, word_chunk, fault_chunk, matrix_budget, backend,
-        store,
+        method, workers, backend, store,
     )
 
 
@@ -867,9 +838,6 @@ def evaluate_multiplier(
     seed: int = DEFAULT_SEED,
     method: str = "auto",
     workers: Optional[int] = None,
-    word_chunk: Optional[int] = None,
-    fault_chunk: Optional[int] = None,
-    matrix_budget: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
@@ -889,8 +857,7 @@ def evaluate_multiplier(
         raise SimulationError("multiplier coverage needs width >= 2")
     return _evaluate(
         "mul", width, cell_netlist, exhaustive_limit, samples, seed,
-        method, workers, word_chunk, fault_chunk, matrix_budget, backend,
-        store,
+        method, workers, backend, store,
     )
 
 
@@ -902,9 +869,6 @@ def evaluate_divider(
     seed: int = DEFAULT_SEED,
     method: str = "auto",
     workers: Optional[int] = None,
-    word_chunk: Optional[int] = None,
-    fault_chunk: Optional[int] = None,
-    matrix_budget: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
@@ -922,8 +886,7 @@ def evaluate_divider(
     """
     return _evaluate(
         "div", width, cell_netlist, exhaustive_limit, samples, seed,
-        method, workers, word_chunk, fault_chunk, matrix_budget, backend,
-        store,
+        method, workers, backend, store,
     )
 
 
@@ -1025,7 +988,6 @@ def evaluate_operator(
     seed: int = DEFAULT_SEED,
     method: str = "auto",
     workers: Optional[int] = None,
-    matrix_budget: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
@@ -1048,7 +1010,6 @@ def evaluate_operator(
         seed=seed,
         method=method,
         workers=workers,
-        matrix_budget=matrix_budget,
         backend=backend,
         store=store,
     )

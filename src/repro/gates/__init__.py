@@ -23,8 +23,7 @@ This package models combinational circuits at the structural gate level:
   stuck-at campaigns with structural collapsing and fault dropping
   (:func:`run_stuck_at_campaign`), the streaming helpers
   (:func:`engine.exhaustive_word_range`, :func:`engine.popcount_words`)
-  that let exhaustive sweeps run in O(chunk) memory, and the one
-  chunk-resolution rule (:func:`resolve_chunking`);
+  that let exhaustive sweeps run in O(chunk) memory;
 * :mod:`repro.gates.sparse` -- cone schedules: fault classes clustered
   by fan-out cone into the batches the campaign sweep runs;
 * :mod:`repro.gates.backends` -- the pluggable execution layer under
@@ -64,7 +63,6 @@ from repro.gates.engine import (
     engine_for,
     exhaustive_word_range,
     popcount_words,
-    resolve_chunking,
     run_stuck_at_campaign,
 )
 from repro.gates.faults import (
@@ -104,7 +102,6 @@ __all__ = [
     "engine_for",
     "exhaustive_word_range",
     "popcount_words",
-    "resolve_chunking",
     "run_stuck_at_campaign",
     "FaultSite",
     "StuckAtFault",

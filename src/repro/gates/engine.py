@@ -44,15 +44,16 @@ selected by the ``backend=`` keyword, the ``REPRO_BACKEND`` environment
 variable, or the registry default, in that order.  All backends are
 bit-identical on every path.
 
-Chunk geometry (:func:`resolve_chunking`, :func:`matrix_word_chunk`)
-and the fault-matrix memory budget (:func:`resolve_matrix_budget`,
-``REPRO_GATE_MATRIX_BUDGET``) are resolved here too, once for every
-streaming consumer of the fault matrix.
+The fault-matrix memory budget (:func:`resolve_matrix_budget`) and
+its word-chunk clamp (:func:`matrix_word_chunk`) live here too, shared
+by every streaming consumer of the fault matrix.  Chunk sizes are
+module constants, not options: they never change a count or a verdict
+(only the order in which ATPG records its tests, see
+:mod:`repro.tpg.generate`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -273,19 +274,17 @@ def first_hits(
 
 #: Bounds of the auto-sized fault-matrix working-set budget (bytes).
 #: The budget caps ``n_nets * (fault_chunk + 1) * word_chunk`` uint64
-#: cells per evaluation chunk; chunking never changes any count, so the
-#: bounds only trade worker memory against per-chunk overhead.
+#: cells per evaluation chunk; the bounds trade worker memory against
+#: per-chunk overhead.
 GATE_MATRIX_BUDGET_MIN = 4 << 20
 GATE_MATRIX_BUDGET_MAX = 128 << 20
 #: Word-chunk length the auto-sized budget aims to afford: big enough
 #: that per-chunk Python overhead amortises, small enough to stay cache
 #: friendly on the netlists that actually need chunking.
 GATE_MATRIX_TARGET_WORDS = 256
-#: Environment override (bytes) of the auto-sized budget.
-GATE_MATRIX_BUDGET_ENV = "REPRO_GATE_MATRIX_BUDGET"
 
 
-def resolve_matrix_budget(row_cells: int, budget: Optional[int] = None) -> int:
+def resolve_matrix_budget(row_cells: int) -> int:
     """Fault-matrix working-set budget (bytes) for one evaluation chunk.
 
     ``row_cells`` is the uint64 cell count of one word column of the
@@ -293,65 +292,25 @@ def resolve_matrix_budget(row_cells: int, budget: Optional[int] = None) -> int:
     with the netlist instead of pinning every netlist to one fixed
     constant: small netlists stop over-allocating, the big unrolled
     mul/div architectures get chunks long enough to amortise per-chunk
-    overhead.  Resolution order: explicit ``budget`` argument, then the
-    ``REPRO_GATE_MATRIX_BUDGET`` environment variable (bytes), then the
-    auto size ``row_cells * 8 * GATE_MATRIX_TARGET_WORDS`` clamped to
-    ``[GATE_MATRIX_BUDGET_MIN, GATE_MATRIX_BUDGET_MAX]``.
+    overhead.  The size is ``row_cells * 8 * GATE_MATRIX_TARGET_WORDS``
+    clamped to ``[GATE_MATRIX_BUDGET_MIN, GATE_MATRIX_BUDGET_MAX]``.
     """
-    if budget is None:
-        env = os.environ.get(GATE_MATRIX_BUDGET_ENV)
-        if env:
-            try:
-                budget = int(env)
-            except ValueError:
-                raise SimulationError(
-                    f"{GATE_MATRIX_BUDGET_ENV}={env!r} is not a byte count"
-                ) from None
-            if budget <= 0:
-                raise SimulationError(
-                    f"{GATE_MATRIX_BUDGET_ENV}={env!r} must be a positive byte count"
-                )
-    if budget is not None:
-        return max(1, int(budget))
     auto = int(row_cells) * 8 * GATE_MATRIX_TARGET_WORDS
     return min(GATE_MATRIX_BUDGET_MAX, max(GATE_MATRIX_BUDGET_MIN, auto))
 
 
-#: Campaign chunk defaults: vector words and fault classes per kernel
-#: call of the campaign sweep.
-DEFAULT_WORD_CHUNK = 512
-DEFAULT_FAULT_CHUNK = 64
+#: Campaign chunk geometry: vector words per slab and the smallest
+#: fault-class batch per kernel call of the campaign sweep.
+CAMPAIGN_WORD_CHUNK = 512
+CAMPAIGN_FAULT_CHUNK = 64
+#: Faults per fault-matrix pass of :meth:`BitParallelEngine.truth_tables`.
+TRUTH_TABLE_FAULT_CHUNK = 128
 
 
-def resolve_chunking(
-    word_chunk: Optional[int] = None,
-    fault_chunk: Optional[int] = None,
-    *,
-    default_word_chunk: int = DEFAULT_WORD_CHUNK,
-    default_fault_chunk: int = DEFAULT_FAULT_CHUNK,
-) -> Tuple[int, int]:
-    """The single chunk-geometry resolution rule of the whole stack.
-
-    Every streaming consumer of the fault matrix -- campaigns, coverage
-    sweeps, fault dictionaries, ATPG -- resolves its chunks here.  Per
-    knob: explicit keyword, else the caller's default (campaigns pass
-    512/64, the coverage and dictionary builders 256/64), clamped to at
-    least one.  Chunking never changes any result, only memory traffic
-    and per-chunk overhead.
-    """
-    if word_chunk is None:
-        word_chunk = default_word_chunk
-    if fault_chunk is None:
-        fault_chunk = default_fault_chunk
-    return max(1, int(word_chunk)), max(1, int(fault_chunk))
-
-
-def matrix_word_chunk(
-    row_cells: int, word_chunk: int, budget: Optional[int] = None
-) -> int:
-    """Clamp a requested ``word_chunk`` to the resolved matrix budget."""
-    resolved = resolve_matrix_budget(row_cells, budget)
-    return max(8, min(max(1, word_chunk), resolved // (8 * max(1, row_cells))))
+def matrix_word_chunk(row_cells: int, word_chunk: int) -> int:
+    """Clamp ``word_chunk`` to the netlist's auto-sized matrix budget."""
+    budget = resolve_matrix_budget(row_cells)
+    return max(8, min(max(1, word_chunk), budget // (8 * max(1, row_cells))))
 
 
 @dataclass
@@ -514,9 +473,7 @@ class BitParallelEngine:
         """Primary-output rows only, ``(n_outputs, n_words)``."""
         return self.run_words(packed, fault)[self._output_ids]
 
-    def truth_tables(
-        self, faults: Sequence[StuckAtFault], fault_chunk: int = 128
-    ) -> np.ndarray:
+    def truth_tables(self, faults: Sequence[StuckAtFault]) -> np.ndarray:
         """Exhaustive faulty truth tables, ``(n_faults, 2**n, n_outputs)``.
 
         One fault-matrix pass per chunk replaces ``n_faults`` separate
@@ -527,8 +484,8 @@ class BitParallelEngine:
         tables = np.empty(
             (len(faults), packed.n_vectors, len(out_ids)), dtype=np.uint8
         )
-        for lo in range(0, len(faults), fault_chunk):
-            batch = faults[lo : lo + fault_chunk]
+        for lo in range(0, len(faults), TRUTH_TABLE_FAULT_CHUNK):
+            batch = faults[lo : lo + TRUTH_TABLE_FAULT_CHUNK]
             plan = OverridePlan(self.compiled, batch)
             out = self.backend.run_outputs(packed.words, plan, len(batch))
             bits = unpack_bits(out, packed.n_vectors)  # (n_out, B, V)
@@ -588,8 +545,6 @@ class BitParallelEngine:
         faults: Optional[Sequence[StuckAtFault]] = None,
         collapse: Union[bool, str] = True,
         fault_dropping: bool = True,
-        word_chunk: Optional[int] = None,
-        fault_chunk: Optional[int] = None,
     ) -> StuckAtCampaignResult:
         """Simulate a stuck-at universe against one shared golden run.
 
@@ -613,11 +568,12 @@ class BitParallelEngine:
         backend walks only the union cone of each batch.  With
         ``fault_dropping`` (default) the vector space advances in word
         slabs that start at :data:`~repro.gates.sparse.SPARSE_WORD_SUBCHUNK`
-        words and double each step up to ``word_chunk`` words (default
-        512), and detected classes leave the schedule between slabs;
-        without it the sweep streams ``word_chunk``-word slabs over
-        every class.  ``fault_chunk`` (default 64) is the smallest batch
-        a wide slab is split into.  Neither changes any classification.
+        words and double each step up to :data:`CAMPAIGN_WORD_CHUNK`
+        words, and detected classes leave the schedule between slabs;
+        without it the sweep streams ``CAMPAIGN_WORD_CHUNK``-word slabs
+        over every class.  :data:`CAMPAIGN_FAULT_CHUNK` is the smallest
+        batch a wide slab is split into.  Neither changes any
+        classification.
         """
         with obs_span(
             "campaign",
@@ -629,8 +585,6 @@ class BitParallelEngine:
                 faults=faults,
                 collapse=collapse,
                 fault_dropping=fault_dropping,
-                word_chunk=word_chunk,
-                fault_chunk=fault_chunk,
             )
             obs_events.emit(
                 obs_events.CAMPAIGN_COMPLETED,
@@ -648,14 +602,12 @@ class BitParallelEngine:
         faults: Optional[Sequence[StuckAtFault]],
         collapse: Union[bool, str],
         fault_dropping: bool,
-        word_chunk: Optional[int],
-        fault_chunk: Optional[int],
     ) -> StuckAtCampaignResult:
         from repro.analysis.cones import analyze_cones, analyze_gate_cones
         from repro.gates import sparse
 
         mode = resolve_collapse_mode(collapse)
-        word_chunk, fault_chunk = resolve_chunking(word_chunk, fault_chunk)
+        word_chunk, fault_chunk = CAMPAIGN_WORD_CHUNK, CAMPAIGN_FAULT_CHUNK
         c = self.compiled
         netlist = c.source
         if packed is None:
@@ -887,8 +839,6 @@ def run_stuck_at_campaign(
     faults: Optional[Iterable[StuckAtFault]] = None,
     collapse: Union[bool, str] = True,
     fault_dropping: bool = True,
-    word_chunk: Optional[int] = None,
-    fault_chunk: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> StuckAtCampaignResult:
     """One-call batched campaign over ``netlist``'s stuck-at universe.
@@ -908,6 +858,4 @@ def run_stuck_at_campaign(
         fault_list,
         collapse=collapse,
         fault_dropping=fault_dropping,
-        word_chunk=word_chunk,
-        fault_chunk=fault_chunk,
     )

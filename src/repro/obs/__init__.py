@@ -3,8 +3,8 @@
 The observability layer the campaign stack reports through:
 
 * :mod:`repro.obs.metrics` -- process-global lock-striped
-  :class:`MetricsRegistry` (counters/gauges/histograms) with JSON and
-  Prometheus exporters and a ``REPRO_METRICS`` dump-on-exit;
+  :class:`MetricsRegistry` (counters/gauges/histograms) with a JSON
+  exporter and a ``REPRO_METRICS`` dump-on-exit;
 * :mod:`repro.obs.trace` -- nestable :func:`span` context managers and
   :func:`emit_event`, recording to an in-memory ring and, with
   ``REPRO_TRACE`` set, a JSON-lines file safe across shard processes;

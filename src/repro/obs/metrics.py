@@ -24,12 +24,10 @@ through the results queue, where :meth:`MetricsRegistry.merge_raw`
 folds them in -- so the parent snapshot covers the whole campaign.
 
 Exporters: :meth:`MetricsRegistry.snapshot` (plain dict, embedded into
-``BENCH_*.json`` trajectories), :meth:`MetricsRegistry.to_json` and
-:meth:`MetricsRegistry.to_prometheus` (text exposition format).  With
-the ``REPRO_METRICS`` environment variable set to a path, every process
-appends one JSON line ``{"pid": ..., "metrics": ...}`` at interpreter
-exit (``REPRO_METRICS=-`` prints the Prometheus text to stderr
-instead); :mod:`repro.obs.report` merges such dumps.
+``BENCH_*.json`` trajectories) and :meth:`MetricsRegistry.to_json`.
+With the ``REPRO_METRICS`` environment variable set to a path, every
+process appends one JSON line ``{"pid": ..., "metrics": ...}`` at
+interpreter exit; :mod:`repro.obs.report` merges such dumps.
 
 Kernel profiling (the ``repro_kernel_seconds`` histograms recorded by
 :mod:`repro.gates.backends.base`) is gated by
@@ -45,13 +43,12 @@ from __future__ import annotations
 import atexit
 import json
 import os
-import sys
 import threading
 import warnings
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-#: Path of the dump-on-exit JSON-lines file (``-`` = Prometheus text to
-#: stderr); unset or empty disables the dump.
+#: Path of the dump-on-exit JSON-lines file; unset or empty disables
+#: the dump.
 METRICS_ENV = "REPRO_METRICS"
 
 #: Number of independent (lock, dict) stripes in a registry.
@@ -352,28 +349,6 @@ class MetricsRegistry:
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition of the snapshot.
-
-        Counters render with their ``_total`` names as-is, histograms as
-        ``<name>_count`` / ``<name>_sum`` / ``<name>_max`` series (the
-        bucket vector stays JSON-only -- the consumers here are humans
-        and the trajectory differ, not a real scrape pipeline).
-        """
-        lines: List[str] = []
-        snap = self.snapshot()
-        for key, value in snap["counters"].items():
-            lines.append(f"{key} {value:g}")
-        for key, value in snap["gauges"].items():
-            lines.append(f"{key} {value:g}")
-        for key, hist in snap["histograms"].items():
-            name, brace, labels = key.partition("{")
-            suffix = (brace + labels) if brace else ""
-            lines.append(f"{name}_count{suffix} {hist['count']:g}")
-            lines.append(f"{name}_sum{suffix} {hist['sum']:g}")
-            lines.append(f"{name}_max{suffix} {hist['max']:g}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def reset(self) -> None:
         """Drop every series (collectors stay registered)."""
         for lock, cell in self._stripes:
@@ -469,18 +444,14 @@ def dump(path: Optional[str] = None) -> None:
 
     Appends one JSON line ``{"pid": ..., "metrics": snapshot}`` with a
     single ``O_APPEND`` write, so concurrent processes sharing one path
-    never interleave partial lines; ``-`` prints Prometheus text to
-    stderr instead.  A no-op when no path is configured or nothing was
-    recorded.
+    never interleave partial lines.  A no-op when no path is configured
+    or nothing was recorded.
     """
     path = path if path is not None else os.environ.get(METRICS_ENV, "").strip()
     if not path:
         return
     snap = _REGISTRY.snapshot()
     if not any(snap.values()):
-        return
-    if path == "-":
-        sys.stderr.write(_REGISTRY.to_prometheus())
         return
     line = json.dumps({"pid": os.getpid(), "metrics": snap}, sort_keys=True)
     try:

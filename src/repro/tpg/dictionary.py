@@ -45,7 +45,6 @@ from repro.gates.engine import (
     matrix_word_chunk,
     pack_bits,
     popcount_words,
-    resolve_chunking,
 )
 from repro.gates.faults import (
     FaultSite,
@@ -70,31 +69,12 @@ from repro.store import (
 
 #: Streaming chunk sizes of the dictionary builder: vectors move through
 #: the fault matrix ``DICT_WORD_CHUNK`` words (x64 vectors) at a time,
-#: equivalence-class representatives ``DICT_FAULT_CHUNK`` rows at a time.
-#: Defaults of the shared resolution rule
-#: (:func:`repro.gates.engine.resolve_chunking`); explicit keywords
-#: override.
+#: equivalence-class representatives ``DICT_FAULT_CHUNK`` rows at a time
+#: (the word chunk clamped to the netlist's matrix budget,
+#: :func:`repro.gates.engine.matrix_word_chunk`).  Chunking never
+#: changes a dictionary bit.
 DICT_WORD_CHUNK = 256
 DICT_FAULT_CHUNK = 64
-
-
-def _resolve_dict_backend(
-    backend: Optional[str],
-    word_chunk: Optional[int],
-    fault_chunk: Optional[int],
-) -> Tuple[str, int, int]:
-    """Shared backend + chunk resolution of the dictionary builders.
-
-    Returns ``(backend name, word_chunk, fault_chunk)``; sharded
-    workers receive the resolved name, not the environment.
-    """
-    word_chunk, fault_chunk = resolve_chunking(
-        word_chunk,
-        fault_chunk,
-        default_word_chunk=DICT_WORD_CHUNK,
-        default_fault_chunk=DICT_FAULT_CHUNK,
-    )
-    return resolve_backend_name(backend), word_chunk, fault_chunk
 
 
 @dataclass(frozen=True)
@@ -538,9 +518,6 @@ def _detection_rows(
     rows_of,
     n_words: int,
     word_lo: int,
-    word_chunk: int,
-    fault_chunk: int,
-    matrix_budget: Optional[int],
     backend: Optional[str] = None,
 ) -> np.ndarray:
     """Core kernel: per-fault detection words over a packed word range.
@@ -554,9 +531,9 @@ def _detection_rows(
     engine = engine_for(netlist, backend)
     reps = [fault_seq[g[0]] for g in groups]
     group_words = np.zeros((len(reps), n_words), dtype=np.uint64)
-    fault_chunk = max(1, fault_chunk)
+    fault_chunk = DICT_FAULT_CHUNK
     row_cells = engine.compiled.n_nets * (min(fault_chunk, max(1, len(reps))) + 1)
-    word_chunk = matrix_word_chunk(row_cells, word_chunk, matrix_budget)
+    word_chunk = matrix_word_chunk(row_cells, DICT_WORD_CHUNK)
     for lo in range(0, n_words, word_chunk):
         hi = min(lo + word_chunk, n_words)
         rows, valid = rows_of(word_lo + lo, word_lo + hi)
@@ -580,9 +557,6 @@ def _dictionary_shard(
     collapse: Union[bool, str],
     word_lo: int,
     word_hi: int,
-    word_chunk: int,
-    fault_chunk: int,
-    matrix_budget: Optional[int],
     backend: Optional[str] = None,
 ) -> np.ndarray:
     """Shard worker: detection words for sweep words [word_lo, word_hi).
@@ -598,8 +572,7 @@ def _dictionary_shard(
 
     return _detection_rows(
         netlist, groups, fault_seq, rows_of,
-        word_hi - word_lo, word_lo, word_chunk, fault_chunk, matrix_budget,
-        backend,
+        word_hi - word_lo, word_lo, backend,
     )
 
 
@@ -609,9 +582,6 @@ def build_fault_dictionary(
     faults: Optional[Iterable[StuckAtFault]] = None,
     collapse: Union[bool, str] = True,
     workers: Optional[int] = None,
-    word_chunk: Optional[int] = None,
-    fault_chunk: Optional[int] = None,
-    matrix_budget: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> FaultDictionary:
@@ -633,8 +603,7 @@ def build_fault_dictionary(
     """
     with obs_span("fault_dictionary", netlist=netlist.name):
         return _build_fault_dictionary_impl(
-            netlist, space, faults, collapse, workers, word_chunk,
-            fault_chunk, matrix_budget, backend, store,
+            netlist, space, faults, collapse, workers, backend, store
         )
 
 
@@ -644,9 +613,6 @@ def _build_fault_dictionary_impl(
     faults: Optional[Iterable[StuckAtFault]],
     collapse: Union[bool, str],
     workers: Optional[int],
-    word_chunk: Optional[int],
-    fault_chunk: Optional[int],
-    matrix_budget: Optional[int],
     backend: Optional[str],
     store,
 ) -> FaultDictionary:
@@ -657,9 +623,8 @@ def _build_fault_dictionary_impl(
     fault_tuple = tuple(faults) if faults is not None else None
     fault_seq, groups = _resolve_universe(netlist, fault_tuple, collapse)
     n_words = space.n_words
-    backend, word_chunk, fault_chunk = _resolve_dict_backend(
-        backend, word_chunk, fault_chunk
-    )
+    # Sharded workers receive the resolved name, not the environment.
+    backend = resolve_backend_name(backend)
     store = resolve_store(store)
     key = None
     if store is not None:
@@ -670,12 +635,7 @@ def _build_fault_dictionary_impl(
             space=digest_test_space(space),
             method="dictionary",
             backend=backend,
-            params=digest_params(
-                collapse=resolve_collapse_mode(collapse),
-                word_chunk=word_chunk,
-                fault_chunk=fault_chunk,
-                matrix_budget=matrix_budget,
-            ),
+            params=digest_params(collapse=resolve_collapse_mode(collapse)),
         )
         cached = store.get(key)
         if cached is not None:
@@ -685,8 +645,7 @@ def _build_fault_dictionary_impl(
     )
     bounds = shard_bounds(n_words, n_workers)
     arg_tuples = [
-        (netlist, space, fault_tuple, collapse, lo, hi,
-         word_chunk, fault_chunk, matrix_budget, backend)
+        (netlist, space, fault_tuple, collapse, lo, hi, backend)
         for lo, hi in bounds
     ]
     if store is not None:
@@ -717,9 +676,6 @@ def dictionary_for_vectors(
     bits: np.ndarray,
     faults: Optional[Iterable[StuckAtFault]] = None,
     collapse: Union[bool, str] = True,
-    word_chunk: Optional[int] = None,
-    fault_chunk: Optional[int] = None,
-    matrix_budget: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> FaultDictionary:
@@ -735,9 +691,7 @@ def dictionary_for_vectors(
     fault_seq, groups = _resolve_universe(netlist, fault_tuple, collapse)
     bits = np.asarray(bits, dtype=np.uint8)
     n_tests = bits.shape[0]
-    backend, word_chunk, fault_chunk = _resolve_dict_backend(
-        backend, word_chunk, fault_chunk
-    )
+    backend = resolve_backend_name(backend)
     store = resolve_store(store)
     key = None
     if store is not None:
@@ -748,12 +702,7 @@ def dictionary_for_vectors(
             space=digest_vector_table(bits),
             method="table",
             backend=backend,
-            params=digest_params(
-                collapse=resolve_collapse_mode(collapse),
-                word_chunk=word_chunk,
-                fault_chunk=fault_chunk,
-                matrix_budget=matrix_budget,
-            ),
+            params=digest_params(collapse=resolve_collapse_mode(collapse)),
         )
         cached = store.get(key)
         if cached is not None:
@@ -787,7 +736,7 @@ def dictionary_for_vectors(
 
     words = _detection_rows(
         netlist, groups, fault_seq, rows_of,
-        n_words, 0, word_chunk, fault_chunk, matrix_budget, backend,
+        n_words, 0, backend,
     )
     result = FaultDictionary(
         netlist_name=netlist.name,

@@ -49,7 +49,6 @@ from repro.gates.engine import (
     first_hits,
     matrix_word_chunk,
     popcount_words,
-    resolve_chunking,
 )
 from repro.gates.faults import StuckAtFault, resolve_collapse_mode
 from repro.gates.netlist import Netlist
@@ -74,6 +73,14 @@ from repro.tpg.dictionary import (
 #: Default ATPG seed (the DATE'05 conference date, like the coverage
 #: engine's sampling seed).
 TPG_SEED = 20050307
+
+#: Chunk geometry of both phases: classes per fault-matrix call and the
+#: phase-2 sweep's word chunk (clamped to the netlist's matrix budget,
+#: :func:`repro.gates.engine.matrix_word_chunk`).  The sweep records a
+#: residue class's test when its chunk reaches it, so the word chunk
+#: fixes the order of the discovered test table.
+TPG_WORD_CHUNK = 256
+TPG_FAULT_CHUNK = 64
 
 #: Words (x64 vectors) per random phase.
 PHASE_WORDS = 8
@@ -187,8 +194,6 @@ def generate_tests(
     faults: Optional[Tuple[StuckAtFault, ...]] = None,
     collapse: Union[bool, str] = True,
     order: str = "index",
-    word_chunk: Optional[int] = None,
-    fault_chunk: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> TPGResult:
@@ -222,7 +227,7 @@ def generate_tests(
     with obs_span("atpg", netlist=netlist.name, order=order, seed=seed):
         return _generate_tests_impl(
             netlist, space, seed, phase_words, max_phases, stale_phases,
-            faults, collapse, order, word_chunk, fault_chunk, backend, store,
+            faults, collapse, order, backend, store,
         )
 
 
@@ -236,8 +241,6 @@ def _generate_tests_impl(
     faults: Optional[Tuple[StuckAtFault, ...]],
     collapse: Union[bool, str],
     order: str,
-    word_chunk: Optional[int],
-    fault_chunk: Optional[int],
     backend: Optional[str],
     store,
 ) -> TPGResult:
@@ -275,9 +278,7 @@ def _generate_tests_impl(
         targets = [
             g for _, g in sorted(zip(efforts.tolist(), targets), key=lambda p: (-p[0], p[1]))
         ]
-    word_chunk, fault_chunk = resolve_chunking(
-        word_chunk, fault_chunk, default_word_chunk=256, default_fault_chunk=64
-    )
+    fault_chunk = TPG_FAULT_CHUNK
     backend = resolve_backend_name(backend)
     store = resolve_store(store)
     cache_key = None
@@ -299,8 +300,10 @@ def _generate_tests_impl(
                 stale_phases=stale_phases,
                 collapse=mode,
                 order=order,
-                word_chunk=word_chunk,
-                fault_chunk=fault_chunk,
+                # The sweep chunk fixes the order of the test table
+                # (see TPG_WORD_CHUNK), so the geometry is part of the key.
+                word_chunk=TPG_WORD_CHUNK,
+                fault_chunk=TPG_FAULT_CHUNK,
             ),
         )
         cached = store.get(cache_key)
@@ -361,7 +364,7 @@ def _generate_tests_impl(
             row_cells = engine.compiled.n_nets * (
                 min(fault_chunk, max(1, len(active))) + 1
             )
-            sweep_chunk = matrix_word_chunk(row_cells, word_chunk)
+            sweep_chunk = matrix_word_chunk(row_cells, TPG_WORD_CHUNK)
             for lo in range(0, space.n_words, sweep_chunk):
                 if not active:
                     break
@@ -391,7 +394,7 @@ def _generate_tests_impl(
     dictionary = dictionary_for_vectors(
         netlist, table, faults=faults,
         collapse="equivalence" if mode == "dominance" else mode,
-        fault_chunk=fault_chunk, backend=backend, store=store,
+        backend=backend, store=store,
     )
     cover = greedy_cover(dictionary)
     compact = CompactTestSet(

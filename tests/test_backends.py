@@ -14,6 +14,7 @@ import pytest
 from repro.coverage.engine import evaluate_operator
 from repro.errors import SimulationError
 from repro.gates import builders
+from repro.gates import engine as gate_engine
 from repro.gates.backends import (
     BACKEND_ENV,
     DEFAULT_BACKEND,
@@ -94,6 +95,50 @@ class TestRegistry:
         monkeypatch.setenv(BACKEND_ENV, "python_loop")
         assert engine_for(netlist).backend_name == "python_loop"
 
+    def test_explicit_backend_passes_through(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, "fused")
+        engine = engine_for(builders.full_adder(), "python_loop")
+        assert engine.backend_name == "python_loop"
+        assert engine.backend.name == "python_loop"
+
+
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        ("backend=", "auto"),
+        ("backend=", "threaded"),
+        ("backend=", "numba"),
+        ("backend=", "cupy"),
+        (f"{BACKEND_ENV}=", "threaded"),
+    ],
+    ids=[
+        "backend=auto",
+        "backend=threaded",
+        "backend=numba",
+        "backend=cupy",
+        f"{BACKEND_ENV}=threaded",
+    ],
+)
+def test_unregistered_backend_rejected(source, name, monkeypatch):
+    # The former ``"auto"`` sentinel and the removed threaded/numba/cupy
+    # tiers fail at selection, naming the selection's source and the
+    # backends that are registered.
+    if source == "backend=":
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        selection = name
+    else:
+        monkeypatch.setenv(BACKEND_ENV, name)
+        selection = None
+    for resolve in (
+        lambda: resolve_backend_name(selection),
+        lambda: engine_for(builders.full_adder(), selection),
+    ):
+        with pytest.raises(SimulationError) as info:
+            resolve()
+        message = str(info.value)
+        assert f"{source}{name!r}" in message
+        assert str(list(list_backends())) in message
+
 
 # ----------------------------------------------------------------------
 # Bit-identity: campaigns
@@ -137,15 +182,14 @@ class TestCampaignEquivalence:
                 result.first_detected, baseline.first_detected
             ), name
 
-    def test_big_fault_batches_bit_identical(self):
+    def test_big_fault_batches_bit_identical(self, monkeypatch):
         # One batch carrying the whole universe exercises the fused
         # prefix walk's permutation on every site class at once.
+        monkeypatch.setattr(gate_engine, "CAMPAIGN_FAULT_CHUNK", 512)
         netlist = builders.ripple_carry_adder(8)
-        baseline = run_stuck_at_campaign(
-            netlist, backend="python_loop", fault_chunk=512
-        )
+        baseline = run_stuck_at_campaign(netlist, backend="python_loop")
         for name in FAST_BACKENDS:
-            result = run_stuck_at_campaign(netlist, backend=name, fault_chunk=512)
+            result = run_stuck_at_campaign(netlist, backend=name)
             assert np.array_equal(result.detected, baseline.detected), name
             assert np.array_equal(
                 result.first_detected, baseline.first_detected
@@ -294,7 +338,7 @@ class TestExhaustiveCacheGuard:
         netlist = builders.ripple_carry_adder(8)
         compiled = compile_netlist(netlist)
         packed_bytes = exhaustive_words(compiled.n_inputs).words.nbytes
-        monkeypatch.setenv("REPRO_GATE_MATRIX_BUDGET", str(packed_bytes - 1))
+        monkeypatch.setattr(gate_engine, "GATE_MATRIX_BUDGET_MAX", packed_bytes - 1)
         assert resolve_matrix_budget(compiled.n_nets) < packed_bytes
         engine = BitParallelEngine(compiled)
         first = engine.exhaustive()
@@ -305,7 +349,7 @@ class TestExhaustiveCacheGuard:
     def test_guard_preserves_results(self, monkeypatch):
         netlist = builders.ripple_carry_adder(4)
         want = run_stuck_at_campaign(netlist)
-        monkeypatch.setenv("REPRO_GATE_MATRIX_BUDGET", "1")
+        monkeypatch.setattr(gate_engine, "GATE_MATRIX_BUDGET_MAX", 1)
         engine = BitParallelEngine(compile_netlist(netlist))
         got = engine.campaign()
         assert np.array_equal(got.detected, want.detected)

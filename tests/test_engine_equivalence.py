@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gates import builders
+from repro.gates import engine as gate_engine
 from repro.gates.cells import CellType
 from repro.gates.compile import compile_netlist
 from repro.gates.engine import (
@@ -138,9 +139,9 @@ class TestRandomNetlistEquivalence:
         baseline = run_stuck_at_campaign(nl, collapse=False, fault_dropping=False)
         for collapse in (True, False):
             for word_chunk in (1, 512):
-                result = run_stuck_at_campaign(
-                    nl, collapse=collapse, word_chunk=word_chunk
-                )
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(gate_engine, "CAMPAIGN_WORD_CHUNK", word_chunk)
+                    result = run_stuck_at_campaign(nl, collapse=collapse)
                 assert (result.detected == baseline.detected).all()
                 assert (result.first_detected == baseline.first_detected).all()
                 assert result.n_simulated_runs <= baseline.n_simulated_runs
@@ -272,16 +273,17 @@ class TestBatchedEntryPoints:
             diffs = np.nonzero((table != golden).any(axis=1))[0]
             assert vec == diffs[0], fault.describe()
 
-    def test_first_detected_earliest_across_chunks_without_dropping(self):
+    def test_first_detected_earliest_across_chunks_without_dropping(
+        self, monkeypatch
+    ):
         # Multi-word exhaustive set (9 inputs -> 512 vectors, 8 words):
         # re-detection in later chunks must not overwrite the earliest
         # detecting vector when fault dropping is off.
         nl = builders.ripple_carry_adder(4)
         ref = ReferenceSimulator(nl)
         golden = ref.truth_table()
-        result = run_stuck_at_campaign(
-            nl, word_chunk=1, fault_dropping=False, collapse=False
-        )
+        monkeypatch.setattr(gate_engine, "CAMPAIGN_WORD_CHUNK", 1)
+        result = run_stuck_at_campaign(nl, fault_dropping=False, collapse=False)
         for fault, hit, vec in zip(
             result.faults, result.detected, result.first_detected
         ):

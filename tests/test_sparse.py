@@ -16,7 +16,9 @@ Three layers of checks:
   spans several vector slabs and a partial vector set with a ragged
   tail word.
 
-Plus the skip counter the cone walk reports.
+Plus the determinism and per-engine replay of campaign schedules and
+the skip counter the cone walk reports.  Chunk geometry is a module
+constant of :mod:`repro.gates.engine`; the seam checks patch it.
 """
 
 import numpy as np
@@ -25,7 +27,8 @@ import pytest
 from repro.analysis.cones import analyze_cones, analyze_gate_cones
 from repro.arch.testbench import table2_architecture
 from repro.errors import SimulationError
-from repro.gates import builders
+from repro.gates import builders, sparse
+from repro.gates import engine as gate_engine
 from repro.gates.backends import create_backend, list_backends
 from repro.gates.backends.plan import OverridePlan
 from repro.gates.compile import compile_netlist
@@ -177,6 +180,38 @@ class TestSchedule:
         sched = build_schedule(compiled, list(universe), 16, gate_cones, None)
         assert 0.0 < sched.cone_density < 1.0
 
+    def test_deterministic_for_fixed_shape(self):
+        # The engine replays cached schedules across campaigns, which
+        # is only sound if scheduling one class list is deterministic.
+        netlist = builders.ripple_carry_adder(4)
+        compiled = compile_netlist(netlist)
+        universe = list(default_fault_universe(netlist))
+        gate_cones = analyze_gate_cones(netlist)
+        cones = analyze_cones(netlist)
+        first, again = (
+            build_schedule(compiled, universe, 16, gate_cones, cones)
+            for _ in range(2)
+        )
+        assert len(first.batches) == len(again.batches)
+        for a, b in zip(first.batches, again.batches):
+            assert a.members == b.members
+            assert a.out_ids == b.out_ids
+            assert (a.gates == b.gates).all()
+
+    def test_repeated_campaign_replays_cached_schedule(self, monkeypatch):
+        netlist = builders.ripple_carry_adder(5)
+        first = run_stuck_at_campaign(netlist)
+        calls = []
+        build = sparse.build_schedule
+        monkeypatch.setattr(
+            sparse,
+            "build_schedule",
+            lambda *a, **k: calls.append(1) or build(*a, **k),
+        )
+        again = run_stuck_at_campaign(netlist)
+        assert not calls
+        assert (first.first_detected == again.first_detected).all()
+
 
 # ----------------------------------------------------------------------
 # Kernel-level bit-identity: a schedule never changes detection words
@@ -264,7 +299,7 @@ def _oracle_hits(netlist, faults, inputs=None):
         golden = golden[ids]
     rows = []
     for lo in range(0, len(faults), 16):
-        tables = engine.truth_tables(faults[lo : lo + 16], fault_chunk=16)
+        tables = engine.truth_tables(faults[lo : lo + 16])
         if ids is not None:
             tables = tables[:, ids]
         rows.append((tables != golden).any(axis=2))
@@ -338,16 +373,13 @@ class TestCampaignEquivalence:
         arch = table2_architecture(operator, 3)
         _assert_matches_oracle(run_stuck_at_campaign(arch.netlist), arch.netlist)
 
-    def test_odd_chunk_geometry(self):
+    def test_odd_chunk_geometry(self, monkeypatch):
         netlist = builders.ripple_carry_adder(5)
         hits = _oracle_hits(netlist, default_fault_universe(netlist))
-        for word_chunk, fault_chunk in ((1, 3), (2, 7), (512, 1)):
+        for geometry in ((1, 3), (2, 7), (512, 1)):
+            _set_geometry(monkeypatch, geometry)
             _assert_matches_oracle(
-                run_stuck_at_campaign(
-                    netlist, word_chunk=word_chunk, fault_chunk=fault_chunk
-                ),
-                netlist,
-                hits=hits,
+                run_stuck_at_campaign(netlist), netlist, hits=hits
             )
 
     def test_partial_vector_set(self):
@@ -360,6 +392,15 @@ class TestCampaignEquivalence:
         _assert_matches_oracle(
             run_stuck_at_campaign(netlist, inputs=inputs), netlist, inputs=inputs
         )
+
+
+def _set_geometry(monkeypatch, geometry):
+    """Force campaign chunk seams: ``geometry`` is ``(word_chunk,
+    fault_chunk)``, or ``(None, None)`` for the shipped constants."""
+    word_chunk, fault_chunk = geometry
+    if word_chunk is not None:
+        monkeypatch.setattr(gate_engine, "CAMPAIGN_WORD_CHUNK", word_chunk)
+        monkeypatch.setattr(gate_engine, "CAMPAIGN_FAULT_CHUNK", fault_chunk)
 
 
 def _wide():
@@ -413,7 +454,8 @@ class TestCampaignOracle:
             return run_detect(words, *args)
 
         monkeypatch.setattr(engine.backend, "run_detect", spy)
-        engine.campaign(word_chunk=96)
+        monkeypatch.setattr(gate_engine, "CAMPAIGN_WORD_CHUNK", 96)
+        engine.campaign()
         assert widths[0] == SPARSE_WORD_SUBCHUNK
         assert max(widths) == 96
 
@@ -429,15 +471,15 @@ class TestCampaignOracle:
     @pytest.mark.parametrize("fault_dropping", (True, False), ids=("drop", "keep"))
     @pytest.mark.parametrize("collapse", COLLAPSE_MODES)
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    def test_exhaustive_wide(self, backend, collapse, fault_dropping, geometry, wide_hits):
+    def test_exhaustive_wide(
+        self, backend, collapse, fault_dropping, geometry, wide_hits, monkeypatch
+    ):
         netlist = _wide()
-        word_chunk, fault_chunk = geometry
+        _set_geometry(monkeypatch, geometry)
         result = run_stuck_at_campaign(
             netlist,
             collapse=collapse,
             fault_dropping=fault_dropping,
-            word_chunk=word_chunk,
-            fault_chunk=fault_chunk,
             backend=backend,
         )
         _assert_matches_oracle(result, netlist, collapse, hits=wide_hits)
@@ -447,17 +489,15 @@ class TestCampaignOracle:
     @pytest.mark.parametrize("collapse", COLLAPSE_MODES)
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_partial_ragged_tail(
-        self, backend, collapse, fault_dropping, geometry, partial_hits
+        self, backend, collapse, fault_dropping, geometry, partial_hits, monkeypatch
     ):
         netlist = builders.ripple_carry_adder(4)
-        word_chunk, fault_chunk = geometry
+        _set_geometry(monkeypatch, geometry)
         result = run_stuck_at_campaign(
             netlist,
             inputs=_partial(netlist),
             collapse=collapse,
             fault_dropping=fault_dropping,
-            word_chunk=word_chunk,
-            fault_chunk=fault_chunk,
             backend=backend,
         )
         _assert_matches_oracle(result, netlist, collapse, hits=partial_hits)

@@ -260,7 +260,7 @@ class TestWordRangeSharding:
         n_cases = len(collapsed_cell_library()) * len(arch.positions)
         n_words = arch.n_words
         full = _gate_case_counts(
-            operator, width, "xor3_majority", 256, 64, 0, n_cases, 0, n_words
+            operator, width, "xor3_majority", 0, n_cases, 0, n_words
         )
         cuts = sorted({0, max(1, n_words // 3), max(1, (2 * n_words) // 3), n_words})
         grid = [
@@ -269,7 +269,7 @@ class TestWordRangeSharding:
             for w_lo, w_hi in zip(cuts, cuts[1:])
         ]
         shards = [
-            _gate_case_counts(operator, width, "xor3_majority", 256, 64, *tile)
+            _gate_case_counts(operator, width, "xor3_majority", *tile)
             for tile in grid
         ]
         assert _merge_gate_shards(grid, shards) == full

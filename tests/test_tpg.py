@@ -11,7 +11,8 @@ The load-bearing properties:
   at n = 3 and 4, for the raw unit netlists and the Table 2
   architectures;
 * the coverage-engine satellites (word-first grid sharding, auto-sized
-  matrix budget) change nothing about the numbers.
+  matrix budget) change nothing about the numbers, and ATPG's test
+  order depends on its chunk constants only, never on the environment.
 """
 
 import dataclasses
@@ -26,16 +27,22 @@ from repro.arch.testbench import table2_architecture
 from repro.coverage.engine import evaluate_adder, evaluate_multiplier
 from repro.errors import SimulationError
 from repro.faults.sharding import shard_grid
+from repro.coverage import engine as coverage_engine
 from repro.gates import builders
+from repro.gates import engine as gate_engine
+from repro.gates.compile import compile_netlist
 from repro.gates.engine import (
-    GATE_MATRIX_BUDGET_ENV,
     GATE_MATRIX_BUDGET_MAX,
     GATE_MATRIX_BUDGET_MIN,
+    matrix_word_chunk,
     pack_bits,
     resolve_matrix_budget,
     run_stuck_at_campaign,
 )
 from repro.gates.simulate import ReferenceSimulator
+from repro.store import open_store
+from repro.tpg import dictionary as tpg_dictionary
+from repro.tpg import generate as tpg_generate
 from repro.tpg import (
     CompactTestSet,
     FaultDictionary,
@@ -540,23 +547,17 @@ class TestMatrixBudget:
         mid = 50_000
         assert resolve_matrix_budget(mid) == mid * 8 * 256
 
-    def test_explicit_budget_wins(self):
-        assert resolve_matrix_budget(1 << 30, budget=12345) == 12345
+    def test_word_chunk_clamped_to_budget(self, monkeypatch):
+        row_cells = compile_netlist(builders.ripple_carry_adder(4)).n_nets * 9
+        assert matrix_word_chunk(row_cells, 32) == 32
+        # A budget too small for the request clamps the word chunk.
+        monkeypatch.setattr(gate_engine, "GATE_MATRIX_BUDGET_MAX", 8 * row_cells)
+        assert 8 <= matrix_word_chunk(row_cells, 32) < 32
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(GATE_MATRIX_BUDGET_ENV, str(1 << 21))
-        assert resolve_matrix_budget(1 << 30) == 1 << 21
-        monkeypatch.setenv(GATE_MATRIX_BUDGET_ENV, "not-bytes")
-        with pytest.raises(SimulationError):
-            resolve_matrix_budget(1)
-
-    @pytest.mark.parametrize("raw", ["-5", "0"])
-    def test_non_positive_env_rejected(self, raw, monkeypatch):
-        monkeypatch.setenv(GATE_MATRIX_BUDGET_ENV, raw)
-        with pytest.raises(SimulationError, match=GATE_MATRIX_BUDGET_ENV):
-            resolve_matrix_budget(1)
-
-    def test_budget_keyword_changes_nothing_about_the_numbers(self):
+    def test_small_budget_changes_nothing_about_the_numbers(self, monkeypatch):
+        # n = 5 sweeps 16 words: the tiny budget clamps the word chunk
+        # to 8, and an odd fault chunk splits the case rows unevenly.
+        # ``store=False`` keeps a warm store from serving the second run.
         def key(stats):
             return {
                 name: (s.situations, s.covered, s.observable_errors,
@@ -564,12 +565,50 @@ class TestMatrixBudget:
                 for name, s in stats.items()
             }
 
-        base = evaluate_multiplier(3, method="gate")
-        tiny = evaluate_multiplier(3, method="gate", matrix_budget=1 << 20)
+        base = evaluate_multiplier(5, method="gate", store=False)
+        monkeypatch.setattr(gate_engine, "GATE_MATRIX_BUDGET_MAX", 1)
+        monkeypatch.setattr(coverage_engine, "GATE_FAULT_CHUNK", 7)
+        tiny = evaluate_multiplier(5, method="gate", store=False)
         assert key(base) == key(tiny)
 
-    def test_dictionary_budget_keyword_is_bit_identical(self):
-        nl = builders.ripple_carry_adder(3)
-        base = build_fault_dictionary(nl)
-        tiny = build_fault_dictionary(nl, matrix_budget=1 << 12)
+    def test_dictionary_small_budget_is_bit_identical(self, monkeypatch):
+        # 11 inputs = 32 words, swept 8 words at a time under the tiny
+        # budget, with the classes split 7 rows at a time.
+        nl = builders.ripple_carry_adder(5)
+        base = build_fault_dictionary(nl, store=False)
+        monkeypatch.setattr(gate_engine, "GATE_MATRIX_BUDGET_MAX", 1)
+        monkeypatch.setattr(tpg_dictionary, "DICT_FAULT_CHUNK", 7)
+        tiny = build_fault_dictionary(nl, store=False)
         assert np.array_equal(base.words, tiny.words)
+
+
+class TestATPGChunkGeometry:
+    def test_environment_does_not_change_the_test_order(self, monkeypatch):
+        # The phase-2 sweep records tests in chunk order.  The chunk
+        # once read a budget variable from the environment that the
+        # ATPG store key did not hash, so a store filled under one
+        # setting served tables another setting would not produce.
+        def run():
+            res = generate_tests(
+                unit_netlist("mul", 6), unit_space("mul", 6),
+                max_phases=0, store=False,
+            )
+            return res.tests, res.compact.vectors
+
+        tests, vectors = run()
+        monkeypatch.setenv("REPRO_GATE_MATRIX_BUDGET", "1")
+        again_tests, again_vectors = run()
+        assert np.array_equal(tests, again_tests)
+        assert np.array_equal(vectors, again_vectors)
+
+    def test_store_key_hashes_the_chunk_constants(self, tmp_path, monkeypatch):
+        store = open_store(tmp_path / "store")
+        nl = builders.ripple_carry_adder(3)
+        generate_tests(nl, store=store)
+        before = store.stats.snapshot()
+        generate_tests(nl, store=store)
+        warm = store.stats.snapshot()
+        assert warm["puts"] == before["puts"]
+        monkeypatch.setattr(tpg_generate, "TPG_WORD_CHUNK", 8)
+        generate_tests(nl, store=store)
+        assert store.stats.snapshot()["puts"] > warm["puts"]
