@@ -1,20 +1,23 @@
-"""Memoised campaigns: the content-addressed result store end to end.
+"""Memoised coverage sweeps: the content-addressed result store end to end.
 
 The walk-through:
 
 1. run the n = 4 adder coverage column cold through a store and again
    warm -- the second run is served entirely from cache, bit-identical;
-2. re-run the same campaign under a *different* shard grid -- the final
+2. re-run the same sweep under a *different* shard grid -- the final
    artifact key excludes worker counts, so it is a pure hit, not a
    recompute;
-3. simulate a crash: kill a 4-way sharded campaign after 2 shards via
+3. simulate a crash: kill a 4-way sharded sweep after 2 shards via
    the test hook, then resume -- the resumed run loads the 2 finished
    checkpoints, executes only the 2 missing shards
    (``last_checkpoint_report()`` proves it), and merges byte-identically
    with an uninterrupted reference run.
 
-Everything is opt-in: without ``store=`` (or ``REPRO_STORE=1`` in the
-environment) the stack never touches the filesystem.
+Only the Table 1/2 coverage sweeps shard across processes; stuck-at
+campaigns and fault dictionaries run in the calling process and memoise
+as one store entry each.  Everything is opt-in: without ``store=`` (or
+``REPRO_STORE=1`` in the environment) the stack never touches the
+filesystem.
 
 Run:  PYTHONPATH=src python examples/cached_campaigns.py
 """
@@ -22,12 +25,8 @@ Run:  PYTHONPATH=src python examples/cached_campaigns.py
 import tempfile
 import time
 
-import numpy as np
-
 from repro import ResultStore
 from repro.coverage.engine import evaluate_adder
-from repro.faults.injector import run_sharded_stuck_at_campaign
-from repro.gates import builders
 from repro.store import last_checkpoint_report, shard_hook
 
 WIDTH = 4
@@ -51,18 +50,14 @@ def main() -> None:
     )
 
     # 2. The final key is shard-free: a different grid is a pure hit.
-    netlist = builders.ripple_carry_adder(WIDTH)
-    four_way = run_sharded_stuck_at_campaign(netlist, workers=4, store=store)
     puts_before = store.stats.puts
-    two_way = run_sharded_stuck_at_campaign(netlist, workers=2, store=store)
+    two_way = evaluate_adder(WIDTH, workers=2, store=store)
     assert store.stats.puts == puts_before  # nothing recomputed
-    assert np.array_equal(
-        np.asarray(four_way.detected), np.asarray(two_way.detected)
-    )
-    print("re-sharded campaign: pure hit, detection words identical")
+    assert two_way == cold
+    print("re-sharded sweep: pure hit, coverage counts identical")
 
     # 3. Crash and resume.
-    reference = run_sharded_stuck_at_campaign(netlist, workers=4, store=False)
+    reference = evaluate_adder(WIDTH, workers=4, store=False)
     crash_store = ResultStore(tempfile.mkdtemp(prefix="repro-store-"))
     completed = {"n": 0}
 
@@ -73,18 +68,15 @@ def main() -> None:
 
     try:
         with shard_hook(crash_after_two):
-            run_sharded_stuck_at_campaign(netlist, workers=4, store=crash_store)
+            evaluate_adder(WIDTH, workers=4, store=crash_store)
     except RuntimeError:
         pass
     print(f"killed after {len(crash_store)} shard checkpoints")
 
-    resumed = run_sharded_stuck_at_campaign(netlist, workers=4, store=crash_store)
+    resumed = evaluate_adder(WIDTH, workers=4, store=crash_store)
     report = last_checkpoint_report()
     assert report.loaded == 2 and report.executed == 2
-    assert np.array_equal(
-        np.asarray(resumed.detected), np.asarray(reference.detected)
-    )
-    assert resumed.n_simulated_runs == reference.n_simulated_runs
+    assert resumed == reference
     print(
         f"resumed: loaded {report.loaded}, re-executed {report.executed} "
         f"of {report.total} shards -- merge byte-identical"

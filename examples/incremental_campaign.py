@@ -62,7 +62,7 @@ def main() -> None:
 
     # 3. Chain a second edit through the store: no old_result handed in.
     store = ResultStore(tempfile.mkdtemp(prefix="repro-store-"))
-    run_sharded_stuck_at_campaign(v1, workers=1, store=store)
+    run_sharded_stuck_at_campaign(v1, store=store)
     step1 = incremental_stuck_at_campaign(v1, v2, store=store)
     v3 = v2.copy()
     v3.replace_gate("fa7_x2", cell_type=CellType.XNOR)

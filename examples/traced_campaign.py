@@ -1,22 +1,26 @@
-"""Observability end to end: trace a sharded campaign, then report on it.
+"""Observability end to end: trace a sharded coverage sweep, then report on it.
 
 The walk-through:
 
-1. run the RCA-8 stuck-at campaign untraced -- the reference result;
-2. point ``REPRO_TRACE`` at a JSON-lines file and re-run the same
-   campaign 2-way sharded through a result store -- every span
-   (``sharded_campaign`` -> per-worker ``campaign``), lifecycle event
-   (shard submitted/started/completed/merged, checkpoint written) and
-   tuning decision lands in the trace, and kernel profiling switches on;
+1. run the n = 4 adder's Table 2 gate sweep untraced -- the reference
+   result;
+2. point ``REPRO_TRACE`` at a JSON-lines file and re-run the same sweep
+   2-way sharded through a result store -- every span
+   (``coverage_evaluate`` and the engine spans below it) and lifecycle
+   event (shard submitted/started/completed/merged, checkpoint written)
+   lands in the trace, and kernel profiling switches on;
 3. assert the traced run is **bit-identical** to the untraced one --
    telemetry is passive by contract (`benchmarks/bench_obs.py` gates
    its overhead under 5%);
-4. rebuild the campaign story from the trace alone with
+4. rebuild the sweep's story from the trace alone with
    :func:`repro.obs.report.summarize` -- per-shard durations, straggler
    ratio, shards per worker pid -- and overlay the live registry for
    store hit rate and per-backend kernel time, exactly what
    ``python -m repro.obs.report trace.jsonl --metrics dump.jsonl``
    renders post-hoc.
+
+The coverage sweeps are the only callers of the process pool; stuck-at
+campaigns trace the same way but run in the calling process.
 
 Run:  PYTHONPATH=src python examples/traced_campaign.py
 """
@@ -25,53 +29,42 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
-from repro.faults.injector import run_sharded_stuck_at_campaign
-from repro.gates import builders
+from repro.coverage.engine import evaluate_adder
 from repro.obs import metrics, read_trace, registry, trace
 from repro.obs.report import kernel_summary, render, store_summary, summarize
 from repro.store import ResultStore
 
-WIDTH = 8
+WIDTH = 4
 WORKERS = 2
 
 
 def main() -> None:
-    netlist = builders.ripple_carry_adder(WIDTH)
-
     # 1. Untraced reference.
     os.environ.pop(trace.TRACE_ENV, None)
-    reference = run_sharded_stuck_at_campaign(netlist, workers=WORKERS, store=False)
+    reference = evaluate_adder(WIDTH, method="gate", workers=WORKERS, store=False)
 
-    # 2. The same campaign, fully instrumented.
+    # 2. The same sweep, fully instrumented.
     trace_path = os.path.join(
         tempfile.mkdtemp(prefix="repro-trace-"), "trace.jsonl"
     )
     store = ResultStore(tempfile.mkdtemp(prefix="repro-store-"))
     os.environ[trace.TRACE_ENV] = trace_path
     try:
-        traced = run_sharded_stuck_at_campaign(
-            netlist, workers=WORKERS, store=store
+        traced = evaluate_adder(
+            WIDTH, method="gate", workers=WORKERS, store=store
         )
     finally:
         os.environ.pop(trace.TRACE_ENV, None)
 
     # 3. Telemetry is passive: results are bit-identical.
-    assert np.array_equal(
-        np.asarray(traced.detected), np.asarray(reference.detected)
-    )
-    assert np.array_equal(
-        np.asarray(traced.first_detected), np.asarray(reference.first_detected)
-    )
-    assert traced.n_simulated_runs == reference.n_simulated_runs
-    print(f"traced campaign bit-identical to untraced ({trace_path})")
+    assert traced == reference
+    print(f"traced sweep bit-identical to untraced ({trace_path})")
 
-    # 4. Reconstruct the campaign from the trace, then overlay the live
+    # 4. Reconstruct the sweep from the trace, then overlay the live
     # registry (post-hoc the final metrics record and a REPRO_METRICS
     # dump serve the same role via ``--metrics``).
     records = read_trace(trace_path)
-    assert any(r.get("name") == "sharded_campaign" for r in records)
+    assert any(r.get("name") == "coverage_evaluate" for r in records)
     summary = summarize(records)
     snapshot = registry().snapshot()
     summary["store"] = store_summary(snapshot)

@@ -54,12 +54,13 @@ Table 2 cell was computed:
     from the same ``seed``, sampled runs are shard-invariant too.
 
 Sharding: every method computes exact integer counts per fault case
-(or deterministic seeded counts, for the sampled estimator), so
-campaigns shard across a ``ProcessPoolExecutor`` (``workers=``,
-auto-selected by universe size) with bit-identical results for any
-worker count; the gate sweep additionally tiles big operand spaces by
-*word range* (:func:`repro.faults.sharding.shard_grid`) when workers
-outnumber fault cases -- see :mod:`repro.faults.sharding`.
+(or deterministic seeded counts, for the sampled estimator), so the
+gate and functional sweeps shard across a ``ProcessPoolExecutor``
+(``workers=``, auto-selected by universe size) with bit-identical
+results for any worker count; the gate sweep additionally tiles big
+operand spaces by *word range* (:func:`repro.faults.sharding.shard_grid`)
+when workers outnumber fault cases -- see :mod:`repro.faults.sharding`.
+These sweeps are the only users of the process pool.
 
 :func:`evaluate_gate_level` complements the functional-level evaluators
 with a structural one: the raw stuck-at detectability of a gate-level
@@ -738,6 +739,10 @@ def _evaluate(
         raise SimulationError(
             f"unknown method {method!r}; choose from {EVALUATION_METHODS}"
         )
+    if workers is not None:
+        # Reject a bad explicit count before a store hit or the pool-free
+        # transfer DP could skip the sweep that would consult it.
+        workers = resolve_workers(workers, 0)
     store = resolve_store(store)
     space = 1 << (2 * width)
     if method == "auto":
@@ -929,7 +934,6 @@ def evaluate_gate_level(
     vectors: Optional[Mapping[str, Union[int, np.ndarray]]] = None,
     collapse: Union[bool, str] = True,
     fault_dropping: bool = True,
-    workers: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> Tuple[GateLevelCoverage, StuckAtCampaignResult]:
@@ -943,10 +947,9 @@ def evaluate_gate_level(
     :func:`~repro.gates.faults.resolve_collapse_mode` --
     ``"dominance"`` simulates fewer representatives and expands
     detection back bit-identically, so the coverage stats never change,
-    only ``simulated_runs``.  ``workers`` shards the fault list across
-    processes (auto by universe size) and ``backend`` selects the
-    execution backend, both bit-identically.  Returns the aggregate
-    stats plus the raw campaign result.
+    only ``simulated_runs``.  The campaign runs in the calling process;
+    ``backend`` selects the execution backend, bit-identically.  Returns
+    the aggregate stats plus the raw campaign result.
     """
     from repro.faults.injector import run_sharded_stuck_at_campaign
 
@@ -955,7 +958,6 @@ def evaluate_gate_level(
         vectors=vectors,
         collapse=collapse,
         fault_dropping=fault_dropping,
-        workers=workers,
         backend=backend,
         store=store,
     )

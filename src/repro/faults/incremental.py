@@ -356,7 +356,6 @@ def _scratch(
         new,
         collapse=mode,
         fault_dropping=fault_dropping,
-        workers=1,
         backend=backend,
         store=store,
     )

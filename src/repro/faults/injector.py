@@ -19,10 +19,9 @@ exposes the batched bit-parallel path: the whole stuck-at universe of a
 gate-level netlist is simulated against one shared golden run
 (:mod:`repro.gates.engine`) and folded into the same
 :class:`CampaignResult` vocabulary (``detected`` / ``escaped``), so
-campaign reporting works unchanged at either abstraction level.  Large
-universes shard across worker processes
-(:func:`run_sharded_stuck_at_campaign`; ``workers=`` everywhere) with
-bit-identical per-fault verdicts for any worker count.
+campaign reporting works unchanged at either abstraction level.  Both
+run in the calling process; :func:`run_sharded_stuck_at_campaign` adds
+the result store on top of the engine campaign.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import numpy as np
 from repro.arch.alu import FaultableALU
 from repro.errors import CheckError, ReproError
 from repro.faults.model import FaultDescriptor
-from repro.faults.sharding import resolve_workers, run_sharded, shard_bounds
 from repro.gates.backends import resolve_backend_name
 from repro.gates.engine import StuckAtCampaignResult, run_stuck_at_campaign
 from repro.gates.faults import (
@@ -44,7 +42,6 @@ from repro.gates.faults import (
     resolve_collapse_mode,
 )
 from repro.gates.netlist import Netlist
-from repro.obs import events as obs_events
 from repro.obs.trace import span as obs_span
 from repro.store import (
     CacheKey,
@@ -53,7 +50,6 @@ from repro.store import (
     digest_netlist,
     digest_params,
     resolve_store,
-    run_checkpointed,
 )
 
 Workload = Callable[[FaultableALU], Tuple[Sequence[int], bool]]
@@ -169,66 +165,29 @@ class FaultInjector:
         return result
 
 
-def _campaign_shard(
-    netlist: Netlist,
-    vectors: Optional[Mapping[str, Union[int, np.ndarray]]],
-    faults: List[StuckAtFault],
-    collapse: Union[bool, str],
-    fault_dropping: bool,
-    backend: Optional[str] = None,
-) -> StuckAtCampaignResult:
-    """Shard worker: the batched campaign over one fault-list slice.
-
-    ``backend`` arrives pre-resolved from the parent, so every worker
-    process re-selects the same execution backend regardless of its own
-    environment and sharded merges stay bit-identical.
-    """
-    return run_stuck_at_campaign(
-        netlist,
-        inputs=vectors,
-        faults=faults,
-        collapse=collapse,
-        fault_dropping=fault_dropping,
-        backend=backend,
-    )
-
-
 def run_sharded_stuck_at_campaign(
     netlist: Netlist,
     vectors: Optional[Mapping[str, Union[int, np.ndarray]]] = None,
     faults: Optional[Iterable[StuckAtFault]] = None,
     collapse: Union[bool, str] = True,
     fault_dropping: bool = True,
-    workers: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> StuckAtCampaignResult:
-    """:func:`~repro.gates.engine.run_stuck_at_campaign` with fault sharding.
+    """:func:`~repro.gates.engine.run_stuck_at_campaign` behind the result store.
 
-    The fault list (default: the full stem+branch universe) is split
-    into contiguous shards, each simulated by a worker process with its
-    own collapsing/dropping (any mode of
-    :func:`~repro.gates.faults.resolve_collapse_mode`, including
-    ``"dominance"`` -- each shard collapses its own slice), and the
-    per-fault verdicts are merged back
-    in order.  Detection is exact per fault, so the merged ``detected``
-    and ``first_detected`` arrays are bit-identical for any worker
-    count; ``n_simulated_runs``/``groups`` reflect the per-shard
-    collapsing actually performed.  ``workers=None`` auto-selects by
-    universe size (faults x vectors) and machine parallelism.
-    ``backend`` selects the execution backend; it is resolved once here
-    and the resolved name is handed to every worker.
+    The campaign runs in the calling process over the fault list
+    (default: the full stem+branch universe) with any collapsing mode of
+    :func:`~repro.gates.faults.resolve_collapse_mode`.  ``backend``
+    selects the execution backend and is resolved once here, so the
+    store key names the backend that actually ran.
 
     With a result store active (``store=`` or ``REPRO_STORE``), the
-    merged result memoises under a content key and every shard
-    checkpoints as it completes (:mod:`repro.store.checkpoint`): a
-    killed campaign re-run with the same ``workers`` loads its finished
-    shards and executes only the missing ones, merging bit-identically.
+    result memoises under a content key; a repeat run is a pure hit.
     """
     with obs_span("sharded_campaign", netlist=netlist.name):
         return _run_sharded_stuck_at_impl(
-            netlist, vectors, faults, collapse, fault_dropping, workers,
-            backend, store,
+            netlist, vectors, faults, collapse, fault_dropping, backend, store
         )
 
 
@@ -238,32 +197,22 @@ def _run_sharded_stuck_at_impl(
     faults: Optional[Iterable[StuckAtFault]],
     collapse: Union[bool, str],
     fault_dropping: bool,
-    workers: Optional[int],
     backend: Optional[str],
     store,
 ) -> StuckAtCampaignResult:
-    fault_seq: Tuple[StuckAtFault, ...] = (
-        tuple(faults) if faults is not None else default_fault_universe(netlist)
+    fault_seq: Optional[Tuple[StuckAtFault, ...]] = (
+        tuple(faults) if faults is not None else None
     )
-    if vectors is None:
-        n_vectors = 1 << min(len(netlist.primary_inputs), 63)
-    else:
-        lengths = [
-            np.asarray(v).shape[0]
-            for v in vectors.values()
-            if np.asarray(v).ndim == 1
-        ]
-        n_vectors = lengths[0] if lengths else 1
     backend = resolve_backend_name(backend)
     store = resolve_store(store)
     key = None
     if store is not None:
-        # The final key is shard-free: any worker count hits the same
-        # entry.  Only the per-shard checkpoint keys below carry spans.
         key = CacheKey(
             kind="campaign",
             netlist=digest_netlist(netlist),
-            universe=digest_faults(fault_seq),
+            universe=digest_faults(
+                fault_seq if fault_seq is not None else default_fault_universe(netlist)
+            ),
             space=digest_input_vectors(netlist, vectors),
             method="stuck_at",
             backend=backend,
@@ -275,64 +224,19 @@ def _run_sharded_stuck_at_impl(
         cached = store.get(key)
         if cached is not None:
             return cached
-    n_workers = resolve_workers(
-        workers, len(fault_seq), cost=len(fault_seq) * n_vectors
-    )
-    if n_workers <= 1:
-        # Pass None through untouched (keeps the memoised default-universe
-        # fast path); otherwise use the materialised tuple -- the original
-        # ``faults`` may be a one-shot iterator already consumed above.
-        result = run_stuck_at_campaign(
-            netlist,
-            inputs=vectors,
-            faults=fault_seq if faults is not None else None,
-            collapse=collapse,
-            fault_dropping=fault_dropping,
-            backend=backend,
-        )
-        if store is not None:
-            store.put(key, result, {"workers": 1})
-        return result
-    bounds = shard_bounds(len(fault_seq), n_workers)
-    arg_tuples = [
-        (netlist, vectors, list(fault_seq[lo:hi]), collapse, fault_dropping,
-         backend)
-        for lo, hi in bounds
-    ]
-    if store is not None:
-        parts = run_checkpointed(
-            _campaign_shard,
-            arg_tuples,
-            [key.with_shard(lo, hi) for lo, hi in bounds],
-            store,
-        )
-    else:
-        parts = run_sharded(_campaign_shard, arg_tuples)
-    groups: List[Tuple[int, ...]] = []
-    for part, (lo, _) in zip(parts, bounds):
-        groups.extend(tuple(i + lo for i in g) for g in part.groups)
-    result = StuckAtCampaignResult(
-        netlist_name=netlist.name,
+    # ``faults=None`` passes through untouched: it keeps the memoised
+    # default-universe fast path.  A given ``faults`` is materialised
+    # above, since it may be a one-shot iterator.
+    result = run_stuck_at_campaign(
+        netlist,
+        inputs=vectors,
         faults=fault_seq,
-        detected=np.concatenate([p.detected for p in parts]),
-        first_detected=np.concatenate([p.first_detected for p in parts]),
-        n_vectors=parts[0].n_vectors,
-        n_simulated_runs=sum(p.n_simulated_runs for p in parts),
-        groups=tuple(groups),
-    )
-    # Worker-process campaigns emit their own spans (visible through a
-    # shared REPRO_TRACE file); the merged totals are reported here.
-    obs_events.emit(
-        obs_events.CAMPAIGN_COMPLETED,
-        netlist=netlist.name,
+        collapse=collapse,
+        fault_dropping=fault_dropping,
         backend=backend,
-        n_faults=len(fault_seq),
-        n_vectors=result.n_vectors,
-        n_simulated_runs=result.n_simulated_runs,
-        workers=n_workers,
     )
     if store is not None:
-        store.put(key, result, {"workers": n_workers})
+        store.put(key, result)
     return result
 
 
@@ -342,7 +246,6 @@ def run_gate_level_campaign(
     faults: Optional[Iterable[StuckAtFault]] = None,
     collapse: Union[bool, str] = True,
     fault_dropping: bool = True,
-    workers: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> Tuple[CampaignResult, StuckAtCampaignResult]:
@@ -353,10 +256,8 @@ def run_gate_level_campaign(
     against a shared golden run, with structural fault collapsing and
     fault dropping.  ``vectors`` maps primary inputs to 0/1 arrays (all
     the same length); by default the exhaustive vector set is applied.
-    ``workers`` shards the fault list across processes (``None``
-    auto-selects by universe size) and ``backend`` selects the
-    execution backend (:mod:`repro.gates.backends`), both with
-    bit-identical classifications.
+    ``backend`` selects the execution backend
+    (:mod:`repro.gates.backends`), with bit-identical classifications.
 
     A fault whose outputs diverge from the golden run on some vector is
     ``detected``; one that never diverges is ``escaped`` (at the bare
@@ -371,7 +272,6 @@ def run_gate_level_campaign(
         faults=faults,
         collapse=collapse,
         fault_dropping=fault_dropping,
-        workers=workers,
         backend=backend,
         store=store,
     )

@@ -1,17 +1,22 @@
-"""Process-pool sharding for fault campaigns.
+"""Process-pool sharding for the Table 1/2 coverage sweeps.
 
 Fault cases are embarrassingly parallel: each one is classified against
-the same golden behaviour, so a campaign can be split into contiguous
-fault-list shards, evaluated in worker processes, and merged back in
-shard order.  Because every shard computes exact integer counts (or
-exact per-fault verdicts) and the merge is order-preserving, results are
+the same golden behaviour, so a coverage sweep
+(:mod:`repro.coverage.engine`) can be split into contiguous fault-case
+shards (and, for wide operand spaces, word ranges), evaluated in worker
+processes, and merged back in shard order.  Because every shard computes
+exact integer counts and the merge is order-preserving, results are
 bit-identical for any worker count -- the invariance property
 ``tests/test_table2_exact.py`` asserts.
+
+Only those sweeps use the pool; it pays off on the Table 1 ``mul`` and
+``div`` sweeps.  Stuck-at campaigns and fault dictionaries run in the
+calling process, where a per-call pool measured slower or no faster.
 
 Workers are plain module-level functions taking picklable arguments
 (operator names, widths, index ranges) and rebuilding netlists and
 engines locally; on fork-based platforms they inherit the parent's warm
-caches for free.  Campaign callers resolve the execution backend
+caches for free.  Callers resolve the execution backend
 (:mod:`repro.gates.backends`) *before* sharding and pass the resolved
 name in every worker's argument tuple, so a worker re-selects the same
 backend regardless of its own environment and merges stay bit-identical
@@ -20,10 +25,12 @@ whatever ``REPRO_BACKEND`` says in parent or child.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import SimulationError
 from repro.obs import events, metrics
 
 #: Below this much total work (items x per-item cost) the pool overhead
@@ -40,16 +47,23 @@ def resolve_workers(
     cost: Optional[int] = None,
     threshold: int = DEFAULT_SHARD_THRESHOLD,
 ) -> int:
-    """Decide the process count for a campaign.
+    """Decide the process count for a coverage sweep.
 
     ``workers=None`` selects automatically: multiple processes only when
     the machine has spare cores and the estimated ``cost`` (e.g.
-    ``n_faults * n_vectors``) crosses ``threshold``.  An explicit
-    ``workers`` value is honoured as given (floored at 1), which is what
-    the shard-invariance tests use to force a pool on any machine.
+    ``n_cases * n_vectors``) crosses ``threshold``.  An explicit
+    ``workers`` value must be a positive integer and is honoured as
+    given, which is what the shard-invariance tests use to force a pool
+    on any machine; anything else (``0``, ``-3``, ``2.5``, ``True``)
+    raises :class:`~repro.errors.SimulationError`.
     """
     if workers is not None:
-        return max(1, int(workers))
+        bad_type = isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
+        if bad_type or workers < 1:
+            raise SimulationError(
+                f"workers= must be a positive integer or None, got {workers!r}"
+            )
+        return int(workers)
     cpus = os.cpu_count() or 1
     if cpus <= 1 or n_items < 2:
         return 1
@@ -162,7 +176,7 @@ def run_sharded(
     ``on_result(index, result)``, when given, fires in the *parent*
     process as each shard completes -- in completion order, not
     submission order.  The checkpoint runtime uses it to land partial
-    results in the store the moment they exist, so a campaign killed
+    results in the store the moment they exist, so a sweep killed
     mid-pool keeps every finished shard.
 
     ``on_event(name, fields)``, when given, receives every lifecycle

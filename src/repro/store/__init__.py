@@ -13,8 +13,8 @@ few netlists evaluated under the same fault universes again and again
   variable, off by default.
 - :mod:`repro.store.checkpoint` -- :func:`run_checkpointed`: per-shard
   checkpoints landing in the store as they complete, so a killed
-  campaign resumes by re-running only its missing shards and still
-  merges bit-identically.
+  coverage sweep resumes by re-running only its missing shards and
+  still merges bit-identically.
 """
 
 from repro.store.checkpoint import (

@@ -3,9 +3,9 @@
 :func:`run_checkpointed` is the bridge between the shard runner
 (:func:`repro.faults.sharding.run_sharded`) and the result store: every
 shard's partial result lands in the store *as it completes*, keyed by
-the campaign's final :class:`~repro.store.hashing.CacheKey` scoped to
-the shard's span (``key.with_shard(lo, hi)``).  A re-run of the same
-campaign -- after a crash, a kill, or on another day -- loads every
+the coverage sweep's final :class:`~repro.store.hashing.CacheKey`
+scoped to the shard's span (``key.with_shard(lo, hi)``).  A re-run of
+the same sweep -- after a crash, a kill, or on another day -- loads every
 finished shard from the store and executes only the missing ones; the
 caller's order-preserving merge then reproduces the uninterrupted
 result bit-identically, because loaded and freshly computed shards are

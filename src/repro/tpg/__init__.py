@@ -6,8 +6,8 @@ detectable; this package answers *which vectors to apply*:
 
 * :mod:`repro.tpg.dictionary` -- fault x vector detection bitsets
   (:class:`FaultDictionary`), built by the batched engine over
-  constrained vector universes (:class:`TestSpace`), shard-mergeable
-  and persistable to ``.npz``;
+  constrained vector universes (:class:`TestSpace`), persistable to
+  ``.npz``;
 * :mod:`repro.tpg.compaction` -- greedy set-cover and reverse-order
   compaction yielding minimal test sets with per-vector marginal
   coverage provenance (:class:`CompactTestSet`);

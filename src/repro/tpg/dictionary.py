@@ -13,10 +13,9 @@ Dictionaries are built by the batched bit-parallel engine
 (:meth:`repro.gates.engine.BitParallelEngine.run_fault_groups`): one
 representative per structural equivalence class is simulated against a
 shared golden row and the per-vector difference words *are* the
-dictionary rows.  Large universes shard across worker processes by
-*word range* (:func:`repro.faults.sharding.shard_bounds`) and merge
-bit-identically (:meth:`FaultDictionary.merge`); ``save``/``load``
-round-trip through ``.npz`` so expensive dictionaries persist.
+dictionary rows.  Builds run in the calling process; ``save``/``load``
+round-trip through ``.npz`` and the result store memoises them, so
+expensive dictionaries persist.
 
 Constrained universes are described by a :class:`TestSpace`: some
 primary inputs sweep (the operand bits), some are pinned constants (a
@@ -34,7 +33,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.faults.sharding import resolve_workers, run_sharded, shard_bounds
 from repro.gates.backends import resolve_backend_name
 from repro.gates.engine import (
     ALL_ONES,
@@ -64,7 +62,6 @@ from repro.store import (
     digest_test_space,
     digest_vector_table,
     resolve_store,
-    run_checkpointed,
 )
 
 #: Streaming chunk sizes of the dictionary builder: vectors move through
@@ -347,61 +344,6 @@ class FaultDictionary:
         )
 
     # ------------------------------------------------------------------
-    @classmethod
-    def merge(cls, parts: Sequence["FaultDictionary"]) -> "FaultDictionary":
-        """Merge word-range shards back into one dictionary.
-
-        Parts must cover contiguous vector ranges of the same fault
-        universe, in order, each non-final part word-aligned; rows
-        concatenate along the word axis, so the merge is bit-identical
-        for any shard count.
-        """
-        if not parts:
-            raise SimulationError("cannot merge zero dictionary shards")
-        head = parts[0]
-        base = head.vector_base + head.n_vectors
-        backends = {p.backend for p in parts if p.backend}
-        for part in parts[1:]:
-            # Parts may arrive from anywhere -- live builds, ``.npz``
-            # files, the result store -- so identity, not freshness, is
-            # what the merge validates: same netlist, same fault list
-            # (tuple equality over the frozen fault dataclasses), same
-            # collapsing.  Backends may legitimately differ (rows are
-            # bit-identical across the registry); a mixed merge records
-            # ``"mixed"`` instead of silently claiming the head's.
-            if part.netlist_name != head.netlist_name:
-                raise SimulationError(
-                    f"dictionary shards disagree on the netlist: "
-                    f"{head.netlist_name!r} vs {part.netlist_name!r}"
-                )
-            if part.faults != head.faults:
-                raise SimulationError("dictionary shards disagree on the fault list")
-            if part.groups != head.groups:
-                raise SimulationError(
-                    "dictionary shards disagree on the equivalence groups"
-                )
-            if part.vector_base != base:
-                raise SimulationError(
-                    f"dictionary shards are not contiguous: expected vector "
-                    f"base {base}, got {part.vector_base}"
-                )
-            if base % LANES != 0:
-                raise SimulationError(
-                    "non-final dictionary shards must cover whole words"
-                )
-            base += part.n_vectors
-        return cls(
-            netlist_name=head.netlist_name,
-            faults=head.faults,
-            groups=head.groups,
-            words=np.hstack([np.ascontiguousarray(p.words) for p in parts]),
-            n_vectors=base - head.vector_base,
-            vector_base=head.vector_base,
-            backend=(backends.pop() if len(backends) == 1 else
-                     "mixed" if backends else head.backend),
-        )
-
-    # ------------------------------------------------------------------
     def save(self, path) -> None:
         """Persist to ``.npz`` (compressed; faults stored field-wise)."""
         nets, gates, pins, values = [], [], [], []
@@ -559,11 +501,7 @@ def _dictionary_shard(
     word_hi: int,
     backend: Optional[str] = None,
 ) -> np.ndarray:
-    """Shard worker: detection words for sweep words [word_lo, word_hi).
-
-    ``backend`` arrives pre-resolved from the parent so every worker
-    re-selects the same execution backend.
-    """
+    """Detection words for sweep words [word_lo, word_hi)."""
     fault_seq, groups = _resolve_universe(netlist, faults, collapse)
 
     def rows_of(lo: int, hi: int):
@@ -581,7 +519,6 @@ def build_fault_dictionary(
     space: Optional[TestSpace] = None,
     faults: Optional[Iterable[StuckAtFault]] = None,
     collapse: Union[bool, str] = True,
-    workers: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> FaultDictionary:
@@ -591,19 +528,16 @@ def build_fault_dictionary(
     input; ``faults`` to the full stem+branch universe (in campaign
     order, so dictionary rows line up with
     :func:`~repro.gates.engine.run_stuck_at_campaign` verdicts).
-    ``workers`` shards the vector universe by word range across
-    processes -- merges are bit-identical for any worker count -- and
     ``backend`` selects the execution backend, recorded on the
     dictionary (and in its ``.npz`` persistence) for provenance.
     Masked lanes (a non-zero field, the tail of a sub-word universe)
     are never counted as detecting.  With a result store active
     (``store=``/``REPRO_STORE``) the finished dictionary memoises under
-    a content key and every word-range shard checkpoints as it
-    completes, so a killed build resumes from its surviving shards.
+    a content key.
     """
     with obs_span("fault_dictionary", netlist=netlist.name):
         return _build_fault_dictionary_impl(
-            netlist, space, faults, collapse, workers, backend, store
+            netlist, space, faults, collapse, backend, store
         )
 
 
@@ -612,7 +546,6 @@ def _build_fault_dictionary_impl(
     space: Optional[TestSpace],
     faults: Optional[Iterable[StuckAtFault]],
     collapse: Union[bool, str],
-    workers: Optional[int],
     backend: Optional[str],
     store,
 ) -> FaultDictionary:
@@ -622,8 +555,6 @@ def _build_fault_dictionary_impl(
         raise SimulationError("test space was built for a different netlist")
     fault_tuple = tuple(faults) if faults is not None else None
     fault_seq, groups = _resolve_universe(netlist, fault_tuple, collapse)
-    n_words = space.n_words
-    # Sharded workers receive the resolved name, not the environment.
     backend = resolve_backend_name(backend)
     store = resolve_store(store)
     key = None
@@ -640,34 +571,20 @@ def _build_fault_dictionary_impl(
         cached = store.get(key)
         if cached is not None:
             return cached
-    n_workers = resolve_workers(
-        workers, n_words, cost=len(groups) * space.n_vectors
+    words = _dictionary_shard(
+        netlist, space, fault_tuple, collapse, 0, space.n_words, backend
     )
-    bounds = shard_bounds(n_words, n_workers)
-    arg_tuples = [
-        (netlist, space, fault_tuple, collapse, lo, hi, backend)
-        for lo, hi in bounds
-    ]
-    if store is not None:
-        slices = run_checkpointed(
-            _dictionary_shard,
-            arg_tuples,
-            [key.with_shard(lo, hi) for lo, hi in bounds],
-            store,
-        )
-    else:
-        slices = run_sharded(_dictionary_shard, arg_tuples)
     result = FaultDictionary(
         netlist_name=netlist.name,
         faults=fault_seq,
         groups=groups,
-        words=np.hstack(slices) if slices else np.zeros((len(fault_seq), 0), np.uint64),
+        words=words,
         n_vectors=space.n_vectors,
         vector_base=0,
         backend=backend,
     )
     if store is not None:
-        store.put(key, result, {"workers": n_workers, "shards": len(bounds)})
+        store.put(key, result)
     return result
 
 
@@ -756,7 +673,6 @@ def replay_detected(
     bits: np.ndarray,
     faults: Optional[Iterable[StuckAtFault]] = None,
     collapse: Union[bool, str] = True,
-    workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> np.ndarray:
     """Per-fault detection of an explicit test table, via the campaign path.
@@ -779,7 +695,6 @@ def replay_detected(
         vectors=inputs_from_bits(netlist, bits),
         faults=fault_tuple,
         collapse=collapse,
-        workers=workers,
         backend=backend,
     )
     return np.asarray(raw.detected, dtype=bool)

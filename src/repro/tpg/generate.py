@@ -21,9 +21,8 @@ The discovered test table is then re-simulated into a fault dictionary
 over the full universe ordering (:func:`~repro.tpg.dictionary.dictionary_for_vectors`)
 and greedily compacted (:func:`~repro.tpg.compaction.greedy_cover`).
 Everything is deterministic for a given ``seed``: the RNG stream, the
-class iteration order and the tie-breaks are all fixed, and process
-sharding only ever touches bit-exact dictionary construction -- the
-property ``tests/test_tpg.py`` pins down.
+class iteration order and the tie-breaks are all fixed -- the property
+``tests/test_tpg.py`` pins down.
 """
 
 from __future__ import annotations
@@ -425,7 +424,6 @@ def compact_test_set(
     space: Optional[TestSpace] = None,
     method: str = "auto",
     seed: int = TPG_SEED,
-    workers: Optional[int] = None,
     dictionary_limit: int = DEFAULT_DICTIONARY_LIMIT,
     collapse: Union[bool, str] = True,
     backend: Optional[str] = None,
@@ -485,8 +483,7 @@ def compact_test_set(
             return cached
     if method == "dictionary":
         dictionary = build_fault_dictionary(
-            netlist, space, collapse=collapse, workers=workers, backend=backend,
-            store=store,
+            netlist, space, collapse=collapse, backend=backend, store=store
         )
         result = compact_from_dictionary(dictionary, space)
     elif method == "atpg":
@@ -508,7 +505,6 @@ def unit_test_set(
     width: int,
     method: str = "auto",
     seed: int = TPG_SEED,
-    workers: Optional[int] = None,
     backend: Optional[str] = None,
     store=None,
 ) -> CompactTestSet:
@@ -523,7 +519,6 @@ def unit_test_set(
         unit_space(unit, width),
         method=method,
         seed=seed,
-        workers=workers,
         backend=backend,
         store=store,
     )

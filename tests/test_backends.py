@@ -267,34 +267,17 @@ class TestFaultGroupEquivalence:
 # Sharding invariance under a non-default backend
 # ----------------------------------------------------------------------
 class TestShardingInvariance:
-    def test_sharded_campaign_matches_unsharded(self):
-        netlist = builders.ripple_carry_adder(4)
+    def test_sharded_gate_sweep_matches_unsharded(self):
         non_default = next(
             n for n in FAST_BACKENDS if n != resolve_backend_name()
         )
-        lone = run_sharded_stuck_at_campaign(
-            netlist, workers=1, backend=non_default
+        lone = evaluate_operator(
+            "add", 4, method="gate", workers=1, backend=non_default, store=False
         )
-        sharded = run_sharded_stuck_at_campaign(
-            netlist, workers=3, backend=non_default
+        sharded = evaluate_operator(
+            "add", 4, method="gate", workers=3, backend=non_default, store=False
         )
-        assert np.array_equal(lone.detected, sharded.detected)
-        assert np.array_equal(lone.first_detected, sharded.first_detected)
-
-    def test_sharded_dictionary_matches_unsharded(self):
-        netlist = unit_netlist("add", 4)
-        space = unit_space("add", 4)
-        non_default = next(
-            n for n in FAST_BACKENDS if n != resolve_backend_name()
-        )
-        lone = build_fault_dictionary(
-            netlist, space, workers=1, backend=non_default
-        )
-        sharded = build_fault_dictionary(
-            netlist, space, workers=3, backend=non_default
-        )
-        assert np.array_equal(lone.words, sharded.words)
-        assert lone.backend == sharded.backend == non_default
+        assert lone == sharded
 
 
 # ----------------------------------------------------------------------
@@ -618,12 +601,12 @@ class TestStoreDifferential:
         first, second = FAST_BACKENDS[:2]
         store = ResultStore(tmp_path)
         a = run_sharded_stuck_at_campaign(
-            builders.ripple_carry_adder(3), workers=1, backend=first, store=store
+            builders.ripple_carry_adder(3), backend=first, store=store
         )
         puts = store.stats.puts
         # A different backend must key -- and compute -- its own entry.
         b = run_sharded_stuck_at_campaign(
-            builders.ripple_carry_adder(3), workers=1, backend=second, store=store
+            builders.ripple_carry_adder(3), backend=second, store=store
         )
         assert store.stats.puts > puts
         assert np.array_equal(np.asarray(a.detected), np.asarray(b.detected))

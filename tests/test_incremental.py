@@ -271,7 +271,8 @@ class TestFallbacks:
         base = builders.ripple_carry_adder(2)
         new = base.copy()
         new.replace_gate("fa0_x1", cell_type=CellType.OR)
-        inc = incremental_stuck_at_campaign(base, new)
+        # store=False: a warm REPRO_STORE must not supply the old result.
+        inc = incremental_stuck_at_campaign(base, new, store=False)
         assert inc.scratch
         assert "no old campaign result" in inc.reason
         _assert_same_verdicts(run_stuck_at_campaign(new), inc.result)
@@ -298,7 +299,7 @@ class TestStoreFlow:
     def test_old_result_found_in_store(self, tmp_path):
         store = ResultStore(str(tmp_path))
         base = builders.ripple_carry_adder(3)
-        run_sharded_stuck_at_campaign(base, workers=1, store=store)
+        run_sharded_stuck_at_campaign(base, store=store)
         new = base.copy()
         new.replace_gate("fa2_x2", cell_type=CellType.XNOR)
         inc = incremental_stuck_at_campaign(base, new, store=store)
@@ -309,13 +310,13 @@ class TestStoreFlow:
     def test_merged_result_lands_in_store(self, tmp_path):
         store = ResultStore(str(tmp_path))
         base = builders.ripple_carry_adder(3)
-        run_sharded_stuck_at_campaign(base, workers=1, store=store)
+        run_sharded_stuck_at_campaign(base, store=store)
         new = base.copy()
         new.replace_gate("fa0_a2", cell_type=CellType.OR)
         inc = incremental_stuck_at_campaign(base, new, store=store)
         # The merged result sits under the regular campaign key: a
         # plain store-backed campaign over `new` is now a pure hit.
-        hit = run_sharded_stuck_at_campaign(new, workers=1, store=store)
+        hit = run_sharded_stuck_at_campaign(new, store=store)
         assert hit.n_simulated_runs == inc.result.n_simulated_runs
         _assert_same_verdicts(hit, inc.result)
 
@@ -323,7 +324,7 @@ class TestStoreFlow:
         # v1 -> v2 -> v3, each step reusing the previous merged result.
         store = ResultStore(str(tmp_path))
         v1 = builders.ripple_carry_adder(3)
-        run_sharded_stuck_at_campaign(v1, workers=1, store=store)
+        run_sharded_stuck_at_campaign(v1, store=store)
         v2 = v1.copy()
         v2.replace_gate("fa0_x2", cell_type=CellType.XNOR)
         step1 = incremental_stuck_at_campaign(v1, v2, store=store)

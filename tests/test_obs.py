@@ -18,6 +18,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.coverage.engine import evaluate_adder
 from repro.faults.injector import run_sharded_stuck_at_campaign
 from repro.faults.sharding import run_sharded
 from repro.gates import builders
@@ -371,15 +372,19 @@ def test_store_stats_surface_as_gauges(tmp_path):
 def test_traced_campaign_bit_identical_and_balanced(tmp_path, monkeypatch):
     net = builders.ripple_carry_adder(4)
     monkeypatch.delenv(trace.TRACE_ENV, raising=False)
-    plain = run_sharded_stuck_at_campaign(net, workers=2, store=False)
+    plain = run_sharded_stuck_at_campaign(net, store=False)
+    plain_sweep = evaluate_adder(3, workers=2, store=False)
 
     trace_path = tmp_path / "campaign.jsonl"
     monkeypatch.setenv(trace.TRACE_ENV, str(trace_path))
-    traced = run_sharded_stuck_at_campaign(net, workers=2, store=False)
+    traced = run_sharded_stuck_at_campaign(net, store=False)
+    # Campaigns run in-process; the two shards come from the sweep.
+    traced_sweep = evaluate_adder(3, workers=2, store=False)
 
     assert np.array_equal(plain.detected, traced.detected)
     assert np.array_equal(plain.first_detected, traced.first_detected)
     assert plain.n_simulated_runs == traced.n_simulated_runs
+    assert traced_sweep == plain_sweep
 
     records = trace.read_trace(str(trace_path))  # strict parse
     names = [r.get("name") for r in records if r.get("type") == "event"]
@@ -444,8 +449,7 @@ def _clean_env():
 def test_report_cli_renders_trace(tmp_path, monkeypatch, capsys):
     trace_path = tmp_path / "t.jsonl"
     monkeypatch.setenv(trace.TRACE_ENV, str(trace_path))
-    net = builders.ripple_carry_adder(4)
-    run_sharded_stuck_at_campaign(net, workers=2, store=False)
+    evaluate_adder(3, workers=2, store=False)
     monkeypatch.delenv(trace.TRACE_ENV)
 
     assert obs_report.main([str(trace_path)]) == 0

@@ -1,0 +1,72 @@
+"""Where the process pool runs, and what ``workers=`` accepts.
+
+Only the Table 1/2 coverage sweeps shard across processes.  Stuck-at
+campaigns, fault dictionaries and the ATPG entry points always run in
+the calling process and take no ``workers=`` at all; the sweeps reject
+an explicit worker count that is not a positive integer.
+"""
+
+import concurrent.futures
+import inspect
+
+import pytest
+
+from repro.coverage.engine import evaluate_adder, evaluate_gate_level
+from repro.errors import SimulationError
+from repro.faults.injector import (
+    run_gate_level_campaign,
+    run_sharded_stuck_at_campaign,
+)
+from repro.faults.sharding import resolve_workers
+from repro.tpg.dictionary import build_fault_dictionary, replay_detected
+from repro.tpg.generate import (
+    compact_test_set,
+    unit_netlist,
+    unit_space,
+    unit_test_set,
+)
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+class TestInProcess:
+    def test_campaign_and_dictionary_never_start_a_pool(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+        result, raw = run_gate_level_campaign(unit_netlist("add", 8), store=False)
+        assert result.total == raw.n_faults > 0
+        netlist = unit_netlist("mul", 8)
+        dictionary = build_fault_dictionary(
+            netlist, unit_space("mul", 8), store=False
+        )
+        assert dictionary.n_vectors == unit_space("mul", 8).n_vectors
+        assert dictionary.detected_count > 0
+
+    @pytest.mark.parametrize(
+        "function",
+        (
+            run_sharded_stuck_at_campaign,
+            run_gate_level_campaign,
+            evaluate_gate_level,
+            build_fault_dictionary,
+            replay_detected,
+            compact_test_set,
+            unit_test_set,
+        ),
+    )
+    def test_no_workers_parameter(self, function):
+        assert "workers" not in inspect.signature(function).parameters
+
+
+class TestWorkersValidation:
+    @pytest.mark.parametrize("workers", (0, 2.5))
+    def test_evaluator_rejects_bad_workers(self, workers):
+        with pytest.raises(SimulationError, match="workers="):
+            evaluate_adder(3, workers=workers, store=False)
+
+    @pytest.mark.parametrize("workers", (0, -3, 2.7, True, "2"))
+    def test_resolver_rejects_bad_workers(self, workers):
+        with pytest.raises(SimulationError, match="workers="):
+            resolve_workers(workers, 10)

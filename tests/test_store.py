@@ -3,11 +3,9 @@
 Key discipline: every input that changes a campaign's numbers --
 netlist structure, fault-universe order, backend, test space, method,
 parameters -- must produce a distinct key, while semantically identical
-inputs (the same netlist rebuilt from scratch, the same campaign under
-any shard grid) must produce identical keys.  Artifacts round-trip
-through the filesystem bit-identically, and a store-loaded dictionary
-merges bit-identically with a live-built one (the regression guarding
-:meth:`FaultDictionary.merge` against fresh-in-memory assumptions).
+inputs (the same netlist rebuilt from scratch, the same coverage sweep
+under any shard grid) must produce identical keys.  Artifacts round-trip
+through the filesystem bit-identically.
 """
 
 import os
@@ -16,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.coverage.engine import evaluate_adder
-from repro.errors import SimulationError
 from repro.faults.injector import run_sharded_stuck_at_campaign
 from repro.gates import builders
 from repro.gates.faults import default_fault_universe
@@ -33,7 +30,7 @@ from repro.store import (
     resolve_store,
 )
 from repro.store.store import STORE_DIR_ENV, STORE_ENV
-from repro.tpg.dictionary import FaultDictionary, TestSpace, build_fault_dictionary
+from repro.tpg.dictionary import TestSpace, build_fault_dictionary
 from repro.tpg.generate import unit_netlist, unit_space, unit_test_set
 
 
@@ -141,7 +138,7 @@ class TestCacheKey:
 class TestRoundTrips:
     def test_campaign_result_round_trip(self, tmp_path):
         netlist = builders.ripple_carry_adder(4)
-        result = run_sharded_stuck_at_campaign(netlist, workers=1)
+        result = run_sharded_stuck_at_campaign(netlist)
         store = ResultStore(tmp_path)
         key = _key()
         store.put(key, result)
@@ -162,7 +159,7 @@ class TestRoundTrips:
 
     def test_dictionary_round_trip(self, tmp_path):
         netlist = builders.ripple_carry_adder(3)
-        dictionary = build_fault_dictionary(netlist, workers=1)
+        dictionary = build_fault_dictionary(netlist)
         store = ResultStore(tmp_path)
         key = _key(kind="dictionary")
         store.put(key, dictionary)
@@ -216,131 +213,28 @@ class TestRoundTrips:
 # Grid invariance: the final artifact key is shard-free
 # ----------------------------------------------------------------------
 class TestGridInvariance:
-    def test_campaign_final_key_invariant_to_worker_count(self, tmp_path):
-        netlist = builders.ripple_carry_adder(4)
+    def test_coverage_final_key_invariant_to_worker_count(self, tmp_path):
         first = ResultStore(tmp_path)
-        a = run_sharded_stuck_at_campaign(netlist, workers=3, store=first)
+        a = evaluate_adder(3, workers=2, store=first)
         # A different shard grid on a fresh store handle must *hit* the
         # same final entry -- never recompute, never re-put.
         second = ResultStore(tmp_path)
-        b = run_sharded_stuck_at_campaign(netlist, workers=2, store=second)
+        b = evaluate_adder(3, workers=1, store=second)
         assert second.stats.hits == 1
         assert second.stats.puts == 0
-        assert np.asarray(a.detected).tobytes() == np.asarray(b.detected).tobytes()
-        assert np.asarray(a.first_detected).tobytes() == np.asarray(
-            b.first_detected
-        ).tobytes()
-
-    def test_dictionary_final_key_invariant_to_worker_count(self, tmp_path):
-        netlist = builders.ripple_carry_adder(4)
-        first = ResultStore(tmp_path)
-        a = build_fault_dictionary(netlist, workers=4, store=first)
-        second = ResultStore(tmp_path)
-        b = build_fault_dictionary(netlist, workers=2, store=second)
-        assert second.stats.hits == 1 and second.stats.puts == 0
-        assert a.words.tobytes() == b.words.tobytes()
+        assert a == b
 
     def test_store_result_matches_plain_result(self, tmp_path):
         netlist = builders.ripple_carry_adder(4)
         # store=False keeps this reference run store-free even when an
         # ambient REPRO_STORE is active (e.g. CI's warm tier-1 leg).
-        plain = run_sharded_stuck_at_campaign(netlist, workers=2, store=False)
-        stored = run_sharded_stuck_at_campaign(
-            netlist, workers=2, store=ResultStore(tmp_path)
-        )
+        plain = run_sharded_stuck_at_campaign(netlist, store=False)
+        stored = run_sharded_stuck_at_campaign(netlist, store=ResultStore(tmp_path))
         assert np.asarray(plain.detected).tobytes() == np.asarray(
             stored.detected
         ).tobytes()
         assert plain.groups == stored.groups
         assert plain.n_simulated_runs == stored.n_simulated_runs
-
-
-# ----------------------------------------------------------------------
-# Merge regression: store-loaded and live-built shards interchange
-# ----------------------------------------------------------------------
-class TestStoreLoadedMerge:
-    def _split(self, dictionary, word_split):
-        head = FaultDictionary(
-            netlist_name=dictionary.netlist_name,
-            faults=dictionary.faults,
-            groups=dictionary.groups,
-            words=dictionary.words[:, :word_split],
-            n_vectors=word_split * 64,
-            vector_base=0,
-            backend=dictionary.backend,
-        )
-        tail = FaultDictionary(
-            netlist_name=dictionary.netlist_name,
-            faults=dictionary.faults,
-            groups=dictionary.groups,
-            words=dictionary.words[:, word_split:],
-            n_vectors=dictionary.n_vectors - word_split * 64,
-            vector_base=word_split * 64,
-            backend=dictionary.backend,
-        )
-        return head, tail
-
-    def test_store_loaded_part_merges_bit_identically(self, tmp_path):
-        netlist = builders.ripple_carry_adder(4)  # 9 inputs, 8 sweep words
-        full = build_fault_dictionary(netlist, workers=1)
-        head, tail = self._split(full, 4)
-        store = ResultStore(tmp_path)
-        store.put(_key(kind="dictionary"), tail)
-        store.clear_lru()
-        loaded_tail = store.get(_key(kind="dictionary"))
-        merged = FaultDictionary.merge([head, loaded_tail])
-        assert merged.words.tobytes() == full.words.tobytes()
-        assert merged.words.dtype == full.words.dtype
-        assert merged.faults == full.faults
-        assert merged.groups == full.groups
-        assert merged.n_vectors == full.n_vectors
-        assert merged.backend == full.backend
-
-    def test_merge_rejects_mismatched_netlist(self):
-        a = build_fault_dictionary(builders.ripple_carry_adder(4), workers=1)
-        head, tail = self._split(a, 4)
-        renamed = FaultDictionary(
-            netlist_name="other",
-            faults=tail.faults,
-            groups=tail.groups,
-            words=tail.words,
-            n_vectors=tail.n_vectors,
-            vector_base=tail.vector_base,
-            backend=tail.backend,
-        )
-        with pytest.raises(SimulationError, match="netlist"):
-            FaultDictionary.merge([head, renamed])
-
-    def test_merge_rejects_mismatched_groups(self):
-        a = build_fault_dictionary(builders.ripple_carry_adder(4), workers=1)
-        head, tail = self._split(a, 4)
-        regrouped = FaultDictionary(
-            netlist_name=tail.netlist_name,
-            faults=tail.faults,
-            groups=tuple((i,) for i in range(len(tail.faults))),
-            words=tail.words,
-            n_vectors=tail.n_vectors,
-            vector_base=tail.vector_base,
-            backend=tail.backend,
-        )
-        with pytest.raises(SimulationError, match="equivalence groups"):
-            FaultDictionary.merge([head, regrouped])
-
-    def test_merge_records_mixed_backends(self):
-        a = build_fault_dictionary(builders.ripple_carry_adder(4), workers=1)
-        head, tail = self._split(a, 4)
-        other = FaultDictionary(
-            netlist_name=tail.netlist_name,
-            faults=tail.faults,
-            groups=tail.groups,
-            words=tail.words,
-            n_vectors=tail.n_vectors,
-            vector_base=tail.vector_base,
-            backend="python_loop" if head.backend != "python_loop" else "fused",
-        )
-        merged = FaultDictionary.merge([head, other])
-        assert merged.backend == "mixed"
-        assert merged.words.tobytes() == a.words.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Crash/replay hardening of the checkpointed campaign runtime.
+"""Crash/replay hardening of the checkpointed coverage-sweep runtime.
 
 A "crash" is simulated with :func:`repro.store.shard_hook`: the hook
 fires *before* each shard executes (execution turns sequential and
 in-process while one is installed), so a hook that raises after ``k``
 successful calls kills the run with exactly ``k`` shard checkpoints on
-disk and no final artifact.  The replay assertions are the PR's
+disk and no final artifact.  The replay assertions are the runtime's
 acceptance bar: the resumed run loads those ``k`` shards, re-executes
 exactly ``n - k``, and the merged result is byte-identical to an
 uninterrupted run.  A corrupted checkpoint is detected by its payload
@@ -15,12 +15,9 @@ transparently recomputed.
 import glob
 import os
 
-import numpy as np
 import pytest
 
 from repro.coverage.engine import evaluate_adder
-from repro.faults.injector import run_sharded_stuck_at_campaign
-from repro.gates import builders
 from repro.store import (
     CheckpointReport,
     ResultStore,
@@ -28,7 +25,6 @@ from repro.store import (
     last_checkpoint_report,
     shard_hook,
 )
-from repro.tpg.dictionary import build_fault_dictionary
 
 
 class Bomb(RuntimeError):
@@ -57,100 +53,6 @@ def counting_hook():
     return hook, fired
 
 
-def campaign_fingerprint(result):
-    """Every byte of a campaign result that the merge must reproduce."""
-    return (
-        result.netlist_name,
-        tuple(result.faults),
-        tuple(result.groups),
-        np.asarray(result.detected).tobytes(),
-        np.asarray(result.first_detected).tobytes(),
-        result.n_vectors,
-        result.n_simulated_runs,
-    )
-
-
-class TestCampaignCrashReplay:
-    WORKERS = 4  # -> 4 fault-range shards
-
-    def test_killed_campaign_resumes_byte_identical(self, tmp_path):
-        netlist = builders.ripple_carry_adder(4)
-        reference = run_sharded_stuck_at_campaign(
-            netlist, workers=self.WORKERS, store=False
-        )
-        store = ResultStore(tmp_path)
-
-        k = 2
-        with shard_hook(crash_after(k)):
-            with pytest.raises(Bomb):
-                run_sharded_stuck_at_campaign(
-                    netlist, workers=self.WORKERS, store=store
-                )
-        # Exactly k shard checkpoints landed; no final artifact.
-        assert len(store) == k
-
-        hook, fired = counting_hook()
-        with shard_hook(hook):
-            resumed = run_sharded_stuck_at_campaign(
-                netlist, workers=self.WORKERS, store=store
-            )
-        report = last_checkpoint_report()
-        assert report == CheckpointReport(
-            total=self.WORKERS, loaded=k, executed=self.WORKERS - k
-        )
-        assert len(fired) == self.WORKERS - k  # only the missing shards ran
-        assert campaign_fingerprint(resumed) == campaign_fingerprint(reference)
-
-    def test_third_run_is_a_pure_final_hit(self, tmp_path):
-        netlist = builders.ripple_carry_adder(4)
-        store = ResultStore(tmp_path)
-        with shard_hook(crash_after(1)):
-            with pytest.raises(Bomb):
-                run_sharded_stuck_at_campaign(
-                    netlist, workers=self.WORKERS, store=store
-                )
-        resumed = run_sharded_stuck_at_campaign(
-            netlist, workers=self.WORKERS, store=store
-        )
-        hits = store.stats.hits
-        again = run_sharded_stuck_at_campaign(
-            netlist, workers=self.WORKERS, store=store
-        )
-        assert store.stats.hits == hits + 1  # final key, no shard traffic
-        assert campaign_fingerprint(again) == campaign_fingerprint(resumed)
-
-
-class TestDictionaryCrashReplay:
-    WORKERS = 4  # rca(4): 8 sweep words -> 4 word-range shards
-
-    def test_killed_dictionary_build_resumes_byte_identical(self, tmp_path):
-        netlist = builders.ripple_carry_adder(4)
-        reference = build_fault_dictionary(
-            netlist, workers=self.WORKERS, store=False
-        )
-        store = ResultStore(tmp_path)
-
-        k = 1
-        with shard_hook(crash_after(k)):
-            with pytest.raises(Bomb):
-                build_fault_dictionary(netlist, workers=self.WORKERS, store=store)
-        assert len(store) == k
-
-        hook, fired = counting_hook()
-        with shard_hook(hook):
-            resumed = build_fault_dictionary(
-                netlist, workers=self.WORKERS, store=store
-            )
-        report = last_checkpoint_report()
-        assert report.loaded == k
-        assert report.executed == report.total - k
-        assert len(fired) == report.executed
-        assert resumed.words.tobytes() == reference.words.tobytes()
-        assert resumed.words.dtype == reference.words.dtype
-        assert resumed.faults == reference.faults
-        assert resumed.groups == reference.groups
-
-
 class TestGateSweepCrashReplay:
     def test_killed_evaluator_resumes_and_matches_plain_run(self, tmp_path):
         plain = evaluate_adder(3, workers=2, store=False)
@@ -176,10 +78,23 @@ class TestGateSweepCrashReplay:
         assert resumed == plain
 
 
+class TestGateSweepFinalHit:
+    def test_third_run_is_a_pure_final_hit(self, tmp_path):
+        store = ResultStore(tmp_path)
+        with shard_hook(crash_after(1)):
+            with pytest.raises(Bomb):
+                evaluate_adder(3, workers=4, store=store)
+        resumed = evaluate_adder(3, workers=4, store=store)
+        hits = store.stats.hits
+        again = evaluate_adder(3, workers=4, store=store)
+        assert store.stats.hits == hits + 1  # final key, no shard traffic
+        assert again == resumed
+
+
 class TestCorruptedCheckpoint:
     def _corrupt_one_checkpoint(self, store, kind):
         payloads = sorted(
-            glob.glob(os.path.join(store.root, "objects", kind, "*.npz"))
+            glob.glob(os.path.join(store.root, "objects", kind, "*.json"))
         )
         assert payloads, "expected shard checkpoints on disk"
         with open(payloads[0], "wb") as handle:
@@ -187,27 +102,26 @@ class TestCorruptedCheckpoint:
         return payloads[0]
 
     def test_corrupt_checkpoint_is_discarded_and_recomputed(self, tmp_path):
-        netlist = builders.ripple_carry_adder(4)
-        reference = run_sharded_stuck_at_campaign(netlist, workers=4, store=False)
+        reference = evaluate_adder(3, workers=4, store=False)
         store = ResultStore(tmp_path)
         k = 2
         with shard_hook(crash_after(k)):
             with pytest.raises(Bomb):
-                run_sharded_stuck_at_campaign(netlist, workers=4, store=store)
+                evaluate_adder(3, workers=4, store=store)
 
-        corrupted = self._corrupt_one_checkpoint(store, "campaign")
+        corrupted = self._corrupt_one_checkpoint(store, "coverage")
         store.clear_lru()  # force the resume through the disk path
 
         with pytest.warns(StoreCorruptionWarning, match="corrupt"):
-            resumed = run_sharded_stuck_at_campaign(netlist, workers=4, store=store)
+            resumed = evaluate_adder(3, workers=4, store=store)
         report = last_checkpoint_report()
         # One of the k checkpoints was bad: detected, discarded, re-run.
         assert report == CheckpointReport(total=4, loaded=k - 1, executed=4 - k + 1)
         assert store.stats.corrupt == 1
-        assert campaign_fingerprint(resumed) == campaign_fingerprint(reference)
+        assert resumed == reference
         # The corrupt payload was replaced by the recomputed shard.
         assert os.path.exists(corrupted)
         store.clear_lru()
-        final = run_sharded_stuck_at_campaign(netlist, workers=4, store=store)
+        final = evaluate_adder(3, workers=4, store=store)
         assert store.stats.corrupt == 1  # no further corruption events
-        assert campaign_fingerprint(final) == campaign_fingerprint(reference)
+        assert final == reference

@@ -6,7 +6,7 @@ fault groups over word-packed exhaustive vectors) and the carry-state
 transfer matrix.  They model the same experiment, so their integer
 situation counts must agree bit-for-bit -- these tests pin that, plus
 the explicit-opt-in semantics of sampling and the bit-identical merges
-of process-sharded campaigns.
+of process-sharded sweeps.
 """
 
 import numpy as np
@@ -23,9 +23,7 @@ from repro.coverage.engine import (
     theoretical_situations,
 )
 from repro.errors import SimulationError
-from repro.faults.injector import run_sharded_stuck_at_campaign
 from repro.faults.sharding import shard_bounds
-from repro.gates import builders
 
 
 def _key(stats):
@@ -155,29 +153,6 @@ class TestShardInvariance:
             assert _key(solo) == _key(sharded)
             assert solo["tech1"].method == "sampled"
             assert not solo["tech1"].exhaustive
-
-    def test_campaign_workers_bit_identical(self):
-        netlist = builders.ripple_carry_adder(4)
-        solo = run_sharded_stuck_at_campaign(netlist, workers=1)
-        sharded = run_sharded_stuck_at_campaign(netlist, workers=3)
-        assert solo.faults == sharded.faults
-        assert (solo.detected == sharded.detected).all()
-        assert (solo.first_detected == sharded.first_detected).all()
-
-    def test_campaign_sampled_vectors_workers_bit_identical(self):
-        """Fault-list shards all see the same sampled vector set, so
-        sampled campaigns merge bit-identically too."""
-        netlist = builders.ripple_carry_adder(5)
-        rng = np.random.default_rng(20050307)
-        vectors = {
-            name: rng.integers(0, 2, size=96, dtype=np.uint8).astype(np.uint8)
-            for name in netlist.primary_inputs
-        }
-        solo = run_sharded_stuck_at_campaign(netlist, vectors=vectors, workers=1)
-        sharded = run_sharded_stuck_at_campaign(netlist, vectors=vectors, workers=3)
-        assert solo.faults == sharded.faults
-        assert (solo.detected == sharded.detected).all()
-        assert (solo.first_detected == sharded.first_detected).all()
 
     def test_shard_bounds_partition(self):
         for n, k in ((10, 3), (7, 7), (5, 8), (0, 4), (1, 1)):

@@ -4,7 +4,6 @@ The load-bearing properties:
 
 * dictionary rows agree with the campaign engine and the reference
   simulator (differential);
-* word-range sharding and merging are bit-identical;
 * ATPG is deterministic per seed;
 * every unit's compact set, replayed through the campaign engine,
   detects exactly the faults its dictionary claims -- bit for bit --
@@ -139,40 +138,6 @@ class TestFaultDictionary:
                 [d.column_bits(v)[fi] for v in range(d.n_vectors)], dtype=bool
             )
             assert np.array_equal(got, expect)
-
-    def test_worker_sharding_is_bit_identical(self):
-        nl = builders.ripple_carry_adder(3)
-        base = build_fault_dictionary(nl, workers=1)
-        sharded = build_fault_dictionary(nl, workers=3)
-        assert np.array_equal(base.words, sharded.words)
-        assert base.faults == sharded.faults
-
-    def test_word_range_merge_is_bit_identical(self):
-        nl = builders.ripple_carry_adder(3)  # 7 inputs -> 2 words
-        full = build_fault_dictionary(nl)
-        parts = [
-            FaultDictionary(
-                netlist_name=full.netlist_name,
-                faults=full.faults,
-                groups=full.groups,
-                words=full.words[:, lo:hi],
-                n_vectors=(hi - lo) * 64,
-                vector_base=lo * 64,
-            )
-            for lo, hi in ((0, 1), (1, 2))
-        ]
-        merged = FaultDictionary.merge(parts)
-        assert np.array_equal(merged.words, full.words)
-        assert merged.n_vectors == full.n_vectors
-
-    def test_merge_rejects_gaps(self):
-        nl = builders.full_adder()
-        d = build_fault_dictionary(nl)
-        shifted = FaultDictionary(
-            d.netlist_name, d.faults, d.groups, d.words, d.n_vectors, vector_base=128
-        )
-        with pytest.raises(SimulationError):
-            FaultDictionary.merge([d, shifted])
 
     def test_npz_roundtrip(self, tmp_path):
         nl = builders.ripple_carry_adder(2)
