@@ -4,7 +4,7 @@ The walk-through:
 
 1. run the n = 4 adder coverage column cold through a store and again
    warm -- the second run is served entirely from cache, bit-identical;
-2. re-run the same sweep under a *different* shard grid -- the final
+2. re-run the same sweep under a *different* worker count -- the final
    artifact key excludes worker counts, so it is a pure hit, not a
    recompute;
 3. simulate a crash: kill a 4-way sharded sweep after 2 shards via
@@ -49,7 +49,7 @@ def main() -> None:
         f"({store.stats.hits} hits / {store.stats.puts} entries)"
     )
 
-    # 2. The final key is shard-free: a different grid is a pure hit.
+    # 2. The final key is shard-free: a different worker count is a pure hit.
     puts_before = store.stats.puts
     two_way = evaluate_adder(WIDTH, workers=2, store=store)
     assert store.stats.puts == puts_before  # nothing recomputed

@@ -55,12 +55,13 @@ Table 2 cell was computed:
 
 Sharding: every method computes exact integer counts per fault case
 (or deterministic seeded counts, for the sampled estimator), so the
-gate and functional sweeps shard across a ``ProcessPoolExecutor``
-(``workers=``, auto-selected by universe size) with bit-identical
-results for any worker count; the gate sweep additionally tiles big
-operand spaces by *word range* (:func:`repro.faults.sharding.shard_grid`)
-when workers outnumber fault cases -- see :mod:`repro.faults.sharding`.
-These sweeps are the only users of the process pool.
+gate and functional sweeps share one scaffold (:func:`_run_cases`):
+contiguous fault-case ranges shard across a ``ProcessPoolExecutor``
+(``workers=``, auto-selected by universe size), checkpoint per shard
+into an open result store, and concatenate back in case order with
+bit-identical results for any worker count -- see
+:mod:`repro.faults.sharding`.  These sweeps are the only users of the
+process pool.
 
 :func:`evaluate_gate_level` complements the functional-level evaluators
 with a structural one: the raw stuck-at detectability of a gate-level
@@ -70,6 +71,7 @@ netlist under a vector set, computed by the batched bit-parallel engine
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -88,12 +90,7 @@ from repro.arch.testbench import (
 from repro.coverage import situations as situation_counts
 from repro.coverage.transfer import case_flag_counts
 from repro.errors import SimulationError
-from repro.faults.sharding import (
-    resolve_workers,
-    run_sharded,
-    shard_bounds,
-    shard_grid,
-)
+from repro.faults.sharding import resolve_workers, shard_bounds
 from repro.faults.universe import (
     adder_fault_cases,
     divider_fault_cases,
@@ -401,10 +398,10 @@ def _functional_case_counts(
     force_sampled: bool,
     case_lo: int,
     case_hi: int,
-) -> Tuple[bool, List[_CaseCounts]]:
+) -> List[_CaseCounts]:
     """Shard worker: functional counts for fault cases [case_lo, case_hi)."""
     spec = _SPECS[operator]
-    a, b, exhaustive = _operand_pairs(
+    a, b, _ = _operand_pairs(
         width, exhaustive_limit, samples, seed, spec.exclude_zero_divisor, force_sampled
     )
     out: List[_CaseCounts] = []
@@ -417,7 +414,54 @@ def _functional_case_counts(
             for name in spec.names
         }
         out.append((1, correct.size, int(np.sum(correct)), per))
-    return exhaustive, out
+    return out
+
+
+def _run_cases(
+    operator: str,
+    width: int,
+    worker: Callable[..., List[_CaseCounts]],
+    args: Tuple,
+    n_cases: int,
+    cost: int,
+    workers: Optional[int],
+    exhaustive: bool,
+    method: str,
+    key: Optional[CacheKey],
+    store: Optional[ResultStore],
+) -> Dict[str, CoverageStats]:
+    """The one sharded scaffold of the gate and functional sweeps.
+
+    ``worker(*args, case_lo, case_hi)`` returns one :data:`_CaseCounts`
+    per fault case of its range.  The case range is split into
+    :func:`~repro.faults.sharding.shard_bounds` shards, run through
+    :func:`~repro.store.run_checkpointed` (per-shard checkpoints under
+    ``key.with_shard(case_lo, case_hi)`` when a store is open), and the
+    per-case counts concatenate in case order into one
+    :class:`_Accumulator`.  ``key`` (``None`` without a store) is the
+    final key; it leaves out the worker count, which never changes a
+    count, so any sharding reuses one entry.
+    """
+    if store is not None:
+        cached = store.get(key)
+        if cached is not None:
+            return cached
+    n_workers = resolve_workers(workers, n_cases, cost=cost)
+    bounds = shard_bounds(n_cases, n_workers)
+    shards = run_checkpointed(
+        worker,
+        [args + span for span in bounds],
+        None if store is None else [key.with_shard(*span) for span in bounds],
+        store,
+    )
+    acc = _Accumulator(_SPECS[operator].names)
+    for chunk in shards:
+        for repeat, count, n_correct, per in chunk:
+            acc.update_counts(count, n_correct, per, repeat=repeat)
+    result = acc.stats(operator, width, exhaustive, method)
+    if store is not None:
+        store.put(key, result, {"n_cases": n_cases, "workers": n_workers})
+    return result
 
 
 def _run_functional(
@@ -454,60 +498,32 @@ def _run_functional(
             method=method,
             backend="numpy",
         )
-        cached = store.get(key)
-        if cached is not None:
-            return cached
-    n_workers = resolve_workers(workers, n_cases, cost=n_cases * per_case)
-    shards = run_sharded(
-        _functional_case_counts,
-        [
-            (operator, width, cell_netlist, exhaustive_limit, samples, seed,
-             force_sampled, lo, hi)
-            for lo, hi in shard_bounds(n_cases, n_workers)
-        ],
+    return _run_cases(
+        operator, width, _functional_case_counts,
+        (operator, width, cell_netlist, exhaustive_limit, samples, seed, force_sampled),
+        n_cases, n_cases * per_case, workers, exhaustive, method, key, store,
     )
-    acc = _Accumulator(spec.names)
-    for _, chunk in shards:
-        for repeat, count, n_correct, per in chunk:
-            acc.update_counts(count, n_correct, per, repeat=repeat)
-    result = acc.stats(operator, width, exhaustive, method)
-    if store is not None:
-        store.put(key, result, {"n_cases": n_cases, "workers": n_workers})
-    return result
 
 
 # ----------------------------------------------------------------------
 # Batched gate-level sweep (every operator with a test architecture)
 # ----------------------------------------------------------------------
-#: Word sweeps at least this long shard the (case x word) grid by *word
-#: range first*: every tile spans all fault cases over one word slice,
-#: whose cost is uniform (per-case cost is not -- reference classes are
-#: free), so wide explicit ``method="gate"`` runs balance across
-#: workers even when cases outnumber them.  2**12 words = n >= 9 for
-#: the chain operators' ``2**(2n-6)``-word sweeps.
-GATE_GRID_WORD_FIRST = 1 << 12
-
-
 def _gate_case_counts(
     operator: str,
     width: int,
     cell_netlist: str,
+    backend: Optional[str],
     case_lo: int,
     case_hi: int,
-    word_lo: int,
-    word_hi: int,
-    backend: Optional[str] = None,
 ) -> List[_CaseCounts]:
-    """Shard worker: sweep counts for collapsed cases [case_lo, case_hi)
-    over sweep words [word_lo, word_hi).
+    """Shard worker: sweep counts for collapsed cases [case_lo, case_hi).
 
     Rebuilds the (cached) test architecture and compiled engine locally,
-    then streams the word-packed operand sweep through the fault-group
-    matrix chunk by chunk, reducing packed classification masks to
-    counts via popcount -- vectors are never unpacked.  Masked universes
-    (the divider's zero-divisor exclusion) apply the architecture's
-    valid-lane words before counting, so partial word ranges produce
-    exact partial counts the caller sums back together.
+    then streams the whole word-packed operand sweep through the
+    fault-group matrix chunk by chunk, reducing packed classification
+    masks to counts via popcount -- vectors are never unpacked.  Masked
+    universes (the divider's zero-divisor exclusion) apply the
+    architecture's valid-lane words before counting.
     """
     arch = table2_architecture(operator, width, cell_netlist)
     engine = engine_for(arch.netlist, backend)
@@ -517,7 +533,8 @@ def _gate_case_counts(
         for group in collapsed_cell_library(cell_netlist)
         for position in arch.positions
     ][case_lo:case_hi]
-    range_count = arch.valid_count(word_lo, word_hi)
+    n_words = arch.n_words
+    n_valid = arch.valid_count(0, n_words)
     results: List[Optional[_CaseCounts]] = [None] * len(rep_cases)
     sim_indices: List[int] = []
     fault_groups = []
@@ -525,8 +542,8 @@ def _gate_case_counts(
         if group.is_reference:
             # LUT identical to the fault-free cell: every situation is
             # correct and no check fires.  No simulation needed.
-            per = {name: (range_count, 0) for name in names}
-            results[k] = (group.multiplicity, range_count, range_count, per)
+            per = {name: (n_valid, 0) for name in names}
+            results[k] = (group.multiplicity, n_valid, n_valid, per)
         else:
             sim_indices.append(k)
             fault_groups.append(
@@ -539,8 +556,8 @@ def _gate_case_counts(
     fault_chunk = GATE_FAULT_CHUNK
     row_cells = engine.compiled.n_nets * (min(fault_chunk, max(1, len(fault_groups))) + 1)
     word_chunk = matrix_word_chunk(row_cells, GATE_WORD_CHUNK)
-    for chunk_lo in range(word_lo, word_hi, word_chunk):
-        chunk_hi = min(chunk_lo + word_chunk, word_hi)
+    for chunk_lo in range(0, n_words, word_chunk):
+        chunk_hi = min(chunk_lo + word_chunk, n_words)
         rows = arch.input_rows(chunk_lo, chunk_hi)
         valid = arch.valid_words(chunk_lo, chunk_hi, rows=rows)
         for lo in range(0, len(fault_groups), fault_chunk):
@@ -572,43 +589,10 @@ def _gate_case_counts(
             name: (counts[1 + 2 * j], counts[2 + 2 * j])
             for j, name in enumerate(names)
         }
-        results[k] = (group.multiplicity, range_count, counts[0], per)
+        results[k] = (group.multiplicity, n_valid, counts[0], per)
     # Every slot is filled (reference cases inline, simulated ones just
-    # above); the merge relies on positional alignment with the case
-    # range, so return the list as-is.
+    # above), in case order: the merge concatenates shard lists.
     return results
-
-
-def _merge_gate_shards(
-    grid: List[Tuple[int, int, int, int]], shards: List[List[_CaseCounts]]
-) -> List[_CaseCounts]:
-    """Merge grid-sharded sweep counts back into one entry per case.
-
-    Counts from word-range tiles of the same fault case sum (they are
-    exact integer counts over disjoint vector ranges); the result is in
-    global case order, so the merge is bit-identical for any grid shape.
-    """
-    merged: Dict[int, List] = {}
-    for (case_lo, case_hi, _, _), chunk in zip(grid, shards):
-        if len(chunk) != case_hi - case_lo:
-            raise SimulationError(
-                f"gate shard returned {len(chunk)} case counts for range "
-                f"[{case_lo}, {case_hi}); merge would misalign"
-            )
-        for k, (repeat, count, n_correct, per) in zip(range(case_lo, case_hi), chunk):
-            entry = merged.get(k)
-            if entry is None:
-                merged[k] = [repeat, count, n_correct, dict(per)]
-            else:
-                entry[1] += count
-                entry[2] += n_correct
-                for name, (covered, det_correct) in per.items():
-                    prev_cov, prev_dc = entry[3][name]
-                    entry[3][name] = (prev_cov + covered, prev_dc + det_correct)
-    return [
-        (repeat, count, n_correct, per)
-        for repeat, count, n_correct, per in (merged[k] for k in sorted(merged))
-    ]
 
 
 def _run_gate(
@@ -629,10 +613,6 @@ def _run_gate(
     backend = resolve_backend_name(backend)
     key = None
     if store is not None:
-        # The final key covers everything that determines the numbers
-        # -- but *not* the worker count, grid shape or chunk geometry,
-        # none of which changes a count, so any sharding reuses the
-        # same entry.
         key = CacheKey(
             kind="coverage",
             netlist=digest_netlist(arch.netlist),
@@ -641,37 +621,10 @@ def _run_gate(
             method="gate",
             backend=backend,
         )
-        cached = store.get(key)
-        if cached is not None:
-            return cached
-    n_workers = resolve_workers(workers, n_cases, cost=n_cases * arch.n_vectors)
-    grid = shard_grid(
-        n_cases,
-        arch.n_words,
-        n_workers,
-        word_first=arch.n_words >= GATE_GRID_WORD_FIRST,
+    return _run_cases(
+        operator, width, _gate_case_counts, (operator, width, cell_netlist, backend),
+        n_cases, n_cases * arch.n_vectors, workers, True, "gate", key, store,
     )
-    arg_tuples = [
-        (operator, width, cell_netlist, case_lo, case_hi, word_lo, word_hi,
-         backend)
-        for case_lo, case_hi, word_lo, word_hi in grid
-    ]
-    if store is not None:
-        shards = run_checkpointed(
-            _gate_case_counts,
-            arg_tuples,
-            [key.with_shard(*span) for span in grid],
-            store,
-        )
-    else:
-        shards = run_sharded(_gate_case_counts, arg_tuples)
-    acc = _Accumulator(_SPECS[operator].names)
-    for repeat, count, n_correct, per in _merge_gate_shards(grid, shards):
-        acc.update_counts(count, n_correct, per, repeat=repeat)
-    result = acc.stats(operator, width, True, "gate")
-    if store is not None:
-        store.put(key, result, {"grid": len(grid), "workers": n_workers})
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -739,9 +692,11 @@ def _evaluate(
         raise SimulationError(
             f"unknown method {method!r}; choose from {EVALUATION_METHODS}"
         )
+    # Check width and an explicit worker count up front, so neither a
+    # store hit nor the pool-free transfer DP can skip the check.
+    if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
+        raise SimulationError(f"width= must be a positive integer, got {width!r}")
     if workers is not None:
-        # Reject a bad explicit count before a store hit or the pool-free
-        # transfer DP could skip the sweep that would consult it.
         workers = resolve_workers(workers, 0)
     store = resolve_store(store)
     space = 1 << (2 * width)

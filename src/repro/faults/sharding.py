@@ -3,18 +3,18 @@
 Fault cases are embarrassingly parallel: each one is classified against
 the same golden behaviour, so a coverage sweep
 (:mod:`repro.coverage.engine`) can be split into contiguous fault-case
-shards (and, for wide operand spaces, word ranges), evaluated in worker
-processes, and merged back in shard order.  Because every shard computes
-exact integer counts and the merge is order-preserving, results are
-bit-identical for any worker count -- the invariance property
-``tests/test_table2_exact.py`` asserts.
+shards (:func:`shard_bounds`), evaluated in worker processes, and
+merged back by concatenating the per-case counts in shard order.
+Because every shard computes exact integer counts and the merge is
+order-preserving, results are bit-identical for any worker count --
+the invariance property ``tests/test_table2_exact.py`` asserts.
 
 Only those sweeps use the pool; it pays off on the Table 1 ``mul`` and
 ``div`` sweeps.  Stuck-at campaigns and fault dictionaries run in the
 calling process, where a per-call pool measured slower or no faster.
 
 Workers are plain module-level functions taking picklable arguments
-(operator names, widths, index ranges) and rebuilding netlists and
+(operator names, widths, case ranges) and rebuilding netlists and
 engines locally; on fork-based platforms they inherit the parent's warm
 caches for free.  Callers resolve the execution backend
 (:mod:`repro.gates.backends`) *before* sharding and pass the resolved
@@ -28,7 +28,7 @@ from __future__ import annotations
 import numbers
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import events, metrics
@@ -42,20 +42,17 @@ MAX_AUTO_WORKERS = 8
 
 
 def resolve_workers(
-    workers: Optional[int],
-    n_items: int,
-    cost: Optional[int] = None,
-    threshold: int = DEFAULT_SHARD_THRESHOLD,
+    workers: Optional[int], n_items: int, cost: Optional[int] = None
 ) -> int:
     """Decide the process count for a coverage sweep.
 
     ``workers=None`` selects automatically: multiple processes only when
     the machine has spare cores and the estimated ``cost`` (e.g.
-    ``n_cases * n_vectors``) crosses ``threshold``.  An explicit
-    ``workers`` value must be a positive integer and is honoured as
-    given, which is what the shard-invariance tests use to force a pool
-    on any machine; anything else (``0``, ``-3``, ``2.5``, ``True``)
-    raises :class:`~repro.errors.SimulationError`.
+    ``n_cases * n_vectors``) crosses :data:`DEFAULT_SHARD_THRESHOLD`.
+    An explicit ``workers`` value must be a positive integer and is
+    honoured as given, which is what the shard-invariance tests use to
+    force a pool on any machine; anything else (``0``, ``-3``, ``2.5``,
+    ``True``) raises :class:`~repro.errors.SimulationError`.
     """
     if workers is not None:
         bad_type = isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
@@ -67,7 +64,7 @@ def resolve_workers(
     cpus = os.cpu_count() or 1
     if cpus <= 1 or n_items < 2:
         return 1
-    if cost is not None and cost < threshold:
+    if cost is not None and cost < DEFAULT_SHARD_THRESHOLD:
         return 1
     return min(cpus, MAX_AUTO_WORKERS, n_items)
 
@@ -89,43 +86,6 @@ def shard_bounds(n_items: int, n_shards: int) -> List[Tuple[int, int]]:
             bounds.append((lo, hi))
         lo = hi
     return bounds
-
-
-def shard_grid(
-    n_cases: int, n_words: int, n_workers: int, word_first: bool = False
-) -> List[Tuple[int, int, int, int]]:
-    """Tile the (fault case, sweep word) rectangle into at most
-    ``n_workers`` shards ``(case_lo, case_hi, word_lo, word_hi)``.
-
-    Fault cases split first (they are the cheaper dimension to merge:
-    per-case counts concatenate); when fewer cases than workers exist,
-    the spare parallelism splits each case range's *word* sweep, whose
-    per-case partial counts the caller sums back together.  Tiles cover
-    the rectangle exactly, in (case, word) order, so grid merges are as
-    deterministic as plain fault-case shards.
-
-    ``word_first`` flips the preference: every shard spans *all* cases
-    over one word range.  Per-case cost is wildly uneven (reference
-    classes are free, fault classes are not) while per-word cost is
-    uniform, so wide sweeps -- where the word axis dominates the work --
-    balance better across workers this way; the merge is the same
-    word-range summation either way.
-    """
-    if word_first and n_cases and n_words >= max(1, n_workers):
-        return [
-            (0, n_cases, word_lo, word_hi)
-            for word_lo, word_hi in shard_bounds(n_words, n_workers)
-        ]
-    case_shards = shard_bounds(n_cases, n_workers)
-    if not case_shards:
-        return []
-    word_splits = min(max(1, n_words), max(1, n_workers // len(case_shards)))
-    word_shards = shard_bounds(n_words, word_splits) or [(0, n_words)]
-    return [
-        (case_lo, case_hi, word_lo, word_hi)
-        for case_lo, case_hi in case_shards
-        for word_lo, word_hi in word_shards
-    ]
 
 
 def _instrumented_shard(
@@ -150,21 +110,10 @@ def _instrumented_shard(
     return result, seconds, os.getpid(), raw
 
 
-def _notify(
-    on_event: Optional[Callable[[str, Dict[str, Any]], None]],
-    name: str,
-    **fields: Any,
-) -> None:
-    events.emit(name, **fields)
-    if on_event is not None:
-        on_event(name, fields)
-
-
 def run_sharded(
     worker: Callable[..., Any],
     arg_tuples: Sequence[Tuple[Any, ...]],
     on_result: Optional[Callable[[int, Any], None]] = None,
-    on_event: Optional[Callable[[str, Dict[str, Any]], None]] = None,
 ) -> List[Any]:
     """Run ``worker(*args)`` for each tuple, in order, across processes.
 
@@ -179,10 +128,10 @@ def run_sharded(
     results in the store the moment they exist, so a sweep killed
     mid-pool keeps every finished shard.
 
-    ``on_event(name, fields)``, when given, receives every lifecycle
-    event this call emits through :mod:`repro.obs.events` (submitted /
-    completed / failed / merged -- ``shard_started`` fires inside the
-    worker process and reaches the parent trace only via a shared
+    Every shard's lifecycle is emitted through :mod:`repro.obs.events`
+    (submitted / completed / failed / merged, each counted in
+    ``repro_events_total``; ``shard_started`` fires inside the worker
+    process and reaches the parent trace only via a shared
     ``REPRO_TRACE`` file).  Per-shard wall seconds and worker-process
     metrics ride back on the results queue itself, so the telemetry
     spans the process boundary without any extra IPC; worker metrics
@@ -192,21 +141,18 @@ def run_sharded(
     if n_shards <= 1:
         results = []
         for index, args in enumerate(arg_tuples):
-            _notify(on_event, events.SHARD_SUBMITTED, shard=index, n_shards=n_shards)
+            events.emit(events.SHARD_SUBMITTED, shard=index, n_shards=n_shards)
             events.emit(events.SHARD_STARTED, shard=index, worker_pid=os.getpid())
             start = time.perf_counter()
             result = worker(*args)
-            _notify(
-                on_event,
-                events.SHARD_COMPLETED,
-                shard=index,
-                worker_pid=os.getpid(),
+            events.emit(
+                events.SHARD_COMPLETED, shard=index, worker_pid=os.getpid(),
                 seconds=time.perf_counter() - start,
             )
             if on_result is not None:
                 on_result(index, result)
             results.append(result)
-        _notify(on_event, events.SHARDS_MERGED, n_shards=n_shards)
+        events.emit(events.SHARDS_MERGED, n_shards=n_shards)
         return results
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
@@ -214,30 +160,22 @@ def run_sharded(
         futures = {}
         for index, args in enumerate(arg_tuples):
             futures[pool.submit(_instrumented_shard, worker, index, args)] = index
-            _notify(on_event, events.SHARD_SUBMITTED, shard=index, n_shards=n_shards)
+            events.emit(events.SHARD_SUBMITTED, shard=index, n_shards=n_shards)
         results: List[Any] = [None] * n_shards
         for future in as_completed(futures):
             index = futures[future]
             try:
                 result, seconds, worker_pid, raw = future.result()
             except BaseException as exc:
-                _notify(
-                    on_event,
-                    events.SHARD_FAILED,
-                    shard=index,
-                    error=type(exc).__name__,
-                )
+                events.emit(events.SHARD_FAILED, shard=index, error=type(exc).__name__)
                 raise
             metrics.registry().merge_raw(raw)
-            _notify(
-                on_event,
-                events.SHARD_COMPLETED,
-                shard=index,
-                worker_pid=worker_pid,
+            events.emit(
+                events.SHARD_COMPLETED, shard=index, worker_pid=worker_pid,
                 seconds=seconds,
             )
             if on_result is not None:
                 on_result(index, result)
             results[index] = result
-        _notify(on_event, events.SHARDS_MERGED, n_shards=n_shards)
+        events.emit(events.SHARDS_MERGED, n_shards=n_shards)
         return results

@@ -2,7 +2,7 @@
 
 The observability layer the campaign stack reports through:
 
-* :mod:`repro.obs.metrics` -- process-global lock-striped
+* :mod:`repro.obs.metrics` -- process-global thread-safe
   :class:`MetricsRegistry` (counters/gauges/histograms) with a JSON
   exporter and a ``REPRO_METRICS`` dump-on-exit;
 * :mod:`repro.obs.trace` -- nestable :func:`span` context managers and

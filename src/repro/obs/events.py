@@ -64,7 +64,7 @@ EVENT_NAMES = (
 
 
 # Pre-resolved per-event counter handles: emit runs once per campaign,
-# so the label/stripe resolution is hoisted out of the hot path (the
+# so the label resolution is hoisted out of the hot path (the
 # handles stay valid across registry resets -- see CounterHandle).
 _HANDLES: dict = {}
 

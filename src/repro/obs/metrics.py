@@ -8,11 +8,8 @@ A :class:`MetricsRegistry` holds three metric families, all labelled:
   ``count``/``sum``/``min``/``max`` plus fixed log-decade buckets
   (:meth:`MetricsRegistry.observe`).
 
-Storage is **lock-striped**: every ``(family, name, labels)`` series
-hashes to one of :data:`N_STRIPES` independent ``(lock, dict)`` cells,
-so concurrent writers -- e.g. kernels recording timings from several
-threads -- only contend when they hit the same stripe, never on one
-global lock.  Totals are exact under any interleaving
+Storage is one dict keyed by ``(family, name, labels)`` behind one
+lock, so totals are exact under any interleaving of writer threads
 (``tests/test_obs.py`` hammers this from plain threads at several
 thread counts).
 
@@ -34,7 +31,7 @@ Kernel profiling (the ``repro_kernel_seconds`` histograms recorded by
 :func:`kernel_profiling_enabled`: on when ``REPRO_METRICS`` or
 ``REPRO_TRACE`` is set, or forced either way with
 :func:`set_kernel_profiling`.  Everything else in the registry is
-always on -- a counter bump is a stripe-lock dict update, far below
+always on -- a counter bump is a locked dict update, far below
 campaign granularity.
 """
 
@@ -50,9 +47,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 #: Path of the dump-on-exit JSON-lines file; unset or empty disables
 #: the dump.
 METRICS_ENV = "REPRO_METRICS"
-
-#: Number of independent (lock, dict) stripes in a registry.
-N_STRIPES = 16
 
 #: Histogram bucket upper bounds (seconds-flavoured log decades); the
 #: implicit final bucket is +inf.
@@ -140,12 +134,12 @@ class _Histogram:
 class CounterHandle:
     """Pre-resolved write handle for one counter series.
 
-    Resolving the series key and stripe once lets hot emitting sites
-    (one event per campaign) skip label canonicalisation and stripe
-    hashing on every increment.  Handles never go stale: the global
-    registry object is never replaced, and :meth:`MetricsRegistry.
-    reset` clears stripe cells in place, so a held (lock, cell) pair
-    stays the live one after test resets and fork-child resets alike.
+    Resolving the series key once lets hot emitting sites (one event
+    per campaign) skip label canonicalisation on every increment.
+    Handles never go stale: the global registry object is never
+    replaced, and :meth:`MetricsRegistry.reset` clears its dict in
+    place, so a held (lock, dict) pair stays the live one after test
+    resets and fork-child resets alike.
     """
 
     __slots__ = ("_key", "_lock", "_cell")
@@ -170,7 +164,7 @@ class HistogramHandle:
 
     Same lifetime story as :class:`CounterHandle`; the kernel-profiling
     wrapper holds one per (backend, kernel) so each timing observation
-    skips label canonicalisation and stripe hashing.
+    skips label canonicalisation.
     """
 
     __slots__ = ("_key", "_lock", "_cell")
@@ -194,56 +188,44 @@ class HistogramHandle:
 
 
 class MetricsRegistry:
-    """Lock-striped registry of counters, gauges and histograms."""
+    """Registry of counters, gauges and histograms: one lock, one dict."""
 
-    def __init__(self, n_stripes: int = N_STRIPES) -> None:
-        self._stripes: Tuple[Tuple[threading.Lock, Dict[SeriesKey, object]], ...] = tuple(
-            (threading.Lock(), {}) for _ in range(max(1, int(n_stripes)))
-        )
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._series: Dict[SeriesKey, object] = {}
         self._collectors: Dict[str, Callable[[], Mapping[str, float]]] = {}
         self._collector_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
-    def _cell(self, key: SeriesKey) -> Tuple[threading.Lock, Dict[SeriesKey, object]]:
-        return self._stripes[hash(key) % len(self._stripes)]
-
     def inc(self, name: str, value: float = 1.0, **labels: object) -> None:
         """Add ``value`` to the counter series ``name{labels}``."""
         key = ("counter", name, _labels_key(labels))
-        lock, cell = self._cell(key)
-        with lock:
-            cell[key] = cell.get(key, 0.0) + value  # type: ignore[operator]
+        with self._lock:
+            self._series[key] = self._series.get(key, 0.0) + value  # type: ignore[operator]
 
     def counter_handle(self, name: str, **labels: object) -> CounterHandle:
         """A reusable pre-resolved :class:`CounterHandle` for one series."""
         key: SeriesKey = ("counter", name, _labels_key(labels))
-        lock, cell = self._cell(key)
-        return CounterHandle(key, lock, cell)
+        return CounterHandle(key, self._lock, self._series)
 
     def histogram_handle(self, name: str, **labels: object) -> HistogramHandle:
         """A reusable pre-resolved :class:`HistogramHandle` for one series."""
         key: SeriesKey = ("histogram", name, _labels_key(labels))
-        lock, cell = self._cell(key)
-        return HistogramHandle(key, lock, cell)
+        return HistogramHandle(key, self._lock, self._series)
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         """Set the gauge series ``name{labels}`` to ``value``."""
         key = ("gauge", name, _labels_key(labels))
-        lock, cell = self._cell(key)
-        with lock:
-            cell[key] = float(value)
+        with self._lock:
+            self._series[key] = float(value)
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         """Fold ``value`` into the histogram series ``name{labels}``."""
-        key = ("histogram", name, _labels_key(labels))
-        lock, cell = self._cell(key)
-        with lock:
-            hist = cell.get(key)
-            if hist is None:
-                hist = cell[key] = _Histogram()
-            hist.observe(value)  # type: ignore[union-attr]
+        HistogramHandle(
+            ("histogram", name, _labels_key(labels)), self._lock, self._series
+        ).observe(value)
 
     # ------------------------------------------------------------------
     # Read path
@@ -251,9 +233,8 @@ class MetricsRegistry:
     def get_counter(self, name: str, **labels: object) -> float:
         """Current value of one counter series (0.0 when absent)."""
         key = ("counter", name, _labels_key(labels))
-        lock, cell = self._cell(key)
-        with lock:
-            return float(cell.get(key, 0.0))  # type: ignore[arg-type]
+        with self._lock:
+            return float(self._series.get(key, 0.0))  # type: ignore[arg-type]
 
     def counter_total(self, name: str) -> float:
         """Sum of every series of counter ``name`` across all labels."""
@@ -270,15 +251,14 @@ class MetricsRegistry:
         picklable -- this is the form shard workers ship back through
         the results queue for :meth:`merge_raw`.
         """
+        with self._lock:
+            items = list(self._series.items())
         out: List[RawSeries] = []
-        for lock, cell in self._stripes:
-            with lock:
-                items = list(cell.items())
-            for (family, name, labels), value in items:
-                if family == "histogram":
-                    out.append((family, name, labels, value.to_dict()))  # type: ignore[union-attr]
-                else:
-                    out.append((family, name, labels, value))
+        for (family, name, labels), value in items:
+            if family == "histogram":
+                out.append((family, name, labels, value.to_dict()))  # type: ignore[union-attr]
+            else:
+                out.append((family, name, labels, value))
         out.sort(key=lambda row: (row[0], row[1], row[2]))
         return out
 
@@ -289,12 +269,12 @@ class MetricsRegistry:
         shard runner uses this to surface worker-process metrics in the
         parent.
         """
-        for family, name, labels, value in series:
-            key = (family, name, tuple(tuple(pair) for pair in labels))
-            lock, cell = self._cell(key)
-            with lock:
+        with self._lock:
+            cell = self._series
+            for family, name, labels, value in series:
+                key = (family, name, tuple(tuple(pair) for pair in labels))
                 if family == "counter":
-                    cell[key] = cell.get(key, 0.0) + float(value)  # type: ignore[arg-type]
+                    cell[key] = cell.get(key, 0.0) + float(value)  # type: ignore[arg-type, operator]
                 elif family == "gauge":
                     cell[key] = float(value)  # type: ignore[arg-type]
                 else:
@@ -351,9 +331,8 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Drop every series (collectors stay registered)."""
-        for lock, cell in self._stripes:
-            with lock:
-                cell.clear()
+        with self._lock:
+            self._series.clear()
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +449,7 @@ def load_dump(path: str) -> Dict[str, Dict[str, object]]:
     Counters and histograms sum across processes, gauges last-write-
     wins -- the same semantics as :meth:`MetricsRegistry.merge_raw`.
     """
-    merged = MetricsRegistry(n_stripes=1)
+    merged = MetricsRegistry()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -524,7 +503,6 @@ __all__ = [
     "HistogramHandle",
     "METRICS_ENV",
     "MetricsRegistry",
-    "N_STRIPES",
     "counter_handle",
     "dump",
     "get_counter",

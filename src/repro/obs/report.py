@@ -51,7 +51,7 @@ def summarize(records: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     """Fold trace records into one JSON-friendly summary dict."""
     spans: List[Mapping[str, Any]] = []
     event_records: List[Mapping[str, Any]] = []
-    merged = _metrics.MetricsRegistry(n_stripes=1)
+    merged = _metrics.MetricsRegistry()
     for record in records:
         kind = record.get("type")
         if kind == "span":

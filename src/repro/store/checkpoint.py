@@ -11,6 +11,9 @@ caller's order-preserving merge then reproduces the uninterrupted
 result bit-identically, because loaded and freshly computed shards are
 exact round-trips of each other.
 
+With ``store=None`` the same entry simply runs every shard, so the
+coverage sweeps have one code path whether or not a store is open.
+
 For tests, :func:`shard_hook` installs a callable fired *before* each
 shard executes.  While a hook is installed, execution is sequential and
 in-process, so a hook that raises after ``k`` shards simulates a crash
@@ -72,87 +75,58 @@ def shard_hook(hook: Optional[Callable[[int], None]]):
 def run_checkpointed(
     worker: Callable[..., Any],
     arg_tuples: Sequence[Tuple[Any, ...]],
-    keys: Sequence[CacheKey],
+    keys: Optional[Sequence[CacheKey]],
     store: Optional[ResultStore],
     provenance: Optional[dict] = None,
 ) -> List[Any]:
     """Run ``worker(*args)`` per tuple with per-shard store checkpoints.
 
     ``keys[i]`` addresses shard ``i``'s partial result.  Shards already
-    in the store load instead of executing; missing shards run (pooled,
-    unless a :func:`shard_hook` is installed) and are stored the moment
-    they complete.  Results return in submission order, so the caller's
-    merge is identical to an unsharded :func:`run_sharded` merge.
+    in the store load instead of executing; missing shards run (pooled
+    through :func:`~repro.faults.sharding.run_sharded`, unless a
+    :func:`shard_hook` is installed) and are stored the moment they
+    complete.  Results return in submission order, so the caller's
+    merge is identical to an unsharded merge.
 
-    With ``store=None`` this degrades to plain :func:`run_sharded`.
+    With ``store=None`` nothing loads or lands and ``keys`` may be
+    ``None``: every shard runs.
     """
+    # Late import: repro.faults imports the store, so a module-level
+    # import here would cycle.
+    from repro.faults.sharding import run_sharded
+
     global _LAST_REPORT
     total = len(arg_tuples)
-    if len(keys) != total:
-        raise ValueError(f"{len(keys)} keys for {total} shards")
-    if store is None:
-        results = run_sharded_compat(worker, list(arg_tuples))
-        _LAST_REPORT = CheckpointReport(total=total, loaded=0, executed=total)
-        return results
-
+    if store is not None and (keys is None or len(keys) != total):
+        raise ValueError(f"a store needs one key per shard ({total})")
     results: List[Any] = [None] * total
     missing: List[int] = []
-    for index, key in enumerate(keys):
-        value = store.get(key)
+    for index in range(total):
+        value = None if store is None else store.get(keys[index])  # type: ignore[index]
         if value is None:
             missing.append(index)
         else:
             results[index] = value
-            events.emit(
-                events.CHECKPOINT_RESUMED, shard=index, n_shards=total
-            )
+            events.emit(events.CHECKPOINT_RESUMED, shard=index, n_shards=total)
 
-    if missing:
-        if _SHARD_HOOK is not None:
-            for index in missing:
-                _SHARD_HOOK(index)
-                result = worker(*arg_tuples[index])
-                store.put(keys[index], result, provenance)
-                events.emit(
-                    events.CHECKPOINT_WRITTEN, shard=index, n_shards=total
-                )
-                results[index] = result
-        else:
-            sub_tuples = [arg_tuples[index] for index in missing]
+    def land(position: int, result: Any) -> None:
+        index = missing[position]
+        results[index] = result
+        if store is not None:
+            store.put(keys[index], result, provenance)  # type: ignore[index]
+            events.emit(events.CHECKPOINT_WRITTEN, shard=index, n_shards=total)
 
-            def land(position: int, result: Any) -> None:
-                store.put(keys[missing[position]], result, provenance)
-                events.emit(
-                    events.CHECKPOINT_WRITTEN,
-                    shard=missing[position],
-                    n_shards=total,
-                )
-
-            sub_results = run_sharded_compat(worker, sub_tuples, on_result=land)
-            for position, index in enumerate(missing):
-                results[index] = sub_results[position]
+    if _SHARD_HOOK is not None:
+        for position, index in enumerate(missing):
+            _SHARD_HOOK(index)
+            land(position, worker(*arg_tuples[index]))
+    elif missing:
+        run_sharded(worker, [arg_tuples[index] for index in missing], on_result=land)
 
     _LAST_REPORT = CheckpointReport(
         total=total, loaded=total - len(missing), executed=len(missing)
     )
     return results
-
-
-def run_sharded_compat(worker, arg_tuples, on_result=None):
-    """Late import of the shard runner (faults imports the store, so a
-    module-level import here would cycle)."""
-    from repro.faults.sharding import run_sharded
-
-    if _SHARD_HOOK is not None:
-        results = []
-        for index, args in enumerate(arg_tuples):
-            _SHARD_HOOK(index)
-            result = worker(*args)
-            if on_result is not None:
-                on_result(index, result)
-            results.append(result)
-        return results
-    return run_sharded(worker, arg_tuples, on_result=on_result)
 
 
 __all__ = [

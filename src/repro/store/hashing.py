@@ -203,8 +203,8 @@ class CacheKey:
     resolve ``backend=None`` through the environment before keying);
     ``params`` a digest of the remaining campaign parameters
     (chunking, collapse flags, seeds).  ``shard`` is empty for final
-    artifacts and a ``"lo:hi"``-style span for checkpointed partials --
-    the only field a resumable grid varies.
+    artifacts and the fault-case range ``"lo:hi"`` of a checkpointed
+    partial -- the only field a resumable sweep varies.
     """
 
     kind: str
@@ -242,10 +242,10 @@ class CacheKey:
             ).encode()
         )
 
-    def with_shard(self, *span: object) -> "CacheKey":
-        """The same key scoped to one checkpoint shard, e.g.
-        ``key.with_shard(lo, hi)`` -> ``shard="lo:hi"``."""
-        return replace(self, shard=":".join(str(s) for s in span))
+    def with_shard(self, lo: int, hi: int) -> "CacheKey":
+        """The same key scoped to the checkpoint shard ``[lo, hi)``:
+        ``shard="lo:hi"``."""
+        return replace(self, shard=f"{lo}:{hi}")
 
     def to_dict(self) -> dict:
         return {

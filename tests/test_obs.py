@@ -1,6 +1,6 @@
 """The unified telemetry subsystem (:mod:`repro.obs`).
 
-Covers the lock-striped metrics registry (exact totals under a
+Covers the metrics registry (exact totals under a
 multi-thread hammer and under concurrent kernel calls from plain
 threads),
 span nesting and ring-buffer overflow, kernel-profiling hooks (one
@@ -284,23 +284,23 @@ def test_threaded_tiles_hammer_counters(threads, monkeypatch):
 # ----------------------------------------------------------------------
 # Lifecycle events
 # ----------------------------------------------------------------------
+def _event_count(name):
+    return metrics.get_counter("repro_events_total", event=name)
+
+
 def test_run_sharded_emits_balanced_events():
-    seen = []
-    result = run_sharded(
-        _square, [(3,), (4,), (5,)], on_event=lambda name, f: seen.append((name, f))
-    )
+    result = run_sharded(_square, [(3,), (4,), (5,)])
     assert result == [9, 16, 25]
-    names = [name for name, _ in seen]
-    assert names.count(events.SHARD_SUBMITTED) == 3
-    assert names.count(events.SHARD_COMPLETED) == 3
-    assert names.count(events.SHARDS_MERGED) == 1
-    completed = [f for name, f in seen if name == events.SHARD_COMPLETED]
+    assert _event_count(events.SHARD_SUBMITTED) == 3
+    assert _event_count(events.SHARD_COMPLETED) == 3
+    assert _event_count(events.SHARDS_MERGED) == 1
+    completed = [
+        r["attrs"] for r in trace.ring_records()
+        if r.get("name") == events.SHARD_COMPLETED
+    ]
     assert {f["shard"] for f in completed} == {0, 1, 2}
     assert all(f["seconds"] >= 0.0 for f in completed)
     assert all(f["worker_pid"] for f in completed)
-    # the counters saw the same balance (worker metrics merged back)
-    assert metrics.get_counter("repro_events_total", event=events.SHARD_SUBMITTED) == 3
-    assert metrics.get_counter("repro_events_total", event=events.SHARD_COMPLETED) == 3
 
 
 def _square(x):
@@ -312,9 +312,9 @@ def _boxed_square(x):
 
 
 def test_single_shard_path_emits_events_too():
-    seen = []
-    assert run_sharded(_square, [(6,)], on_event=lambda n, f: seen.append(n)) == [36]
-    assert seen == [events.SHARD_SUBMITTED, events.SHARD_COMPLETED, events.SHARDS_MERGED]
+    assert run_sharded(_square, [(6,)]) == [36]
+    for name in (events.SHARD_SUBMITTED, events.SHARD_COMPLETED, events.SHARDS_MERGED):
+        assert _event_count(name) == 1
 
 
 def test_checkpoint_events(tmp_path):

@@ -3,7 +3,7 @@
 Only the Table 1/2 coverage sweeps shard across processes.  Stuck-at
 campaigns, fault dictionaries and the ATPG entry points always run in
 the calling process and take no ``workers=`` at all; the sweeps reject
-an explicit worker count that is not a positive integer.
+an explicit worker count or a width that is not a positive integer.
 """
 
 import concurrent.futures
@@ -11,6 +11,7 @@ import inspect
 
 import pytest
 
+from repro.coverage import report as coverage_report
 from repro.coverage.engine import evaluate_adder, evaluate_gate_level
 from repro.errors import SimulationError
 from repro.faults.injector import (
@@ -18,6 +19,7 @@ from repro.faults.injector import (
     run_sharded_stuck_at_campaign,
 )
 from repro.faults.sharding import resolve_workers
+from repro.store import ResultStore
 from repro.tpg.dictionary import build_fault_dictionary, replay_detected
 from repro.tpg.generate import (
     compact_test_set,
@@ -70,3 +72,16 @@ class TestWorkersValidation:
     def test_resolver_rejects_bad_workers(self, workers):
         with pytest.raises(SimulationError, match="workers="):
             resolve_workers(workers, 10)
+
+
+class TestWidthValidation:
+    @pytest.mark.parametrize("width", (-1, 0, 2.5, True))
+    def test_evaluator_rejects_bad_width(self, width, tmp_path):
+        # An open store must not turn the check into a lookup.
+        with pytest.raises(SimulationError, match="width="):
+            evaluate_adder(width, store=ResultStore(tmp_path))
+
+    @pytest.mark.parametrize("width", ("-2", "0"))
+    def test_report_cli_rejects_bad_width(self, width):
+        with pytest.raises(SimulationError, match="width="):
+            coverage_report.main(["table1", "--width", width])

@@ -54,13 +54,19 @@ def counting_hook():
 
 
 class TestGateSweepCrashReplay:
-    def test_killed_evaluator_resumes_and_matches_plain_run(self, tmp_path):
-        plain = evaluate_adder(3, workers=2, store=False)
+    """The gate and functional sweeps share one checkpointed path."""
+
+    @pytest.mark.parametrize("method", ["gate", "functional"])
+    def test_killed_evaluator_resumes_and_matches_plain_run(self, tmp_path, method):
+        def run(store):
+            return evaluate_adder(3, method=method, workers=2, store=store)
+
+        plain = run(False)
 
         # Learn the total shard count from a clean checkpointed run.
         hook, fired = counting_hook()
         with shard_hook(hook):
-            clean = evaluate_adder(3, workers=2, store=ResultStore(tmp_path / "a"))
+            clean = run(ResultStore(tmp_path / "a"))
         total = len(fired)
         assert total >= 2
         assert clean == plain
@@ -69,13 +75,14 @@ class TestGateSweepCrashReplay:
         store = ResultStore(tmp_path / "b")
         with shard_hook(crash_after(k)):
             with pytest.raises(Bomb):
-                evaluate_adder(3, workers=2, store=store)
+                run(store)
 
         hook, fired = counting_hook()
         with shard_hook(hook):
-            resumed = evaluate_adder(3, workers=2, store=store)
+            resumed = run(store)
         assert len(fired) == total - k  # exactly n - k shards re-execute
         assert resumed == plain
+        assert resumed["both"].method == method
 
 
 class TestGateSweepFinalHit:

@@ -25,13 +25,11 @@ from repro.arch.testbench import (
 )
 from repro.coverage.engine import (
     _gate_case_counts,
-    _merge_gate_shards,
     evaluate_divider,
     evaluate_multiplier,
     theoretical_situations,
 )
 from repro.errors import SimulationError
-from repro.faults.sharding import shard_grid
 from repro.gates.engine import engine_for, unpack_bits
 
 
@@ -239,40 +237,21 @@ class TestEvaluatorParity:
 
 
 class TestWordRangeSharding:
-    """Tiling the sweep by (case, word) rectangle merges bit-identically."""
-
-    def test_shard_grid_covers_rectangle(self):
-        for n_cases, n_words, workers in ((10, 4, 3), (3, 100, 8), (1, 7, 4), (5, 1, 9)):
-            tiles = shard_grid(n_cases, n_words, workers)
-            assert len(tiles) <= max(1, workers)
-            seen = set()
-            for c_lo, c_hi, w_lo, w_hi in tiles:
-                for c in range(c_lo, c_hi):
-                    for w in range(w_lo, w_hi):
-                        assert (c, w) not in seen
-                        seen.add((c, w))
-            assert len(seen) == n_cases * n_words
-        assert shard_grid(0, 8, 4) == []
+    """Sharding the sweep by fault-case range merges bit-identically
+    (each shard streams the whole word range itself)."""
 
     @pytest.mark.parametrize("operator,width", [("mul", 4), ("div", 4), ("add", 5)])
     def test_word_tiles_merge_bit_identically(self, operator, width):
         arch = table2_architecture(operator, width, "xor3_majority")
         n_cases = len(collapsed_cell_library()) * len(arch.positions)
-        n_words = arch.n_words
-        full = _gate_case_counts(
-            operator, width, "xor3_majority", 0, n_cases, 0, n_words
+        args = (operator, width, "xor3_majority", None)
+        full = _gate_case_counts(*args, 0, n_cases)
+        half = n_cases // 2
+        halves = _gate_case_counts(*args, 0, half) + _gate_case_counts(
+            *args, half, n_cases
         )
-        cuts = sorted({0, max(1, n_words // 3), max(1, (2 * n_words) // 3), n_words})
-        grid = [
-            (c_lo, c_hi, w_lo, w_hi)
-            for c_lo, c_hi in ((0, n_cases // 2), (n_cases // 2, n_cases))
-            for w_lo, w_hi in zip(cuts, cuts[1:])
-        ]
-        shards = [
-            _gate_case_counts(operator, width, "xor3_majority", *tile)
-            for tile in grid
-        ]
-        assert _merge_gate_shards(grid, shards) == full
+        assert len(full) == n_cases
+        assert halves == full
 
     def test_worker_counts_bit_identical(self):
         assert _stats_key(evaluate_multiplier(3, workers=1)) == _stats_key(

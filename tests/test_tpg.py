@@ -9,8 +9,8 @@ The load-bearing properties:
   detects exactly the faults its dictionary claims -- bit for bit --
   at n = 3 and 4, for the raw unit netlists and the Table 2
   architectures;
-* the coverage-engine satellites (word-first grid sharding, auto-sized
-  matrix budget) change nothing about the numbers, and ATPG's test
+* the coverage-engine satellites (auto-sized matrix budget) change
+  nothing about the numbers, and ATPG's test
   order depends on its chunk constants only, never on the environment.
 """
 
@@ -23,9 +23,8 @@ import pytest
 from repro.arch.alu import FaultableALU
 from repro.arch.cell import faulty_cell_library, reference_cell
 from repro.arch.testbench import table2_architecture
-from repro.coverage.engine import evaluate_adder, evaluate_multiplier
+from repro.coverage.engine import evaluate_multiplier
 from repro.errors import SimulationError
-from repro.faults.sharding import shard_grid
 from repro.coverage import engine as coverage_engine
 from repro.gates import builders
 from repro.gates import engine as gate_engine
@@ -477,34 +476,6 @@ class TestEmission:
 # ----------------------------------------------------------------------
 # Coverage-engine satellites
 # ----------------------------------------------------------------------
-class TestShardGridWordFirst:
-    def test_word_first_spans_all_cases(self):
-        tiles = shard_grid(10, 64, 4, word_first=True)
-        assert len(tiles) == 4
-        assert all(c_lo == 0 and c_hi == 10 for c_lo, c_hi, _, _ in tiles)
-        covered = sorted((w_lo, w_hi) for _, _, w_lo, w_hi in tiles)
-        assert covered[0][0] == 0 and covered[-1][1] == 64
-        assert all(a[1] == b[0] for a, b in zip(covered, covered[1:]))
-
-    def test_word_first_falls_back_when_words_are_scarce(self):
-        assert shard_grid(10, 2, 4, word_first=True) == shard_grid(10, 2, 4)
-
-    def test_word_first_gate_sweep_is_bit_identical(self, monkeypatch):
-        import repro.coverage.engine as ce
-
-        def key(stats):
-            return {
-                name: (s.situations, s.covered, s.observable_errors,
-                       s.detected_while_correct)
-                for name, s in stats.items()
-            }
-
-        base = evaluate_adder(3, method="gate")
-        monkeypatch.setattr(ce, "GATE_GRID_WORD_FIRST", 1)
-        forced = evaluate_adder(3, method="gate", workers=2)
-        assert key(base) == key(forced)
-
-
 class TestMatrixBudget:
     def test_auto_budget_scales_with_row_cells(self):
         assert resolve_matrix_budget(1) == GATE_MATRIX_BUDGET_MIN
