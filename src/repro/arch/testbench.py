@@ -24,11 +24,14 @@ word-packed exhaustive operand sweeps:
   position-``p`` cell instance, all injected in one engine matrix row
   (:meth:`repro.gates.engine.BitParallelEngine.run_fault_groups`).
 
-Operand universes may be *masked*: the divider excludes zero divisors,
-so its architecture reports per-word valid-lane masks
-(:meth:`_Table2ArchitectureBase.valid_words`, built on
-:func:`repro.gates.engine.exhaustive_field_mask`) that the sweep applies
-before counting situations.
+Each architecture carries its operand universe as one
+:class:`~repro.gates.engine.TestSpace` (``arch.space``): the operand
+bits sweep (vector ``v`` drives ``a = v mod 2**width`` and
+``b = v >> width``, the enumeration the functional evaluators use), the
+``zero``/``one`` rails are pinned, and the divider's divisor field is
+required non-zero, so its zero-divisor lanes are masked out before any
+situation is counted.  The coverage sweep, fault dictionaries and ATPG
+all read this one definition.
 
 Because the LUT library is itself derived by exhaustively simulating the
 same cell netlist under the same stuck-at universe, the flat gate-level
@@ -40,9 +43,7 @@ the parity tests in ``tests/test_table2_exact.py`` and
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.arch.cell import DEFAULT_CELL_NETLIST, cell_netlist
 from repro.arch.multiplier import ArrayMultiplierUnit
@@ -54,13 +55,7 @@ from repro.gates.builders import (
     truncated_multiplier_rows,
 )
 from repro.gates.cells import CellType
-from repro.gates.engine import (
-    ALL_ONES,
-    LANES,
-    exhaustive_field_mask,
-    exhaustive_word_range,
-    popcount_words,
-)
+from repro.gates.engine import TestSpace
 from repro.gates.faults import FaultSite, StuckAtFault
 from repro.gates.netlist import Netlist
 
@@ -111,12 +106,12 @@ class _Table2ArchitectureBase:
     """Shared machinery of the per-operator Table 2 architectures.
 
     Subclasses implement :meth:`_build` (returning the flat netlist) and
-    declare ``positions`` (the faulty-cell location axis),
-    ``n_result_rows`` (how many leading output rows form the nominal
-    result) and ``detect_rows`` (output row per netlist-emitted
-    detection flag).  The base provides cell instantiation with fault
-    translation bookkeeping, fault-free helper logic, and the packed
-    operand-sweep interface the batched coverage sweep consumes.
+    :meth:`_position_axis` (the faulty-cell location axis).  Every
+    netlist emits the nominal result rows and then the Tech 1 and Tech 2
+    detection flags; the divider overrides ``n_result_rows`` (``q`` then
+    ``r``).  The base provides cell instantiation with fault
+    translation bookkeeping, fault-free helper logic, and the operand
+    universe the batched coverage sweep streams.
 
     Attributes:
         operator: operator name (``add``/``sub``/``mul``/``div``).
@@ -131,6 +126,8 @@ class _Table2ArchitectureBase:
             position-``p`` cell of the ``c``-th copy of the faulty unit
             (for the divider, the ``c``-th unrolled iteration).
         positions: all faulty-cell positions, in fault-universe order.
+        space: the operand universe -- operand bits swept, ``zero``/
+            ``one`` pinned, the divider's divisor field non-zero.
     """
 
     operator: str
@@ -156,6 +153,12 @@ class _Table2ArchitectureBase:
         from repro.analysis.lint import assert_clean
 
         assert_clean(self.netlist)
+        self.space = TestSpace(
+            self.netlist,
+            tuple(self.netlist.primary_inputs[: 2 * width]),
+            (("zero", 0), ("one", 1)),
+            (width, 2 * width) if operator == "div" else None,
+        )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -224,95 +227,14 @@ class _Table2ArchitectureBase:
     # Interfaces for the batched sweep
     # ------------------------------------------------------------------
     @property
-    def n_vectors(self) -> int:
-        """Size of the raw exhaustive operand space, ``2**(2*width)``."""
-        return 1 << (2 * self.width)
-
-    @property
-    def n_words(self) -> int:
-        """Packed words spanning the exhaustive sweep."""
-        return max(1, self.n_vectors >> 6)
-
-    @property
-    def tail_mask(self) -> np.uint64:
-        """Valid-lane mask of the final word (sub-word sweeps only)."""
-        if self.n_vectors >= LANES:
-            return ALL_ONES
-        return np.uint64((1 << self.n_vectors) - 1)
-
-    @property
     def n_result_rows(self) -> int:
         """Leading output rows that form the nominal result."""
-        raise NotImplementedError
+        return self.width
 
     @property
     def detect_rows(self) -> Dict[str, int]:
         """Output-row index of each technique's detection flag."""
-        raise NotImplementedError
-
-    def input_rows(self, word_lo: int, word_hi: int) -> np.ndarray:
-        """Packed input words ``[word_lo, word_hi)`` of the operand sweep.
-
-        Vector ``v`` drives ``a = v mod 2**width`` and
-        ``b = v >> width`` -- the same enumeration the functional
-        evaluators use -- with the ``zero``/``one`` constant rows
-        appended in primary-input order.
-        """
-        span = word_hi - word_lo
-        rows = np.empty((2 * self.width + 2, span), dtype=np.uint64)
-        rows[: 2 * self.width] = exhaustive_word_range(
-            2 * self.width, word_lo, word_hi
-        )
-        rows[2 * self.width] = 0
-        rows[2 * self.width + 1] = ALL_ONES
-        return rows
-
-    def valid_words(
-        self, word_lo: int, word_hi: int, rows: Optional[np.ndarray] = None
-    ) -> Optional[np.ndarray]:
-        """Per-word valid-lane masks for ``[word_lo, word_hi)``.
-
-        ``None`` means every lane is a real situation (bar the phantom
-        lanes of a sub-word sweep, folded in here when the range covers
-        the final word).  Masked universes -- the divider's zero-divisor
-        exclusion -- override this with the actual operand predicate;
-        callers that already hold the range's :meth:`input_rows` matrix
-        pass it as ``rows`` so the mask derives from it instead of
-        regenerating the sweep.
-        """
-        tail = self.tail_mask
-        if tail == ALL_ONES or word_hi != self.n_words:
-            return None
-        masks = np.full(word_hi - word_lo, ALL_ONES, dtype=np.uint64)
-        masks[-1] = tail
-        return masks
-
-    def valid_count(self, word_lo: int, word_hi: int) -> int:
-        """Number of real situations in words ``[word_lo, word_hi)``."""
-        return max(
-            0,
-            min(self.n_vectors, word_hi * LANES)
-            - min(self.n_vectors, word_lo * LANES),
-        )
-
-    def test_space(self):
-        """Constrained TPG universe of this architecture's netlist.
-
-        The operand bits sweep, the ``zero``/``one`` rails are pinned
-        and the divider's divisor field is required non-zero -- the
-        same masked operand universe the coverage sweep classifies, so
-        a :mod:`repro.tpg` compact set for the architecture exercises
-        exactly the situations Table 2 counts.
-        """
-        from repro.tpg.dictionary import TestSpace
-
-        nonzero = (self.width, 2 * self.width) if self.operator == "div" else None
-        return TestSpace(
-            self.netlist,
-            tuple(self.netlist.primary_inputs[: 2 * self.width]),
-            (("zero", 0), ("one", 1)),
-            nonzero,
-        )
+        return {"tech1": self.n_result_rows, "tech2": self.n_result_rows + 1}
 
     def fault_group(
         self, cell_fault: StuckAtFault, position
@@ -415,20 +337,6 @@ class Table2Architecture(_Table2ArchitectureBase):
         nl.mark_output(neq2)
         return nl
 
-    # ------------------------------------------------------------------
-    @property
-    def n_result_rows(self) -> int:
-        return self.width
-
-    @property
-    def result_rows(self) -> range:
-        """Output-row indices of the nominal result bits."""
-        return range(self.width)
-
-    @property
-    def detect_rows(self) -> Dict[str, int]:
-        return {"tech1": self.width, "tech2": self.width + 1}
-
 
 class Table2MultiplierArchitecture(_Table2ArchitectureBase):
     """The truncated array multiplier's Table 2 experiment.
@@ -494,14 +402,6 @@ class Table2MultiplierArchitecture(_Table2ArchitectureBase):
         nl.mark_output(neq2)
         return nl
 
-    @property
-    def n_result_rows(self) -> int:
-        return self.width
-
-    @property
-    def detect_rows(self) -> Dict[str, int]:
-        return {"tech1": self.width, "tech2": self.width + 1}
-
 
 class Table2DividerArchitecture(_Table2ArchitectureBase):
     """The restoring divider's Table 2 experiment.
@@ -516,9 +416,10 @@ class Table2DividerArchitecture(_Table2ArchitectureBase):
     ``a``; Tech 2 additionally enforces the remainder range ``r < b``
     (the paper's precision-of-the-inverse-operation concern).
 
-    Zero divisors are excluded from the operand universe:
-    :meth:`valid_words` masks the ``b == 0`` lanes out of the sweep,
-    leaving ``2**n * (2**n - 1)`` situations per fault case.
+    Zero divisors are excluded from the operand universe: ``space``
+    requires the divisor field non-zero, masking the ``b == 0`` lanes
+    out of the sweep and leaving ``2**n * (2**n - 1)`` situations per
+    fault case.
     """
 
     def __init__(self, width: int, cell_style: str = DEFAULT_CELL_NETLIST) -> None:
@@ -576,28 +477,6 @@ class Table2DividerArchitecture(_Table2ArchitectureBase):
     @property
     def n_result_rows(self) -> int:
         return 2 * self.width
-
-    @property
-    def detect_rows(self) -> Dict[str, int]:
-        return {"tech1": 2 * self.width, "tech2": 2 * self.width + 1}
-
-    def valid_words(
-        self, word_lo: int, word_hi: int, rows: Optional[np.ndarray] = None
-    ) -> Optional[np.ndarray]:
-        if rows is not None:
-            # The divisor field's rows are already packed; their OR is
-            # exactly the b != 0 lane mask.
-            masks = np.bitwise_or.reduce(rows[self.width : 2 * self.width], axis=0)
-        else:
-            masks = exhaustive_field_mask(
-                2 * self.width, self.width, 2 * self.width, word_lo, word_hi
-            )
-        if masks.size and word_hi == self.n_words and self.tail_mask != ALL_ONES:
-            masks[-1] &= self.tail_mask
-        return masks
-
-    def valid_count(self, word_lo: int, word_hi: int) -> int:
-        return int(popcount_words(self.valid_words(word_lo, word_hi)))
 
 
 @functools.lru_cache(maxsize=None)

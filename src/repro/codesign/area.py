@@ -24,7 +24,8 @@ reproduce *relative* overheads):
 * *error logic*: per comparator/OR plus the error latch.
 
 All constants live in :class:`AreaModel` and are dumped into every
-:class:`AreaReport` so EXPERIMENTS.md can show the calibration.
+:class:`AreaReport`, so every report states the calibration it was
+computed under.
 """
 
 from __future__ import annotations

@@ -25,12 +25,13 @@ Table 2 cell was computed:
     iterations) and fault-free comparators -- is lowered once through
     :class:`~repro.gates.compile.CompiledNetlist` and every collapsed
     fault case is simulated as a multi-site fault group by the
-    bit-parallel engine over word-packed exhaustive operand sweeps,
-    streamed in vector chunks (:mod:`repro.arch.testbench`).  Masked
-    universes (the divider's zero-divisor exclusion) apply valid-lane
-    words before counting.  Exact; the default whenever the operand
-    space fits ``exhaustive_limit`` (chain operators) or the array cap
-    ``DEFAULT_ARRAY_GATE_LIMIT`` (``mul``/``div``, n <= 8).
+    bit-parallel engine over the architecture's word-packed operand
+    universe (``arch.space``, :mod:`repro.arch.testbench`), streamed in
+    vector chunks.  Masked universes (the divider's zero-divisor
+    exclusion) apply valid-lane words before counting.  Exact; the
+    default whenever the operand space fits ``exhaustive_limit`` (chain
+    operators) or the array cap ``DEFAULT_ARRAY_GATE_LIMIT``
+    (``mul``/``div``, n <= 8).
 
 ``"transfer"``
     The carry-state transfer-matrix dynamic program
@@ -98,10 +99,11 @@ from repro.faults.universe import (
 )
 from repro.gates.backends import resolve_backend_name
 from repro.gates.engine import (
+    SWEEP_FAULT_CHUNK,
     StuckAtCampaignResult,
     engine_for,
-    matrix_word_chunk,
     popcount_words,
+    sweep_chunks,
 )
 from repro.gates.netlist import Netlist
 from repro.obs.trace import span as obs_span
@@ -127,15 +129,6 @@ DEFAULT_ARRAY_GATE_LIMIT = 1 << 16
 #: ``samples=`` (wide multiplier/divider cases, which have no exact path).
 DEFAULT_SAMPLES = 4096
 DEFAULT_SEED = 20050307  # DATE'05 conference date
-
-#: Streaming chunk sizes of the gate-level sweep: vectors move through
-#: the fault matrix ``GATE_WORD_CHUNK`` words (x64 vectors) at a time,
-#: fault groups ``GATE_FAULT_CHUNK`` rows at a time (the word chunk
-#: clamped to the netlist's matrix budget,
-#: :func:`repro.gates.engine.matrix_word_chunk`).  Chunking never
-#: changes a count.
-GATE_WORD_CHUNK = 256
-GATE_FAULT_CHUNK = 64
 
 #: Recognised ``method=`` values of the Table 2 evaluators.
 EVALUATION_METHODS = ("auto", "gate", "transfer", "functional", "sampled")
@@ -519,13 +512,15 @@ def _gate_case_counts(
     """Shard worker: sweep counts for collapsed cases [case_lo, case_hi).
 
     Rebuilds the (cached) test architecture and compiled engine locally,
-    then streams the whole word-packed operand sweep through the
-    fault-group matrix chunk by chunk, reducing packed classification
-    masks to counts via popcount -- vectors are never unpacked.  Masked
-    universes (the divider's zero-divisor exclusion) apply the
-    architecture's valid-lane words before counting.
+    then streams the architecture's operand universe (``arch.space``)
+    through the fault-group matrix chunk by chunk
+    (:func:`~repro.gates.engine.sweep_chunks`), reducing packed
+    classification masks to counts via popcount -- vectors are never
+    unpacked.  Masked universes (the divider's zero-divisor exclusion)
+    apply the space's valid-lane words before counting.
     """
     arch = table2_architecture(operator, width, cell_netlist)
+    space = arch.space
     engine = engine_for(arch.netlist, backend)
     names = _SPECS[operator].names
     rep_cases = [
@@ -533,8 +528,7 @@ def _gate_case_counts(
         for group in collapsed_cell_library(cell_netlist)
         for position in arch.positions
     ][case_lo:case_hi]
-    n_words = arch.n_words
-    n_valid = arch.valid_count(0, n_words)
+    n_valid = space.valid_count(0, space.n_words)
     results: List[Optional[_CaseCounts]] = [None] * len(rep_cases)
     sim_indices: List[int] = []
     fault_groups = []
@@ -553,15 +547,9 @@ def _gate_case_counts(
     detect_names = list(arch.detect_rows)
     # correct, then (covered, detected-while-correct) per technique.
     tallies = np.zeros((len(sim_indices), 1 + 2 * len(names)), dtype=np.int64)
-    fault_chunk = GATE_FAULT_CHUNK
-    row_cells = engine.compiled.n_nets * (min(fault_chunk, max(1, len(fault_groups))) + 1)
-    word_chunk = matrix_word_chunk(row_cells, GATE_WORD_CHUNK)
-    for chunk_lo in range(0, n_words, word_chunk):
-        chunk_hi = min(chunk_lo + word_chunk, n_words)
-        rows = arch.input_rows(chunk_lo, chunk_hi)
-        valid = arch.valid_words(chunk_lo, chunk_hi, rows=rows)
-        for lo in range(0, len(fault_groups), fault_chunk):
-            hi = min(lo + fault_chunk, len(fault_groups))
+    for _, _, rows, valid in sweep_chunks(engine, len(fault_groups), space):
+        for lo in range(0, len(fault_groups), SWEEP_FAULT_CHUNK):
+            hi = min(lo + SWEEP_FAULT_CHUNK, len(fault_groups))
             out = engine.run_fault_groups(rows, fault_groups[lo:hi])
             ris = out[:n_result, :-1, :]
             golden = out[:n_result, -1:, :]
@@ -623,7 +611,7 @@ def _run_gate(
         )
     return _run_cases(
         operator, width, _gate_case_counts, (operator, width, cell_netlist, backend),
-        n_cases, n_cases * arch.n_vectors, workers, True, "gate", key, store,
+        n_cases, n_cases * arch.space.n_vectors, workers, True, "gate", key, store,
     )
 
 

@@ -8,8 +8,9 @@ with ``num_faults_1bit = 32`` -- every faulty cell behaviour, at every
 chain position, for every operand pair.  The formula matches the printed
 Table 2 rows for n = 1, 2, 3 (128, 1024, 6144); the paper's n = 4 row
 (7808) and n >= 8 rows deviate from its own formula (evidently sampled or
-pruned), which EXPERIMENTS.md discusses.  This module implements the
-formula itself, plus the analogous counts for the other units.
+pruned), so the exact evaluators report the formula's counts instead.
+This module implements the formula itself, plus the analogous counts
+for the other units.
 """
 
 from __future__ import annotations

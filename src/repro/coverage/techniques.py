@@ -21,7 +21,8 @@ technique does.  The *check* operation of add/sub/mul runs through the
 worst case); the final comparison/summation is assumed fault-free (it
 maps to a comparator, not the unit under analysis).
 
-Reconstruction note (documented in EXPERIMENTS.md): in fixed-width
+Reconstruction note (the divider architecture of
+``docs/architecture.md`` section 6 builds the same checks): in fixed-width
 modular arithmetic the two division checks printed in Table 1 are
 algebraically identical, so this library differentiates Tech 2 by the
 remainder range check that the paper's "precision of the inverse

@@ -107,9 +107,11 @@ def full_adder_xor3(name: str = "fa3") -> Netlist:
     have fanout one (1 site each) and the outputs ``s``/``cout`` add one
     each -- 16 sites, i.e. the 32 single stuck-at faults of the paper.
     This netlist is the repository default for coverage experiments: its
-    fault universe reproduces the paper's Table 2 shape most closely
-    (see EXPERIMENTS.md for the calibration study against the five-gate
-    variant :func:`full_adder`).
+    fault universe reproduces the paper's Table 2 shape most closely.
+    The five-gate variant :func:`full_adder` exposes an internal
+    propagate net, which makes compensating (undetectable) errors more
+    frequent; it is kept as the ``two_xor`` cell for the sensitivity
+    ablation (:mod:`repro.arch.cell`).
     """
     nl = Netlist(name)
     nl.add_input("a")
@@ -537,7 +539,8 @@ def restoring_divider(width: int, name: str = "rdiv") -> Netlist:
     :class:`~repro.arch.divider.RestoringDividerUnit` for ``b != 0``;
     the functional unit raises on a zero divisor while the netlist
     yields don't-care values, so sweeps must mask those vectors out
-    (see :func:`repro.gates.engine.exhaustive_field_mask`).
+    (a :class:`~repro.gates.engine.TestSpace` with the divisor field as
+    its ``nonzero_field``).
     """
     if width < 1:
         raise NetlistError(f"divider width must be >= 1, got {width}")

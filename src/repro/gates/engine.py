@@ -27,9 +27,13 @@ Three levels of service:
   functional unit (:mod:`repro.arch.testbench`).
 
 Streaming wide sweeps: :func:`exhaustive_word_range` materialises any
-word slice of an arbitrarily wide exhaustive vector set, and
-:func:`popcount_words` reduces packed classification masks to exact
-vector counts, so coverage campaigns run in O(chunk) memory.
+word slice of an arbitrarily wide exhaustive vector set, a
+:class:`TestSpace` pins constant inputs and masks out excluded vectors
+(the divider's zero divisors), :func:`sweep_chunks` streams such a
+universe -- or an explicit packed test table -- in budget-clamped word
+chunks, and :func:`popcount_words` reduces packed classification masks
+to exact vector counts, so coverage sweeps, fault dictionaries and
+ATPG run in O(chunk) memory.
 
 Fault semantics match the reference interpreter
 (:class:`repro.gates.simulate.ReferenceSimulator`): a *stem* fault
@@ -47,15 +51,18 @@ bit-identical on every path.
 The fault-matrix memory budget (:func:`resolve_matrix_budget`) and
 its word-chunk clamp (:func:`matrix_word_chunk`) live here too, shared
 by every streaming consumer of the fault matrix.  Chunk sizes are
-module constants, not options: they never change a count or a verdict
-(only the order in which ATPG records its tests, see
-:mod:`repro.tpg.generate`).
+module constants, not options -- one pair for campaigns
+(``CAMPAIGN_*``), one for word-range sweeps (``SWEEP_*``): they never
+change a count or a verdict (only the order in which ATPG records its
+tests, see :mod:`repro.tpg.generate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -148,6 +155,28 @@ class PackedVectors:
         n = min(self.n_vectors - lo * LANES, (hi - lo) * LANES)
         return PackedVectors(self.words[:, lo:hi], n)
 
+    # The sweep-source interface of :func:`sweep_chunks`, shared with
+    # :class:`TestSpace`.
+    def input_rows(self, word_lo: int, word_hi: int) -> np.ndarray:
+        return self.words[:, word_lo:word_hi]
+
+    def valid_words(self, word_lo: int, word_hi: int, rows=None) -> Optional[np.ndarray]:
+        return _tail_words(self.n_vectors, self.n_words, word_lo, word_hi)
+
+
+def _tail_words(
+    n_vectors: int, n_words: int, word_lo: int, word_hi: int
+) -> Optional[np.ndarray]:
+    """Valid-lane masks of words ``[word_lo, word_hi)`` of an
+    ``n_words``-word sweep over ``n_vectors`` vectors: ``None`` unless
+    the range ends in a partially filled final word."""
+    rem = n_vectors % LANES
+    if not rem or word_hi != n_words or word_hi == word_lo:
+        return None
+    masks = np.full(word_hi - word_lo, ALL_ONES, dtype=np.uint64)
+    masks[-1] = np.uint64((1 << rem) - 1)
+    return masks
+
 
 def exhaustive_words(n_inputs: int) -> PackedVectors:
     """All ``2**n_inputs`` combinations, packed, without materialising
@@ -201,30 +230,6 @@ def exhaustive_word_range(n_inputs: int, word_lo: int, word_hi: int) -> np.ndarr
     return rows
 
 
-def exhaustive_field_mask(
-    n_inputs: int, field_lo: int, field_hi: int, word_lo: int, word_hi: int
-) -> np.ndarray:
-    """Valid-lane masks excluding vectors whose ``[field_lo, field_hi)``
-    bits are all zero.
-
-    Returns one uint64 per word of ``[word_lo, word_hi)`` in the
-    exhaustive sweep of ``n_inputs`` (conventions as
-    :func:`exhaustive_word_range`): lane ``v % 64`` of word ``v // 64``
-    is set iff vector ``v`` assigns a non-zero value to the input field.
-    This is how masked operand sweeps restrict an exhaustive universe --
-    e.g. the divider's Table 2 architecture drives ``b = v >> width``
-    through inputs ``[width, 2*width)`` and must exclude zero divisors.
-    The mask is simply the OR of the field's input rows, so it composes
-    with :attr:`PackedVectors.tail_mask` for sub-word sweeps.
-    """
-    if not (0 <= field_lo < field_hi <= n_inputs):
-        raise SimulationError(
-            f"field [{field_lo}, {field_hi}) outside the {n_inputs} sweep inputs"
-        )
-    rows = exhaustive_word_range(n_inputs, word_lo, word_hi)[field_lo:field_hi]
-    return np.bitwise_or.reduce(rows, axis=0)
-
-
 # 8-bit popcount lookup, the fallback when NumPy lacks ``bitwise_count``
 # (added in NumPy 2.0).
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -272,6 +277,178 @@ def first_hits(
     return list(zip(hit_rows.tolist(), vectors.tolist()))
 
 
+@dataclass(frozen=True)
+class TestSpace:
+    """A (possibly constrained) exhaustive vector universe over a
+    netlist's inputs -- the one description of every swept universe.
+
+    ``free_inputs`` sweep -- vector ``v`` assigns bit ``k`` of ``v`` to
+    the ``k``-th free input, matching :func:`exhaustive_word_range` --
+    while ``constants`` pins the remaining primary inputs to 0/1 (a test
+    architecture's constant rails).  ``nonzero_field`` names a
+    ``[lo, hi)`` range of *free-input indices* whose bits must not all
+    be zero (the divider's ``b != 0``); vectors violating it are masked
+    out of every sweep and every random phase.  The Table 2
+    architectures (:attr:`repro.arch.testbench._Table2ArchitectureBase.space`),
+    the per-unit ATPG universes and the fault dictionaries all stream
+    their sweeps from one of these through :func:`sweep_chunks`.
+    """
+
+    netlist: Netlist
+    free_inputs: Tuple[str, ...]
+    constants: Tuple[Tuple[str, int], ...] = ()
+    nonzero_field: Optional[Tuple[int, int]] = None
+
+    # Not a pytest class, despite the domain-appropriate Test* name.
+    __test__ = False
+
+    def __post_init__(self) -> None:
+        const = dict(self.constants)
+        free_index = {name: k for k, name in enumerate(self.free_inputs)}
+        if len(free_index) != len(self.free_inputs):
+            raise SimulationError("duplicate free inputs in test space")
+        plan: List[Tuple[bool, int]] = []  # (is_free, free index or constant)
+        free_seen = 0
+        for name in self.netlist.primary_inputs:
+            if name in free_index:
+                if free_index[name] != free_seen:
+                    raise SimulationError(
+                        "free inputs must follow the netlist's input order"
+                    )
+                plan.append((True, free_seen))
+                free_seen += 1
+            elif name in const:
+                value = const.pop(name)
+                if value not in (0, 1):
+                    raise SimulationError(
+                        f"constant input {name!r} must be 0 or 1, got {value!r}"
+                    )
+                plan.append((False, value))
+            else:
+                raise SimulationError(
+                    f"primary input {name!r} is neither swept nor pinned"
+                )
+        if free_seen != len(self.free_inputs) or const:
+            extra = sorted(set(list(free_index)[free_seen:]) | set(const))
+            raise SimulationError(
+                f"test space names unknown inputs: {extra}"
+            )
+        if self.nonzero_field is not None:
+            lo, hi = self.nonzero_field
+            if not (0 <= lo < hi <= len(self.free_inputs)):
+                raise SimulationError(
+                    f"nonzero field [{lo}, {hi}) outside the "
+                    f"{len(self.free_inputs)} free inputs"
+                )
+        object.__setattr__(self, "_plan", tuple(plan))
+
+    @classmethod
+    def full(cls, netlist: Netlist) -> "TestSpace":
+        """The unconstrained exhaustive universe over every input."""
+        return cls(netlist, tuple(netlist.primary_inputs))
+
+    # ------------------------------------------------------------------
+    @property
+    def n_free(self) -> int:
+        return len(self.free_inputs)
+
+    @property
+    def n_vectors(self) -> int:
+        """Raw universe size, ``2**n_free`` (masked lanes included)."""
+        return 1 << self.n_free
+
+    @property
+    def n_words(self) -> int:
+        """Packed words spanning the sweep."""
+        return max(1, self.n_vectors >> 6)
+
+    def _expand(self, free_rows: np.ndarray) -> np.ndarray:
+        """Free-input word rows -> all-input word rows (constants filled)."""
+        rows = np.empty(
+            (len(self.netlist.primary_inputs), free_rows.shape[1]), dtype=np.uint64
+        )
+        for i, (is_free, value) in enumerate(self._plan):
+            if is_free:
+                rows[i] = free_rows[value]
+            else:
+                rows[i] = ALL_ONES if value else np.uint64(0)
+        return rows
+
+    def input_rows(self, word_lo: int, word_hi: int) -> np.ndarray:
+        """Packed exhaustive sweep words ``[word_lo, word_hi)``, one row
+        per primary input in netlist order."""
+        if self.n_free > MAX_EXHAUSTIVE_INPUTS:
+            raise SimulationError(
+                f"exhaustive sweep over {self.n_free} free inputs is too large"
+            )
+        return self._expand(exhaustive_word_range(self.n_free, word_lo, word_hi))
+
+    def _nonzero_mask(self, rows: np.ndarray) -> Optional[np.ndarray]:
+        """OR of the non-zero field's rows: the lanes whose field is set."""
+        if self.nonzero_field is None:
+            return None
+        lo, hi = self.nonzero_field
+        field_rows = [
+            rows[i]
+            for i, (is_free, value) in enumerate(self._plan)
+            if is_free and lo <= value < hi
+        ]
+        return np.bitwise_or.reduce(np.stack(field_rows), axis=0)
+
+    def valid_words(
+        self, word_lo: int, word_hi: int, rows: Optional[np.ndarray] = None
+    ) -> Optional[np.ndarray]:
+        """Valid-lane masks for sweep words ``[word_lo, word_hi)``.
+
+        ``None`` means every lane is a real vector.  Callers already
+        holding the range's :meth:`input_rows` pass it as ``rows`` so the
+        non-zero-field mask derives from it instead of regenerating the
+        sweep.
+        """
+        tail = _tail_words(self.n_vectors, self.n_words, word_lo, word_hi)
+        if self.nonzero_field is None:
+            return tail
+        if rows is None:
+            rows = self.input_rows(word_lo, word_hi)
+        masks = self._nonzero_mask(rows)
+        return masks if tail is None else masks & tail
+
+    def valid_count(self, word_lo: int, word_hi: int) -> int:
+        """Number of real vectors in sweep words ``[word_lo, word_hi)``."""
+        masks = self.valid_words(word_lo, word_hi)
+        if masks is None:
+            return (word_hi - word_lo) * LANES
+        return int(popcount_words(masks))
+
+    def random_rows(
+        self, rng: np.random.Generator, n_words: int
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``n_words * 64`` random vectors as packed input rows plus the
+        valid-lane masks (``None`` when unconstrained)."""
+        free = rng.integers(
+            0,
+            np.iinfo(np.uint64).max,
+            size=(self.n_free, n_words),
+            dtype=np.uint64,
+            endpoint=True,
+        )
+        rows = self._expand(free)
+        return rows, self._nonzero_mask(rows)
+
+    # ------------------------------------------------------------------
+    def bits_from_indices(self, indices: Sequence[int]) -> np.ndarray:
+        """Input bit table ``(len(indices), n_inputs)`` for universe
+        vectors, in netlist input order (constants filled in)."""
+        idx = np.asarray(list(indices), dtype=np.uint64)
+        bits = np.empty((idx.shape[0], len(self.netlist.primary_inputs)), dtype=np.uint8)
+        for i, (is_free, value) in enumerate(self._plan):
+            if is_free:
+                bits[:, i] = ((idx >> np.uint64(value)) & np.uint64(1)).astype(np.uint8)
+            else:
+                bits[:, i] = value
+        return bits
+
+
 #: Bounds of the auto-sized fault-matrix working-set budget (bytes).
 #: The budget caps ``n_nets * (fault_chunk + 1) * word_chunk`` uint64
 #: cells per evaluation chunk; the bounds trade worker memory against
@@ -311,6 +488,40 @@ def matrix_word_chunk(row_cells: int, word_chunk: int) -> int:
     """Clamp ``word_chunk`` to the netlist's auto-sized matrix budget."""
     budget = resolve_matrix_budget(row_cells)
     return max(8, min(max(1, word_chunk), budget // (8 * max(1, row_cells))))
+
+
+#: Chunk geometry of every word-range sweep -- the Table 1/2 gate
+#: sweeps, fault dictionaries and the ATPG residue sweep: vector words
+#: per chunk (clamped by :func:`matrix_word_chunk`) and fault groups per
+#: fault-matrix call.  Chunking never changes a count or a dictionary
+#: bit; it fixes the order in which ATPG records its tests, so the ATPG
+#: store key hashes both.
+SWEEP_WORD_CHUNK = 256
+SWEEP_FAULT_CHUNK = 64
+
+#: A sweep source: a :class:`TestSpace` (rows built per chunk) or an
+#: explicit :class:`PackedVectors` table.
+SweepSource = Union[TestSpace, PackedVectors]
+
+
+def sweep_chunks(
+    engine: "BitParallelEngine", n_groups: int, source: SweepSource
+) -> Iterator[Tuple[int, int, np.ndarray, Optional[np.ndarray]]]:
+    """Stream ``source`` in word chunks as ``(lo, hi, rows, valid)``.
+
+    ``rows`` are the packed input words ``[lo, hi)`` and ``valid`` their
+    valid-lane masks (``None`` when every lane is real).  The chunk is
+    :data:`SWEEP_WORD_CHUNK` clamped to ``engine``'s matrix budget for
+    ``n_groups`` fault groups, at most :data:`SWEEP_FAULT_CHUNK` per
+    call, plus the golden row.
+    """
+    row_cells = engine.compiled.n_nets * (min(SWEEP_FAULT_CHUNK, max(1, n_groups)) + 1)
+    step = matrix_word_chunk(row_cells, SWEEP_WORD_CHUNK)
+    n_words = source.n_words
+    for lo in range(0, n_words, step):
+        hi = min(lo + step, n_words)
+        rows = source.input_rows(lo, hi)
+        yield lo, hi, rows, source.valid_words(lo, hi, rows=rows)
 
 
 @dataclass

@@ -44,6 +44,7 @@ import json
 import os
 import threading
 import time
+import warnings
 from collections import deque
 from typing import Any, Deque, Dict, List, Mapping, Optional
 
@@ -84,17 +85,21 @@ def _json_default(value: Any) -> Any:
 
 
 class _FileSink:
-    """Appends JSON lines to one path with fork-safe fd handling."""
+    """Appends JSON lines to one path with fork-safe fd handling.
+
+    A path that cannot be opened warns once and is not retried.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._fd: Optional[int] = None
         self._path: Optional[str] = None
         self._pid: Optional[int] = None
+        self._failed: Optional[str] = None
 
     def write(self, record: Dict[str, Any]) -> None:
         path = os.environ.get(TRACE_ENV, "").strip()
-        if not path:
+        if not path or path == self._failed:
             return
         line = json.dumps(record, default=_json_default) + "\n"
         with self._lock:
@@ -107,8 +112,10 @@ class _FileSink:
                         pass
                 try:
                     self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-                except OSError:
+                except OSError as exc:
                     self._fd = None
+                    self._failed = path
+                    warnings.warn(f"cannot trace to {TRACE_ENV}={path!r}: {exc}", stacklevel=2)
                     return
                 self._path = path
                 self._pid = pid
@@ -127,6 +134,7 @@ class _FileSink:
             self._fd = None
             self._path = None
             self._pid = None
+            self._failed = None
 
 
 _SINK = _FileSink()

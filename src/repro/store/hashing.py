@@ -129,7 +129,7 @@ def digest_faults(faults: Sequence) -> str:
 
 
 def digest_test_space(space) -> str:
-    """Digest of a :class:`~repro.tpg.dictionary.TestSpace`: the
+    """Digest of a :class:`~repro.gates.engine.TestSpace`: the
     netlist it constrains plus the free/pinned/non-zero structure."""
     return digest_params(
         netlist=digest_netlist(space.netlist),

@@ -6,7 +6,8 @@ detectable; this package answers *which vectors to apply*:
 
 * :mod:`repro.tpg.dictionary` -- fault x vector detection bitsets
   (:class:`FaultDictionary`), built by the batched engine over
-  constrained vector universes (:class:`TestSpace`), persistable to
+  constrained vector universes (:class:`TestSpace`, defined in
+  :mod:`repro.gates.engine` and re-exported here), persistable to
   ``.npz``;
 * :mod:`repro.tpg.compaction` -- greedy set-cover and reverse-order
   compaction yielding minimal test sets with per-vector marginal
@@ -25,6 +26,7 @@ campaign engine reproduces its dictionary's claimed per-fault detection
 bit for bit (``tests/test_tpg.py``).
 """
 
+from repro.gates.engine import TestSpace
 from repro.tpg.compaction import (
     CompactTestSet,
     GreedyCover,
@@ -34,7 +36,6 @@ from repro.tpg.compaction import (
 )
 from repro.tpg.dictionary import (
     FaultDictionary,
-    TestSpace,
     build_fault_dictionary,
     dictionary_for_vectors,
     inputs_from_bits,
@@ -54,7 +55,6 @@ from repro.tpg.generate import (
     UNIT_OPERATORS,
     compact_test_set,
     generate_tests,
-    table2_space,
     unit_netlist,
     unit_space,
     unit_test_set,
@@ -99,7 +99,6 @@ __all__ = [
     "render_tpg_report",
     "replay_detected",
     "reverse_compact",
-    "table2_space",
     "tpg_unit_results",
     "unit_netlist",
     "unit_space",

@@ -17,12 +17,14 @@ dictionary rows.  Builds run in the calling process; ``save``/``load``
 round-trip through ``.npz`` and the result store memoises them, so
 expensive dictionaries persist.
 
-Constrained universes are described by a :class:`TestSpace`: some
-primary inputs sweep (the operand bits), some are pinned constants (a
-test architecture's ``zero``/``one`` rails), and a field of the swept
-inputs may be required non-zero (the divider's divisor) -- the same
-masked-operand machinery the Table 2 sweeps use
-(:func:`repro.gates.engine.exhaustive_field_mask`).
+Constrained universes are described by a
+:class:`~repro.gates.engine.TestSpace`: some primary inputs sweep (the
+operand bits), some are pinned constants (a test architecture's
+``zero``/``one`` rails), and a field of the swept inputs may be required
+non-zero (the divider's divisor).  It is the same object a Table 2
+architecture carries as ``arch.space``, and the dictionary kernel
+streams it -- or an explicit test table -- through the same chunk
+iterator as the Table sweeps (:func:`repro.gates.engine.sweep_chunks`).
 """
 
 from __future__ import annotations
@@ -35,14 +37,15 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.gates.backends import resolve_backend_name
 from repro.gates.engine import (
-    ALL_ONES,
     LANES,
-    MAX_EXHAUSTIVE_INPUTS,
+    SWEEP_FAULT_CHUNK,
+    PackedVectors,
+    SweepSource,
+    TestSpace,
     engine_for,
-    exhaustive_word_range,
-    matrix_word_chunk,
     pack_bits,
     popcount_words,
+    sweep_chunks,
 )
 from repro.gates.faults import (
     FaultSite,
@@ -63,195 +66,6 @@ from repro.store import (
     digest_vector_table,
     resolve_store,
 )
-
-#: Streaming chunk sizes of the dictionary builder: vectors move through
-#: the fault matrix ``DICT_WORD_CHUNK`` words (x64 vectors) at a time,
-#: equivalence-class representatives ``DICT_FAULT_CHUNK`` rows at a time
-#: (the word chunk clamped to the netlist's matrix budget,
-#: :func:`repro.gates.engine.matrix_word_chunk`).  Chunking never
-#: changes a dictionary bit.
-DICT_WORD_CHUNK = 256
-DICT_FAULT_CHUNK = 64
-
-
-@dataclass(frozen=True)
-class TestSpace:
-    """A (possibly constrained) vector universe over a netlist's inputs.
-
-    ``free_inputs`` sweep -- vector ``v`` assigns bit ``k`` of ``v`` to
-    the ``k``-th free input, matching :func:`exhaustive_word_range` --
-    while ``constants`` pins the remaining primary inputs to 0/1 (a test
-    architecture's constant rails).  ``nonzero_field`` names a
-    ``[lo, hi)`` range of *free-input indices* whose bits must not all
-    be zero (the divider's ``b != 0``); vectors violating it are masked
-    out of every sweep and every random phase.
-    """
-
-    netlist: Netlist
-    free_inputs: Tuple[str, ...]
-    constants: Tuple[Tuple[str, int], ...] = ()
-    nonzero_field: Optional[Tuple[int, int]] = None
-
-    # Not a pytest class, despite the domain-appropriate Test* name.
-    __test__ = False
-
-    def __post_init__(self) -> None:
-        const = dict(self.constants)
-        free_index = {name: k for k, name in enumerate(self.free_inputs)}
-        if len(free_index) != len(self.free_inputs):
-            raise SimulationError("duplicate free inputs in test space")
-        plan: List[Tuple[bool, int]] = []  # (is_free, free index or constant)
-        free_seen = 0
-        for name in self.netlist.primary_inputs:
-            if name in free_index:
-                if free_index[name] != free_seen:
-                    raise SimulationError(
-                        "free inputs must follow the netlist's input order"
-                    )
-                plan.append((True, free_seen))
-                free_seen += 1
-            elif name in const:
-                value = const.pop(name)
-                if value not in (0, 1):
-                    raise SimulationError(
-                        f"constant input {name!r} must be 0 or 1, got {value!r}"
-                    )
-                plan.append((False, value))
-            else:
-                raise SimulationError(
-                    f"primary input {name!r} is neither swept nor pinned"
-                )
-        if free_seen != len(self.free_inputs) or const:
-            extra = sorted(set(list(free_index)[free_seen:]) | set(const))
-            raise SimulationError(
-                f"test space names unknown inputs: {extra}"
-            )
-        if self.nonzero_field is not None:
-            lo, hi = self.nonzero_field
-            if not (0 <= lo < hi <= len(self.free_inputs)):
-                raise SimulationError(
-                    f"nonzero field [{lo}, {hi}) outside the "
-                    f"{len(self.free_inputs)} free inputs"
-                )
-        object.__setattr__(self, "_plan", tuple(plan))
-
-    @classmethod
-    def full(cls, netlist: Netlist) -> "TestSpace":
-        """The unconstrained exhaustive universe over every input."""
-        return cls(netlist, tuple(netlist.primary_inputs))
-
-    # ------------------------------------------------------------------
-    @property
-    def n_free(self) -> int:
-        return len(self.free_inputs)
-
-    @property
-    def n_vectors(self) -> int:
-        """Raw universe size, ``2**n_free`` (masked lanes included)."""
-        return 1 << self.n_free
-
-    @property
-    def n_words(self) -> int:
-        return max(1, self.n_vectors >> 6)
-
-    @property
-    def tail_mask(self) -> np.uint64:
-        if self.n_vectors >= LANES:
-            return ALL_ONES
-        return np.uint64((1 << self.n_vectors) - 1)
-
-    def _expand(self, free_rows: np.ndarray) -> np.ndarray:
-        """Free-input word rows -> all-input word rows (constants filled)."""
-        rows = np.empty(
-            (len(self.netlist.primary_inputs), free_rows.shape[1]), dtype=np.uint64
-        )
-        for i, (is_free, value) in enumerate(self._plan):
-            if is_free:
-                rows[i] = free_rows[value]
-            else:
-                rows[i] = ALL_ONES if value else np.uint64(0)
-        return rows
-
-    def input_rows(self, word_lo: int, word_hi: int) -> np.ndarray:
-        """Packed exhaustive sweep words ``[word_lo, word_hi)``, one row
-        per primary input in netlist order."""
-        if self.n_free > MAX_EXHAUSTIVE_INPUTS:
-            raise SimulationError(
-                f"exhaustive sweep over {self.n_free} free inputs is too large"
-            )
-        return self._expand(exhaustive_word_range(self.n_free, word_lo, word_hi))
-
-    def _nonzero_mask(self, rows: np.ndarray) -> Optional[np.ndarray]:
-        if self.nonzero_field is None:
-            return None
-        lo, hi = self.nonzero_field
-        field_rows = [
-            rows[i]
-            for i, (is_free, value) in enumerate(self._plan)
-            if is_free and lo <= value < hi
-        ]
-        return np.bitwise_or.reduce(np.stack(field_rows), axis=0)
-
-    def valid_words(
-        self, word_lo: int, word_hi: int, rows: Optional[np.ndarray] = None
-    ) -> Optional[np.ndarray]:
-        """Valid-lane masks for sweep words ``[word_lo, word_hi)``.
-
-        ``None`` means every lane is a real vector.  Callers already
-        holding the range's :meth:`input_rows` pass it as ``rows`` so the
-        non-zero-field mask derives from it instead of regenerating the
-        sweep.
-        """
-        tail = self.tail_mask
-        tail_hit = tail != ALL_ONES and word_hi == self.n_words
-        if self.nonzero_field is None and not tail_hit:
-            return None
-        if rows is None:
-            rows = self.input_rows(word_lo, word_hi)
-        masks = self._nonzero_mask(rows)
-        if masks is None:
-            masks = np.full(word_hi - word_lo, ALL_ONES, dtype=np.uint64)
-        else:
-            masks = masks.copy()
-        if tail_hit and masks.size:
-            masks[-1] &= tail
-        return masks
-
-    def valid_count(self, word_lo: int, word_hi: int) -> int:
-        """Number of real vectors in sweep words ``[word_lo, word_hi)``."""
-        masks = self.valid_words(word_lo, word_hi)
-        if masks is None:
-            return (word_hi - word_lo) * LANES
-        return int(popcount_words(masks))
-
-    def random_rows(
-        self, rng: np.random.Generator, n_words: int
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """``n_words * 64`` random vectors as packed input rows plus the
-        valid-lane masks (``None`` when unconstrained)."""
-        free = rng.integers(
-            0,
-            np.iinfo(np.uint64).max,
-            size=(self.n_free, n_words),
-            dtype=np.uint64,
-            endpoint=True,
-        )
-        rows = self._expand(free)
-        return rows, self._nonzero_mask(rows)
-
-    # ------------------------------------------------------------------
-    def bits_from_indices(self, indices: Sequence[int]) -> np.ndarray:
-        """Input bit table ``(len(indices), n_inputs)`` for universe
-        vectors, in netlist input order (constants filled in)."""
-        idx = np.asarray(list(indices), dtype=np.uint64)
-        bits = np.empty((idx.shape[0], len(self.netlist.primary_inputs)), dtype=np.uint8)
-        for i, (is_free, value) in enumerate(self._plan):
-            if is_free:
-                bits[:, i] = ((idx >> np.uint64(value)) & np.uint64(1)).astype(np.uint8)
-            else:
-                bits[:, i] = value
-        return bits
-
 
 def inputs_from_bits(netlist: Netlist, bits: np.ndarray) -> Dict[str, np.ndarray]:
     """Per-input 0/1 vector arrays for an explicit test table.
@@ -453,65 +267,36 @@ def _resolve_universe(
     return fault_seq, groups
 
 
-def _detection_rows(
+def _dictionary_shard(
     netlist: Netlist,
     groups: Tuple[Tuple[int, ...], ...],
     fault_seq: Tuple[StuckAtFault, ...],
-    rows_of,
-    n_words: int,
-    word_lo: int,
+    source: SweepSource,
     backend: Optional[str] = None,
 ) -> np.ndarray:
-    """Core kernel: per-fault detection words over a packed word range.
+    """Core kernel: per-fault detection words over a whole sweep source.
 
-    ``rows_of(lo, hi)`` yields ``(input rows, valid masks)`` for sweep
-    words ``[lo, hi)`` relative to ``word_lo``; one representative per
-    equivalence class rides the fault matrix against the shared golden
-    row, and the per-vector output difference words are broadcast to the
-    whole class.
+    ``source`` is a :class:`TestSpace` or an explicit packed test table,
+    streamed by :func:`~repro.gates.engine.sweep_chunks`; one
+    representative per equivalence class rides the fault matrix against
+    the shared golden row, and the per-vector output difference words
+    (masked lanes cleared) are broadcast to the whole class.
     """
     engine = engine_for(netlist, backend)
     reps = [fault_seq[g[0]] for g in groups]
-    group_words = np.zeros((len(reps), n_words), dtype=np.uint64)
-    fault_chunk = DICT_FAULT_CHUNK
-    row_cells = engine.compiled.n_nets * (min(fault_chunk, max(1, len(reps))) + 1)
-    word_chunk = matrix_word_chunk(row_cells, DICT_WORD_CHUNK)
-    for lo in range(0, n_words, word_chunk):
-        hi = min(lo + word_chunk, n_words)
-        rows, valid = rows_of(word_lo + lo, word_lo + hi)
-        for flo in range(0, len(reps), fault_chunk):
-            fhi = min(flo + fault_chunk, len(reps))
+    group_words = np.zeros((len(reps), source.n_words), dtype=np.uint64)
+    for lo, hi, rows, valid in sweep_chunks(engine, len(reps), source):
+        for flo in range(0, len(reps), SWEEP_FAULT_CHUNK):
+            fhi = min(flo + SWEEP_FAULT_CHUNK, len(reps))
             diff = engine.detect_words(rows, reps[flo:fhi])
             if valid is not None:
                 diff &= valid
             group_words[flo:fhi, lo:hi] = diff
-    words = np.empty((len(fault_seq), n_words), dtype=np.uint64)
+    words = np.empty((len(fault_seq), source.n_words), dtype=np.uint64)
     for group, row in zip(groups, group_words):
         for fi in group:
             words[fi] = row
     return words
-
-
-def _dictionary_shard(
-    netlist: Netlist,
-    space: TestSpace,
-    faults: Optional[Tuple[StuckAtFault, ...]],
-    collapse: Union[bool, str],
-    word_lo: int,
-    word_hi: int,
-    backend: Optional[str] = None,
-) -> np.ndarray:
-    """Detection words for sweep words [word_lo, word_hi)."""
-    fault_seq, groups = _resolve_universe(netlist, faults, collapse)
-
-    def rows_of(lo: int, hi: int):
-        rows = space.input_rows(lo, hi)
-        return rows, space.valid_words(lo, hi, rows=rows)
-
-    return _detection_rows(
-        netlist, groups, fault_seq, rows_of,
-        word_hi - word_lo, word_lo, backend,
-    )
 
 
 def build_fault_dictionary(
@@ -571,9 +356,7 @@ def _build_fault_dictionary_impl(
         cached = store.get(key)
         if cached is not None:
             return cached
-    words = _dictionary_shard(
-        netlist, space, fault_tuple, collapse, 0, space.n_words, backend
-    )
+    words = _dictionary_shard(netlist, groups, fault_seq, space, backend)
     result = FaultDictionary(
         netlist_name=netlist.name,
         faults=fault_seq,
@@ -586,6 +369,28 @@ def _build_fault_dictionary_impl(
     if store is not None:
         store.put(key, result)
     return result
+
+
+def _test_table(netlist: Netlist, bits) -> np.ndarray:
+    """``bits`` as a validated ``(n_tests, n_inputs)`` uint8 0/1 table.
+
+    Both replay paths (:func:`dictionary_for_vectors` and
+    :func:`replay_detected`) run this first, so they accept and reject
+    the same tables.
+    """
+    table = np.asarray(bits)
+    n_inputs = len(netlist.primary_inputs)
+    if table.ndim != 2:
+        raise SimulationError(
+            f"test table must be 2-D (n_tests, {n_inputs}), got shape {table.shape}"
+        )
+    if table.shape[1] != n_inputs:
+        raise SimulationError(
+            f"test table has {table.shape[1]} input columns, netlist has {n_inputs}"
+        )
+    if not np.isin(table, (0, 1)).all():
+        raise SimulationError("test table holds non-binary values; entries must be 0 or 1")
+    return table.astype(np.uint8)
 
 
 def dictionary_for_vectors(
@@ -602,12 +407,13 @@ def dictionary_for_vectors(
     layout ATPG and compact test sets carry); the dictionary's vector
     ``t`` is row ``t`` of the table.  This is the *replay* primitive:
     building it for a compact set and comparing ``detected`` against the
-    set's claim is the end-to-end validation the tests pin down.
+    set's claim is the end-to-end validation the tests pin down.  A
+    table that is not 2-D, has the wrong column count or holds a value
+    other than 0/1 raises :class:`~repro.errors.SimulationError`.
     """
+    bits = _test_table(netlist, bits)
     fault_tuple = tuple(faults) if faults is not None else None
     fault_seq, groups = _resolve_universe(netlist, fault_tuple, collapse)
-    bits = np.asarray(bits, dtype=np.uint8)
-    n_tests = bits.shape[0]
     backend = resolve_backend_name(backend)
     store = resolve_store(store)
     key = None
@@ -624,43 +430,16 @@ def dictionary_for_vectors(
         cached = store.get(key)
         if cached is not None:
             return cached
-    if n_tests and bits.shape[1] != len(netlist.primary_inputs):
-        raise SimulationError(
-            f"test table has {bits.shape[1]} input columns, netlist has "
-            f"{len(netlist.primary_inputs)}"
-        )
-    if n_tests == 0:
-        return FaultDictionary(
-            netlist_name=netlist.name,
-            faults=fault_seq,
-            groups=groups,
-            words=np.zeros((len(fault_seq), 0), dtype=np.uint64),
-            n_vectors=0,
-            backend=backend,
-        )
-    packed = np.stack([pack_bits(bits[:, k]) for k in range(bits.shape[1])])
-    n_words = packed.shape[1]
-    rem = n_tests % LANES
-    tail = ALL_ONES if rem == 0 else np.uint64((1 << rem) - 1)
-
-    def rows_of(lo: int, hi: int):
-        rows = packed[:, lo:hi]
-        if tail != ALL_ONES and hi == n_words:
-            valid = np.full(hi - lo, ALL_ONES, dtype=np.uint64)
-            valid[-1] = tail
-            return rows, valid
-        return rows, None
-
-    words = _detection_rows(
-        netlist, groups, fault_seq, rows_of,
-        n_words, 0, backend,
+    packed = PackedVectors(
+        np.stack([pack_bits(column) for column in bits.T]), bits.shape[0]
     )
+    words = _dictionary_shard(netlist, groups, fault_seq, packed, backend)
     result = FaultDictionary(
         netlist_name=netlist.name,
         faults=fault_seq,
         groups=groups,
         words=words,
-        n_vectors=n_tests,
+        n_vectors=packed.n_vectors,
         backend=backend,
     )
     if store is not None:
@@ -685,7 +464,7 @@ def replay_detected(
     """
     from repro.faults.injector import run_sharded_stuck_at_campaign
 
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = _test_table(netlist, bits)
     fault_tuple = tuple(faults) if faults is not None else None
     if bits.shape[0] == 0:
         fault_seq, _ = _resolve_universe(netlist, fault_tuple, collapse)

@@ -12,9 +12,9 @@ fault matrix:
    new (random vectors saturate quickly -- the residue is the
    hard-fault tail).
 2. **Exhaustive word-range sweeps over the residue** -- the remaining
-   classes stream through the *whole* constrained universe
-   (:func:`repro.gates.engine.exhaustive_word_range` slices, masked
-   lanes excluded), so every detectable fault ends up with a test and
+   classes stream through the *whole* constrained universe in the
+   word chunks of :func:`repro.gates.engine.sweep_chunks` (masked lanes
+   excluded), so every detectable fault ends up with a test and
    everything still undetected is *proven* redundant within the space.
 
 The discovered test table is then re-simulated into a fault dictionary
@@ -44,10 +44,13 @@ from repro.gates.builders import (
 from repro.gates.engine import (
     LANES,
     MAX_EXHAUSTIVE_INPUTS,
+    SWEEP_FAULT_CHUNK,
+    SWEEP_WORD_CHUNK,
+    TestSpace,
     engine_for,
     first_hits,
-    matrix_word_chunk,
     popcount_words,
+    sweep_chunks,
 )
 from repro.gates.faults import StuckAtFault, resolve_collapse_mode
 from repro.gates.netlist import Netlist
@@ -63,7 +66,6 @@ from repro.store import (
 from repro.tpg.compaction import CompactTestSet, compact_from_dictionary, greedy_cover
 from repro.tpg.dictionary import (
     FaultDictionary,
-    TestSpace,
     _resolve_universe,
     build_fault_dictionary,
     dictionary_for_vectors,
@@ -72,14 +74,6 @@ from repro.tpg.dictionary import (
 #: Default ATPG seed (the DATE'05 conference date, like the coverage
 #: engine's sampling seed).
 TPG_SEED = 20050307
-
-#: Chunk geometry of both phases: classes per fault-matrix call and the
-#: phase-2 sweep's word chunk (clamped to the netlist's matrix budget,
-#: :func:`repro.gates.engine.matrix_word_chunk`).  The sweep records a
-#: residue class's test when its chunk reaches it, so the word chunk
-#: fixes the order of the discovered test table.
-TPG_WORD_CHUNK = 256
-TPG_FAULT_CHUNK = 64
 
 #: Words (x64 vectors) per random phase.
 PHASE_WORDS = 8
@@ -277,7 +271,6 @@ def _generate_tests_impl(
         targets = [
             g for _, g in sorted(zip(efforts.tolist(), targets), key=lambda p: (-p[0], p[1]))
         ]
-    fault_chunk = TPG_FAULT_CHUNK
     backend = resolve_backend_name(backend)
     store = resolve_store(store)
     cache_key = None
@@ -299,10 +292,11 @@ def _generate_tests_impl(
                 stale_phases=stale_phases,
                 collapse=mode,
                 order=order,
-                # The sweep chunk fixes the order of the test table
-                # (see TPG_WORD_CHUNK), so the geometry is part of the key.
-                word_chunk=TPG_WORD_CHUNK,
-                fault_chunk=TPG_FAULT_CHUNK,
+                # Phase 2 records a residue class's test when its chunk
+                # reaches it, so the sweep geometry fixes the order of
+                # the test table and is part of the key.
+                word_chunk=SWEEP_WORD_CHUNK,
+                fault_chunk=SWEEP_FAULT_CHUNK,
             ),
         )
         cached = store.get(cache_key)
@@ -337,8 +331,8 @@ def _generate_tests_impl(
             how many classes the batch newly detected."""
             newly = 0
             batch = list(active)
-            for lo in range(0, len(batch), fault_chunk):
-                block = batch[lo : lo + fault_chunk]
+            for lo in range(0, len(batch), SWEEP_FAULT_CHUNK):
+                block = batch[lo : lo + SWEEP_FAULT_CHUNK]
                 diff = engine.detect_words(rows, [reps[g] for g in block])
                 if valid is not None:
                     diff &= valid
@@ -360,20 +354,13 @@ def _generate_tests_impl(
         # Phase 2: exhaustive word-range sweep over the residue.
         exhausted = space.n_free <= MAX_EXHAUSTIVE_INPUTS
         if active and exhausted:
-            row_cells = engine.compiled.n_nets * (
-                min(fault_chunk, max(1, len(active))) + 1
-            )
-            sweep_chunk = matrix_word_chunk(row_cells, TPG_WORD_CHUNK)
-            for lo in range(0, space.n_words, sweep_chunk):
-                if not active:
-                    break
-                hi = min(lo + sweep_chunk, space.n_words)
-                rows = space.input_rows(lo, hi)
-                valid = space.valid_words(lo, hi, rows=rows)
+            for lo, hi, rows, valid in sweep_chunks(engine, len(active), space):
                 vectors_tried += (
                     (hi - lo) * LANES if valid is None else int(popcount_words(valid))
                 )
                 run_round(rows, valid)
+                if not active:
+                    break
 
         table = (
             np.stack(tests)
@@ -523,14 +510,3 @@ def unit_test_set(
         store=store,
     )
 
-
-def table2_space(arch) -> TestSpace:
-    """TPG universe of a Table 2 test architecture.
-
-    Operand bits sweep, the ``zero``/``one`` rails are pinned, and the
-    divider architecture's divisor field is required non-zero -- i.e.
-    the same operand universe its coverage sweep classifies.  Delegates
-    to :meth:`repro.arch.testbench._Table2ArchitectureBase.test_space`,
-    the single definition of that universe.
-    """
-    return arch.test_space()

@@ -34,7 +34,7 @@ from repro.gates.engine import (
 from repro.gates.faults import default_fault_universe
 from repro.faults.injector import run_sharded_stuck_at_campaign
 from repro.tpg.dictionary import FaultDictionary, build_fault_dictionary
-from repro.tpg.generate import table2_space, unit_netlist, unit_space
+from repro.tpg.generate import unit_netlist, unit_space
 from repro.arch.testbench import table2_architecture
 
 ALL_BACKENDS = list_backends()
@@ -203,7 +203,7 @@ class TestFaultGroupEquivalence:
     @pytest.mark.parametrize("operator", UNITS)
     def test_table2_architecture_matrices(self, operator):
         arch = table2_architecture(operator, 3, "xor3_majority")
-        space = table2_space(arch)
+        space = arch.space
         rows = space.input_rows(0, space.n_words)
         # A handful of multi-site fault groups spanning the replicas.
         from repro.arch.cell import collapsed_cell_library
@@ -615,7 +615,7 @@ class TestStoreDifferential:
         from repro.store import ResultStore
 
         arch = table2_architecture("add", 3)
-        netlist, space = arch.netlist, table2_space(arch)
+        netlist, space = arch.netlist, arch.space
         store = ResultStore(tmp_path)
         cold = build_fault_dictionary(netlist, space=space, store=store)
         store.clear_lru()  # force the warm run through the filesystem

@@ -42,13 +42,14 @@ def test_env_knob_census():
 
 def test_chunk_constants():
     assert (gate_engine.CAMPAIGN_WORD_CHUNK, gate_engine.CAMPAIGN_FAULT_CHUNK) == (512, 64)
-    for module, prefix in (
-        (coverage_engine, "GATE"),
-        (tpg_dictionary, "DICT"),
-        (tpg_generate, "TPG"),
-    ):
-        geometry = (
-            getattr(module, f"{prefix}_WORD_CHUNK"),
-            getattr(module, f"{prefix}_FAULT_CHUNK"),
-        )
-        assert geometry == (256, 64), module.__name__
+    # One pair for every word-range sweep: the Table sweeps, fault
+    # dictionaries and the ATPG residue sweep define none of their own.
+    assert (gate_engine.SWEEP_WORD_CHUNK, gate_engine.SWEEP_FAULT_CHUNK) == (256, 64)
+    for module in (coverage_engine, tpg_dictionary, tpg_generate):
+        own = {
+            name
+            for name in vars(module)
+            if name.endswith(("_WORD_CHUNK", "_FAULT_CHUNK"))
+            and getattr(gate_engine, name, None) is not getattr(module, name)
+        }
+        assert not own, module.__name__

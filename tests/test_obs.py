@@ -369,6 +369,32 @@ def test_store_stats_surface_as_gauges(tmp_path):
 # ----------------------------------------------------------------------
 # Campaign bit-identity and trace integrity
 # ----------------------------------------------------------------------
+def test_unopenable_trace_path_warns_once_and_stops_retrying(tmp_path, monkeypatch):
+    # A REPRO_TRACE path that cannot be opened used to fail silently and
+    # retry the open on every record.
+    bad = str(tmp_path / "missing-dir" / "trace.jsonl")
+    opens = []
+    real_open = trace.os.open
+
+    def counting_open(path, *args, **kwargs):
+        if path == bad:
+            opens.append(path)
+        return real_open(path, *args, **kwargs)
+
+    trace._SINK.close()
+    monkeypatch.setenv(trace.TRACE_ENV, bad)
+    monkeypatch.setattr(trace.os, "open", counting_open)
+    try:
+        with pytest.warns(UserWarning) as caught:
+            for _ in range(5):
+                trace.emit_event("probe")
+    finally:
+        trace._SINK.close()
+    messages = [str(w.message) for w in caught if trace.TRACE_ENV in str(w.message)]
+    assert len(messages) == 1 and bad in messages[0]
+    assert len(opens) == 1
+
+
 def test_traced_campaign_bit_identical_and_balanced(tmp_path, monkeypatch):
     net = builders.ripple_carry_adder(4)
     monkeypatch.delenv(trace.TRACE_ENV, raising=False)

@@ -30,7 +30,8 @@ from repro.store import (
     resolve_store,
 )
 from repro.store.store import STORE_DIR_ENV, STORE_ENV
-from repro.tpg.dictionary import TestSpace, build_fault_dictionary
+from repro.gates.engine import TestSpace
+from repro.tpg.dictionary import build_fault_dictionary
 from repro.tpg.generate import unit_netlist, unit_space, unit_test_set
 
 

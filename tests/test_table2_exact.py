@@ -40,27 +40,46 @@ def _key(stats):
     }
 
 
+_CHAIN = (evaluate_adder, evaluate_subtractor)
+
+
+def _parity_cases():
+    """``(width, evaluate, cell)``: every operator and both cell styles
+    at n = 2..4, plus the chain operators at n = 1.  Default-style ids
+    read ``width-evaluator``; the ``two_xor`` ones append the style."""
+    evaluators = _CHAIN + (evaluate_multiplier, evaluate_divider)
+    for cell in ("xor3_majority", "two_xor"):
+        for width in (1, 2, 3, 4):
+            for evaluate in evaluators:
+                if width == 1 and (cell == "two_xor" or evaluate not in _CHAIN):
+                    continue
+                suffix = "" if cell == "xor3_majority" else f"-{cell}"
+                yield pytest.param(
+                    width, evaluate, cell, id=f"{width}-{evaluate.__name__}{suffix}"
+                )
+
+
 class TestMethodParity:
-    @pytest.mark.parametrize("evaluate", [evaluate_adder, evaluate_subtractor])
-    @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_three_methods_bit_identical(self, evaluate, width):
-        """gate == functional == transfer, integer for integer."""
-        gate = evaluate(width, method="gate")
-        functional = evaluate(width, method="functional")
-        transfer = evaluate(width, method="transfer")
-        assert _key(gate) == _key(functional) == _key(transfer)
+    @pytest.mark.parametrize("width, evaluate, cell", _parity_cases())
+    def test_three_methods_bit_identical(self, width, evaluate, cell):
+        """gate == functional (== transfer for add/sub), integer for integer.
+
+        The gate sweep streams the architecture's ``arch.space``; the
+        functional evaluators enumerate operands on their own, so
+        agreement pins the space to the functional universe.
+        """
+        gate = evaluate(width, cell_netlist=cell, method="gate")
+        functional = evaluate(width, cell_netlist=cell, method="functional")
+        assert _key(gate) == _key(functional)
+        if evaluate in _CHAIN:
+            transfer = evaluate(width, cell_netlist=cell, method="transfer")
+            assert _key(gate) == _key(transfer)
 
     def test_gate_matches_transfer_at_n8(self):
         """The full 16.7M-situation n = 8 universe, two exact engines."""
         assert _key(evaluate_adder(8, method="gate")) == _key(
             evaluate_adder(8, method="transfer")
         )
-
-    def test_two_xor_cell_style_parity(self):
-        """The alternative five-gate cell collapses/translates correctly too."""
-        gate = evaluate_adder(2, cell_netlist="two_xor", method="gate")
-        functional = evaluate_adder(2, cell_netlist="two_xor", method="functional")
-        assert _key(gate) == _key(functional)
 
 
 class TestMethodResolution:
@@ -191,10 +210,10 @@ class TestGoldenRow:
         from repro.gates.engine import engine_for, unpack_bits
 
         engine = engine_for(arch.netlist)
-        rows = arch.input_rows(0, arch.n_words)
+        rows = arch.space.input_rows(0, arch.space.n_words)
         out = engine.run_fault_groups(rows, [])
-        bits = unpack_bits(out[: 3, 0, :], arch.n_vectors)
+        bits = unpack_bits(out[: 3, 0, :], arch.space.n_vectors)
         ris = sum(bits[i].astype(np.uint64) << np.uint64(i) for i in range(3))
-        v = np.arange(arch.n_vectors, dtype=np.uint64)
+        v = np.arange(arch.space.n_vectors, dtype=np.uint64)
         a, b = v & np.uint64(7), (v >> np.uint64(3)) & np.uint64(7)
         assert (ris == ((a + b) & np.uint64(7))).all()

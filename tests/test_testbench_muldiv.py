@@ -54,9 +54,9 @@ def _sweep_outputs(arch, groups):
     last fault row is the shared golden run.
     """
     engine = engine_for(arch.netlist)
-    rows = arch.input_rows(0, arch.n_words)
+    rows = arch.space.input_rows(0, arch.space.n_words)
     out = engine.run_fault_groups(rows, groups)
-    return unpack_bits(out, arch.n_vectors)
+    return unpack_bits(out, arch.space.n_vectors)
 
 
 def _word(bits, rows):
@@ -180,13 +180,13 @@ class TestDividerArchitecture:
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_zero_divisor_excluded_universe(self, width):
         """The masked sweep spans exactly 2**n * (2**n - 1) situations."""
-        arch = Table2DividerArchitecture(width)
-        total = arch.valid_count(0, arch.n_words)
+        space = Table2DividerArchitecture(width).space
+        total = space.valid_count(0, space.n_words)
         assert total == (1 << width) * ((1 << width) - 1)
         # Partial word ranges partition the same universe.
-        split = max(1, arch.n_words // 2)
-        assert total == arch.valid_count(0, split) + arch.valid_count(
-            split, arch.n_words
+        split = max(1, space.n_words // 2)
+        assert total == space.valid_count(0, split) + space.valid_count(
+            split, space.n_words
         )
         stats = evaluate_divider(width)
         assert stats["tech1"].situations == theoretical_situations("div", width)

@@ -48,6 +48,7 @@ from repro.tpg import (
     build_fault_dictionary,
     compact_from_dictionary,
     compact_test_set,
+    dictionary_for_vectors,
     emit_alu_self_test,
     emit_self_test_verilog,
     emit_self_test_vhdl,
@@ -371,13 +372,41 @@ class TestReplayMatchesClaim:
     @pytest.mark.parametrize("operator", UNITS)
     def test_table2_architecture_compact_set_replays(self, operator):
         arch = table2_architecture(operator, 3)
-        space = arch.test_space()
-        ts = compact_test_set(arch.netlist, space, method="atpg")
+        ts = compact_test_set(arch.netlist, arch.space, method="atpg")
         replay = replay_detected(arch.netlist, ts.vectors)
         assert np.array_equal(replay, ts.detected)
         if operator == "div":
             b_cols = ts.vectors[:, arch.width : 2 * arch.width]
             assert (b_cols.sum(axis=1) > 0).all()
+
+
+class TestReplayTableValidation:
+    """Both replay paths accept and reject the same explicit tables
+    (RCA-2 has 5 primary inputs)."""
+
+    @pytest.mark.parametrize(
+        "replay", (dictionary_for_vectors, replay_detected), ids=("dictionary", "campaign")
+    )
+    @pytest.mark.parametrize(
+        "table, problem",
+        (
+            (np.array([0, 1, 0, 1, 1]), "2-D"),
+            (np.full((3, 5), 2), "non-binary"),
+            (np.zeros((2, 6), dtype=np.uint8), "6 input columns"),
+        ),
+        ids=("one-d", "non-binary", "extra-column"),
+    )
+    def test_malformed_table_rejected(self, replay, table, problem):
+        with pytest.raises(SimulationError, match=problem):
+            replay(builders.ripple_carry_adder(2), table)
+
+    def test_validation_precedes_the_store_key(self, tmp_path):
+        store = open_store(tmp_path / "store")
+        with pytest.raises(SimulationError, match="non-binary"):
+            dictionary_for_vectors(
+                builders.ripple_carry_adder(2), np.full((3, 5), 2), store=store
+            )
+        assert store.stats.snapshot()["misses"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +532,7 @@ class TestMatrixBudget:
 
         base = evaluate_multiplier(5, method="gate", store=False)
         monkeypatch.setattr(gate_engine, "GATE_MATRIX_BUDGET_MAX", 1)
-        monkeypatch.setattr(coverage_engine, "GATE_FAULT_CHUNK", 7)
+        monkeypatch.setattr(coverage_engine, "SWEEP_FAULT_CHUNK", 7)
         tiny = evaluate_multiplier(5, method="gate", store=False)
         assert key(base) == key(tiny)
 
@@ -513,7 +542,7 @@ class TestMatrixBudget:
         nl = builders.ripple_carry_adder(5)
         base = build_fault_dictionary(nl, store=False)
         monkeypatch.setattr(gate_engine, "GATE_MATRIX_BUDGET_MAX", 1)
-        monkeypatch.setattr(tpg_dictionary, "DICT_FAULT_CHUNK", 7)
+        monkeypatch.setattr(tpg_dictionary, "SWEEP_FAULT_CHUNK", 7)
         tiny = build_fault_dictionary(nl, store=False)
         assert np.array_equal(base.words, tiny.words)
 
@@ -545,6 +574,8 @@ class TestATPGChunkGeometry:
         generate_tests(nl, store=store)
         warm = store.stats.snapshot()
         assert warm["puts"] == before["puts"]
-        monkeypatch.setattr(tpg_generate, "TPG_WORD_CHUNK", 8)
+        # The shared sweep geometry, as the sweep and the key read it.
+        monkeypatch.setattr(gate_engine, "SWEEP_WORD_CHUNK", 8)
+        monkeypatch.setattr(tpg_generate, "SWEEP_WORD_CHUNK", 8)
         generate_tests(nl, store=store)
         assert store.stats.snapshot()["puts"] > warm["puts"]
