@@ -99,6 +99,7 @@ from repro.errors import (
     SchedulingError,
     SimulationError,
     SpecificationError,
+    StoreError,
 )
 
 __version__ = "1.0.0"
@@ -174,5 +175,6 @@ __all__ = [
     "SchedulingError",
     "CompilationError",
     "OverflowPolicyError",
+    "StoreError",
     "__version__",
 ]

@@ -21,7 +21,7 @@ ArrayLike = Union[int, np.ndarray]
 
 def check_width(width: int) -> int:
     """Validate an operand width; returns it for chaining."""
-    if not isinstance(width, (int, np.integer)):
+    if isinstance(width, bool) or not isinstance(width, (int, np.integer)):
         raise SimulationError(f"width must be an int, got {type(width).__name__}")
     if width < 1 or width > MAX_WIDTH:
         raise SimulationError(f"width must be in [1, {MAX_WIDTH}], got {width}")

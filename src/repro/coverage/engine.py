@@ -27,8 +27,11 @@ Table 2 cell was computed:
     fault case is simulated as a multi-site fault group by the
     bit-parallel engine over the architecture's word-packed operand
     universe (``arch.space``, :mod:`repro.arch.testbench`), streamed in
-    vector chunks.  Masked universes (the divider's zero-divisor
-    exclusion) apply valid-lane words before counting.  Exact; the
+    vector chunks.  The fault groups are cone-scheduled
+    (:mod:`repro.gates.sparse`): each batch walks only its union
+    fan-out cone, and outputs outside it are golden.  Masked universes
+    (the divider's zero-divisor exclusion) apply valid-lane words
+    before counting.  Exact; the
     default whenever the operand space fits ``exhaustive_limit`` (chain
     operators) or the array cap ``DEFAULT_ARRAY_GATE_LIMIT``
     (``mul``/``div``, n <= 8).
@@ -512,13 +515,17 @@ def _gate_case_counts(
     """Shard worker: sweep counts for collapsed cases [case_lo, case_hi).
 
     Rebuilds the (cached) test architecture and compiled engine locally,
-    then streams the architecture's operand universe (``arch.space``)
-    through the fault-group matrix chunk by chunk
-    (:func:`~repro.gates.engine.sweep_chunks`), reducing packed
+    clusters the range's fault groups into cone batches
+    (:func:`~repro.gates.sparse.build_schedule`), then streams the
+    architecture's operand universe (``arch.space``) through each batch
+    chunk by chunk (:func:`~repro.gates.engine.sweep_chunks`), reducing packed
     classification masks to counts via popcount -- vectors are never
     unpacked.  Masked universes (the divider's zero-divisor exclusion)
     apply the space's valid-lane words before counting.
     """
+    from repro.analysis.cones import analyze_cones, analyze_gate_cones
+    from repro.gates.sparse import build_schedule
+
     arch = table2_architecture(operator, width, cell_netlist)
     space = arch.space
     engine = engine_for(arch.netlist, backend)
@@ -545,12 +552,23 @@ def _gate_case_counts(
             )
     n_result = arch.n_result_rows
     detect_names = list(arch.detect_rows)
+    # Cone-clustered batches of SWEEP_FAULT_CHUNK groups: each kernel
+    # call walks only its batch's union fan-out cone.  The analyses are
+    # memoised in-process only, so a sweep never writes to a store its
+    # caller did not open.
+    batches = [
+        (list(batch.members), [fault_groups[m] for m in batch.members], batch.gates)
+        for batch in build_schedule(
+            engine.compiled, fault_groups, SWEEP_FAULT_CHUNK,
+            analyze_gate_cones(arch.netlist, store=False),
+            analyze_cones(arch.netlist, store=False),
+        ).batches
+    ]
     # correct, then (covered, detected-while-correct) per technique.
     tallies = np.zeros((len(sim_indices), 1 + 2 * len(names)), dtype=np.int64)
     for _, _, rows, valid in sweep_chunks(engine, len(fault_groups), space):
-        for lo in range(0, len(fault_groups), SWEEP_FAULT_CHUNK):
-            hi = min(lo + SWEEP_FAULT_CHUNK, len(fault_groups))
-            out = engine.run_fault_groups(rows, fault_groups[lo:hi])
+        for members, groups, cone in batches:
+            out = engine.run_fault_groups(rows, groups, cone=cone)
             ris = out[:n_result, :-1, :]
             golden = out[:n_result, -1:, :]
             correct = ~np.bitwise_or.reduce(ris ^ golden, axis=0)
@@ -564,12 +582,11 @@ def _gate_case_counts(
                     dets[name] = np.bitwise_or.reduce(
                         [dets[d] for d in detect_names], axis=0
                     )
-            block = tallies[lo:hi]
-            block[:, 0] += popcount_words(correct)
+            tallies[members, 0] += popcount_words(correct)
             for j, name in enumerate(names):
                 det = dets[name]
-                block[:, 1 + 2 * j] += popcount_words(correct | det)
-                block[:, 2 + 2 * j] += popcount_words(correct & det)
+                tallies[members, 1 + 2 * j] += popcount_words(correct | det)
+                tallies[members, 2 + 2 * j] += popcount_words(correct & det)
     for row, k in enumerate(sim_indices):
         group, _ = rep_cases[k]
         counts = [int(v) for v in tallies[row]]

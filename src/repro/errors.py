@@ -26,6 +26,11 @@ class FaultError(ReproError):
     """An invalid fault descriptor or fault-injection request."""
 
 
+class StoreError(ReproError):
+    """A result-store location that cannot be opened (a path that is
+    not a directory, or cannot be created)."""
+
+
 class CheckError(ReproError):
     """Raised by :class:`repro.core.SCK` consumers when an error bit is
     observed in strict mode."""

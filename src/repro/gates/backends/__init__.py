@@ -35,7 +35,7 @@ import os
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.gates.backends.base import Backend
+from repro.gates.backends.base import GATE_MATRIX_BUDGET_MAX, Backend
 from repro.gates.backends.plan import FaultGroup, OverridePlan
 from repro.gates.backends.fused import FusedBackend
 from repro.gates.backends.python_loop import PythonLoopBackend
@@ -104,6 +104,7 @@ __all__ = [
     "Backend",
     "OverridePlan",
     "FaultGroup",
+    "GATE_MATRIX_BUDGET_MAX",
     "BACKEND_ENV",
     "DEFAULT_BACKEND",
     "register_backend",

@@ -17,7 +17,8 @@ Two kernels are primitive:
 Two more are derived with default implementations here, so a minimal
 backend only writes the first two; fast backends override them:
 
-* :meth:`Backend.run_outputs` -- primary-output rows only;
+* :meth:`Backend.run_outputs` -- primary-output rows only (the Table
+  1/2 sweeps); it optionally takes one batch's union fan-out cone;
 * :meth:`Backend.run_detect` -- per-row *detection words*: the OR over
   primary outputs of ``faulty XOR fault-free``, which is the single
   quantity campaigns, dictionaries and ATPG actually consume.  It
@@ -61,6 +62,14 @@ from repro.obs import metrics as _metrics
 #: table shared by the NumPy backends, so a new base opcode only needs
 #: registering here.
 UFUNCS = {OP_AND: np.bitwise_and, OP_OR: np.bitwise_or, OP_XOR: np.bitwise_xor}
+
+#: Byte cap of one fault-major matrix, ``n_nets x rows x words``
+#: uint64 cells: the word-range sweeps clamp their chunks to it
+#: (:func:`repro.gates.engine.resolve_matrix_budget`) and the ``fused``
+#: backend keeps a workspace of up to this size alive between calls, so
+#: every chunk a sweep asks for reuses that workspace instead of
+#: allocating and page-faulting a fresh matrix.
+GATE_MATRIX_BUDGET_MAX = 64 << 20
 
 #: One resolved per-gate dispatch tuple:
 #: (ufunc-or-None, invert, [operand net ids], output net id).
@@ -171,9 +180,19 @@ class Backend(ABC):
     # Derived kernels (default implementations)
     # ------------------------------------------------------------------
     def run_outputs(
-        self, words: np.ndarray, plan: OverridePlan, n_rows: int
+        self,
+        words: np.ndarray,
+        plan: OverridePlan,
+        n_rows: int,
+        gates: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Primary-output rows only, ``(n_outputs, n_rows, n_words)``."""
+        """Primary-output rows only, ``(n_outputs, n_rows, n_words)``.
+
+        ``gates`` optionally carries the union fan-out cone of one
+        cone-schedule batch, as in :meth:`run_detect`: gates outside it
+        are provably golden, so a backend may skip them.  The default
+        implementation ignores it and evaluates the full matrix.
+        """
         return self.run_matrix(words, plan, n_rows)[self._output_ids]
 
     def run_detect(

@@ -17,15 +17,19 @@ broadcast-golden between the marks) and override rows are fixed up
 individually, so the arithmetic volume drops to the tainted fraction
 of the matrix -- about 0.7 of it on the RCA-8 campaign, 0.5 on the
 8-bit array multiplier.  Results are bit-identical to the reference loop:
-untainted rows *are* the golden run.  Given a cone schedule,
-:meth:`FusedBackend.run_detect` further restricts the walk to the
-batch's union fan-out cone and reduces only its reachable outputs.
+untainted rows *are* the golden run.  Given one batch of a cone
+schedule, both derived kernels further restrict the walk to the batch's
+union fan-out cone: :meth:`FusedBackend.run_detect` (campaigns, fault
+dictionaries, ATPG) reduces only the reachable outputs, and
+:meth:`FusedBackend.run_outputs` (the Table 1/2 sweeps) returns outputs
+outside the cone as their golden rows.
 
-A persistent workspace (capped at :data:`WORKSPACE_KEEP_BYTES`) backs
-the prefix walks, so steady-state campaigns stop paying the
-allocate/fault/trim cycle of a fresh multi-megabyte matrix per chunk,
-and one golden run per packed vector set serves every word slab a
-campaign streams through it.
+A persistent workspace backs the prefix walks.  It is capped at
+:data:`~repro.gates.backends.base.GATE_MATRIX_BUDGET_MAX`, the same
+byte cap the word-range sweeps clamp their chunks to, so every sweep
+chunk reuses it instead of paying the allocate/fault/trim cycle of a
+fresh multi-megabyte matrix.  One golden run per packed vector set
+serves every word slab a sweep streams through it.
 """
 
 from __future__ import annotations
@@ -35,15 +39,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.gates.backends.base import GATE_MATRIX_BUDGET_MAX
 from repro.gates.backends.plan import OverridePlan, _row_index
 from repro.gates.backends.python_loop import PythonLoopBackend
 from repro.gates.compile import CompiledNetlist
-
-#: Largest matrix workspace kept alive across calls (bytes).  Bigger
-#: evaluations fall back to transient allocations so engines cached per
-#: netlist do not pin huge buffers (the same concern as the engine's
-#: exhaustive-set cache guard).
-WORKSPACE_KEEP_BYTES = 64 << 20
 
 #: Above this many (row x word) cells the cone walk stops testing for
 #: dead-effect early exit: the convergence probe compares every touched
@@ -51,7 +50,7 @@ WORKSPACE_KEEP_BYTES = 64 << 20
 #: batches of incremental re-runs and per-fault probes.
 SPARSE_EXIT_CELLS = 1 << 11
 
-# Work counters of cone-scheduled detect walks (always live, surfaced in
+# Work counters of cone-scheduled walks (always live, surfaced in
 # the telemetry snapshot and the BENCH_*.json records).  Resolved lazily so
 # importing the backend never touches the metrics registry.
 _SPARSE_HANDLES = None
@@ -131,7 +130,9 @@ class FusedBackend(PythonLoopBackend):
     # ------------------------------------------------------------------
     def _workspace(self, n_rows: int, n_words: int) -> np.ndarray:
         need = self.compiled.n_nets * n_rows * n_words
-        if need * 8 > WORKSPACE_KEEP_BYTES:
+        # Bigger evaluations fall back to transient allocations, so
+        # engines cached per netlist do not pin huge buffers.
+        if need * 8 > GATE_MATRIX_BUDGET_MAX:
             return np.empty((self.compiled.n_nets, n_rows, n_words), dtype=np.uint64)
         if self._ws is None or self._ws.size < need:
             self._ws = np.empty(need, dtype=np.uint64)
@@ -146,7 +147,7 @@ class FusedBackend(PythonLoopBackend):
         Campaigns stream word slabs of one packed vector set through
         many fault batches.  On a miss the whole parent block of a
         column-slice view is evaluated once (when its golden run fits
-        :data:`WORKSPACE_KEEP_BYTES`), so every later slab of the set
+        :data:`GATE_MATRIX_BUDGET_MAX`), so every later slab of the set
         -- and every repeated campaign over it -- slices the cached run
         instead of re-evaluating the netlist.  The cache holds a strong
         reference to the block (so its identity cannot be recycled)
@@ -168,7 +169,7 @@ class FusedBackend(PythonLoopBackend):
         if (
             parent is not None
             and _column_offset(parent, words) is not None
-            and self.compiled.n_nets * parent.shape[1] * 8 <= WORKSPACE_KEEP_BYTES
+            and self.compiled.n_nets * parent.shape[1] * 8 <= GATE_MATRIX_BUDGET_MAX
         ):
             block = parent
         golden = self.run_words(block)
@@ -471,6 +472,12 @@ class FusedBackend(PythonLoopBackend):
                         f"stem-override net {nid}"
                     )
 
+    def _cone_program(self, plan: OverridePlan, gates: np.ndarray) -> list:
+        """The checked cone sub-program of one schedule batch."""
+        program, gate_set = self._sparse_program(gates)
+        self._check_sparse_plan(plan, gate_set)
+        return program
+
     def run_detect(
         self,
         words: np.ndarray,
@@ -488,8 +495,7 @@ class FusedBackend(PythonLoopBackend):
                 # nothing can detect, nothing needs evaluating.
                 _note_sparse(0, self.compiled.n_gates, False)
                 return np.zeros((n_rows, n_words), dtype=np.uint64)
-            program, gate_set = self._sparse_program(gates)
-            self._check_sparse_plan(plan, gate_set)
+            program = self._cone_program(plan, gates)
             stats = {"early_exit": False, "skipped": 0}
         vals, hw, golden, inv, identity = self._prefix_walk(
             words, plan, n_rows, program=program, stats=stats
@@ -508,9 +514,21 @@ class FusedBackend(PythonLoopBackend):
         return diff if identity else diff[inv]
 
     def run_outputs(
-        self, words: np.ndarray, plan: OverridePlan, n_rows: int
+        self,
+        words: np.ndarray,
+        plan: OverridePlan,
+        n_rows: int,
+        gates: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        vals, hw, golden, inv, identity = self._prefix_walk(words, plan, n_rows)
+        program = None
+        if gates is not None:
+            program = self._cone_program(plan, gates)
+            _note_sparse(len(program), self.compiled.n_gates - len(program), False)
+        # Outputs outside the cone keep an empty tainted prefix, so they
+        # come back as their golden rows.
+        vals, hw, golden, inv, identity = self._prefix_walk(
+            words, plan, n_rows, program=program
+        )
         n_words = words.shape[1]
         res = np.empty((len(self._output_ids), n_rows, n_words), dtype=np.uint64)
         for i, out_id in enumerate(self._output_ids):

@@ -22,9 +22,11 @@ Three levels of service:
   faults leave the schedule between escalating vector slabs);
 * :meth:`BitParallelEngine.run_fault_groups` -- the same fault-major
   matrix for *multi-site fault groups* (several stuck-ats injected
-  together per row), which is how the Table 2 coverage sweep replicates
-  one cell-level fault into the nominal and checking copies of a
-  functional unit (:mod:`repro.arch.testbench`).
+  together per row), which is how the Table 1/2 coverage sweeps
+  replicate one cell-level fault into the nominal and checking copies
+  of a functional unit (:mod:`repro.arch.testbench`).  Those sweeps are
+  cone-scheduled too: with ``cone=`` one batch walks only its union
+  fan-out cone, and outputs outside it come back golden.
 
 Streaming wide sweeps: :func:`exhaustive_word_range` materialises any
 word slice of an arbitrarily wide exhaustive vector set, a
@@ -50,7 +52,9 @@ bit-identical on every path.
 
 The fault-matrix memory budget (:func:`resolve_matrix_budget`) and
 its word-chunk clamp (:func:`matrix_word_chunk`) live here too, shared
-by every streaming consumer of the fault matrix.  Chunk sizes are
+by every streaming consumer of the fault matrix; the budget's ceiling
+is the backends' one matrix byte cap, which also bounds the ``fused``
+workspace.  Chunk sizes are
 module constants, not options -- one pair for campaigns
 (``CAMPAIGN_*``), one for word-range sweeps (``SWEEP_*``): they never
 change a count or a verdict (only the order in which ATPG records its
@@ -68,6 +72,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.gates.backends import (
+    GATE_MATRIX_BUDGET_MAX,
     Backend,
     FaultGroup,
     OverridePlan,
@@ -449,12 +454,12 @@ class TestSpace:
         return bits
 
 
-#: Bounds of the auto-sized fault-matrix working-set budget (bytes).
+#: Floor of the auto-sized fault-matrix working-set budget (bytes).
 #: The budget caps ``n_nets * (fault_chunk + 1) * word_chunk`` uint64
-#: cells per evaluation chunk; the bounds trade worker memory against
-#: per-chunk overhead.
+#: cells per evaluation chunk; its ceiling is the backends' one matrix
+#: byte cap, :data:`~repro.gates.backends.base.GATE_MATRIX_BUDGET_MAX`,
+#: so every sweep chunk fits the ``fused`` workspace.
 GATE_MATRIX_BUDGET_MIN = 4 << 20
-GATE_MATRIX_BUDGET_MAX = 128 << 20
 #: Word-chunk length the auto-sized budget aims to afford: big enough
 #: that per-chunk Python overhead amortises, small enough to stay cache
 #: friendly on the netlists that actually need chunking.
@@ -704,7 +709,10 @@ class BitParallelEngine:
         return tables
 
     def run_fault_groups(
-        self, words: np.ndarray, groups: Sequence[FaultGroup]
+        self,
+        words: np.ndarray,
+        groups: Sequence[FaultGroup],
+        cone: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Primary outputs for a batch of multi-site fault groups.
 
@@ -717,10 +725,15 @@ class BitParallelEngine:
         ``(n_outputs, len(groups) + 1, n_words)`` matrix whose last row
         is the shared fault-free (golden) run; all groups advance through
         the gate program together, one word-wide NumPy op per gate.
+
+        ``cone`` is the ``gates`` array of a cone-schedule batch of
+        exactly these groups (:func:`repro.gates.sparse.build_schedule`):
+        the backend may then walk only that union fan-out cone, as the
+        Table 1/2 sweeps do.  Results are bit-identical either way.
         """
         words = self._check_input_words(words)
         plan = OverridePlan(self.compiled, groups)
-        return self.backend.run_outputs(words, plan, len(groups) + 1)
+        return self.backend.run_outputs(words, plan, len(groups) + 1, cone)
 
     def detect_words(
         self, words: np.ndarray, groups: Sequence[FaultGroup]

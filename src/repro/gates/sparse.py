@@ -34,13 +34,13 @@ Invariants a schedule guarantees (backends rely on them):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.gates.backends.plan import FaultGroup
 from repro.gates.compile import CompiledNetlist
-from repro.gates.faults import StuckAtFault
+from repro.gates.faults import FaultSite, StuckAtFault
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis -> gates)
     from repro.analysis.cones import ConeAnalysis, GateConeAnalysis
@@ -168,22 +168,49 @@ def build_schedule(
     n_gates = compiled.n_gates
     gw = max(1, (n_gates + _WORD - 1) // _WORD)
     ow = max(1, (compiled.n_outputs + _WORD - 1) // _WORD)
+    # Everything a row needs depends on its faults' sites only, and
+    # multi-site groups (the Table sweeps' replicated cell faults) share
+    # sites heavily: resolve each distinct site once, then fold every
+    # group's sites with one segmented reduction per quantity.
+    site_pos: Dict[FaultSite, int] = {}
+    site_masks: List[np.ndarray] = []
+    site_reach: List[np.ndarray] = []
+    site_levels: List[int] = []
+    site_keys: List[int] = []
+    flat: List[int] = []
+    starts = np.zeros(n_groups, dtype=np.int64)
+    for i, entry in enumerate(fault_groups):
+        starts[i] = len(flat)
+        for fault in _as_group(entry):
+            pos = site_pos.get(fault.site)
+            if pos is None:
+                pos = site_pos[fault.site] = len(site_keys)
+                site_masks.append(fault_cone_mask(compiled, gate_cones, fault))
+                if cones is not None:
+                    site_reach.append(_fault_reach_mask(compiled, cones, fault))
+                level, key = _site_level(compiled, fault)
+                site_levels.append(level)
+                site_keys.append(key)
+            flat.append(pos)
     masks = np.zeros((n_groups, gw), dtype=np.uint64)
     reach = np.zeros((n_groups, ow), dtype=np.uint64)
-    levels = np.full(n_groups, compiled.depth + 1, dtype=np.int64)
-    sites = np.zeros(n_groups, dtype=np.int64)
-    for i, entry in enumerate(fault_groups):
-        for k, fault in enumerate(_as_group(entry)):
-            masks[i] |= fault_cone_mask(compiled, gate_cones, fault)
-            if cones is not None:
-                reach[i] |= _fault_reach_mask(compiled, cones, fault)
-            level, site = _site_level(compiled, fault)
-            if level < levels[i]:
-                levels[i] = level
-            if k == 0 or site < sites[i]:
-                sites[i] = site
     if cones is None:
         reach[:] = np.uint64(0xFFFFFFFFFFFFFFFF)
+    levels = np.full(n_groups, compiled.depth + 1, dtype=np.int64)
+    sites = np.zeros(n_groups, dtype=np.int64)
+    # Empty groups keep the defaults; dropping their (repeated) start
+    # leaves every other group's segment intact.
+    filled = np.nonzero(np.diff(np.append(starts, len(flat))))[0]
+    if len(filled):
+        idx = np.asarray(flat, dtype=np.int64)
+        seg = starts[filled]
+        masks[filled] = np.bitwise_or.reduceat(np.asarray(site_masks)[idx], seg, axis=0)
+        if cones is not None:
+            reach[filled] = np.bitwise_or.reduceat(
+                np.asarray(site_reach)[idx], seg, axis=0
+            )
+        levels[filled] = np.minimum.reduceat(np.asarray(site_levels)[idx], seg)
+        sites[filled] = np.minimum.reduceat(np.asarray(site_keys)[idx], seg)
 
     # Primary key: first-divergence level; then the cone mask words, so
     # equal-level groups with overlapping cones land in the same batch;

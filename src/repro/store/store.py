@@ -42,6 +42,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.errors import StoreError
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.store import codecs
@@ -331,19 +332,36 @@ def resolve_store(
     Precedence: an explicit :class:`ResultStore` or path wins;
     ``store=False`` forces the store off regardless of environment;
     ``store=None`` (the default everywhere) consults ``REPRO_STORE``.
+    A path that cannot be opened as a store directory raises
+    :class:`~repro.errors.StoreError` naming the setting that chose it.
     """
     if isinstance(store, ResultStore):
         return store
     if store is False:
         return None
     if store is not None and store is not True:
-        return open_store(store)
+        return _open_setting("store=", store)
     env = os.environ.get(STORE_ENV, "").strip()
     if env.lower() in _FALSY:
-        return None if store is None else open_store(DEFAULT_STORE_DIR)
+        return None if store is None else _open_setting("store=", DEFAULT_STORE_DIR)
     if env.lower() in _TRUTHY:
-        return open_store(os.environ.get(STORE_DIR_ENV) or DEFAULT_STORE_DIR)
-    return open_store(env)
+        flag = os.environ.get(STORE_DIR_ENV)
+        if flag:
+            return _open_setting(f"{STORE_DIR_ENV}=", flag)
+        return _open_setting(f"{STORE_ENV}={env}, default ", DEFAULT_STORE_DIR)
+    return _open_setting(f"{STORE_ENV}=", env)
+
+
+def _open_setting(setting: str, path: Union[str, os.PathLike]) -> ResultStore:
+    """:func:`open_store` whose OS failures name the setting that chose
+    ``path`` (a regular file, or a path below one, is no store)."""
+    try:
+        return open_store(path)
+    except OSError as exc:
+        raise StoreError(
+            f"{setting}{os.fspath(path)!r} is not a usable store directory: "
+            f"{exc.strerror or exc}"
+        ) from None
 
 
 __all__ = [

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.arch.alu import FaultableALU
-from repro.arch.bitops import wrap_signed
+from repro.arch.bitops import check_width, wrap_signed
 from repro.errors import SimulationError
 from repro.vm.isa import NUM_REGISTERS, Opcode
 from repro.vm.program import Program
@@ -58,6 +58,7 @@ class Machine:
         alu: Optional[FaultableALU] = None,
         max_steps: int = 10_000_000,
     ) -> None:
+        width = check_width(width)
         if alu is not None and alu.width != width:
             raise SimulationError(
                 f"ALU width {alu.width} != machine width {width}"

@@ -27,6 +27,16 @@ class TestBitops:
         with pytest.raises(SimulationError):
             mask_of(63)
 
+    @pytest.mark.parametrize(
+        "build",
+        (RippleCarryAdderUnit, ArrayMultiplierUnit, RestoringDividerUnit, FaultableALU),
+    )
+    @pytest.mark.parametrize("width", (True, False))
+    def test_boolean_width_rejected(self, build, width):
+        # ``True == 1``: without the check it built a 1-bit unit.
+        with pytest.raises(SimulationError, match="got bool"):
+            build(width)
+
     @pytest.mark.parametrize("value,width,expected", [(7, 3, -1), (3, 3, 3), (-1, 4, -1)])
     def test_signed_roundtrip(self, value, width, expected):
         assert to_signed(to_unsigned(value, width), width) == expected

@@ -11,7 +11,8 @@ free.
 import numpy as np
 import pytest
 
-from repro.coverage.engine import evaluate_operator
+from repro.arch.cell import collapsed_cell_library
+from repro.coverage.engine import _gate_case_counts, evaluate_operator
 from repro.errors import SimulationError
 from repro.gates import builders
 from repro.gates import engine as gate_engine
@@ -245,6 +246,22 @@ class TestFaultGroupEquivalence:
             packed.words, groups
         )
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cell", ("xor3_majority", "two_xor"))
+    @pytest.mark.parametrize("operator", UNITS)
+    def test_gate_case_counts_across_backends(self, operator, cell):
+        # fused walks each batch's cone; python_loop and reference
+        # evaluate the full matrix.  Two uneven case ranges give each
+        # range its own cone schedule.
+        arch = table2_architecture(operator, 3, cell)
+        n_cases = len(collapsed_cell_library(cell)) * len(arch.positions)
+        cut = n_cases // 3
+        whole = _gate_case_counts(operator, 3, cell, "python_loop", 0, n_cases)
+        for name in ALL_BACKENDS:
+            split = _gate_case_counts(
+                operator, 3, cell, name, 0, cut
+            ) + _gate_case_counts(operator, 3, cell, name, cut, n_cases)
+            assert split == whole, name
 
     @pytest.mark.parametrize("width", (3, 4))
     def test_coverage_sweep_bit_identical(self, width):

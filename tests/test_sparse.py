@@ -6,7 +6,9 @@ Three layers of checks:
   cone schedule covers each member fault's full cone with an
   ascending (topological) gate list;
 * kernel -- ``run_detect`` given a schedule batch equals ``run_detect``
-  without one, element-wise, on every fast backend;
+  without one, element-wise, on every fast backend, and the Table
+  sweeps' ``run_fault_groups(cone=)`` equals the full ``python_loop``
+  matrix;
 * campaign -- every verdict field (``detected``, ``first_detected``,
   ``groups``; ``n_simulated_runs`` is a work counter and is not
   checked) equals a brute-force oracle built from faulty truth tables
@@ -157,6 +159,47 @@ class TestSchedule:
                 assert member_cone <= gate_set
         assert seen == set(range(len(universe)))
 
+    @pytest.mark.parametrize("fault_chunk", [1, 8])
+    def test_multi_site_batches_are_member_unions(self, fault_chunk):
+        # Table sweep rows: several sites per group, sites shared across
+        # groups, plus one empty group, against a per-fault brute force
+        # (one group per batch pins every group's own cone).
+        arch = table2_architecture("mul", 3, "xor3_majority")
+        netlist = arch.netlist
+        compiled = compile_netlist(netlist)
+        gate_cones = analyze_gate_cones(netlist)
+        cones = analyze_cones(netlist)
+        universe = default_fault_universe(netlist)
+        rng = np.random.default_rng(3)
+        groups = [
+            tuple(universe[i] for i in rng.choice(len(universe), k, replace=False))
+            for k in rng.integers(1, 6, size=60)
+        ]
+        groups.insert(17, ())
+        sched = build_schedule(compiled, groups, fault_chunk, gate_cones, cones)
+        out_ids = [int(i) for i in compiled.output_ids]
+        seen = []
+        for batch in sched.batches:
+            seen.extend(batch.members)
+            want_gates, want_outs = set(), set()
+            for m in batch.members:
+                for fault in groups[m]:
+                    bits = np.unpackbits(
+                        fault_cone_mask(compiled, gate_cones, fault).view(np.uint8),
+                        bitorder="little",
+                    )
+                    want_gates |= {int(g) for g in np.nonzero(bits)[0]}
+                    if fault.site.is_stem:
+                        reach = cones.reach_masks[compiled.net_id(fault.site.net)]
+                    else:
+                        gate, _ = compiled.pin_id(*fault.site.branch)
+                        reach = cones.reach_masks[compiled.gate_output_ids[gate]]
+                    rbits = np.unpackbits(reach.view(np.uint8), bitorder="little")
+                    want_outs |= {out_ids[k] for k in np.nonzero(rbits)[0]}
+            assert {int(g) for g in batch.gates} == want_gates
+            assert set(batch.out_ids) == want_outs
+        assert sorted(seen) == list(range(len(groups)))
+
     def test_out_ids_are_reachable_outputs(self):
         netlist = unit_netlist("add", 3)
         compiled = compile_netlist(netlist)
@@ -269,6 +312,51 @@ class TestKernelDifferential:
             impl.run_detect(
                 words, plan, len(branch), np.zeros(0, dtype=np.int64), None
             )
+
+
+class TestSweepCone:
+    """``run_outputs(gates=)``: the cone walk of the Table 1/2 sweeps."""
+
+    @pytest.mark.parametrize("operator", UNITS)
+    def test_cone_outputs_equal_python_loop(self, operator):
+        arch = table2_architecture(operator, 3, "xor3_majority")
+        compiled = compile_netlist(arch.netlist)
+        universe = default_fault_universe(arch.netlist)
+        rng = np.random.default_rng(7)
+        # Random multi-site groups of one to three stuck-ats each.
+        groups = [
+            tuple(universe[i] for i in rng.choice(len(universe), k, replace=False))
+            for k in rng.integers(1, 4, size=40)
+        ]
+        sched = build_schedule(
+            compiled, groups, 16, analyze_gate_cones(arch.netlist),
+            analyze_cones(arch.netlist),
+        )
+        rows = arch.space.input_rows(0, arch.space.n_words)
+        fused = engine_for(arch.netlist, "fused")
+        oracle = engine_for(arch.netlist, "python_loop")
+        for batch in sched.batches:
+            members = [groups[m] for m in batch.members]
+            want = oracle.run_fault_groups(rows, members)
+            assert np.array_equal(
+                fused.run_fault_groups(rows, members, cone=batch.gates), want
+            )
+            # The base kernel ignores the cone: still the full matrix.
+            assert np.array_equal(
+                oracle.run_fault_groups(rows, members, cone=batch.gates), want
+            )
+
+    def test_cone_missing_a_branch_site_rejected(self):
+        netlist = builders.ripple_carry_adder(4)
+        compiled = compile_netlist(netlist)
+        impl = create_backend("fused", compiled)
+        words = exhaustive_words(compiled.n_inputs).words
+        branch = [f for f in default_fault_universe(netlist) if not f.site.is_stem]
+        plan = OverridePlan(compiled, branch[:4])
+        gate, _ = compiled.pin_id(*branch[0].site.branch)
+        cone = np.array([g for g in range(compiled.n_gates) if g != gate])
+        with pytest.raises(SimulationError, match="branch-override gate"):
+            impl.run_outputs(words, plan, 5, cone)
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.coverage.engine import evaluate_adder
+from repro.errors import StoreError
 from repro.faults.injector import run_sharded_stuck_at_campaign
 from repro.gates import builders
 from repro.gates.faults import default_fault_universe
@@ -291,6 +292,28 @@ class TestStoreMechanics:
         assert by_flag.root == str(tmp_path / "by-flag")
         # An explicit store=False keeps the store off despite the env.
         assert resolve_store(False) is None
+
+    @pytest.mark.parametrize("spelling", ("env-path", "env-flag", "env-below-file", "keyword"))
+    def test_non_directory_store_names_the_setting(self, spelling, tmp_path, monkeypatch):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("not a store")
+        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
+        monkeypatch.delenv(STORE_ENV, raising=False)
+        store, path, setting = None, str(blocker), STORE_ENV
+        if spelling == "env-path":
+            monkeypatch.setenv(STORE_ENV, path)
+        elif spelling == "env-flag":
+            monkeypatch.setenv(STORE_ENV, "1")
+            monkeypatch.setenv(STORE_DIR_ENV, path)
+            setting = STORE_DIR_ENV
+        elif spelling == "env-below-file":
+            path = str(blocker / "sub")
+            monkeypatch.setenv(STORE_ENV, path)
+        else:
+            store, setting = path, "store"
+        with pytest.raises(StoreError) as info:
+            resolve_store(store)
+        assert f"{setting}={path!r}" in str(info.value)
 
     def test_open_store_is_shared_per_path(self, tmp_path):
         a = open_store(tmp_path / "shared")

@@ -45,11 +45,11 @@ _CHAIN = (evaluate_adder, evaluate_subtractor)
 
 def _parity_cases():
     """``(width, evaluate, cell)``: every operator and both cell styles
-    at n = 2..4, plus the chain operators at n = 1.  Default-style ids
+    at n = 2..5, plus the chain operators at n = 1.  Default-style ids
     read ``width-evaluator``; the ``two_xor`` ones append the style."""
     evaluators = _CHAIN + (evaluate_multiplier, evaluate_divider)
     for cell in ("xor3_majority", "two_xor"):
-        for width in (1, 2, 3, 4):
+        for width in (1, 2, 3, 4, 5):
             for evaluate in evaluators:
                 if width == 1 and (cell == "two_xor" or evaluate not in _CHAIN):
                     continue

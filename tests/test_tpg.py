@@ -28,6 +28,7 @@ from repro.errors import SimulationError
 from repro.coverage import engine as coverage_engine
 from repro.gates import builders
 from repro.gates import engine as gate_engine
+from repro.gates.backends import fused as fused_backend
 from repro.gates.compile import compile_netlist
 from repro.gates.engine import (
     GATE_MATRIX_BUDGET_MAX,
@@ -509,8 +510,34 @@ class TestMatrixBudget:
     def test_auto_budget_scales_with_row_cells(self):
         assert resolve_matrix_budget(1) == GATE_MATRIX_BUDGET_MIN
         assert resolve_matrix_budget(1 << 30) == GATE_MATRIX_BUDGET_MAX
-        mid = 50_000
+        # Half-way up the scaling range, whatever the cap.
+        mid = GATE_MATRIX_BUDGET_MAX // (8 * gate_engine.GATE_MATRIX_TARGET_WORDS) // 2
+        assert GATE_MATRIX_BUDGET_MIN < mid * 8 * 256 < GATE_MATRIX_BUDGET_MAX
         assert resolve_matrix_budget(mid) == mid * 8 * 256
+
+    def test_one_cap_for_sweeps_and_the_fused_workspace(self):
+        # One definition, read by the sweep budget and the workspace.
+        assert GATE_MATRIX_BUDGET_MAX is fused_backend.GATE_MATRIX_BUDGET_MAX
+
+    @pytest.mark.parametrize("cell", ("xor3_majority", "two_xor"))
+    @pytest.mark.parametrize("operator", ("add", "sub", "mul", "div"))
+    def test_table_sweep_matrix_fits_the_cap(self, operator, cell):
+        # A sweep chunk bigger than the cap misses the fused workspace,
+        # so every kernel call allocates and page-faults a fresh matrix
+        # (the mul/div n = 8 sweeps once did, ~100 MB per call).
+        arch = table2_architecture(operator, 8, cell)
+        engine = gate_engine.engine_for(arch.netlist)
+        step = max(
+            hi - lo
+            for lo, hi, _, _ in gate_engine.sweep_chunks(engine, 1000, arch.space)
+        )
+        n_nets = engine.compiled.n_nets
+        matrix = step * (gate_engine.SWEEP_FAULT_CHUNK + 1) * n_nets * 8
+        # The largest matrix the fused backend keeps a workspace for.
+        assert matrix <= fused_backend.GATE_MATRIX_BUDGET_MAX
+        # Netlists under the cap at the full chunk keep the full chunk.
+        if gate_engine.SWEEP_WORD_CHUNK * matrix // step <= GATE_MATRIX_BUDGET_MAX:
+            assert step == gate_engine.SWEEP_WORD_CHUNK
 
     def test_word_chunk_clamped_to_budget(self, monkeypatch):
         row_cells = compile_netlist(builders.ripple_carry_adder(4)).n_nets * 9

@@ -80,6 +80,13 @@ class TestMachine:
         result = Machine(16).run(builder.build())
         assert result.cycles == CYCLE_COST[Opcode.LDI] + CYCLE_COST[Opcode.MUL] + CYCLE_COST[Opcode.HALT]
 
+    def test_boolean_width_rejected(self):
+        with pytest.raises(SimulationError, match="got bool"):
+            Machine(True)
+        # Also beside a 1-bit ALU, which ``True == 1`` used to satisfy.
+        with pytest.raises(SimulationError, match="got bool"):
+            Machine(True, alu=FaultableALU(1))
+
     def test_runaway_guard(self):
         builder = ProgramBuilder("spin")
         builder.label("top").jmp("top")
