@@ -279,7 +279,7 @@ def _old_result_from_store(
             backend=name,
             params=digest_params(collapse=mode, fault_dropping=fault_dropping),
         )
-        cached = store.get(key)
+        cached = store.get(key, faults=universe)
         if cached is not None:
             return cached
     return None

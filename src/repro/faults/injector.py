@@ -207,12 +207,13 @@ def _run_sharded_stuck_at_impl(
     store = resolve_store(store)
     key = None
     if store is not None:
+        universe = (
+            fault_seq if fault_seq is not None else default_fault_universe(netlist)
+        )
         key = CacheKey(
             kind="campaign",
             netlist=digest_netlist(netlist),
-            universe=digest_faults(
-                fault_seq if fault_seq is not None else default_fault_universe(netlist)
-            ),
+            universe=digest_faults(universe),
             space=digest_input_vectors(netlist, vectors),
             method="stuck_at",
             backend=backend,
@@ -221,7 +222,7 @@ def _run_sharded_stuck_at_impl(
                 fault_dropping=fault_dropping,
             ),
         )
-        cached = store.get(key)
+        cached = store.get(key, faults=universe)
         if cached is not None:
             return cached
     # ``faults=None`` passes through untouched: it keeps the memoised

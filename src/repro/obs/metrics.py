@@ -426,7 +426,10 @@ def dump(path: Optional[str] = None) -> None:
     never interleave partial lines.  A no-op when no path is configured
     or nothing was recorded.
     """
-    path = path if path is not None else os.environ.get(METRICS_ENV, "").strip()
+    setting = ""
+    if path is None:
+        setting = f"{METRICS_ENV}="
+        path = os.environ.get(METRICS_ENV, "").strip()
     if not path:
         return
     snap = _REGISTRY.snapshot()
@@ -440,7 +443,7 @@ def dump(path: Optional[str] = None) -> None:
         finally:
             os.close(fd)
     except OSError as exc:
-        warnings.warn(f"cannot dump metrics to {path!r}: {exc}", stacklevel=2)
+        warnings.warn(f"cannot dump metrics to {setting}{path!r}: {exc}", stacklevel=2)
 
 
 def load_dump(path: str) -> Dict[str, Dict[str, object]]:

@@ -4,10 +4,15 @@ Each artifact family the store memoises has one codec: a pair of
 functions turning the in-memory object into ``(tag, arrays, meta)`` --
 a dict of NumPy arrays bound for one ``.npz`` payload plus a
 JSON-representable metadata dict -- and back.  Round-trips are exact:
-array dtypes and byte contents are preserved, tuples are restored as
-tuples, and fault lists rebuild as the same frozen dataclasses, so a
-store-loaded artifact merges bit-identically with a live-built one
-(the regression ``tests/test_store.py`` pins down).
+array dtypes and byte contents are preserved and tuples are restored as
+tuples, so a store-loaded artifact merges bit-identically with a
+live-built one (the regression ``tests/test_store.py`` pins down).
+
+Fault lists are not serialised at all.  Campaign results, fault
+dictionaries and compact test sets are row-aligned with one, but their
+key's ``universe`` field is the digest of exactly that ordered list, so
+the caller already holds it: the sidecar records only ``n_faults`` and
+decoding reuses the caller's tuple (:data:`FAULT_TAGS`).
 
 Imports of the artifact classes happen lazily inside the codec bodies:
 the store is a leaf the coverage/tpg/faults layers call into, so a
@@ -16,7 +21,7 @@ module-level import here would cycle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,47 +32,8 @@ Meta = Dict[str, object]
 
 
 # ----------------------------------------------------------------------
-# Shared fault-list / group packing (the FaultDictionary.save layout)
+# Equivalence-group packing (shared with the FaultDictionary.save layout)
 # ----------------------------------------------------------------------
-def pack_faults(faults: Sequence) -> Arrays:
-    """Field-wise arrays of an ordered stuck-at fault list."""
-    nets, gates, pins, values = [], [], [], []
-    for fault in faults:
-        nets.append(fault.site.net)
-        if fault.site.is_stem:
-            gates.append("")
-            pins.append(-1)
-        else:
-            gate, pin = fault.site.branch
-            gates.append(gate)
-            pins.append(pin)
-        values.append(fault.value)
-    return {
-        "fault_nets": np.array(nets, dtype=np.str_),
-        "fault_gates": np.array(gates, dtype=np.str_),
-        "fault_pins": np.array(pins, dtype=np.int64),
-        "fault_values": np.array(values, dtype=np.uint8),
-    }
-
-
-def unpack_faults(arrays: Arrays) -> Tuple:
-    """Inverse of :func:`pack_faults` (exact tuple of frozen faults)."""
-    from repro.gates.faults import FaultSite, StuckAtFault
-
-    return tuple(
-        StuckAtFault(
-            FaultSite(str(net), None if pin < 0 else (str(gate), int(pin))),
-            int(value),
-        )
-        for net, gate, pin, value in zip(
-            arrays["fault_nets"],
-            arrays["fault_gates"],
-            arrays["fault_pins"],
-            arrays["fault_values"],
-        )
-    )
-
-
 def pack_groups(groups: Sequence[Tuple[int, ...]]) -> Arrays:
     """Offset/member arrays of the equivalence-class tuples."""
     offsets = np.cumsum([0] + [len(g) for g in groups]).astype(np.int64)
@@ -76,11 +42,11 @@ def pack_groups(groups: Sequence[Tuple[int, ...]]) -> Arrays:
 
 
 def unpack_groups(arrays: Arrays) -> Tuple[Tuple[int, ...], ...]:
-    offsets = arrays["group_offsets"]
-    members = arrays["group_members"]
+    """Inverse of :func:`pack_groups` (tuples of Python ints)."""
+    offsets = arrays["group_offsets"].tolist()
+    members = arrays["group_members"].tolist()
     return tuple(
-        tuple(int(i) for i in members[lo:hi])
-        for lo, hi in zip(offsets[:-1], offsets[1:])
+        tuple(members[lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:])
     )
 
 
@@ -121,7 +87,13 @@ def encode(value: object) -> Tuple[str, Arrays, Meta]:
     raise SimulationError(f"no store codec for {type(value).__name__}")
 
 
-def decode(tag: str, arrays: Arrays, meta: Meta) -> object:
+def decode(
+    tag: str, arrays: Arrays, meta: Meta, faults: Optional[Tuple] = None
+) -> object:
+    """Rebuild an artifact; a fault-bearing tag (:data:`FAULT_TAGS`)
+    takes its fault tuple from ``faults`` instead of the payload."""
+    if tag in _FAULT_DECODERS:
+        return _FAULT_DECODERS[tag](arrays, meta, faults)
     try:
         decoder = _DECODERS[tag]
     except KeyError:
@@ -146,22 +118,22 @@ def _encode_campaign(result) -> Tuple[str, Arrays, Meta]:
         "detected": np.asarray(result.detected),
         "first_detected": np.asarray(result.first_detected),
     }
-    arrays.update(pack_faults(result.faults))
     arrays.update(pack_groups(result.groups))
     meta: Meta = {
         "netlist_name": result.netlist_name,
+        "n_faults": len(result.faults),
         "n_vectors": int(result.n_vectors),
         "n_simulated_runs": int(result.n_simulated_runs),
     }
     return "campaign_result", arrays, meta
 
 
-def _decode_campaign(arrays: Arrays, meta: Meta):
+def _decode_campaign(arrays: Arrays, meta: Meta, faults: Tuple):
     from repro.gates.engine import StuckAtCampaignResult
 
     return StuckAtCampaignResult(
         netlist_name=str(meta["netlist_name"]),
-        faults=unpack_faults(arrays),
+        faults=faults,
         detected=arrays["detected"],
         first_detected=arrays["first_detected"],
         n_vectors=int(meta["n_vectors"]),
@@ -173,10 +145,10 @@ def _decode_campaign(arrays: Arrays, meta: Meta):
 # -- fault dictionaries -------------------------------------------------
 def _encode_dictionary(dictionary) -> Tuple[str, Arrays, Meta]:
     arrays: Arrays = {"words": dictionary.words}
-    arrays.update(pack_faults(dictionary.faults))
     arrays.update(pack_groups(dictionary.groups))
     meta: Meta = {
         "netlist_name": dictionary.netlist_name,
+        "n_faults": len(dictionary.faults),
         "n_vectors": int(dictionary.n_vectors),
         "vector_base": int(dictionary.vector_base),
         "backend": dictionary.backend,
@@ -184,12 +156,12 @@ def _encode_dictionary(dictionary) -> Tuple[str, Arrays, Meta]:
     return "fault_dictionary", arrays, meta
 
 
-def _decode_dictionary(arrays: Arrays, meta: Meta):
+def _decode_dictionary(arrays: Arrays, meta: Meta, faults: Tuple):
     from repro.tpg.dictionary import FaultDictionary
 
     return FaultDictionary(
         netlist_name=str(meta["netlist_name"]),
-        faults=unpack_faults(arrays),
+        faults=faults,
         groups=unpack_groups(arrays),
         words=arrays["words"],
         n_vectors=int(meta["n_vectors"]),
@@ -204,9 +176,9 @@ def _encode_compact(compact) -> Tuple[str, Arrays, Meta]:
         "vectors": np.asarray(compact.vectors, dtype=np.uint8),
         "detected": np.asarray(compact.detected, dtype=bool),
     }
-    arrays.update(pack_faults(compact.faults))
     meta: Meta = {
         "netlist_name": compact.netlist_name,
+        "n_faults": len(compact.faults),
         "input_names": list(compact.input_names),
         "marginal": [int(m) for m in compact.marginal],
         "source": compact.source,
@@ -214,14 +186,14 @@ def _encode_compact(compact) -> Tuple[str, Arrays, Meta]:
     return "compact_test_set", arrays, meta
 
 
-def _decode_compact(arrays: Arrays, meta: Meta):
+def _decode_compact(arrays: Arrays, meta: Meta, faults: Tuple):
     from repro.tpg.compaction import CompactTestSet
 
     return CompactTestSet(
         netlist_name=str(meta["netlist_name"]),
         input_names=tuple(str(n) for n in meta["input_names"]),
         vectors=arrays["vectors"],
-        faults=unpack_faults(arrays),
+        faults=faults,
         detected=arrays["detected"],
         marginal=tuple(int(m) for m in meta["marginal"]),
         source=str(meta["source"]),
@@ -262,10 +234,17 @@ def _decode_case_counts(arrays: Arrays, meta: Meta) -> List[Tuple]:
     ]
 
 
-_DECODERS = {
+#: Decoders of the artifacts row-aligned with a fault list.  The list
+#: itself is not stored: the key's ``universe`` digest pins it, so the
+#: caller hands back the tuple it digested (``ResultStore.get(faults=)``).
+_FAULT_DECODERS = {
     "campaign_result": _decode_campaign,
     "fault_dictionary": _decode_dictionary,
     "compact_test_set": _decode_compact,
+}
+FAULT_TAGS = frozenset(_FAULT_DECODERS)
+
+_DECODERS = {
     "coverage_stats_map": _decode_coverage,
     "case_counts": _decode_case_counts,
     "ndarray": lambda arrays, meta: arrays["data"],
@@ -275,10 +254,9 @@ _DECODERS = {
 }
 
 __all__ = [
+    "FAULT_TAGS",
     "decode",
     "encode",
-    "pack_faults",
     "pack_groups",
-    "unpack_faults",
     "unpack_groups",
 ]

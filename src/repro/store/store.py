@@ -38,11 +38,11 @@ import time
 import warnings
 import zipfile
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import StoreError
+from repro.errors import SimulationError, StoreError
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.store import codecs
@@ -92,6 +92,27 @@ class StoreStats:
         }
 
 
+def _check_universe(
+    key: CacheKey, n_faults: Optional[int], faults: Optional[Sequence]
+) -> Optional[Tuple]:
+    """The caller's fault tuple for an entry of ``n_faults`` faults
+    (``None`` for an entry that carries no fault list)."""
+    if n_faults is None:
+        return None
+    name = f"{key.kind}/{key.digest[:12]}"
+    if faults is None:
+        raise SimulationError(
+            f"store entry {name} is row-aligned with {n_faults} faults; "
+            "get() needs faults= (the sequence its universe digest covers)"
+        )
+    if len(faults) != n_faults:
+        raise SimulationError(
+            f"store entry {name} holds {n_faults} faults, "
+            f"get() was given {len(faults)}"
+        )
+    return faults if isinstance(faults, tuple) else tuple(faults)
+
+
 def _file_checksum(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -112,7 +133,9 @@ class ResultStore:
         self.root = os.path.abspath(os.fspath(root))
         self.lru_size = max(0, int(lru_size))
         self.stats = StoreStats()
-        self._lru: Dict[str, object] = {}
+        # digest -> (value, n_faults); n_faults is None unless the
+        # value is row-aligned with a fault list.
+        self._lru: Dict[str, Tuple[object, Optional[int]]] = {}
         os.makedirs(os.path.join(self.root, "objects"), exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -162,16 +185,28 @@ class ResultStore:
             },
         }
         self._write_atomic_text(json_path, json.dumps(sidecar, indent=1, sort_keys=True))
-        self._lru_insert(key.digest, value)
+        self._lru_insert(key.digest, value, meta.get("n_faults"))
         self.stats.puts += 1
         obs_metrics.inc("repro_store_puts_total", kind=key.kind)
 
-    def get(self, key: CacheKey) -> Optional[object]:
-        """The stored artifact, or ``None`` (miss / discarded entry)."""
+    def get(
+        self, key: CacheKey, faults: Optional[Sequence] = None
+    ) -> Optional[object]:
+        """The stored artifact, or ``None`` (miss / discarded entry).
+
+        Campaign results, fault dictionaries and compact test sets do
+        not store their fault list: ``faults`` must be the ordered
+        sequence whose digest is ``key.universe``, and the artifact
+        comes back carrying it.  Omitting it for such an entry, or
+        passing one of the wrong length, is a caller bug and raises
+        :class:`~repro.errors.SimulationError` (the entry is kept).
+        """
         digest = key.digest
         if digest in self._lru:
-            value = self._lru.pop(digest)
-            self._lru[digest] = value  # re-insert = most recently used
+            entry = self._lru.pop(digest)
+            self._lru[digest] = entry  # re-insert = most recently used
+            value, n_faults = entry
+            _check_universe(key, n_faults, faults)
             self.stats.hits += 1
             self.stats.lru_hits += 1
             obs_metrics.inc("repro_store_hits_total", path="lru")
@@ -188,6 +223,11 @@ class ResultStore:
                 raise ValueError(
                     f"schema {sidecar.get('schema')!r} != {SCHEMA_VERSION}"
                 )
+            tag, meta = sidecar["tag"], sidecar["meta"]
+            n_faults = int(meta["n_faults"]) if tag in codecs.FAULT_TAGS else None
+            # Raises SimulationError, which the corrupt-entry path below
+            # deliberately does not catch.
+            universe = _check_universe(key, n_faults, faults)
             checksum = sidecar.get("payload_checksum", "")
             arrays: Dict[str, np.ndarray] = {}
             if checksum:
@@ -195,7 +235,7 @@ class ResultStore:
                     raise ValueError("payload checksum mismatch")
                 with np.load(npz_path) as data:
                     arrays = {name: data[name] for name in data.files}
-            value = codecs.decode(sidecar["tag"], arrays, sidecar["meta"])
+            value = codecs.decode(tag, arrays, meta, universe)
         except (OSError, ValueError, KeyError, json.JSONDecodeError,
                 zipfile.BadZipFile) as exc:
             self._discard(key, json_path, npz_path, exc)
@@ -203,7 +243,7 @@ class ResultStore:
             self.stats.corrupt += 1
             obs_metrics.inc("repro_store_misses_total")
             return None
-        self._lru_insert(digest, value)
+        self._lru_insert(digest, value, n_faults)
         self.stats.hits += 1
         obs_metrics.inc("repro_store_hits_total", path="disk")
         return value
@@ -244,11 +284,11 @@ class ResultStore:
             except OSError:
                 pass
 
-    def _lru_insert(self, digest: str, value: object) -> None:
+    def _lru_insert(self, digest: str, value: object, n_faults: Optional[int]) -> None:
         if self.lru_size == 0:
             return
         self._lru.pop(digest, None)
-        self._lru[digest] = value
+        self._lru[digest] = (value, n_faults)
         while len(self._lru) > self.lru_size:
             self._lru.pop(next(iter(self._lru)))
 

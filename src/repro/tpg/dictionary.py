@@ -30,7 +30,7 @@ iterator as the Table sweeps (:func:`repro.gates.engine.sweep_chunks`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from repro.store import (
     digest_vector_table,
     resolve_store,
 )
+from repro.store.codecs import pack_groups, unpack_groups
 
 def inputs_from_bits(netlist: Netlist, bits: np.ndarray) -> Dict[str, np.ndarray]:
     """Per-input 0/1 vector arrays for an explicit test table.
@@ -160,21 +161,6 @@ class FaultDictionary:
     # ------------------------------------------------------------------
     def save(self, path) -> None:
         """Persist to ``.npz`` (compressed; faults stored field-wise)."""
-        nets, gates, pins, values = [], [], [], []
-        for fault in self.faults:
-            nets.append(fault.site.net)
-            if fault.site.is_stem:
-                gates.append("")
-                pins.append(-1)
-            else:
-                gate, pin = fault.site.branch
-                gates.append(gate)
-                pins.append(pin)
-            values.append(fault.value)
-        offsets = np.cumsum([0] + [len(g) for g in self.groups])
-        members = np.array(
-            [i for g in self.groups for i in g] or [], dtype=np.int64
-        )
         np.savez_compressed(
             path,
             netlist_name=np.array(self.netlist_name),
@@ -182,42 +168,18 @@ class FaultDictionary:
             words=self.words,
             n_vectors=np.array(self.n_vectors, dtype=np.int64),
             vector_base=np.array(self.vector_base, dtype=np.int64),
-            fault_nets=np.array(nets),
-            fault_gates=np.array(gates),
-            fault_pins=np.array(pins, dtype=np.int64),
-            fault_values=np.array(values, dtype=np.uint8),
-            group_offsets=offsets.astype(np.int64),
-            group_members=members,
+            **pack_faults(self.faults),
+            **pack_groups(self.groups),
         )
 
     @classmethod
     def load(cls, path) -> "FaultDictionary":
         """Inverse of :meth:`save`."""
         with np.load(path) as data:
-            faults = tuple(
-                StuckAtFault(
-                    FaultSite(
-                        str(net), None if pin < 0 else (str(gate), int(pin))
-                    ),
-                    int(value),
-                )
-                for net, gate, pin, value in zip(
-                    data["fault_nets"],
-                    data["fault_gates"],
-                    data["fault_pins"],
-                    data["fault_values"],
-                )
-            )
-            offsets = data["group_offsets"]
-            members = data["group_members"]
-            groups = tuple(
-                tuple(int(i) for i in members[lo:hi])
-                for lo, hi in zip(offsets[:-1], offsets[1:])
-            )
             return cls(
                 netlist_name=str(data["netlist_name"]),
-                faults=faults,
-                groups=groups,
+                faults=unpack_faults(data),
+                groups=unpack_groups(data),
                 words=data["words"],
                 n_vectors=int(data["n_vectors"]),
                 vector_base=int(data["vector_base"]),
@@ -225,6 +187,41 @@ class FaultDictionary:
                     str(data["backend"]) if "backend" in data.files else ""
                 ),
             )
+
+
+def pack_faults(faults: Sequence[StuckAtFault]) -> Dict[str, np.ndarray]:
+    """Field-wise arrays of an ordered stuck-at fault list (the
+    :meth:`FaultDictionary.save` layout)."""
+    nets, gates, pins, values = [], [], [], []
+    for fault in faults:
+        nets.append(fault.site.net)
+        if fault.site.is_stem:
+            gates.append("")
+            pins.append(-1)
+        else:
+            gate, pin = fault.site.branch
+            gates.append(gate)
+            pins.append(pin)
+        values.append(fault.value)
+    return {
+        "fault_nets": np.array(nets, dtype=np.str_),
+        "fault_gates": np.array(gates, dtype=np.str_),
+        "fault_pins": np.array(pins, dtype=np.int64),
+        "fault_values": np.array(values, dtype=np.uint8),
+    }
+
+
+def unpack_faults(arrays: Mapping[str, np.ndarray]) -> Tuple[StuckAtFault, ...]:
+    """Inverse of :func:`pack_faults` (exact tuple of frozen faults)."""
+    return tuple(
+        StuckAtFault(FaultSite(net, None if pin < 0 else (gate, pin)), value)
+        for net, gate, pin, value in zip(
+            arrays["fault_nets"].tolist(),
+            arrays["fault_gates"].tolist(),
+            arrays["fault_pins"].tolist(),
+            arrays["fault_values"].tolist(),
+        )
+    )
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +350,7 @@ def _build_fault_dictionary_impl(
             backend=backend,
             params=digest_params(collapse=resolve_collapse_mode(collapse)),
         )
-        cached = store.get(key)
+        cached = store.get(key, faults=fault_seq)
         if cached is not None:
             return cached
     words = _dictionary_shard(netlist, groups, fault_seq, space, backend)
@@ -427,7 +424,7 @@ def dictionary_for_vectors(
             backend=backend,
             params=digest_params(collapse=resolve_collapse_mode(collapse)),
         )
-        cached = store.get(key)
+        cached = store.get(key, faults=fault_seq)
         if cached is not None:
             return cached
     packed = PackedVectors(

@@ -465,7 +465,7 @@ def compact_test_set(
                 seed=seed if method == "atpg" else None, collapse=mode
             ),
         )
-        cached = store.get(key)
+        cached = store.get(key, faults=fault_seq)
         if cached is not None:
             return cached
     if method == "dictionary":

@@ -3,16 +3,20 @@
 Every ``REPRO_*`` name in a string literal under ``src/repro`` must be
 one of the documented environment variables, and README's
 environment-variable sentence must name each of them, so a new knob
-cannot land undocumented.  Chunk geometry is no knob at all: it is a
-set of module constants, pinned here at their measured values.
+cannot land undocumented.  A path knob that cannot be opened warns
+naming its variable.  Chunk geometry is no knob at all: it is a set of
+module constants, pinned here at their measured values.
 """
 
 import ast
 import pathlib
 import re
 
+import pytest
+
 from repro.coverage import engine as coverage_engine
 from repro.gates import engine as gate_engine
+from repro.obs import metrics, trace
 from repro.tpg import dictionary as tpg_dictionary
 from repro.tpg import generate as tpg_generate
 
@@ -38,6 +42,29 @@ def test_env_knob_census():
     )
     for name in KNOBS:
         assert f"`{name}`" in sentence, name
+
+
+def test_unusable_telemetry_paths_name_their_variable(tmp_path, monkeypatch):
+    # A directory cannot be opened for appending.
+    bad = str(tmp_path)
+    monkeypatch.setenv("REPRO_METRICS", bad)
+    metrics.inc("env_knob_probe_total")
+    with pytest.warns(UserWarning) as caught:
+        metrics.dump()
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        f"cannot dump metrics to REPRO_METRICS={bad!r}"
+    ]
+
+    trace._SINK.close()
+    monkeypatch.setenv("REPRO_TRACE", bad)
+    try:
+        with pytest.warns(UserWarning) as caught:
+            trace.emit_event("env_knob_probe")
+    finally:
+        trace._SINK.close()
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        f"cannot trace to REPRO_TRACE={bad!r}"
+    ]
 
 
 def test_chunk_constants():

@@ -8,13 +8,15 @@ under any shard grid) must produce identical keys.  Artifacts round-trip
 through the filesystem bit-identically.
 """
 
+import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.coverage.engine import evaluate_adder
-from repro.errors import StoreError
+from repro.errors import SimulationError, StoreError
 from repro.faults.injector import run_sharded_stuck_at_campaign
 from repro.gates import builders
 from repro.gates.faults import default_fault_universe
@@ -47,6 +49,44 @@ def _key(**overrides):
     )
     fields.update(overrides)
     return CacheKey(**fields)
+
+
+def _race_campaign():
+    return run_sharded_stuck_at_campaign(
+        builders.ripple_carry_adder(3), store=False
+    )
+
+
+def _race_writer(root, n_puts):
+    store = ResultStore(root, lru_size=0)
+    result = _race_campaign()
+    for _ in range(n_puts):
+        store.put(_key(), result)
+
+
+def _race_reader(root, done, report):
+    store = ResultStore(root, lru_size=0)
+    expected = _race_campaign()
+    reads = {"missed": 0, "identical": 0, "mismatched": 0, "corrupt": 0}
+    # One last read after the writers finish, so a hit is guaranteed.
+    while True:
+        finished = done.is_set()
+        loaded = store.get(_key(), faults=expected.faults)
+        if loaded is None:
+            reads["missed"] += 1
+        elif (
+            loaded.detected.tobytes() == expected.detected.tobytes()
+            and loaded.first_detected.tobytes() == expected.first_detected.tobytes()
+            and loaded.groups == expected.groups
+            and loaded.n_simulated_runs == expected.n_simulated_runs
+        ):
+            reads["identical"] += 1
+        else:
+            reads["mismatched"] += 1
+        if finished:
+            break
+    reads["corrupt"] = store.stats.corrupt
+    report.put(reads)
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +185,7 @@ class TestRoundTrips:
         key = _key()
         store.put(key, result)
         store.clear_lru()  # force the disk path
-        loaded = store.get(key)
+        loaded = store.get(key, faults=list(result.faults))
         assert loaded is not result
         assert loaded.netlist_name == result.netlist_name
         assert loaded.faults == tuple(result.faults)
@@ -166,7 +206,7 @@ class TestRoundTrips:
         key = _key(kind="dictionary")
         store.put(key, dictionary)
         store.clear_lru()
-        loaded = store.get(key)
+        loaded = store.get(key, faults=list(dictionary.faults))
         assert loaded.faults == dictionary.faults
         assert loaded.groups == dictionary.groups
         assert loaded.words.dtype == dictionary.words.dtype
@@ -180,13 +220,16 @@ class TestRoundTrips:
         key = _key(kind="compact")
         store.put(key, compact)
         store.clear_lru()
-        loaded = store.get(key)
+        loaded = store.get(key, faults=list(compact.faults))
         assert loaded.netlist_name == compact.netlist_name
         assert loaded.input_names == tuple(compact.input_names)
         assert np.asarray(loaded.vectors).tobytes() == np.asarray(
             compact.vectors
         ).tobytes()
         assert loaded.faults == tuple(compact.faults)
+        assert np.asarray(loaded.detected).tobytes() == np.asarray(
+            compact.detected
+        ).tobytes()
         assert tuple(loaded.marginal) == tuple(compact.marginal)
         assert loaded.source == compact.source
 
@@ -254,6 +297,54 @@ class TestStoreMechanics:
         value = store.get(keys[0])
         assert value is not None and int(value[0]) == 0
         assert store.stats.lru_hits == lru_hits
+
+    @pytest.mark.parametrize("from_disk", [False, True], ids=["lru", "disk"])
+    def test_fault_bearing_get_needs_its_universe(self, tmp_path, from_disk):
+        # A missing or wrong-length universe is a caller bug: it raises,
+        # and must not be mistaken for corruption (which deletes).
+        result = run_sharded_stuck_at_campaign(
+            builders.ripple_carry_adder(2), store=False
+        )
+        store = ResultStore(tmp_path)
+        key = _key()
+        store.put(key, result)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StoreCorruptionWarning)
+            for wrong in (None, result.faults[:-1], result.faults + result.faults[:1]):
+                if from_disk:
+                    store.clear_lru()
+                with pytest.raises(SimulationError, match="faults"):
+                    store.get(key, faults=wrong)
+        assert all(os.path.exists(path) for path in store.paths(key))
+        assert store.stats.corrupt == 0
+        assert store.stats.hits == store.stats.misses == 0
+        store.clear_lru()
+        loaded = store.get(key, faults=result.faults)
+        assert loaded.detected.tobytes() == result.detected.tobytes()
+
+    def test_same_key_write_race(self, tmp_path):
+        # Two writers re-put one campaign under one key while a reader
+        # polls it from disk: every read is a miss or bit-identical.
+        ctx = multiprocessing.get_context("spawn")
+        done = ctx.Event()
+        report = ctx.Queue()
+        writers = [
+            ctx.Process(target=_race_writer, args=(str(tmp_path), 40))
+            for _ in range(2)
+        ]
+        reader = ctx.Process(
+            target=_race_reader, args=(str(tmp_path), done, report)
+        )
+        for proc in (reader, *writers):
+            proc.start()
+        for proc in writers:
+            proc.join(timeout=120)
+        done.set()
+        reads = report.get(timeout=120)
+        reader.join(timeout=120)
+        assert [p.exitcode for p in (reader, *writers)] == [0, 0, 0]
+        assert reads["corrupt"] == 0 and reads["mismatched"] == 0, reads
+        assert reads["identical"] > 0, reads
 
     def test_contains_and_len(self, tmp_path):
         store = ResultStore(tmp_path)
