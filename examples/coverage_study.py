@@ -8,14 +8,10 @@ Since PR 2 every Table 2 row is *exact*: small operand spaces stream
 through the batched gate-level engine, wide widths (n = 8, 16) go
 through the carry-state transfer matrix -- where the paper itself had
 to fall back to random sampling.  The ``mode`` column states the
-provenance of every cell; pass ``--sampled`` to cross-check the exact
-numbers against the legacy Monte-Carlo estimate.
+provenance of every cell.
 
-Run:  python examples/coverage_study.py            # full Table 2, exact
-      python examples/coverage_study.py --sampled  # add the Monte-Carlo cross-check
+Run:  python examples/coverage_study.py
 """
-
-import sys
 
 from repro.coverage.engine import evaluate_adder, evaluate_operator
 from repro.coverage.report import (
@@ -26,7 +22,7 @@ from repro.coverage.report import (
 )
 
 
-def main(sampled: bool = False) -> None:
+def main() -> None:
     widths = list(TABLE2_WIDTHS)
     results = {n: evaluate_adder(n) for n in widths}
     print(render_table2(widths=widths, results=results))
@@ -34,10 +30,7 @@ def main(sampled: bool = False) -> None:
     print(render_two_bit_analysis(stats=results[2]))
     print()
 
-    table1 = {
-        op: evaluate_operator(op, width=6, exhaustive_limit=1 << 12, samples=1024)
-        for op in ("add", "sub", "mul", "div")
-    }
+    table1 = {op: evaluate_operator(op, width=6) for op in ("add", "sub", "mul", "div")}
     print(render_table1(width=6, results=table1))
     print()
 
@@ -49,18 +42,6 @@ def main(sampled: bool = False) -> None:
         f"(paper: [81.90%, 99.87%] across strategies)"
     )
 
-    if sampled:
-        print()
-        print("Monte-Carlo cross-check (seeded, 4096 samples/case):")
-        for n in (8, 16):
-            est = evaluate_adder(n, samples=4096, method="sampled")["both"]
-            exact = results[n]["both"]
-            print(
-                f"  n={n:2d}: exact {exact.coverage_percent:.3f}%  "
-                f"sampled {est.coverage_percent:.3f}%  "
-                f"(delta {abs(exact.coverage_percent - est.coverage_percent):.3f} pts)"
-            )
-
 
 if __name__ == "__main__":
-    main(sampled="--sampled" in sys.argv[1:])
+    main()

@@ -21,10 +21,15 @@ ArrayLike = Union[int, np.ndarray]
 
 def check_width(width: int) -> int:
     """Validate an operand width; returns it for chaining."""
-    if isinstance(width, bool) or not isinstance(width, (int, np.integer)):
-        raise SimulationError(f"width must be an int, got {type(width).__name__}")
-    if width < 1 or width > MAX_WIDTH:
-        raise SimulationError(f"width must be in [1, {MAX_WIDTH}], got {width}")
+    if (
+        isinstance(width, bool)
+        or not isinstance(width, (int, np.integer))
+        or not 1 <= width <= MAX_WIDTH
+    ):
+        raise SimulationError(
+            f"width= must be an integer in [1, {MAX_WIDTH}], "
+            f"got {type(width).__name__} {width!r}"
+        )
     return int(width)
 
 

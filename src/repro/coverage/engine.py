@@ -1,9 +1,9 @@
-"""Exact / Monte-Carlo worst-case fault-coverage evaluation (Table 2).
+"""Exact worst-case fault-coverage evaluation (Table 2).
 
 For every (faulty cell behaviour, cell location) case of a unit, the
 engine computes the nominal operation and its checking operation(s) on
-the *same* faulty unit over a set of operand pairs, then classifies each
-situation:
+the *same* faulty unit over the whole operand space, then classifies
+each situation:
 
 * *covered*: the result is correct, or a check fired (the paper's fault
   coverage definition);
@@ -15,8 +15,8 @@ situation:
 Evaluation methods
 ------------------
 
-Each evaluator picks (or is told) one of four methods, recorded in
-:attr:`CoverageStats.method` so reports can state exactly how every
+Each evaluator picks (or is told) one of three exact methods, recorded
+in :attr:`CoverageStats.method` so reports can state exactly how every
 Table 2 cell was computed:
 
 ``"gate"`` (provenance ``gate-sweep``)
@@ -31,35 +31,28 @@ Table 2 cell was computed:
     (:mod:`repro.gates.sparse`): each batch walks only its union
     fan-out cone, and outputs outside it are golden.  Masked universes
     (the divider's zero-divisor exclusion) apply valid-lane words
-    before counting.  Exact; the
-    default whenever the operand space fits ``exhaustive_limit`` (chain
-    operators) or the array cap ``DEFAULT_ARRAY_GATE_LIMIT``
-    (``mul``/``div``, n <= 8).
+    before counting.  The ``"auto"`` choice whenever the operand space
+    fits ``DEFAULT_EXHAUSTIVE_LIMIT`` (chain operators) or the array cap
+    ``DEFAULT_ARRAY_GATE_LIMIT`` (``mul``/``div``, n <= 8).  Wider
+    ``mul``/``div`` widths need an explicit ``method="gate"``; the 2-D
+    arrays have no chain decomposition for the transfer DP, so
+    ``"auto"`` raises there instead of picking a sweep that large.
 
 ``"transfer"``
     The carry-state transfer-matrix dynamic program
     (:mod:`repro.coverage.transfer`): exact situation counts for any
     width in microseconds, which is how n = 16 (a ``2**32``-pair operand
-    space no sweep can touch) is evaluated *exactly* instead of sampled.
-    Default for wide chain operators.
+    space no sweep can touch) is evaluated exactly.  The ``"auto"``
+    choice for wide chain operators.
 
 ``"functional"``
     The seed LUT-splicing evaluators -- one vectorised NumPy pass per
-    fault case over explicit operand arrays.  Exact when the space fits
-    ``exhaustive_limit``; kept as the differential-testing reference
-    for every operator.
+    fault case over explicit operand arrays, up to
+    ``DEFAULT_EXHAUSTIVE_LIMIT`` operand pairs; kept as the
+    differential-testing reference of the gate sweep for every operator.
 
-``"sampled"``
-    The legacy seeded Monte-Carlo estimate, demoted to an explicit
-    cross-check: it only runs on explicit ``samples=`` opt-in or when
-    no exact method exists at all (``mul``/``div`` beyond the array
-    cap, whose architectures have no chain decomposition for the
-    transfer DP).  Because the operand sample is reseeded per shard
-    from the same ``seed``, sampled runs are shard-invariant too.
-
-Sharding: every method computes exact integer counts per fault case
-(or deterministic seeded counts, for the sampled estimator), so the
-gate and functional sweeps share one scaffold (:func:`_run_cases`):
+Sharding: every method computes exact integer counts per fault case, so
+the gate and functional sweeps share one scaffold (:func:`_run_cases`):
 contiguous fault-case ranges shard across a ``ProcessPoolExecutor``
 (``workers=``, auto-selected by universe size), checkpoint per shard
 into an open result store, and concatenate back in case order with
@@ -72,17 +65,15 @@ with a structural one: the raw stuck-at detectability of a gate-level
 netlist under a vector set, computed by the batched bit-parallel engine
 (:mod:`repro.gates.engine`) in one pass over the whole fault universe.
 """
-
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.arch.adders import RippleCarryAdderUnit
-from repro.arch.bitops import mask_of
+from repro.arch.bitops import check_width, mask_of
 from repro.arch.cell import DEFAULT_CELL_NETLIST, collapsed_cell_library
 from repro.arch.divider import RestoringDividerUnit
 from repro.arch.multiplier import ArrayMultiplierUnit
@@ -120,7 +111,8 @@ from repro.store import (
     run_checkpointed,
 )
 
-#: Widths up to this operand-space size are enumerated exhaustively.
+#: Operand-space cap of the chain operators' gate sweep under ``"auto"``
+#: (transfer DP beyond it) and of the functional method.
 DEFAULT_EXHAUSTIVE_LIMIT = 1 << 20
 #: Auto-selection cap of the gate sweep for the 2-D array operators
 #: (``mul``/``div``): their test architectures grow quadratically /
@@ -128,23 +120,18 @@ DEFAULT_EXHAUSTIVE_LIMIT = 1 << 20
 #: ``4**8`` operand pairs (n = 8, the paper's widest published mul/div
 #: row).  Explicit ``method="gate"`` ignores the cap.
 DEFAULT_ARRAY_GATE_LIMIT = 1 << 16
-#: Sample count used when the sampled estimator runs without an explicit
-#: ``samples=`` (wide multiplier/divider cases, which have no exact path).
-DEFAULT_SAMPLES = 4096
-DEFAULT_SEED = 20050307  # DATE'05 conference date
 
 #: Recognised ``method=`` values of the Table 2 evaluators.
-EVALUATION_METHODS = ("auto", "gate", "transfer", "functional", "sampled")
+EVALUATION_METHODS = ("auto", "gate", "transfer", "functional")
 
 
 @dataclass
 class CoverageStats:
     """Aggregated coverage statistics for one (operator, technique, width).
 
-    ``exhaustive`` states whether the full operand space was enumerated;
-    ``method`` names the evaluation path that produced the numbers (see
-    the module docstring), so every reported cell carries its
-    provenance.
+    Every count is exact over the whole operand space; ``method`` names
+    the evaluation path that produced it (see the module docstring), so
+    every reported cell carries its provenance.
     """
 
     operator: str
@@ -156,7 +143,6 @@ class CoverageStats:
     detected_while_correct: int
     per_case_min: float
     per_case_max: float
-    exhaustive: bool
     method: str = "functional"
 
     @property
@@ -171,11 +157,8 @@ class CoverageStats:
     @property
     def provenance(self) -> str:
         """Human-readable evaluation mode, e.g. ``exhaustive/gate-sweep``."""
-        mode = "exhaustive" if self.exhaustive else "sampled"
         detail = "gate-sweep" if self.method == "gate" else self.method
-        if detail == mode:
-            return mode
-        return f"{mode}/{detail}"
+        return f"exhaustive/{detail}"
 
     def describe(self) -> str:
         return (
@@ -236,9 +219,7 @@ class _Accumulator:
             self.case_min[name] = min(self.case_min[name], frac)
             self.case_max[name] = max(self.case_max[name], frac)
 
-    def stats(
-        self, operator: str, width: int, exhaustive: bool, method: str
-    ) -> Dict[str, CoverageStats]:
+    def stats(self, operator: str, width: int, method: str) -> Dict[str, CoverageStats]:
         return {
             name: CoverageStats(
                 operator=operator,
@@ -250,40 +231,22 @@ class _Accumulator:
                 detected_while_correct=self.detected_correct[name],
                 per_case_min=self.case_min[name],
                 per_case_max=self.case_max[name],
-                exhaustive=exhaustive,
                 method=method,
             )
             for name in self.names
         }
 
 
-def _operand_pairs(
-    width: int,
-    exhaustive_limit: int,
-    samples: Optional[int],
-    seed: int,
-    exclude_zero_divisor: bool = False,
-    force_sampled: bool = False,
-) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """Operand vectors: exhaustive when affordable, else seeded samples."""
-    space = 1 << (2 * width)
-    mask = mask_of(width)
-    if space <= exhaustive_limit and not force_sampled:
-        combos = np.arange(space, dtype=np.uint64)
-        a = combos & np.uint64(mask)
-        b = (combos >> np.uint64(width)) & np.uint64(mask)
-        exhaustive = True
-        if exclude_zero_divisor:
-            keep = b != 0
-            a, b = a[keep], b[keep]
-    else:
-        n_samples = samples if samples is not None else DEFAULT_SAMPLES
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, mask + 1, size=n_samples, dtype=np.uint64)
-        low = 1 if exclude_zero_divisor else 0
-        b = rng.integers(low, mask + 1, size=n_samples, dtype=np.uint64)
-        exhaustive = False
-    return a, b, exhaustive
+def _operand_pairs(width: int, exclude_zero_divisor: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Every operand pair of the ``4**width`` space (nonzero divisors)."""
+    combos = np.arange(1 << (2 * width), dtype=np.uint64)
+    mask = np.uint64(mask_of(width))
+    a = combos & mask
+    b = (combos >> np.uint64(width)) & mask
+    if exclude_zero_divisor:
+        keep = b != 0
+        a, b = a[keep], b[keep]
+    return a, b
 
 
 # ----------------------------------------------------------------------
@@ -388,18 +351,12 @@ def _functional_case_counts(
     operator: str,
     width: int,
     cell_netlist: str,
-    exhaustive_limit: int,
-    samples: Optional[int],
-    seed: int,
-    force_sampled: bool,
     case_lo: int,
     case_hi: int,
 ) -> List[_CaseCounts]:
     """Shard worker: functional counts for fault cases [case_lo, case_hi)."""
     spec = _SPECS[operator]
-    a, b, _ = _operand_pairs(
-        width, exhaustive_limit, samples, seed, spec.exclude_zero_divisor, force_sampled
-    )
+    a, b = _operand_pairs(width, spec.exclude_zero_divisor)
     out: List[_CaseCounts] = []
     for correct, dets in spec.kernel(width, cell_netlist, a, b, case_lo, case_hi):
         per = {
@@ -421,7 +378,6 @@ def _run_cases(
     n_cases: int,
     cost: int,
     workers: Optional[int],
-    exhaustive: bool,
     method: str,
     key: Optional[CacheKey],
     store: Optional[ResultStore],
@@ -454,7 +410,7 @@ def _run_cases(
     for chunk in shards:
         for repeat, count, n_correct, per in chunk:
             acc.update_counts(count, n_correct, per, repeat=repeat)
-    result = acc.stats(operator, width, exhaustive, method)
+    result = acc.stats(operator, width, method)
     if store is not None:
         store.put(key, result, {"n_cases": n_cases, "workers": n_workers})
     return result
@@ -464,40 +420,23 @@ def _run_functional(
     operator: str,
     width: int,
     cell_netlist: str,
-    exhaustive_limit: int,
-    samples: Optional[int],
-    seed: int,
     workers: Optional[int],
-    force_sampled: bool,
     store: Optional[ResultStore] = None,
 ) -> Dict[str, CoverageStats]:
-    spec = _SPECS[operator]
-    n_cases = len(spec.case_list(width, cell_netlist))
-    space = 1 << (2 * width)
-    exhaustive = space <= exhaustive_limit and not force_sampled
-    per_case = (
-        space if exhaustive
-        else (samples if samples is not None else DEFAULT_SAMPLES)
-    )
-    method = "functional" if exhaustive else "sampled"
+    n_cases = len(_SPECS[operator].case_list(width, cell_netlist))
     key = None
     if store is not None:
         key = CacheKey(
             kind="coverage",
             netlist=digest_params(operator=operator, width=width),
             universe=digest_cell_library(cell_netlist),
-            space=(
-                digest_params(exhaustive=True)
-                if exhaustive
-                else digest_params(samples=per_case, seed=seed)
-            ),
-            method=method,
+            space=digest_params(exhaustive=True),
+            method="functional",
             backend="numpy",
         )
     return _run_cases(
-        operator, width, _functional_case_counts,
-        (operator, width, cell_netlist, exhaustive_limit, samples, seed, force_sampled),
-        n_cases, n_cases * per_case, workers, exhaustive, method, key, store,
+        operator, width, _functional_case_counts, (operator, width, cell_netlist),
+        n_cases, n_cases << (2 * width), workers, "functional", key, store,
     )
 
 
@@ -628,7 +567,7 @@ def _run_gate(
         )
     return _run_cases(
         operator, width, _gate_case_counts, (operator, width, cell_netlist, backend),
-        n_cases, n_cases * arch.space.n_vectors, workers, True, "gate", key, store,
+        n_cases, n_cases * arch.space.n_vectors, workers, "gate", key, store,
     )
 
 
@@ -672,7 +611,7 @@ def _run_transfer(
                 "both": (space - int(flags[0]), int(flags[3] + flags[5] + flags[7])),
             }
             acc.update_counts(space, n_correct, per, repeat=group.multiplicity)
-    result = acc.stats(operator, width, True, "transfer")
+    result = acc.stats(operator, width, "transfer")
     if store is not None:
         store.put(key, result)
     return result
@@ -685,9 +624,6 @@ def _evaluate(
     operator: str,
     width: int,
     cell_netlist: str,
-    exhaustive_limit: int,
-    samples: Optional[int],
-    seed: int,
     method: str,
     workers: Optional[int],
     backend: Optional[str] = None,
@@ -697,26 +633,33 @@ def _evaluate(
         raise SimulationError(
             f"unknown method {method!r}; choose from {EVALUATION_METHODS}"
         )
-    # Check width and an explicit worker count up front, so neither a
-    # store hit nor the pool-free transfer DP can skip the check.
-    if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
-        raise SimulationError(f"width= must be a positive integer, got {width!r}")
-    if workers is not None:
-        workers = resolve_workers(workers, 0)
-    store = resolve_store(store)
+    # Check width, method reach and an explicit worker count up front,
+    # so neither a store hit nor the pool-free transfer DP can skip a
+    # check, and no architecture is built for a width that must raise.
+    width = check_width(width)
+    if operator == "mul" and width < 2:
+        raise SimulationError(f"multiplier coverage needs width= >= 2, got {width}")
     space = 1 << (2 * width)
     if method == "auto":
         if operator in CHAIN_OPERATORS:
-            if space <= exhaustive_limit:
-                method = "gate"
-            elif samples is None:
-                method = "transfer"
-            else:
-                method = "sampled"
-        elif space <= min(exhaustive_limit, DEFAULT_ARRAY_GATE_LIMIT):
+            method = "gate" if space <= DEFAULT_EXHAUSTIVE_LIMIT else "transfer"
+        elif space <= DEFAULT_ARRAY_GATE_LIMIT:
             method = "gate"
         else:
-            method = "sampled"
+            raise SimulationError(
+                f"{operator} at width={width} exceeds the default gate-sweep "
+                f"cap of {DEFAULT_ARRAY_GATE_LIMIT} operand pairs and has no "
+                'transfer DP; pass method="gate" to sweep it anyway'
+            )
+    elif method == "functional" and space > DEFAULT_EXHAUSTIVE_LIMIT:
+        raise SimulationError(
+            "functional evaluation enumerates at most "
+            f"{DEFAULT_EXHAUSTIVE_LIMIT} operand pairs, width={width} has "
+            f'{space}; use method="gate"'
+        )
+    if workers is not None:
+        workers = resolve_workers(workers, 0)
+    store = resolve_store(store)
     with obs_span(
         "coverage_evaluate", operator=operator, width=width, method=method
     ):
@@ -726,25 +669,12 @@ def _evaluate(
             )
         if method == "transfer":
             return _run_transfer(operator, width, cell_netlist, store)
-        return _run_functional(
-            operator,
-            width,
-            cell_netlist,
-            exhaustive_limit,
-            samples,
-            seed,
-            workers,
-            force_sampled=method == "sampled",
-            store=store,
-        )
+        return _run_functional(operator, width, cell_netlist, workers, store)
 
 
 def evaluate_adder(
     width: int,
     cell_netlist: str = DEFAULT_CELL_NETLIST,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    samples: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
     method: str = "auto",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
@@ -754,27 +684,20 @@ def evaluate_adder(
 
     The nominal ``ris = op1 + op2`` and both checking subtractions run
     through the same faulty adder chain; every 32-fault x ``width``-
-    position case is classified over the operand space.  By default the
-    evaluation is *exact at every width*: the batched gate-level sweep
-    when ``4**width`` fits ``exhaustive_limit``, the transfer-matrix DP
-    beyond (n = 8 and 16 included).  Sampling only happens on explicit
-    ``samples=`` opt-in.  ``workers`` shards fault cases across
-    processes (auto by universe size) with bit-identical results.
-    Returns one :class:`CoverageStats` per technique
-    (``tech1``/``tech2``/``both``).
+    position case is classified over the whole operand space.  The
+    evaluation is exact at every width: by default the batched
+    gate-level sweep while ``4**width`` fits
+    ``DEFAULT_EXHAUSTIVE_LIMIT``, the transfer-matrix DP beyond (n = 16
+    included).  ``workers`` shards fault cases across processes (auto
+    by universe size) with bit-identical results.  Returns one
+    :class:`CoverageStats` per technique (``tech1``/``tech2``/``both``).
     """
-    return _evaluate(
-        "add", width, cell_netlist, exhaustive_limit, samples, seed,
-        method, workers, backend, store,
-    )
+    return _evaluate("add", width, cell_netlist, method, workers, backend, store)
 
 
 def evaluate_subtractor(
     width: int,
     cell_netlist: str = DEFAULT_CELL_NETLIST,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    samples: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
     method: str = "auto",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
@@ -789,18 +712,12 @@ def evaluate_subtractor(
     Method selection, sharding and return type as for
     :func:`evaluate_adder`.
     """
-    return _evaluate(
-        "sub", width, cell_netlist, exhaustive_limit, samples, seed,
-        method, workers, backend, store,
-    )
+    return _evaluate("sub", width, cell_netlist, method, workers, backend, store)
 
 
 def evaluate_multiplier(
     width: int,
     cell_netlist: str = DEFAULT_CELL_NETLIST,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    samples: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
     method: str = "auto",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
@@ -812,26 +729,17 @@ def evaluate_multiplier(
     holds modulo ``2**width``, so the checking product runs through the
     same faulty array and the final summation/comparison is fault-free.
     By default the batched gate-level sweep evaluates the truncated
-    ripple-row array *exactly* up to n = 8
-    (``DEFAULT_ARRAY_GATE_LIMIT``); the 2-D array has no chain
-    decomposition for the transfer DP, so wider widths fall back to the
-    seeded sampled estimate (``method`` records which).  Sharding as
-    for :func:`evaluate_adder`.
+    ripple-row array exactly up to n = 8 (``DEFAULT_ARRAY_GATE_LIMIT``);
+    the 2-D array has no chain decomposition for the transfer DP, so a
+    wider width raises unless ``method="gate"`` asks for the sweep.
+    Needs ``width >= 2``.  Sharding as for :func:`evaluate_adder`.
     """
-    if width < 2:
-        raise SimulationError("multiplier coverage needs width >= 2")
-    return _evaluate(
-        "mul", width, cell_netlist, exhaustive_limit, samples, seed,
-        method, workers, backend, store,
-    )
+    return _evaluate("mul", width, cell_netlist, method, workers, backend, store)
 
 
 def evaluate_divider(
     width: int,
     cell_netlist: str = DEFAULT_CELL_NETLIST,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    samples: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
     method: str = "auto",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
@@ -847,12 +755,9 @@ def evaluate_divider(
     Zero divisors are excluded from the operand space (the gate sweep
     masks them out of the packed vector words).  By default the
     unrolled gate-level sweep is exact up to n = 8; like the
-    multiplier, wider widths use the sampled estimate.
+    multiplier, a wider width needs an explicit ``method="gate"``.
     """
-    return _evaluate(
-        "div", width, cell_netlist, exhaustive_limit, samples, seed,
-        method, workers, backend, store,
-    )
+    return _evaluate("div", width, cell_netlist, method, workers, backend, store)
 
 
 @dataclass
@@ -945,9 +850,6 @@ def evaluate_operator(
     operator: str,
     width: int,
     cell_netlist: str = DEFAULT_CELL_NETLIST,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    samples: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
     method: str = "auto",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
@@ -967,9 +869,6 @@ def evaluate_operator(
     return evaluator(
         width,
         cell_netlist=cell_netlist,
-        exhaustive_limit=exhaustive_limit,
-        samples=samples,
-        seed=seed,
         method=method,
         workers=workers,
         backend=backend,

@@ -1,9 +1,9 @@
 """Renderers regenerating the paper's Tables 1 and 2.
 
 Every rendered cell carries its provenance (``exhaustive/gate-sweep``,
-``exhaustive/transfer``, ``sampled``...) so the output states exactly
-how it was computed -- by default Table 2 is exact at *every* width,
-including n = 8 and n = 16 where the paper itself sampled.
+``exhaustive/transfer``...) so the output states exactly how it was
+computed -- Table 2 is exact at *every* width, including n = 8 and
+n = 16 where the paper itself sampled.
 
 Run as a module for a command-line report::
 
@@ -17,12 +17,7 @@ from __future__ import annotations
 import argparse
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.coverage.engine import (
-    CoverageStats,
-    evaluate_adder,
-    evaluate_operator,
-    theoretical_situations,
-)
+from repro.coverage.engine import CoverageStats, evaluate_adder, evaluate_operator
 from repro.coverage.techniques import TECHNIQUES
 
 #: Paper's Table 2 reference values (width -> (tech1, tech2, both) %).
@@ -51,21 +46,16 @@ def _format_row(cells: Sequence[str], widths: Sequence[int]) -> str:
 def render_table1(
     width: int = 8,
     operators: Iterable[str] = ("add", "sub", "mul", "div"),
-    samples: Optional[int] = None,
     results: Optional[Dict[str, Dict[str, CoverageStats]]] = None,
 ) -> str:
     """Regenerate Table 1: per-operator technique coverage.
 
     ``results`` may be supplied (e.g. by a benchmark) to skip
-    recomputation; ``samples`` forces the legacy Monte-Carlo estimate
-    for cross-checks (by default every operator that has an exact
-    evaluator at ``width`` uses it).
+    recomputation.
     """
     operators = list(operators)
     if results is None:
-        results = {
-            op: evaluate_operator(op, width, samples=samples) for op in operators
-        }
+        results = {op: evaluate_operator(op, width) for op in operators}
     col_widths = (8, 8, 12, 12, 22)
     lines = [
         f"Table 1 -- overloading techniques and fault coverage (width={width})",
@@ -92,23 +82,19 @@ def render_table1(
 
 def render_table2(
     widths: Iterable[int] = TABLE2_WIDTHS,
-    samples: Optional[int] = None,
     cell_netlist: str = "xor3_majority",
     results: Optional[Dict[int, Dict[str, CoverageStats]]] = None,
 ) -> str:
     """Regenerate Table 2: adder coverage vs operand width.
 
-    Each row ends with the provenance of its numbers; with the default
-    ``samples=None`` every width is exact (gate-level sweep for small
-    operand spaces, transfer-matrix DP beyond), going one better than
-    the paper's own sampled n = 8/16 rows.
+    Each row ends with the provenance of its numbers; every width is
+    exact (gate-level sweep for small operand spaces, transfer-matrix DP
+    beyond), going one better than the paper's own sampled n = 8/16
+    rows.
     """
     widths = list(widths)
     if results is None:
-        results = {
-            n: evaluate_adder(n, cell_netlist=cell_netlist, samples=samples)
-            for n in widths
-        }
+        results = {n: evaluate_adder(n, cell_netlist=cell_netlist) for n in widths}
     col_widths = (6, 14, 10, 10, 10, 20, 22)
     lines = [
         f"Table 2 -- operator + coverage vs width (cell netlist: {cell_netlist})",
@@ -128,9 +114,6 @@ def render_table2(
     for n in widths:
         stats = results[n]
         t1, t2, both = (stats["tech1"], stats["tech2"], stats["both"])
-        situations = (
-            theoretical_situations("add", n) if t1.exhaustive else t1.situations
-        )
         paper = PAPER_TABLE2.get(n)
         paper_text = (
             f"{paper[0]:.2f}/{paper[1]:.2f}/{paper[2]:.2f}" if paper else "-"
@@ -139,7 +122,7 @@ def render_table2(
             _format_row(
                 (
                     n,
-                    situations,
+                    t1.situations,
                     f"{t1.coverage_percent:.2f}",
                     f"{t2.coverage_percent:.2f}",
                     f"{both.coverage_percent:.2f}",
@@ -183,23 +166,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("table", choices=("table1", "table2", "twobit"))
     parser.add_argument("--width", type=int, default=8)
     parser.add_argument("--widths", type=int, nargs="+", default=list(TABLE2_WIDTHS))
-    parser.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        help="force the legacy seeded Monte-Carlo estimate at wide widths "
-        "(default: exact evaluation everywhere an exact method exists)",
-    )
     parser.add_argument("--netlist", default="xor3_majority")
     args = parser.parse_args(argv)
     if args.table == "table1":
-        print(render_table1(width=args.width, samples=args.samples))
+        print(render_table1(width=args.width))
     elif args.table == "table2":
-        print(
-            render_table2(
-                widths=args.widths, samples=args.samples, cell_netlist=args.netlist
-            )
-        )
+        print(render_table2(widths=args.widths, cell_netlist=args.netlist))
     else:
         print(render_two_bit_analysis(cell_netlist=args.netlist))
     return 0

@@ -15,14 +15,18 @@ for the other units.
 
 from __future__ import annotations
 
+import numbers
+
 from repro.arch.cell import NUM_FA_FAULTS
 from repro.errors import FaultError
 
 
 def _check_width(width: int) -> int:
-    if width < 1:
-        raise FaultError(f"width must be >= 1, got {width}")
-    return width
+    if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
+        raise FaultError(
+            f"width= must be a positive integer, got {type(width).__name__} {width!r}"
+        )
+    return int(width)
 
 
 def adder_situations(width: int) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 #: Part of every key digest and every provenance record: bump it when
 #: either changes and all previously stored artifacts become invisible
 #: (stale entries are simply never hit again).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _hasher() -> "hashlib._Hash":

@@ -47,8 +47,10 @@ class TestSituationCounts:
         assert divider_situations(2) == 32 * 3 * (4 * 3)
 
     def test_invalid_width(self):
-        with pytest.raises(FaultError):
-            adder_situations(0)
+        for width in (0, True, "x", 2.0, None):
+            for count in (adder_situations, multiplier_situations, divider_situations):
+                with pytest.raises(FaultError, match="width="):
+                    count(width)
 
 
 class TestTechniqueRegistry:
@@ -79,7 +81,6 @@ class TestAdderCoverage:
     def test_exhaustive_counts(self, adder_stats):
         for n, stats in adder_stats.items():
             assert stats["tech1"].situations == adder_situations(n)
-            assert stats["tech1"].exhaustive
 
     def test_monotone_in_width(self, adder_stats):
         """Paper Table 2: coverage grows with operand width."""
@@ -115,12 +116,6 @@ class TestAdderCoverage:
         both = adder_stats[2]["both"]
         assert both.per_case_max == 1.0
         assert both.per_case_min < 1.0
-
-    def test_sampling_path(self):
-        stats = evaluate_adder(8, exhaustive_limit=1 << 10, samples=256)
-        assert not stats["tech1"].exhaustive
-        assert stats["tech1"].situations == 32 * 8 * 256
-        assert stats["tech1"].coverage > 0.9
 
 
 class TestOtherOperators:

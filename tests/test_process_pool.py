@@ -12,7 +12,13 @@ import inspect
 import pytest
 
 from repro.coverage import report as coverage_report
-from repro.coverage.engine import evaluate_adder, evaluate_gate_level
+from repro.coverage.engine import (
+    evaluate_adder,
+    evaluate_divider,
+    evaluate_gate_level,
+    evaluate_multiplier,
+    evaluate_subtractor,
+)
 from repro.errors import SimulationError
 from repro.faults.injector import (
     run_gate_level_campaign,
@@ -75,11 +81,15 @@ class TestWorkersValidation:
 
 
 class TestWidthValidation:
-    @pytest.mark.parametrize("width", (-1, 0, 2.5, True))
+    @pytest.mark.parametrize("width", (-1, 0, 2.5, True, "x", None))
     def test_evaluator_rejects_bad_width(self, width, tmp_path):
         # An open store must not turn the check into a lookup.
-        with pytest.raises(SimulationError, match="width="):
-            evaluate_adder(width, store=ResultStore(tmp_path))
+        store = ResultStore(tmp_path)
+        for evaluate in (
+            evaluate_adder, evaluate_subtractor, evaluate_multiplier, evaluate_divider
+        ):
+            with pytest.raises(SimulationError, match="width="):
+                evaluate(width, store=store)
 
     @pytest.mark.parametrize("width", ("-2", "0"))
     def test_report_cli_rejects_bad_width(self, width):

@@ -45,9 +45,7 @@ class TestCoverageReportCli:
         assert "2-bit" in capsys.readouterr().out
 
     def test_table1_main_small(self, capsys):
-        assert (
-            coverage_report.main(["table1", "--width", "3", "--samples", "256"]) == 0
-        )
+        assert coverage_report.main(["table1", "--width", "3"]) == 0
         out = capsys.readouterr().out
         assert "add" in out and "div" in out
 
@@ -153,13 +151,6 @@ class TestVhdlEmission:
 
 
 class TestRenderersWithCustomData:
-    def test_table2_handles_sampled_rows(self):
-        from repro.coverage.engine import evaluate_adder
-
-        stats = {5: evaluate_adder(5, exhaustive_limit=16, samples=64)}
-        text = coverage_report.render_table2(widths=(5,), results=stats)
-        assert "sampled" in text  # provenance column states the mode
-
     def test_table1_unpublished_cell(self):
         from repro.coverage.engine import evaluate_adder
 

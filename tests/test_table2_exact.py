@@ -5,8 +5,8 @@ functional LUT-splicing loop, the batched gate-level sweep (multi-site
 fault groups over word-packed exhaustive vectors) and the carry-state
 transfer matrix.  They model the same experiment, so their integer
 situation counts must agree bit-for-bit -- these tests pin that, plus
-the explicit-opt-in semantics of sampling and the bit-identical merges
-of process-sharded sweeps.
+the method resolution (exact methods only; a width no default method
+reaches raises) and the bit-identical merges of process-sharded sweeps.
 """
 
 import numpy as np
@@ -86,31 +86,18 @@ class TestMethodResolution:
     def test_default_n8_is_exhaustive_gate_sweep(self):
         stats = evaluate_adder(8)
         assert stats["tech1"].method == "gate"
-        assert stats["tech1"].exhaustive
         assert stats["tech1"].situations == theoretical_situations("add", 8)
 
     def test_default_wide_width_is_exact_transfer(self):
         stats = evaluate_adder(16)
         assert stats["tech1"].method == "transfer"
-        assert stats["tech1"].exhaustive
         assert stats["tech1"].situations == 32 * 16 * (1 << 32)
-
-    def test_sampling_requires_explicit_opt_in(self):
-        sampled = evaluate_adder(16, samples=512)
-        assert not sampled["tech1"].exhaustive
-        assert sampled["tech1"].method == "sampled"
-        assert sampled["tech1"].situations == 32 * 16 * 512
-
-    def test_forced_sampled_method(self):
-        stats = evaluate_adder(3, samples=128, method="sampled")
-        assert not stats["tech1"].exhaustive
-        assert stats["tech1"].situations == 32 * 3 * 128
 
     def test_gate_method_covers_array_operators(self):
         """Since PR 3 the gate sweep serves mul/div too; only the
         transfer DP remains chain-only (no chain decomposition)."""
         stats = evaluate_multiplier(3, method="gate")
-        assert stats["tech1"].method == "gate" and stats["tech1"].exhaustive
+        assert stats["tech1"].method == "gate"
         with pytest.raises(SimulationError):
             evaluate_operator("div", 2, method="transfer")
 
@@ -120,29 +107,28 @@ class TestMethodResolution:
         div = evaluate_divider(8)
         for stats, op in ((mul, "mul"), (div, "div")):
             assert stats["tech1"].method == "gate"
-            assert stats["tech1"].exhaustive
             assert stats["tech1"].situations == theoretical_situations(op, 8)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(SimulationError):
-            evaluate_adder(2, method="warp")
+        for method in ("warp", "sampled"):
+            with pytest.raises(SimulationError, match="unknown method"):
+                evaluate_adder(2, method=method)
 
+    @pytest.mark.parametrize("evaluate", (evaluate_multiplier, evaluate_divider))
+    def test_wide_array_operators_need_explicit_gate(self, evaluate, monkeypatch):
+        """Past the array cap no default method is exact, so ``auto``
+        raises -- before any test architecture is built."""
 
-class TestExactVsSampled:
-    def test_exact_dominates_seeded_estimate_at_n8(self):
-        """With the default seed the exact coverage bounds the estimate
-        from above for every technique, and the two agree closely."""
-        exact = evaluate_adder(8)
-        sampled = evaluate_adder(8, samples=4096, method="sampled")
-        for technique in ("tech1", "tech2", "both"):
-            assert exact[technique].coverage >= sampled[technique].coverage
-            assert (
-                abs(
-                    exact[technique].coverage_percent
-                    - sampled[technique].coverage_percent
-                )
-                < 0.5
-            )
+        def no_build(*args, **kwargs):
+            raise AssertionError("an architecture was built")
+
+        monkeypatch.setattr("repro.coverage.engine.table2_architecture", no_build)
+        with pytest.raises(SimulationError, match='method="gate"'):
+            evaluate(9, store=False)
+
+    def test_functional_past_its_limit_raises(self):
+        with pytest.raises(SimulationError, match=str(1 << 20)):
+            evaluate_adder(11, method="functional", store=False)
 
 
 class TestShardInvariance:
@@ -156,22 +142,6 @@ class TestShardInvariance:
         assert _key(evaluate_multiplier(3, method="functional", workers=1)) == _key(
             evaluate_multiplier(3, method="functional", workers=3)
         )
-
-    def test_sampled_estimator_workers_bit_identical(self):
-        """The seeded Monte-Carlo path reseeds per shard from the same
-        seed, so its merged runs are as worker-invariant as the exact
-        paths -- for every operator, including the masked divider."""
-        for evaluate, kwargs in (
-            (evaluate_adder, {}),
-            (evaluate_multiplier, {}),
-            (evaluate_divider, {}),
-            (evaluate_adder, {"seed": 7}),
-        ):
-            solo = evaluate(5, samples=256, method="sampled", workers=1, **kwargs)
-            sharded = evaluate(5, samples=256, method="sampled", workers=3, **kwargs)
-            assert _key(solo) == _key(sharded)
-            assert solo["tech1"].method == "sampled"
-            assert not solo["tech1"].exhaustive
 
     def test_shard_bounds_partition(self):
         for n, k in ((10, 3), (7, 7), (5, 8), (0, 4), (1, 1)):
