@@ -105,7 +105,7 @@ def _throughput(n_vectors, n_faults, seconds):
 def test_bench_backend_speedup(once, record, monkeypatch):
     """Registered backends, head to head, on the RCA-8 campaign."""
     once(lambda: None)
-    monkeypatch.setattr(gate_engine, "CAMPAIGN_FAULT_CHUNK", BACKEND_FAULT_CHUNK)
+    monkeypatch.setattr(gate_engine, "SWEEP_FAULT_CHUNK", BACKEND_FAULT_CHUNK)
     netlist = builders.ripple_carry_adder(8)
     backends = [name for name in list_backends() if name != "reference"]
     assert backends == ["python_loop", "fused"]

@@ -41,9 +41,9 @@ Table 2 cell was computed:
 ``"transfer"``
     The carry-state transfer-matrix dynamic program
     (:mod:`repro.coverage.transfer`): exact situation counts for any
-    width in microseconds, which is how n = 16 (a ``2**32``-pair operand
-    space no sweep can touch) is evaluated exactly.  The ``"auto"``
-    choice for wide chain operators.
+    width up to ``MAX_TRANSFER_WIDTH`` (30) in microseconds, which is how
+    n = 16 (a ``2**32``-pair operand space no sweep can touch) is
+    evaluated exactly.  The ``"auto"`` choice for wide chain operators.
 
 ``"functional"``
     The seed LUT-splicing evaluators -- one vectorised NumPy pass per
@@ -83,7 +83,7 @@ from repro.arch.testbench import (
     table2_architecture,
 )
 from repro.coverage import situations as situation_counts
-from repro.coverage.transfer import case_flag_counts
+from repro.coverage.transfer import MAX_TRANSFER_WIDTH, case_flag_counts
 from repro.errors import SimulationError
 from repro.faults.sharding import resolve_workers, shard_bounds
 from repro.faults.universe import (
@@ -454,10 +454,11 @@ def _gate_case_counts(
     """Shard worker: sweep counts for collapsed cases [case_lo, case_hi).
 
     Rebuilds the (cached) test architecture and compiled engine locally,
-    clusters the range's fault groups into cone batches
-    (:func:`~repro.gates.sparse.build_schedule`), then streams the
-    architecture's operand universe (``arch.space``) through each batch
-    chunk by chunk (:func:`~repro.gates.engine.sweep_chunks`), reducing packed
+    clusters the range's fault groups into cone batches, each with its
+    override plan (:func:`~repro.gates.sparse.build_schedule`), then
+    streams the architecture's operand universe (``arch.space``) through
+    each batch's plan and cone chunk by chunk
+    (:func:`~repro.gates.engine.sweep_chunks`), reducing packed
     classification masks to counts via popcount -- vectors are never
     unpacked.  Masked universes (the divider's zero-divisor exclusion)
     apply the space's valid-lane words before counting.
@@ -491,23 +492,23 @@ def _gate_case_counts(
             )
     n_result = arch.n_result_rows
     detect_names = list(arch.detect_rows)
-    # Cone-clustered batches of SWEEP_FAULT_CHUNK groups: each kernel
-    # call walks only its batch's union fan-out cone.  The analyses are
-    # memoised in-process only, so a sweep never writes to a store its
-    # caller did not open.
-    batches = [
-        (list(batch.members), [fault_groups[m] for m in batch.members], batch.gates)
-        for batch in build_schedule(
-            engine.compiled, fault_groups, SWEEP_FAULT_CHUNK,
-            analyze_gate_cones(arch.netlist, store=False),
-            analyze_cones(arch.netlist, store=False),
-        ).batches
-    ]
+    # Cone-clustered batches of SWEEP_FAULT_CHUNK groups, planned once:
+    # each kernel call walks only its batch's union fan-out cone.  The
+    # analyses are memoised in-process only, so a sweep never writes to
+    # a store its caller did not open.
+    batches = build_schedule(
+        engine.compiled, fault_groups, SWEEP_FAULT_CHUNK,
+        analyze_gate_cones(arch.netlist, store=False),
+        analyze_cones(arch.netlist, store=False),
+    ).batches
     # correct, then (covered, detected-while-correct) per technique.
     tallies = np.zeros((len(sim_indices), 1 + 2 * len(names)), dtype=np.int64)
     for _, _, rows, valid in sweep_chunks(engine, len(fault_groups), space):
-        for members, groups, cone in batches:
-            out = engine.run_fault_groups(rows, groups, cone=cone)
+        for batch in batches:
+            members = list(batch.members)
+            out = engine.backend.run_outputs(
+                rows, batch.plan, len(members) + 1, batch.gates
+            )
             ris = out[:n_result, :-1, :]
             golden = out[:n_result, -1:, :]
             correct = ~np.bitwise_or.reduce(ris ^ golden, axis=0)
@@ -657,6 +658,11 @@ def _evaluate(
             f"{DEFAULT_EXHAUSTIVE_LIMIT} operand pairs, width={width} has "
             f'{space}; use method="gate"'
         )
+    if method == "transfer" and width > MAX_TRANSFER_WIDTH:
+        raise SimulationError(
+            f"transfer evaluation reaches width={MAX_TRANSFER_WIDTH} at most, "
+            f"got width={width}"
+        )
     if workers is not None:
         workers = resolve_workers(workers, 0)
     store = resolve_store(store)
@@ -786,7 +792,7 @@ class GateLevelCoverage:
         return 100.0 * self.coverage
 
     def describe(self) -> str:
-        mode = "exhaustive" if self.exhaustive else "sampled"
+        mode = "exhaustive" if self.exhaustive else "supplied"
         return (
             f"{self.netlist} gate-level ({mode}): "
             f"{self.detected}/{self.total} stuck-at faults detected "

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.coverage.engine import CoverageStats, evaluate_adder, evaluate_operator
 from repro.coverage.techniques import TECHNIQUES
+from repro.errors import FaultError, SimulationError
 
 #: Paper's Table 2 reference values (width -> (tech1, tech2, both) %).
 PAPER_TABLE2 = {
@@ -168,12 +169,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--widths", type=int, nargs="+", default=list(TABLE2_WIDTHS))
     parser.add_argument("--netlist", default="xor3_majority")
     args = parser.parse_args(argv)
-    if args.table == "table1":
-        print(render_table1(width=args.width))
-    elif args.table == "table2":
-        print(render_table2(widths=args.widths, cell_netlist=args.netlist))
-    else:
-        print(render_two_bit_analysis(cell_netlist=args.netlist))
+    try:
+        if args.table == "table1":
+            text = render_table1(width=args.width)
+        elif args.table == "table2":
+            text = render_table2(widths=args.widths, cell_netlist=args.netlist)
+        else:
+            text = render_two_bit_analysis(cell_netlist=args.netlist)
+    except (SimulationError, FaultError) as exc:
+        # Bad input (an out-of-range width, an unknown cell netlist):
+        # one line, exit 2.
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    print(text)
     return 0
 
 

@@ -64,11 +64,11 @@ from repro.obs import metrics as _metrics
 UFUNCS = {OP_AND: np.bitwise_and, OP_OR: np.bitwise_or, OP_XOR: np.bitwise_xor}
 
 #: Byte cap of one fault-major matrix, ``n_nets x rows x words``
-#: uint64 cells: the word-range sweeps clamp their chunks to it
-#: (:func:`repro.gates.engine.resolve_matrix_budget`) and the ``fused``
+#: uint64 cells: every campaign slab and sweep chunk is clamped to it
+#: (:func:`repro.gates.engine.matrix_word_chunk`) and the ``fused``
 #: backend keeps a workspace of up to this size alive between calls, so
-#: every chunk a sweep asks for reuses that workspace instead of
-#: allocating and page-faulting a fresh matrix.
+#: every kernel call reuses that workspace instead of allocating and
+#: page-faulting a fresh matrix.
 GATE_MATRIX_BUDGET_MAX = 64 << 20
 
 #: One resolved per-gate dispatch tuple:

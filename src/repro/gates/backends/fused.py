@@ -26,10 +26,11 @@ outside the cone as their golden rows.
 
 A persistent workspace backs the prefix walks.  It is capped at
 :data:`~repro.gates.backends.base.GATE_MATRIX_BUDGET_MAX`, the same
-byte cap the word-range sweeps clamp their chunks to, so every sweep
-chunk reuses it instead of paying the allocate/fault/trim cycle of a
-fresh multi-megabyte matrix.  One golden run per packed vector set
-serves every word slab a sweep streams through it.
+byte cap every campaign slab and sweep chunk is clamped to, so every
+kernel call the library makes reuses it instead of paying the
+allocate/fault/trim cycle of a fresh multi-megabyte matrix; only a
+hand-built call past the cap gets a transient one.  One golden run per
+packed vector set serves every word slab a sweep streams through it.
 """
 
 from __future__ import annotations

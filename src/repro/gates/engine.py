@@ -25,8 +25,9 @@ Three levels of service:
   together per row), which is how the Table 1/2 coverage sweeps
   replicate one cell-level fault into the nominal and checking copies
   of a functional unit (:mod:`repro.arch.testbench`).  Those sweeps are
-  cone-scheduled too: with ``cone=`` one batch walks only its union
-  fan-out cone, and outputs outside it come back golden.
+  cone-scheduled too: they hand each schedule batch's own plan and cone
+  to the backend's ``run_outputs``, which walks only that union fan-out
+  cone and returns outputs outside it golden.
 
 Streaming wide sweeps: :func:`exhaustive_word_range` materialises any
 word slice of an arbitrarily wide exhaustive vector set, a
@@ -50,15 +51,15 @@ selected by the ``backend=`` keyword, the ``REPRO_BACKEND`` environment
 variable, or the registry default, in that order.  All backends are
 bit-identical on every path.
 
-The fault-matrix memory budget (:func:`resolve_matrix_budget`) and
-its word-chunk clamp (:func:`matrix_word_chunk`) live here too, shared
-by every streaming consumer of the fault matrix; the budget's ceiling
-is the backends' one matrix byte cap, which also bounds the ``fused``
-workspace.  Chunk sizes are
-module constants, not options -- one pair for campaigns
-(``CAMPAIGN_*``), one for word-range sweeps (``SWEEP_*``): they never
-change a count or a verdict (only the order in which ATPG records its
-tests, see :mod:`repro.tpg.generate`).
+One kernel-call geometry serves every consumer of the fault matrix --
+campaigns, Table sweeps, fault dictionaries and ATPG: at most
+:data:`SWEEP_FAULT_CHUNK` fault rows per call over at most
+:data:`SWEEP_WORD_CHUNK` words, the word chunk clamped
+(:func:`matrix_word_chunk`) so the call fits the backends' one matrix
+byte cap, which also bounds the ``fused`` workspace.  Chunk sizes are
+module constants, not options: they never change a count or a verdict
+(only the order in which ATPG records its tests, see
+:mod:`repro.tpg.generate`).
 """
 
 from __future__ import annotations
@@ -454,55 +455,29 @@ class TestSpace:
         return bits
 
 
-#: Floor of the auto-sized fault-matrix working-set budget (bytes).
-#: The budget caps ``n_nets * (fault_chunk + 1) * word_chunk`` uint64
-#: cells per evaluation chunk; its ceiling is the backends' one matrix
-#: byte cap, :data:`~repro.gates.backends.base.GATE_MATRIX_BUDGET_MAX`,
-#: so every sweep chunk fits the ``fused`` workspace.
-GATE_MATRIX_BUDGET_MIN = 4 << 20
-#: Word-chunk length the auto-sized budget aims to afford: big enough
-#: that per-chunk Python overhead amortises, small enough to stay cache
-#: friendly on the netlists that actually need chunking.
-GATE_MATRIX_TARGET_WORDS = 256
-
-
-def resolve_matrix_budget(row_cells: int) -> int:
-    """Fault-matrix working-set budget (bytes) for one evaluation chunk.
-
-    ``row_cells`` is the uint64 cell count of one word column of the
-    matrix -- ``n_nets * (fault_chunk + 1)`` -- so the budget scales
-    with the netlist instead of pinning every netlist to one fixed
-    constant: small netlists stop over-allocating, the big unrolled
-    mul/div architectures get chunks long enough to amortise per-chunk
-    overhead.  The size is ``row_cells * 8 * GATE_MATRIX_TARGET_WORDS``
-    clamped to ``[GATE_MATRIX_BUDGET_MIN, GATE_MATRIX_BUDGET_MAX]``.
-    """
-    auto = int(row_cells) * 8 * GATE_MATRIX_TARGET_WORDS
-    return min(GATE_MATRIX_BUDGET_MAX, max(GATE_MATRIX_BUDGET_MIN, auto))
-
-
-#: Campaign chunk geometry: vector words per slab and the smallest
-#: fault-class batch per kernel call of the campaign sweep.
-CAMPAIGN_WORD_CHUNK = 512
-CAMPAIGN_FAULT_CHUNK = 64
-#: Faults per fault-matrix pass of :meth:`BitParallelEngine.truth_tables`.
-TRUTH_TABLE_FAULT_CHUNK = 128
+#: Chunk geometry of every fault-matrix kernel call -- the Table 1/2
+#: gate sweeps, fault dictionaries, the ATPG residue sweep and the
+#: campaign slabs: vector words per chunk (clamped by
+#: :func:`matrix_word_chunk`) and fault groups per call.  Chunking never
+#: changes a count, a verdict or a dictionary bit; it fixes the order in
+#: which ATPG records its tests, so the ATPG store key hashes both.
+SWEEP_WORD_CHUNK = 256
+SWEEP_FAULT_CHUNK = 64
 
 
 def matrix_word_chunk(row_cells: int, word_chunk: int) -> int:
-    """Clamp ``word_chunk`` to the netlist's auto-sized matrix budget."""
-    budget = resolve_matrix_budget(row_cells)
-    return max(8, min(max(1, word_chunk), budget // (8 * max(1, row_cells))))
+    """Clamp ``word_chunk`` so a matrix of ``row_cells`` uint64 cells
+    per word column fits :data:`GATE_MATRIX_BUDGET_MAX`; the clamp stops
+    at 8 words, so a netlist too wide for the cap still streams."""
+    return min(word_chunk, max(8, GATE_MATRIX_BUDGET_MAX // (8 * max(1, row_cells))))
 
 
-#: Chunk geometry of every word-range sweep -- the Table 1/2 gate
-#: sweeps, fault dictionaries and the ATPG residue sweep: vector words
-#: per chunk (clamped by :func:`matrix_word_chunk`) and fault groups per
-#: fault-matrix call.  Chunking never changes a count or a dictionary
-#: bit; it fixes the order in which ATPG records its tests, so the ATPG
-#: store key hashes both.
-SWEEP_WORD_CHUNK = 256
-SWEEP_FAULT_CHUNK = 64
+def _chunk_words(compiled: CompiledNetlist, n_groups: int) -> int:
+    """Words per kernel call over ``n_groups`` fault groups: at most
+    :data:`SWEEP_FAULT_CHUNK` group rows plus the golden row."""
+    rows = min(SWEEP_FAULT_CHUNK, max(1, n_groups)) + 1
+    return matrix_word_chunk(compiled.n_nets * rows, SWEEP_WORD_CHUNK)
+
 
 #: A sweep source: a :class:`TestSpace` (rows built per chunk) or an
 #: explicit :class:`PackedVectors` table.
@@ -516,12 +491,11 @@ def sweep_chunks(
 
     ``rows`` are the packed input words ``[lo, hi)`` and ``valid`` their
     valid-lane masks (``None`` when every lane is real).  The chunk is
-    :data:`SWEEP_WORD_CHUNK` clamped to ``engine``'s matrix budget for
-    ``n_groups`` fault groups, at most :data:`SWEEP_FAULT_CHUNK` per
-    call, plus the golden row.
+    :data:`SWEEP_WORD_CHUNK` clamped so one kernel call over ``n_groups``
+    fault groups -- at most :data:`SWEEP_FAULT_CHUNK` per call, plus the
+    golden row -- fits the one matrix byte cap.
     """
-    row_cells = engine.compiled.n_nets * (min(SWEEP_FAULT_CHUNK, max(1, n_groups)) + 1)
-    step = matrix_word_chunk(row_cells, SWEEP_WORD_CHUNK)
+    step = _chunk_words(engine.compiled, n_groups)
     n_words = source.n_words
     for lo in range(0, n_words, step):
         hi = min(lo + step, n_words)
@@ -606,12 +580,10 @@ class BitParallelEngine:
         self._output_ids = [int(i) for i in compiled.output_ids]
         self._exhaustive: Optional[PackedVectors] = None
         # Campaign schedule cache: (id(groups), active classes,
-        # rows-per-batch) -> (batches, plans).  Only default-universe
-        # rounds are cached (their groups tuple is memoised and alive,
-        # so the id cannot be recycled); FIFO-bounded.
-        self._rounds: Dict[
-            Tuple[int, Tuple[int, ...], int], Tuple[List, List[OverridePlan]]
-        ] = {}
+        # rows-per-batch) -> batches (each carrying its plan).  Only
+        # default-universe rounds are cached (their groups tuple is
+        # memoised and alive, so the id cannot be recycled); FIFO-bounded.
+        self._rounds: Dict[Tuple[int, Tuple[int, ...], int], Tuple] = {}
 
     # ------------------------------------------------------------------
     # Packing
@@ -657,17 +629,17 @@ class BitParallelEngine:
     def exhaustive(self) -> PackedVectors:
         """Packed exhaustive vector set over the primary inputs.
 
-        Cached per engine, but only while the packed set fits the
-        netlist's auto-sized matrix budget
-        (:func:`resolve_matrix_budget`): wide-netlist engines held by
-        the per-netlist simulator cache would otherwise pin arrays far
-        larger than any evaluation chunk.  Oversized sets are rebuilt
-        per call instead (the builder is a cheap streaming kernel).
+        Cached per engine, but only while its golden run fits
+        :data:`GATE_MATRIX_BUDGET_MAX` -- the rule the ``fused`` golden
+        cache applies: wide-netlist engines held by the per-netlist
+        simulator cache would otherwise pin arrays far larger than any
+        evaluation chunk.  Oversized sets are rebuilt per call instead
+        (the builder is a cheap streaming kernel).
         """
         if self._exhaustive is not None:
             return self._exhaustive
         packed = exhaustive_words(self.compiled.n_inputs)
-        if packed.words.nbytes <= resolve_matrix_budget(self.compiled.n_nets):
+        if self.compiled.n_nets * packed.n_words * 8 <= GATE_MATRIX_BUDGET_MAX:
             self._exhaustive = packed
         return packed
 
@@ -700,8 +672,8 @@ class BitParallelEngine:
         tables = np.empty(
             (len(faults), packed.n_vectors, len(out_ids)), dtype=np.uint8
         )
-        for lo in range(0, len(faults), TRUTH_TABLE_FAULT_CHUNK):
-            batch = faults[lo : lo + TRUTH_TABLE_FAULT_CHUNK]
+        for lo in range(0, len(faults), SWEEP_FAULT_CHUNK):
+            batch = faults[lo : lo + SWEEP_FAULT_CHUNK]
             plan = OverridePlan(self.compiled, batch)
             out = self.backend.run_outputs(packed.words, plan, len(batch))
             bits = unpack_bits(out, packed.n_vectors)  # (n_out, B, V)
@@ -709,10 +681,7 @@ class BitParallelEngine:
         return tables
 
     def run_fault_groups(
-        self,
-        words: np.ndarray,
-        groups: Sequence[FaultGroup],
-        cone: Optional[np.ndarray] = None,
+        self, words: np.ndarray, groups: Sequence[FaultGroup]
     ) -> np.ndarray:
         """Primary outputs for a batch of multi-site fault groups.
 
@@ -725,15 +694,12 @@ class BitParallelEngine:
         ``(n_outputs, len(groups) + 1, n_words)`` matrix whose last row
         is the shared fault-free (golden) run; all groups advance through
         the gate program together, one word-wide NumPy op per gate.
-
-        ``cone`` is the ``gates`` array of a cone-schedule batch of
-        exactly these groups (:func:`repro.gates.sparse.build_schedule`):
-        the backend may then walk only that union fan-out cone, as the
-        Table 1/2 sweeps do.  Results are bit-identical either way.
+        (The Table 1/2 sweeps call the backend's ``run_outputs`` with
+        each cone-schedule batch's own plan and cone instead.)
         """
         words = self._check_input_words(words)
         plan = OverridePlan(self.compiled, groups)
-        return self.backend.run_outputs(words, plan, len(groups) + 1, cone)
+        return self.backend.run_outputs(words, plan, len(groups) + 1)
 
     def detect_words(
         self, words: np.ndarray, groups: Sequence[FaultGroup]
@@ -789,15 +755,15 @@ class BitParallelEngine:
 
         The sweep is cone-scheduled (:mod:`repro.gates.sparse`): fault
         classes are clustered by fan-out cone similarity and the
-        backend walks only the union cone of each batch.  With
+        backend walks only the union cone of each batch, at most
+        :data:`SWEEP_FAULT_CHUNK` classes per kernel call.  With
         ``fault_dropping`` (default) the vector space advances in word
         slabs that start at :data:`~repro.gates.sparse.SPARSE_WORD_SUBCHUNK`
-        words and double each step up to :data:`CAMPAIGN_WORD_CHUNK`
-        words, and detected classes leave the schedule between slabs;
-        without it the sweep streams ``CAMPAIGN_WORD_CHUNK``-word slabs
-        over every class.  :data:`CAMPAIGN_FAULT_CHUNK` is the smallest
-        batch a wide slab is split into.  Neither changes any
-        classification.
+        words and double each step up to the sweeps' word chunk
+        (:data:`SWEEP_WORD_CHUNK` clamped to the matrix byte cap), and
+        detected classes leave the schedule between slabs; without it
+        the sweep streams full word chunks over every class.  Neither
+        changes any classification.
         """
         with obs_span(
             "campaign",
@@ -831,7 +797,7 @@ class BitParallelEngine:
         from repro.gates import sparse
 
         mode = resolve_collapse_mode(collapse)
-        word_chunk, fault_chunk = CAMPAIGN_WORD_CHUNK, CAMPAIGN_FAULT_CHUNK
+        fault_chunk = SWEEP_FAULT_CHUNK
         c = self.compiled
         netlist = c.source
         if packed is None:
@@ -867,34 +833,26 @@ class BitParallelEngine:
         po_cones = analyze_cones(netlist)
         full_default = faults is None and mode == "equivalence"
 
-        def schedule(
-            active: List[int], rows: int
-        ) -> Tuple[List, List[OverridePlan]]:
-            """Cone-clustered batches and their plans for ``active``,
+        def schedule(active: List[int]) -> Tuple:
+            """Cone-clustered batches of ``active``, each with its plan,
             one row per class simulating its representative fault (the
             members of a structural equivalence class share one faulty
             function); default-universe rounds are cached on the engine
             (dropping is deterministic, so repeated campaigns replay
             them)."""
-            key = (id(groups), tuple(active), rows)
+            key = (id(groups), tuple(active), fault_chunk)
             cached = self._rounds.get(key) if full_default else None
             if cached is not None:
                 return cached
-            sched_groups = [fault_seq[groups[g][0]] for g in active]
-            batches = list(
-                sparse.build_schedule(
-                    c, sched_groups, rows, gate_cones, po_cones
-                ).batches
-            )
-            plans = [
-                OverridePlan(c, [sched_groups[m] for m in b.members])
-                for b in batches
-            ]
+            batches = sparse.build_schedule(
+                c, [fault_seq[groups[g][0]] for g in active], fault_chunk,
+                gate_cones, po_cones,
+            ).batches
             if full_default:
                 while len(self._rounds) >= 32:
                     del self._rounds[next(iter(self._rounds))]
-                self._rounds[key] = (batches, plans)
-            return batches, plans
+                self._rounds[key] = batches
+            return batches
 
         def sweep(class_ids: List[int]) -> int:
             """Run the cone-scheduled slab sweep over ``class_ids``,
@@ -912,13 +870,12 @@ class BitParallelEngine:
             active = list(class_ids)
             runs = 0
             sched_for: Optional[List[int]] = None
-            rows_for = 0
-            batches: List = []
-            plans: List[OverridePlan] = []
-            # Without fault dropping no class ever retires, so slab
-            # escalation buys nothing: stream plain word chunks.  Either
-            # way no slab exceeds ``word_chunk`` words, which bounds the
-            # detect matrix on large vector sets.
+            batches: Tuple = ()
+            # No slab is wider than one kernel call's word chunk, so
+            # every call fits the matrix byte cap.  Without fault
+            # dropping no class ever retires, so slab escalation buys
+            # nothing: stream plain word chunks.
+            word_chunk = _chunk_words(c, len(active))
             slab = word_chunk
             if fault_dropping:
                 slab = min(sparse.SPARSE_WORD_SUBCHUNK, word_chunk)
@@ -931,19 +888,12 @@ class BitParallelEngine:
                     part = packed.word_slice(lo, hi)
                 if part.n_words == 0:
                     break
-                # Rows per kernel call: narrow slabs take every active
-                # class in one batch (the probe most faults die in),
-                # wide slabs fall back toward the campaign fault chunk
-                # to bound the matrix footprint.
-                rows = max(
-                    fault_chunk, sparse.SPARSE_CELL_BUDGET // max(1, part.n_words)
-                )
-                if sched_for != active or rows_for != rows:
-                    sched_for, rows_for = list(active), rows
-                    batches, plans = schedule(sched_for, rows)
+                if sched_for != active:
+                    sched_for = list(active)
+                    batches = schedule(sched_for)
                 mask = part.tail_mask
                 base_vector = lo * LANES
-                for batch, plan in zip(batches, plans):
+                for batch in batches:
                     # Batches whose sites reach no primary output are
                     # provably undetectable: no kernel runs at all.
                     if not batch.out_ids:
@@ -956,7 +906,7 @@ class BitParallelEngine:
                     # The backend folds a shared golden run into the
                     # detection words -- no separate fault-free pass needed.
                     diff = self.backend.run_detect(
-                        part.words, plan, n_batch, batch.gates, batch.out_ids
+                        part.words, batch.plan, n_batch, batch.gates, batch.out_ids
                     )
                     runs += n_batch
                     for row, vector in first_hits(diff, mask, base_vector):

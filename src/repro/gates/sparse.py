@@ -8,8 +8,11 @@ bitmasks of :func:`repro.analysis.cones.analyze_gate_cones` into
 fixed-size batches (keeping the vectorized fault-major matrix shape),
 and each batch carries
 
+* ``plan`` -- the :class:`~repro.gates.backends.plan.OverridePlan` of
+  its member groups, built once and reused by every word chunk a
+  sweep streams through the batch,
 * ``gates`` -- the ascending compiled gate indices of the union cone,
-  the only gates a backend's detect walk needs to evaluate, and
+  the only gates a backend's walk needs to evaluate, and
 * ``out_ids`` -- the compiled net ids of the primary outputs reachable
   from any member site; outputs outside this set provably carry no
   detection bits, so the XOR/OR detection reduction skips them.
@@ -19,8 +22,10 @@ then fault site, so consecutive groups share cone structure, batch
 union cones stay close to the per-member cones, and a batch's rows
 arrive ascending in level with each site's rows adjacent (the order
 the fused detect walk evaluates them in).  The schedule is consumed by the
-campaign sweep in :mod:`repro.gates.engine` and by
-:meth:`repro.gates.backends.base.Backend.run_detect`.
+campaign sweep in :mod:`repro.gates.engine` (through
+:meth:`~repro.gates.backends.base.Backend.run_detect`) and by the Table
+1/2 gate sweeps in :mod:`repro.coverage.engine` (through
+:meth:`~repro.gates.backends.base.Backend.run_outputs`).
 
 Invariants a schedule guarantees (backends rely on them):
 
@@ -38,7 +43,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.gates.backends.plan import FaultGroup
+from repro.gates.backends.plan import FaultGroup, OverridePlan
 from repro.gates.compile import CompiledNetlist
 from repro.gates.faults import FaultSite, StuckAtFault
 
@@ -56,17 +61,13 @@ _WORD = 64
 #: dead-effect early exit at campaign granularity.
 SPARSE_WORD_SUBCHUNK = 64
 
-#: Cell budget (matrix rows x words) of one detect call: narrow
-#: slabs batch every active class into a single dense-shaped call,
-#: wide slabs fall back toward the campaign fault chunk.
-SPARSE_CELL_BUDGET = 1 << 15
-
 
 @dataclass(frozen=True)
 class SparseBatch:
     """One cone-clustered fault batch of a :class:`SparseSchedule`."""
 
     members: Tuple[int, ...]  # indices into the scheduled fault-group list
+    plan: OverridePlan  # the members' overrides, row r simulating members[r]
     gates: np.ndarray  # ascending compiled gate ids covering every member cone
     out_ids: Tuple[int, ...]  # compiled net ids of the reachable primary outputs
     cone_fraction: float  # |gates| / n_gates
@@ -159,10 +160,10 @@ def build_schedule(
     """Cluster ``fault_groups`` into cone-similar batches.
 
     ``fault_chunk`` bounds the batch size, i.e. the fault-major matrix
-    rows of one backend call.  With ``cones`` the batches
-    also carry the restricted primary-output id sets; without it every
-    batch reduces over all outputs (still bit-identical, just more
-    XOR/OR work).
+    rows of one backend call; each batch's plan is built here, once.
+    With ``cones`` the batches also carry the restricted primary-output
+    id sets; without it every batch reduces over all outputs (still
+    bit-identical, just more XOR/OR work).
     """
     n_groups = len(fault_groups)
     n_gates = compiled.n_gates
@@ -229,9 +230,11 @@ def build_schedule(
         out_ids = tuple(
             output_ids[k] for k in _mask_to_indices(out_union, compiled.n_outputs)
         )
+        member_ids = tuple(int(m) for m in members)
         batches.append(
             SparseBatch(
-                members=tuple(int(m) for m in members),
+                members=member_ids,
+                plan=OverridePlan(compiled, [fault_groups[m] for m in member_ids]),
                 gates=gates,
                 out_ids=out_ids,
                 cone_fraction=float(len(gates) / n_gates) if n_gates else 0.0,
@@ -250,7 +253,6 @@ def build_schedule(
 
 
 __all__ = [
-    "SPARSE_CELL_BUDGET",
     "SPARSE_WORD_SUBCHUNK",
     "SparseBatch",
     "SparseSchedule",

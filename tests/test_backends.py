@@ -29,7 +29,6 @@ from repro.gates.engine import (
     BitParallelEngine,
     engine_for,
     exhaustive_words,
-    resolve_matrix_budget,
     run_stuck_at_campaign,
 )
 from repro.gates.faults import default_fault_universe
@@ -186,7 +185,7 @@ class TestCampaignEquivalence:
     def test_big_fault_batches_bit_identical(self, monkeypatch):
         # One batch carrying the whole universe exercises the fused
         # prefix walk's permutation on every site class at once.
-        monkeypatch.setattr(gate_engine, "CAMPAIGN_FAULT_CHUNK", 512)
+        monkeypatch.setattr(gate_engine, "SWEEP_FAULT_CHUNK", 512)
         netlist = builders.ripple_carry_adder(8)
         baseline = run_stuck_at_campaign(netlist, backend="python_loop")
         for name in FAST_BACKENDS:
@@ -337,9 +336,10 @@ class TestExhaustiveCacheGuard:
     def test_oversized_sets_are_not_cached(self, monkeypatch):
         netlist = builders.ripple_carry_adder(8)
         compiled = compile_netlist(netlist)
-        packed_bytes = exhaustive_words(compiled.n_inputs).words.nbytes
-        monkeypatch.setattr(gate_engine, "GATE_MATRIX_BUDGET_MAX", packed_bytes - 1)
-        assert resolve_matrix_budget(compiled.n_nets) < packed_bytes
+        packed = exhaustive_words(compiled.n_inputs)
+        monkeypatch.setattr(gate_engine, "GATE_MATRIX_BUDGET_MAX", packed.words.nbytes - 1)
+        # The golden run (every net over every word) misses the cap.
+        assert compiled.n_nets * packed.n_words * 8 > gate_engine.GATE_MATRIX_BUDGET_MAX
         engine = BitParallelEngine(compiled)
         first = engine.exhaustive()
         second = engine.exhaustive()

@@ -5,11 +5,13 @@ situation-count formulas, monotone coverage growth, technique ordering,
 100 % coverage with a fault-free check unit.
 """
 
+import numpy as np
 import pytest
 
 from repro.coverage.engine import (
     evaluate_adder,
     evaluate_divider,
+    evaluate_gate_level,
     evaluate_multiplier,
     evaluate_operator,
     evaluate_subtractor,
@@ -28,6 +30,7 @@ from repro.coverage.situations import (
 )
 from repro.coverage.techniques import TECHNIQUES, techniques_for
 from repro.errors import FaultError, SimulationError
+from repro.gates.builders import full_adder
 
 
 class TestSituationCounts:
@@ -159,6 +162,16 @@ class TestReports:
         text = render_two_bit_analysis(stats=adder_stats[2])
         assert "1024" in text
         assert "paper: 216" in text
+
+    def test_gate_level_describe_names_supplied_vectors(self):
+        # Caller-supplied vectors are not a sample of anything.
+        vectors = {
+            name: np.array([0, 1], dtype=np.uint8) for name in ("a", "b", "cin")
+        }
+        stats, _ = evaluate_gate_level(full_adder(), vectors=vectors, store=False)
+        assert stats.describe().startswith("fa gate-level (supplied): 23/32 ")
+        exhaustive, _ = evaluate_gate_level(full_adder(), store=False)
+        assert exhaustive.describe().startswith("fa gate-level (exhaustive): 32/32 ")
 
     def test_table1_renders_from_precomputed(self):
         results = {"add": evaluate_adder(2)}

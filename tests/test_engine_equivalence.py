@@ -140,7 +140,7 @@ class TestRandomNetlistEquivalence:
         for collapse in (True, False):
             for word_chunk in (1, 512):
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(gate_engine, "CAMPAIGN_WORD_CHUNK", word_chunk)
+                    mp.setattr(gate_engine, "SWEEP_WORD_CHUNK", word_chunk)
                     result = run_stuck_at_campaign(nl, collapse=collapse)
                 assert (result.detected == baseline.detected).all()
                 assert (result.first_detected == baseline.first_detected).all()
@@ -282,7 +282,7 @@ class TestBatchedEntryPoints:
         nl = builders.ripple_carry_adder(4)
         ref = ReferenceSimulator(nl)
         golden = ref.truth_table()
-        monkeypatch.setattr(gate_engine, "CAMPAIGN_WORD_CHUNK", 1)
+        monkeypatch.setattr(gate_engine, "SWEEP_WORD_CHUNK", 1)
         result = run_stuck_at_campaign(nl, fault_dropping=False, collapse=False)
         for fault, hit, vec in zip(
             result.faults, result.detected, result.first_detected

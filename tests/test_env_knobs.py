@@ -68,8 +68,7 @@ def test_unusable_telemetry_paths_name_their_variable(tmp_path, monkeypatch):
 
 
 def test_chunk_constants():
-    assert (gate_engine.CAMPAIGN_WORD_CHUNK, gate_engine.CAMPAIGN_FAULT_CHUNK) == (512, 64)
-    # One pair for every word-range sweep: the Table sweeps, fault
+    # One pair for every kernel call: campaigns, the Table sweeps, fault
     # dictionaries and the ATPG residue sweep define none of their own.
     assert (gate_engine.SWEEP_WORD_CHUNK, gate_engine.SWEEP_FAULT_CHUNK) == (256, 64)
     for module in (coverage_engine, tpg_dictionary, tpg_generate):

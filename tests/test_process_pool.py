@@ -92,6 +92,20 @@ class TestWidthValidation:
                 evaluate(width, store=store)
 
     @pytest.mark.parametrize("width", ("-2", "0"))
-    def test_report_cli_rejects_bad_width(self, width):
-        with pytest.raises(SimulationError, match="width="):
+    def test_report_cli_rejects_bad_width(self, width, capsys):
+        # The CLI reports the evaluator's message as a usage error.
+        with pytest.raises(SystemExit) as exc:
             coverage_report.main(["table1", "--width", width])
+        assert exc.value.code == 2
+        assert "width=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ("auto", "transfer"))
+    def test_transfer_width_cap_names_width(self, method, tmp_path):
+        # Past the transfer DP's 30-bit cap the chain evaluators name
+        # ``width=`` and the cap, before any store lookup.
+        store = ResultStore(tmp_path)
+        for evaluate in (evaluate_adder, evaluate_subtractor):
+            with pytest.raises(SimulationError, match="width=30 .*width=31"):
+                evaluate(31, method=method, store=store)
+        stats = store.stats.snapshot()
+        assert stats["hits"] + stats["misses"] == 0

@@ -12,7 +12,7 @@ from repro.gates.emit import to_verilog, to_vhdl
 from repro.gates.simulate import simulate
 
 
-def _run_module_cli(module, *args):
+def _run_module_cli(module, *args, returncode=0):
     """Run ``python -m module args`` with RuntimeWarnings as errors.
 
     ``python -m`` must find the CLI module unimported after the package
@@ -29,7 +29,7 @@ def _run_module_cli(module, *args):
         [sys.executable, "-W", "error::RuntimeWarning", "-m", module, *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     assert "RuntimeWarning" not in proc.stderr, proc.stderr
     return proc
 
@@ -53,9 +53,27 @@ class TestCoverageReportCli:
         with pytest.raises(SystemExit):
             coverage_report.main(["table9"])
 
+    def test_unknown_cell_netlist_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            coverage_report.main(["twobit", "--netlist", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unknown cell netlist style 'nope'" in err[0]
+
     def test_module_cli_has_no_runtime_warning(self):
         proc = _run_module_cli("repro.coverage.report", "table2", "--widths", "1", "2")
         assert "Table 2" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "args", (("table2", "--widths", "31"), ("table1", "--width", "63"))
+    )
+    def test_module_cli_bad_width_is_one_line(self, args):
+        # A width past the evaluators' reach is a usage error: exit 2
+        # and one stderr line naming ``width=``, no traceback.
+        proc = _run_module_cli("repro.coverage.report", *args, returncode=2)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "width=" in lines[0], proc.stderr
+        assert not proc.stdout
 
 
 class TestCodesignReportCli:

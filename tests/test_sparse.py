@@ -7,8 +7,8 @@ Three layers of checks:
   ascending (topological) gate list;
 * kernel -- ``run_detect`` given a schedule batch equals ``run_detect``
   without one, element-wise, on every fast backend, and the Table
-  sweeps' ``run_fault_groups(cone=)`` equals the full ``python_loop``
-  matrix;
+  sweeps' cone ``run_outputs`` with a batch's own plan equals the full
+  ``python_loop`` matrix;
 * campaign -- every verdict field (``detected``, ``first_detected``,
   ``groups``; ``n_simulated_runs`` is a work counter and is not
   checked) equals a brute-force oracle built from faulty truth tables
@@ -338,12 +338,13 @@ class TestSweepCone:
         for batch in sched.batches:
             members = [groups[m] for m in batch.members]
             want = oracle.run_fault_groups(rows, members)
+            n_rows = len(members) + 1
             assert np.array_equal(
-                fused.run_fault_groups(rows, members, cone=batch.gates), want
+                fused.backend.run_outputs(rows, batch.plan, n_rows, batch.gates), want
             )
             # The base kernel ignores the cone: still the full matrix.
             assert np.array_equal(
-                oracle.run_fault_groups(rows, members, cone=batch.gates), want
+                oracle.backend.run_outputs(rows, batch.plan, n_rows, batch.gates), want
             )
 
     def test_cone_missing_a_branch_site_rejected(self):
@@ -487,8 +488,8 @@ def _set_geometry(monkeypatch, geometry):
     fault_chunk)``, or ``(None, None)`` for the shipped constants."""
     word_chunk, fault_chunk = geometry
     if word_chunk is not None:
-        monkeypatch.setattr(gate_engine, "CAMPAIGN_WORD_CHUNK", word_chunk)
-        monkeypatch.setattr(gate_engine, "CAMPAIGN_FAULT_CHUNK", fault_chunk)
+        monkeypatch.setattr(gate_engine, "SWEEP_WORD_CHUNK", word_chunk)
+        monkeypatch.setattr(gate_engine, "SWEEP_FAULT_CHUNK", fault_chunk)
 
 
 def _wide():
@@ -542,7 +543,7 @@ class TestCampaignOracle:
             return run_detect(words, *args)
 
         monkeypatch.setattr(engine.backend, "run_detect", spy)
-        monkeypatch.setattr(gate_engine, "CAMPAIGN_WORD_CHUNK", 96)
+        monkeypatch.setattr(gate_engine, "SWEEP_WORD_CHUNK", 96)
         engine.campaign()
         assert widths[0] == SPARSE_WORD_SUBCHUNK
         assert max(widths) == 96
@@ -597,7 +598,7 @@ class TestCampaignOracle:
 class TestSparseObservability:
     def test_skip_counter_advances(self):
         # Without fault dropping every RCA-8 batch streams full
-        # 512-word slabs; batches of deep fault sites have union cones
+        # 256-word slabs; batches of deep fault sites have union cones
         # far smaller than the netlist, so their walks skip gates.
         reg = registry()
         before = reg.counter_total("repro_sparse_gates_skipped_total")

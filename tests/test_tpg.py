@@ -9,9 +9,10 @@ The load-bearing properties:
   detects exactly the faults its dictionary claims -- bit for bit --
   at n = 3 and 4, for the raw unit netlists and the Table 2
   architectures;
-* the coverage-engine satellites (auto-sized matrix budget) change
-  nothing about the numbers, and ATPG's test
-  order depends on its chunk constants only, never on the environment.
+* every kernel call fits the one matrix byte cap, a budget small
+  enough to clamp the chunks changes nothing about the numbers, and
+  ATPG's test order depends on its chunk constants only, never on the
+  environment.
 """
 
 import dataclasses
@@ -21,21 +22,21 @@ import numpy as np
 import pytest
 
 from repro.arch.alu import FaultableALU
-from repro.arch.cell import faulty_cell_library, reference_cell
+from repro.arch.cell import collapsed_cell_library, faulty_cell_library, reference_cell
 from repro.arch.testbench import table2_architecture
-from repro.coverage.engine import evaluate_multiplier
+from repro.coverage.engine import evaluate_multiplier, evaluate_operator
 from repro.errors import SimulationError
 from repro.coverage import engine as coverage_engine
 from repro.gates import builders
 from repro.gates import engine as gate_engine
 from repro.gates.backends import fused as fused_backend
+from repro.gates import sparse
+from repro.gates.backends.plan import OverridePlan
 from repro.gates.compile import compile_netlist
 from repro.gates.engine import (
     GATE_MATRIX_BUDGET_MAX,
-    GATE_MATRIX_BUDGET_MIN,
     matrix_word_chunk,
     pack_bits,
-    resolve_matrix_budget,
     run_stuck_at_campaign,
 )
 from repro.gates.simulate import ReferenceSimulator
@@ -507,14 +508,6 @@ class TestEmission:
 # Coverage-engine satellites
 # ----------------------------------------------------------------------
 class TestMatrixBudget:
-    def test_auto_budget_scales_with_row_cells(self):
-        assert resolve_matrix_budget(1) == GATE_MATRIX_BUDGET_MIN
-        assert resolve_matrix_budget(1 << 30) == GATE_MATRIX_BUDGET_MAX
-        # Half-way up the scaling range, whatever the cap.
-        mid = GATE_MATRIX_BUDGET_MAX // (8 * gate_engine.GATE_MATRIX_TARGET_WORDS) // 2
-        assert GATE_MATRIX_BUDGET_MIN < mid * 8 * 256 < GATE_MATRIX_BUDGET_MAX
-        assert resolve_matrix_budget(mid) == mid * 8 * 256
-
     def test_one_cap_for_sweeps_and_the_fused_workspace(self):
         # One definition, read by the sweep budget and the workspace.
         assert GATE_MATRIX_BUDGET_MAX is fused_backend.GATE_MATRIX_BUDGET_MAX
@@ -538,6 +531,42 @@ class TestMatrixBudget:
         # Netlists under the cap at the full chunk keep the full chunk.
         if gate_engine.SWEEP_WORD_CHUNK * matrix // step <= GATE_MATRIX_BUDGET_MAX:
             assert step == gate_engine.SWEEP_WORD_CHUNK
+
+    def test_campaigns_and_table_sweeps_fit_the_workspace(self, monkeypatch):
+        # Every kernel call of the default unit campaigns and the Table 1
+        # n = 8 mul/div sweeps fits the fused workspace (the 471-net div
+        # n = 7 campaign once allocated a fresh 123 MB matrix per call),
+        # and the sweeps plan each cone batch once, not once per chunk.
+        transient = []
+        workspace = fused_backend.FusedBackend._workspace
+
+        def spy(backend, n_rows, n_words):
+            cells = backend.compiled.n_nets * n_rows * n_words
+            if cells * 8 > fused_backend.GATE_MATRIX_BUDGET_MAX:
+                transient.append((backend.compiled.source.name, n_rows, n_words))
+            return workspace(backend, n_rows, n_words)
+
+        monkeypatch.setattr(fused_backend.FusedBackend, "_workspace", spy)
+        for unit, width in (("add", 8), ("sub", 8), ("mul", 8), ("div", 7)):
+            run_stuck_at_campaign(unit_netlist(unit, width), backend="fused")
+        collapsed_cell_library()  # warm: its truth tables plan faults too
+        plans, batches = [], []
+        init = OverridePlan.__init__
+        build = sparse.build_schedule
+        monkeypatch.setattr(
+            OverridePlan, "__init__",
+            lambda plan, *a, **k: plans.append(1) or init(plan, *a, **k),
+        )
+        monkeypatch.setattr(
+            sparse, "build_schedule",
+            lambda *a, **k: batches.append(build(*a, **k)) or batches[-1],
+        )
+        for operator in ("mul", "div"):
+            evaluate_operator(
+                operator, 8, method="gate", workers=1, backend="fused", store=False
+            )
+        assert not transient
+        assert len(plans) == sum(len(s.batches) for s in batches) > 0
 
     def test_word_chunk_clamped_to_budget(self, monkeypatch):
         row_cells = compile_netlist(builders.ripple_carry_adder(4)).n_nets * 9
