@@ -61,9 +61,7 @@ from repro.gates.cells import CellType
 from repro.gates.faults import (
     StuckAtFault,
     _fault_key,
-    default_equivalence_groups,
-    default_fault_universe,
-    structural_equivalence_groups,
+    fault_classes,
 )
 from repro.gates.memo import identity_memo, netlist_fingerprint
 from repro.gates.netlist import Netlist
@@ -168,18 +166,14 @@ def _build_map(
     fault_seq: Optional[Sequence[StuckAtFault]],
     mode: str,
 ) -> CollapseMap:
-    if fault_seq is None:
-        fault_seq = default_fault_universe(netlist)
-        groups: Sequence[Sequence[int]] = default_equivalence_groups(netlist)
-    else:
-        groups = structural_equivalence_groups(netlist, fault_seq)
+    fault_seq, groups = fault_classes(netlist, fault_seq)
     n_classes = len(groups)
     if mode == "equivalence":
         return CollapseMap(
             netlist_name=netlist.name,
             mode=mode,
             n_faults=len(fault_seq),
-            groups=tuple(tuple(g) for g in groups),
+            groups=groups,
             kept=tuple(range(n_classes)),
             dropped=(),
             implied_by=tuple(() for _ in range(n_classes)),
@@ -223,7 +217,7 @@ def _build_map(
         netlist_name=netlist.name,
         mode=mode,
         n_faults=len(fault_seq),
-        groups=tuple(tuple(g) for g in groups),
+        groups=groups,
         kept=kept,
         dropped=dropped,
         implied_by=implied_by,

@@ -21,8 +21,9 @@ word-packed exhaustive operand sweeps:
   in the paper's model);
 * a cell-level stuck-at fault at array position ``p`` translates to a
   *fault group*: the corresponding stuck-at site in every replica's
-  position-``p`` cell instance, all injected in one engine matrix row
-  (:meth:`repro.gates.engine.BitParallelEngine.run_fault_groups`).
+  position-``p`` cell instance, all injected in one fault-matrix row
+  (one :class:`~repro.gates.backends.plan.OverridePlan` row, which the
+  Table sweeps hand to the backend's ``run_outputs``).
 
 Each architecture carries its operand universe as one
 :class:`~repro.gates.engine.TestSpace` (``arch.space``): the operand

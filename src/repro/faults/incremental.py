@@ -61,8 +61,8 @@ from repro.gates.engine import (
 )
 from repro.gates.faults import (
     StuckAtFault,
-    default_equivalence_groups,
     default_fault_universe,
+    fault_classes,
     resolve_collapse_mode,
 )
 from repro.gates.memo import netlist_fingerprint
@@ -427,11 +427,7 @@ def _reuse_proof(old: Netlist, new: Netlist, mode: str) -> _ReuseProof:
 
 def _compute_reuse_proof(old: Netlist, new: Netlist, mode: str) -> _ReuseProof:
     diff = diff_netlists(old, new)
-    fault_seq = default_fault_universe(new)
-    if mode == "equivalence":
-        groups: Tuple[Tuple[int, ...], ...] = default_equivalence_groups(new)
-    else:
-        groups = tuple((i,) for i in range(len(fault_seq)))
+    fault_seq, groups = fault_classes(new, None, mode)
     empty = np.empty(0, dtype=np.int64)
     if diff.io_changed:
         # Out of scope; the caller falls back to scratch, so the class

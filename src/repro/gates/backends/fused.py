@@ -19,10 +19,12 @@ of the matrix -- about 0.7 of it on the RCA-8 campaign, 0.5 on the
 8-bit array multiplier.  Results are bit-identical to the reference loop:
 untainted rows *are* the golden run.  Given one batch of a cone
 schedule, both derived kernels further restrict the walk to the batch's
-union fan-out cone: :meth:`FusedBackend.run_detect` (campaigns, fault
-dictionaries, ATPG) reduces only the reachable outputs, and
-:meth:`FusedBackend.run_outputs` (the Table 1/2 sweeps) returns outputs
-outside the cone as their golden rows.
+union fan-out cone: :meth:`FusedBackend.run_detect` reduces only the
+reachable outputs, and :meth:`FusedBackend.run_outputs` (the Table 1/2
+sweeps) returns outputs outside the cone as their golden rows.  Every
+detect call the library makes is one such batch: campaigns, fault
+dictionaries and ATPG share one cone-scheduled detection sweep
+(:mod:`repro.gates.engine`).
 
 A persistent workspace backs the prefix walks.  It is capped at
 :data:`~repro.gates.backends.base.GATE_MATRIX_BUDGET_MAX`, the same
@@ -45,19 +47,13 @@ from repro.gates.backends.plan import OverridePlan, _row_index
 from repro.gates.backends.python_loop import PythonLoopBackend
 from repro.gates.compile import CompiledNetlist
 
-#: Above this many (row x word) cells the cone walk stops testing for
-#: dead-effect early exit: the convergence probe compares every touched
-#: prefix against golden, which only pays for itself on the small
-#: batches of incremental re-runs and per-fault probes.
-SPARSE_EXIT_CELLS = 1 << 11
-
 # Work counters of cone-scheduled walks (always live, surfaced in
 # the telemetry snapshot and the BENCH_*.json records).  Resolved lazily so
 # importing the backend never touches the metrics registry.
 _SPARSE_HANDLES = None
 
 
-def _note_sparse(evaluated: int, skipped: int, early_exit: bool) -> None:
+def _note_sparse(evaluated: int, skipped: int) -> None:
     global _SPARSE_HANDLES
     if _SPARSE_HANDLES is None:
         from repro.obs import metrics
@@ -65,14 +61,11 @@ def _note_sparse(evaluated: int, skipped: int, early_exit: bool) -> None:
         _SPARSE_HANDLES = (
             metrics.counter_handle("repro_sparse_gates_evaluated_total"),
             metrics.counter_handle("repro_sparse_gates_skipped_total"),
-            metrics.counter_handle("repro_sparse_early_exits_total"),
         )
     if evaluated:
         _SPARSE_HANDLES[0].inc(evaluated)
     if skipped:
         _SPARSE_HANDLES[1].inc(skipped)
-    if early_exit:
-        _SPARSE_HANDLES[2].inc()
 
 
 def _column_offset(block: np.ndarray, words: np.ndarray) -> Optional[int]:
@@ -184,7 +177,6 @@ class FusedBackend(PythonLoopBackend):
         plan: OverridePlan,
         n_rows: int,
         program: Optional[list] = None,
-        stats: Optional[dict] = None,
     ):
         """Evaluate only the tainted row prefix of every net.
 
@@ -203,12 +195,6 @@ class FusedBackend(PythonLoopBackend):
         ``program`` restricts the walk to a cone sub-program
         (ascending compiled order); gates outside it are provably
         golden under ``plan``, which the cone schedule guarantees.
-        With ``stats`` (cone-scheduled calls) the walk additionally probes for
-        *dead-effect early exit* on small workloads: past the deepest
-        override level, at each level boundary, if every materialised
-        prefix of a non-overridden net has reconverged to golden the
-        remaining gates cannot diverge either, so the walk stops and
-        reports the skip in ``stats``.
         """
         depth_plus = self.compiled.depth + 1
         row_levels = np.full(n_rows, depth_plus, dtype=np.int64)
@@ -245,26 +231,7 @@ class FusedBackend(PythonLoopBackend):
                 vals[nid][idx] = consts
                 hw[nid] = top
         entries = self._flat_program if program is None else program
-        probe_exit = (
-            stats is not None and n_rows * words.shape[1] <= SPARSE_EXIT_CELLS
-        )
-        if probe_exit:
-            levels_arr = self.compiled.gate_levels
-            exit_level = self._deepest_override_level(stems, branches)
-            stem_nets = set(stems)
-            touched = list(stem_nets)
-            prev_level = -1
-        for pos, (g, ufunc, invert, operand_ids, out_id) in enumerate(entries):
-            if probe_exit:
-                lvl = int(levels_arr[g])
-                if lvl != prev_level:
-                    if prev_level >= exit_level and self._converged(
-                        touched, stem_nets, vals, hw, golden
-                    ):
-                        stats["early_exit"] = True
-                        stats["skipped"] = len(entries) - pos
-                        break
-                    prev_level = lvl
+        for g, ufunc, invert, operand_ids, out_id in entries:
             gate_branches = branches.get(g)
             stem_entry = stems.get(out_id)
             m_in = 0
@@ -329,49 +296,8 @@ class FusedBackend(PythonLoopBackend):
                     out_rows[m_in:top] = golden[out_id]
                     m_in = top
                 out_rows[sidx] = consts
-            if probe_exit and m_in and not hw[out_id]:
-                touched.append(out_id)
             hw[out_id] = m_in
         return vals, hw, golden, inv, identity
-
-    def _deepest_override_level(self, stems, branches) -> int:
-        """Level past which ``plan`` can no longer inject divergence.
-
-        Stems stay pinned in the value matrix, so their influence ends
-        at their *deepest reader*; branches end at the overridden gate.
-        """
-        compiled = self.compiled
-        deepest = -1
-        for nid in stems:
-            lo = int(compiled.fanout_offsets[nid])
-            hi = int(compiled.fanout_offsets[nid + 1])
-            if hi > lo:
-                lvl = int(compiled.gate_levels[compiled.fanout_gates[lo:hi]].max())
-            else:
-                lvl = int(compiled.net_levels[nid])
-            if lvl > deepest:
-                deepest = lvl
-        for g in branches:
-            lvl = int(compiled.gate_levels[g])
-            if lvl > deepest:
-                deepest = lvl
-        return deepest
-
-    @staticmethod
-    def _converged(touched, stem_nets, vals, hw, golden) -> bool:
-        """True when every materialised non-stem prefix equals golden.
-
-        Stem-overridden nets are excluded: past their deepest reader
-        (the caller checks the level first) they are never read again,
-        and their pinned rows differ from golden by construction.
-        """
-        for nid in touched:
-            if nid in stem_nets:
-                continue
-            h = hw[nid]
-            if h and bool((vals[nid][:h] != golden[nid]).any()):
-                return False
-        return True
 
     @staticmethod
     def _fix_branch_rows(
@@ -488,18 +414,18 @@ class FusedBackend(PythonLoopBackend):
         out_ids: Optional[Tuple[int, ...]] = None,
     ) -> np.ndarray:
         n_words = words.shape[1]
-        program = stats = None
+        program = None
         outs = self._output_ids if out_ids is None else list(out_ids)
         if gates is not None:
             if not outs:
                 # No primary output is reachable from the batch's sites:
                 # nothing can detect, nothing needs evaluating.
-                _note_sparse(0, self.compiled.n_gates, False)
+                _note_sparse(0, self.compiled.n_gates)
                 return np.zeros((n_rows, n_words), dtype=np.uint64)
             program = self._cone_program(plan, gates)
-            stats = {"early_exit": False, "skipped": 0}
+            _note_sparse(len(program), self.compiled.n_gates - len(program))
         vals, hw, golden, inv, identity = self._prefix_walk(
-            words, plan, n_rows, program=program, stats=stats
+            words, plan, n_rows, program=program
         )
         diff = np.zeros((n_rows, n_words), dtype=np.uint64)
         scratch = np.empty((n_rows, n_words), dtype=np.uint64)
@@ -508,10 +434,6 @@ class FusedBackend(PythonLoopBackend):
             if h:
                 np.bitwise_xor(vals[out_id][:h], golden[out_id], out=scratch[:h])
                 np.bitwise_or(diff[:h], scratch[:h], out=diff[:h])
-        if stats is not None:
-            evaluated = len(program) - stats["skipped"]
-            skipped = self.compiled.n_gates - evaluated
-            _note_sparse(evaluated, skipped, stats["early_exit"])
         return diff if identity else diff[inv]
 
     def run_outputs(
@@ -524,7 +446,7 @@ class FusedBackend(PythonLoopBackend):
         program = None
         if gates is not None:
             program = self._cone_program(plan, gates)
-            _note_sparse(len(program), self.compiled.n_gates - len(program), False)
+            _note_sparse(len(program), self.compiled.n_gates - len(program))
         # Outputs outside the cone keep an empty tainted prefix, so they
         # come back as their golden rows.
         vals, hw, golden, inv, identity = self._prefix_walk(

@@ -19,15 +19,18 @@ Three levels of service:
   fault collapsing (only one representative per equivalence class is
   simulated), cone scheduling (each fault batch walks only its union
   fan-out cone, :mod:`repro.gates.sparse`) and fault dropping (detected
-  faults leave the schedule between escalating vector slabs);
-* :meth:`BitParallelEngine.run_fault_groups` -- the same fault-major
-  matrix for *multi-site fault groups* (several stuck-ats injected
-  together per row), which is how the Table 1/2 coverage sweeps
-  replicate one cell-level fault into the nominal and checking copies
-  of a functional unit (:mod:`repro.arch.testbench`).  Those sweeps are
-  cone-scheduled too: they hand each schedule batch's own plan and cone
-  to the backend's ``run_outputs``, which walks only that union fan-out
-  cone and returns outputs outside it golden.
+  faults leave the schedule between escalating vector slabs).
+
+Campaigns, fault dictionaries (:mod:`repro.tpg.dictionary`) and ATPG
+(:mod:`repro.tpg.generate`) share one cone-scheduled detection sweep:
+each cone batch carries its own plan and reaches the backend's
+``run_detect`` with its cone.  The Table 1/2 coverage sweeps inject
+*multi-site fault groups* (one cell-level fault replicated into the
+nominal and checking copies of a functional unit,
+:mod:`repro.arch.testbench`) and are cone-scheduled too: they hand each
+schedule batch's plan and cone to the backend's ``run_outputs``, which
+walks only that union fan-out cone and returns outputs outside it
+golden.
 
 Streaming wide sweeps: :func:`exhaustive_word_range` materialises any
 word slice of an arbitrarily wide exhaustive vector set, a
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
@@ -75,7 +79,6 @@ from repro.errors import SimulationError
 from repro.gates.backends import (
     GATE_MATRIX_BUDGET_MAX,
     Backend,
-    FaultGroup,
     OverridePlan,
     create_backend,
     resolve_backend_name,
@@ -84,14 +87,16 @@ from repro.gates.compile import CompiledNetlist, compile_netlist
 from repro.gates.faults import (
     StuckAtFault,
     default_equivalence_groups,
-    default_fault_universe,
+    fault_classes,
     resolve_collapse_mode,
-    structural_equivalence_groups,
 )
 from repro.gates.memo import identity_memo
 from repro.gates.netlist import Netlist
 from repro.obs import events as obs_events
 from repro.obs.trace import span as obs_span
+
+if TYPE_CHECKING:  # pragma: no cover - imported lazily, off the import path
+    from repro.gates.sparse import SparseBatch
 
 Value = Union[int, np.ndarray]
 
@@ -503,6 +508,75 @@ def sweep_chunks(
         yield lo, hi, rows, source.valid_words(lo, hi, rows=rows)
 
 
+class _DetectSweep:
+    """The one cone-scheduled detection loop over a fault-class list.
+
+    Campaigns, fault dictionaries and ATPG simulate one representative
+    fault per class.  Called with packed input words and the active
+    class ids, the sweep yields ``(class ids, detection words)`` for
+    every cone batch of at most :data:`SWEEP_FAULT_CHUNK` classes
+    (:func:`repro.gates.sparse.build_schedule`); each batch carries its
+    own plan and cone, and the schedule is rebuilt only when the active
+    set changes.  Batches whose sites reach no primary output are
+    provably undetectable: no kernel runs for them, and they yield
+    nothing.
+
+    Schedules of the memoised default partition are cached on the
+    engine: dropping is deterministic, so repeated campaigns replay
+    their rounds, and a fault dictionary or an ATPG first round
+    schedules every class -- the campaign's first-round key.
+    """
+
+    def __init__(
+        self,
+        engine: "BitParallelEngine",
+        fault_seq: Sequence[StuckAtFault],
+        groups: Tuple[Tuple[int, ...], ...],
+    ) -> None:
+        self._engine = engine
+        self._groups = groups
+        self._reps = [fault_seq[g[0]] for g in groups]
+        # The memoised tuple stays alive, so its id cannot be recycled.
+        default = groups is default_equivalence_groups(engine.compiled.source)
+        self._rounds = engine._rounds if default else None
+        self._active: Optional[Tuple[int, ...]] = None
+        self._batches: Tuple[SparseBatch, ...] = ()
+
+    def _schedule(self, active: Tuple[int, ...]) -> Tuple[SparseBatch, ...]:
+        from repro.analysis.cones import analyze_cones, analyze_gate_cones
+        from repro.gates import sparse
+
+        key = (id(self._groups), active, SWEEP_FAULT_CHUNK)
+        rounds = self._rounds
+        if rounds is not None and key in rounds:
+            return rounds[key]
+        compiled = self._engine.compiled
+        batches = sparse.build_schedule(
+            compiled, [self._reps[g] for g in active], SWEEP_FAULT_CHUNK,
+            analyze_gate_cones(compiled.source), analyze_cones(compiled.source),
+        ).batches
+        if rounds is not None:
+            while len(rounds) >= 32:
+                del rounds[next(iter(rounds))]
+            rounds[key] = batches
+        return batches
+
+    def __call__(
+        self, words: np.ndarray, active: Sequence[int]
+    ) -> Iterator[Tuple[List[int], np.ndarray]]:
+        active = tuple(active)
+        if active != self._active:
+            self._active, self._batches = active, self._schedule(active)
+        run_detect = self._engine.backend.run_detect
+        for batch in self._batches:
+            if batch.out_ids:
+                # The backend folds a shared golden run into the
+                # detection words: no separate fault-free pass.
+                yield [active[m] for m in batch.members], run_detect(
+                    words, batch.plan, len(batch.members), batch.gates, batch.out_ids
+                )
+
+
 @dataclass
 class StuckAtCampaignResult:
     """Outcome of a batched stuck-at campaign.
@@ -579,10 +653,9 @@ class BitParallelEngine:
         self._input_ids = [int(i) for i in compiled.input_ids]
         self._output_ids = [int(i) for i in compiled.output_ids]
         self._exhaustive: Optional[PackedVectors] = None
-        # Campaign schedule cache: (id(groups), active classes,
-        # rows-per-batch) -> batches (each carrying its plan).  Only
-        # default-universe rounds are cached (their groups tuple is
-        # memoised and alive, so the id cannot be recycled); FIFO-bounded.
+        # Detection-sweep schedule cache (see _DetectSweep): (id(groups),
+        # active classes, rows-per-batch) -> batches, each carrying its
+        # plan; default-universe rounds only, FIFO-bounded.
         self._rounds: Dict[Tuple[int, Tuple[int, ...], int], Tuple] = {}
 
     # ------------------------------------------------------------------
@@ -680,52 +753,6 @@ class BitParallelEngine:
             tables[lo : lo + len(batch)] = np.transpose(bits, (1, 2, 0))
         return tables
 
-    def run_fault_groups(
-        self, words: np.ndarray, groups: Sequence[FaultGroup]
-    ) -> np.ndarray:
-        """Primary outputs for a batch of multi-site fault groups.
-
-        ``words`` is a packed input matrix ``(n_inputs, n_words)`` (64
-        vectors per uint64 word, rows in compiled input order -- see
-        :func:`exhaustive_word_range`).  Each entry of ``groups`` is one
-        :class:`StuckAtFault` or a sequence of faults injected together,
-        e.g. the same cell-level fault replicated into every copy of a
-        functional unit in a test architecture.  Returns a
-        ``(n_outputs, len(groups) + 1, n_words)`` matrix whose last row
-        is the shared fault-free (golden) run; all groups advance through
-        the gate program together, one word-wide NumPy op per gate.
-        (The Table 1/2 sweeps call the backend's ``run_outputs`` with
-        each cone-schedule batch's own plan and cone instead.)
-        """
-        words = self._check_input_words(words)
-        plan = OverridePlan(self.compiled, groups)
-        return self.backend.run_outputs(words, plan, len(groups) + 1)
-
-    def detect_words(
-        self, words: np.ndarray, groups: Sequence[FaultGroup]
-    ) -> np.ndarray:
-        """Detection words of a fault-group batch vs the fault-free run.
-
-        Returns ``(len(groups), n_words)``: lane ``v % 64`` of word
-        ``v // 64`` in row ``r`` is set iff some primary output differs
-        from the golden run for vector ``v`` under group ``r``.  This is
-        the reduction campaigns, fault dictionaries and ATPG consume;
-        going through the backend kernel lets the ``fused`` backend
-        evaluate only tainted row prefixes instead of the full matrix.
-        """
-        words = self._check_input_words(words)
-        plan = OverridePlan(self.compiled, groups)
-        return self.backend.run_detect(words, plan, len(groups))
-
-    def _check_input_words(self, words: np.ndarray) -> np.ndarray:
-        words = np.asarray(words, dtype=np.uint64)
-        if words.ndim != 2 or words.shape[0] != self.compiled.n_inputs:
-            raise SimulationError(
-                f"expected ({self.compiled.n_inputs}, n_words) input words, "
-                f"got shape {words.shape}"
-            )
-        return words
-
     # ------------------------------------------------------------------
     # Batched fault campaign
     # ------------------------------------------------------------------
@@ -793,66 +820,27 @@ class BitParallelEngine:
         collapse: Union[bool, str],
         fault_dropping: bool,
     ) -> StuckAtCampaignResult:
-        from repro.analysis.cones import analyze_cones, analyze_gate_cones
         from repro.gates import sparse
 
         mode = resolve_collapse_mode(collapse)
-        fault_chunk = SWEEP_FAULT_CHUNK
-        c = self.compiled
-        netlist = c.source
+        netlist = self.compiled.source
         if packed is None:
             packed = self.exhaustive()
+        fault_seq, groups = fault_classes(netlist, faults, mode)
         cmap = None
-        # Default universe/groups come back as memoised tuples, zero-copy.
-        if faults is None:
-            fault_seq: Sequence[StuckAtFault] = default_fault_universe(netlist)
-        else:
-            fault_seq = tuple(faults)
         if mode == "dominance":
             from repro.analysis.collapse import collapse_faults
 
             cmap = collapse_faults(
                 netlist, faults=None if faults is None else fault_seq, mode=mode
             )
-            groups: Sequence[Sequence[int]] = cmap.groups
-        elif mode == "equivalence":
-            groups = (
-                default_equivalence_groups(netlist)
-                if faults is None
-                else structural_equivalence_groups(netlist, fault_seq)
-            )
-        else:
-            groups = tuple((i,) for i in range(len(fault_seq)))
         n_faults = len(fault_seq)
 
         detected = np.zeros(n_faults, dtype=bool)
         first_detected = np.full(n_faults, -1, dtype=np.int64)
         n_runs = 0
         n_words = packed.n_words
-        gate_cones = analyze_gate_cones(netlist)
-        po_cones = analyze_cones(netlist)
-        full_default = faults is None and mode == "equivalence"
-
-        def schedule(active: List[int]) -> Tuple:
-            """Cone-clustered batches of ``active``, each with its plan,
-            one row per class simulating its representative fault (the
-            members of a structural equivalence class share one faulty
-            function); default-universe rounds are cached on the engine
-            (dropping is deterministic, so repeated campaigns replay
-            them)."""
-            key = (id(groups), tuple(active), fault_chunk)
-            cached = self._rounds.get(key) if full_default else None
-            if cached is not None:
-                return cached
-            batches = sparse.build_schedule(
-                c, [fault_seq[groups[g][0]] for g in active], fault_chunk,
-                gate_cones, po_cones,
-            ).batches
-            if full_default:
-                while len(self._rounds) >= 32:
-                    del self._rounds[next(iter(self._rounds))]
-                self._rounds[key] = batches
-            return batches
+        detect = _DetectSweep(self, fault_seq, groups)
 
         def sweep(class_ids: List[int]) -> int:
             """Run the cone-scheduled slab sweep over ``class_ids``,
@@ -869,13 +857,11 @@ class BitParallelEngine:
             """
             active = list(class_ids)
             runs = 0
-            sched_for: Optional[List[int]] = None
-            batches: Tuple = ()
             # No slab is wider than one kernel call's word chunk, so
             # every call fits the matrix byte cap.  Without fault
             # dropping no class ever retires, so slab escalation buys
             # nothing: stream plain word chunks.
-            word_chunk = _chunk_words(c, len(active))
+            word_chunk = _chunk_words(self.compiled, len(active))
             slab = word_chunk
             if fault_dropping:
                 slab = min(sparse.SPARSE_WORD_SUBCHUNK, word_chunk)
@@ -888,29 +874,12 @@ class BitParallelEngine:
                     part = packed.word_slice(lo, hi)
                 if part.n_words == 0:
                     break
-                if sched_for != active:
-                    sched_for = list(active)
-                    batches = schedule(sched_for)
                 mask = part.tail_mask
                 base_vector = lo * LANES
-                for batch in batches:
-                    # Batches whose sites reach no primary output are
-                    # provably undetectable: no kernel runs at all.
-                    if not batch.out_ids:
-                        continue
-                    if fault_dropping and all(
-                        detected[groups[sched_for[m]][0]] for m in batch.members
-                    ):
-                        continue
-                    n_batch = len(batch.members)
-                    # The backend folds a shared golden run into the
-                    # detection words -- no separate fault-free pass needed.
-                    diff = self.backend.run_detect(
-                        part.words, batch.plan, n_batch, batch.gates, batch.out_ids
-                    )
-                    runs += n_batch
+                for batch_ids, diff in detect(part.words, active):
+                    runs += len(batch_ids)
                     for row, vector in first_hits(diff, mask, base_vector):
-                        for fi in groups[sched_for[batch.members[row]]]:
+                        for fi in groups[batch_ids[row]]:
                             # Without fault dropping a fault can re-detect
                             # in later slabs; keep the earliest vector.
                             if not detected[fi]:
@@ -971,9 +940,7 @@ class BitParallelEngine:
             first_detected=first_detected,
             n_vectors=packed.n_vectors,
             n_simulated_runs=n_runs,
-            groups=groups
-            if isinstance(groups, tuple)
-            else tuple(tuple(g) for g in groups),
+            groups=groups,
         )
 
 

@@ -195,6 +195,34 @@ def structural_equivalence_groups(
     return _compute_equivalence_groups(netlist, faults)
 
 
+def fault_classes(
+    netlist: Netlist,
+    faults: Optional[Sequence[StuckAtFault]] = None,
+    mode: str = "equivalence",
+) -> Tuple[Tuple[StuckAtFault, ...], Tuple[Tuple[int, ...], ...]]:
+    """The fault list and its classes, one simulated representative each.
+
+    ``faults`` defaults to the stem+branch universe.  ``mode`` is a
+    resolved collapse mode (:func:`resolve_collapse_mode`): ``"none"``
+    makes every fault its own class; ``"equivalence"`` and
+    ``"dominance"`` (which prunes over the same classes, see
+    :mod:`repro.analysis.collapse`) take the structural-equivalence
+    partition.  The default universe and its partition come back as the
+    memoised tuples, zero-copy: the campaign schedule cache keys on the
+    partition's identity.
+    """
+    if faults is None:
+        fault_seq = _full_fault_tuple(netlist)
+        if mode != "none":
+            return fault_seq, _default_equivalence_groups(netlist)
+    else:
+        fault_seq = tuple(faults)
+        if mode != "none":
+            groups = _compute_equivalence_groups(netlist, fault_seq)
+            return fault_seq, tuple(tuple(g) for g in groups)
+    return fault_seq, tuple((i,) for i in range(len(fault_seq)))
+
+
 def _compute_equivalence_groups(
     netlist: Netlist, faults: Sequence[StuckAtFault]
 ) -> List[List[int]]:

@@ -22,7 +22,8 @@ then fault site, so consecutive groups share cone structure, batch
 union cones stay close to the per-member cones, and a batch's rows
 arrive ascending in level with each site's rows adjacent (the order
 the fused detect walk evaluates them in).  The schedule is consumed by the
-campaign sweep in :mod:`repro.gates.engine` (through
+detection sweep campaigns, fault dictionaries and ATPG share in
+:mod:`repro.gates.engine` (through
 :meth:`~repro.gates.backends.base.Backend.run_detect`) and by the Table
 1/2 gate sweeps in :mod:`repro.coverage.engine` (through
 :meth:`~repro.gates.backends.base.Backend.run_outputs`).
@@ -57,8 +58,9 @@ _WORD = 64
 #: that start here and double each step: most faults fall to the
 #: earliest vectors, so the cheap first probe retires the bulk of the
 #: universe and each wider slab re-schedules only the survivors (whose
-#: union cones tighten as the shallow fault sites drop out) -- the
-#: dead-effect early exit at campaign granularity.
+#: union cones tighten as the shallow fault sites drop out).  Dropping
+#: detected classes between slabs is the sweep's only early exit; the
+#: kernels always walk a batch's whole cone.
 SPARSE_WORD_SUBCHUNK = 64
 
 

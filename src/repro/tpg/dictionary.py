@@ -9,13 +9,13 @@ word, one row per fault, so the n = 8 adder's 131072-vector universe
 against its 296-fault list is a 600 KB array, and compaction reduces it
 with bitwise ops only (:mod:`repro.tpg.compaction`).
 
-Dictionaries are built by the batched bit-parallel engine
-(:meth:`repro.gates.engine.BitParallelEngine.run_fault_groups`): one
-representative per structural equivalence class is simulated against a
-shared golden row and the per-vector difference words *are* the
-dictionary rows.  Builds run in the calling process; ``save``/``load``
-round-trip through ``.npz`` and the result store memoises them, so
-expensive dictionaries persist.
+Dictionaries are built by the campaigns' cone-scheduled detection
+sweep (:mod:`repro.gates.engine`): one representative per structural
+equivalence class is simulated against a shared golden row, each cone
+batch walking only its union fan-out cone, and the per-vector
+difference words *are* the dictionary rows.  Builds run in the calling
+process; ``save``/``load`` round-trip through ``.npz`` and the result
+store memoises them, so expensive dictionaries persist.
 
 Constrained universes are described by a
 :class:`~repro.gates.engine.TestSpace`: some primary inputs sweep (the
@@ -38,10 +38,10 @@ from repro.errors import SimulationError
 from repro.gates.backends import resolve_backend_name
 from repro.gates.engine import (
     LANES,
-    SWEEP_FAULT_CHUNK,
     PackedVectors,
     SweepSource,
     TestSpace,
+    _DetectSweep,
     engine_for,
     pack_bits,
     popcount_words,
@@ -50,10 +50,8 @@ from repro.gates.engine import (
 from repro.gates.faults import (
     FaultSite,
     StuckAtFault,
-    default_equivalence_groups,
-    default_fault_universe,
+    fault_classes,
     resolve_collapse_mode,
-    structural_equivalence_groups,
 )
 from repro.gates.netlist import Netlist
 from repro.obs.trace import span as obs_span
@@ -227,12 +225,12 @@ def unpack_faults(arrays: Mapping[str, np.ndarray]) -> Tuple[StuckAtFault, ...]:
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
-def _resolve_universe(
+def _dictionary_classes(
     netlist: Netlist,
     faults: Optional[Sequence[StuckAtFault]],
     collapse: Union[bool, str],
 ) -> Tuple[Tuple[StuckAtFault, ...], Tuple[Tuple[int, ...], ...]]:
-    """Fault list + equivalence groups, matching the campaign defaults.
+    """Fault list + classes (:func:`~repro.gates.faults.fault_classes`).
 
     Dictionaries record every fault's *per-vector* detection words, so
     only behaviour-preserving collapsing is legal here: ``"dominance"``
@@ -247,21 +245,7 @@ def _resolve_universe(
             "collapse='dominance' only preserves detection verdicts -- "
             "use collapse='equivalence' (or True) here"
         )
-    if faults is None:
-        fault_seq = default_fault_universe(netlist)
-        groups = (
-            default_equivalence_groups(netlist)
-            if mode == "equivalence"
-            else tuple((i,) for i in range(len(fault_seq)))
-        )
-    else:
-        fault_seq = tuple(faults)
-        groups = (
-            structural_equivalence_groups(netlist, fault_seq)
-            if mode == "equivalence"
-            else tuple((i,) for i in range(len(fault_seq)))
-        )
-    return fault_seq, groups
+    return fault_classes(netlist, faults, mode)
 
 
 def _dictionary_shard(
@@ -274,21 +258,22 @@ def _dictionary_shard(
     """Core kernel: per-fault detection words over a whole sweep source.
 
     ``source`` is a :class:`TestSpace` or an explicit packed test table,
-    streamed by :func:`~repro.gates.engine.sweep_chunks`; one
-    representative per equivalence class rides the fault matrix against
-    the shared golden row, and the per-vector output difference words
-    (masked lanes cleared) are broadcast to the whole class.
+    streamed by :func:`~repro.gates.engine.sweep_chunks`; every chunk
+    runs the campaigns' cone-scheduled detection sweep over all classes
+    (one representative each, scheduled and planned once), and the
+    per-vector output difference words (masked lanes cleared) are
+    broadcast to the whole class.  Classes reaching no primary output
+    keep all-zero rows.
     """
     engine = engine_for(netlist, backend)
-    reps = [fault_seq[g[0]] for g in groups]
-    group_words = np.zeros((len(reps), source.n_words), dtype=np.uint64)
-    for lo, hi, rows, valid in sweep_chunks(engine, len(reps), source):
-        for flo in range(0, len(reps), SWEEP_FAULT_CHUNK):
-            fhi = min(flo + SWEEP_FAULT_CHUNK, len(reps))
-            diff = engine.detect_words(rows, reps[flo:fhi])
+    detect = _DetectSweep(engine, fault_seq, groups)
+    every = range(len(groups))
+    group_words = np.zeros((len(groups), source.n_words), dtype=np.uint64)
+    for lo, hi, rows, valid in sweep_chunks(engine, len(groups), source):
+        for class_ids, diff in detect(rows, every):
             if valid is not None:
                 diff &= valid
-            group_words[flo:fhi, lo:hi] = diff
+            group_words[class_ids, lo:hi] = diff
     words = np.empty((len(fault_seq), source.n_words), dtype=np.uint64)
     for group, row in zip(groups, group_words):
         for fi in group:
@@ -336,7 +321,7 @@ def _build_fault_dictionary_impl(
     elif space.netlist is not netlist:
         raise SimulationError("test space was built for a different netlist")
     fault_tuple = tuple(faults) if faults is not None else None
-    fault_seq, groups = _resolve_universe(netlist, fault_tuple, collapse)
+    fault_seq, groups = _dictionary_classes(netlist, fault_tuple, collapse)
     backend = resolve_backend_name(backend)
     store = resolve_store(store)
     key = None
@@ -410,7 +395,7 @@ def dictionary_for_vectors(
     """
     bits = _test_table(netlist, bits)
     fault_tuple = tuple(faults) if faults is not None else None
-    fault_seq, groups = _resolve_universe(netlist, fault_tuple, collapse)
+    fault_seq, groups = _dictionary_classes(netlist, fault_tuple, collapse)
     backend = resolve_backend_name(backend)
     store = resolve_store(store)
     key = None
@@ -464,7 +449,7 @@ def replay_detected(
     bits = _test_table(netlist, bits)
     fault_tuple = tuple(faults) if faults is not None else None
     if bits.shape[0] == 0:
-        fault_seq, _ = _resolve_universe(netlist, fault_tuple, collapse)
+        fault_seq, _ = _dictionary_classes(netlist, fault_tuple, collapse)
         return np.zeros(len(fault_seq), dtype=bool)
     raw = run_sharded_stuck_at_campaign(
         netlist,

@@ -47,12 +47,18 @@ from repro.gates.engine import (
     SWEEP_FAULT_CHUNK,
     SWEEP_WORD_CHUNK,
     TestSpace,
+    _DetectSweep,
     engine_for,
     first_hits,
     popcount_words,
     sweep_chunks,
 )
-from repro.gates.faults import StuckAtFault, resolve_collapse_mode
+from repro.gates.faults import (
+    StuckAtFault,
+    default_fault_universe,
+    fault_classes,
+    resolve_collapse_mode,
+)
 from repro.gates.netlist import Netlist
 from repro.obs.trace import span as obs_span
 from repro.store import (
@@ -66,7 +72,6 @@ from repro.store import (
 from repro.tpg.compaction import CompactTestSet, compact_from_dictionary, greedy_cover
 from repro.tpg.dictionary import (
     FaultDictionary,
-    _resolve_universe,
     build_fault_dictionary,
     dictionary_for_vectors,
 )
@@ -246,20 +251,15 @@ def _generate_tests_impl(
         raise SimulationError(
             f"unknown order {order!r}; choose from {TPG_ORDERS}"
         )
+    fault_seq, groups = fault_classes(netlist, faults, mode)
+    targets = list(range(len(groups)))
     if mode == "dominance":
         from repro.analysis.collapse import collapse_faults
 
         cmap = collapse_faults(
-            netlist,
-            faults=None if faults is None else tuple(faults),
-            mode="dominance",
+            netlist, faults=None if faults is None else fault_seq, mode=mode
         )
-        fault_seq, _ = _resolve_universe(netlist, faults, "equivalence")
-        groups = [list(g) for g in cmap.groups]
         targets = sorted(cmap.kept)
-    else:
-        fault_seq, groups = _resolve_universe(netlist, faults, mode)
-        targets = list(range(len(groups)))
     if order == "testability":
         from repro.analysis.testability import fault_efforts
 
@@ -308,7 +308,7 @@ def _generate_tests_impl(
 
     if table is None:
         engine = engine_for(netlist, backend)
-        reps = [fault_seq[g[0]] for g in groups]
+        detect = _DetectSweep(engine, fault_seq, groups)
         rng = np.random.default_rng(seed)
 
         active = list(targets)
@@ -328,19 +328,22 @@ def _generate_tests_impl(
 
         def run_round(rows: np.ndarray, valid: Optional[np.ndarray]) -> int:
             """Simulate the active classes over one packed batch; returns
-            how many classes the batch newly detected."""
-            newly = 0
-            batch = list(active)
-            for lo in range(0, len(batch), SWEEP_FAULT_CHUNK):
-                block = batch[lo : lo + SWEEP_FAULT_CHUNK]
-                diff = engine.detect_words(rows, [reps[g] for g in block])
+            how many classes the batch newly detected.  Each class's
+            first hit is recorded in the round's class order, so the
+            test table does not depend on how the cone schedule batches
+            the classes."""
+            round_ids = list(active)
+            hits: Dict[int, int] = {}
+            for class_ids, diff in detect(rows, round_ids):
                 if valid is not None:
                     diff &= valid
                 for row, vector in first_hits(diff):
-                    record_vector(rows, vector)
-                    active.remove(block[row])
-                    newly += 1
-            return newly
+                    hits[class_ids[row]] = vector
+            for g in round_ids:
+                if g in hits:
+                    record_vector(rows, hits[g])
+            active[:] = [g for g in round_ids if g not in hits]
+            return len(hits)
 
         # Phase 1: seeded random batches with fault dropping.
         while active and phases < max_phases and stale < stale_phases:
@@ -451,9 +454,7 @@ def compact_test_set(
     store = resolve_store(store)
     key = None
     if store is not None:
-        fault_seq, _ = _resolve_universe(
-            netlist, None, "equivalence" if mode == "dominance" else mode
-        )
+        fault_seq = default_fault_universe(netlist)
         key = CacheKey(
             kind="compact",
             netlist=digest_netlist(netlist),

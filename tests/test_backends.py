@@ -49,6 +49,18 @@ def _unit_netlists(width):
     return [unit_netlist(unit, width) for unit in UNITS]
 
 
+def _outputs(engine, words, groups):
+    """Whole-netlist output matrix of ``groups`` plus the golden row."""
+    plan = OverridePlan(engine.compiled, groups)
+    return engine.backend.run_outputs(words, plan, len(groups) + 1)
+
+
+def _detect(engine, words, groups):
+    """Whole-netlist detection words of ``groups``."""
+    plan = OverridePlan(engine.compiled, groups)
+    return engine.backend.run_detect(words, plan, len(groups))
+
+
 # ----------------------------------------------------------------------
 # Registry and selection
 # ----------------------------------------------------------------------
@@ -221,11 +233,10 @@ class TestFaultGroupEquivalence:
             name: engine_for(arch.netlist, name) for name in FAST_BACKENDS
         }
         outs = {
-            name: eng.run_fault_groups(rows, groups)
-            for name, eng in engines.items()
+            name: _outputs(eng, rows, groups) for name, eng in engines.items()
         }
         detects = {
-            name: eng.detect_words(rows, groups) for name, eng in engines.items()
+            name: _detect(eng, rows, groups) for name, eng in engines.items()
         }
         base_out = outs["python_loop"]
         base_det = detects["python_loop"]
@@ -238,12 +249,8 @@ class TestFaultGroupEquivalence:
         faults = default_fault_universe(netlist)
         groups = [faults[0], (faults[1], faults[7]), (faults[2], faults[9])]
         packed = engine_for(netlist).exhaustive()
-        want = engine_for(netlist, "python_loop").run_fault_groups(
-            packed.words, groups
-        )
-        got = engine_for(netlist, "reference").run_fault_groups(
-            packed.words, groups
-        )
+        want = _outputs(engine_for(netlist, "python_loop"), packed.words, groups)
+        got = _outputs(engine_for(netlist, "reference"), packed.words, groups)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("cell", ("xor3_majority", "two_xor"))
@@ -393,12 +400,10 @@ class TestSimulatorEquivalence:
         words = packed.words.copy()
         fused = engine_for(netlist, "fused")
         loop = engine_for(netlist, "python_loop")
-        first = fused.detect_words(words, reps)
-        assert np.array_equal(first, loop.detect_words(words, reps))
+        first = _detect(fused, words, reps)
+        assert np.array_equal(first, _detect(loop, words, reps))
         words[:] = np.roll(words, 3, axis=1)
-        assert np.array_equal(
-            fused.detect_words(words, reps), loop.detect_words(words, reps)
-        )
+        assert np.array_equal(_detect(fused, words, reps), _detect(loop, words, reps))
 
     def test_slab_views_share_one_golden_run(self, monkeypatch):
         # Column-slab views of one vector block (how campaigns stream
@@ -420,15 +425,11 @@ class TestSimulatorEquivalence:
         fused.backend._golden_cache = None
         for lo, hi in ((0, 512), (512, 1280), (1280, 2048)):
             slab = words[:, lo:hi]
-            assert np.array_equal(
-                fused.detect_words(slab, reps), loop.detect_words(slab, reps)
-            )
+            assert np.array_equal(_detect(fused, slab, reps), _detect(loop, slab, reps))
         assert shapes == [words.shape]
         words[:, 1280:] = np.roll(words[:, 1280:], 5, axis=1)
         slab = words[:, 1280:]
-        assert np.array_equal(
-            fused.detect_words(slab, reps), loop.detect_words(slab, reps)
-        )
+        assert np.array_equal(_detect(fused, slab, reps), _detect(loop, slab, reps))
         assert len(shapes) == 2
 
     def test_scattered_site_rows_stay_a_row_list(self):
@@ -455,8 +456,8 @@ class TestSimulatorEquivalence:
         for n_words in (4, 2048):
             part = words[:, :n_words]
             for faults in (groups, [f for fs in pairs for f in fs]):
-                got = engine_for(netlist, "fused").detect_words(part, faults)
-                want = engine_for(netlist, "python_loop").detect_words(part, faults)
+                got = _detect(engine_for(netlist, "fused"), part, faults)
+                want = _detect(engine_for(netlist, "python_loop"), part, faults)
                 assert np.array_equal(got, want)
 
     def test_workspace_reuse_does_not_corrupt(self):

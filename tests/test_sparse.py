@@ -337,8 +337,10 @@ class TestSweepCone:
         oracle = engine_for(arch.netlist, "python_loop")
         for batch in sched.batches:
             members = [groups[m] for m in batch.members]
-            want = oracle.run_fault_groups(rows, members)
             n_rows = len(members) + 1
+            want = oracle.backend.run_outputs(
+                rows, OverridePlan(compiled, members), n_rows
+            )
             assert np.array_equal(
                 fused.backend.run_outputs(rows, batch.plan, n_rows, batch.gates), want
             )

@@ -177,11 +177,12 @@ class TestGoldenRow:
     def test_golden_row_matches_reference_sum(self):
         """The sweep's shared golden row really is the fault-free unit."""
         arch = table2_architecture("add", 3)
+        from repro.gates.backends import OverridePlan
         from repro.gates.engine import engine_for, unpack_bits
 
         engine = engine_for(arch.netlist)
         rows = arch.space.input_rows(0, arch.space.n_words)
-        out = engine.run_fault_groups(rows, [])
+        out = engine.backend.run_outputs(rows, OverridePlan(engine.compiled, []), 1)
         bits = unpack_bits(out[: 3, 0, :], arch.space.n_vectors)
         ris = sum(bits[i].astype(np.uint64) << np.uint64(i) for i in range(3))
         v = np.arange(arch.space.n_vectors, dtype=np.uint64)

@@ -30,6 +30,7 @@ from repro.coverage.engine import (
     theoretical_situations,
 )
 from repro.errors import SimulationError
+from repro.gates.backends import OverridePlan
 from repro.gates.engine import engine_for, unpack_bits
 
 
@@ -55,7 +56,8 @@ def _sweep_outputs(arch, groups):
     """
     engine = engine_for(arch.netlist)
     rows = arch.space.input_rows(0, arch.space.n_words)
-    out = engine.run_fault_groups(rows, groups)
+    plan = OverridePlan(engine.compiled, groups)
+    out = engine.backend.run_outputs(rows, plan, len(groups) + 1)
     return unpack_bits(out, arch.space.n_vectors)
 
 

@@ -16,6 +16,7 @@ The load-bearing properties:
 """
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -41,7 +42,6 @@ from repro.gates.engine import (
 )
 from repro.gates.simulate import ReferenceSimulator
 from repro.store import open_store
-from repro.tpg import dictionary as tpg_dictionary
 from repro.tpg import generate as tpg_generate
 from repro.tpg import (
     CompactTestSet,
@@ -594,13 +594,84 @@ class TestMatrixBudget:
 
     def test_dictionary_small_budget_is_bit_identical(self, monkeypatch):
         # 11 inputs = 32 words, swept 8 words at a time under the tiny
-        # budget, with the classes split 7 rows at a time.
+        # budget, with the classes split 7 rows at a time (the detection
+        # sweep reads the batch size from the engine module).
         nl = builders.ripple_carry_adder(5)
         base = build_fault_dictionary(nl, store=False)
         monkeypatch.setattr(gate_engine, "GATE_MATRIX_BUDGET_MAX", 1)
-        monkeypatch.setattr(tpg_dictionary, "SWEEP_FAULT_CHUNK", 7)
+        monkeypatch.setattr(gate_engine, "SWEEP_FAULT_CHUNK", 7)
         tiny = build_fault_dictionary(nl, store=False)
         assert np.array_equal(base.words, tiny.words)
+
+    def test_dictionaries_and_atpg_walk_cone_batches(self, monkeypatch):
+        # The unit test sets (ATPG for add/sub n = 8, dictionaries for
+        # mul n = 8 and div n = 7, plus ATPG's dictionary over its own
+        # tests) run the campaigns' cone-scheduled detection sweep:
+        # every detect call carries its batch's cone, and each batch is
+        # planned once -- not once per word chunk and fault block.
+        units = (("add", 8), ("sub", 8), ("mul", 8), ("div", 7))
+        for unit, width in units:
+            # Cold schedule caches, so every batch is planned here.
+            gate_engine.engine_for(unit_netlist(unit, width), "fused")._rounds.clear()
+        plans, batches, whole = [], [], []
+        init = OverridePlan.__init__
+        build = sparse.build_schedule
+        run_detect = fused_backend.FusedBackend.run_detect
+
+        def detect_spy(backend, words, plan, n_rows, gates=None, out_ids=None):
+            if gates is None:
+                whole.append(backend.compiled.source.name)
+            return run_detect(backend, words, plan, n_rows, gates, out_ids)
+
+        monkeypatch.setattr(
+            OverridePlan, "__init__",
+            lambda plan, *a, **k: plans.append(1) or init(plan, *a, **k),
+        )
+        monkeypatch.setattr(
+            sparse, "build_schedule",
+            lambda *a, **k: batches.append(build(*a, **k)) or batches[-1],
+        )
+        monkeypatch.setattr(fused_backend.FusedBackend, "run_detect", detect_spy)
+        for unit, width in units:
+            unit_test_set(unit, width, backend="fused", store=False)
+        assert not whole
+        assert len(plans) == sum(len(s.batches) for s in batches) > 0
+
+
+class TestATPGPins:
+    # sha256 of the raw discovery table and the compact vectors of the
+    # default ATPG run, recorded before the ATPG rounds moved onto the
+    # cone-scheduled detection sweep: the test order must not move.
+    PINS = {
+        ("add", 8): (
+            "a9bf66f84b3a39d27f2105c7e3e308214bffca35a1e4339bcc6406fc3a82508b",
+            "5d14e8abf0ac5f798d6fc985ace74252f0841632dbfba445f59a24ced33aa467",
+        ),
+        ("sub", 8): (
+            "9cc576f8c3fb9a3282856a1327d382c08ba3b963603327604fe400d41770f5fc",
+            "639615d4be2bd6a94499776fe226a9d87724d1cbd13fe4c21f353e5fa2b02bc4",
+        ),
+        ("mul", 8): (
+            "4292a903299169a0fb5b8d7577e881e64b5676f2dbf4b9fc32757c5ea89976d0",
+            "663623ed604e3228af8918030871860ecccdd92be120060388ef8be680cdc2ab",
+        ),
+        ("div", 7): (
+            "f3f76eb7952da5e457e74b4f311dec9d4e57b0af4293a46e61f6b3febe720601",
+            "f48622e0187f8d8c35449f7394032b1c4d6b7ca9fbc8dd9b1a50d2c3d573f18d",
+        ),
+    }
+
+    @pytest.mark.parametrize("unit,width", sorted(PINS))
+    def test_default_atpg_is_byte_identical(self, unit, width):
+        res = generate_tests(
+            unit_netlist(unit, width), unit_space(unit, width), store=False
+        )
+
+        def sha(array):
+            return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+        assert res.tests.dtype == res.compact.vectors.dtype == np.uint8
+        assert (sha(res.tests), sha(res.compact.vectors)) == self.PINS[unit, width]
 
 
 class TestATPGChunkGeometry:
