@@ -20,8 +20,9 @@ Three baselines are measured:
 A ripple-carry-adder scaling row shows the gap widening with netlist
 size; that workload is large enough to gate at ``BENCH_SPEEDUP_FLOOR``.
 
-Backend head-to-head: the same RCA-8 exhaustive campaign runs under
-every registered execution backend (:mod:`repro.gates.backends`) in the
+Backend head-to-head: the same RCA-8 exhaustive campaign runs on the
+packed execution backends (:mod:`repro.gates.backends`, each selected by
+patching ``DEFAULT_BACKEND``) in the
 fault-major regime -- the whole collapsed universe through one fault
 matrix per word chunk -- with bit-identical classifications required
 and the ``fused`` backend gated at ``BENCH_BACKEND_SPEEDUP``x over the
@@ -33,6 +34,7 @@ import time
 
 import numpy as np
 
+from repro.gates import backends as gate_backends
 from repro.gates import builders
 from repro.gates import engine as gate_engine
 from repro.gates.backends import list_backends
@@ -111,7 +113,11 @@ def test_bench_backend_speedup(once, record, monkeypatch):
     assert backends == ["python_loop", "fused"]
 
     def campaign(backend):
-        return lambda: run_stuck_at_campaign(netlist, backend=backend)
+        def run():
+            monkeypatch.setattr(gate_backends, "DEFAULT_BACKEND", backend)
+            return run_stuck_at_campaign(netlist)
+
+        return run
 
     times, results = _best([campaign(name) for name in backends],
                            repeats=7, inner=1)

@@ -79,10 +79,10 @@ def dual_rca(width: int) -> Netlist:
 
 def test_campaign_rca8(record):
     netlist = builders.ripple_carry_adder(WIDTH)
-    result = run_stuck_at_campaign(netlist, backend="fused")
+    result = run_stuck_at_campaign(netlist)
     assert result.detected.all()
 
-    seconds = _best(lambda: run_stuck_at_campaign(netlist, backend="fused"))
+    seconds = _best(lambda: run_stuck_at_campaign(netlist))
     print(f"\nRCA-{WIDTH} whole universe: {seconds * 1e3:.2f}ms")
     record(f"campaign_rca{WIDTH}", seconds)
 

@@ -53,7 +53,6 @@ from repro.faults import (
     incremental_stuck_at_campaign,
 )
 from repro.gates.backends import (
-    BACKEND_ENV,
     DEFAULT_BACKEND,
     list_backends,
     resolve_backend_name,
@@ -137,7 +136,6 @@ __all__ = [
     "hardest_faults",
     "lint_netlist",
     "scoap",
-    "BACKEND_ENV",
     "DEFAULT_BACKEND",
     "list_backends",
     "resolve_backend_name",

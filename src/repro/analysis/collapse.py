@@ -318,7 +318,6 @@ def collapse_faults(
         universe="-",
         space="-",
         method=f"collapse-{mode}",
-        backend="-",
     )
     cached = store.get(key)
     if isinstance(cached, dict):

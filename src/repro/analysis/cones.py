@@ -258,7 +258,6 @@ def analyze_cones(netlist: Netlist, store: object = None) -> ConeAnalysis:
         universe="-",
         space="-",
         method="cones",
-        backend="-",
     )
     cached = store.get(key)
     if isinstance(cached, dict):
@@ -453,7 +452,6 @@ def analyze_gate_cones(netlist: Netlist, store: object = None) -> GateConeAnalys
         universe="-",
         space="-",
         method="gate_cones",
-        backend="-",
     )
     cached = store.get(key)
     if isinstance(cached, dict):

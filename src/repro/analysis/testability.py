@@ -235,7 +235,6 @@ def scoap(
         universe="-",
         space="-",
         method="scoap",
-        backend="-",
     )
     cached = store.get(key)
     if isinstance(cached, dict):

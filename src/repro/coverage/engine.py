@@ -91,7 +91,6 @@ from repro.faults.universe import (
     divider_fault_cases,
     multiplier_fault_cases,
 )
-from repro.gates.backends import resolve_backend_name
 from repro.gates.engine import (
     SWEEP_FAULT_CHUNK,
     StuckAtCampaignResult,
@@ -432,7 +431,6 @@ def _run_functional(
             universe=digest_cell_library(cell_netlist),
             space=digest_params(exhaustive=True),
             method="functional",
-            backend="numpy",
         )
     return _run_cases(
         operator, width, _functional_case_counts, (operator, width, cell_netlist),
@@ -447,7 +445,6 @@ def _gate_case_counts(
     operator: str,
     width: int,
     cell_netlist: str,
-    backend: Optional[str],
     case_lo: int,
     case_hi: int,
 ) -> List[_CaseCounts]:
@@ -468,7 +465,7 @@ def _gate_case_counts(
 
     arch = table2_architecture(operator, width, cell_netlist)
     space = arch.space
-    engine = engine_for(arch.netlist, backend)
+    engine = engine_for(arch.netlist)
     names = _SPECS[operator].names
     rep_cases = [
         (group, position)
@@ -545,7 +542,6 @@ def _run_gate(
     width: int,
     cell_netlist: str,
     workers: Optional[int],
-    backend: Optional[str] = None,
     store: Optional[ResultStore] = None,
 ) -> Dict[str, CoverageStats]:
     if operator not in GATE_OPERATORS:
@@ -554,8 +550,6 @@ def _run_gate(
         )
     arch = table2_architecture(operator, width, cell_netlist)
     n_cases = len(collapsed_cell_library(cell_netlist)) * len(arch.positions)
-    # Workers receive the resolved name, not the environment.
-    backend = resolve_backend_name(backend)
     key = None
     if store is not None:
         key = CacheKey(
@@ -564,10 +558,9 @@ def _run_gate(
             universe=digest_cell_library(cell_netlist),
             space=digest_params(exhaustive=True),
             method="gate",
-            backend=backend,
         )
     return _run_cases(
-        operator, width, _gate_case_counts, (operator, width, cell_netlist, backend),
+        operator, width, _gate_case_counts, (operator, width, cell_netlist),
         n_cases, n_cases * arch.space.n_vectors, workers, "gate", key, store,
     )
 
@@ -591,7 +584,6 @@ def _run_transfer(
             universe=digest_cell_library(cell_netlist),
             space=digest_params(exhaustive=True),
             method="transfer",
-            backend="numpy",
         )
         cached = store.get(key)
         if cached is not None:
@@ -627,7 +619,6 @@ def _evaluate(
     cell_netlist: str,
     method: str,
     workers: Optional[int],
-    backend: Optional[str] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
     if method not in EVALUATION_METHODS:
@@ -670,9 +661,7 @@ def _evaluate(
         "coverage_evaluate", operator=operator, width=width, method=method
     ):
         if method == "gate":
-            return _run_gate(
-                operator, width, cell_netlist, workers, backend, store
-            )
+            return _run_gate(operator, width, cell_netlist, workers, store)
         if method == "transfer":
             return _run_transfer(operator, width, cell_netlist, store)
         return _run_functional(operator, width, cell_netlist, workers, store)
@@ -683,7 +672,6 @@ def evaluate_adder(
     cell_netlist: str = DEFAULT_CELL_NETLIST,
     method: str = "auto",
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
     """Worst-case coverage of the overloaded ``+`` (Table 2).
@@ -698,7 +686,7 @@ def evaluate_adder(
     by universe size) with bit-identical results.  Returns one
     :class:`CoverageStats` per technique (``tech1``/``tech2``/``both``).
     """
-    return _evaluate("add", width, cell_netlist, method, workers, backend, store)
+    return _evaluate("add", width, cell_netlist, method, workers, store)
 
 
 def evaluate_subtractor(
@@ -706,7 +694,6 @@ def evaluate_subtractor(
     cell_netlist: str = DEFAULT_CELL_NETLIST,
     method: str = "auto",
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
     """Worst-case coverage of the overloaded ``-``.
@@ -718,7 +705,7 @@ def evaluate_subtractor(
     Method selection, sharding and return type as for
     :func:`evaluate_adder`.
     """
-    return _evaluate("sub", width, cell_netlist, method, workers, backend, store)
+    return _evaluate("sub", width, cell_netlist, method, workers, store)
 
 
 def evaluate_multiplier(
@@ -726,7 +713,6 @@ def evaluate_multiplier(
     cell_netlist: str = DEFAULT_CELL_NETLIST,
     method: str = "auto",
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
     """Worst-case coverage of the overloaded ``*``.
@@ -740,7 +726,7 @@ def evaluate_multiplier(
     wider width raises unless ``method="gate"`` asks for the sweep.
     Needs ``width >= 2``.  Sharding as for :func:`evaluate_adder`.
     """
-    return _evaluate("mul", width, cell_netlist, method, workers, backend, store)
+    return _evaluate("mul", width, cell_netlist, method, workers, store)
 
 
 def evaluate_divider(
@@ -748,7 +734,6 @@ def evaluate_divider(
     cell_netlist: str = DEFAULT_CELL_NETLIST,
     method: str = "auto",
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
     """Worst-case coverage of the overloaded ``/``.
@@ -763,7 +748,7 @@ def evaluate_divider(
     unrolled gate-level sweep is exact up to n = 8; like the
     multiplier, a wider width needs an explicit ``method="gate"``.
     """
-    return _evaluate("div", width, cell_netlist, method, workers, backend, store)
+    return _evaluate("div", width, cell_netlist, method, workers, store)
 
 
 @dataclass
@@ -805,7 +790,6 @@ def evaluate_gate_level(
     vectors: Optional[Mapping[str, Union[int, np.ndarray]]] = None,
     collapse: Union[bool, str] = True,
     fault_dropping: bool = True,
-    backend: Optional[str] = None,
     store=None,
 ) -> Tuple[GateLevelCoverage, StuckAtCampaignResult]:
     """Batched stuck-at coverage of a gate-level netlist.
@@ -818,9 +802,8 @@ def evaluate_gate_level(
     :func:`~repro.gates.faults.resolve_collapse_mode` --
     ``"dominance"`` simulates fewer representatives and expands
     detection back bit-identically, so the coverage stats never change,
-    only ``simulated_runs``.  The campaign runs in the calling process;
-    ``backend`` selects the execution backend, bit-identically.  Returns
-    the aggregate stats plus the raw campaign result.
+    only ``simulated_runs``.  The campaign runs in the calling process.
+    Returns the aggregate stats plus the raw campaign result.
     """
     from repro.faults.injector import run_sharded_stuck_at_campaign
 
@@ -829,7 +812,6 @@ def evaluate_gate_level(
         vectors=vectors,
         collapse=collapse,
         fault_dropping=fault_dropping,
-        backend=backend,
         store=store,
     )
     stats = GateLevelCoverage(
@@ -858,7 +840,6 @@ def evaluate_operator(
     cell_netlist: str = DEFAULT_CELL_NETLIST,
     method: str = "auto",
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
     """Dispatch to the per-operator evaluator by name.
@@ -877,7 +858,6 @@ def evaluate_operator(
         cell_netlist=cell_netlist,
         method=method,
         workers=workers,
-        backend=backend,
         store=store,
     )
 

@@ -54,7 +54,6 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gates.backends import list_backends, resolve_backend_name
 from repro.gates.engine import (
     StuckAtCampaignResult,
     run_stuck_at_campaign,
@@ -255,34 +254,22 @@ class IncrementalCampaignResult:
 def _old_result_from_store(
     store,
     old: Netlist,
-    backend: str,
     mode: str,
     fault_dropping: bool,
 ) -> Optional[StuckAtCampaignResult]:
-    """Look up the old campaign in the result store.
-
-    Campaign keys carry the backend name; results are bit-identical
-    across backends, so any stored backend's entry is equally valid --
-    the resolved backend is tried first, then the rest of the registry.
-    """
+    """Look up the old campaign in the result store."""
     if store is None:
         return None
     universe = default_fault_universe(old)
-    names = [backend] + [b for b in list_backends() if b != backend]
-    for name in names:
-        key = CacheKey(
-            kind="campaign",
-            netlist=digest_netlist(old),
-            universe=digest_faults(universe),
-            space=digest_input_vectors(old, None),
-            method="stuck_at",
-            backend=name,
-            params=digest_params(collapse=mode, fault_dropping=fault_dropping),
-        )
-        cached = store.get(key, faults=universe)
-        if cached is not None:
-            return cached
-    return None
+    key = CacheKey(
+        kind="campaign",
+        netlist=digest_netlist(old),
+        universe=digest_faults(universe),
+        space=digest_input_vectors(old, None),
+        method="stuck_at",
+        params=digest_params(collapse=mode, fault_dropping=fault_dropping),
+    )
+    return store.get(key, faults=universe)
 
 
 def incremental_stuck_at_campaign(
@@ -291,7 +278,6 @@ def incremental_stuck_at_campaign(
     old_result: Optional[StuckAtCampaignResult] = None,
     collapse: Union[bool, str] = True,
     fault_dropping: bool = True,
-    backend: Optional[str] = None,
     store=None,
 ) -> IncrementalCampaignResult:
     """Exhaustive stuck-at campaign over ``new``, reusing ``old``'s verdicts.
@@ -322,12 +308,11 @@ def incremental_stuck_at_campaign(
             "collapsing (verdicts are inferred across cone boundaries); use "
             'collapse="equivalence" or "none"'
         )
-    backend_name = resolve_backend_name(backend)
     store = resolve_store(store)
 
     with obs_span("incremental_campaign", netlist=new.name):
         result = _incremental_impl(
-            old, new, old_result, mode, fault_dropping, backend_name, store
+            old, new, old_result, mode, fault_dropping, store
         )
     obs_events.emit(
         obs_events.INCREMENTAL_CAMPAIGN,
@@ -346,7 +331,6 @@ def _scratch(
     diff: NetlistDiff,
     mode: str,
     fault_dropping: bool,
-    backend: str,
     store,
     reason: str,
 ) -> IncrementalCampaignResult:
@@ -356,8 +340,7 @@ def _scratch(
         new,
         collapse=mode,
         fault_dropping=fault_dropping,
-        backend=backend,
-        store=store,
+        store=False if store is None else store,
     )
     return IncrementalCampaignResult(
         result=result,
@@ -505,23 +488,20 @@ def _incremental_impl(
     old_result: Optional[StuckAtCampaignResult],
     mode: str,
     fault_dropping: bool,
-    backend: str,
     store,
 ) -> IncrementalCampaignResult:
     proof = _reuse_proof(old, new, mode)
     diff = proof.diff
     if diff.io_changed:
         return _scratch(
-            new, diff, mode, fault_dropping, backend, store,
+            new, diff, mode, fault_dropping, store,
             "scratch: primary I/O interface changed",
         )
     if old_result is None:
-        old_result = _old_result_from_store(
-            store, old, backend, mode, fault_dropping
-        )
+        old_result = _old_result_from_store(store, old, mode, fault_dropping)
         if old_result is None:
             return _scratch(
-                new, diff, mode, fault_dropping, backend, store,
+                new, diff, mode, fault_dropping, store,
                 "scratch: no old campaign result (none passed, none stored)",
             )
     if (
@@ -529,7 +509,7 @@ def _incremental_impl(
         or old_result.n_vectors != 1 << len(old.primary_inputs)
     ):
         return _scratch(
-            new, diff, mode, fault_dropping, backend, store,
+            new, diff, mode, fault_dropping, store,
             "scratch: old result does not cover the exhaustive default universe",
         )
 
@@ -555,7 +535,6 @@ def _incremental_impl(
             faults=list(proof.remainder_reps),
             collapse="none",
             fault_dropping=fault_dropping,
-            backend=backend,
         )
         n_runs = part.n_simulated_runs
         detected[proof.rem_fi] = part.detected[proof.rem_src]
@@ -577,7 +556,6 @@ def _incremental_impl(
             universe=digest_faults(fault_seq),
             space=digest_input_vectors(new, None),
             method="stuck_at",
-            backend=backend,
             params=digest_params(collapse=mode, fault_dropping=fault_dropping),
         )
         store.put(

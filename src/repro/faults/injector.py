@@ -34,7 +34,6 @@ import numpy as np
 from repro.arch.alu import FaultableALU
 from repro.errors import CheckError, ReproError
 from repro.faults.model import FaultDescriptor
-from repro.gates.backends import resolve_backend_name
 from repro.gates.engine import StuckAtCampaignResult, run_stuck_at_campaign
 from repro.gates.faults import (
     StuckAtFault,
@@ -171,23 +170,20 @@ def run_sharded_stuck_at_campaign(
     faults: Optional[Iterable[StuckAtFault]] = None,
     collapse: Union[bool, str] = True,
     fault_dropping: bool = True,
-    backend: Optional[str] = None,
     store=None,
 ) -> StuckAtCampaignResult:
     """:func:`~repro.gates.engine.run_stuck_at_campaign` behind the result store.
 
     The campaign runs in the calling process over the fault list
     (default: the full stem+branch universe) with any collapsing mode of
-    :func:`~repro.gates.faults.resolve_collapse_mode`.  ``backend``
-    selects the execution backend and is resolved once here, so the
-    store key names the backend that actually ran.
+    :func:`~repro.gates.faults.resolve_collapse_mode`.
 
     With a result store active (``store=`` or ``REPRO_STORE``), the
     result memoises under a content key; a repeat run is a pure hit.
     """
     with obs_span("sharded_campaign", netlist=netlist.name):
         return _run_sharded_stuck_at_impl(
-            netlist, vectors, faults, collapse, fault_dropping, backend, store
+            netlist, vectors, faults, collapse, fault_dropping, store
         )
 
 
@@ -197,13 +193,11 @@ def _run_sharded_stuck_at_impl(
     faults: Optional[Iterable[StuckAtFault]],
     collapse: Union[bool, str],
     fault_dropping: bool,
-    backend: Optional[str],
     store,
 ) -> StuckAtCampaignResult:
     fault_seq: Optional[Tuple[StuckAtFault, ...]] = (
         tuple(faults) if faults is not None else None
     )
-    backend = resolve_backend_name(backend)
     store = resolve_store(store)
     key = None
     if store is not None:
@@ -216,7 +210,6 @@ def _run_sharded_stuck_at_impl(
             universe=digest_faults(universe),
             space=digest_input_vectors(netlist, vectors),
             method="stuck_at",
-            backend=backend,
             params=digest_params(
                 collapse=resolve_collapse_mode(collapse),
                 fault_dropping=fault_dropping,
@@ -234,7 +227,6 @@ def _run_sharded_stuck_at_impl(
         faults=fault_seq,
         collapse=collapse,
         fault_dropping=fault_dropping,
-        backend=backend,
     )
     if store is not None:
         store.put(key, result)
@@ -247,7 +239,6 @@ def run_gate_level_campaign(
     faults: Optional[Iterable[StuckAtFault]] = None,
     collapse: Union[bool, str] = True,
     fault_dropping: bool = True,
-    backend: Optional[str] = None,
     store=None,
 ) -> Tuple[CampaignResult, StuckAtCampaignResult]:
     """Batched stuck-at campaign over a gate-level netlist.
@@ -257,8 +248,6 @@ def run_gate_level_campaign(
     against a shared golden run, with structural fault collapsing and
     fault dropping.  ``vectors`` maps primary inputs to 0/1 arrays (all
     the same length); by default the exhaustive vector set is applied.
-    ``backend`` selects the execution backend
-    (:mod:`repro.gates.backends`), with bit-identical classifications.
 
     A fault whose outputs diverge from the golden run on some vector is
     ``detected``; one that never diverges is ``escaped`` (at the bare
@@ -273,7 +262,6 @@ def run_gate_level_campaign(
         faults=faults,
         collapse=collapse,
         fault_dropping=fault_dropping,
-        backend=backend,
         store=store,
     )
     result = CampaignResult()

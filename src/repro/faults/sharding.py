@@ -16,11 +16,9 @@ calling process, where a per-call pool measured slower or no faster.
 Workers are plain module-level functions taking picklable arguments
 (operator names, widths, case ranges) and rebuilding netlists and
 engines locally; on fork-based platforms they inherit the parent's warm
-caches for free.  Callers resolve the execution backend
-(:mod:`repro.gates.backends`) *before* sharding and pass the resolved
-name in every worker's argument tuple, so a worker re-selects the same
-backend regardless of its own environment and merges stay bit-identical
-whatever ``REPRO_BACKEND`` says in parent or child.
+caches for free.  Workers run the library's one execution backend
+(:mod:`repro.gates.backends`) and start without the parent's ``fused``
+workspace.
 """
 
 from __future__ import annotations

@@ -26,11 +26,10 @@ This package models combinational circuits at the structural gate level:
   that let exhaustive sweeps run in O(chunk) memory;
 * :mod:`repro.gates.sparse` -- cone schedules: fault classes clustered
   by fan-out cone into the batches the campaign sweep runs;
-* :mod:`repro.gates.backends` -- the pluggable execution layer under
-  the engine: the ``python_loop`` loop, the levelized ``fused``
-  default and the ``reference`` interpreter, selected per call via
-  ``backend=`` or the ``REPRO_BACKEND`` environment variable, all
-  bit-identical;
+* :mod:`repro.gates.backends` -- the execution layer under the
+  engine: the levelized ``fused`` backend the library runs, plus the
+  ``python_loop`` loop and the ``reference`` interpreter the
+  differential tests compare it against, all bit-identical;
 * :mod:`repro.gates.simulate` -- the public simulation surface:
   :class:`NetlistSimulator` (thin adapter over the compiled engine),
   cached one-shot :func:`simulate` / :func:`simulate_vector`, and the
@@ -47,11 +46,9 @@ fault list of the standard five-gate full adder built here.
 
 from repro.gates.netlist import Gate, Net, Netlist
 from repro.gates.backends import (
-    BACKEND_ENV,
     DEFAULT_BACKEND,
     Backend,
     list_backends,
-    register_backend,
     resolve_backend_name,
 )
 from repro.gates.cells import CELL_LIBRARY, CellType, cell_function
@@ -85,11 +82,9 @@ __all__ = [
     "Gate",
     "Net",
     "Netlist",
-    "BACKEND_ENV",
     "DEFAULT_BACKEND",
     "Backend",
     "list_backends",
-    "register_backend",
     "resolve_backend_name",
     "CELL_LIBRARY",
     "CellType",

@@ -1,38 +1,33 @@
-"""Pluggable execution backends for the bit-parallel engine.
+"""Execution backends for the bit-parallel engine.
 
 The :class:`~repro.gates.backends.base.Backend` protocol separates
 *what* is evaluated (the flat :class:`~repro.gates.compile.CompiledNetlist`
 arrays plus :class:`~repro.gates.backends.plan.OverridePlan` fault
-overrides) from *how*: every consumer of the engine -- campaigns,
-coverage sweeps, fault dictionaries, ATPG -- runs unchanged on any
-registered backend, and all backends are bit-identical on every path.
-
-Registered backends:
+overrides) from *how*.  The library runs one backend, ``fused``; the
+other two are the oracles the differential tests compare it against,
+and all three are bit-identical on every path:
 
 ``python_loop``
-    The original per-gate NumPy ufunc loop, the one evaluation loop of
-    the stack; with the base class's derived kernels it is the
-    baseline the differential suites compare against
-    (:mod:`.python_loop`).
+    The original per-gate NumPy ufunc loop; with the base class's
+    derived kernels it is the baseline the differential suites compare
+    against (:mod:`.python_loop`).
 ``fused``
     The same loop with tainted-prefix walks for the derived kernels
-    and a persistent workspace -- the default (:mod:`.fused`).
+    and a per-thread workspace -- the backend the library runs
+    (:mod:`.fused`).
 ``reference``
-    The cell-library interpreter under the backend protocol, so
-    differential tests can enumerate the registry instead of
-    hand-listing oracles (:mod:`.reference`).
+    The cell-library interpreter under the backend protocol
+    (:mod:`.reference`).
 
-Selection precedence: an explicit ``backend=`` keyword anywhere in the
-stack beats the ``REPRO_BACKEND`` environment variable, which beats
-:data:`DEFAULT_BACKEND`.  Worker processes of sharded campaigns receive
-the already-resolved name, so one flag switches the whole stack
-bit-identically.
+:func:`resolve_backend_name` reads :data:`DEFAULT_BACKEND` at call
+time; a differential test that patches it runs the whole stack (in the
+calling process) on an oracle.  Worker processes of sharded sweeps run
+the default.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.gates.backends.base import GATE_MATRIX_BUDGET_MAX, Backend
@@ -42,72 +37,49 @@ from repro.gates.backends.python_loop import PythonLoopBackend
 from repro.gates.backends.reference import ReferenceBackend
 from repro.gates.compile import CompiledNetlist
 
-#: Environment variable naming the default backend for the process.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: Built-in default when neither a keyword nor the env var selects one.
+#: The backend the library runs.
 DEFAULT_BACKEND = "fused"
 
-#: name -> factory (insertion order = listing order).
-_REGISTRY: Dict[str, Callable[[CompiledNetlist], Backend]] = {}
-
-
-def register_backend(
-    name: str, factory: Callable[[CompiledNetlist], Backend]
-) -> None:
-    """Register an execution backend under ``name``.
-
-    ``factory(compiled)`` must return a bound :class:`Backend`.
-    """
-    _REGISTRY[name] = factory
+#: name -> backend class (insertion order = listing order).
+_REGISTRY = {
+    cls.name: cls for cls in (PythonLoopBackend, FusedBackend, ReferenceBackend)
+}
 
 
 def list_backends() -> Tuple[str, ...]:
-    """Names of the registered backends, in registry order."""
+    """Names of the backends, in registry order."""
     return tuple(_REGISTRY)
 
 
 def resolve_backend_name(backend: Optional[str] = None) -> str:
     """Resolve a backend selection to a registered name.
 
-    Precedence: the explicit ``backend`` argument, then the
-    ``REPRO_BACKEND`` environment variable, then
-    :data:`DEFAULT_BACKEND`.  Unknown selections raise
-    :class:`~repro.errors.SimulationError` naming the source of the
-    selection and the available backends.
+    ``None`` resolves to :data:`DEFAULT_BACKEND`.  Unknown names raise
+    :class:`~repro.errors.SimulationError` listing the available
+    backends.
     """
-    source = "backend="
     if backend is None:
-        env = os.environ.get(BACKEND_ENV)
-        if env:
-            backend, source = env, f"{BACKEND_ENV}="
-        else:
-            return DEFAULT_BACKEND
+        return DEFAULT_BACKEND
     if backend in _REGISTRY:
         return backend
     raise SimulationError(
-        f"unknown backend {source}{backend!r}; "
+        f"unknown backend {backend!r}; "
         f"available backends: {list(list_backends())}"
     )
 
 
-def create_backend(backend: Optional[str], compiled: CompiledNetlist) -> Backend:
-    """Instantiate the selected backend bound to ``compiled``."""
-    return _REGISTRY[resolve_backend_name(backend)](compiled)
+def create_backend(name: Optional[str], compiled: CompiledNetlist) -> Backend:
+    """Instantiate backend ``name`` (``None``: the default) bound to
+    ``compiled``."""
+    return _REGISTRY[resolve_backend_name(name)](compiled)
 
-
-register_backend(PythonLoopBackend.name, PythonLoopBackend)
-register_backend(FusedBackend.name, FusedBackend)
-register_backend(ReferenceBackend.name, ReferenceBackend)
 
 __all__ = [
     "Backend",
     "OverridePlan",
     "FaultGroup",
     "GATE_MATRIX_BUDGET_MAX",
-    "BACKEND_ENV",
     "DEFAULT_BACKEND",
-    "register_backend",
     "list_backends",
     "resolve_backend_name",
     "create_backend",

@@ -31,9 +31,9 @@ kernels equal element-wise.  The differential suite
 (``tests/test_backends.py``) enumerates the registry and asserts this.
 
 Aliasing contract: every kernel returns a caller-owned array.  A
-backend may keep a workspace between calls (``fused`` does, for its
-prefix walks), but no kernel returns a view into it, so a result stays
-valid across later kernel calls on the same backend.
+backend may keep a workspace between calls (``fused`` keeps one per
+thread, for its prefix walks), but no kernel returns a view into it, so
+a result stays valid across later kernel calls on any backend.
 
 Profiling contract: when :func:`repro.obs.metrics.kernel_profiling_
 enabled` is true (``REPRO_METRICS``/``REPRO_TRACE`` set, or forced),
@@ -66,9 +66,9 @@ UFUNCS = {OP_AND: np.bitwise_and, OP_OR: np.bitwise_or, OP_XOR: np.bitwise_xor}
 #: Byte cap of one fault-major matrix, ``n_nets x rows x words``
 #: uint64 cells: every campaign slab and sweep chunk is clamped to it
 #: (:func:`repro.gates.engine.matrix_word_chunk`) and the ``fused``
-#: backend keeps a workspace of up to this size alive between calls, so
-#: every kernel call reuses that workspace instead of allocating and
-#: page-faulting a fresh matrix.
+#: backend keeps one workspace of up to this size per thread alive
+#: between calls, so every kernel call reuses that workspace instead of
+#: allocating and page-faulting a fresh matrix.
 GATE_MATRIX_BUDGET_MAX = 64 << 20
 
 #: One resolved per-gate dispatch tuple:

@@ -26,17 +26,23 @@ detect call the library makes is one such batch: campaigns, fault
 dictionaries and ATPG share one cone-scheduled detection sweep
 (:mod:`repro.gates.engine`).
 
-A persistent workspace backs the prefix walks.  It is capped at
+One workspace per thread backs the prefix walks of every fused backend
+that thread drives.  It is capped at
 :data:`~repro.gates.backends.base.GATE_MATRIX_BUDGET_MAX`, the same
 byte cap every campaign slab and sweep chunk is clamped to, so every
 kernel call the library makes reuses it instead of paying the
-allocate/fault/trim cycle of a fresh multi-megabyte matrix; only a
-hand-built call past the cap gets a transient one.  One golden run per
-packed vector set serves every word slab a sweep streams through it.
+allocate/fault/trim cycle of a fresh multi-megabyte matrix, and the
+engines cached per netlist pin no workspace of their own; only a
+hand-built call past the cap gets a transient one.  Both derived
+kernels copy their results out, so no caller holds a workspace view.
+One golden run per packed vector set serves every word slab a sweep
+streams through it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -51,6 +57,21 @@ from repro.gates.compile import CompiledNetlist
 # the telemetry snapshot and the BENCH_*.json records).  Resolved lazily so
 # importing the backend never touches the metrics registry.
 _SPARSE_HANDLES = None
+
+# The prefix-walk workspace of the current thread (``.buf``), shared by
+# every fused backend the thread drives.
+_WORKSPACE = threading.local()
+
+
+def _drop_workspace() -> None:
+    _WORKSPACE.__dict__.pop("buf", None)
+
+
+# A forked shard worker allocates its own workspace: writing into the
+# inherited one would copy it page by page (NumPy backs large arrays
+# with huge pages, and copy-on-write splits them), about 5x the page
+# faults of a fresh buffer on the Table 1 n = 8 sweeps.
+os.register_at_fork(after_in_child=_drop_workspace)
 
 
 def _note_sparse(evaluated: int, skipped: int) -> None:
@@ -108,7 +129,6 @@ class FusedBackend(PythonLoopBackend):
         # prefix walk, where gates are sliced individually by high-water
         # mark.
         self._flat_program = [(g, *op) for g, op in enumerate(self._program)]
-        self._ws: Optional[np.ndarray] = None
         # Fault-free run of the most recent vector block (see _golden):
         # campaigns call the detect kernel once per fault batch and word
         # slab, and the golden evaluation is shared.  Holds (block
@@ -124,13 +144,14 @@ class FusedBackend(PythonLoopBackend):
     # ------------------------------------------------------------------
     def _workspace(self, n_rows: int, n_words: int) -> np.ndarray:
         need = self.compiled.n_nets * n_rows * n_words
-        # Bigger evaluations fall back to transient allocations, so
-        # engines cached per netlist do not pin huge buffers.
+        # Bigger evaluations fall back to transient allocations, so the
+        # thread's workspace never outgrows the cap.
         if need * 8 > GATE_MATRIX_BUDGET_MAX:
             return np.empty((self.compiled.n_nets, n_rows, n_words), dtype=np.uint64)
-        if self._ws is None or self._ws.size < need:
-            self._ws = np.empty(need, dtype=np.uint64)
-        return self._ws[:need].reshape(self.compiled.n_nets, n_rows, n_words)
+        ws = getattr(_WORKSPACE, "buf", None)
+        if ws is None or ws.size < need:
+            ws = _WORKSPACE.buf = np.empty(need, dtype=np.uint64)
+        return ws[:need].reshape(self.compiled.n_nets, n_rows, n_words)
 
     # ------------------------------------------------------------------
     # Tainted-prefix walk and the derived kernels built on it

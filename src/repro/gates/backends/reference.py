@@ -14,8 +14,7 @@ differential check, not a reformulation.
 Every lane of every word -- including the phantom lanes beyond a
 sub-word universe -- carries the deterministic packed input bits, so
 results are bit-identical to the packed backends on whole words.  Slow
-by design; differential tests select it as ``backend="reference"`` on
-small netlists.
+by design; differential tests swap it in on small netlists.
 """
 
 from __future__ import annotations

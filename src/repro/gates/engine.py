@@ -47,11 +47,12 @@ overrides the net value seen by all readers and by primary outputs; a
 *branch* fault overrides the value seen by one specific gate input pin
 only.
 
-Execution itself is pluggable (:mod:`repro.gates.backends`): the engine
-binds one backend per instance -- the verbatim ``python_loop``, the
-levelized ``fused`` default, or the ``reference`` interpreter --
-selected by the ``backend=`` keyword, the ``REPRO_BACKEND`` environment
-variable, or the registry default, in that order.  All backends are
+Execution itself sits behind the backend protocol
+(:mod:`repro.gates.backends`): the engine binds one backend per
+instance, the levelized ``fused`` backend the library runs.  The
+verbatim ``python_loop`` and the ``reference`` interpreter are the
+oracles differential tests swap in (by patching
+:data:`~repro.gates.backends.DEFAULT_BACKEND`); all backends are
 bit-identical on every path.
 
 One kernel-call geometry serves every consumer of the fault matrix --
@@ -637,19 +638,14 @@ class StuckAtCampaignResult:
 class BitParallelEngine:
     """Word-parallel evaluator bound to one :class:`CompiledNetlist`.
 
-    Evaluation itself is delegated to a pluggable execution backend
-    (:mod:`repro.gates.backends`): ``backend=`` selects one by name,
-    falling back to the ``REPRO_BACKEND`` environment variable and
-    then the registry default.  All backends are bit-identical, so the
-    choice only affects speed.
+    Evaluation itself is delegated to the execution backend
+    :func:`~repro.gates.backends.resolve_backend_name` names when the
+    engine is built (:mod:`repro.gates.backends`).
     """
 
-    def __init__(
-        self, compiled: CompiledNetlist, backend: Optional[str] = None
-    ) -> None:
+    def __init__(self, compiled: CompiledNetlist) -> None:
         self.compiled = compiled
-        self.backend_name = resolve_backend_name(backend)
-        self.backend: Backend = create_backend(self.backend_name, compiled)
+        self.backend: Backend = create_backend(None, compiled)
         self._input_ids = [int(i) for i in compiled.input_ids]
         self._output_ids = [int(i) for i in compiled.output_ids]
         self._exhaustive: Optional[PackedVectors] = None
@@ -947,31 +943,24 @@ class BitParallelEngine:
 # A CompiledNetlist is immutable, so identity alone keys the engine
 # caches (empty fingerprint); compile_netlist already maps a netlist
 # version to one live compiled object.  One cache per backend name, so
-# switching backends never evicts another backend's warm engines.
+# a test that swaps in an oracle backend never gets (or evicts) the
+# default backend's warm engines.
 _ENGINE_CACHES: Dict[str, Callable[[CompiledNetlist], BitParallelEngine]] = {}
 
 
-def _engine_cache(name: str) -> Callable[[CompiledNetlist], BitParallelEngine]:
-    cache = _ENGINE_CACHES.get(name)
-    if cache is None:
-        cache = identity_memo(lambda _compiled: ())(
-            lambda compiled: BitParallelEngine(compiled, backend=name)
-        )
-        _ENGINE_CACHES[name] = cache
-    return cache
-
-
-def engine_for(netlist: Netlist, backend: Optional[str] = None) -> BitParallelEngine:
+def engine_for(netlist: Netlist) -> BitParallelEngine:
     """Cached :class:`BitParallelEngine` for ``netlist``.
 
     Piggybacks on the compiled-netlist cache: one engine per live
-    :class:`CompiledNetlist` *per backend*, so repeated campaigns share
-    the resolved backend schedule and the packed exhaustive vector set.
-    ``backend`` resolves through the standard precedence (keyword >
-    ``REPRO_BACKEND`` env > default).
+    :class:`CompiledNetlist` (and backend name), so repeated campaigns
+    share the cached schedules and the packed exhaustive vector set.
     """
-    name = resolve_backend_name(backend)
-    return _engine_cache(name)(compile_netlist(netlist))
+    name = resolve_backend_name()
+    cache = _ENGINE_CACHES.get(name)
+    if cache is None:
+        cache = identity_memo(lambda _compiled: ())(BitParallelEngine)
+        _ENGINE_CACHES[name] = cache
+    return cache(compile_netlist(netlist))
 
 
 def run_stuck_at_campaign(
@@ -980,16 +969,13 @@ def run_stuck_at_campaign(
     faults: Optional[Iterable[StuckAtFault]] = None,
     collapse: Union[bool, str] = True,
     fault_dropping: bool = True,
-    backend: Optional[str] = None,
 ) -> StuckAtCampaignResult:
     """One-call batched campaign over ``netlist``'s stuck-at universe.
 
     ``inputs`` maps primary inputs to 0/1 vectors (all the same length);
-    omitted, the exhaustive vector set is used.  ``backend`` selects the
-    execution backend; classifications are bit-identical across all of
-    them.
+    omitted, the exhaustive vector set is used.
     """
-    engine = engine_for(netlist, backend)
+    engine = engine_for(netlist)
     packed: Optional[PackedVectors] = None
     if inputs is not None:
         packed, _ = engine.pack_inputs(inputs)

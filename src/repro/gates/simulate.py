@@ -54,18 +54,13 @@ def _as_bit_array(name: str, value: Value) -> np.ndarray:
 
 
 class NetlistSimulator:
-    """Reusable simulator bound to one netlist (compiled, bit-parallel).
+    """Reusable simulator bound to one netlist (compiled, bit-parallel)."""
 
-    ``backend`` selects the execution backend by registry name
-    (keyword > ``REPRO_BACKEND`` env > default); results are
-    bit-identical across backends.
-    """
-
-    def __init__(self, netlist: Netlist, backend: Optional[str] = None) -> None:
+    def __init__(self, netlist: Netlist) -> None:
         netlist.validate()
         self.netlist = netlist
         self._compiled = compile_netlist(netlist)
-        self._engine = engine_for(netlist, backend)
+        self._engine = engine_for(netlist)
 
     @property
     def engine(self) -> BitParallelEngine:

@@ -151,7 +151,6 @@ def _encode_dictionary(dictionary) -> Tuple[str, Arrays, Meta]:
         "n_faults": len(dictionary.faults),
         "n_vectors": int(dictionary.n_vectors),
         "vector_base": int(dictionary.vector_base),
-        "backend": dictionary.backend,
     }
     return "fault_dictionary", arrays, meta
 
@@ -166,7 +165,6 @@ def _decode_dictionary(arrays: Arrays, meta: Meta, faults: Tuple):
         words=arrays["words"],
         n_vectors=int(meta["n_vectors"]),
         vector_base=int(meta["vector_base"]),
-        backend=str(meta.get("backend", "")),
     )
 
 

@@ -3,8 +3,8 @@
 Every artifact the result store memoises is a pure function of a small
 set of inputs: the netlist structure, the fault universe (in order --
 artifacts are order-aligned with it), the vector universe, the
-evaluation method, the execution backend (as *resolved*, never
-``None``) and the remaining campaign parameters.  This
+evaluation method and the remaining campaign parameters.  Every backend
+is bit-identical, so the execution backend is not part of a key.  This
 module turns each of those inputs into a stable hex digest and combines
 them into a :class:`CacheKey`.
 
@@ -30,7 +30,7 @@ import numpy as np
 #: Part of every key digest and every provenance record: bump it when
 #: either changes and all previously stored artifacts become invisible
 #: (stale entries are simply never hit again).
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _hasher() -> "hashlib._Hash":
@@ -199,9 +199,7 @@ class CacheKey:
     ``"dictionary"``, ``"coverage"``, ``"compact"``, ``"atpg"``);
     ``netlist``/``universe``/``space`` are the content digests of the
     circuit, fault list and vector universe; ``method`` the evaluation
-    path; ``backend`` the *resolved* execution-backend name (callers
-    resolve ``backend=None`` through the environment before keying);
-    ``params`` a digest of the remaining campaign parameters
+    path; ``params`` a digest of the remaining campaign parameters
     (chunking, collapse flags, seeds).  ``shard`` is empty for final
     artifacts and the fault-case range ``"lo:hi"`` of a checkpointed
     partial -- the only field a resumable sweep varies.
@@ -212,13 +210,12 @@ class CacheKey:
     universe: str
     space: str
     method: str
-    backend: str
     params: str = ""
     shard: str = ""
     schema: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        for name in ("kind", "netlist", "universe", "space", "method", "backend"):
+        for name in ("kind", "netlist", "universe", "space", "method"):
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise ValueError(f"CacheKey.{name} must be a non-empty string")
@@ -235,7 +232,6 @@ class CacheKey:
                     self.universe,
                     self.space,
                     self.method,
-                    self.backend,
                     self.params,
                     self.shard,
                 )
@@ -254,7 +250,6 @@ class CacheKey:
             "universe": self.universe,
             "space": self.space,
             "method": self.method,
-            "backend": self.backend,
             "params": self.params,
             "shard": self.shard,
             "schema": self.schema,

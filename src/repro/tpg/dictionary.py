@@ -35,7 +35,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gates.backends import resolve_backend_name
 from repro.gates.engine import (
     LANES,
     PackedVectors,
@@ -97,9 +96,6 @@ class FaultDictionary:
     words: np.ndarray  # (n_faults, n_words) uint64
     n_vectors: int
     vector_base: int = 0
-    #: Name of the execution backend that built the detection rows
-    #: (recorded in ``.npz`` persistence; empty for legacy files).
-    backend: str = ""
 
     @property
     def n_faults(self) -> int:
@@ -162,7 +158,6 @@ class FaultDictionary:
         np.savez_compressed(
             path,
             netlist_name=np.array(self.netlist_name),
-            backend=np.array(self.backend),
             words=self.words,
             n_vectors=np.array(self.n_vectors, dtype=np.int64),
             vector_base=np.array(self.vector_base, dtype=np.int64),
@@ -181,9 +176,6 @@ class FaultDictionary:
                 words=data["words"],
                 n_vectors=int(data["n_vectors"]),
                 vector_base=int(data["vector_base"]),
-                backend=(
-                    str(data["backend"]) if "backend" in data.files else ""
-                ),
             )
 
 
@@ -253,7 +245,6 @@ def _dictionary_shard(
     groups: Tuple[Tuple[int, ...], ...],
     fault_seq: Tuple[StuckAtFault, ...],
     source: SweepSource,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Core kernel: per-fault detection words over a whole sweep source.
 
@@ -265,7 +256,7 @@ def _dictionary_shard(
     broadcast to the whole class.  Classes reaching no primary output
     keep all-zero rows.
     """
-    engine = engine_for(netlist, backend)
+    engine = engine_for(netlist)
     detect = _DetectSweep(engine, fault_seq, groups)
     every = range(len(groups))
     group_words = np.zeros((len(groups), source.n_words), dtype=np.uint64)
@@ -286,7 +277,6 @@ def build_fault_dictionary(
     space: Optional[TestSpace] = None,
     faults: Optional[Iterable[StuckAtFault]] = None,
     collapse: Union[bool, str] = True,
-    backend: Optional[str] = None,
     store=None,
 ) -> FaultDictionary:
     """Exhaustive fault dictionary of ``netlist`` over ``space``.
@@ -295,8 +285,6 @@ def build_fault_dictionary(
     input; ``faults`` to the full stem+branch universe (in campaign
     order, so dictionary rows line up with
     :func:`~repro.gates.engine.run_stuck_at_campaign` verdicts).
-    ``backend`` selects the execution backend, recorded on the
-    dictionary (and in its ``.npz`` persistence) for provenance.
     Masked lanes (a non-zero field, the tail of a sub-word universe)
     are never counted as detecting.  With a result store active
     (``store=``/``REPRO_STORE``) the finished dictionary memoises under
@@ -304,7 +292,7 @@ def build_fault_dictionary(
     """
     with obs_span("fault_dictionary", netlist=netlist.name):
         return _build_fault_dictionary_impl(
-            netlist, space, faults, collapse, backend, store
+            netlist, space, faults, collapse, store
         )
 
 
@@ -313,7 +301,6 @@ def _build_fault_dictionary_impl(
     space: Optional[TestSpace],
     faults: Optional[Iterable[StuckAtFault]],
     collapse: Union[bool, str],
-    backend: Optional[str],
     store,
 ) -> FaultDictionary:
     if space is None:
@@ -322,7 +309,6 @@ def _build_fault_dictionary_impl(
         raise SimulationError("test space was built for a different netlist")
     fault_tuple = tuple(faults) if faults is not None else None
     fault_seq, groups = _dictionary_classes(netlist, fault_tuple, collapse)
-    backend = resolve_backend_name(backend)
     store = resolve_store(store)
     key = None
     if store is not None:
@@ -332,13 +318,12 @@ def _build_fault_dictionary_impl(
             universe=digest_faults(fault_seq),
             space=digest_test_space(space),
             method="dictionary",
-            backend=backend,
             params=digest_params(collapse=resolve_collapse_mode(collapse)),
         )
         cached = store.get(key, faults=fault_seq)
         if cached is not None:
             return cached
-    words = _dictionary_shard(netlist, groups, fault_seq, space, backend)
+    words = _dictionary_shard(netlist, groups, fault_seq, space)
     result = FaultDictionary(
         netlist_name=netlist.name,
         faults=fault_seq,
@@ -346,7 +331,6 @@ def _build_fault_dictionary_impl(
         words=words,
         n_vectors=space.n_vectors,
         vector_base=0,
-        backend=backend,
     )
     if store is not None:
         store.put(key, result)
@@ -380,7 +364,6 @@ def dictionary_for_vectors(
     bits: np.ndarray,
     faults: Optional[Iterable[StuckAtFault]] = None,
     collapse: Union[bool, str] = True,
-    backend: Optional[str] = None,
     store=None,
 ) -> FaultDictionary:
     """Fault dictionary over an explicit test table.
@@ -396,7 +379,6 @@ def dictionary_for_vectors(
     bits = _test_table(netlist, bits)
     fault_tuple = tuple(faults) if faults is not None else None
     fault_seq, groups = _dictionary_classes(netlist, fault_tuple, collapse)
-    backend = resolve_backend_name(backend)
     store = resolve_store(store)
     key = None
     if store is not None:
@@ -406,7 +388,6 @@ def dictionary_for_vectors(
             universe=digest_faults(fault_seq),
             space=digest_vector_table(bits),
             method="table",
-            backend=backend,
             params=digest_params(collapse=resolve_collapse_mode(collapse)),
         )
         cached = store.get(key, faults=fault_seq)
@@ -415,14 +396,13 @@ def dictionary_for_vectors(
     packed = PackedVectors(
         np.stack([pack_bits(column) for column in bits.T]), bits.shape[0]
     )
-    words = _dictionary_shard(netlist, groups, fault_seq, packed, backend)
+    words = _dictionary_shard(netlist, groups, fault_seq, packed)
     result = FaultDictionary(
         netlist_name=netlist.name,
         faults=fault_seq,
         groups=groups,
         words=words,
         n_vectors=packed.n_vectors,
-        backend=backend,
     )
     if store is not None:
         store.put(key, result)
@@ -434,7 +414,6 @@ def replay_detected(
     bits: np.ndarray,
     faults: Optional[Iterable[StuckAtFault]] = None,
     collapse: Union[bool, str] = True,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Per-fault detection of an explicit test table, via the campaign path.
 
@@ -456,6 +435,5 @@ def replay_detected(
         vectors=inputs_from_bits(netlist, bits),
         faults=fault_tuple,
         collapse=collapse,
-        backend=backend,
     )
     return np.asarray(raw.detected, dtype=bool)

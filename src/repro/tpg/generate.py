@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gates.backends import resolve_backend_name
 from repro.gates.builders import (
     restoring_divider,
     ripple_borrow_subtractor,
@@ -44,7 +43,6 @@ from repro.gates.builders import (
 from repro.gates.engine import (
     LANES,
     MAX_EXHAUSTIVE_INPUTS,
-    SWEEP_FAULT_CHUNK,
     SWEEP_WORD_CHUNK,
     TestSpace,
     _DetectSweep,
@@ -192,16 +190,13 @@ def generate_tests(
     faults: Optional[Tuple[StuckAtFault, ...]] = None,
     collapse: Union[bool, str] = True,
     order: str = "index",
-    backend: Optional[str] = None,
     store=None,
 ) -> TPGResult:
     """Run the two-phase ATPG loop over ``netlist``.
 
     Deterministic for a given ``seed``: the RNG stream, class iteration
     order and first-detect tie-breaks are all fixed, so two runs return
-    identical test tables and compact sets -- under any execution
-    backend (``backend`` resolves keyword > ``REPRO_BACKEND`` > default
-    and is recorded on the resulting dictionary).  When the free-input count
+    identical test tables and compact sets.  When the free-input count
     exceeds the exhaustive-packing cap the residual sweep is skipped and
     surviving faults stay ``unresolved`` instead of proven redundant
     (``TPGResult.exhausted`` records which).
@@ -225,7 +220,7 @@ def generate_tests(
     with obs_span("atpg", netlist=netlist.name, order=order, seed=seed):
         return _generate_tests_impl(
             netlist, space, seed, phase_words, max_phases, stale_phases,
-            faults, collapse, order, backend, store,
+            faults, collapse, order, store,
         )
 
 
@@ -239,7 +234,6 @@ def _generate_tests_impl(
     faults: Optional[Tuple[StuckAtFault, ...]],
     collapse: Union[bool, str],
     order: str,
-    backend: Optional[str],
     store,
 ) -> TPGResult:
     if space is None:
@@ -271,7 +265,6 @@ def _generate_tests_impl(
         targets = [
             g for _, g in sorted(zip(efforts.tolist(), targets), key=lambda p: (-p[0], p[1]))
         ]
-    backend = resolve_backend_name(backend)
     store = resolve_store(store)
     cache_key = None
     table: Optional[np.ndarray] = None
@@ -284,7 +277,6 @@ def _generate_tests_impl(
             universe=digest_faults(fault_seq),
             space=digest_test_space(space),
             method="atpg",
-            backend=backend,
             params=digest_params(
                 seed=seed,
                 phase_words=phase_words,
@@ -292,11 +284,12 @@ def _generate_tests_impl(
                 stale_phases=stale_phases,
                 collapse=mode,
                 order=order,
-                # Phase 2 records a residue class's test when its chunk
-                # reaches it, so the sweep geometry fixes the order of
-                # the test table and is part of the key.
+                # Phase 2 records a residue class's test when its word
+                # chunk reaches it, so the word chunk fixes the order of
+                # the test table and is part of the key.  Each round
+                # records in class order, so the fault chunk orders
+                # nothing.
                 word_chunk=SWEEP_WORD_CHUNK,
-                fault_chunk=SWEEP_FAULT_CHUNK,
             ),
         )
         cached = store.get(cache_key)
@@ -307,7 +300,7 @@ def _generate_tests_impl(
             exhausted = bool(cached["exhausted"])
 
     if table is None:
-        engine = engine_for(netlist, backend)
+        engine = engine_for(netlist)
         detect = _DetectSweep(engine, fault_seq, groups)
         rng = np.random.default_rng(seed)
 
@@ -380,10 +373,12 @@ def _generate_tests_impl(
                     "exhausted": exhausted,
                 },
             )
+    # A resolved ``None`` means "no store": pass False, not None (which
+    # would consult REPRO_STORE again).
     dictionary = dictionary_for_vectors(
         netlist, table, faults=faults,
         collapse="equivalence" if mode == "dominance" else mode,
-        backend=backend, store=store,
+        store=False if store is None else store,
     )
     cover = greedy_cover(dictionary)
     compact = CompactTestSet(
@@ -416,7 +411,6 @@ def compact_test_set(
     seed: int = TPG_SEED,
     dictionary_limit: int = DEFAULT_DICTIONARY_LIMIT,
     collapse: Union[bool, str] = True,
-    backend: Optional[str] = None,
     store=None,
 ) -> CompactTestSet:
     """One-call compact test set for a netlist.
@@ -461,7 +455,6 @@ def compact_test_set(
             universe=digest_faults(fault_seq),
             space=digest_test_space(space),
             method=method,
-            backend=resolve_backend_name(backend),
             params=digest_params(
                 seed=seed if method == "atpg" else None, collapse=mode
             ),
@@ -471,13 +464,14 @@ def compact_test_set(
             return cached
     if method == "dictionary":
         dictionary = build_fault_dictionary(
-            netlist, space, collapse=collapse, backend=backend, store=store
+            netlist, space, collapse=collapse,
+            store=False if store is None else store,
         )
         result = compact_from_dictionary(dictionary, space)
     elif method == "atpg":
         result = generate_tests(
-            netlist, space, seed=seed, collapse=collapse, backend=backend,
-            store=store,
+            netlist, space, seed=seed, collapse=collapse,
+            store=False if store is None else store,
         ).compact
     else:
         raise SimulationError(
@@ -493,21 +487,14 @@ def unit_test_set(
     width: int,
     method: str = "auto",
     seed: int = TPG_SEED,
-    backend: Optional[str] = None,
     store=None,
 ) -> CompactTestSet:
-    """Compact test set of one :mod:`repro.arch` unit class.
-
-    ``backend`` selects the execution backend used to build the
-    detection data (bit-identical across backends, so the compact set
-    is too).
-    """
+    """Compact test set of one :mod:`repro.arch` unit class."""
     return compact_test_set(
         unit_netlist(unit, width),
         unit_space(unit, width),
         method=method,
         seed=seed,
-        backend=backend,
         store=store,
     )
 

@@ -251,9 +251,10 @@ class TestCollapse:
         assert all(not p for p in cmap.implied_by)
 
     @pytest.mark.parametrize("backend", ("python_loop", "fused"))
-    def test_dominance_exhaustive_bit_identical(self, backend):
+    def test_dominance_exhaustive_bit_identical(self, backend, use_backend):
         netlist = ripple_carry_adder(8)
-        engine = engine_for(netlist, backend)
+        use_backend(backend)
+        engine = engine_for(netlist)
         flat = engine.campaign(collapse=False, fault_dropping=False)
         eq = engine.campaign(collapse="equivalence", fault_dropping=False)
         dom = engine.campaign(collapse="dominance", fault_dropping=False)
@@ -270,19 +271,20 @@ class TestCollapse:
 
     @pytest.mark.parametrize("backend", ("python_loop", "fused"))
     @pytest.mark.parametrize("fault_dropping", (False, True))
-    def test_dominance_sparse_vectors_bit_identical(self, backend, fault_dropping):
+    def test_dominance_sparse_vectors_bit_identical(
+        self, backend, fault_dropping, use_backend
+    ):
         # Few random vectors leave many classes undetected, forcing the
         # residual-simulation waves (dominators whose predecessors all
         # came back undetected must still be simulated directly).
         netlist = ripple_carry_adder(6)
         inputs = _random_inputs(netlist, 4, seed=7)
+        use_backend(backend)
         flat = run_stuck_at_campaign(
-            netlist, inputs, collapse=False,
-            fault_dropping=fault_dropping, backend=backend,
+            netlist, inputs, collapse=False, fault_dropping=fault_dropping
         )
         dom = run_stuck_at_campaign(
-            netlist, inputs, collapse="dominance",
-            fault_dropping=fault_dropping, backend=backend,
+            netlist, inputs, collapse="dominance", fault_dropping=fault_dropping
         )
         assert np.array_equal(flat.detected, dom.detected)
         assert 0 < flat.detected.sum() < flat.detected.size

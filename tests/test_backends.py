@@ -1,12 +1,21 @@
 """Differential suite over the execution-backend registry.
 
-Every registered backend must be *bit-identical* on every evaluation
-path: exhaustive campaigns, fault-group output matrices, detection
-words, coverage sweeps and dictionary builds.  Tests enumerate
+The library runs one backend, ``fused``; ``python_loop`` and
+``reference`` are the oracles it must be *bit-identical* to on every
+evaluation path: exhaustive campaigns under every collapse mode,
+fault-group output matrices, detection words, coverage sweeps,
+dictionary builds, compact test sets and incremental campaigns.  Whole-
+stack cases select a backend through the ``use_backend`` fixture
+(``tests/conftest.py``), with ``workers=1`` and ``store=False``;
+kernel-level cases construct the backends directly.  Tests enumerate
 :func:`repro.gates.backends.list_backends` instead of hand-listing
-oracles, so a newly registered backend is differentially tested for
-free.
+oracles.
 """
+
+import inspect
+import multiprocessing
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,16 +23,19 @@ import pytest
 from repro.arch.cell import collapsed_cell_library
 from repro.coverage.engine import _gate_case_counts, evaluate_operator
 from repro.errors import SimulationError
+from repro.faults.incremental import incremental_stuck_at_campaign
 from repro.gates import builders
 from repro.gates import engine as gate_engine
 from repro.gates.backends import (
-    BACKEND_ENV,
     DEFAULT_BACKEND,
     create_backend,
     list_backends,
     resolve_backend_name,
 )
+from repro.gates.backends import fused as fused_module
+from repro.gates.backends.fused import FusedBackend
 from repro.gates.backends.plan import OverridePlan
+from repro.gates.cells import CellType
 from repro.gates.compile import compile_netlist
 from repro.gates.engine import (
     BitParallelEngine,
@@ -32,9 +44,8 @@ from repro.gates.engine import (
     run_stuck_at_campaign,
 )
 from repro.gates.faults import default_fault_universe
-from repro.faults.injector import run_sharded_stuck_at_campaign
-from repro.tpg.dictionary import FaultDictionary, build_fault_dictionary
-from repro.tpg.generate import unit_netlist, unit_space
+from repro.tpg.dictionary import build_fault_dictionary
+from repro.tpg.generate import unit_netlist, unit_space, unit_test_set
 from repro.arch.testbench import table2_architecture
 
 ALL_BACKENDS = list_backends()
@@ -45,20 +56,42 @@ FAST_BACKENDS = tuple(n for n in ALL_BACKENDS if n != "reference")
 UNITS = ("add", "sub", "mul", "div")
 
 
-def _unit_netlists(width):
-    return [unit_netlist(unit, width) for unit in UNITS]
-
-
-def _outputs(engine, words, groups):
+def _outputs(backend, words, groups):
     """Whole-netlist output matrix of ``groups`` plus the golden row."""
-    plan = OverridePlan(engine.compiled, groups)
-    return engine.backend.run_outputs(words, plan, len(groups) + 1)
+    plan = OverridePlan(backend.compiled, groups)
+    return backend.run_outputs(words, plan, len(groups) + 1)
 
 
-def _detect(engine, words, groups):
+def _detect(backend, words, groups):
     """Whole-netlist detection words of ``groups``."""
-    plan = OverridePlan(engine.compiled, groups)
-    return engine.backend.run_detect(words, plan, len(groups))
+    plan = OverridePlan(backend.compiled, groups)
+    return backend.run_detect(words, plan, len(groups))
+
+
+def _fused_and_loop(netlist):
+    """Fresh ``fused`` and ``python_loop`` backends bound to ``netlist``."""
+    compiled = compile_netlist(netlist)
+    return create_backend("fused", compiled), create_backend("python_loop", compiled)
+
+
+def _per_backend(use_backend, names, run):
+    """``{name: run()}`` with the stack switched to each backend."""
+    results = {}
+    for name in names:
+        use_backend(name)
+        results[name] = run()
+    return results
+
+
+def _campaign_fields(result):
+    return (
+        result.faults,
+        result.groups,
+        result.detected.tobytes(),
+        result.first_detected.tobytes(),
+        result.n_vectors,
+        result.n_simulated_runs,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -70,26 +103,13 @@ class TestRegistry:
         assert "fused" in ALL_BACKENDS
         assert "reference" in ALL_BACKENDS
 
-    def test_default_resolution(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_default_resolution(self):
+        assert DEFAULT_BACKEND == "fused"
         assert resolve_backend_name() == DEFAULT_BACKEND
-
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python_loop")
-        assert resolve_backend_name() == "python_loop"
-
-    def test_keyword_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python_loop")
-        assert resolve_backend_name("fused") == "fused"
 
     def test_unknown_backend_errors(self):
         with pytest.raises(SimulationError, match="unknown backend"):
             resolve_backend_name("no_such_backend")
-
-    def test_unknown_env_backend_errors(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "no_such_backend")
-        with pytest.raises(SimulationError, match=BACKEND_ENV):
-            resolve_backend_name()
 
     def test_unavailable_backend_has_clear_error(self):
         # A tier that is not registered fails at selection with the
@@ -97,58 +117,45 @@ class TestRegistry:
         with pytest.raises(SimulationError, match="available backends"):
             resolve_backend_name("numba")
 
-    def test_engine_records_backend(self):
+    def test_engine_records_backend(self, use_backend):
         netlist = builders.full_adder()
+        default = engine_for(netlist)
+        assert default.backend.name == DEFAULT_BACKEND
         for name in ALL_BACKENDS:
-            assert engine_for(netlist, name).backend_name == name
+            use_backend(name)
+            engine = engine_for(netlist)
+            assert engine.backend.name == name
+            # One engine cache per name: switching never evicts another.
+            assert engine_for(netlist) is engine
+        use_backend(DEFAULT_BACKEND)
+        assert engine_for(netlist) is default
 
-    def test_env_switches_engine_default(self, monkeypatch):
-        netlist = builders.full_adder()
-        monkeypatch.setenv(BACKEND_ENV, "python_loop")
-        assert engine_for(netlist).backend_name == "python_loop"
-
-    def test_explicit_backend_passes_through(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "fused")
-        engine = engine_for(builders.full_adder(), "python_loop")
-        assert engine.backend_name == "python_loop"
-        assert engine.backend.name == "python_loop"
+    def test_explicit_backend_passes_through(self, use_backend):
+        use_backend("reference")
+        assert resolve_backend_name("python_loop") == "python_loop"
+        compiled = compile_netlist(builders.full_adder())
+        assert create_backend("python_loop", compiled).name == "python_loop"
+        assert BitParallelEngine(compiled).backend.name == "reference"
 
 
 @pytest.mark.parametrize(
-    "source, name",
-    [
-        ("backend=", "auto"),
-        ("backend=", "threaded"),
-        ("backend=", "numba"),
-        ("backend=", "cupy"),
-        (f"{BACKEND_ENV}=", "threaded"),
-    ],
-    ids=[
-        "backend=auto",
-        "backend=threaded",
-        "backend=numba",
-        "backend=cupy",
-        f"{BACKEND_ENV}=threaded",
-    ],
+    "name",
+    ["auto", "threaded", "numba", "cupy"],
+    ids=["backend=auto", "backend=threaded", "backend=numba", "backend=cupy"],
 )
-def test_unregistered_backend_rejected(source, name, monkeypatch):
+def test_unregistered_backend_rejected(name):
     # The former ``"auto"`` sentinel and the removed threaded/numba/cupy
-    # tiers fail at selection, naming the selection's source and the
-    # backends that are registered.
-    if source == "backend=":
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        selection = name
-    else:
-        monkeypatch.setenv(BACKEND_ENV, name)
-        selection = None
+    # tiers fail at selection, naming the selection and the backends
+    # that are registered.
+    compiled = compile_netlist(builders.full_adder())
     for resolve in (
-        lambda: resolve_backend_name(selection),
-        lambda: engine_for(builders.full_adder(), selection),
+        lambda: resolve_backend_name(name),
+        lambda: create_backend(name, compiled),
     ):
         with pytest.raises(SimulationError) as info:
             resolve()
         message = str(info.value)
-        assert f"{source}{name!r}" in message
+        assert repr(name) in message
         assert str(list(list_backends())) in message
 
 
@@ -158,12 +165,11 @@ def test_unregistered_backend_rejected(source, name, monkeypatch):
 class TestCampaignEquivalence:
     @pytest.mark.parametrize("width", (3, 4))
     @pytest.mark.parametrize("unit", UNITS)
-    def test_exhaustive_campaigns_bit_identical(self, unit, width):
+    def test_exhaustive_campaigns_bit_identical(self, unit, width, use_backend):
         netlist = unit_netlist(unit, width)
-        results = {
-            name: run_stuck_at_campaign(netlist, backend=name)
-            for name in FAST_BACKENDS
-        }
+        results = _per_backend(
+            use_backend, FAST_BACKENDS, lambda: run_stuck_at_campaign(netlist)
+        )
         baseline = results["python_loop"]
         for name, result in results.items():
             assert np.array_equal(result.detected, baseline.detected), name
@@ -172,40 +178,98 @@ class TestCampaignEquivalence:
             ), name
 
     @pytest.mark.parametrize("unit", UNITS)
-    def test_reference_backend_campaign(self, unit):
+    def test_reference_backend_campaign(self, unit, use_backend):
         # The interpreting oracle, through the same campaign machinery.
         netlist = unit_netlist(unit, 3)
-        got = run_stuck_at_campaign(netlist, backend="reference")
-        want = run_stuck_at_campaign(netlist, backend="python_loop")
+        results = _per_backend(
+            use_backend, ("reference", "python_loop"),
+            lambda: run_stuck_at_campaign(netlist),
+        )
+        got, want = results["reference"], results["python_loop"]
         assert np.array_equal(got.detected, want.detected)
         assert np.array_equal(got.first_detected, want.first_detected)
 
-    def test_campaign_without_collapsing_or_dropping(self):
+    def test_campaign_without_collapsing_or_dropping(self, use_backend):
         netlist = builders.ripple_carry_adder(3)
-        for name in FAST_BACKENDS:
-            result = run_stuck_at_campaign(
-                netlist, backend=name, collapse=False, fault_dropping=False
-            )
-            baseline = run_stuck_at_campaign(
-                netlist, backend="python_loop", collapse=False, fault_dropping=False
-            )
+        results = _per_backend(
+            use_backend, FAST_BACKENDS,
+            lambda: run_stuck_at_campaign(
+                netlist, collapse=False, fault_dropping=False
+            ),
+        )
+        baseline = results["python_loop"]
+        for name, result in results.items():
             assert np.array_equal(result.detected, baseline.detected), name
             assert np.array_equal(
                 result.first_detected, baseline.first_detected
             ), name
 
-    def test_big_fault_batches_bit_identical(self, monkeypatch):
+    def test_big_fault_batches_bit_identical(self, monkeypatch, use_backend):
         # One batch carrying the whole universe exercises the fused
         # prefix walk's permutation on every site class at once.
         monkeypatch.setattr(gate_engine, "SWEEP_FAULT_CHUNK", 512)
         netlist = builders.ripple_carry_adder(8)
-        baseline = run_stuck_at_campaign(netlist, backend="python_loop")
-        for name in FAST_BACKENDS:
-            result = run_stuck_at_campaign(netlist, backend=name)
+        results = _per_backend(
+            use_backend, FAST_BACKENDS, lambda: run_stuck_at_campaign(netlist)
+        )
+        baseline = results["python_loop"]
+        for name, result in results.items():
             assert np.array_equal(result.detected, baseline.detected), name
             assert np.array_equal(
                 result.first_detected, baseline.first_detected
             ), name
+
+
+# ----------------------------------------------------------------------
+# Whole-stack parity: every consumer of the engine, on every backend
+# ----------------------------------------------------------------------
+class TestStackParity:
+    """The campaign collapse modes, compact test sets and incremental
+    campaigns equal the ``fused`` result on every oracle -- every field,
+    work counters included."""
+
+    @pytest.mark.parametrize("fault_dropping", (True, False), ids=("drop", "keep"))
+    @pytest.mark.parametrize("collapse", ("none", "equivalence", "dominance"))
+    @pytest.mark.parametrize("unit", ("mul", "div"))
+    def test_campaign_modes(self, unit, collapse, fault_dropping, use_backend):
+        netlist = unit_netlist(unit, 3)
+        results = _per_backend(
+            use_backend, ALL_BACKENDS,
+            lambda: run_stuck_at_campaign(
+                netlist, collapse=collapse, fault_dropping=fault_dropping
+            ),
+        )
+        want = _campaign_fields(results["fused"])
+        for name, result in results.items():
+            assert _campaign_fields(result) == want, name
+
+    @pytest.mark.parametrize("unit", UNITS)
+    def test_unit_test_sets(self, unit, use_backend):
+        results = _per_backend(
+            use_backend, ALL_BACKENDS, lambda: unit_test_set(unit, 3, store=False)
+        )
+        want = results["fused"]
+        for name, got in results.items():
+            assert got.vectors.tobytes() == want.vectors.tobytes(), name
+            assert np.array_equal(got.detected, want.detected), name
+            assert got.marginal == want.marginal, name
+            assert got.faults == want.faults, name
+
+    def test_incremental_edit(self, use_backend):
+        old = builders.ripple_carry_adder(3)
+        new = old.copy()
+        new.replace_gate("fa1_x2", cell_type=CellType.XNOR)
+
+        def run():
+            base = run_stuck_at_campaign(old)
+            return incremental_stuck_at_campaign(old, new, base, store=False)
+
+        results = _per_backend(use_backend, ALL_BACKENDS, run)
+        want = results["fused"]
+        assert not want.scratch and want.n_reused_classes > 0
+        for name, got in results.items():
+            assert _campaign_fields(got.result) == _campaign_fields(want.result), name
+            assert got.reason == want.reason, name
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +277,7 @@ class TestCampaignEquivalence:
 # ----------------------------------------------------------------------
 class TestFaultGroupEquivalence:
     @pytest.mark.parametrize("operator", UNITS)
-    def test_table2_architecture_matrices(self, operator):
+    def test_table2_architecture_matrices(self, operator, use_backend):
         arch = table2_architecture(operator, 3, "xor3_majority")
         space = arch.space
         rows = space.input_rows(0, space.n_words)
@@ -229,9 +293,9 @@ class TestFaultGroupEquivalence:
             )
             if len(groups) >= 6:
                 break
-        engines = {
-            name: engine_for(arch.netlist, name) for name in FAST_BACKENDS
-        }
+        engines = _per_backend(
+            use_backend, FAST_BACKENDS, lambda: engine_for(arch.netlist).backend
+        )
         outs = {
             name: _outputs(eng, rows, groups) for name, eng in engines.items()
         }
@@ -246,35 +310,44 @@ class TestFaultGroupEquivalence:
 
     def test_reference_backend_fault_groups(self):
         netlist = builders.ripple_carry_adder(3)
+        compiled = compile_netlist(netlist)
         faults = default_fault_universe(netlist)
         groups = [faults[0], (faults[1], faults[7]), (faults[2], faults[9])]
-        packed = engine_for(netlist).exhaustive()
-        want = _outputs(engine_for(netlist, "python_loop"), packed.words, groups)
-        got = _outputs(engine_for(netlist, "reference"), packed.words, groups)
+        words = engine_for(netlist).exhaustive().words
+        plan = OverridePlan(compiled, groups)
+        want = create_backend("python_loop", compiled).run_outputs(
+            words, plan, len(groups) + 1
+        )
+        got = create_backend("reference", compiled).run_outputs(
+            words, plan, len(groups) + 1
+        )
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("cell", ("xor3_majority", "two_xor"))
     @pytest.mark.parametrize("operator", UNITS)
-    def test_gate_case_counts_across_backends(self, operator, cell):
+    def test_gate_case_counts_across_backends(self, operator, cell, use_backend):
         # fused walks each batch's cone; python_loop and reference
         # evaluate the full matrix.  Two uneven case ranges give each
         # range its own cone schedule.
         arch = table2_architecture(operator, 3, cell)
         n_cases = len(collapsed_cell_library(cell)) * len(arch.positions)
         cut = n_cases // 3
-        whole = _gate_case_counts(operator, 3, cell, "python_loop", 0, n_cases)
+        use_backend("python_loop")
+        whole = _gate_case_counts(operator, 3, cell, 0, n_cases)
         for name in ALL_BACKENDS:
+            use_backend(name)
             split = _gate_case_counts(
-                operator, 3, cell, name, 0, cut
-            ) + _gate_case_counts(operator, 3, cell, name, cut, n_cases)
+                operator, 3, cell, 0, cut
+            ) + _gate_case_counts(operator, 3, cell, cut, n_cases)
             assert split == whole, name
 
     @pytest.mark.parametrize("width", (3, 4))
-    def test_coverage_sweep_bit_identical(self, width):
+    def test_coverage_sweep_bit_identical(self, width, use_backend):
         baseline = None
         for name in FAST_BACKENDS:
+            use_backend(name)
             stats = evaluate_operator(
-                "add", width, method="gate", workers=1, backend=name
+                "add", width, method="gate", workers=1, store=False
             )
             key = {
                 tech: (s.situations, s.covered, s.detected_while_correct)
@@ -287,45 +360,31 @@ class TestFaultGroupEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Sharding invariance under a non-default backend
+# Sharding invariance against an oracle backend
 # ----------------------------------------------------------------------
 class TestShardingInvariance:
-    def test_sharded_gate_sweep_matches_unsharded(self):
-        non_default = next(
-            n for n in FAST_BACKENDS if n != resolve_backend_name()
-        )
-        lone = evaluate_operator(
-            "add", 4, method="gate", workers=1, backend=non_default, store=False
-        )
-        sharded = evaluate_operator(
-            "add", 4, method="gate", workers=3, backend=non_default, store=False
-        )
+    def test_sharded_gate_sweep_matches_unsharded(self, use_backend):
+        # The unsharded sweep runs in this process on the oracle; the
+        # workers of the sharded one run the default (or, forked from
+        # this process, the patched oracle) -- the merge equals it
+        # either way.
+        use_backend("python_loop")
+        lone = evaluate_operator("add", 4, method="gate", workers=1, store=False)
+        sharded = evaluate_operator("add", 4, method="gate", workers=3, store=False)
         assert lone == sharded
 
 
 # ----------------------------------------------------------------------
-# Dictionary provenance
+# Dictionaries
 # ----------------------------------------------------------------------
 class TestDictionaryBackendRecording:
-    def test_builder_backend_recorded_and_persisted(self, tmp_path):
-        netlist = unit_netlist("add", 3)
-        dictionary = build_fault_dictionary(
-            netlist, unit_space("add", 3), backend="python_loop"
-        )
-        assert dictionary.backend == "python_loop"
-        path = tmp_path / "add3.npz"
-        dictionary.save(path)
-        loaded = FaultDictionary.load(path)
-        assert loaded.backend == "python_loop"
-        assert np.array_equal(loaded.words, dictionary.words)
-
-    def test_dictionaries_bit_identical_across_backends(self):
+    def test_dictionaries_bit_identical_across_backends(self, use_backend):
         netlist = unit_netlist("div", 3)
         space = unit_space("div", 3)
-        words = {
-            name: build_fault_dictionary(netlist, space, backend=name).words
-            for name in FAST_BACKENDS
-        }
+        words = _per_backend(
+            use_backend, FAST_BACKENDS,
+            lambda: build_fault_dictionary(netlist, space, store=False).words,
+        )
         base = words["python_loop"]
         for name, got in words.items():
             assert np.array_equal(got, base), name
@@ -367,13 +426,13 @@ class TestExhaustiveCacheGuard:
 # Single-fault simulation across backends
 # ----------------------------------------------------------------------
 class TestSimulatorEquivalence:
-    def test_per_fault_truth_tables(self):
+    def test_per_fault_truth_tables(self, use_backend):
         netlist = builders.full_adder()
         faults = default_fault_universe(netlist)
-        tables = {}
-        for name in ALL_BACKENDS:
-            engine = engine_for(netlist, name)
-            tables[name] = engine.truth_tables(list(faults))
+        tables = _per_backend(
+            use_backend, ALL_BACKENDS,
+            lambda: engine_for(netlist).truth_tables(list(faults)),
+        )
         base = tables["python_loop"]
         for name, got in tables.items():
             assert np.array_equal(got, base), name
@@ -398,8 +457,7 @@ class TestSimulatorEquivalence:
         reps = list(faults[:8])
         packed = engine_for(netlist).exhaustive()
         words = packed.words.copy()
-        fused = engine_for(netlist, "fused")
-        loop = engine_for(netlist, "python_loop")
+        fused, loop = _fused_and_loop(netlist)
         first = _detect(fused, words, reps)
         assert np.array_equal(first, _detect(loop, words, reps))
         words[:] = np.roll(words, 3, axis=1)
@@ -412,17 +470,15 @@ class TestSimulatorEquivalence:
         netlist = builders.ripple_carry_adder(8)
         reps = list(default_fault_universe(netlist)[:20])
         words = engine_for(netlist).exhaustive().words.copy()
-        fused = engine_for(netlist, "fused")
-        loop = engine_for(netlist, "python_loop")
+        fused, loop = _fused_and_loop(netlist)
         shapes = []
-        run_words = fused.backend.run_words
+        run_words = fused.run_words
 
         def counting(block):
             shapes.append(block.shape)
             return run_words(block)
 
-        monkeypatch.setattr(fused.backend, "run_words", counting)
-        fused.backend._golden_cache = None
+        monkeypatch.setattr(fused, "run_words", counting)
         for lo, hi in ((0, 512), (512, 1280), (1280, 2048)):
             slab = words[:, lo:hi]
             assert np.array_equal(_detect(fused, slab, reps), _detect(loop, slab, reps))
@@ -453,11 +509,12 @@ class TestSimulatorEquivalence:
         adjacent = OverridePlan(compiled, [f for fs in pairs for f in fs])
         assert all(isinstance(idx, slice) for idx, _ in adjacent.stem.values())
         words = engine_for(netlist).exhaustive().words
+        fused, loop = _fused_and_loop(netlist)
         for n_words in (4, 2048):
             part = words[:, :n_words]
             for faults in (groups, [f for fs in pairs for f in fs]):
-                got = _detect(engine_for(netlist, "fused"), part, faults)
-                want = _detect(engine_for(netlist, "python_loop"), part, faults)
+                got = _detect(fused, part, faults)
+                want = _detect(loop, part, faults)
                 assert np.array_equal(got, want)
 
     def test_workspace_reuse_does_not_corrupt(self):
@@ -485,6 +542,84 @@ class TestSimulatorEquivalence:
         assert np.array_equal(det_b, loop.run_detect(words, plan_b, 12))
         assert np.array_equal(outs_b, loop.run_outputs(words, plan_b, 12))
         assert not np.array_equal(det_a, det_b)
+
+
+def _holds_workspace():
+    return hasattr(fused_module._WORKSPACE, "buf")
+
+
+class TestFusedWorkspace:
+    """One prefix-walk workspace per thread, shared by every fused
+    backend the thread drives."""
+
+    def test_live_workspace_bounded_across_netlists(self, monkeypatch):
+        # Engines are cached per netlist, so a workspace per backend
+        # would keep one buffer alive per netlist ever simulated: under
+        # a 4 MiB cap, about 3.6 + 3.9 + 1.8 MiB for these three.  Fresh
+        # netlists give fresh engines, so every buffer they keep is
+        # allocated under tracing.
+        cap = 4 << 20
+        monkeypatch.setattr(gate_engine, "GATE_MATRIX_BUDGET_MAX", cap)
+        monkeypatch.setattr(fused_module, "GATE_MATRIX_BUDGET_MAX", cap)
+        lines, start = inspect.getsourcelines(FusedBackend._workspace)
+        body = range(start, start + len(lines))
+        tracemalloc.start()
+        try:
+            for netlist in (
+                builders.truncated_array_multiplier(6),
+                builders.restoring_divider(5),
+                builders.ripple_carry_adder(8),
+            ):
+                run_stuck_at_campaign(netlist)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        live = sum(
+            trace.size
+            for trace in snapshot.traces
+            if trace.traceback[0].filename == fused_module.__file__
+            and trace.traceback[0].lineno in body
+        )
+        assert live <= cap
+
+    def test_forked_worker_starts_without_a_workspace(self):
+        compiled = compile_netlist(builders.ripple_carry_adder(3))
+        faults = list(default_fault_universe(compiled.source))
+        words = exhaustive_words(compiled.n_inputs).words
+        FusedBackend(compiled).run_detect(
+            words, OverridePlan(compiled, faults), len(faults)
+        )
+        assert _holds_workspace()
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            assert pool.submit(_holds_workspace).result(timeout=60) is False
+
+    def test_interleaved_backends_match_fresh_runs(self):
+        # Two fused backends on different netlists take turns on the
+        # shared workspace; every result, including ones taken before
+        # the other backend's calls, equals an oracle run.
+        cases = []
+        for netlist in (builders.ripple_carry_adder(4), unit_netlist("mul", 4)):
+            compiled = compile_netlist(netlist)
+            faults = list(default_fault_universe(netlist)[:40])
+            cases.append((
+                FusedBackend(compiled),
+                create_backend("python_loop", compiled),
+                exhaustive_words(compiled.n_inputs).words,
+                OverridePlan(compiled, faults),
+                len(faults),
+            ))
+        got = []
+        for kernel in ("run_detect", "run_outputs", "run_detect"):
+            for fused, _, words, plan, n in cases:
+                got.append(getattr(fused, kernel)(words, plan, n))
+        want = [
+            getattr(loop, kernel)(words, plan, n)
+            for kernel in ("run_detect", "run_outputs", "run_detect")
+            for _, loop, words, plan, n in cases
+        ]
+        for result, expected in zip(got, want):
+            assert np.array_equal(result, expected)
 
 
 def _pi_stem_faults(netlist, faults):
@@ -572,14 +707,13 @@ class TestStoreDifferential:
     WIDTHS = (3, 4)
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    def test_cold_vs_warm_bit_identical(self, tmp_path, backend):
+    def test_cold_vs_warm_bit_identical(self, tmp_path, backend, use_backend):
         from repro.store import ResultStore
 
+        use_backend(backend)
         store = ResultStore(tmp_path)
         cold = {
-            (unit, width): evaluate_operator(
-                unit, width, workers=1, backend=backend, store=store
-            )
+            (unit, width): evaluate_operator(unit, width, workers=1, store=store)
             for unit in UNITS
             for width in self.WIDTHS
         }
@@ -587,9 +721,7 @@ class TestStoreDifferential:
         assert after_cold["puts"] > 0
 
         warm = {
-            (unit, width): evaluate_operator(
-                unit, width, workers=1, backend=backend, store=store
-            )
+            (unit, width): evaluate_operator(unit, width, workers=1, store=store)
             for unit in UNITS
             for width in self.WIDTHS
         }
@@ -601,33 +733,16 @@ class TestStoreDifferential:
         assert warm == cold
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    def test_warm_matches_store_free_run(self, tmp_path, backend):
+    def test_warm_matches_store_free_run(self, tmp_path, backend, use_backend):
         from repro.store import ResultStore
 
+        use_backend(backend)
         store = ResultStore(tmp_path)
         for unit in UNITS:
-            plain = evaluate_operator(
-                unit, 3, workers=1, backend=backend, store=False
-            )
-            evaluate_operator(unit, 3, workers=1, backend=backend, store=store)
-            warm = evaluate_operator(unit, 3, workers=1, backend=backend, store=store)
+            plain = evaluate_operator(unit, 3, workers=1, store=False)
+            evaluate_operator(unit, 3, workers=1, store=store)
+            warm = evaluate_operator(unit, 3, workers=1, store=store)
             assert warm == plain
-
-    def test_backends_do_not_share_cache_entries(self, tmp_path):
-        from repro.store import ResultStore
-
-        first, second = FAST_BACKENDS[:2]
-        store = ResultStore(tmp_path)
-        a = run_sharded_stuck_at_campaign(
-            builders.ripple_carry_adder(3), backend=first, store=store
-        )
-        puts = store.stats.puts
-        # A different backend must key -- and compute -- its own entry.
-        b = run_sharded_stuck_at_campaign(
-            builders.ripple_carry_adder(3), backend=second, store=store
-        )
-        assert store.stats.puts > puts
-        assert np.array_equal(np.asarray(a.detected), np.asarray(b.detected))
 
     def test_warm_dictionary_round_trip_via_store(self, tmp_path):
         from repro.store import ResultStore

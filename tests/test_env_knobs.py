@@ -21,7 +21,7 @@ from repro.tpg import dictionary as tpg_dictionary
 from repro.tpg import generate as tpg_generate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-KNOBS = {"REPRO_BACKEND", "REPRO_STORE", "REPRO_STORE_DIR", "REPRO_TRACE", "REPRO_METRICS"}
+KNOBS = {"REPRO_STORE", "REPRO_STORE_DIR", "REPRO_TRACE", "REPRO_METRICS"}
 NAME = re.compile(r"REPRO_[A-Z_]+")
 
 

@@ -253,7 +253,7 @@ def test_threaded_tiles_hammer_counters(threads, monkeypatch):
     mismatches = []
 
     def worker():
-        # The fused workspace is per instance: one backend per thread.
+        # The fused workspace is per thread: one backend per thread.
         be = FusedBackend(compiled)
         for _ in range(n_calls):
             got = be.run_detect(words, plan, plan.n_rows)
@@ -321,7 +321,7 @@ def test_checkpoint_events(tmp_path):
     store = ResultStore(tmp_path)
     keys = [
         CacheKey(kind="test", netlist="n", universe="u", space="s",
-                 method="m", backend="b", params=str(i))
+                 method="m", params=str(i))
         for i in range(3)
     ]
     with shard_hook(lambda i: None):  # sequential, in-process
@@ -336,7 +336,7 @@ def test_checkpoint_events(tmp_path):
 def test_store_corruption_counted_and_traced(tmp_path):
     store = ResultStore(tmp_path, lru_size=0)  # force the disk read path
     key = CacheKey(kind="campaign", netlist="n", universe="u", space="s",
-                   method="m", backend="b", params="p")
+                   method="m", params="p")
     store.put(key, np.arange(4))
     npz_path, _ = store.paths(key)
     with open(npz_path, "wb") as handle:
@@ -357,7 +357,7 @@ def test_store_stats_surface_as_gauges(tmp_path):
 
     store = open_store(tmp_path)
     key = CacheKey(kind="probe", netlist="n", universe="u", space="s",
-                   method="m", backend="b", params="p")
+                   method="m", params="p")
     store.put(key, {"v": 7})
     assert store.get(key) == {"v": 7}
     gauges = metrics.registry().snapshot()["gauges"]

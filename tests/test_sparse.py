@@ -29,7 +29,7 @@ import pytest
 from repro.analysis.cones import analyze_cones, analyze_gate_cones
 from repro.arch.testbench import table2_architecture
 from repro.errors import SimulationError
-from repro.gates import builders, sparse
+from repro.gates import backends, builders, sparse
 from repro.gates import engine as gate_engine
 from repro.gates.backends import create_backend, list_backends
 from repro.gates.backends.plan import OverridePlan
@@ -333,20 +333,18 @@ class TestSweepCone:
             analyze_cones(arch.netlist),
         )
         rows = arch.space.input_rows(0, arch.space.n_words)
-        fused = engine_for(arch.netlist, "fused")
-        oracle = engine_for(arch.netlist, "python_loop")
+        fused = create_backend("fused", compiled)
+        oracle = create_backend("python_loop", compiled)
         for batch in sched.batches:
             members = [groups[m] for m in batch.members]
             n_rows = len(members) + 1
-            want = oracle.backend.run_outputs(
-                rows, OverridePlan(compiled, members), n_rows
-            )
+            want = oracle.run_outputs(rows, OverridePlan(compiled, members), n_rows)
             assert np.array_equal(
-                fused.backend.run_outputs(rows, batch.plan, n_rows, batch.gates), want
+                fused.run_outputs(rows, batch.plan, n_rows, batch.gates), want
             )
             # The base kernel ignores the cone: still the full matrix.
             assert np.array_equal(
-                oracle.backend.run_outputs(rows, batch.plan, n_rows, batch.gates), want
+                oracle.run_outputs(rows, batch.plan, n_rows, batch.gates), want
             )
 
     def test_cone_missing_a_branch_site_rejected(self):
@@ -382,7 +380,9 @@ def _oracle_hits(netlist, faults, inputs=None):
     no campaign code runs.  ``inputs`` selects a partial vector set,
     otherwise the exhaustive set is used.
     """
-    engine = engine_for(netlist, "python_loop")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backends, "DEFAULT_BACKEND", "python_loop")
+        engine = engine_for(netlist)
     packed = engine.exhaustive()
     golden = unpack_bits(engine.output_words(packed), packed.n_vectors).T
     ids = None if inputs is None else _vector_ids(netlist, inputs)
@@ -435,11 +435,10 @@ def _assert_matches_oracle(result, netlist, collapse=True, inputs=None, hits=Non
 class TestCampaignEquivalence:
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("unit", UNITS)
-    def test_unit_campaigns(self, backend, unit):
+    def test_unit_campaigns(self, backend, unit, use_backend):
         netlist = unit_netlist(unit, 3)
-        _assert_matches_oracle(
-            run_stuck_at_campaign(netlist, backend=backend), netlist
-        )
+        use_backend(backend)
+        _assert_matches_oracle(run_stuck_at_campaign(netlist), netlist)
 
     @pytest.mark.parametrize("unit", ("add", "sub"))
     def test_unit_campaigns_width4(self, unit):
@@ -536,7 +535,7 @@ class TestCampaignOracle:
         assert first.max() >= third_slab
 
     def test_slabs_capped_at_word_chunk(self, monkeypatch):
-        engine = engine_for(_wide(), "fused")
+        engine = engine_for(_wide())
         widths = []
         run_detect = engine.backend.run_detect
 
@@ -563,15 +562,14 @@ class TestCampaignOracle:
     @pytest.mark.parametrize("collapse", COLLAPSE_MODES)
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_exhaustive_wide(
-        self, backend, collapse, fault_dropping, geometry, wide_hits, monkeypatch
+        self, backend, collapse, fault_dropping, geometry, wide_hits, monkeypatch,
+        use_backend,
     ):
         netlist = _wide()
         _set_geometry(monkeypatch, geometry)
+        use_backend(backend)
         result = run_stuck_at_campaign(
-            netlist,
-            collapse=collapse,
-            fault_dropping=fault_dropping,
-            backend=backend,
+            netlist, collapse=collapse, fault_dropping=fault_dropping
         )
         _assert_matches_oracle(result, netlist, collapse, hits=wide_hits)
 
@@ -580,16 +578,17 @@ class TestCampaignOracle:
     @pytest.mark.parametrize("collapse", COLLAPSE_MODES)
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_partial_ragged_tail(
-        self, backend, collapse, fault_dropping, geometry, partial_hits, monkeypatch
+        self, backend, collapse, fault_dropping, geometry, partial_hits, monkeypatch,
+        use_backend,
     ):
         netlist = builders.ripple_carry_adder(4)
         _set_geometry(monkeypatch, geometry)
+        use_backend(backend)
         result = run_stuck_at_campaign(
             netlist,
             inputs=_partial(netlist),
             collapse=collapse,
             fault_dropping=fault_dropping,
-            backend=backend,
         )
         _assert_matches_oracle(result, netlist, collapse, hits=partial_hits)
 
@@ -604,8 +603,6 @@ class TestSparseObservability:
         # far smaller than the netlist, so their walks skip gates.
         reg = registry()
         before = reg.counter_total("repro_sparse_gates_skipped_total")
-        run_stuck_at_campaign(
-            builders.ripple_carry_adder(8), backend="fused", fault_dropping=False
-        )
+        run_stuck_at_campaign(builders.ripple_carry_adder(8), fault_dropping=False)
         after = reg.counter_total("repro_sparse_gates_skipped_total")
         assert after > before

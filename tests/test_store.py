@@ -1,7 +1,7 @@
 """Property tests of the content-addressed result store.
 
 Key discipline: every input that changes a campaign's numbers --
-netlist structure, fault-universe order, backend, test space, method,
+netlist structure, fault-universe order, test space, method,
 parameters -- must produce a distinct key, while semantically identical
 inputs (the same netlist rebuilt from scratch, the same coverage sweep
 under any shard grid) must produce identical keys.  Artifacts round-trip
@@ -17,6 +17,7 @@ import pytest
 
 from repro.coverage.engine import evaluate_adder
 from repro.errors import SimulationError, StoreError
+from repro.faults.incremental import incremental_stuck_at_campaign
 from repro.faults.injector import run_sharded_stuck_at_campaign
 from repro.gates import builders
 from repro.gates.faults import default_fault_universe
@@ -45,7 +46,6 @@ def _key(**overrides):
         universe="u" * 8,
         space="s" * 8,
         method="stuck_at",
-        backend="fused",
     )
     fields.update(overrides)
     return CacheKey(**fields)
@@ -148,9 +148,6 @@ class TestDigests:
 
 
 class TestCacheKey:
-    def test_backend_change_changes_key(self):
-        assert _key(backend="fused").digest != _key(backend="python_loop").digest
-
     def test_every_field_is_load_bearing(self):
         base = _key()
         assert base.digest != _key(kind="dictionary").digest
@@ -212,7 +209,6 @@ class TestRoundTrips:
         assert loaded.words.dtype == dictionary.words.dtype
         assert loaded.words.tobytes() == dictionary.words.tobytes()
         assert loaded.vector_base == dictionary.vector_base
-        assert loaded.backend == dictionary.backend
 
     def test_compact_set_round_trip(self, tmp_path):
         compact = unit_test_set("add", 3)
@@ -383,6 +379,31 @@ class TestStoreMechanics:
         assert by_flag.root == str(tmp_path / "by-flag")
         # An explicit store=False keeps the store off despite the env.
         assert resolve_store(False) is None
+
+    def test_store_false_reaches_nested_layers(self, tmp_path, monkeypatch):
+        # Compact sets, ATPG and the incremental scratch fallback call
+        # memoised result layers of their own; store=False keeps those
+        # off too, so no result is served from or written to the store
+        # the environment names.
+        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
+        monkeypatch.setenv(STORE_ENV, str(tmp_path / "env"))
+        kinds = []
+        put, get = ResultStore.put, ResultStore.get
+        monkeypatch.setattr(
+            ResultStore, "put",
+            lambda store, key, *a, **k: kinds.append(key.kind) or put(store, key, *a, **k),
+        )
+        monkeypatch.setattr(
+            ResultStore, "get",
+            lambda store, key, *a, **k: kinds.append(key.kind) or get(store, key, *a, **k),
+        )
+        unit_test_set("add", 3, store=False)
+        unit_test_set("add", 3, method="atpg", store=False)
+        rca = builders.ripple_carry_adder(3)
+        assert incremental_stuck_at_campaign(rca, rca.copy(), store=False).scratch
+        # Structural analyses (cone schedules) still follow the
+        # environment; no result kind may.
+        assert set(kinds) <= {"analysis"}
 
     @pytest.mark.parametrize("spelling", ("env-path", "env-flag", "env-below-file", "keyword"))
     def test_non_directory_store_names_the_setting(self, spelling, tmp_path, monkeypatch):

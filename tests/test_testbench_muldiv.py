@@ -246,7 +246,7 @@ class TestWordRangeSharding:
     def test_word_tiles_merge_bit_identically(self, operator, width):
         arch = table2_architecture(operator, width, "xor3_majority")
         n_cases = len(collapsed_cell_library()) * len(arch.positions)
-        args = (operator, width, "xor3_majority", None)
+        args = (operator, width, "xor3_majority")
         full = _gate_case_counts(*args, 0, n_cases)
         half = n_cases // 2
         halves = _gate_case_counts(*args, 0, half) + _gate_case_counts(

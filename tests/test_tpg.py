@@ -42,6 +42,7 @@ from repro.gates.engine import (
 )
 from repro.gates.simulate import ReferenceSimulator
 from repro.store import open_store
+from repro.tpg import dictionary as tpg_dictionary
 from repro.tpg import generate as tpg_generate
 from repro.tpg import (
     CompactTestSet,
@@ -548,7 +549,7 @@ class TestMatrixBudget:
 
         monkeypatch.setattr(fused_backend.FusedBackend, "_workspace", spy)
         for unit, width in (("add", 8), ("sub", 8), ("mul", 8), ("div", 7)):
-            run_stuck_at_campaign(unit_netlist(unit, width), backend="fused")
+            run_stuck_at_campaign(unit_netlist(unit, width))
         collapsed_cell_library()  # warm: its truth tables plan faults too
         plans, batches = [], []
         init = OverridePlan.__init__
@@ -562,9 +563,7 @@ class TestMatrixBudget:
             lambda *a, **k: batches.append(build(*a, **k)) or batches[-1],
         )
         for operator in ("mul", "div"):
-            evaluate_operator(
-                operator, 8, method="gate", workers=1, backend="fused", store=False
-            )
+            evaluate_operator(operator, 8, method="gate", workers=1, store=False)
         assert not transient
         assert len(plans) == sum(len(s.batches) for s in batches) > 0
 
@@ -612,7 +611,7 @@ class TestMatrixBudget:
         units = (("add", 8), ("sub", 8), ("mul", 8), ("div", 7))
         for unit, width in units:
             # Cold schedule caches, so every batch is planned here.
-            gate_engine.engine_for(unit_netlist(unit, width), "fused")._rounds.clear()
+            gate_engine.engine_for(unit_netlist(unit, width))._rounds.clear()
         plans, batches, whole = [], [], []
         init = OverridePlan.__init__
         build = sparse.build_schedule
@@ -633,7 +632,7 @@ class TestMatrixBudget:
         )
         monkeypatch.setattr(fused_backend.FusedBackend, "run_detect", detect_spy)
         for unit, width in units:
-            unit_test_set(unit, width, backend="fused", store=False)
+            unit_test_set(unit, width, store=False)
         assert not whole
         assert len(plans) == sum(len(s.batches) for s in batches) > 0
 
@@ -706,3 +705,34 @@ class TestATPGChunkGeometry:
         monkeypatch.setattr(tpg_generate, "SWEEP_WORD_CHUNK", 8)
         generate_tests(nl, store=store)
         assert store.stats.snapshot()["puts"] > warm["puts"]
+
+    def test_fault_chunk_orders_nothing(self, tmp_path, monkeypatch):
+        # Each round records its tests in class order, so the fault
+        # chunk -- how the cone schedule batches the classes -- changes
+        # neither the phase-2 test table nor the ATPG store key.
+        nl, space = unit_netlist("mul", 6), unit_space("mul", 6)
+        store = open_store(tmp_path / "store")
+        digests = []
+        get = store.get
+
+        def spy(key, *args, **kwargs):
+            if key.kind == "atpg":
+                digests.append(key.digest)
+            return get(key, *args, **kwargs)
+
+        monkeypatch.setattr(store, "get", spy)
+
+        def run():
+            res = generate_tests(nl, space, max_phases=0, store=False)
+            generate_tests(nl, space, max_phases=0, store=store)
+            return res.tests, res.compact.vectors
+
+        tests, vectors = run()
+        # Every module that binds the constant reads the new value.
+        for module in (gate_engine, coverage_engine, tpg_dictionary, tpg_generate):
+            if hasattr(module, "SWEEP_FAULT_CHUNK"):
+                monkeypatch.setattr(module, "SWEEP_FAULT_CHUNK", 7)
+        again_tests, again_vectors = run()
+        assert np.array_equal(tests, again_tests)
+        assert np.array_equal(vectors, again_vectors)
+        assert len(digests) == 2 and digests[0] == digests[1]
