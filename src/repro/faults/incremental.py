@@ -167,12 +167,12 @@ def dirty_outputs(old: Netlist, new: Netlist, diff: NetlistDiff) -> frozenset:
 
     dirty: set = set()
     if diff.removed or diff.modified:
-        cones = analyze_cones(old)
+        cones = analyze_cones(old, store=False)
         gates = {g.name: g for g in old.gates}
         for name in diff.removed + diff.modified:
             dirty.update(cones.outputs_reached(gates[name].output))
     if diff.added or diff.modified:
-        cones = analyze_cones(new)
+        cones = analyze_cones(new, store=False)
         gates = {g.name: g for g in new.gates}
         for name in diff.added + diff.modified:
             dirty.update(cones.outputs_reached(gates[name].output))
@@ -194,7 +194,7 @@ class _ReachIndex:
     def __init__(self, netlist: Netlist) -> None:
         from repro.analysis.cones import analyze_cones
 
-        self._cones = analyze_cones(netlist)
+        self._cones = analyze_cones(netlist, store=False)
         self._gates = {g.name: g for g in netlist.gates}
         self._nids = self._cones._net_ids
 

@@ -26,6 +26,15 @@ detect call the library makes is one such batch: campaigns, fault
 dictionaries and ATPG share one cone-scheduled detection sweep
 (:mod:`repro.gates.engine`).
 
+The walk's workspace holds live nets only.  Each program it runs (the
+whole netlist or one cone batch) gets a static slot map, computed once
+in program order (:meth:`FusedBackend._slot_map`): level-0 nets keep
+fixed slots, each gate output takes a slot from a free list, and a
+net's slot is released after its last reader; primary outputs stay
+pinned for the caller.  The workspace is live-net slots x rows x words
+rather than one row block per net: the campaign batches of the 471-net
+``div`` n = 7 unit need at most 58 slots.
+
 One workspace per thread backs the prefix walks of every fused backend
 that thread drives.  It is capped at
 :data:`~repro.gates.backends.base.GATE_MATRIX_BUDGET_MAX`, the same
@@ -43,7 +52,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -109,6 +118,10 @@ def _column_offset(block: np.ndarray, words: np.ndarray) -> Optional[int]:
     return off
 
 
+#: A walk program's slot map: ``(slot per net id, number of slots)``.
+_Slots = Tuple[List[int], int]
+
+
 def _top(idx) -> int:
     """One past the deepest row of an override entry's row index."""
     return idx.stop if isinstance(idx, slice) else max(idx) + 1
@@ -129,29 +142,72 @@ class FusedBackend(PythonLoopBackend):
         # prefix walk, where gates are sliced individually by high-water
         # mark.
         self._flat_program = [(g, *op) for g, op in enumerate(self._program)]
+        self._flat_slots = self._slot_map(self._flat_program)
         # Fault-free run of the most recent vector block (see _golden):
         # campaigns call the detect kernel once per fault batch and word
         # slab, and the golden evaluation is shared.  Holds (block
         # reference, block snapshot, golden): the reference keeps the id
         # stable and the snapshot detects in-place mutation by callers.
         self._golden_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        # Cone-restricted sub-programs keyed on the schedule's gate
-        # index bytes; campaigns reuse one schedule across many word
-        # sub-chunks, so the slicing happens once per batch shape.
-        self._sparse_programs: Dict[bytes, Tuple[list, frozenset]] = {}
+        # Cone-restricted sub-programs with their slot maps, keyed on the
+        # schedule's gate index bytes; campaigns reuse one schedule
+        # across many word sub-chunks, so the slicing happens once per
+        # batch shape.
+        self._sparse_programs: Dict[bytes, Tuple[list, frozenset, _Slots]] = {}
         self._driver_of: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    def _workspace(self, n_rows: int, n_words: int) -> np.ndarray:
-        need = self.compiled.n_nets * n_rows * n_words
+    def _workspace(self, n_slots: int, n_rows: int, n_words: int) -> np.ndarray:
+        need = n_slots * n_rows * n_words
         # Bigger evaluations fall back to transient allocations, so the
         # thread's workspace never outgrows the cap.
         if need * 8 > GATE_MATRIX_BUDGET_MAX:
-            return np.empty((self.compiled.n_nets, n_rows, n_words), dtype=np.uint64)
+            return np.empty((n_slots, n_rows, n_words), dtype=np.uint64)
         ws = getattr(_WORKSPACE, "buf", None)
         if ws is None or ws.size < need:
             ws = _WORKSPACE.buf = np.empty(need, dtype=np.uint64)
-        return ws[:need].reshape(self.compiled.n_nets, n_rows, n_words)
+        return ws[:need].reshape(n_slots, n_rows, n_words)
+
+    def _slot_map(self, program: list) -> _Slots:
+        """Workspace slot of every net a walk of ``program`` writes.
+
+        Returns ``(slot, n_slots)``: ``slot[net]`` is the net's row
+        block in the workspace, -1 for nets the program never writes
+        (they stay golden).  Level-0 nets, which stem overrides
+        materialise before the walk, get fixed slots.  Each gate output
+        takes a slot from a free list, allocated before its operands
+        are released, because branch fix-ups re-read the operands after
+        the output is written.  A produced net's slot is released after
+        its last reader in ``program`` (or right away if it has none);
+        primary outputs stay pinned for the caller, and nets produced
+        outside ``program`` are never released.
+        """
+        levels = self.compiled.net_levels
+        slot = [-1] * self.compiled.n_nets
+        level0 = np.flatnonzero(levels == 0).tolist()
+        for s, nid in enumerate(level0):
+            slot[nid] = s
+        n_slots = len(level0)
+        last_read: Dict[int, int] = {}
+        for i, entry in enumerate(program):
+            for nid in entry[3]:
+                last_read[nid] = i
+        pinned = set(self._output_ids)
+        produced = set()
+        free: List[int] = []
+        for i, (_, _, _, operand_ids, out_id) in enumerate(program):
+            if free:
+                slot[out_id] = free.pop()
+            else:
+                slot[out_id] = n_slots
+                n_slots += 1
+            produced.add(out_id)
+            for nid in set(operand_ids):
+                if last_read[nid] == i and nid in produced and nid not in pinned:
+                    free.append(slot[nid])
+            if out_id not in last_read and out_id not in pinned:
+                free.append(slot[out_id])
+        return slot, n_slots
 
     # ------------------------------------------------------------------
     # Tainted-prefix walk and the derived kernels built on it
@@ -197,25 +253,31 @@ class FusedBackend(PythonLoopBackend):
         words: np.ndarray,
         plan: OverridePlan,
         n_rows: int,
-        program: Optional[list] = None,
+        program: list,
+        slots: _Slots,
     ):
         """Evaluate only the tainted row prefix of every net.
 
         Rows are internally permuted ascending by first-divergence
-        level (:attr:`OverridePlan.row_levels`); returns ``(vals, hw,
-        golden, inv, identity)`` where ``vals[net][:hw[net]]`` holds
-        the permuted tainted rows and everything beyond equals
-        ``golden[net]``.  The walk is the per-gate reference loop
-        sliced to each gate's high-water mark: operands whose mark lags
-        are first topped up with golden rows, and untainted operands
-        broadcast their golden row through the ufunc.  Rows already
-        ascending in level (every cone-schedule batch) skip the
-        permutation, and override entries on contiguous rows index by
-        slice.
+        level (:attr:`OverridePlan.row_levels`); returns ``(vals, slot,
+        hw, golden, inv, identity)`` where ``vals[slot[net]][:hw[net]]``
+        holds the permuted tainted rows and everything beyond equals
+        ``golden[net]``.  ``vals`` holds one row block per workspace
+        slot, not per net (:meth:`_slot_map`): a net's block is reused
+        once its last reader has run, so only primary outputs and
+        level-0 nets are still readable after the walk.
 
-        ``program`` restricts the walk to a cone sub-program
-        (ascending compiled order); gates outside it are provably
-        golden under ``plan``, which the cone schedule guarantees.
+        The walk is the per-gate reference loop sliced to each gate's
+        high-water mark: operands whose mark lags are first topped up
+        with golden rows, and untainted operands broadcast their golden
+        row through the ufunc.  Rows already ascending in level (every
+        cone-schedule batch) skip the permutation, and override entries
+        on contiguous rows index by slice.
+
+        ``program`` is the whole netlist's program or a cone sub-program
+        (ascending compiled order) and ``slots`` its slot map; gates
+        outside a cone are provably golden under ``plan``, which the
+        cone schedule guarantees.
         """
         depth_plus = self.compiled.depth + 1
         row_levels = np.full(n_rows, depth_plus, dtype=np.int64)
@@ -240,19 +302,20 @@ class FusedBackend(PythonLoopBackend):
                 g: {p: remap(e) for p, e in pins.items()}
                 for g, pins in plan.branch_by_gate.items()
             }
+        slot, n_slots = slots
         golden = self._golden(words)
-        vals = self._workspace(n_rows, words.shape[1])
+        vals = self._workspace(n_slots, n_rows, words.shape[1])
         hw = [0] * self.compiled.n_nets
         for nid, (idx, consts) in stems.items():
             if hw[nid] == 0 and not self.compiled.net_levels[nid]:
                 # Stem on a primary input (or level-0 net): materialise
                 # up to the deepest overridden row, golden in between.
                 top = _top(idx)
-                vals[nid][:top] = golden[nid]
-                vals[nid][idx] = consts
+                rows = vals[slot[nid]]
+                rows[:top] = golden[nid]
+                rows[idx] = consts
                 hw[nid] = top
-        entries = self._flat_program if program is None else program
-        for g, ufunc, invert, operand_ids, out_id in entries:
+        for g, ufunc, invert, operand_ids, out_id in program:
             gate_branches = branches.get(g)
             stem_entry = stems.get(out_id)
             m_in = 0
@@ -269,7 +332,7 @@ class FusedBackend(PythonLoopBackend):
                     top = _top(idx)
                     if top > m_in:
                         m_in = top
-            out_rows = vals[out_id]
+            out_rows = vals[slot[out_id]]
             if m_in:
                 # Operands with a lagging tainted prefix are topped up
                 # with golden rows; fully golden operands broadcast
@@ -280,10 +343,11 @@ class FusedBackend(PythonLoopBackend):
                     if not h:
                         pins.append(golden[nid])
                         continue
+                    rows = vals[slot[nid]]
                     if h < m_in:
-                        vals[nid][h:m_in] = golden[nid]
+                        rows[h:m_in] = golden[nid]
                         hw[nid] = m_in
-                    pins.append(vals[nid][:m_in])
+                    pins.append(rows[:m_in])
                 dense = gate_branches is not None and n_override * 8 >= m_in
                 if dense:
                     # Many overridden rows: recompute the whole prefix
@@ -307,8 +371,8 @@ class FusedBackend(PythonLoopBackend):
                         np.invert(out_seg, out=out_seg)
                 if gate_branches is not None and not dense:
                     self._fix_branch_rows(
-                        ufunc, invert, operand_ids, gate_branches, vals, hw,
-                        golden, out_rows,
+                        ufunc, invert, operand_ids, gate_branches, vals, slot,
+                        hw, golden, out_rows,
                     )
             if stem_entry is not None:
                 sidx, consts = stem_entry
@@ -318,11 +382,11 @@ class FusedBackend(PythonLoopBackend):
                     m_in = top
                 out_rows[sidx] = consts
             hw[out_id] = m_in
-        return vals, hw, golden, inv, identity
+        return vals, slot, hw, golden, inv, identity
 
     @staticmethod
     def _fix_branch_rows(
-        ufunc, invert, operand_ids, gate_branches, vals, hw, golden, out_rows
+        ufunc, invert, operand_ids, gate_branches, vals, slot, hw, golden, out_rows
     ):
         """Sparse fix-up of branch-overridden rows.
 
@@ -349,7 +413,7 @@ class FusedBackend(PythonLoopBackend):
                 idx = [rows[i] for i in keep]
                 consts = consts[keep]
             pvals = [
-                consts if p == pin else (vals[nid][idx] if hw[nid] else golden[nid])
+                consts if p == pin else (vals[slot[nid]][idx] if hw[nid] else golden[nid])
                 for p, nid in enumerate(operand_ids)
             ]
             if ufunc is None:
@@ -366,7 +430,7 @@ class FusedBackend(PythonLoopBackend):
                 if r in _rows_of(idx)
             }
             rvals = [
-                pin_consts.get(p, vals[nid][r] if hw[nid] else golden[nid])
+                pin_consts.get(p, vals[slot[nid]][r] if hw[nid] else golden[nid])
                 for p, nid in enumerate(operand_ids)
             ]
             current = rvals[0]
@@ -380,15 +444,18 @@ class FusedBackend(PythonLoopBackend):
             else:
                 out_rows[r][...] = current
 
-    def _sparse_program(self, gates: np.ndarray) -> Tuple[list, frozenset]:
-        """Cone-restricted sub-program for one schedule batch, cached."""
+    def _sparse_program(self, gates: np.ndarray) -> Tuple[list, frozenset, _Slots]:
+        """Cone-restricted sub-program for one schedule batch, its gate
+        set and its slot map, cached."""
         key = gates.tobytes()
         cached = self._sparse_programs.get(key)
         if cached is None:
             if len(self._sparse_programs) >= 256:
                 self._sparse_programs.clear()
             program = [self._flat_program[int(g)] for g in gates]
-            cached = (program, frozenset(int(g) for g in gates))
+            cached = (
+                program, frozenset(int(g) for g in gates), self._slot_map(program)
+            )
             self._sparse_programs[key] = cached
         return cached
 
@@ -420,11 +487,14 @@ class FusedBackend(PythonLoopBackend):
                         f"stem-override net {nid}"
                     )
 
-    def _cone_program(self, plan: OverridePlan, gates: np.ndarray) -> list:
-        """The checked cone sub-program of one schedule batch."""
-        program, gate_set = self._sparse_program(gates)
+    def _cone_program(
+        self, plan: OverridePlan, gates: np.ndarray
+    ) -> Tuple[list, _Slots]:
+        """The checked cone sub-program of one schedule batch and its
+        slot map."""
+        program, gate_set, slots = self._sparse_program(gates)
         self._check_sparse_plan(plan, gate_set)
-        return program
+        return program, slots
 
     def run_detect(
         self,
@@ -435,7 +505,7 @@ class FusedBackend(PythonLoopBackend):
         out_ids: Optional[Tuple[int, ...]] = None,
     ) -> np.ndarray:
         n_words = words.shape[1]
-        program = None
+        program, slots = self._flat_program, self._flat_slots
         outs = self._output_ids if out_ids is None else list(out_ids)
         if gates is not None:
             if not outs:
@@ -443,17 +513,17 @@ class FusedBackend(PythonLoopBackend):
                 # nothing can detect, nothing needs evaluating.
                 _note_sparse(0, self.compiled.n_gates)
                 return np.zeros((n_rows, n_words), dtype=np.uint64)
-            program = self._cone_program(plan, gates)
+            program, slots = self._cone_program(plan, gates)
             _note_sparse(len(program), self.compiled.n_gates - len(program))
-        vals, hw, golden, inv, identity = self._prefix_walk(
-            words, plan, n_rows, program=program
+        vals, slot, hw, golden, inv, identity = self._prefix_walk(
+            words, plan, n_rows, program, slots
         )
         diff = np.zeros((n_rows, n_words), dtype=np.uint64)
         scratch = np.empty((n_rows, n_words), dtype=np.uint64)
         for out_id in outs:
             h = hw[out_id]
             if h:
-                np.bitwise_xor(vals[out_id][:h], golden[out_id], out=scratch[:h])
+                np.bitwise_xor(vals[slot[out_id]][:h], golden[out_id], out=scratch[:h])
                 np.bitwise_or(diff[:h], scratch[:h], out=diff[:h])
         return diff if identity else diff[inv]
 
@@ -464,24 +534,26 @@ class FusedBackend(PythonLoopBackend):
         n_rows: int,
         gates: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        program = None
+        program, slots = self._flat_program, self._flat_slots
         if gates is not None:
-            program = self._cone_program(plan, gates)
+            program, slots = self._cone_program(plan, gates)
             _note_sparse(len(program), self.compiled.n_gates - len(program))
-        # Outputs outside the cone keep an empty tainted prefix, so they
-        # come back as their golden rows.
-        vals, hw, golden, inv, identity = self._prefix_walk(
-            words, plan, n_rows, program=program
+        # Outputs outside the cone keep an empty tainted prefix (and no
+        # slot), so they come back as their golden rows.
+        vals, slot, hw, golden, inv, identity = self._prefix_walk(
+            words, plan, n_rows, program, slots
         )
         n_words = words.shape[1]
         res = np.empty((len(self._output_ids), n_rows, n_words), dtype=np.uint64)
         for i, out_id in enumerate(self._output_ids):
             h = hw[out_id]
-            if identity:
-                res[i, :h] = vals[out_id][:h]
+            if not h:
+                res[i] = golden[out_id]
+            elif identity:
+                res[i, :h] = vals[slot[out_id]][:h]
                 res[i, h:] = golden[out_id]
             else:
-                rows = vals[out_id]
+                rows = vals[slot[out_id]]
                 block = res[i]
                 # Un-permute: original row r lives at sorted position
                 # inv[r]; positions >= h are golden by construction.

@@ -554,7 +554,8 @@ class _DetectSweep:
         compiled = self._engine.compiled
         batches = sparse.build_schedule(
             compiled, [self._reps[g] for g in active], SWEEP_FAULT_CHUNK,
-            analyze_gate_cones(compiled.source), analyze_cones(compiled.source),
+            analyze_gate_cones(compiled.source, store=False),
+            analyze_cones(compiled.source, store=False),
         ).batches
         if rounds is not None:
             while len(rounds) >= 32:
@@ -828,7 +829,8 @@ class BitParallelEngine:
             from repro.analysis.collapse import collapse_faults
 
             cmap = collapse_faults(
-                netlist, faults=None if faults is None else fault_seq, mode=mode
+                netlist, faults=None if faults is None else fault_seq, mode=mode,
+                store=False,
             )
         n_faults = len(fault_seq)
 

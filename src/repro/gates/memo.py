@@ -50,7 +50,7 @@ def identity_memo(
                 ref: Callable[[], Any] = weakref.ref(
                     obj, lambda _r, _k=key, _c=cache: _c.pop(_k, None)
                 )
-            except TypeError:  # pragma: no cover - non-weakrefable subject
+            except TypeError:  # non-weakrefable subject (a tuple): hold it
                 ref = lambda: obj
             if key in cache:
                 del cache[key]

@@ -26,6 +26,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.gates.memo import identity_memo
+
 #: Version tag of the key schema *and* the on-disk artifact layout.
 #: Part of every key digest and every provenance record: bump it when
 #: either changes and all previously stored artifacts become invisible
@@ -113,8 +115,16 @@ def digest_faults(faults: Sequence) -> str:
 
     Order matters by design: campaign and dictionary artifacts are
     row-aligned with the fault list, so a reordered universe is a
-    different key.
+    different key.  A tuple is immutable, so its digest is memoised on
+    its identity: the memoised default universes are hashed once, not
+    once per campaign, dictionary and ATPG key of their netlist.
     """
+    if isinstance(faults, tuple):
+        return _digest_fault_tuple(faults)
+    return _digest_fault_seq(faults)
+
+
+def _digest_fault_seq(faults: Sequence) -> str:
     h = _hasher()
     for fault in faults:
         site = fault.site
@@ -126,6 +136,12 @@ def digest_faults(faults: Sequence) -> str:
         h.update(token.encode())
         h.update(b"\x00")
     return h.hexdigest()
+
+
+# A tuple cannot be weakly referenced, so the memo holds each one it
+# keys on (which also keeps its id from being recycled); ``maxsize``
+# bounds how many.
+_digest_fault_tuple = identity_memo(lambda _faults: (), maxsize=32)(_digest_fault_seq)
 
 
 def digest_test_space(space) -> str:

@@ -63,7 +63,9 @@ def _row_counts(dictionary: FaultDictionary, rows: np.ndarray) -> np.ndarray:
     counts = np.zeros(dictionary.n_vectors, dtype=np.int64)
     for lo in range(0, len(rows), _FAULT_BLOCK):
         block = dictionary.words[rows[lo:lo + _FAULT_BLOCK]]
-        counts += unpack_bits(block, dictionary.n_vectors).sum(axis=0, dtype=np.int64)
+        # A block sums at most _FAULT_BLOCK ones per vector: uint16 is
+        # exact, and its accumulator is a quarter the width of int64.
+        counts += unpack_bits(block, dictionary.n_vectors).sum(axis=0, dtype=np.uint16)
     return counts
 
 

@@ -251,7 +251,8 @@ def _generate_tests_impl(
         from repro.analysis.collapse import collapse_faults
 
         cmap = collapse_faults(
-            netlist, faults=None if faults is None else fault_seq, mode=mode
+            netlist, faults=None if faults is None else fault_seq, mode=mode,
+            store=False,
         )
         targets = sorted(cmap.kept)
     if order == "testability":

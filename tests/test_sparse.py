@@ -8,7 +8,9 @@ Three layers of checks:
 * kernel -- ``run_detect`` given a schedule batch equals ``run_detect``
   without one, element-wise, on every fast backend, and the Table
   sweeps' cone ``run_outputs`` with a batch's own plan equals the full
-  ``python_loop`` matrix;
+  ``python_loop`` matrix, and the ``fused`` walk on live-net workspace
+  slots equals the ``reference`` oracle on the cone batches of deep
+  and corner-case netlists;
 * campaign -- every verdict field (``detected``, ``first_detected``,
   ``groups``; ``n_simulated_runs`` is a work counter and is not
   checked) equals a brute-force oracle built from faulty truth tables
@@ -23,6 +25,8 @@ the skip counter the cone walk reports.  Chunk geometry is a module
 constant of :mod:`repro.gates.engine`; the seam checks patch it.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -32,7 +36,9 @@ from repro.errors import SimulationError
 from repro.gates import backends, builders, sparse
 from repro.gates import engine as gate_engine
 from repro.gates.backends import create_backend, list_backends
+from repro.gates.backends.fused import FusedBackend, _rows_of
 from repro.gates.backends.plan import OverridePlan
+from repro.gates.cells import CellType
 from repro.gates.compile import compile_netlist
 from repro.gates.engine import (
     LANES,
@@ -46,6 +52,7 @@ from repro.gates.faults import (
     default_fault_universe,
     resolve_collapse_mode,
 )
+from repro.gates.netlist import Netlist
 from repro.gates.sparse import SPARSE_WORD_SUBCHUNK, build_schedule, fault_cone_mask
 from repro.obs import registry
 from repro.tpg.generate import unit_netlist
@@ -358,6 +365,210 @@ class TestSweepCone:
         cone = np.array([g for g in range(compiled.n_gates) if g != gate])
         with pytest.raises(SimulationError, match="branch-override gate"):
             impl.run_outputs(words, plan, 5, cone)
+
+
+# ----------------------------------------------------------------------
+# Live-net workspace slots of the fused prefix walk
+# ----------------------------------------------------------------------
+_CHAIN_CELLS = (
+    (CellType.AND, 2), (CellType.OR, 2), (CellType.XOR, 2), (CellType.NAND, 3),
+    (CellType.NOR, 2), (CellType.XNOR, 3), (CellType.NOT, 1), (CellType.BUF, 1),
+)
+
+
+def _chain_netlist(seed=3, n_inputs=6, n_gates=90):
+    """A random deep netlist: operands come from the last few nets (so
+    it is chain-like), may repeat within one gate, and every fifth net
+    is also a primary output read further down."""
+    rng = random.Random(seed)
+    nl = Netlist(f"chain{seed}")
+    nets = [nl.add_input(f"i{k}") for k in range(n_inputs)]
+    for g in range(n_gates):
+        cell, arity = _CHAIN_CELLS[rng.randrange(len(_CHAIN_CELLS))]
+        recent = nets[-8:] + [rng.choice(nets[:n_inputs])]
+        nl.add_gate(cell, [rng.choice(recent) for _ in range(arity)], f"n{g}")
+        nets.append(f"n{g}")
+    for net in sorted(set(nets[n_inputs + 4 :: 5] + [nets[-1]])):
+        nl.mark_output(net)
+    return nl
+
+
+def _slot_groups(compiled, universe, seed=11):
+    """Single faults plus two-pin branch groups (one row overridden on
+    two pins of one gate) and random multi-site groups."""
+    groups = list(universe)
+    by_gate = {}
+    for fault in universe:
+        if not fault.site.is_stem:
+            gate, pin = compiled.pin_id(*fault.site.branch)
+            by_gate.setdefault(gate, {}).setdefault(pin, fault)
+    groups += [tuple(pins.values())[:2] for pins in by_gate.values() if len(pins) > 1]
+    rng = np.random.default_rng(seed)
+    groups += [
+        tuple(universe[i] for i in rng.choice(len(universe), k, replace=False))
+        for k in rng.integers(2, 4, size=40)
+    ]
+    return groups
+
+
+def _assert_slot_walk_matches(compiled, groups, words, fault_chunk):
+    """``fused`` equals ``reference`` on every cone batch of ``groups``
+    (``run_detect`` and the sweeps' ``run_outputs`` with a ride-along
+    golden row) and on the whole-netlist walk in caller row order."""
+    fused = create_backend("fused", compiled)
+    oracle = create_backend("reference", compiled)
+    netlist = compiled.source
+    sched = build_schedule(
+        compiled, groups, fault_chunk, analyze_gate_cones(netlist),
+        analyze_cones(netlist),
+    )
+    for batch in sched.batches:
+        n = len(batch.members)
+        want = oracle.run_detect(words, batch.plan, n)
+        got = fused.run_detect(words, batch.plan, n, batch.gates, batch.out_ids)
+        assert np.array_equal(got, want)
+        want = oracle.run_outputs(words, batch.plan, n + 1)
+        assert np.array_equal(fused.run_outputs(words, batch.plan, n + 1, batch.gates), want)
+    plan = OverridePlan(compiled, groups)
+    assert np.array_equal(
+        fused.run_detect(words, plan, len(groups)),
+        oracle.run_detect(words, plan, len(groups)),
+    )
+    assert np.array_equal(
+        fused.run_outputs(words, plan, len(groups)),
+        oracle.run_outputs(words, plan, len(groups)),
+    )
+    return sched
+
+
+def _peak_live(program, pinned):
+    """Most gate outputs live at once in ``program``: produced, and
+    either pinned or read by a later gate of the program."""
+    last = {nid: i for i, entry in enumerate(program) for nid in entry[3]}
+    live, peak = set(), 0
+    for i, (_, _, _, operand_ids, out_id) in enumerate(program):
+        live.add(out_id)
+        peak = max(peak, len(live))
+        live -= {
+            nid for nid in (*operand_ids, out_id)
+            if nid not in pinned and last.get(nid, -1) <= i
+        }
+    return peak
+
+
+class TestSlotWalk:
+    """The fused walk's workspace holds one slot per *live* net; every
+    result still equals the interpreting oracle."""
+
+    def test_chain_netlist_has_every_corner(self):
+        compiled = compile_netlist(_chain_netlist())
+        offsets = compiled.operand_offsets
+        operands = [
+            compiled.operands[offsets[g] : offsets[g + 1]].tolist()
+            for g in range(compiled.n_gates)
+        ]
+        read = {nid for ops in operands for nid in ops}
+        assert any(len(set(ops)) < len(ops) for ops in operands)
+        assert read & set(compiled.output_ids.tolist())
+        assert compiled.depth >= 20
+
+    @pytest.mark.parametrize("fault_chunk", (7, 64))
+    def test_cone_batches_match_reference(self, fault_chunk):
+        netlist = _chain_netlist()
+        compiled = compile_netlist(netlist)
+        words = exhaustive_words(compiled.n_inputs).words
+        groups = _slot_groups(compiled, default_fault_universe(netlist))
+        sched = _assert_slot_walk_matches(compiled, groups, words, fault_chunk)
+        # Some cone reads a net produced by a gate outside it.
+        driver = dict(zip(compiled.gate_output_ids.tolist(), range(compiled.n_gates)))
+        offsets = compiled.operand_offsets
+        outside = 0
+        for batch in sched.batches:
+            cone = set(batch.gates.tolist())
+            for g in cone:
+                for nid in compiled.operands[offsets[g] : offsets[g + 1]].tolist():
+                    outside += nid in driver and driver[nid] not in cone
+        assert outside
+
+    def test_rdiv_chain_matches_reference(self):
+        # The restoring divider at n = 6 is 100 levels deep; the
+        # campaign's class representatives over the first 128 vectors.
+        netlist = builders.restoring_divider(6)
+        compiled = compile_netlist(netlist)
+        assert compiled.depth >= 100
+        universe = default_fault_universe(netlist)
+        reps = [universe[g[0]] for g in default_equivalence_groups(netlist)]
+        words = exhaustive_words(compiled.n_inputs).words[:, :2]
+        _assert_slot_walk_matches(
+            compiled, reps, words, gate_engine.SWEEP_FAULT_CHUNK
+        )
+
+    @pytest.mark.parametrize("make", (_chain_netlist, lambda: builders.restoring_divider(4)))
+    def test_dense_and_sparse_branch_fixups(self, make, monkeypatch):
+        netlist = make()
+        compiled = compile_netlist(netlist)
+        universe = default_fault_universe(netlist)
+        words = exhaustive_words(compiled.n_inputs).words[:, :4]
+        calls = []
+        fix = FusedBackend._fix_branch_rows
+
+        def spy(ufunc, invert, operand_ids, gate_branches, *rest):
+            rows = [r for idx, _ in gate_branches.values() for r in _rows_of(idx)]
+            calls.append(len(rows) > len(set(rows)))
+            return fix(ufunc, invert, operand_ids, gate_branches, *rest)
+
+        monkeypatch.setattr(FusedBackend, "_fix_branch_rows", staticmethod(spy))
+        branches = {}
+        for fault in universe:
+            if not fault.site.is_stem:
+                gate, pin = compiled.pin_id(*fault.site.branch)
+                branches.setdefault(gate, {}).setdefault(pin, []).append(fault)
+        levels = compiled.net_levels
+        deep = max(
+            (g for g, pins in branches.items() if len(pins) > 1),
+            key=lambda g: levels[compiled.gate_output_ids[g]],
+        )
+        pair = tuple(faults[0] for faults in list(branches[deep].values())[:2])
+        # Dense: every row of the batch overrides the deep gate.
+        dense = [f for faults in branches[deep].values() for f in faults] + [pair]
+        _assert_slot_walk_matches(compiled, dense, words, len(dense))
+        assert not calls
+        # Sparse: many upstream stem rows taint the gate's prefix and
+        # only two rows override it, one of them on two pins at once.
+        stems = [
+            f for f in universe
+            if f.site.is_stem and levels[compiled.net_id(f.site.net)]
+            < levels[compiled.gate_output_ids[deep]]
+        ]
+        assert len(stems) > 48
+        sparse_groups = stems + [pair, branches[deep][next(iter(branches[deep]))][0]]
+        sched = _assert_slot_walk_matches(
+            compiled, sparse_groups, words, len(sparse_groups)
+        )
+        assert len(sched.batches) == 1
+        assert any(calls)
+
+    def test_div7_workspace_holds_live_nets_only(self, monkeypatch):
+        netlist = unit_netlist("div", 7)
+        compiled = compile_netlist(netlist)
+        fused = FusedBackend(compiled)
+        level0 = int((compiled.net_levels == 0).sum())
+        peak = _peak_live(fused._flat_program, set(fused._output_ids))
+        # A cone program's live set at each gate is a subset of the
+        # whole program's, so this bounds every campaign batch too.
+        assert fused._slot_map(fused._flat_program)[1] == level0 + peak
+        slots = []
+        workspace = FusedBackend._workspace
+
+        def spy(backend, n_slots, n_rows, n_words):
+            if backend.compiled is compiled:
+                slots.append(n_slots)
+            return workspace(backend, n_slots, n_rows, n_words)
+
+        monkeypatch.setattr(FusedBackend, "_workspace", spy)
+        run_stuck_at_campaign(netlist)
+        assert slots
+        assert max(slots) <= level0 + peak < compiled.n_nets // 4
 
 
 # ----------------------------------------------------------------------

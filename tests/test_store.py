@@ -20,6 +20,7 @@ from repro.errors import SimulationError, StoreError
 from repro.faults.incremental import incremental_stuck_at_campaign
 from repro.faults.injector import run_sharded_stuck_at_campaign
 from repro.gates import builders
+from repro.gates import engine as gate_engine
 from repro.gates.faults import default_fault_universe
 from repro.store import (
     SCHEMA_VERSION,
@@ -116,6 +117,15 @@ class TestDigests:
         reordered = faults[1:] + faults[:1]
         assert digest_faults(faults) != digest_faults(reordered)
         assert digest_faults(faults) == digest_faults(tuple(faults))
+
+    def test_fault_tuple_digest_is_memoised(self):
+        # A tuple is hashed once; any sequence with the same faults in
+        # the same order has the same digest.
+        faults = default_fault_universe(builders.ripple_carry_adder(3))
+        first = digest_faults(faults)
+        assert digest_faults(faults) is first
+        assert digest_faults(list(faults)) == first
+        assert digest_faults(list(faults)) is not digest_faults(list(faults))
 
     def test_fault_subset_and_value_change_digests(self):
         faults = default_fault_universe(builders.ripple_carry_adder(3))
@@ -382,9 +392,12 @@ class TestStoreMechanics:
 
     def test_store_false_reaches_nested_layers(self, tmp_path, monkeypatch):
         # Compact sets, ATPG and the incremental scratch fallback call
-        # memoised result layers of their own; store=False keeps those
-        # off too, so no result is served from or written to the store
-        # the environment names.
+        # memoised result layers and structural analyses of their own;
+        # store=False keeps those off too, so nothing is served from or
+        # written to the store the environment names.  Fresh engines, so
+        # no cached cone schedule skips the analyses (their cone and
+        # collapse artifacts once leaked into that store).
+        monkeypatch.setattr(gate_engine, "_ENGINE_CACHES", {})
         monkeypatch.delenv(STORE_DIR_ENV, raising=False)
         monkeypatch.setenv(STORE_ENV, str(tmp_path / "env"))
         kinds = []
@@ -401,9 +414,8 @@ class TestStoreMechanics:
         unit_test_set("add", 3, method="atpg", store=False)
         rca = builders.ripple_carry_adder(3)
         assert incremental_stuck_at_campaign(rca, rca.copy(), store=False).scratch
-        # Structural analyses (cone schedules) still follow the
-        # environment; no result kind may.
-        assert set(kinds) <= {"analysis"}
+        assert kinds == []
+        assert not [p for p in (tmp_path / "env").rglob("*") if p.is_file()]
 
     @pytest.mark.parametrize("spelling", ("env-path", "env-flag", "env-below-file", "keyword"))
     def test_non_directory_store_names_the_setting(self, spelling, tmp_path, monkeypatch):

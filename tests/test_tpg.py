@@ -39,9 +39,11 @@ from repro.gates.engine import (
     matrix_word_chunk,
     pack_bits,
     run_stuck_at_campaign,
+    unpack_bits,
 )
 from repro.gates.simulate import ReferenceSimulator
 from repro.store import open_store
+from repro.tpg import compaction as tpg_compaction
 from repro.tpg import dictionary as tpg_dictionary
 from repro.tpg import generate as tpg_generate
 from repro.tpg import (
@@ -284,6 +286,20 @@ class TestCompaction:
     def test_greedy_matches_oracle_on_unit_dictionaries(self, unit):
         space = unit_space(unit, 4)
         _assert_cover_matches_oracle(build_fault_dictionary(space.netlist, space))
+
+    @pytest.mark.parametrize("unit, width", [("mul", 6), ("div", 4)])
+    def test_row_counts_equal_int64_sums(self, unit, width):
+        # Blocks are summed in uint16: exact, since a block holds at
+        # most 256 rows.
+        space = unit_space(unit, width)
+        d = build_fault_dictionary(space.netlist, space)
+        rows = np.flatnonzero(d.detected)
+        assert len(rows) > tpg_compaction._FAULT_BLOCK
+        want = unpack_bits(d.words[rows], d.n_vectors).sum(axis=0, dtype=np.int64)
+        assert np.array_equal(tpg_compaction._row_counts(d, rows), want)
+        # Full blocks of rows all detecting every vector.
+        full = _dictionary_from_bits(np.ones((600, 3), dtype=bool))
+        assert tpg_compaction._row_counts(full, np.arange(600)).tolist() == [600] * 3
 
     def test_greedy_memory_stays_bounded(self):
         # 550 faults x 4096 vectors: scoring must not build a transposed
@@ -541,11 +557,11 @@ class TestMatrixBudget:
         transient = []
         workspace = fused_backend.FusedBackend._workspace
 
-        def spy(backend, n_rows, n_words):
-            cells = backend.compiled.n_nets * n_rows * n_words
+        def spy(backend, n_slots, n_rows, n_words):
+            cells = n_slots * n_rows * n_words
             if cells * 8 > fused_backend.GATE_MATRIX_BUDGET_MAX:
                 transient.append((backend.compiled.source.name, n_rows, n_words))
-            return workspace(backend, n_rows, n_words)
+            return workspace(backend, n_slots, n_rows, n_words)
 
         monkeypatch.setattr(fused_backend.FusedBackend, "_workspace", spy)
         for unit, width in (("add", 8), ("sub", 8), ("mul", 8), ("div", 7)):
