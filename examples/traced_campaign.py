@@ -1,26 +1,26 @@
-"""Observability end to end: trace a sharded coverage sweep, then report on it.
+"""Observability end to end: trace a coverage sweep, then report on it.
 
 The walk-through:
 
 1. run the n = 4 adder's Table 2 gate sweep untraced -- the reference
    result;
 2. point ``REPRO_TRACE`` at a JSON-lines file and re-run the same sweep
-   2-way sharded through a result store -- every span
-   (``coverage_evaluate`` and the engine spans below it) and lifecycle
-   event (shard submitted/started/completed/merged, checkpoint written)
+   through a result store -- every span (``coverage_evaluate`` and the
+   engine spans below it) and lifecycle event (the sweep's one case
+   span submitted/started/completed/merged, its checkpoint written)
    lands in the trace, and kernel profiling switches on;
 3. assert the traced run is **bit-identical** to the untraced one --
    telemetry is passive by contract (`benchmarks/bench_obs.py` gates
    its overhead under 5%);
 4. rebuild the sweep's story from the trace alone with
-   :func:`repro.obs.report.summarize` -- per-shard durations, straggler
-   ratio, shards per worker pid -- and overlay the live registry for
+   :func:`repro.obs.report.summarize` -- span durations and the shard
+   event balance -- and overlay the live registry for
    store hit rate and per-backend kernel time, exactly what
    ``python -m repro.obs.report trace.jsonl --metrics dump.jsonl``
    renders post-hoc.
 
-The coverage sweeps are the only callers of the process pool; stuck-at
-campaigns trace the same way but run in the calling process.
+Stuck-at campaigns trace the same way; everything runs in the calling
+process.
 
 Run:  PYTHONPATH=src python examples/traced_campaign.py
 """
@@ -35,13 +35,12 @@ from repro.obs.report import kernel_summary, render, store_summary, summarize
 from repro.store import ResultStore
 
 WIDTH = 4
-WORKERS = 2
 
 
 def main() -> None:
     # 1. Untraced reference.
     os.environ.pop(trace.TRACE_ENV, None)
-    reference = evaluate_adder(WIDTH, method="gate", workers=WORKERS, store=False)
+    reference = evaluate_adder(WIDTH, method="gate", store=False)
 
     # 2. The same sweep, fully instrumented.
     trace_path = os.path.join(
@@ -50,9 +49,7 @@ def main() -> None:
     store = ResultStore(tempfile.mkdtemp(prefix="repro-store-"))
     os.environ[trace.TRACE_ENV] = trace_path
     try:
-        traced = evaluate_adder(
-            WIDTH, method="gate", workers=WORKERS, store=store
-        )
+        traced = evaluate_adder(WIDTH, method="gate", store=store)
     finally:
         os.environ.pop(trace.TRACE_ENV, None)
 
@@ -71,8 +68,8 @@ def main() -> None:
     summary["kernels"] = kernel_summary(snapshot)
 
     shards = summary["shards"]
-    assert shards["submitted"] == WORKERS and shards["balanced"]
-    assert summary["store"]["puts"] >= WORKERS  # shard checkpoints landed
+    assert shards["submitted"] == 1 and shards["balanced"]
+    assert summary["store"]["puts"] == 2  # the span checkpoint and the final entry
     if metrics.METRICS_ENV not in os.environ:
         # Kernel profiling rides the env gates: off again once unset.
         assert metrics.kernel_profiling_enabled() is False

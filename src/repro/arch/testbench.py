@@ -480,16 +480,23 @@ class Table2DividerArchitecture(_Table2ArchitectureBase):
         return 2 * self.width
 
 
-@functools.lru_cache(maxsize=None)
 def table2_architecture(
     operator: str, width: int, cell_style: str = DEFAULT_CELL_NETLIST
 ) -> _Table2ArchitectureBase:
     """Cached Table 2 architecture for ``(operator, width, style)``.
 
     Dispatches to the chain, multiplier or divider architecture; the
-    cache keeps the compiled-netlist/engine caches hot across repeated
-    evaluations (and across shard workers forked from a warm parent).
+    cache keeps the compiled-netlist/engine caches, and the sweep plans
+    kept on the engines, hot across repeated evaluations.  A defaulted
+    and an explicit ``cell_style`` share one entry.
     """
+    return _table2_architecture(operator, width, cell_style)
+
+
+@functools.lru_cache(maxsize=None)
+def _table2_architecture(
+    operator: str, width: int, cell_style: str
+) -> _Table2ArchitectureBase:
     if operator in CHAIN_OPERATORS:
         return Table2Architecture(operator, width, cell_style)
     if operator == "mul":

@@ -9,7 +9,8 @@ worst-case fault coverage when the checking operation is executed on the
 * :mod:`repro.coverage.techniques` -- the checking techniques of Table 1
   expressed at the hardware level;
 * :mod:`repro.coverage.engine` -- exact (gate-sweep / transfer-matrix /
-  functional) evaluation, with process sharding;
+  functional) evaluation in the calling process, planned once per
+  architecture;
 * :mod:`repro.coverage.transfer` -- the carry-state transfer-matrix DP
   behind the exact wide-width (n = 8, 16) Table 2 rows;
 * :mod:`repro.coverage.report` -- renderers regenerating Tables 1 and 2

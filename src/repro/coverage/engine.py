@@ -51,14 +51,15 @@ Table 2 cell was computed:
     ``DEFAULT_EXHAUSTIVE_LIMIT`` operand pairs; kept as the
     differential-testing reference of the gate sweep for every operator.
 
-Sharding: every method computes exact integer counts per fault case, so
-the gate and functional sweeps share one scaffold (:func:`_run_cases`):
-contiguous fault-case ranges shard across a ``ProcessPoolExecutor``
-(``workers=``, auto-selected by universe size), checkpoint per shard
-into an open result store, and concatenate back in case order with
-bit-identical results for any worker count -- see
-:mod:`repro.faults.sharding`.  These sweeps are the only users of the
-process pool.
+Execution: every method computes exact integer counts per fault case,
+so the gate and functional sweeps share one scaffold (:func:`_run_cases`)
+that runs the whole collapsed case range as one span in the calling
+process, checkpointed into an open result store.  Adjacent case spans
+concatenate to the counts of their union, the merge property the
+store's checkpoint runtime relies on (:mod:`repro.faults.sharding`).
+The gate sweep plans once: each span's fault-group layout and cone
+batches stay on the architecture's engine (:func:`_sweep_plan`), so
+regenerating a table again in one process skips every schedule build.
 
 :func:`evaluate_gate_level` complements the functional-level evaluators
 with a structural one: the raw stuck-at detectability of a gate-level
@@ -85,7 +86,6 @@ from repro.arch.testbench import (
 from repro.coverage import situations as situation_counts
 from repro.coverage.transfer import MAX_TRANSFER_WIDTH, case_flag_counts
 from repro.errors import SimulationError
-from repro.faults.sharding import resolve_workers, shard_bounds
 from repro.faults.universe import (
     adder_fault_cases,
     divider_fault_cases,
@@ -95,6 +95,7 @@ from repro.gates.engine import (
     SWEEP_FAULT_CHUNK,
     StuckAtCampaignResult,
     engine_for,
+    fifo_put,
     popcount_words,
     sweep_chunks,
 )
@@ -175,7 +176,7 @@ class _Accumulator:
     All tallies are integers; the two entry points -- boolean vectors
     (:meth:`update`) and pre-reduced counts (:meth:`update_counts`) --
     produce identical state, which is what makes the functional, gate
-    and transfer evaluators bit-identical and the sharded merges exact.
+    and transfer evaluators bit-identical and the span merges exact.
     """
 
     def __init__(self, names: Iterable[str]) -> None:
@@ -340,7 +341,7 @@ _SPECS: Dict[str, _OperatorSpec] = {
     ),
 }
 
-#: Per-case exact counts, picklable for shard merges:
+#: Per-case exact counts, concatenated across spans and checkpointed:
 #: (multiplicity, situation count, correct count, {technique: (covered,
 #: detected-while-correct)}).
 _CaseCounts = Tuple[int, int, int, Dict[str, Tuple[int, int]]]
@@ -353,7 +354,7 @@ def _functional_case_counts(
     case_lo: int,
     case_hi: int,
 ) -> List[_CaseCounts]:
-    """Shard worker: functional counts for fault cases [case_lo, case_hi)."""
+    """Functional counts for fault cases [case_lo, case_hi)."""
     spec = _SPECS[operator]
     a, b = _operand_pairs(width, spec.exclude_zero_divisor)
     out: List[_CaseCounts] = []
@@ -375,43 +376,37 @@ def _run_cases(
     worker: Callable[..., List[_CaseCounts]],
     args: Tuple,
     n_cases: int,
-    cost: int,
-    workers: Optional[int],
     method: str,
     key: Optional[CacheKey],
     store: Optional[ResultStore],
 ) -> Dict[str, CoverageStats]:
-    """The one sharded scaffold of the gate and functional sweeps.
+    """The one scaffold of the gate and functional sweeps.
 
     ``worker(*args, case_lo, case_hi)`` returns one :data:`_CaseCounts`
-    per fault case of its range.  The case range is split into
-    :func:`~repro.faults.sharding.shard_bounds` shards, run through
-    :func:`~repro.store.run_checkpointed` (per-shard checkpoints under
-    ``key.with_shard(case_lo, case_hi)`` when a store is open), and the
-    per-case counts concatenate in case order into one
-    :class:`_Accumulator`.  ``key`` (``None`` without a store) is the
-    final key; it leaves out the worker count, which never changes a
-    count, so any sharding reuses one entry.
+    per fault case of its range.  The whole collapsed range
+    ``[0, n_cases)`` runs as one span in this process through
+    :func:`~repro.store.run_checkpointed` (checkpointed under
+    ``key.with_shard(0, n_cases)`` when a store is open), and the
+    per-case counts fold in case order into one :class:`_Accumulator`.
+    ``key`` (``None`` without a store) is the final key.
     """
     if store is not None:
         cached = store.get(key)
         if cached is not None:
             return cached
-    n_workers = resolve_workers(workers, n_cases, cost=cost)
-    bounds = shard_bounds(n_cases, n_workers)
-    shards = run_checkpointed(
+    span = (0, n_cases)
+    (counts,) = run_checkpointed(
         worker,
-        [args + span for span in bounds],
-        None if store is None else [key.with_shard(*span) for span in bounds],
+        [args + span],
+        None if store is None else [key.with_shard(*span)],
         store,
     )
     acc = _Accumulator(_SPECS[operator].names)
-    for chunk in shards:
-        for repeat, count, n_correct, per in chunk:
-            acc.update_counts(count, n_correct, per, repeat=repeat)
+    for repeat, count, n_correct, per in counts:
+        acc.update_counts(count, n_correct, per, repeat=repeat)
     result = acc.stats(operator, width, method)
     if store is not None:
-        store.put(key, result, {"n_cases": n_cases, "workers": n_workers})
+        store.put(key, result, {"n_cases": n_cases})
     return result
 
 
@@ -419,7 +414,6 @@ def _run_functional(
     operator: str,
     width: int,
     cell_netlist: str,
-    workers: Optional[int],
     store: Optional[ResultStore] = None,
 ) -> Dict[str, CoverageStats]:
     n_cases = len(_SPECS[operator].case_list(width, cell_netlist))
@@ -434,13 +428,60 @@ def _run_functional(
         )
     return _run_cases(
         operator, width, _functional_case_counts, (operator, width, cell_netlist),
-        n_cases, n_cases << (2 * width), workers, "functional", key, store,
+        n_cases, "functional", key, store,
     )
 
 
 # ----------------------------------------------------------------------
 # Batched gate-level sweep (every operator with a test architecture)
 # ----------------------------------------------------------------------
+def _sweep_plan(
+    arch, engine, cell_netlist: str, case_lo: int, case_hi: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple]:
+    """The case span's layout and cone batches, planned once per engine.
+
+    Returns ``(multiplicities, sim_indices, batches)``: each collapsed
+    case's class size, the span offsets of the cases that need
+    simulation (reference-LUT cases need none), and their fault groups
+    clustered into cone batches of :data:`SWEEP_FAULT_CHUNK`, each with
+    its override plan (:func:`~repro.gates.sparse.build_schedule`).
+    The plan is kept on the architecture's engine, FIFO-bounded like the
+    campaigns' rounds, so a repeated sweep skips the fault-group
+    translation, both cone analyses and the schedule build.
+    """
+    key = (cell_netlist, case_lo, case_hi, SWEEP_FAULT_CHUNK)
+    plan = engine._sweeps.get(key)
+    if plan is not None:
+        return plan
+    from repro.analysis.cones import analyze_cones, analyze_gate_cones
+    from repro.gates.sparse import build_schedule
+
+    rep_cases = [
+        (group, position)
+        for group in collapsed_cell_library(cell_netlist)
+        for position in arch.positions
+    ][case_lo:case_hi]
+    # A reference group's LUT is identical to the fault-free cell: every
+    # situation is correct and no check fires, so it needs no simulation.
+    sim_indices = tuple(
+        k for k, (group, _) in enumerate(rep_cases) if not group.is_reference
+    )
+    fault_groups = [
+        arch.fault_group(rep_cases[k][0].representative.fault.fault, rep_cases[k][1])
+        for k in sim_indices
+    ]
+    # The analyses are memoised in-process only, so a sweep never
+    # writes to a store its caller did not open.
+    batches = build_schedule(
+        engine.compiled, fault_groups, SWEEP_FAULT_CHUNK,
+        analyze_gate_cones(arch.netlist, store=False),
+        analyze_cones(arch.netlist, store=False),
+    ).batches
+    plan = (tuple(group.multiplicity for group, _ in rep_cases), sim_indices, batches)
+    fifo_put(engine._sweeps, key, plan)
+    return plan
+
+
 def _gate_case_counts(
     operator: str,
     width: int,
@@ -448,59 +489,30 @@ def _gate_case_counts(
     case_lo: int,
     case_hi: int,
 ) -> List[_CaseCounts]:
-    """Shard worker: sweep counts for collapsed cases [case_lo, case_hi).
+    """Sweep counts for collapsed cases [case_lo, case_hi).
 
-    Rebuilds the (cached) test architecture and compiled engine locally,
-    clusters the range's fault groups into cone batches, each with its
-    override plan (:func:`~repro.gates.sparse.build_schedule`), then
-    streams the architecture's operand universe (``arch.space``) through
-    each batch's plan and cone chunk by chunk
-    (:func:`~repro.gates.engine.sweep_chunks`), reducing packed
+    Fetches the (cached) test architecture, its engine and the span's
+    plan (:func:`_sweep_plan`), then streams the architecture's operand
+    universe (``arch.space``) through each cone batch's plan chunk by
+    chunk (:func:`~repro.gates.engine.sweep_chunks`), reducing packed
     classification masks to counts via popcount -- vectors are never
     unpacked.  Masked universes (the divider's zero-divisor exclusion)
-    apply the space's valid-lane words before counting.
+    apply the space's valid-lane words before counting.  Adjacent spans
+    concatenate to the counts of their union.
     """
-    from repro.analysis.cones import analyze_cones, analyze_gate_cones
-    from repro.gates.sparse import build_schedule
-
     arch = table2_architecture(operator, width, cell_netlist)
     space = arch.space
     engine = engine_for(arch.netlist)
     names = _SPECS[operator].names
-    rep_cases = [
-        (group, position)
-        for group in collapsed_cell_library(cell_netlist)
-        for position in arch.positions
-    ][case_lo:case_hi]
+    multiplicities, sim_indices, batches = _sweep_plan(
+        arch, engine, cell_netlist, case_lo, case_hi
+    )
     n_valid = space.valid_count(0, space.n_words)
-    results: List[Optional[_CaseCounts]] = [None] * len(rep_cases)
-    sim_indices: List[int] = []
-    fault_groups = []
-    for k, (group, position) in enumerate(rep_cases):
-        if group.is_reference:
-            # LUT identical to the fault-free cell: every situation is
-            # correct and no check fires.  No simulation needed.
-            per = {name: (n_valid, 0) for name in names}
-            results[k] = (group.multiplicity, n_valid, n_valid, per)
-        else:
-            sim_indices.append(k)
-            fault_groups.append(
-                arch.fault_group(group.representative.fault.fault, position)
-            )
     n_result = arch.n_result_rows
     detect_names = list(arch.detect_rows)
-    # Cone-clustered batches of SWEEP_FAULT_CHUNK groups, planned once:
-    # each kernel call walks only its batch's union fan-out cone.  The
-    # analyses are memoised in-process only, so a sweep never writes to
-    # a store its caller did not open.
-    batches = build_schedule(
-        engine.compiled, fault_groups, SWEEP_FAULT_CHUNK,
-        analyze_gate_cones(arch.netlist, store=False),
-        analyze_cones(arch.netlist, store=False),
-    ).batches
     # correct, then (covered, detected-while-correct) per technique.
     tallies = np.zeros((len(sim_indices), 1 + 2 * len(names)), dtype=np.int64)
-    for _, _, rows, valid in sweep_chunks(engine, len(fault_groups), space):
+    for _, _, rows, valid in sweep_chunks(engine, len(sim_indices), space):
         for batch in batches:
             members = list(batch.members)
             out = engine.backend.run_outputs(
@@ -524,16 +536,19 @@ def _gate_case_counts(
                 det = dets[name]
                 tallies[members, 1 + 2 * j] += popcount_words(correct | det)
                 tallies[members, 2 + 2 * j] += popcount_words(correct & det)
+    # Reference cases first, then the simulated ones over them, in case
+    # order: the merge concatenates span lists.
+    results: List[_CaseCounts] = [
+        (multiplicity, n_valid, n_valid, {name: (n_valid, 0) for name in names})
+        for multiplicity in multiplicities
+    ]
     for row, k in enumerate(sim_indices):
-        group, _ = rep_cases[k]
         counts = [int(v) for v in tallies[row]]
         per = {
             name: (counts[1 + 2 * j], counts[2 + 2 * j])
             for j, name in enumerate(names)
         }
-        results[k] = (group.multiplicity, n_valid, counts[0], per)
-    # Every slot is filled (reference cases inline, simulated ones just
-    # above), in case order: the merge concatenates shard lists.
+        results[k] = (multiplicities[k], n_valid, counts[0], per)
     return results
 
 
@@ -541,7 +556,6 @@ def _run_gate(
     operator: str,
     width: int,
     cell_netlist: str,
-    workers: Optional[int],
     store: Optional[ResultStore] = None,
 ) -> Dict[str, CoverageStats]:
     if operator not in GATE_OPERATORS:
@@ -561,7 +575,7 @@ def _run_gate(
         )
     return _run_cases(
         operator, width, _gate_case_counts, (operator, width, cell_netlist),
-        n_cases, n_cases * arch.space.n_vectors, workers, "gate", key, store,
+        n_cases, "gate", key, store,
     )
 
 
@@ -618,16 +632,14 @@ def _evaluate(
     width: int,
     cell_netlist: str,
     method: str,
-    workers: Optional[int],
     store=None,
 ) -> Dict[str, CoverageStats]:
     if method not in EVALUATION_METHODS:
         raise SimulationError(
             f"unknown method {method!r}; choose from {EVALUATION_METHODS}"
         )
-    # Check width, method reach and an explicit worker count up front,
-    # so neither a store hit nor the pool-free transfer DP can skip a
-    # check, and no architecture is built for a width that must raise.
+    # Check width and method reach up front, so a store hit cannot skip
+    # a check and no architecture is built for a width that must raise.
     width = check_width(width)
     if operator == "mul" and width < 2:
         raise SimulationError(f"multiplier coverage needs width= >= 2, got {width}")
@@ -654,24 +666,21 @@ def _evaluate(
             f"transfer evaluation reaches width={MAX_TRANSFER_WIDTH} at most, "
             f"got width={width}"
         )
-    if workers is not None:
-        workers = resolve_workers(workers, 0)
     store = resolve_store(store)
     with obs_span(
         "coverage_evaluate", operator=operator, width=width, method=method
     ):
         if method == "gate":
-            return _run_gate(operator, width, cell_netlist, workers, store)
+            return _run_gate(operator, width, cell_netlist, store)
         if method == "transfer":
             return _run_transfer(operator, width, cell_netlist, store)
-        return _run_functional(operator, width, cell_netlist, workers, store)
+        return _run_functional(operator, width, cell_netlist, store)
 
 
 def evaluate_adder(
     width: int,
     cell_netlist: str = DEFAULT_CELL_NETLIST,
     method: str = "auto",
-    workers: Optional[int] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
     """Worst-case coverage of the overloaded ``+`` (Table 2).
@@ -682,18 +691,18 @@ def evaluate_adder(
     evaluation is exact at every width: by default the batched
     gate-level sweep while ``4**width`` fits
     ``DEFAULT_EXHAUSTIVE_LIMIT``, the transfer-matrix DP beyond (n = 16
-    included).  ``workers`` shards fault cases across processes (auto
-    by universe size) with bit-identical results.  Returns one
-    :class:`CoverageStats` per technique (``tech1``/``tech2``/``both``).
+    included).  The sweep runs in the calling process and keeps its plan
+    on the architecture's engine, so a repeated call skips the planning.
+    Returns one :class:`CoverageStats` per technique
+    (``tech1``/``tech2``/``both``).
     """
-    return _evaluate("add", width, cell_netlist, method, workers, store)
+    return _evaluate("add", width, cell_netlist, method, store)
 
 
 def evaluate_subtractor(
     width: int,
     cell_netlist: str = DEFAULT_CELL_NETLIST,
     method: str = "auto",
-    workers: Optional[int] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
     """Worst-case coverage of the overloaded ``-``.
@@ -702,17 +711,15 @@ def evaluate_subtractor(
     (``op1' = ris + op2``), Tech 2 computes the reversed difference
     (``ris' = op2 - op1``) on the same unit and tests ``ris + ris' == 0``
     (final summation fault-free, as it maps onto the comparator).
-    Method selection, sharding and return type as for
-    :func:`evaluate_adder`.
+    Method selection and return type as for :func:`evaluate_adder`.
     """
-    return _evaluate("sub", width, cell_netlist, method, workers, store)
+    return _evaluate("sub", width, cell_netlist, method, store)
 
 
 def evaluate_multiplier(
     width: int,
     cell_netlist: str = DEFAULT_CELL_NETLIST,
     method: str = "auto",
-    workers: Optional[int] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
     """Worst-case coverage of the overloaded ``*``.
@@ -724,16 +731,15 @@ def evaluate_multiplier(
     ripple-row array exactly up to n = 8 (``DEFAULT_ARRAY_GATE_LIMIT``);
     the 2-D array has no chain decomposition for the transfer DP, so a
     wider width raises unless ``method="gate"`` asks for the sweep.
-    Needs ``width >= 2``.  Sharding as for :func:`evaluate_adder`.
+    Needs ``width >= 2``.
     """
-    return _evaluate("mul", width, cell_netlist, method, workers, store)
+    return _evaluate("mul", width, cell_netlist, method, store)
 
 
 def evaluate_divider(
     width: int,
     cell_netlist: str = DEFAULT_CELL_NETLIST,
     method: str = "auto",
-    workers: Optional[int] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
     """Worst-case coverage of the overloaded ``/``.
@@ -748,7 +754,7 @@ def evaluate_divider(
     unrolled gate-level sweep is exact up to n = 8; like the
     multiplier, a wider width needs an explicit ``method="gate"``.
     """
-    return _evaluate("div", width, cell_netlist, method, workers, store)
+    return _evaluate("div", width, cell_netlist, method, store)
 
 
 @dataclass
@@ -839,13 +845,13 @@ def evaluate_operator(
     width: int,
     cell_netlist: str = DEFAULT_CELL_NETLIST,
     method: str = "auto",
-    workers: Optional[int] = None,
     store=None,
 ) -> Dict[str, CoverageStats]:
     """Dispatch to the per-operator evaluator by name.
 
-    Accepts the same method/sharding knobs as the individual evaluators
-    and returns their per-technique :class:`CoverageStats` dict.
+    Accepts the same ``method=``/``store=`` knobs as the individual
+    evaluators and returns their per-technique :class:`CoverageStats`
+    dict.
     """
     try:
         evaluator = _EVALUATORS[operator]
@@ -857,7 +863,6 @@ def evaluate_operator(
         width,
         cell_netlist=cell_netlist,
         method=method,
-        workers=workers,
         store=store,
     )
 

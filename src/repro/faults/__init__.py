@@ -13,8 +13,8 @@ Permanent, transient and intermittent faults are all covered.
   workloads (:class:`FaultInjector`) and the batched gate-level
   campaigns (:func:`run_gate_level_campaign`,
   :func:`run_sharded_stuck_at_campaign`);
-* :mod:`repro.faults.sharding` -- process-pool sharding policy shared
-  by campaigns and the coverage evaluators (bit-identical merges);
+* :mod:`repro.faults.sharding` -- the in-process, order-preserving
+  shard loop behind the coverage sweeps' span checkpoints;
 * :mod:`repro.faults.incremental` -- campaign recomputation across
   netlist edits: structural diff, verdict-preservation proofs, and
   store-backed reuse (:func:`incremental_stuck_at_campaign`).

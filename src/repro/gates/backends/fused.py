@@ -76,7 +76,7 @@ def _drop_workspace() -> None:
     _WORKSPACE.__dict__.pop("buf", None)
 
 
-# A forked shard worker allocates its own workspace: writing into the
+# A forked child allocates its own workspace: writing into the
 # inherited one would copy it page by page (NumPy backs large arrays
 # with huge pages, and copy-on-write splits them), about 5x the page
 # faults of a fresh buffer on the Table 1 n = 8 sweeps.

@@ -71,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -509,6 +509,18 @@ def sweep_chunks(
         yield lo, hi, rows, source.valid_words(lo, hi, rows=rows)
 
 
+#: Entries each engine keeps per plan cache (``_rounds``, ``_sweeps``).
+PLAN_CACHE_ENTRIES = 32
+
+
+def fifo_put(cache: Dict[Any, Any], key: Any, value: Any) -> None:
+    """Store ``value`` under ``key``, evicting the oldest entries so
+    ``cache`` holds at most :data:`PLAN_CACHE_ENTRIES`."""
+    while len(cache) >= PLAN_CACHE_ENTRIES:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
 class _DetectSweep:
     """The one cone-scheduled detection loop over a fault-class list.
 
@@ -558,9 +570,7 @@ class _DetectSweep:
             analyze_cones(compiled.source, store=False),
         ).batches
         if rounds is not None:
-            while len(rounds) >= 32:
-                del rounds[next(iter(rounds))]
-            rounds[key] = batches
+            fifo_put(rounds, key, batches)
         return batches
 
     def __call__(
@@ -654,6 +664,10 @@ class BitParallelEngine:
         # active classes, rows-per-batch) -> batches, each carrying its
         # plan; default-universe rounds only, FIFO-bounded.
         self._rounds: Dict[Tuple[int, Tuple[int, ...], int], Tuple] = {}
+        # Table-sweep plan cache (repro.coverage.engine._gate_case_counts):
+        # (cell netlist, case span, rows-per-batch) -> the span's case
+        # layout and cone batches; FIFO-bounded like _rounds.
+        self._sweeps: Dict[Tuple[str, int, int, int], Tuple] = {}
 
     # ------------------------------------------------------------------
     # Packing

@@ -7,7 +7,7 @@ The observability layer the campaign stack reports through:
   exporter and a ``REPRO_METRICS`` dump-on-exit;
 * :mod:`repro.obs.trace` -- nestable :func:`span` context managers and
   :func:`emit_event`, recording to an in-memory ring and, with
-  ``REPRO_TRACE`` set, a JSON-lines file safe across shard processes;
+  ``REPRO_TRACE`` set, a JSON-lines file safe across processes;
 * :mod:`repro.obs.events` -- the campaign lifecycle vocabulary (shard
   submitted/started/completed/merged, checkpoint written/resumed,
   store corruption, campaign completed) every subsystem emits through;

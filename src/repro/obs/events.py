@@ -10,10 +10,10 @@ the stack import only this module, so the taxonomy lives in one place:
 event                  emitted by
 =====================  ==============================================
 ``shard_submitted``    :func:`repro.faults.sharding.run_sharded`, one
-                       per shard handed to the worker pool
-``shard_started``      ditto, with the worker pid once known
-``shard_completed``    ditto, with the shard's in-worker wall seconds
-``shard_failed``       ditto, when the shard's worker raised
+                       per case span it is handed
+``shard_started``      ditto, with the running pid
+``shard_completed``    ditto, with the span's wall seconds
+``shard_failed``       ditto, when the span's worker raised
 ``shards_merged``      ditto, once after the ordered merge
 ``checkpoint_written`` :func:`repro.store.checkpoint.run_checkpointed`
                        after landing a shard artifact in the store

@@ -14,11 +14,10 @@ lock, so totals are exact under any interleaving of writer threads
 thread counts).
 
 One process-wide registry (:func:`registry`) backs the module-level
-helpers :func:`inc` / :func:`set_gauge` / :func:`observe`; campaign
-workers forked by the shard runner reset their inherited copy
-(``os.register_at_fork``) and hand their raw series back to the parent
-through the results queue, where :meth:`MetricsRegistry.merge_raw`
-folds them in -- so the parent snapshot covers the whole campaign.
+helpers :func:`inc` / :func:`set_gauge` / :func:`observe`; a forked
+child resets its inherited copy (``os.register_at_fork``), so series
+a child ships back and :meth:`MetricsRegistry.merge_raw` folds in are
+never counted twice.
 
 Exporters: :meth:`MetricsRegistry.snapshot` (plain dict, embedded into
 ``BENCH_*.json`` trajectories) and :meth:`MetricsRegistry.to_json`.
@@ -248,8 +247,7 @@ class MetricsRegistry:
         """Every live series as ``(family, name, labels, value)``.
 
         Histogram values are exported as plain dicts, so the list is
-        picklable -- this is the form shard workers ship back through
-        the results queue for :meth:`merge_raw`.
+        picklable -- the form :meth:`merge_raw` folds back in.
         """
         with self._lock:
             items = list(self._series.items())
@@ -265,9 +263,8 @@ class MetricsRegistry:
     def merge_raw(self, series: Iterable[RawSeries]) -> None:
         """Fold another registry's :meth:`raw_series` export into this one.
 
-        Counters and histogram states add; gauges last-write-wins.  The
-        shard runner uses this to surface worker-process metrics in the
-        parent.
+        Counters and histogram states add; gauges last-write-wins;
+        :func:`merge_snapshot` folds metrics dumps through it.
         """
         with self._lock:
             cell = self._series
@@ -489,8 +486,8 @@ def merge_snapshot(target: MetricsRegistry, snapshot: Mapping[str, Mapping[str, 
 
 
 def _reset_in_child() -> None:
-    # A forked shard worker inherits the parent's counts; they must not
-    # ride back through merge_raw a second time.
+    # A forked child inherits the parent's counts; they must not ride
+    # back through merge_raw a second time.
     _REGISTRY.reset()
 
 

@@ -26,8 +26,8 @@ overflow drops the oldest record and counts
 ``repro_trace_ring_dropped_total``).  When the ``REPRO_TRACE``
 environment variable names a file, each record is additionally
 serialized and appended with a single ``O_APPEND`` write -- atomic
-enough that shard worker processes sharing the path never interleave
-partial lines.  The file sink reopens its descriptor after a fork, so
+enough that processes sharing the path never interleave partial
+lines.  The file sink reopens its descriptor after a fork, so
 children inherit the path but not a shared file offset.
 
 Tracing never changes results: span bodies run unmodified, and the
@@ -292,9 +292,7 @@ def read_trace(path: str) -> List[Dict[str, Any]]:
 def _flush_at_exit() -> None:
     # A trace file should be self-contained for report.py: append the
     # final metrics snapshot so store hit rates and kernel histograms
-    # travel with the spans.  Forked pool workers exit via os._exit and
-    # never reach this -- their metrics return through the sharding
-    # results queue instead.
+    # travel with the spans.
     if tracing_to_file():
         snap = metrics.registry().snapshot()
         if any(snap.values()):

@@ -11,10 +11,10 @@ few netlists evaluated under the same fault universes again and again
   ``.npz``/JSON entries with provenance sidecars and an in-process LRU;
   opt-in via ``store=`` keywords or the ``REPRO_STORE`` environment
   variable, off by default.
-- :mod:`repro.store.checkpoint` -- :func:`run_checkpointed`: per-shard
-  checkpoints landing in the store as they complete, so a killed
-  coverage sweep resumes by re-running only its missing shards and
-  still merges bit-identically.
+- :mod:`repro.store.checkpoint` -- :func:`run_checkpointed`: per-span
+  checkpoints landing in the store as they complete, so a killed run
+  cut into several case spans resumes by re-running only its missing
+  spans and still merges bit-identically.
 """
 
 from repro.store.checkpoint import (

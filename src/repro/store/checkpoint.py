@@ -1,6 +1,6 @@
 """Checkpointed, resumable shard execution.
 
-:func:`run_checkpointed` is the bridge between the shard runner
+:func:`run_checkpointed` is the bridge between the shard loop
 (:func:`repro.faults.sharding.run_sharded`) and the result store: every
 shard's partial result lands in the store *as it completes*, keyed by
 the coverage sweep's final :class:`~repro.store.hashing.CacheKey`
@@ -9,18 +9,20 @@ the same sweep -- after a crash, a kill, or on another day -- loads every
 finished shard from the store and executes only the missing ones; the
 caller's order-preserving merge then reproduces the uninterrupted
 result bit-identically, because loaded and freshly computed shards are
-exact round-trips of each other.
+exact round-trips of each other.  The coverage sweeps run one span over
+their whole case range; callers that cut a range into several spans
+(the crash/replay suite, ``tests/test_store_resume.py``) get one
+checkpoint per span.
 
 With ``store=None`` the same entry simply runs every shard, so the
 coverage sweeps have one code path whether or not a store is open.
 
 For tests, :func:`shard_hook` installs a callable fired *before* each
-shard executes.  While a hook is installed, execution is sequential and
-in-process, so a hook that raises after ``k`` shards simulates a crash
-that leaves exactly ``k`` checkpoints behind -- the crash/replay suite
-(``tests/test_store_resume.py``) is built on this.  Every run records a
-:class:`CheckpointReport` retrievable via :func:`last_checkpoint_report`
-stating how many shards loaded versus executed.
+shard executes, so a hook that raises after ``k`` shards simulates a
+crash that leaves exactly ``k`` checkpoints behind.  Every run records
+a :class:`CheckpointReport` retrievable via
+:func:`last_checkpoint_report` stating how many shards loaded versus
+executed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.obs import events
 from repro.store.hashing import CacheKey
 from repro.store.store import ResultStore
 
-#: Test-only pre-shard callable; forces sequential in-process execution.
+#: Test-only callable fired before each shard executes.
 _SHARD_HOOK: Optional[Callable[[int], None]] = None
 
 _LAST_REPORT: Optional["CheckpointReport"] = None
@@ -59,9 +61,9 @@ def last_checkpoint_report() -> Optional[CheckpointReport]:
 def shard_hook(hook: Optional[Callable[[int], None]]):
     """Install ``hook(shard_index)`` to fire before each shard executes.
 
-    Execution becomes sequential and in-process for the duration, so a
-    raising hook leaves all previously completed shards checkpointed --
-    the crash simulation of the replay test suite.
+    Shards run in order, so a raising hook leaves all previously
+    completed shards checkpointed -- the crash simulation of the replay
+    test suite.
     """
     global _SHARD_HOOK
     previous = _SHARD_HOOK
@@ -82,11 +84,10 @@ def run_checkpointed(
     """Run ``worker(*args)`` per tuple with per-shard store checkpoints.
 
     ``keys[i]`` addresses shard ``i``'s partial result.  Shards already
-    in the store load instead of executing; missing shards run (pooled
-    through :func:`~repro.faults.sharding.run_sharded`, unless a
-    :func:`shard_hook` is installed) and are stored the moment they
-    complete.  Results return in submission order, so the caller's
-    merge is identical to an unsharded merge.
+    in the store load instead of executing; missing shards run in order
+    through :func:`~repro.faults.sharding.run_sharded` and are stored
+    the moment they complete.  Results return in submission order, so
+    the caller's merge is identical to an unsharded merge.
 
     With ``store=None`` nothing loads or lands and ``keys`` may be
     ``None``: every shard runs.
@@ -116,12 +117,13 @@ def run_checkpointed(
             store.put(keys[index], result, provenance)  # type: ignore[index]
             events.emit(events.CHECKPOINT_WRITTEN, shard=index, n_shards=total)
 
-    if _SHARD_HOOK is not None:
-        for position, index in enumerate(missing):
+    def run(index: int) -> Any:
+        if _SHARD_HOOK is not None:
             _SHARD_HOOK(index)
-            land(position, worker(*arg_tuples[index]))
-    elif missing:
-        run_sharded(worker, [arg_tuples[index] for index in missing], on_result=land)
+        return worker(*arg_tuples[index])
+
+    if missing:
+        run_sharded(run, [(index,) for index in missing], on_result=land)
 
     _LAST_REPORT = CheckpointReport(
         total=total, loaded=total - len(missing), executed=len(missing)

@@ -163,7 +163,7 @@ class ResultStore:
         """Store ``value`` under ``key`` (atomic; overwrites silently).
 
         ``provenance`` extends the sidecar's provenance record (e.g.
-        wall-clock build time, worker count).
+        wall-clock build time, case count).
         """
         tag, arrays, meta = codecs.encode(value)
         npz_path, json_path = self.paths(key)

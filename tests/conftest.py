@@ -14,9 +14,8 @@ def use_backend(monkeypatch):
     :func:`~repro.gates.backends.resolve_backend_name` reads it at call
     time and ``engine_for`` caches engines per resolved name.  Call it
     again to switch mid-test; the patch is undone at teardown.  Whole-
-    stack differential tests pass ``workers=1`` and ``store=False``:
-    store keys do not name the backend, and a worker process runs the
-    default unless it forked from the patched parent.
+    stack differential tests pass ``store=False``: store keys do not
+    name the backend.
     """
 
     def select(name):

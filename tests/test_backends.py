@@ -6,7 +6,7 @@ evaluation path: exhaustive campaigns under every collapse mode,
 fault-group output matrices, detection words, coverage sweeps,
 dictionary builds, compact test sets and incremental campaigns.  Whole-
 stack cases select a backend through the ``use_backend`` fixture
-(``tests/conftest.py``), with ``workers=1`` and ``store=False``;
+(``tests/conftest.py``), with ``store=False``;
 kernel-level cases construct the backends directly.  Tests enumerate
 :func:`repro.gates.backends.list_backends` instead of hand-listing
 oracles.
@@ -20,8 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.arch.cell import collapsed_cell_library
-from repro.coverage.engine import _gate_case_counts, evaluate_operator
+from repro.arch.cell import DEFAULT_CELL_NETLIST, collapsed_cell_library
+from repro.coverage.engine import _Accumulator, _gate_case_counts, evaluate_operator
 from repro.errors import SimulationError
 from repro.faults.incremental import incremental_stuck_at_campaign
 from repro.gates import builders
@@ -347,7 +347,7 @@ class TestFaultGroupEquivalence:
         for name in FAST_BACKENDS:
             use_backend(name)
             stats = evaluate_operator(
-                "add", width, method="gate", workers=1, store=False
+                "add", width, method="gate", store=False
             )
             key = {
                 tech: (s.situations, s.covered, s.detected_while_correct)
@@ -364,14 +364,20 @@ class TestFaultGroupEquivalence:
 # ----------------------------------------------------------------------
 class TestShardingInvariance:
     def test_sharded_gate_sweep_matches_unsharded(self, use_backend):
-        # The unsharded sweep runs in this process on the oracle; the
-        # workers of the sharded one run the default (or, forked from
-        # this process, the patched oracle) -- the merge equals it
-        # either way.
+        # The evaluator sweeps one span on the default backend; three
+        # spans on the oracle, folded the way the evaluator folds its
+        # one span, give the same stats.
+        lone = evaluate_operator("add", 4, method="gate", store=False)
         use_backend("python_loop")
-        lone = evaluate_operator("add", 4, method="gate", workers=1, store=False)
-        sharded = evaluate_operator("add", 4, method="gate", workers=3, store=False)
-        assert lone == sharded
+        arch = table2_architecture("add", 4)
+        n_cases = len(collapsed_cell_library()) * len(arch.positions)
+        acc = _Accumulator(lone)
+        for lo, hi in ((0, n_cases // 3), (n_cases // 3, n_cases - 1), (n_cases - 1, n_cases)):
+            for repeat, count, n_correct, per in _gate_case_counts(
+                "add", 4, DEFAULT_CELL_NETLIST, lo, hi
+            ):
+                acc.update_counts(count, n_correct, per, repeat=repeat)
+        assert acc.stats("add", 4, "gate") == lone
 
 
 # ----------------------------------------------------------------------
@@ -713,7 +719,7 @@ class TestStoreDifferential:
         use_backend(backend)
         store = ResultStore(tmp_path)
         cold = {
-            (unit, width): evaluate_operator(unit, width, workers=1, store=store)
+            (unit, width): evaluate_operator(unit, width, store=store)
             for unit in UNITS
             for width in self.WIDTHS
         }
@@ -721,7 +727,7 @@ class TestStoreDifferential:
         assert after_cold["puts"] > 0
 
         warm = {
-            (unit, width): evaluate_operator(unit, width, workers=1, store=store)
+            (unit, width): evaluate_operator(unit, width, store=store)
             for unit in UNITS
             for width in self.WIDTHS
         }
@@ -739,9 +745,9 @@ class TestStoreDifferential:
         use_backend(backend)
         store = ResultStore(tmp_path)
         for unit in UNITS:
-            plain = evaluate_operator(unit, 3, workers=1, store=False)
-            evaluate_operator(unit, 3, workers=1, store=store)
-            warm = evaluate_operator(unit, 3, workers=1, store=store)
+            plain = evaluate_operator(unit, 3, store=False)
+            evaluate_operator(unit, 3, store=store)
+            warm = evaluate_operator(unit, 3, store=store)
             assert warm == plain
 
     def test_warm_dictionary_round_trip_via_store(self, tmp_path):

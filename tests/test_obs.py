@@ -31,7 +31,7 @@ from repro.obs import events, metrics, trace
 from repro.obs import report as obs_report
 from repro.obs.metrics import MetricsRegistry
 from repro.store import CacheKey, ResultStore
-from repro.store.checkpoint import run_checkpointed, shard_hook
+from repro.store.checkpoint import run_checkpointed
 from repro.store.store import StoreCorruptionWarning
 
 
@@ -317,6 +317,19 @@ def test_single_shard_path_emits_events_too():
         assert _event_count(name) == 1
 
 
+def _inverse(x):
+    return 1 / x
+
+
+def test_failed_shard_keeps_events_balanced():
+    with pytest.raises(ZeroDivisionError):
+        run_sharded(_inverse, [(1,), (0,), (2,)])
+    assert _event_count(events.SHARD_SUBMITTED) == 2
+    assert _event_count(events.SHARD_COMPLETED) == 1
+    assert _event_count(events.SHARD_FAILED) == 1
+    assert _event_count(events.SHARDS_MERGED) == 0
+
+
 def test_checkpoint_events(tmp_path):
     store = ResultStore(tmp_path)
     keys = [
@@ -324,11 +337,9 @@ def test_checkpoint_events(tmp_path):
                  method="m", params=str(i))
         for i in range(3)
     ]
-    with shard_hook(lambda i: None):  # sequential, in-process
-        run_checkpointed(_boxed_square, [(1,), (2,), (3,)], keys, store)
+    run_checkpointed(_boxed_square, [(1,), (2,), (3,)], keys, store)
     assert metrics.get_counter("repro_events_total", event=events.CHECKPOINT_WRITTEN) == 3
-    with shard_hook(lambda i: None):
-        again = run_checkpointed(_boxed_square, [(1,), (2,), (3,)], keys, store)
+    again = run_checkpointed(_boxed_square, [(1,), (2,), (3,)], keys, store)
     assert again == [{"v": 1}, {"v": 4}, {"v": 9}]
     assert metrics.get_counter("repro_events_total", event=events.CHECKPOINT_RESUMED) == 3
 
@@ -399,13 +410,13 @@ def test_traced_campaign_bit_identical_and_balanced(tmp_path, monkeypatch):
     net = builders.ripple_carry_adder(4)
     monkeypatch.delenv(trace.TRACE_ENV, raising=False)
     plain = run_sharded_stuck_at_campaign(net, store=False)
-    plain_sweep = evaluate_adder(3, workers=2, store=False)
+    plain_sweep = evaluate_adder(3, store=False)
 
     trace_path = tmp_path / "campaign.jsonl"
     monkeypatch.setenv(trace.TRACE_ENV, str(trace_path))
     traced = run_sharded_stuck_at_campaign(net, store=False)
-    # Campaigns run in-process; the two shards come from the sweep.
-    traced_sweep = evaluate_adder(3, workers=2, store=False)
+    # The campaign runs no shard loop; the sweep runs one span.
+    traced_sweep = evaluate_adder(3, store=False)
 
     assert np.array_equal(plain.detected, traced.detected)
     assert np.array_equal(plain.first_detected, traced.first_detected)
@@ -415,7 +426,7 @@ def test_traced_campaign_bit_identical_and_balanced(tmp_path, monkeypatch):
     records = trace.read_trace(str(trace_path))  # strict parse
     names = [r.get("name") for r in records if r.get("type") == "event"]
     submitted = names.count(events.SHARD_SUBMITTED)
-    assert submitted == 2
+    assert submitted == 1
     assert submitted == names.count(events.SHARD_COMPLETED) + names.count(
         events.SHARD_FAILED
     )
@@ -425,7 +436,7 @@ def test_traced_campaign_bit_identical_and_balanced(tmp_path, monkeypatch):
 
     summary = obs_report.summarize(records)
     assert summary["shards"]["balanced"] is True
-    assert summary["shards"]["completed"] == 2
+    assert summary["shards"]["completed"] == 1
     campaigns = [
         c for c in summary["campaigns"] if c["span"] == "sharded_campaign"
     ]
@@ -475,12 +486,12 @@ def _clean_env():
 def test_report_cli_renders_trace(tmp_path, monkeypatch, capsys):
     trace_path = tmp_path / "t.jsonl"
     monkeypatch.setenv(trace.TRACE_ENV, str(trace_path))
-    evaluate_adder(3, workers=2, store=False)
+    evaluate_adder(3, store=False)
     monkeypatch.delenv(trace.TRACE_ENV)
 
     assert obs_report.main([str(trace_path)]) == 0
     out = capsys.readouterr().out
-    assert "shards: submitted=2 completed=2" in out
+    assert "shards: submitted=1 completed=1" in out
     assert "balanced=yes" in out
     assert obs_report.main([str(trace_path), "--json"]) == 0
     decoded = json.loads(capsys.readouterr().out)

@@ -1,9 +1,9 @@
-"""Where the process pool runs, and what ``workers=`` accepts.
+"""Everything runs in the calling process, and what the sweeps accept.
 
-Only the Table 1/2 coverage sweeps shard across processes.  Stuck-at
-campaigns, fault dictionaries and the ATPG entry points always run in
-the calling process and take no ``workers=`` at all; the sweeps reject
-an explicit worker count or a width that is not a positive integer.
+No entry point starts a process pool or takes ``workers=``: stuck-at
+campaigns, fault dictionaries, the ATPG entry points and the Table 1/2
+coverage sweeps all run in the calling process.  The sweeps reject a
+width that is not a positive integer before any store lookup.
 """
 
 import concurrent.futures
@@ -17,14 +17,15 @@ from repro.coverage.engine import (
     evaluate_divider,
     evaluate_gate_level,
     evaluate_multiplier,
+    evaluate_operator,
     evaluate_subtractor,
+    theoretical_situations,
 )
 from repro.errors import SimulationError
 from repro.faults.injector import (
     run_gate_level_campaign,
     run_sharded_stuck_at_campaign,
 )
-from repro.faults.sharding import resolve_workers
 from repro.store import ResultStore
 from repro.tpg.dictionary import build_fault_dictionary, replay_detected
 from repro.tpg.generate import (
@@ -52,6 +53,12 @@ class TestInProcess:
         assert dictionary.n_vectors == unit_space("mul", 8).n_vectors
         assert dictionary.detected_count > 0
 
+    def test_table_sweeps_never_start_a_pool(self, monkeypatch):
+        # The Table 1 mul n = 8 sweep is the largest default sweep.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+        stats = evaluate_multiplier(8, store=False)
+        assert stats["both"].situations == theoretical_situations("mul", 8)
+
     @pytest.mark.parametrize(
         "function",
         (
@@ -62,22 +69,15 @@ class TestInProcess:
             replay_detected,
             compact_test_set,
             unit_test_set,
+            evaluate_adder,
+            evaluate_subtractor,
+            evaluate_multiplier,
+            evaluate_divider,
+            evaluate_operator,
         ),
     )
     def test_no_workers_parameter(self, function):
         assert "workers" not in inspect.signature(function).parameters
-
-
-class TestWorkersValidation:
-    @pytest.mark.parametrize("workers", (0, 2.5))
-    def test_evaluator_rejects_bad_workers(self, workers):
-        with pytest.raises(SimulationError, match="workers="):
-            evaluate_adder(3, workers=workers, store=False)
-
-    @pytest.mark.parametrize("workers", (0, -3, 2.7, True, "2"))
-    def test_resolver_rejects_bad_workers(self, workers):
-        with pytest.raises(SimulationError, match="workers="):
-            resolve_workers(workers, 10)
 
 
 class TestWidthValidation:

@@ -1,4 +1,4 @@
-"""Exactness, parity and shard-invariance of the batched Table 2 paths.
+"""Exactness, parity and span merges of the batched Table 2 paths.
 
 Three independent evaluators exist for the chain operators: the seed
 functional LUT-splicing loop, the batched gate-level sweep (multi-site
@@ -6,7 +6,8 @@ fault groups over word-packed exhaustive vectors) and the carry-state
 transfer matrix.  They model the same experiment, so their integer
 situation counts must agree bit-for-bit -- these tests pin that, plus
 the method resolution (exact methods only; a width no default method
-reaches raises) and the bit-identical merges of process-sharded sweeps.
+reaches raises), the bit-identical merge of adjacent fault-case spans,
+and the gate sweep's plan-once cache on each architecture's engine.
 """
 
 import numpy as np
@@ -15,6 +16,9 @@ import pytest
 from repro.arch.cell import collapsed_cell_library, faulty_cell_library
 from repro.arch.testbench import table2_architecture
 from repro.coverage.engine import (
+    _SPECS,
+    _functional_case_counts,
+    _gate_case_counts,
     evaluate_adder,
     evaluate_divider,
     evaluate_multiplier,
@@ -23,7 +27,8 @@ from repro.coverage.engine import (
     theoretical_situations,
 )
 from repro.errors import SimulationError
-from repro.faults.sharding import shard_bounds
+from repro.gates import sparse
+from repro.gates.engine import PLAN_CACHE_ENTRIES, SWEEP_FAULT_CHUNK, engine_for
 
 
 def _key(stats):
@@ -131,23 +136,94 @@ class TestMethodResolution:
             evaluate_adder(11, method="functional", store=False)
 
 
-class TestShardInvariance:
-    def test_gate_sweep_workers_bit_identical(self):
-        """Acceptance: 1 vs 4 workers give bit-identical Table 2 cells."""
-        assert _key(evaluate_adder(4, workers=1)) == _key(
-            evaluate_adder(4, workers=4)
-        )
+def _gate_cases(operator, width, cell_netlist="xor3_majority"):
+    arch = table2_architecture(operator, width, cell_netlist)
+    return len(collapsed_cell_library(cell_netlist)) * len(arch.positions)
 
-    def test_functional_workers_bit_identical(self):
-        assert _key(evaluate_multiplier(3, method="functional", workers=1)) == _key(
-            evaluate_multiplier(3, method="functional", workers=3)
-        )
 
-    def test_shard_bounds_partition(self):
-        for n, k in ((10, 3), (7, 7), (5, 8), (0, 4), (1, 1)):
-            bounds = shard_bounds(n, k)
-            covered = [i for lo, hi in bounds for i in range(lo, hi)]
-            assert covered == list(range(n))
+class TestSpanMerge:
+    """Adjacent fault-case spans concatenate to their union's counts --
+    the merge property the store's span checkpoints rely on."""
+
+    @pytest.mark.parametrize("operator,width", [("add", 3), ("mul", 3), ("div", 3)])
+    def test_gate_spans_concatenate(self, operator, width):
+        args = (operator, width, "xor3_majority")
+        n = _gate_cases(operator, width)
+        whole = _gate_case_counts(*args, 0, n)
+        assert len(whole) == n
+        for k in (1, n // 3, n - 1):
+            assert _gate_case_counts(*args, 0, k) + _gate_case_counts(*args, k, n) == whole
+
+    @pytest.mark.parametrize("operator,width", [("add", 3), ("mul", 3), ("div", 3)])
+    def test_functional_spans_concatenate(self, operator, width):
+        args = (operator, width, "xor3_majority")
+        n = len(_SPECS[operator].case_list(width, "xor3_majority"))
+        whole = _functional_case_counts(*args, 0, n)
+        assert len(whole) == n
+        for k in (1, n // 3, n - 1):
+            assert (
+                _functional_case_counts(*args, 0, k)
+                + _functional_case_counts(*args, k, n)
+            ) == whole
+
+
+@pytest.fixture
+def schedule_builds(monkeypatch):
+    """Record every :func:`repro.gates.sparse.build_schedule` call."""
+    calls = []
+    real = sparse.build_schedule
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sparse, "build_schedule", spy)
+    return calls
+
+
+class TestPlanOnce:
+    """The gate sweep keeps each span's plan on the architecture's engine."""
+
+    def test_repeat_call_builds_no_schedule(self, schedule_builds):
+        first = evaluate_operator("mul", 4, store=False)
+        del schedule_builds[:]
+        again = evaluate_operator("mul", 4, store=False)
+        assert schedule_builds == []
+        assert again == first
+
+    def test_span_and_cell_netlist_get_their_own_entries(self, schedule_builds):
+        n = _gate_cases("mul", 3)
+        engine = engine_for(table2_architecture("mul", 3, "xor3_majority").netlist)
+        engine._sweeps.clear()
+        whole = _gate_case_counts("mul", 3, "xor3_majority", 0, n)
+        assert len(schedule_builds) == 1
+        assert _gate_case_counts("mul", 3, "xor3_majority", 0, n) == whole
+        assert len(schedule_builds) == 1
+        _gate_case_counts("mul", 3, "xor3_majority", 0, n - 1)
+        assert len(schedule_builds) == 2
+        assert set(engine._sweeps) == {
+            ("xor3_majority", 0, n, SWEEP_FAULT_CHUNK),
+            ("xor3_majority", 0, n - 1, SWEEP_FAULT_CHUNK),
+        }
+        other = engine_for(table2_architecture("mul", 3, "two_xor").netlist)
+        other._sweeps.clear()
+        n_other = _gate_cases("mul", 3, "two_xor")
+        _gate_case_counts("mul", 3, "two_xor", 0, n_other)
+        assert len(schedule_builds) == 3
+        assert ("two_xor", 0, n_other, SWEEP_FAULT_CHUNK) in other._sweeps
+
+    def test_cache_is_fifo_bounded(self):
+        n = _gate_cases("add", 2)
+        assert n > PLAN_CACHE_ENTRIES
+        engine = engine_for(table2_architecture("add", 2, "xor3_majority").netlist)
+        engine._sweeps.clear()
+        for hi in range(1, n + 1):
+            _gate_case_counts("add", 2, "xor3_majority", 0, hi)
+            assert len(engine._sweeps) <= PLAN_CACHE_ENTRIES
+        # The oldest spans were evicted first.
+        assert [key[2] for key in engine._sweeps] == list(
+            range(n - PLAN_CACHE_ENTRIES + 1, n + 1)
+        )
 
 
 class TestCollapsingAndTranslation:

@@ -579,7 +579,10 @@ class TestMatrixBudget:
             lambda *a, **k: batches.append(build(*a, **k)) or batches[-1],
         )
         for operator in ("mul", "div"):
-            evaluate_operator(operator, 8, method="gate", workers=1, store=False)
+            # Plan afresh: an earlier sweep may have left its plan on
+            # the architecture's engine.
+            gate_engine.engine_for(table2_architecture(operator, 8).netlist)._sweeps.clear()
+            evaluate_operator(operator, 8, method="gate", store=False)
         assert not transient
         assert len(plans) == sum(len(s.batches) for s in batches) > 0
 
