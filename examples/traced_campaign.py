@@ -69,7 +69,9 @@ def main() -> None:
 
     shards = summary["shards"]
     assert shards["submitted"] == 1 and shards["balanced"]
-    assert summary["store"]["puts"] == 2  # the span checkpoint and the final entry
+    # The registry is process-global; the store's own stats count only
+    # this sweep's writes: the span checkpoint and the final entry.
+    assert store.stats.snapshot()["puts"] == 2
     if metrics.METRICS_ENV not in os.environ:
         # Kernel profiling rides the env gates: off again once unset.
         assert metrics.kernel_profiling_enabled() is False

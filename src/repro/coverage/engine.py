@@ -173,10 +173,10 @@ class CoverageStats:
 class _Accumulator:
     """Per-technique running tallies across fault cases.
 
-    All tallies are integers; the two entry points -- boolean vectors
-    (:meth:`update`) and pre-reduced counts (:meth:`update_counts`) --
-    produce identical state, which is what makes the functional, gate
-    and transfer evaluators bit-identical and the span merges exact.
+    All tallies are integers and every evaluator folds its fault cases
+    through one entry point, :meth:`update_counts`, which is what makes
+    the functional, gate and transfer evaluators bit-identical and the
+    span merges exact.
     """
 
     def __init__(self, names: Iterable[str]) -> None:
@@ -187,17 +187,6 @@ class _Accumulator:
         self.detected_correct = {name: 0 for name in self.names}
         self.case_min = {name: 1.0 for name in self.names}
         self.case_max = {name: 0.0 for name in self.names}
-
-    def update(self, correct: np.ndarray, detections: Dict[str, np.ndarray]) -> None:
-        """Fold in one fault case given per-situation boolean vectors."""
-        per_name = {}
-        for name in self.names:
-            det = detections[name]
-            per_name[name] = (
-                int(np.sum(correct | det)),
-                int(np.sum(correct & det)),
-            )
-        self.update_counts(correct.size, int(np.sum(correct)), per_name)
 
     def update_counts(
         self,

@@ -6,22 +6,26 @@
 derived kernels (:meth:`FusedBackend.run_detect` /
 :meth:`run_outputs`) never materialise the full fault-major matrix.
 
-**Tainted-prefix fault evaluation.**  A fault row cannot differ from
-the fault-free run below the topological level of its shallowest site
-(:attr:`OverridePlan.row_levels`), so rows are sorted by that level
-and every net carries only a *tainted prefix* of rows -- the
-high-water mark ``hw[net]`` -- with the shared golden row standing in
-for everything beyond.  Each gate folds its operands segment by
-segment (matrix x matrix where both prefixes reach, matrix x
-broadcast-golden between the marks) and override rows are fixed up
-individually, so the arithmetic volume drops to the tainted fraction
-of the matrix -- about 0.7 of it on the RCA-8 campaign, 0.5 on the
-8-bit array multiplier.  Results are bit-identical to the reference loop:
-untainted rows *are* the golden run.  Given one batch of a cone
-schedule, both derived kernels further restrict the walk to the batch's
-union fan-out cone: :meth:`FusedBackend.run_detect` reduces only the
-reachable outputs, and :meth:`FusedBackend.run_outputs` (the Table 1/2
-sweeps) returns outputs outside the cone as their golden rows.  Every
+**Tainted-prefix fault evaluation.**  Every net carries only a
+*tainted prefix* of rows -- the high-water mark ``hw[net]``, one past
+the deepest row that may differ from the fault-free run -- with the
+shared golden row standing in for everything beyond.  Each gate folds
+its operands segment by segment (matrix x matrix where both prefixes
+reach, matrix x broadcast-golden between the marks), and a
+branch-overridden gate folds overridden pin copies, as the reference
+loop does.  Rows are walked in the caller's order; correctness never
+depends on it, but a row cannot differ from the fault-free run below
+the level of its shallowest site (:func:`repro.gates.sparse._site_level`),
+so rows ascending in that level keep every prefix short.  The cone
+schedule emits its batches in that order, and the arithmetic volume
+drops to the tainted fraction of the matrix -- about 0.7 of it on the
+RCA-8 campaign, 0.5 on the 8-bit array multiplier.  Results are
+bit-identical to the reference loop: untainted rows *are* the golden
+run.  Given one batch of a cone schedule, both derived kernels further
+restrict the walk to the batch's union fan-out cone:
+:meth:`FusedBackend.run_detect` reduces only the reachable outputs,
+and :meth:`FusedBackend.run_outputs` (the Table 1/2 sweeps) returns
+outputs outside the cone as their golden rows.  Every
 detect call the library makes is one such batch: campaigns, fault
 dictionaries and ATPG share one cone-scheduled detection sweep
 (:mod:`repro.gates.engine`).
@@ -58,7 +62,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.gates.backends.base import GATE_MATRIX_BUDGET_MAX
-from repro.gates.backends.plan import OverridePlan, _row_index
+from repro.gates.backends.plan import OverridePlan
 from repro.gates.backends.python_loop import PythonLoopBackend
 from repro.gates.compile import CompiledNetlist
 
@@ -127,10 +131,6 @@ def _top(idx) -> int:
     return idx.stop if isinstance(idx, slice) else max(idx) + 1
 
 
-def _rows_of(idx):
-    return range(idx.start, idx.stop) if isinstance(idx, slice) else idx
-
-
 class FusedBackend(PythonLoopBackend):
     """The per-gate loop plus tainted-prefix fault walks."""
 
@@ -176,11 +176,11 @@ class FusedBackend(PythonLoopBackend):
         (they stay golden).  Level-0 nets, which stem overrides
         materialise before the walk, get fixed slots.  Each gate output
         takes a slot from a free list, allocated before its operands
-        are released, because branch fix-ups re-read the operands after
-        the output is written.  A produced net's slot is released after
-        its last reader in ``program`` (or right away if it has none);
-        primary outputs stay pinned for the caller, and nets produced
-        outside ``program`` are never released.
+        are released, because the multi-operand fold reads later
+        operands after writing the output.  A produced net's slot is
+        released after its last reader in ``program`` (or right away if
+        it has none); primary outputs stay pinned for the caller, and
+        nets produced outside ``program`` are never released.
         """
         levels = self.compiled.net_levels
         slot = [-1] * self.compiled.n_nets
@@ -258,10 +258,9 @@ class FusedBackend(PythonLoopBackend):
     ):
         """Evaluate only the tainted row prefix of every net.
 
-        Rows are internally permuted ascending by first-divergence
-        level (:attr:`OverridePlan.row_levels`); returns ``(vals, slot,
-        hw, golden, inv, identity)`` where ``vals[slot[net]][:hw[net]]``
-        holds the permuted tainted rows and everything beyond equals
+        Rows are walked in the order the caller gives them; returns
+        ``(vals, slot, hw, golden)`` where ``vals[slot[net]][:hw[net]]``
+        holds the tainted rows and everything beyond equals
         ``golden[net]``.  ``vals`` holds one row block per workspace
         slot, not per net (:meth:`_slot_map`): a net's block is reused
         once its last reader has run, so only primary outputs and
@@ -269,45 +268,28 @@ class FusedBackend(PythonLoopBackend):
 
         The walk is the per-gate reference loop sliced to each gate's
         high-water mark: operands whose mark lags are first topped up
-        with golden rows, and untainted operands broadcast their golden
-        row through the ufunc.  Rows already ascending in level (every
-        cone-schedule batch) skip the permutation, and override entries
-        on contiguous rows index by slice.
+        with golden rows, untainted operands broadcast their golden row
+        through the ufunc, and a branch-overridden gate recomputes its
+        prefix from overridden pin copies, as ``run_matrix`` does.  Row
+        order only affects cost: rows ascending in first-divergence
+        level keep every prefix short, and the cone schedule emits
+        every batch that way.  Override entries on contiguous rows
+        index by slice.
 
         ``program`` is the whole netlist's program or a cone sub-program
         (ascending compiled order) and ``slots`` its slot map; gates
         outside a cone are provably golden under ``plan``, which the
         cone schedule guarantees.
         """
-        depth_plus = self.compiled.depth + 1
-        row_levels = np.full(n_rows, depth_plus, dtype=np.int64)
-        row_levels[: plan.n_rows] = plan.row_levels[:n_rows]
-        identity = bool((row_levels[1:] >= row_levels[:-1]).all())
-        if identity:
-            # Cone schedules emit rows ascending in level already.
-            inv = np.arange(n_rows)
-            stems = plan.stem
-            branches = plan.branch_by_gate
-        else:
-            order = np.argsort(row_levels, kind="stable")
-            inv = np.empty_like(order)
-            inv[order] = np.arange(n_rows)
-
-            def remap(entry):
-                idx, consts = entry
-                return (_row_index([int(inv[r]) for r in _rows_of(idx)]), consts)
-
-            stems = {nid: remap(e) for nid, e in plan.stem.items()}
-            branches = {
-                g: {p: remap(e) for p, e in pins.items()}
-                for g, pins in plan.branch_by_gate.items()
-            }
+        stems = plan.stem
+        branches = plan.branch_by_gate
         slot, n_slots = slots
         golden = self._golden(words)
-        vals = self._workspace(n_slots, n_rows, words.shape[1])
+        n_words = words.shape[1]
+        vals = self._workspace(n_slots, n_rows, n_words)
         hw = [0] * self.compiled.n_nets
         for nid, (idx, consts) in stems.items():
-            if hw[nid] == 0 and not self.compiled.net_levels[nid]:
+            if not self.compiled.net_levels[nid]:
                 # Stem on a primary input (or level-0 net): materialise
                 # up to the deepest overridden row, golden in between.
                 top = _top(idx)
@@ -317,18 +299,15 @@ class FusedBackend(PythonLoopBackend):
                 hw[nid] = top
         for g, ufunc, invert, operand_ids, out_id in program:
             gate_branches = branches.get(g)
-            stem_entry = stems.get(out_id)
             m_in = 0
             for nid in operand_ids:
                 h = hw[nid]
                 if h > m_in:
                     m_in = h
-            n_override = 0
             if gate_branches is not None:
                 # Branch-overridden rows must be evaluated even when no
                 # operand is tainted yet.
-                for idx, consts in gate_branches.values():
-                    n_override += len(consts)
+                for idx, _ in gate_branches.values():
                     top = _top(idx)
                     if top > m_in:
                         m_in = top
@@ -348,12 +327,9 @@ class FusedBackend(PythonLoopBackend):
                         rows[h:m_in] = golden[nid]
                         hw[nid] = m_in
                     pins.append(rows[:m_in])
-                dense = gate_branches is not None and n_override * 8 >= m_in
-                if dense:
-                    # Many overridden rows: recompute the whole prefix
-                    # with overridden pin copies, as the reference loop.
+                if gate_branches is not None:
                     for pin, (pidx, consts) in gate_branches.items():
-                        pv = np.empty((m_in, words.shape[1]), dtype=np.uint64)
+                        pv = np.empty((m_in, n_words), dtype=np.uint64)
                         pv[...] = pins[pin]
                         pv[pidx] = consts
                         pins[pin] = pv
@@ -369,11 +345,7 @@ class FusedBackend(PythonLoopBackend):
                         ufunc(out_seg, pv, out=out_seg)
                     if invert:
                         np.invert(out_seg, out=out_seg)
-                if gate_branches is not None and not dense:
-                    self._fix_branch_rows(
-                        ufunc, invert, operand_ids, gate_branches, vals, slot,
-                        hw, golden, out_rows,
-                    )
+            stem_entry = stems.get(out_id)
             if stem_entry is not None:
                 sidx, consts = stem_entry
                 top = _top(sidx)
@@ -382,67 +354,7 @@ class FusedBackend(PythonLoopBackend):
                     m_in = top
                 out_rows[sidx] = consts
             hw[out_id] = m_in
-        return vals, slot, hw, golden, inv, identity
-
-    @staticmethod
-    def _fix_branch_rows(
-        ufunc, invert, operand_ids, gate_branches, vals, slot, hw, golden, out_rows
-    ):
-        """Sparse fix-up of branch-overridden rows.
-
-        The gate's prefix was already folded override-free; each entry's
-        rows are recomputed with the overridden pin replaced by its
-        stuck column.  Rows overridden on several pins at once fold row
-        by row.
-        """
-        entries = list(gate_branches.items())
-        collisions = set()
-        if len(entries) > 1:
-            seen = set()
-            for _, (idx, _) in entries:
-                for r in _rows_of(idx):
-                    if r in seen:
-                        collisions.add(r)
-                    seen.add(r)
-        for pin, (idx, consts) in entries:
-            if collisions:
-                rows = _rows_of(idx)
-                keep = [i for i, r in enumerate(rows) if r not in collisions]
-                if not keep:
-                    continue
-                idx = [rows[i] for i in keep]
-                consts = consts[keep]
-            pvals = [
-                consts if p == pin else (vals[slot[nid]][idx] if hw[nid] else golden[nid])
-                for p, nid in enumerate(operand_ids)
-            ]
-            if ufunc is None:
-                current = pvals[0]
-            else:
-                current = ufunc(pvals[0], pvals[1])
-                for v in pvals[2:]:
-                    current = ufunc(current, v)
-            out_rows[idx] = ~current if invert else current
-        for r in collisions:
-            pin_consts = {
-                pin: consts[_rows_of(idx).index(r), 0]
-                for pin, (idx, consts) in entries
-                if r in _rows_of(idx)
-            }
-            rvals = [
-                pin_consts.get(p, vals[slot[nid]][r] if hw[nid] else golden[nid])
-                for p, nid in enumerate(operand_ids)
-            ]
-            current = rvals[0]
-            if ufunc is not None:
-                for v in rvals[1:]:
-                    current = ufunc(current, v)
-            if invert:
-                current = ~current
-            if isinstance(current, np.ndarray):
-                np.copyto(out_rows[r], current)
-            else:
-                out_rows[r][...] = current
+        return vals, slot, hw, golden
 
     def _sparse_program(self, gates: np.ndarray) -> Tuple[list, frozenset, _Slots]:
         """Cone-restricted sub-program for one schedule batch, its gate
@@ -515,9 +427,7 @@ class FusedBackend(PythonLoopBackend):
                 return np.zeros((n_rows, n_words), dtype=np.uint64)
             program, slots = self._cone_program(plan, gates)
             _note_sparse(len(program), self.compiled.n_gates - len(program))
-        vals, slot, hw, golden, inv, identity = self._prefix_walk(
-            words, plan, n_rows, program, slots
-        )
+        vals, slot, hw, golden = self._prefix_walk(words, plan, n_rows, program, slots)
         diff = np.zeros((n_rows, n_words), dtype=np.uint64)
         scratch = np.empty((n_rows, n_words), dtype=np.uint64)
         for out_id in outs:
@@ -525,7 +435,7 @@ class FusedBackend(PythonLoopBackend):
             if h:
                 np.bitwise_xor(vals[slot[out_id]][:h], golden[out_id], out=scratch[:h])
                 np.bitwise_or(diff[:h], scratch[:h], out=diff[:h])
-        return diff if identity else diff[inv]
+        return diff
 
     def run_outputs(
         self,
@@ -540,25 +450,12 @@ class FusedBackend(PythonLoopBackend):
             _note_sparse(len(program), self.compiled.n_gates - len(program))
         # Outputs outside the cone keep an empty tainted prefix (and no
         # slot), so they come back as their golden rows.
-        vals, slot, hw, golden, inv, identity = self._prefix_walk(
-            words, plan, n_rows, program, slots
-        )
+        vals, slot, hw, golden = self._prefix_walk(words, plan, n_rows, program, slots)
         n_words = words.shape[1]
         res = np.empty((len(self._output_ids), n_rows, n_words), dtype=np.uint64)
         for i, out_id in enumerate(self._output_ids):
             h = hw[out_id]
-            if not h:
-                res[i] = golden[out_id]
-            elif identity:
+            if h:
                 res[i, :h] = vals[slot[out_id]][:h]
-                res[i, h:] = golden[out_id]
-            else:
-                rows = vals[slot[out_id]]
-                block = res[i]
-                # Un-permute: original row r lives at sorted position
-                # inv[r]; positions >= h are golden by construction.
-                src_pos = inv
-                taken = src_pos < h
-                block[taken] = rows[src_pos[taken]]
-                block[~taken] = golden[out_id]
+            res[i, h:] = golden[out_id]
         return res

@@ -10,13 +10,10 @@ site to compiled ids once, so backends consume plain
 ``{net id -> (row list, constant column)}`` maps with no name lookups
 in their hot loops.
 
-The plan also records ``row_levels`` -- per row, the topological level
-at which the row can first diverge from the fault-free run: the
-shallowest *reading gate* over the row's fault sites (``depth + 1``
-for rows with no sites, i.e. ride-along golden rows).  This is purely
-a scheduling hint -- the ``fused`` backend sorts rows by it so each
-gate evaluates only a tainted row prefix
-(:mod:`repro.gates.backends.fused`); correctness never depends on it.
+Rows keep the caller's order.  Correctness never depends on it; the
+``fused`` backend's tainted-prefix walk is cheapest when rows ascend in
+first-divergence level, which the cone schedule
+(:mod:`repro.gates.sparse`) provides.
 """
 
 from __future__ import annotations
@@ -71,8 +68,6 @@ class OverridePlan:
         stem: Dict[int, Tuple[List[int], List[int]]] = {}
         branch: Dict[int, Dict[int, Tuple[List[int], List[int]]]] = {}
         self.n_rows = len(faults)
-        untainted = compiled.depth + 1
-        row_levels = np.full(self.n_rows, untainted, dtype=np.int64)
         for row, entry_faults in enumerate(faults):
             group = (
                 (entry_faults,)
@@ -80,10 +75,7 @@ class OverridePlan:
                 else tuple(entry_faults)
             )
             for fault in group:
-                site_level = self._add(compiled, stem, branch, row, fault)
-                if site_level < row_levels[row]:
-                    row_levels[row] = site_level
-        self.row_levels = row_levels
+                self._add(compiled, stem, branch, row, fault)
         # Each site becomes one fancy assignment: rows plus a per-row
         # constant column (0 or all-ones) broadcast across the words.
         self.stem = {
@@ -105,8 +97,8 @@ class OverridePlan:
         branch: Dict[int, Dict[int, Tuple[List[int], List[int]]]],
         row: int,
         fault: StuckAtFault,
-    ) -> int:
-        """Register one site; returns the site's first-divergence level."""
+    ) -> None:
+        """Register one site."""
         if fault.site.is_stem:
             nid = compiled.net_id(fault.site.net)
             entry = stem.get(nid)
@@ -114,12 +106,7 @@ class OverridePlan:
                 entry = stem[nid] = ([], [])
             entry[0].append(row)
             entry[1].append(fault.value)
-            # A stem becomes observable at its shallowest reader (or,
-            # for read-free output nets, right where it is produced).
-            lo, hi = compiled.fanout_offsets[nid], compiled.fanout_offsets[nid + 1]
-            if hi > lo:
-                return int(compiled.gate_levels[compiled.fanout_gates[lo:hi]].min())
-            return int(compiled.net_levels[nid])
+            return
         gate_name, pin = fault.site.branch
         gate, pin = compiled.pin_id(gate_name, pin)
         pins = branch.setdefault(gate, {})
@@ -128,7 +115,6 @@ class OverridePlan:
             entry = pins[pin] = ([], [])
         entry[0].append(row)
         entry[1].append(fault.value)
-        return int(compiled.gate_levels[gate])
 
     @staticmethod
     def apply(entry: Tuple[RowIndex, np.ndarray], values: np.ndarray) -> None:

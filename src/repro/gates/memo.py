@@ -32,8 +32,9 @@ def identity_memo(
 
     Derived values typically hold a strong reference back to their
     subject (a compiled netlist keeps its source), so the weakref alone
-    cannot evict; ``maxsize`` bounds the cache with FIFO eviction to
-    keep long-running sessions from pinning every subject ever seen.
+    cannot evict; ``maxsize`` bounds the cache with least-recently-used
+    eviction to keep long-running sessions from pinning every subject
+    ever seen, without evicting a subject still in use.
     """
 
     def decorate(compute: Callable[[Any], _V]) -> Callable[[Any], _V]:
@@ -44,6 +45,8 @@ def identity_memo(
             stamp = fingerprint(obj)
             entry = cache.get(key)
             if entry is not None and entry[0]() is obj and entry[1] == stamp:
+                # Most recently used last, so eviction takes the coldest.
+                cache[key] = cache.pop(key)
                 return entry[2]
             value = compute(obj)
             try:

@@ -21,9 +21,9 @@ Clustering sorts groups by first-divergence level, then cone mask,
 then fault site, so consecutive groups share cone structure, batch
 union cones stay close to the per-member cones, and a batch's rows
 arrive ascending in level with each site's rows adjacent (the order
-the fused detect walk evaluates them in).  The schedule is consumed by the
-detection sweep campaigns, fault dictionaries and ATPG share in
-:mod:`repro.gates.engine` (through
+that keeps the fused walk's tainted prefixes short).  The schedule is
+consumed by the detection sweep campaigns, fault dictionaries and ATPG
+share in :mod:`repro.gates.engine` (through
 :meth:`~repro.gates.backends.base.Backend.run_detect`) and by the Table
 1/2 gate sweeps in :mod:`repro.coverage.engine` (through
 :meth:`~repro.gates.backends.base.Backend.run_outputs`).
@@ -102,8 +102,15 @@ def _mask_to_indices(mask: np.ndarray, limit: int) -> np.ndarray:
 
 
 def _site_level(compiled: CompiledNetlist, fault: StuckAtFault) -> Tuple[int, int]:
-    """First-divergence level of one site (mirrors OverridePlan) and a
-    key unique per stem net / branch pin."""
+    """First-divergence level of one site and a key unique per stem
+    net / branch pin.
+
+    A row cannot differ from the fault-free run below the shallowest
+    level over its sites: a stem becomes observable at its shallowest
+    reader (or, for read-free output nets, where it is produced), a
+    branch at its gate.  The schedule sorts rows by it, which keeps the
+    ``fused`` walk's tainted prefixes short.
+    """
     if fault.site.is_stem:
         nid = compiled.net_id(fault.site.net)
         lo, hi = compiled.fanout_offsets[nid], compiled.fanout_offsets[nid + 1]

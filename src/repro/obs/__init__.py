@@ -12,7 +12,7 @@ The observability layer the campaign stack reports through:
   submitted/started/completed/merged, checkpoint written/resumed,
   store corruption, campaign completed) every subsystem emits through;
 * :mod:`repro.obs.report` -- ``python -m repro.obs.report trace.jsonl``
-  reconstructs per-shard timings, straggler ratio, store hit rate and
+  reconstructs campaign throughput, shard balance, store hit rate and
   per-backend kernel time from a trace alone.
 
 Instrumentation is passive: enabling it never changes campaign results

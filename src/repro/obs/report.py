@@ -6,9 +6,8 @@ but the JSON-lines records, what a sharded campaign actually did:
 * per-campaign wall time, fault/vector totals and faults-per-second
   throughput (from ``campaign``/``sharded_campaign`` spans and
   ``campaign_completed`` events);
-* per-shard in-worker durations with the **straggler ratio**
-  (slowest shard / median shard -- the number that distinguishes a
-  stalled campaign from a merely imbalanced one);
+* shard lifecycle counts (submitted/completed/failed/merged) and
+  whether they balance -- ``submitted == completed + failed``;
 * checkpoint resume/write counts and -- from the embedded ``metrics``
   records, merged across pids -- store hit rate and per-backend kernel
   time.
@@ -33,14 +32,6 @@ from . import trace as _trace
 
 #: Span names treated as campaign roots by the summary.
 CAMPAIGN_SPANS = ("sharded_campaign", "campaign")
-
-
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def _attr(record: Mapping[str, Any], key: str, default: Any = None) -> Any:
@@ -110,8 +101,6 @@ def _campaigns(
 
 
 def _shards(event_records: List[Mapping[str, Any]]) -> Optional[Dict[str, Any]]:
-    durations: List[float] = []
-    workers: Dict[str, int] = {}
     counts = {name: 0 for name in (
         _events.SHARD_SUBMITTED,
         _events.SHARD_STARTED,
@@ -121,33 +110,18 @@ def _shards(event_records: List[Mapping[str, Any]]) -> Optional[Dict[str, Any]]:
     )}
     for record in event_records:
         name = record.get("name")
-        if name not in counts:
-            continue
-        counts[name] += 1
-        if name == _events.SHARD_COMPLETED:
-            seconds = _attr(record, "seconds")
-            if seconds is not None:
-                durations.append(float(seconds))
-            worker = str(_attr(record, "worker_pid", "?"))
-            workers[worker] = workers.get(worker, 0) + 1
+        if name in counts:
+            counts[name] += 1
     if not any(counts.values()):
         return None
-    shards: Dict[str, Any] = {
+    return {
         "submitted": counts[_events.SHARD_SUBMITTED],
         "completed": counts[_events.SHARD_COMPLETED],
         "failed": counts[_events.SHARD_FAILED],
         "merges": counts[_events.SHARDS_MERGED],
         "balanced": counts[_events.SHARD_SUBMITTED]
         == counts[_events.SHARD_COMPLETED] + counts[_events.SHARD_FAILED],
-        "shards_per_worker": workers,
     }
-    if durations:
-        med = _median(durations)
-        shards["seconds_min"] = min(durations)
-        shards["seconds_median"] = med
-        shards["seconds_max"] = max(durations)
-        shards["straggler_ratio"] = (max(durations) / med) if med > 0 else 1.0
-    return shards
 
 
 def _checkpoints(event_records: List[Mapping[str, Any]]) -> Optional[Dict[str, int]]:
@@ -256,18 +230,6 @@ def render(summary: Mapping[str, Any], out: TextIO) -> None:
             f" balanced={'yes' if shards['balanced'] else 'NO'}",
             file=out,
         )
-        if "straggler_ratio" in shards:
-            print(
-                f"  durations: median={_fmt_seconds(shards['seconds_median'])}"
-                f" max={_fmt_seconds(shards['seconds_max'])}"
-                f" straggler_ratio={shards['straggler_ratio']:.2f}",
-                file=out,
-            )
-        if shards.get("shards_per_worker"):
-            per = ", ".join(
-                f"{pid}:{count}" for pid, count in sorted(shards["shards_per_worker"].items())
-            )
-            print(f"  shards/worker: {per}", file=out)
     checkpoints = summary.get("checkpoints")
     if checkpoints:
         print(

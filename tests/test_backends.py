@@ -44,6 +44,7 @@ from repro.gates.engine import (
     run_stuck_at_campaign,
 )
 from repro.gates.faults import default_fault_universe
+from repro.gates.sparse import _site_level
 from repro.tpg.dictionary import build_fault_dictionary
 from repro.tpg.generate import unit_netlist, unit_space, unit_test_set
 from repro.arch.testbench import table2_architecture
@@ -647,8 +648,7 @@ def _small_call_case(case):
         return netlist, list(faults)[::-1]
     assert case == "two_pins_one_row"
     # A row stuck on both pins of the deepest gate with two branch
-    # sites, behind enough shallow rows that the walk fixes it up
-    # sparsely.
+    # sites, behind 20 shallow primary-input stem rows.
     branch = {f.site.branch: f for f in faults if f.site.branch and f.value}
     gate = next(
         g.name
@@ -680,13 +680,13 @@ class TestSmallCallDifferential:
         plan = OverridePlan(compiled, groups)
         n = len(groups)
         assert n * words.shape[1] < 1 << 13
-        levels = plan.row_levels
         if case == "sub_word_universe":
             assert 1 << compiled.n_inputs < 64
         elif case == "primary_input_stems":
             assert not any(compiled.net_levels[nid] for nid in plan.stem)
         elif case == "rows_out_of_level_order":
-            assert (levels[1:] < levels[:-1]).any()
+            levels = [_site_level(compiled, fault)[0] for fault in groups]
+            assert any(b < a for a, b in zip(levels, levels[1:]))
         else:
             (pins,) = plan.branch_by_gate.values()
             assert [idx for idx, _ in pins.values()] == [slice(n - 1, n)] * 2

@@ -10,7 +10,7 @@ Three layers of checks:
   sweeps' cone ``run_outputs`` with a batch's own plan equals the full
   ``python_loop`` matrix, and the ``fused`` walk on live-net workspace
   slots equals the ``reference`` oracle on the cone batches of deep
-  and corner-case netlists;
+  and corner-case netlists, also with rows out of level order;
 * campaign -- every verdict field (``detected``, ``first_detected``,
   ``groups``; ``n_simulated_runs`` is a work counter and is not
   checked) equals a brute-force oracle built from faulty truth tables
@@ -36,7 +36,7 @@ from repro.errors import SimulationError
 from repro.gates import backends, builders, sparse
 from repro.gates import engine as gate_engine
 from repro.gates.backends import create_backend, list_backends
-from repro.gates.backends.fused import FusedBackend, _rows_of
+from repro.gates.backends.fused import FusedBackend
 from repro.gates.backends.plan import OverridePlan
 from repro.gates.cells import CellType
 from repro.gates.compile import compile_netlist
@@ -354,6 +354,60 @@ class TestSweepCone:
                 oracle.run_outputs(rows, batch.plan, n_rows, batch.gates), want
             )
 
+    def test_out_of_order_rows_in_a_cone_walk(self):
+        # The sweep's call shape with its rows out of level order: the
+        # ride-along golden row first, random multi-site groups, then a
+        # primary-input (level-0) stem row last.  No schedule sorted
+        # them; the cone and output set come from the groups' masks.
+        arch = table2_architecture("add", 3, "xor3_majority")
+        netlist = arch.netlist
+        compiled = compile_netlist(netlist)
+        universe = default_fault_universe(netlist)
+        rng = np.random.default_rng(5)
+        members = [
+            tuple(universe[i] for i in rng.choice(len(universe), k, replace=False))
+            for k in rng.integers(1, 4, size=15)
+        ]
+        stem = next(
+            f for f in universe
+            if f.site.is_stem and not compiled.net_levels[compiled.net_id(f.site.net)]
+        )
+        groups = [(), *members, (stem,)]
+        faults = [f for group in groups for f in group]
+        assert any(not f.site.is_stem for f in faults)
+        levels = [
+            min((sparse._site_level(compiled, f)[0] for f in group),
+                default=compiled.depth + 1)
+            for group in groups
+        ]
+        assert levels[0] > levels[-1]
+        gate_cones, cones = analyze_gate_cones(netlist), analyze_cones(netlist)
+        gates = sparse._mask_to_indices(
+            np.bitwise_or.reduce(
+                [fault_cone_mask(compiled, gate_cones, f) for f in faults]
+            ),
+            compiled.n_gates,
+        )
+        reach = np.bitwise_or.reduce(
+            [sparse._fault_reach_mask(compiled, cones, f) for f in faults]
+        )
+        out_ids = tuple(
+            int(compiled.output_ids[k])
+            for k in sparse._mask_to_indices(reach, compiled.n_outputs)
+        )
+        assert 0 < len(gates) < compiled.n_gates
+        rows = arch.space.input_rows(0, arch.space.n_words)
+        plan = OverridePlan(compiled, groups)
+        n = len(groups)
+        fused = create_backend("fused", compiled)
+        oracle = create_backend("reference", compiled)
+        assert np.array_equal(
+            fused.run_outputs(rows, plan, n, gates), oracle.run_outputs(rows, plan, n)
+        )
+        detect = fused.run_detect(rows, plan, n, gates, out_ids)
+        assert np.array_equal(detect, oracle.run_detect(rows, plan, n))
+        assert detect[1:].any() and not detect[0].any()
+
     def test_cone_missing_a_branch_site_rejected(self):
         netlist = builders.ripple_carry_adder(4)
         compiled = compile_netlist(netlist)
@@ -504,20 +558,11 @@ class TestSlotWalk:
         )
 
     @pytest.mark.parametrize("make", (_chain_netlist, lambda: builders.restoring_divider(4)))
-    def test_dense_and_sparse_branch_fixups(self, make, monkeypatch):
+    def test_all_rows_and_two_rows_branch_overrides(self, make):
         netlist = make()
         compiled = compile_netlist(netlist)
         universe = default_fault_universe(netlist)
         words = exhaustive_words(compiled.n_inputs).words[:, :4]
-        calls = []
-        fix = FusedBackend._fix_branch_rows
-
-        def spy(ufunc, invert, operand_ids, gate_branches, *rest):
-            rows = [r for idx, _ in gate_branches.values() for r in _rows_of(idx)]
-            calls.append(len(rows) > len(set(rows)))
-            return fix(ufunc, invert, operand_ids, gate_branches, *rest)
-
-        monkeypatch.setattr(FusedBackend, "_fix_branch_rows", staticmethod(spy))
         branches = {}
         for fault in universe:
             if not fault.site.is_stem:
@@ -529,24 +574,25 @@ class TestSlotWalk:
             key=lambda g: levels[compiled.gate_output_ids[g]],
         )
         pair = tuple(faults[0] for faults in list(branches[deep].values())[:2])
-        # Dense: every row of the batch overrides the deep gate.
-        dense = [f for faults in branches[deep].values() for f in faults] + [pair]
-        _assert_slot_walk_matches(compiled, dense, words, len(dense))
-        assert not calls
-        # Sparse: many upstream stem rows taint the gate's prefix and
-        # only two rows override it, one of them on two pins at once.
+        # Every row of the batch overrides the deep gate.
+        every = [f for faults in branches[deep].values() for f in faults] + [pair]
+        _assert_slot_walk_matches(compiled, every, words, len(every))
+        # Many upstream stem rows taint the gate's prefix and only two
+        # rows override it, one of them on two pins at once.
         stems = [
             f for f in universe
             if f.site.is_stem and levels[compiled.net_id(f.site.net)]
             < levels[compiled.gate_output_ids[deep]]
         ]
         assert len(stems) > 48
-        sparse_groups = stems + [pair, branches[deep][next(iter(branches[deep]))][0]]
-        sched = _assert_slot_walk_matches(
-            compiled, sparse_groups, words, len(sparse_groups)
-        )
+        two_rows = stems + [pair, branches[deep][next(iter(branches[deep]))][0]]
+        sched = _assert_slot_walk_matches(compiled, two_rows, words, len(two_rows))
         assert len(sched.batches) == 1
-        assert any(calls)
+        (batch,) = sched.batches
+        pins = batch.plan.branch_by_gate[deep]
+        all_rows = np.arange(batch.plan.n_rows)
+        rows = [r for idx, _ in pins.values() for r in all_rows[idx].tolist()]
+        assert len(set(rows)) == 2 < len(rows)
 
     def test_div7_workspace_holds_live_nets_only(self, monkeypatch):
         netlist = unit_netlist("div", 7)
