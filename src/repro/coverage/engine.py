@@ -92,7 +92,8 @@ from repro.faults.universe import (
     multiplier_fault_cases,
 )
 from repro.gates.engine import (
-    SWEEP_FAULT_CHUNK,
+    TABLE_FAULT_CHUNK,
+    TABLE_WORD_CHUNK,
     StuckAtCampaignResult,
     engine_for,
     fifo_put,
@@ -432,13 +433,16 @@ def _sweep_plan(
     Returns ``(multiplicities, sim_indices, batches)``: each collapsed
     case's class size, the span offsets of the cases that need
     simulation (reference-LUT cases need none), and their fault groups
-    clustered into cone batches of :data:`SWEEP_FAULT_CHUNK`, each with
-    its override plan (:func:`~repro.gates.sparse.build_schedule`).
-    The plan is kept on the architecture's engine, FIFO-bounded like the
-    campaigns' rounds, so a repeated sweep skips the fault-group
-    translation, both cone analyses and the schedule build.
+    clustered into cone batches of at most
+    :data:`~repro.gates.engine.TABLE_FAULT_CHUNK` groups -- the Table
+    sweeps' own batch size, not the campaigns' -- each with its override
+    plan (:func:`~repro.gates.sparse.build_schedule`).  The plan is kept
+    on the architecture's engine under a key that holds that batch size,
+    FIFO-bounded like the campaigns' rounds, so a repeated sweep skips
+    the fault-group translation, both cone analyses and the schedule
+    build.
     """
-    key = (cell_netlist, case_lo, case_hi, SWEEP_FAULT_CHUNK)
+    key = (cell_netlist, case_lo, case_hi, TABLE_FAULT_CHUNK)
     plan = engine._sweeps.get(key)
     if plan is not None:
         return plan
@@ -462,13 +466,48 @@ def _sweep_plan(
     # The analyses are memoised in-process only, so a sweep never
     # writes to a store its caller did not open.
     batches = build_schedule(
-        engine.compiled, fault_groups, SWEEP_FAULT_CHUNK,
+        engine.compiled, fault_groups, TABLE_FAULT_CHUNK,
         analyze_gate_cones(arch.netlist, store=False),
         analyze_cones(arch.netlist, store=False),
     ).batches
     plan = (tuple(group.multiplicity for group, _ in rep_cases), sim_indices, batches)
     fifo_put(engine._sweeps, key, plan)
     return plan
+
+
+def _output_counts(
+    arch, names: Tuple[str, ...], valid: Optional[np.ndarray], out: np.ndarray
+) -> np.ndarray:
+    """Per-group tallies of one ``run_outputs`` call of the gate sweep.
+
+    ``out`` is ``(n_outputs, n_groups + 1, n_words)``, the last row the
+    ride-along golden row.  Returns ``(n_groups, 1 + 2 * len(names))``
+    counts: correct, then (covered, detected-while-correct) per
+    technique, over the lanes ``valid`` keeps.  The result rows precede
+    the detection rows, so they hold their own difference from the
+    golden row in place.
+    """
+    n_result = arch.n_result_rows
+    ris = out[:n_result, :-1, :]
+    np.bitwise_xor(ris, out[:n_result, -1:, :], out=ris)
+    correct = ~np.bitwise_or.reduce(ris, axis=0)
+    dets = {name: out[row, :-1, :] for name, row in arch.detect_rows.items()}
+    if valid is not None:
+        correct = correct & valid
+        dets = {name: det & valid for name, det in dets.items()}
+    for name in names:
+        if name not in dets:
+            # Derived flag (``both``): OR of the emitted ones.
+            dets[name] = np.bitwise_or.reduce(
+                [dets[d] for d in arch.detect_rows], axis=0
+            )
+    counts = np.empty((out.shape[1] - 1, 1 + 2 * len(names)), dtype=np.int64)
+    counts[:, 0] = popcount_words(correct)
+    for j, name in enumerate(names):
+        det = dets[name]
+        counts[:, 1 + 2 * j] = popcount_words(correct | det)
+        counts[:, 2 + 2 * j] = popcount_words(correct & det)
+    return counts
 
 
 def _gate_case_counts(
@@ -483,11 +522,15 @@ def _gate_case_counts(
     Fetches the (cached) test architecture, its engine and the span's
     plan (:func:`_sweep_plan`), then streams the architecture's operand
     universe (``arch.space``) through each cone batch's plan chunk by
-    chunk (:func:`~repro.gates.engine.sweep_chunks`), reducing packed
+    chunk (:func:`~repro.gates.engine.sweep_chunks` with the Table pair
+    :data:`~repro.gates.engine.TABLE_WORD_CHUNK` /
+    :data:`~repro.gates.engine.TABLE_FAULT_CHUNK`), reducing packed
     classification masks to counts via popcount -- vectors are never
-    unpacked.  Masked universes (the divider's zero-divisor exclusion)
-    apply the space's valid-lane words before counting.  Adjacent spans
-    concatenate to the counts of their union.
+    unpacked.  Each chunk's input rows die with the chunk, and with them
+    the backend's cached golden run of that chunk.  Masked universes
+    (the divider's zero-divisor exclusion) apply the space's valid-lane
+    words before counting.  Adjacent spans concatenate to the counts of
+    their union.
     """
     arch = table2_architecture(operator, width, cell_netlist)
     space = arch.space
@@ -497,34 +540,22 @@ def _gate_case_counts(
         arch, engine, cell_netlist, case_lo, case_hi
     )
     n_valid = space.valid_count(0, space.n_words)
-    n_result = arch.n_result_rows
-    detect_names = list(arch.detect_rows)
     # correct, then (covered, detected-while-correct) per technique.
     tallies = np.zeros((len(sim_indices), 1 + 2 * len(names)), dtype=np.int64)
-    for _, _, rows, valid in sweep_chunks(engine, len(sim_indices), space):
+    chunks = sweep_chunks(
+        engine, len(sim_indices), space,
+        word_chunk=TABLE_WORD_CHUNK, fault_chunk=TABLE_FAULT_CHUNK,
+    )
+    for _, _, rows, valid in chunks:
         for batch in batches:
-            members = list(batch.members)
-            out = engine.backend.run_outputs(
-                rows, batch.plan, len(members) + 1, batch.gates
+            # No name holds a call's outputs past its reduction, so the
+            # next call never runs with the previous outputs still alive.
+            tallies[list(batch.members)] += _output_counts(
+                arch, names, valid,
+                engine.backend.run_outputs(
+                    rows, batch.plan, len(batch.members) + 1, batch.gates
+                ),
             )
-            ris = out[:n_result, :-1, :]
-            golden = out[:n_result, -1:, :]
-            correct = ~np.bitwise_or.reduce(ris ^ golden, axis=0)
-            dets = {name: out[row, :-1, :] for name, row in arch.detect_rows.items()}
-            if valid is not None:
-                correct = correct & valid
-                dets = {name: det & valid for name, det in dets.items()}
-            for name in names:
-                if name not in dets:
-                    # Derived flag (``both``): OR of the emitted ones.
-                    dets[name] = np.bitwise_or.reduce(
-                        [dets[d] for d in detect_names], axis=0
-                    )
-            tallies[members, 0] += popcount_words(correct)
-            for j, name in enumerate(names):
-                det = dets[name]
-                tallies[members, 1 + 2 * j] += popcount_words(correct | det)
-                tallies[members, 2 + 2 * j] += popcount_words(correct & det)
     # Reference cases first, then the simulated ones over them, in case
     # order: the merge concatenates span lists.
     results: List[_CaseCounts] = [
@@ -595,11 +626,8 @@ def _run_transfer(
     space = 1 << (2 * width)
     for group in collapsed_cell_library(cell_netlist):
         cell = group.representative
-        for position in range(width):
-            flags = case_flag_counts(
-                operator, width, position, cell.sum_lut, cell.carry_lut
-            )
-            # flags index: correct | d1 << 1 | d2 << 2.
+        # One row per fault position; index correct | d1 << 1 | d2 << 2.
+        for flags in case_flag_counts(operator, width, cell.sum_lut, cell.carry_lut):
             n_correct = int(flags[1::2].sum())
             per = {
                 "tech1": (space - int(flags[0] + flags[4]), int(flags[3] + flags[7])),

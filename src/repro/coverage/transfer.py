@@ -14,25 +14,31 @@ an exact dynamic program over ``n`` positions:
     counts'[s'] = sum over (a_i, b_i) of counts[s]  where T[ab][s] = s'
 
 with the faulty cell's LUT substituted into the transition table at the
-fault position only.  The final state distribution yields the *exact*
-number of situations per (correct, detected) flag combination -- the
-same integers the word-packed sweep counts, obtained in microseconds for
-any width.  Parity with the sweep and the functional evaluators is
-pinned by ``tests/test_table2_exact.py``.
+fault position only.  Because only one position is faulty, every
+position of one faulty cell is evaluated in one closed-form pass
+(:func:`case_flag_counts`): the fault-free forward distribution before
+position ``p``, pushed through the faulty step, dotted with the
+fault-free backward projection from position ``p + 1`` onto the final
+flags.  The result is the *exact* number of situations per (correct,
+detected) flag combination for every fault position -- the same
+integers the word-packed sweep counts, obtained in milliseconds for
+any width.  Parity with the per-position DP, the sweep and the
+functional evaluators is pinned by ``tests/test_table2_exact.py``.
 
-Situation counts fit ``uint64`` comfortably up to n = 16 (``4**16 =
-2**32`` per case); widths are capped well below the overflow point.
+All counts are int64: a case spans ``4**n <= 2**60`` operand pairs up
+to ``MAX_TRANSFER_WIDTH`` = 30, below the int64 overflow point.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
 
-#: Widths beyond this would overflow uint64 state counts (4**n per case).
+#: Widths beyond this would overflow int64 state counts (4**n per case).
 MAX_TRANSFER_WIDTH = 30
 
 CellFn = Callable[[int, int, int], Tuple[int, int]]
@@ -144,18 +150,23 @@ def _table(operator: str, s_lut: Tuple[int, ...] = (), c_lut: Tuple[int, ...] = 
 def case_flag_counts(
     operator: str,
     width: int,
-    position: int,
     s_lut: Tuple[int, ...],
     c_lut: Tuple[int, ...],
 ) -> np.ndarray:
-    """Exact flag-combination counts for one Table 2 fault case.
+    """Exact flag-combination counts for every fault position of one
+    faulty cell behaviour.
 
-    Runs the ``width``-step transfer DP with the faulty cell LUT
-    substituted at ``position`` and returns an ``(8,)`` int array:
-    entry ``correct | d1 << 1 | d2 << 2`` counts the operand pairs in
-    that classification (``d2`` is technique 2's flag; for the
-    subtractor that is the non-zero-sum indication).  The entries sum to
-    ``4**width``.
+    Returns a ``(width, 8)`` int64 array: row ``p`` is the Table 2 case
+    with the faulty cell LUT at position ``p``, and entry ``correct | d1
+    << 1 | d2 << 2`` counts the operand pairs in that classification
+    (``d2`` is technique 2's flag; for the subtractor that is the
+    non-zero-sum indication).  Each row sums to ``4**width``.
+
+    One pass serves every position: the fault-free state distribution
+    before each position (forward), gathered through the faulty step,
+    dotted with the flag counts the fault-free remainder of the chain
+    reaches from each state (backward).  Every count is at most
+    ``4**width <= 2**60``, so the int64 arithmetic is exact.
     """
     if operator not in _BUILDERS:
         raise SimulationError(
@@ -165,23 +176,36 @@ def case_flag_counts(
         raise SimulationError(
             f"transfer width must be in [1, {MAX_TRANSFER_WIDTH}], got {width}"
         )
-    if not (0 <= position < width):
-        raise SimulationError(f"position {position} outside [0, {width})")
+    forward, backward = _fault_free_passes(operator, width)
+    table_faulty = _table(operator, s_lut, c_lut)
+    through = sum(backward[:, table_faulty[ab], :] for ab in range(4))
+    return np.einsum("ps,psf->pf", forward, through)
+
+
+@functools.lru_cache(maxsize=None)
+def _fault_free_passes(operator: str, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The fault-free halves of :func:`case_flag_counts`, shared by every
+    faulty cell: ``forward[p][s]`` counts the operand prefixes of
+    positions ``< p`` that reach state ``s``; ``backward[p][s][f]`` the
+    operand suffixes of positions ``> p`` that lead from state ``s`` to
+    final flags ``f``."""
     if operator == "add":
         n_states, init, flag_shift = _ADDER_STATES, _ADDER_INIT, _ADDER_FLAG_SHIFT
     else:
         n_states, init, flag_shift = _SUB_STATES, _SUB_INIT, _SUB_FLAG_SHIFT
     table_ff = _table(operator)
-    table_faulty = _table(operator, s_lut, c_lut)
-    counts = np.zeros(n_states, dtype=np.uint64)
+    forward = np.zeros((width, n_states), dtype=np.int64)
+    counts = np.zeros(n_states, dtype=np.int64)
     counts[init] = 1
-    for i in range(width):
-        table = table_faulty if i == position else table_ff
-        nxt = np.zeros(n_states, dtype=np.uint64)
+    for p in range(width):
+        forward[p] = counts
+        counts = np.zeros(n_states, dtype=np.int64)
         for ab in range(4):
-            np.add.at(nxt, table[ab], counts)
-        counts = nxt
-    flags = (np.arange(n_states) >> flag_shift) & 7
-    out = np.zeros(8, dtype=np.uint64)
-    np.add.at(out, flags, counts)
-    return out.astype(np.int64)
+            np.add.at(counts, table_ff[ab], forward[p])
+    backward = np.zeros((width, n_states, 8), dtype=np.int64)
+    proj = np.zeros((n_states, 8), dtype=np.int64)
+    proj[np.arange(n_states), (np.arange(n_states) >> flag_shift) & 7] = 1
+    for p in reversed(range(width)):
+        backward[p] = proj
+        proj = sum(proj[table_ff[ab]] for ab in range(4))
+    return forward, backward

@@ -49,13 +49,14 @@ engines cached per netlist pin no workspace of their own; only a
 hand-built call past the cap gets a transient one.  Both derived
 kernels copy their results out, so no caller holds a workspace view.
 One golden run per packed vector set serves every word slab a sweep
-streams through it.
+streams through it, and is released when that vector set dies.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -122,6 +123,21 @@ def _column_offset(block: np.ndarray, words: np.ndarray) -> Optional[int]:
     return off
 
 
+def _block_ref(backend: "FusedBackend", block: np.ndarray) -> "weakref.ref[np.ndarray]":
+    """Weak reference to ``block`` that drops ``backend``'s golden-run
+    cache entry when the block dies.  The callback holds the backend
+    weakly too, so no reference cycle keeps the run alive."""
+    owner = weakref.ref(backend)
+
+    def release(ref: "weakref.ref[np.ndarray]") -> None:
+        backend = owner()
+        if backend is not None and backend._golden_cache is not None:
+            if backend._golden_cache[0] is ref:
+                backend._golden_cache = None
+
+    return weakref.ref(block, release)
+
+
 #: A walk program's slot map: ``(slot per net id, number of slots)``.
 _Slots = Tuple[List[int], int]
 
@@ -145,10 +161,13 @@ class FusedBackend(PythonLoopBackend):
         self._flat_slots = self._slot_map(self._flat_program)
         # Fault-free run of the most recent vector block (see _golden):
         # campaigns call the detect kernel once per fault batch and word
-        # slab, and the golden evaluation is shared.  Holds (block
-        # reference, block snapshot, golden): the reference keeps the id
-        # stable and the snapshot detects in-place mutation by callers.
-        self._golden_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # slab, and the golden evaluation is shared.  Holds (weak block
+        # reference, block snapshot, golden): the entry is dropped when
+        # the block dies, and the snapshot detects in-place mutation by
+        # callers.
+        self._golden_cache: Optional[
+            Tuple["weakref.ref[np.ndarray]", np.ndarray, np.ndarray]
+        ] = None
         # Cone-restricted sub-programs with their slot maps, keyed on the
         # schedule's gate index bytes; campaigns reuse one schedule
         # across many word sub-chunks, so the slicing happens once per
@@ -220,17 +239,19 @@ class FusedBackend(PythonLoopBackend):
         column-slice view is evaluated once (when its golden run fits
         :data:`GATE_MATRIX_BUDGET_MAX`), so every later slab of the set
         -- and every repeated campaign over it -- slices the cached run
-        instead of re-evaluating the netlist.  The cache holds a strong
-        reference to the block (so its identity cannot be recycled)
-        plus a content snapshot: a caller mutating its buffer in place
-        gets a fresh golden run, not a stale one.  The snapshot compare
-        covers only the requested columns, O(words) -- far below the
-        run it saves.
+        instead of re-evaluating the netlist.  The cache holds the block
+        weakly: when the caller drops it (a Table sweep's chunk, a
+        campaign's vector set), the cached run is released with it
+        instead of staying pinned to the engine.  A content snapshot
+        guards the hit: a caller mutating its buffer in place gets a
+        fresh golden run, not a stale one.  The snapshot compare covers
+        only the requested columns, O(words) -- far below the run it
+        saves.
         """
         cached = self._golden_cache
         if cached is not None:
-            block, snapshot, golden = cached
-            off = _column_offset(block, words)
+            ref, snapshot, golden = cached
+            off = _column_offset(ref(), words)
             if off is not None:
                 hi = off + words.shape[1]
                 if np.array_equal(words, snapshot[:, off:hi]):
@@ -244,7 +265,7 @@ class FusedBackend(PythonLoopBackend):
         ):
             block = parent
         golden = self.run_words(block)
-        self._golden_cache = (block, block.copy(), golden)
+        self._golden_cache = (_block_ref(self, block), block.copy(), golden)
         off = _column_offset(block, words)
         return golden[:, off : off + words.shape[1]]
 

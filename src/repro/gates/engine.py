@@ -55,10 +55,14 @@ oracles differential tests swap in (by patching
 :data:`~repro.gates.backends.DEFAULT_BACKEND`); all backends are
 bit-identical on every path.
 
-One kernel-call geometry serves every consumer of the fault matrix --
-campaigns, Table sweeps, fault dictionaries and ATPG: at most
+Two kernel-call geometries serve the consumers of the fault matrix.
+Campaigns, fault dictionaries and ATPG run at most
 :data:`SWEEP_FAULT_CHUNK` fault rows per call over at most
-:data:`SWEEP_WORD_CHUNK` words, the word chunk clamped
+:data:`SWEEP_WORD_CHUNK` words; the Table 1/2 gate sweeps, which drop
+no faults and order no tests, run at most :data:`TABLE_FAULT_CHUNK`
+fault groups per call over at most :data:`TABLE_WORD_CHUNK` words:
+tighter cone batches walk fewer rows, and wider chunks amortise the
+per-row cost of broadcasting golden rows.  Either word chunk is clamped
 (:func:`matrix_word_chunk`) so the call fits the backends' one matrix
 byte cap, which also bounds the ``fused`` workspace.  Chunk sizes are
 module constants, not options: they never change a count or a verdict
@@ -461,14 +465,25 @@ class TestSpace:
         return bits
 
 
-#: Chunk geometry of every fault-matrix kernel call -- the Table 1/2
-#: gate sweeps, fault dictionaries, the ATPG residue sweep and the
-#: campaign slabs: vector words per chunk (clamped by
+#: Chunk geometry of the fault-matrix kernel calls of fault
+#: dictionaries, the ATPG residue sweep, the campaign slabs and
+#: ``truth_tables``: vector words per chunk (clamped by
 #: :func:`matrix_word_chunk`) and fault groups per call.  Chunking never
 #: changes a count, a verdict or a dictionary bit; it fixes the order in
-#: which ATPG records its tests, so the ATPG store key hashes both.
+#: which ATPG records its tests, so the ATPG store key hashes the word
+#: chunk.  Campaigns measured slower with 16-row batches (32 was within
+#: noise), so they keep 64.
 SWEEP_WORD_CHUNK = 256
 SWEEP_FAULT_CHUNK = 64
+
+#: Chunk geometry of the Table 1/2 gate sweeps
+#: (:func:`repro.coverage.engine._gate_case_counts`).  Those sweeps
+#: drop no faults and order nothing, and every row of a prefix walk up
+#: to the deepest tainted one is evaluated, so 16-group cone batches
+#: (tighter union cones) over 512-word chunks (fewer per-row golden
+#: broadcasts per element) do less work than the pair above.
+TABLE_WORD_CHUNK = 512
+TABLE_FAULT_CHUNK = 16
 
 
 def matrix_word_chunk(row_cells: int, word_chunk: int) -> int:
@@ -478,11 +493,19 @@ def matrix_word_chunk(row_cells: int, word_chunk: int) -> int:
     return min(word_chunk, max(8, GATE_MATRIX_BUDGET_MAX // (8 * max(1, row_cells))))
 
 
-def _chunk_words(compiled: CompiledNetlist, n_groups: int) -> int:
+def _chunk_words(
+    compiled: CompiledNetlist, n_groups: int, word_chunk: int, fault_chunk: int
+) -> int:
     """Words per kernel call over ``n_groups`` fault groups: at most
-    :data:`SWEEP_FAULT_CHUNK` group rows plus the golden row."""
-    rows = min(SWEEP_FAULT_CHUNK, max(1, n_groups)) + 1
-    return matrix_word_chunk(compiled.n_nets * rows, SWEEP_WORD_CHUNK)
+    ``word_chunk``, clamped for ``rows = min(fault_chunk, n_groups)``
+    group rows plus the golden row.
+
+    The clamp charges ``n_nets x (rows + 1)`` cells per word column.
+    The fused walk's workspace holds live-net slots only, so that is a
+    conservative bound that also covers the ``n_nets``-row golden run.
+    """
+    rows = min(fault_chunk, max(1, n_groups)) + 1
+    return matrix_word_chunk(compiled.n_nets * rows, word_chunk)
 
 
 #: A sweep source: a :class:`TestSpace` (rows built per chunk) or an
@@ -491,17 +514,28 @@ SweepSource = Union[TestSpace, PackedVectors]
 
 
 def sweep_chunks(
-    engine: "BitParallelEngine", n_groups: int, source: SweepSource
+    engine: "BitParallelEngine",
+    n_groups: int,
+    source: SweepSource,
+    word_chunk: Optional[int] = None,
+    fault_chunk: Optional[int] = None,
 ) -> Iterator[Tuple[int, int, np.ndarray, Optional[np.ndarray]]]:
     """Stream ``source`` in word chunks as ``(lo, hi, rows, valid)``.
 
     ``rows`` are the packed input words ``[lo, hi)`` and ``valid`` their
     valid-lane masks (``None`` when every lane is real).  The chunk is
-    :data:`SWEEP_WORD_CHUNK` clamped so one kernel call over ``n_groups``
-    fault groups -- at most :data:`SWEEP_FAULT_CHUNK` per call, plus the
-    golden row -- fits the one matrix byte cap.
+    ``word_chunk`` clamped so one kernel call over ``n_groups`` fault
+    groups -- at most ``fault_chunk`` per call, plus the golden row --
+    fits the one matrix byte cap.  The pair defaults to
+    :data:`SWEEP_WORD_CHUNK` / :data:`SWEEP_FAULT_CHUNK`; the Table
+    sweeps pass :data:`TABLE_WORD_CHUNK` / :data:`TABLE_FAULT_CHUNK`.
     """
-    step = _chunk_words(engine.compiled, n_groups)
+    step = _chunk_words(
+        engine.compiled,
+        n_groups,
+        SWEEP_WORD_CHUNK if word_chunk is None else word_chunk,
+        SWEEP_FAULT_CHUNK if fault_chunk is None else fault_chunk,
+    )
     n_words = source.n_words
     for lo in range(0, n_words, step):
         hi = min(lo + step, n_words)
@@ -873,7 +907,9 @@ class BitParallelEngine:
             # every call fits the matrix byte cap.  Without fault
             # dropping no class ever retires, so slab escalation buys
             # nothing: stream plain word chunks.
-            word_chunk = _chunk_words(self.compiled, len(active))
+            word_chunk = _chunk_words(
+                self.compiled, len(active), SWEEP_WORD_CHUNK, SWEEP_FAULT_CHUNK
+            )
             slab = word_chunk
             if fault_dropping:
                 slab = min(sparse.SPARSE_WORD_SUBCHUNK, word_chunk)

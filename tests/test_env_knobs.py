@@ -68,9 +68,11 @@ def test_unusable_telemetry_paths_name_their_variable(tmp_path, monkeypatch):
 
 
 def test_chunk_constants():
-    # One pair for every kernel call: campaigns, the Table sweeps, fault
-    # dictionaries and the ATPG residue sweep define none of their own.
+    # Two pairs, both defined next to each other: campaigns, fault
+    # dictionaries and the ATPG residue sweep share the sweep pair, the
+    # Table sweeps use their own, and no consumer defines a third.
     assert (gate_engine.SWEEP_WORD_CHUNK, gate_engine.SWEEP_FAULT_CHUNK) == (256, 64)
+    assert (gate_engine.TABLE_WORD_CHUNK, gate_engine.TABLE_FAULT_CHUNK) == (512, 16)
     for module in (coverage_engine, tpg_dictionary, tpg_generate):
         own = {
             name

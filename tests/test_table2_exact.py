@@ -7,14 +7,21 @@ transfer matrix.  They model the same experiment, so their integer
 situation counts must agree bit-for-bit -- these tests pin that, plus
 the method resolution (exact methods only; a width no default method
 reaches raises), the bit-identical merge of adjacent fault-case spans,
-and the gate sweep's plan-once cache on each architecture's engine.
+the gate sweep's plan-once cache on each architecture's engine, its own
+kernel-call geometry, and the closed-form transfer DP against the
+per-position step DP it replaced.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.arch.cell import collapsed_cell_library, faulty_cell_library
 from repro.arch.testbench import table2_architecture
+from repro.coverage import engine as coverage_engine
+from repro.coverage import transfer
 from repro.coverage.engine import (
     _SPECS,
     _functional_case_counts,
@@ -28,7 +35,13 @@ from repro.coverage.engine import (
 )
 from repro.errors import SimulationError
 from repro.gates import sparse
-from repro.gates.engine import PLAN_CACHE_ENTRIES, SWEEP_FAULT_CHUNK, engine_for
+from repro.gates.backends import fused as fused_backend
+from repro.gates.engine import (
+    PLAN_CACHE_ENTRIES,
+    TABLE_FAULT_CHUNK,
+    TABLE_WORD_CHUNK,
+    engine_for,
+)
 
 
 def _key(stats):
@@ -202,15 +215,15 @@ class TestPlanOnce:
         _gate_case_counts("mul", 3, "xor3_majority", 0, n - 1)
         assert len(schedule_builds) == 2
         assert set(engine._sweeps) == {
-            ("xor3_majority", 0, n, SWEEP_FAULT_CHUNK),
-            ("xor3_majority", 0, n - 1, SWEEP_FAULT_CHUNK),
+            ("xor3_majority", 0, n, TABLE_FAULT_CHUNK),
+            ("xor3_majority", 0, n - 1, TABLE_FAULT_CHUNK),
         }
         other = engine_for(table2_architecture("mul", 3, "two_xor").netlist)
         other._sweeps.clear()
         n_other = _gate_cases("mul", 3, "two_xor")
         _gate_case_counts("mul", 3, "two_xor", 0, n_other)
         assert len(schedule_builds) == 3
-        assert ("two_xor", 0, n_other, SWEEP_FAULT_CHUNK) in other._sweeps
+        assert ("two_xor", 0, n_other, TABLE_FAULT_CHUNK) in other._sweeps
 
     def test_cache_is_fifo_bounded(self):
         n = _gate_cases("add", 2)
@@ -264,3 +277,127 @@ class TestGoldenRow:
         v = np.arange(arch.space.n_vectors, dtype=np.uint64)
         a, b = v & np.uint64(7), (v >> np.uint64(3)) & np.uint64(7)
         assert (ris == ((a + b) & np.uint64(7))).all()
+
+
+class TestTableGeometry:
+    """The Table sweeps' own chunk pair (``TABLE_FAULT_CHUNK`` groups per
+    cone batch over ``TABLE_WORD_CHUNK`` words)."""
+
+    @pytest.mark.parametrize("width", (5, 6))
+    @pytest.mark.parametrize("operator", ("mul", "div"))
+    def test_counts_do_not_depend_on_the_table_pair(self, monkeypatch, operator, width):
+        # (groups per batch, words per chunk): the campaigns' pair, the
+        # Table pair, and an odd batch over chunks narrower than the
+        # n = 6 sweep (64 words), so batches and chunks both split.
+        results = []
+        for fault_chunk, word_chunk in ((64, 256), (16, 512), (3, 8)):
+            monkeypatch.setattr(coverage_engine, "TABLE_FAULT_CHUNK", fault_chunk)
+            monkeypatch.setattr(coverage_engine, "TABLE_WORD_CHUNK", word_chunk)
+            results.append(_key(evaluate_operator(operator, width, method="gate", store=False)))
+        assert results[0] == results[1] == results[2]
+
+    def test_n8_mul_calls_run_16_groups_over_512_words(self, monkeypatch):
+        # The word chunk's n_nets x (rows + 1) clamp no longer binds at
+        # n = 8: every kernel call is at most 16 groups plus the golden
+        # row over exactly 512 words.
+        arch = table2_architecture("mul", 8)
+        calls = []
+        run_outputs = fused_backend.FusedBackend.run_outputs
+
+        def spy(backend, words, plan, n_rows, gates=None):
+            if backend.compiled.source is arch.netlist:
+                calls.append((n_rows, words.shape[1]))
+            return run_outputs(backend, words, plan, n_rows, gates)
+
+        monkeypatch.setattr(fused_backend.FusedBackend, "run_outputs", spy)
+        evaluate_operator("mul", 8, store=False)
+        assert calls
+        assert max(rows for rows, _ in calls) <= TABLE_FAULT_CHUNK + 1 == 17
+        assert {words for _, words in calls} == {TABLE_WORD_CHUNK} == {512}
+
+    @pytest.mark.parametrize("operator, width", (("mul", 5), ("div", 5), ("add", 4)))
+    def test_no_golden_run_outlives_its_chunk(self, monkeypatch, operator, width):
+        # The fused golden-run cache holds each chunk's input rows
+        # weakly: once a sweep returns, every golden run it computed is
+        # freed (by reference counting alone, no cycle collection).
+        arch = table2_architecture(operator, width)
+        backend = engine_for(arch.netlist).backend
+        goldens = []
+        run_words = backend.run_words
+
+        def tracking(block):
+            golden = run_words(block)
+            goldens.append(weakref.ref(golden))
+            return golden
+
+        monkeypatch.setattr(backend, "run_words", tracking)
+        gc.disable()
+        try:
+            _gate_case_counts(operator, width, "xor3_majority", 0, _gate_cases(operator, width))
+            assert goldens
+            assert all(ref() is None for ref in goldens)
+            assert backend._golden_cache is None
+        finally:
+            gc.enable()
+
+
+def _step_flag_counts(operator, width, s_lut, c_lut):
+    """The per-position step DP ``case_flag_counts`` replaced, kept as
+    its oracle: for fault position ``p``, push the state distribution
+    through ``width`` steps, the faulty table at step ``p`` only.
+    Every position runs as its own row of one batched walk."""
+    t = transfer
+    if operator == "add":
+        n_states, init, shift = t._ADDER_STATES, t._ADDER_INIT, t._ADDER_FLAG_SHIFT
+    else:
+        n_states, init, shift = t._SUB_STATES, t._SUB_INIT, t._SUB_FLAG_SHIFT
+    table_ff = transfer._table(operator)
+    table_faulty = transfer._table(operator, s_lut, c_lut)
+    positions = np.arange(width)[:, None]
+    counts = np.zeros((width, n_states), dtype=np.int64)
+    counts[:, init] = 1
+    for step in range(width):
+        nxt = np.zeros_like(counts)
+        for ab in range(4):
+            table = np.where(positions == step, table_faulty[ab], table_ff[ab])
+            np.add.at(nxt, (np.broadcast_to(positions, table.shape), table), counts)
+        counts = nxt
+    out = np.zeros((width, 8), dtype=np.int64)
+    flags = (np.arange(n_states) >> shift) & 7
+    for f in range(8):
+        out[:, f] = counts[:, flags == f].sum(axis=1)
+    return out
+
+
+class TestClosedFormTransfer:
+    @pytest.mark.parametrize("width", (1, 2, 3, 4, 5, 6, 7, 8, 16, 30))
+    @pytest.mark.parametrize("operator", ("add", "sub"))
+    def test_closed_form_equals_step_dp(self, operator, width):
+        for cell in ("xor3_majority", "two_xor"):
+            for group in collapsed_cell_library(cell):
+                rep = group.representative
+                got = transfer.case_flag_counts(operator, width, rep.sum_lut, rep.carry_lut)
+                want = _step_flag_counts(operator, width, rep.sum_lut, rep.carry_lut)
+                assert got.shape == (width, 8)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (cell, group)
+                assert (got.sum(axis=1) == 4 ** width).all()
+
+    def test_one_call_per_cell_class(self, monkeypatch):
+        calls = []
+        counts = transfer.case_flag_counts
+
+        def spy(*args):
+            calls.append(args)
+            return counts(*args)
+
+        monkeypatch.setattr(coverage_engine, "case_flag_counts", spy)
+        evaluate_adder(16, store=False)
+        assert len(calls) == len(collapsed_cell_library())
+        assert {args[1] for args in calls} == {16}
+
+    def test_bad_arguments_raise(self):
+        rep = collapsed_cell_library()[0].representative
+        for operator, width in (("mul", 4), ("add", 0), ("add", transfer.MAX_TRANSFER_WIDTH + 1)):
+            with pytest.raises(SimulationError):
+                transfer.case_flag_counts(operator, width, rep.sum_lut, rep.carry_lut)

@@ -535,19 +535,24 @@ class TestMatrixBudget:
         # A sweep chunk bigger than the cap misses the fused workspace,
         # so every kernel call allocates and page-faults a fresh matrix
         # (the mul/div n = 8 sweeps once did, ~100 MB per call).
+        # The Table sweeps stream with their own pair.
+        word_chunk = gate_engine.TABLE_WORD_CHUNK
+        fault_chunk = gate_engine.TABLE_FAULT_CHUNK
         arch = table2_architecture(operator, 8, cell)
         engine = gate_engine.engine_for(arch.netlist)
         step = max(
             hi - lo
-            for lo, hi, _, _ in gate_engine.sweep_chunks(engine, 1000, arch.space)
+            for lo, hi, _, _ in gate_engine.sweep_chunks(
+                engine, 1000, arch.space, word_chunk=word_chunk, fault_chunk=fault_chunk
+            )
         )
         n_nets = engine.compiled.n_nets
-        matrix = step * (gate_engine.SWEEP_FAULT_CHUNK + 1) * n_nets * 8
+        matrix = step * (fault_chunk + 1) * n_nets * 8
         # The largest matrix the fused backend keeps a workspace for.
         assert matrix <= fused_backend.GATE_MATRIX_BUDGET_MAX
         # Netlists under the cap at the full chunk keep the full chunk.
-        if gate_engine.SWEEP_WORD_CHUNK * matrix // step <= GATE_MATRIX_BUDGET_MAX:
-            assert step == gate_engine.SWEEP_WORD_CHUNK
+        if word_chunk * matrix // step <= GATE_MATRIX_BUDGET_MAX:
+            assert step == word_chunk
 
     def test_campaigns_and_table_sweeps_fit_the_workspace(self, monkeypatch):
         # Every kernel call of the default unit campaigns and the Table 1
@@ -594,8 +599,9 @@ class TestMatrixBudget:
         assert 8 <= matrix_word_chunk(row_cells, 32) < 32
 
     def test_small_budget_changes_nothing_about_the_numbers(self, monkeypatch):
-        # n = 5 sweeps 16 words: the tiny budget clamps the word chunk
-        # to 8, and an odd fault chunk splits the case rows unevenly.
+        # n = 5 sweeps 16 words: the tiny budget and the Table pair
+        # (7, 8) clamp the word chunk to 8, and an odd fault chunk splits
+        # the case rows unevenly.
         # ``store=False`` keeps a warm store from serving the second run.
         def key(stats):
             return {
@@ -606,7 +612,8 @@ class TestMatrixBudget:
 
         base = evaluate_multiplier(5, method="gate", store=False)
         monkeypatch.setattr(gate_engine, "GATE_MATRIX_BUDGET_MAX", 1)
-        monkeypatch.setattr(coverage_engine, "SWEEP_FAULT_CHUNK", 7)
+        monkeypatch.setattr(coverage_engine, "TABLE_FAULT_CHUNK", 7)
+        monkeypatch.setattr(coverage_engine, "TABLE_WORD_CHUNK", 8)
         tiny = evaluate_multiplier(5, method="gate", store=False)
         assert key(base) == key(tiny)
 
