@@ -5,12 +5,12 @@ The paper sizes the adder experiment as::
     No. of faulty situations = num_faults_1bit * n * 2**(2n)
 
 with ``num_faults_1bit = 32`` -- every faulty cell behaviour, at every
-chain position, for every operand pair.  The formula matches the printed
-Table 2 rows for n = 1, 2, 3 (128, 1024, 6144); the paper's n = 4 row
-(7808) and n >= 8 rows deviate from its own formula (evidently sampled or
-pruned), so the exact evaluators report the formula's counts instead.
-This module implements the formula itself, plus the analogous counts
-for the other units.
+chain position, for every operand pair.  The paper prints this count for
+n = 1, 2, 3 (128, 1024, 6144) and 7808 for n = 4, whose percentages fit
+the formula's 32768; the exact evaluators report the formula's counts.
+``docs/architecture.md``, "Deviations from the paper", lists every known
+deviation from the paper.  This module implements the formula itself,
+plus the analogous counts for the other units.
 """
 
 from __future__ import annotations

@@ -216,6 +216,9 @@ def generate_tests(
     of the class representatives, universe order breaking ties), which
     biases the recorded witnesses toward the hard-fault tail;
     ``order="index"`` keeps the historical universe order.
+
+    A result store memoises only the ``atpg`` discovery table; a hit
+    rebuilds the table dictionary and the compact set from it.
     """
     with obs_span("atpg", netlist=netlist.name, order=order, seed=seed):
         return _generate_tests_impl(
@@ -270,8 +273,8 @@ def _generate_tests_impl(
     cache_key = None
     table: Optional[np.ndarray] = None
     if store is not None:
-        # The raw discovery table memoises here; the dictionary and the
-        # compact set rebuild from it through their own memoised layers.
+        # Only the raw discovery table memoises: the table dictionary
+        # and the compact set are rebuilt from it on every call.
         cache_key = CacheKey(
             kind="atpg",
             netlist=digest_netlist(netlist),
@@ -374,12 +377,11 @@ def _generate_tests_impl(
                     "exhausted": exhausted,
                 },
             )
-    # A resolved ``None`` means "no store": pass False, not None (which
-    # would consult REPRO_STORE again).
+    # A few dozen tests: rebuilt on every call, never stored.
     dictionary = dictionary_for_vectors(
         netlist, table, faults=faults,
         collapse="equivalence" if mode == "dominance" else mode,
-        store=False if store is None else store,
+        store=False,
     )
     cover = greedy_cover(dictionary)
     compact = CompactTestSet(
@@ -423,8 +425,8 @@ def compact_test_set(
     ``"auto"`` picks the dictionary up to ``dictionary_limit`` vectors
     and ATPG beyond.  Both paths end in the same greedy cover, and both
     claims replay bit-identically through the campaign engine.  With a
-    result store active the finished set memoises directly and the
-    underlying dictionary/ATPG work memoises in its own layers.
+    result store active only the finished set memoises (one ``compact``
+    entry); the dictionary/ATPG work behind it runs with ``store=False``.
 
     ``collapse="dominance"`` forces the ATPG path (the dictionary
     builder needs exact per-vector detection words, which dominance
@@ -465,14 +467,12 @@ def compact_test_set(
             return cached
     if method == "dictionary":
         dictionary = build_fault_dictionary(
-            netlist, space, collapse=collapse,
-            store=False if store is None else store,
+            netlist, space, collapse=collapse, store=False
         )
         result = compact_from_dictionary(dictionary, space)
     elif method == "atpg":
         result = generate_tests(
-            netlist, space, seed=seed, collapse=collapse,
-            store=False if store is None else store,
+            netlist, space, seed=seed, collapse=collapse, store=False
         ).compact
     else:
         raise SimulationError(

@@ -36,8 +36,8 @@ from repro.store import (
 )
 from repro.store.store import STORE_DIR_ENV, STORE_ENV
 from repro.gates.engine import TestSpace
-from repro.tpg.dictionary import build_fault_dictionary
-from repro.tpg.generate import unit_netlist, unit_space, unit_test_set
+from repro.tpg.dictionary import build_fault_dictionary, dictionary_for_vectors
+from repro.tpg.generate import generate_tests, unit_netlist, unit_space, unit_test_set
 
 
 def _key(**overrides):
@@ -392,12 +392,14 @@ class TestStoreMechanics:
         assert resolve_store(False) is None
 
     def test_store_false_reaches_nested_layers(self, tmp_path, monkeypatch):
-        # Compact sets, ATPG and the incremental scratch fallback call
-        # memoised result layers and structural analyses of their own;
-        # store=False keeps those off too, so nothing is served from or
-        # written to the store the environment names.  Fresh engines, so
-        # no cached cone schedule skips the analyses (their cone and
-        # collapse artifacts once leaked into that store).
+        # Compact sets and ATPG run their dictionary, ATPG and table
+        # dictionary work with store=False whatever store they are
+        # given, and the incremental scratch fallback calls memoised
+        # layers and structural analyses of its own; store=False keeps
+        # all of those off, so nothing is served from or written to the
+        # store the environment names.  Fresh engines, so no cached cone
+        # schedule skips the analyses (their cone and collapse artifacts
+        # once leaked into that store).
         monkeypatch.setattr(gate_engine, "_ENGINE_CACHES", {})
         monkeypatch.delenv(STORE_DIR_ENV, raising=False)
         monkeypatch.setenv(STORE_ENV, str(tmp_path / "env"))
@@ -446,3 +448,87 @@ class TestStoreMechanics:
         assert a is b
         explicit = resolve_store(tmp_path / "shared")
         assert explicit is a
+
+
+class TestOneEntryPerRequest:
+    """A store-backed request writes exactly one entry, the artifact it
+    returns: a compact set writes ``compact`` and ATPG writes ``atpg``,
+    while the dictionaries built on the way are not stored.  A direct
+    dictionary request still memoises its own result."""
+
+    @pytest.fixture
+    def put_kinds(self, monkeypatch):
+        # Fresh engines, so the cone and collapse analyses run and any
+        # write of theirs would show up here.
+        monkeypatch.setattr(gate_engine, "_ENGINE_CACHES", {})
+        kinds = []
+        put = ResultStore.put
+        monkeypatch.setattr(
+            ResultStore, "put",
+            lambda store, key, *a, **k: kinds.append(key.kind) or put(store, key, *a, **k),
+        )
+        return kinds
+
+    @staticmethod
+    def _warm(store, call):
+        """Call again from disk; assert it was one disk hit and no put."""
+        store.clear_lru()
+        before = store.stats.snapshot()
+        result = call()
+        after = store.stats.snapshot()
+        assert after["puts"] == before["puts"]
+        assert after["misses"] == before["misses"]
+        assert after["lru_hits"] == before["lru_hits"]
+        assert after["hits"] == before["hits"] + 1
+        return result
+
+    @pytest.mark.parametrize("unit, width, method", [("mul", 4, "auto"), ("add", 4, "atpg")])
+    def test_compact_set_writes_only_its_compact_entry(
+        self, unit, width, method, tmp_path, put_kinds
+    ):
+        store = ResultStore(tmp_path)
+        call = lambda: unit_test_set(unit, width, method=method, store=store)
+        cold = call()
+        assert put_kinds == ["compact"]
+        assert len(store) == 1
+        warm = self._warm(store, call)
+        assert put_kinds == ["compact"]
+        assert warm.faults == cold.faults
+        assert warm.vectors.tobytes() == cold.vectors.tobytes()
+        assert warm.detected.tobytes() == cold.detected.tobytes()
+        assert tuple(warm.marginal) == tuple(cold.marginal)
+        plain = unit_test_set(unit, width, method=method, store=False)
+        assert plain.vectors.tobytes() == cold.vectors.tobytes()
+
+    def test_atpg_writes_only_its_discovery_table(self, tmp_path, put_kinds):
+        netlist, space = unit_netlist("mul", 4), unit_space("mul", 4)
+        store = ResultStore(tmp_path)
+        call = lambda: generate_tests(netlist, space, store=store)
+        cold = call()
+        assert put_kinds == ["atpg"]
+        assert len(store) == 1
+        warm = self._warm(store, call)
+        assert put_kinds == ["atpg"]
+        assert warm.tests.tobytes() == cold.tests.tobytes()
+        assert warm.compact.vectors.tobytes() == cold.compact.vectors.tobytes()
+        assert warm.dictionary.words.tobytes() == cold.dictionary.words.tobytes()
+        assert warm.undetected == cold.undetected
+        assert (warm.vectors_tried, warm.random_phases, warm.exhausted) == (
+            cold.vectors_tried, cold.random_phases, cold.exhausted)
+
+    @pytest.mark.parametrize("direct", ("universe", "table"))
+    def test_direct_dictionary_requests_still_memoise(self, direct, tmp_path, put_kinds):
+        netlist, space = unit_netlist("mul", 4), unit_space("mul", 4)
+        bits = unit_test_set("mul", 4, store=False).vectors
+        store = ResultStore(tmp_path)
+        if direct == "universe":
+            call = lambda: build_fault_dictionary(netlist, space, store=store)
+        else:
+            call = lambda: dictionary_for_vectors(netlist, bits, store=store)
+        cold = call()
+        assert put_kinds == ["dictionary"]
+        warm = self._warm(store, call)
+        assert put_kinds == ["dictionary"]
+        assert warm.faults == cold.faults
+        assert warm.groups == cold.groups
+        assert warm.words.tobytes() == cold.words.tobytes()
