@@ -9,9 +9,7 @@ The walk-through:
    process or another day gets a pure hit, not a recompute.
 
 Coverage sweeps, stuck-at campaigns and fault dictionaries all run in
-the calling process and memoise as one final store entry each (a sweep
-also checkpoints its case span; ``tests/test_store_resume.py`` shows a
-sweep cut into several spans resuming after a crash).  Everything is
+the calling process and memoise as one store entry each.  Everything is
 opt-in: without ``store=`` (or ``REPRO_STORE=1`` in the environment)
 the stack never touches the filesystem.
 

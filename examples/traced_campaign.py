@@ -6,15 +6,14 @@ The walk-through:
    result;
 2. point ``REPRO_TRACE`` at a JSON-lines file and re-run the same sweep
    through a result store -- every span (``coverage_evaluate`` and the
-   engine spans below it) and lifecycle event (the sweep's one case
-   span submitted/started/completed/merged, its checkpoint written)
-   lands in the trace, and kernel profiling switches on;
+   engine spans below it) lands in the trace, and kernel profiling
+   switches on; the sweep runs whole and writes one ``coverage`` entry;
 3. assert the traced run is **bit-identical** to the untraced one --
    telemetry is passive by contract (`benchmarks/bench_obs.py` gates
    its overhead under 5%);
 4. rebuild the sweep's story from the trace alone with
-   :func:`repro.obs.report.summarize` -- span durations and the shard
-   event balance -- and overlay the live registry for
+   :func:`repro.obs.report.summarize` -- span durations, with no shard
+   loop to report -- and overlay the live registry for
    store hit rate and per-backend kernel time, exactly what
    ``python -m repro.obs.report trace.jsonl --metrics dump.jsonl``
    renders post-hoc.
@@ -67,11 +66,10 @@ def main() -> None:
     summary["store"] = store_summary(snapshot)
     summary["kernels"] = kernel_summary(snapshot)
 
-    shards = summary["shards"]
-    assert shards["submitted"] == 1 and shards["balanced"]
+    assert summary["shards"] is None
     # The registry is process-global; the store's own stats count only
-    # this sweep's writes: the span checkpoint and the final entry.
-    assert store.stats.snapshot()["puts"] == 2
+    # this sweep's writes: its one coverage entry.
+    assert store.stats.snapshot()["puts"] == 1
     if metrics.METRICS_ENV not in os.environ:
         # Kernel profiling rides the env gates: off again once unset.
         assert metrics.kernel_profiling_enabled() is False

@@ -51,14 +51,17 @@ Table 2 cell was computed:
     ``DEFAULT_EXHAUSTIVE_LIMIT`` operand pairs; kept as the
     differential-testing reference of the gate sweep for every operator.
 
-Execution: every method computes exact integer counts per fault case,
-so the gate and functional sweeps share one scaffold (:func:`_run_cases`)
-that runs the whole collapsed case range as one span in the calling
-process, checkpointed into an open result store.  Adjacent case spans
-concatenate to the counts of their union, the merge property the
-store's checkpoint runtime relies on (:mod:`repro.faults.sharding`).
-The gate sweep plans once: each span's fault-group layout and cone
-batches stay on the architecture's engine (:func:`_sweep_plan`), so
+Execution: every method computes one int64 count matrix with a row per
+fault case -- its correct situations, then covered and
+detected-while-correct per technique -- plus each case's equivalence
+class size and the shared situation count (:data:`_CaseMatrix`).  One
+fold (:func:`_fold`) turns any method's matrix into the
+:class:`CoverageStats`, which is what makes the three methods
+bit-identical.  A sweep runs whole in the calling process, and with a
+result store open, :func:`_evaluate` looks its one ``coverage`` entry up
+before computing and writes it once after.  The gate sweep plans once:
+its fault-group layout and cone batches stay on the architecture's
+engine, one plan per cell netlist (:func:`_sweep_plan`), so
 regenerating a table again in one process skips every schedule build.
 
 :func:`evaluate_gate_level` complements the functional-level evaluators
@@ -69,7 +72,7 @@ netlist under a vector set, computed by the batched bit-parallel engine
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -80,7 +83,6 @@ from repro.arch.divider import RestoringDividerUnit
 from repro.arch.multiplier import ArrayMultiplierUnit
 from repro.arch.testbench import (
     CHAIN_OPERATORS,
-    GATE_OPERATORS,
     table2_architecture,
 )
 from repro.coverage import situations as situation_counts
@@ -96,7 +98,6 @@ from repro.gates.engine import (
     TABLE_WORD_CHUNK,
     StuckAtCampaignResult,
     engine_for,
-    fifo_put,
     popcount_words,
     sweep_chunks,
 )
@@ -104,12 +105,10 @@ from repro.gates.netlist import Netlist
 from repro.obs.trace import span as obs_span
 from repro.store import (
     CacheKey,
-    ResultStore,
     digest_cell_library,
     digest_netlist,
     digest_params,
     resolve_store,
-    run_checkpointed,
 )
 
 #: Operand-space cap of the chain operators' gate sweep under ``"auto"``
@@ -171,62 +170,6 @@ class CoverageStats:
         )
 
 
-class _Accumulator:
-    """Per-technique running tallies across fault cases.
-
-    All tallies are integers and every evaluator folds its fault cases
-    through one entry point, :meth:`update_counts`, which is what makes
-    the functional, gate and transfer evaluators bit-identical and the
-    span merges exact.
-    """
-
-    def __init__(self, names: Iterable[str]) -> None:
-        self.names = tuple(names)
-        self.situations = 0
-        self.observable = 0
-        self.covered = {name: 0 for name in self.names}
-        self.detected_correct = {name: 0 for name in self.names}
-        self.case_min = {name: 1.0 for name in self.names}
-        self.case_max = {name: 0.0 for name in self.names}
-
-    def update_counts(
-        self,
-        count: int,
-        n_correct: int,
-        per_name: Mapping[str, Tuple[int, int]],
-        repeat: int = 1,
-    ) -> None:
-        """Fold in one fault case given exact (covered, detected-correct)
-        counts per technique; ``repeat`` broadcasts a collapsed case's
-        verdict to its whole equivalence class."""
-        self.situations += count * repeat
-        self.observable += (count - n_correct) * repeat
-        for name in self.names:
-            covered, det_correct = per_name[name]
-            self.covered[name] += covered * repeat
-            self.detected_correct[name] += det_correct * repeat
-            frac = covered / count
-            self.case_min[name] = min(self.case_min[name], frac)
-            self.case_max[name] = max(self.case_max[name], frac)
-
-    def stats(self, operator: str, width: int, method: str) -> Dict[str, CoverageStats]:
-        return {
-            name: CoverageStats(
-                operator=operator,
-                technique=name,
-                width=width,
-                situations=self.situations,
-                covered=self.covered[name],
-                observable_errors=self.observable,
-                detected_while_correct=self.detected_correct[name],
-                per_case_min=self.case_min[name],
-                per_case_max=self.case_max[name],
-                method=method,
-            )
-            for name in self.names
-        }
-
-
 def _operand_pairs(width: int, exclude_zero_divisor: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Every operand pair of the ``4**width`` space (nonzero divisors)."""
     combos = np.arange(1 << (2 * width), dtype=np.uint64)
@@ -245,13 +188,10 @@ def _operand_pairs(width: int, exclude_zero_divisor: bool) -> Tuple[np.ndarray, 
 _CaseStream = Iterator[Tuple[np.ndarray, Dict[str, np.ndarray]]]
 
 
-def _adder_cases(
-    width: int, cell_netlist: str, a: np.ndarray, b: np.ndarray,
-    case_lo: int, case_hi: int,
-) -> _CaseStream:
+def _adder_cases(width: int, cell_netlist: str, a: np.ndarray, b: np.ndarray) -> _CaseStream:
     mask = np.uint64(mask_of(width))
     golden = (a + b) & mask
-    for case in adder_fault_cases(width, cell_netlist)[case_lo:case_hi]:
+    for case in adder_fault_cases(width, cell_netlist):
         unit = RippleCarryAdderUnit(width, case.cell, case.position)
         ris, _ = unit.add(a, b)
         correct = ris == golden
@@ -263,12 +203,11 @@ def _adder_cases(
 
 
 def _subtractor_cases(
-    width: int, cell_netlist: str, a: np.ndarray, b: np.ndarray,
-    case_lo: int, case_hi: int,
+    width: int, cell_netlist: str, a: np.ndarray, b: np.ndarray
 ) -> _CaseStream:
     mask = np.uint64(mask_of(width))
     golden = (a - b) & mask
-    for case in adder_fault_cases(width, cell_netlist)[case_lo:case_hi]:
+    for case in adder_fault_cases(width, cell_netlist):
         unit = RippleCarryAdderUnit(width, case.cell, case.position)
         ris, _ = unit.sub(a, b)
         correct = ris == golden
@@ -280,14 +219,13 @@ def _subtractor_cases(
 
 
 def _multiplier_cases(
-    width: int, cell_netlist: str, a: np.ndarray, b: np.ndarray,
-    case_lo: int, case_hi: int,
+    width: int, cell_netlist: str, a: np.ndarray, b: np.ndarray
 ) -> _CaseStream:
     mask = np.uint64(mask_of(width))
     golden = (a * b) & mask
     neg_a = (np.uint64(0) - a) & mask
     neg_b = (np.uint64(0) - b) & mask
-    for case in multiplier_fault_cases(width, cell_netlist)[case_lo:case_hi]:
+    for case in multiplier_fault_cases(width, cell_netlist):
         unit = ArrayMultiplierUnit(width, case.cell, case.row, case.column)
         ris = unit.mul(a, b)
         correct = ris == golden
@@ -298,14 +236,11 @@ def _multiplier_cases(
         yield correct, {"tech1": det1, "tech2": det2, "both": det1 | det2}
 
 
-def _divider_cases(
-    width: int, cell_netlist: str, a: np.ndarray, b: np.ndarray,
-    case_lo: int, case_hi: int,
-) -> _CaseStream:
+def _divider_cases(width: int, cell_netlist: str, a: np.ndarray, b: np.ndarray) -> _CaseStream:
     mask = np.uint64(mask_of(width))
     golden_q = a // b
     golden_r = a % b
-    for case in divider_fault_cases(width, cell_netlist)[case_lo:case_hi]:
+    for case in divider_fault_cases(width, cell_netlist):
         unit = RestoringDividerUnit(width, case.cell, case.position)
         q, r = unit.divmod(a, b)
         correct = (q == golden_q) & (r == golden_r)
@@ -318,132 +253,88 @@ def _divider_cases(
 class _OperatorSpec:
     names: Tuple[str, ...]
     kernel: Callable[..., _CaseStream]
-    case_list: Callable[[int, str], list]
     exclude_zero_divisor: bool = False
 
 
 _SPECS: Dict[str, _OperatorSpec] = {
-    "add": _OperatorSpec(("tech1", "tech2", "both"), _adder_cases, adder_fault_cases),
-    "sub": _OperatorSpec(("tech1", "tech2", "both"), _subtractor_cases, adder_fault_cases),
-    "mul": _OperatorSpec(("tech1", "tech2", "both"), _multiplier_cases, multiplier_fault_cases),
-    "div": _OperatorSpec(
-        ("tech1", "tech2"), _divider_cases, divider_fault_cases, exclude_zero_divisor=True
-    ),
+    "add": _OperatorSpec(("tech1", "tech2", "both"), _adder_cases),
+    "sub": _OperatorSpec(("tech1", "tech2", "both"), _subtractor_cases),
+    "mul": _OperatorSpec(("tech1", "tech2", "both"), _multiplier_cases),
+    "div": _OperatorSpec(("tech1", "tech2"), _divider_cases, exclude_zero_divisor=True),
 }
 
-#: Per-case exact counts, concatenated across spans and checkpointed:
-#: (multiplicity, situation count, correct count, {technique: (covered,
-#: detected-while-correct)}).
-_CaseCounts = Tuple[int, int, int, Dict[str, Tuple[int, int]]]
+#: What every exact method computes: ``(multiplicities, situations,
+#: counts)``.  Row ``k`` of the int64 ``counts`` matrix is fault case
+#: ``k``: its correct situations, then (covered, detected-while-correct)
+#: per technique of :data:`_SPECS`; ``multiplicities[k]`` is the size of
+#: the equivalence class the case stands for.  Every case of one
+#: evaluation classifies the same operand space, so ``situations`` is
+#: one count for all of them.
+_CaseMatrix = Tuple[np.ndarray, int, np.ndarray]
 
 
-def _functional_case_counts(
-    operator: str,
-    width: int,
-    cell_netlist: str,
-    case_lo: int,
-    case_hi: int,
-) -> List[_CaseCounts]:
-    """Functional counts for fault cases [case_lo, case_hi)."""
+def _fold(operator: str, width: int, method: str, matrix: _CaseMatrix) -> Dict[str, CoverageStats]:
+    """The one reduction of a :data:`_CaseMatrix` to per-technique stats.
+
+    The class-weighted column sums are taken over Python integers: a
+    transfer-DP case at n = 30 counts up to ``4**30`` situations, so the
+    totals outgrow int64.  Dividing by the shared situation count is
+    monotone, so each per-case extreme is its column's extreme count
+    divided once, exactly as every case's own fraction would round.
+    """
+    multiplicities, situations, counts = matrix
+    weighted = [int(v) for v in multiplicities.astype(object) @ counts.astype(object)]
+    total = int(multiplicities.sum()) * situations
+    lowest, highest = counts.min(axis=0), counts.max(axis=0)
+    return {
+        name: CoverageStats(
+            operator=operator,
+            technique=name,
+            width=width,
+            situations=total,
+            covered=weighted[1 + 2 * j],
+            observable_errors=total - weighted[0],
+            detected_while_correct=weighted[2 + 2 * j],
+            per_case_min=int(lowest[1 + 2 * j]) / situations,
+            per_case_max=int(highest[1 + 2 * j]) / situations,
+            method=method,
+        )
+        for j, name in enumerate(_SPECS[operator].names)
+    }
+
+
+def _functional_case_counts(operator: str, width: int, cell_netlist: str) -> _CaseMatrix:
+    """Functional counts of every (uncollapsed) fault case."""
     spec = _SPECS[operator]
     a, b = _operand_pairs(width, spec.exclude_zero_divisor)
-    out: List[_CaseCounts] = []
-    for correct, dets in spec.kernel(width, cell_netlist, a, b, case_lo, case_hi):
-        per = {
-            name: (
-                int(np.sum(correct | dets[name])),
-                int(np.sum(correct & dets[name])),
-            )
-            for name in spec.names
-        }
-        out.append((1, correct.size, int(np.sum(correct)), per))
-    return out
-
-
-def _run_cases(
-    operator: str,
-    width: int,
-    worker: Callable[..., List[_CaseCounts]],
-    args: Tuple,
-    n_cases: int,
-    method: str,
-    key: Optional[CacheKey],
-    store: Optional[ResultStore],
-) -> Dict[str, CoverageStats]:
-    """The one scaffold of the gate and functional sweeps.
-
-    ``worker(*args, case_lo, case_hi)`` returns one :data:`_CaseCounts`
-    per fault case of its range.  The whole collapsed range
-    ``[0, n_cases)`` runs as one span in this process through
-    :func:`~repro.store.run_checkpointed` (checkpointed under
-    ``key.with_shard(0, n_cases)`` when a store is open), and the
-    per-case counts fold in case order into one :class:`_Accumulator`.
-    ``key`` (``None`` without a store) is the final key.
-    """
-    if store is not None:
-        cached = store.get(key)
-        if cached is not None:
-            return cached
-    span = (0, n_cases)
-    (counts,) = run_checkpointed(
-        worker,
-        [args + span],
-        None if store is None else [key.with_shard(*span)],
-        store,
-    )
-    acc = _Accumulator(_SPECS[operator].names)
-    for repeat, count, n_correct, per in counts:
-        acc.update_counts(count, n_correct, per, repeat=repeat)
-    result = acc.stats(operator, width, method)
-    if store is not None:
-        store.put(key, result, {"n_cases": n_cases})
-    return result
-
-
-def _run_functional(
-    operator: str,
-    width: int,
-    cell_netlist: str,
-    store: Optional[ResultStore] = None,
-) -> Dict[str, CoverageStats]:
-    n_cases = len(_SPECS[operator].case_list(width, cell_netlist))
-    key = None
-    if store is not None:
-        key = CacheKey(
-            kind="coverage",
-            netlist=digest_params(operator=operator, width=width),
-            universe=digest_cell_library(cell_netlist),
-            space=digest_params(exhaustive=True),
-            method="functional",
-        )
-    return _run_cases(
-        operator, width, _functional_case_counts, (operator, width, cell_netlist),
-        n_cases, "functional", key, store,
-    )
+    rows = []
+    for correct, dets in spec.kernel(width, cell_netlist, a, b):
+        row = [np.count_nonzero(correct)]
+        for name in spec.names:
+            row += [np.count_nonzero(correct | dets[name]), np.count_nonzero(correct & dets[name])]
+        rows.append(row)
+    counts = np.array(rows, dtype=np.int64)
+    return np.ones(len(counts), dtype=np.int64), a.size, counts
 
 
 # ----------------------------------------------------------------------
 # Batched gate-level sweep (every operator with a test architecture)
 # ----------------------------------------------------------------------
-def _sweep_plan(
-    arch, engine, cell_netlist: str, case_lo: int, case_hi: int
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple]:
-    """The case span's layout and cone batches, planned once per engine.
+def _sweep_plan(arch, engine, cell_netlist: str) -> Tuple[np.ndarray, np.ndarray, Tuple]:
+    """The sweep's case layout and cone batches, planned once per engine.
 
     Returns ``(multiplicities, sim_indices, batches)``: each collapsed
-    case's class size, the span offsets of the cases that need
-    simulation (reference-LUT cases need none), and their fault groups
-    clustered into cone batches of at most
+    case's class size, the indices of the cases that need simulation
+    (reference-LUT cases need none), and their fault groups clustered
+    into cone batches of at most
     :data:`~repro.gates.engine.TABLE_FAULT_CHUNK` groups -- the Table
     sweeps' own batch size, not the campaigns' -- each with its override
     plan (:func:`~repro.gates.sparse.build_schedule`).  The plan is kept
-    on the architecture's engine under a key that holds that batch size,
-    FIFO-bounded like the campaigns' rounds, so a repeated sweep skips
-    the fault-group translation, both cone analyses and the schedule
-    build.
+    on the architecture's engine, one per cell netlist, so a repeated
+    sweep skips the fault-group translation, both cone analyses and the
+    schedule build.
     """
-    key = (cell_netlist, case_lo, case_hi, TABLE_FAULT_CHUNK)
-    plan = engine._sweeps.get(key)
+    plan = engine._sweeps.get(cell_netlist)
     if plan is not None:
         return plan
     from repro.analysis.cones import analyze_cones, analyze_gate_cones
@@ -453,11 +344,12 @@ def _sweep_plan(
         (group, position)
         for group in collapsed_cell_library(cell_netlist)
         for position in arch.positions
-    ][case_lo:case_hi]
+    ]
     # A reference group's LUT is identical to the fault-free cell: every
     # situation is correct and no check fires, so it needs no simulation.
-    sim_indices = tuple(
-        k for k, (group, _) in enumerate(rep_cases) if not group.is_reference
+    sim_indices = np.array(
+        [k for k, (group, _) in enumerate(rep_cases) if not group.is_reference],
+        dtype=np.int64,
     )
     fault_groups = [
         arch.fault_group(rep_cases[k][0].representative.fault.fault, rep_cases[k][1])
@@ -470,8 +362,8 @@ def _sweep_plan(
         analyze_gate_cones(arch.netlist, store=False),
         analyze_cones(arch.netlist, store=False),
     ).batches
-    plan = (tuple(group.multiplicity for group, _ in rep_cases), sim_indices, batches)
-    fifo_put(engine._sweeps, key, plan)
+    multiplicities = np.array([group.multiplicity for group, _ in rep_cases], dtype=np.int64)
+    plan = engine._sweeps[cell_netlist] = (multiplicities, sim_indices, batches)
     return plan
 
 
@@ -510,17 +402,11 @@ def _output_counts(
     return counts
 
 
-def _gate_case_counts(
-    operator: str,
-    width: int,
-    cell_netlist: str,
-    case_lo: int,
-    case_hi: int,
-) -> List[_CaseCounts]:
-    """Sweep counts for collapsed cases [case_lo, case_hi).
+def _gate_case_counts(operator: str, width: int, cell_netlist: str) -> _CaseMatrix:
+    """Sweep counts of every collapsed fault case.
 
-    Fetches the (cached) test architecture, its engine and the span's
-    plan (:func:`_sweep_plan`), then streams the architecture's operand
+    Fetches the (cached) test architecture, its engine and its plan
+    (:func:`_sweep_plan`), then streams the architecture's operand
     universe (``arch.space``) through each cone batch's plan chunk by
     chunk (:func:`~repro.gates.engine.sweep_chunks` with the Table pair
     :data:`~repro.gates.engine.TABLE_WORD_CHUNK` /
@@ -529,18 +415,14 @@ def _gate_case_counts(
     unpacked.  Each chunk's input rows die with the chunk, and with them
     the backend's cached golden run of that chunk.  Masked universes
     (the divider's zero-divisor exclusion) apply the space's valid-lane
-    words before counting.  Adjacent spans concatenate to the counts of
-    their union.
+    words before counting.
     """
     arch = table2_architecture(operator, width, cell_netlist)
     space = arch.space
     engine = engine_for(arch.netlist)
     names = _SPECS[operator].names
-    multiplicities, sim_indices, batches = _sweep_plan(
-        arch, engine, cell_netlist, case_lo, case_hi
-    )
+    multiplicities, sim_indices, batches = _sweep_plan(arch, engine, cell_netlist)
     n_valid = space.valid_count(0, space.n_words)
-    # correct, then (covered, detected-while-correct) per technique.
     tallies = np.zeros((len(sim_indices), 1 + 2 * len(names)), dtype=np.int64)
     chunks = sweep_chunks(
         engine, len(sim_indices), space,
@@ -556,89 +438,39 @@ def _gate_case_counts(
                     rows, batch.plan, len(batch.members) + 1, batch.gates
                 ),
             )
-    # Reference cases first, then the simulated ones over them, in case
-    # order: the merge concatenates span lists.
-    results: List[_CaseCounts] = [
-        (multiplicity, n_valid, n_valid, {name: (n_valid, 0) for name in names})
-        for multiplicity in multiplicities
-    ]
-    for row, k in enumerate(sim_indices):
-        counts = [int(v) for v in tallies[row]]
-        per = {
-            name: (counts[1 + 2 * j], counts[2 + 2 * j])
-            for j, name in enumerate(names)
-        }
-        results[k] = (multiplicities[k], n_valid, counts[0], per)
-    return results
-
-
-def _run_gate(
-    operator: str,
-    width: int,
-    cell_netlist: str,
-    store: Optional[ResultStore] = None,
-) -> Dict[str, CoverageStats]:
-    if operator not in GATE_OPERATORS:
-        raise SimulationError(
-            f"the gate-level sweep covers {GATE_OPERATORS}, not {operator!r}"
-        )
-    arch = table2_architecture(operator, width, cell_netlist)
-    n_cases = len(collapsed_cell_library(cell_netlist)) * len(arch.positions)
-    key = None
-    if store is not None:
-        key = CacheKey(
-            kind="coverage",
-            netlist=digest_netlist(arch.netlist),
-            universe=digest_cell_library(cell_netlist),
-            space=digest_params(exhaustive=True),
-            method="gate",
-        )
-    return _run_cases(
-        operator, width, _gate_case_counts, (operator, width, cell_netlist),
-        n_cases, "gate", key, store,
-    )
+    # A reference case is correct and covered everywhere and never
+    # detected; the simulated cases overwrite their rows.
+    counts = np.full((len(multiplicities), tallies.shape[1]), n_valid, dtype=np.int64)
+    counts[:, 2::2] = 0
+    counts[sim_indices] = tallies
+    return multiplicities, n_valid, counts
 
 
 # ----------------------------------------------------------------------
 # Transfer-matrix exact wide widths (chain operators)
 # ----------------------------------------------------------------------
-def _run_transfer(
-    operator: str, width: int, cell_netlist: str,
-    store: Optional[ResultStore] = None,
-) -> Dict[str, CoverageStats]:
-    if operator not in CHAIN_OPERATORS:
-        raise SimulationError(
-            f"transfer evaluation covers {CHAIN_OPERATORS}, not {operator!r}"
-        )
-    key = None
-    if store is not None:
-        key = CacheKey(
-            kind="coverage",
-            netlist=digest_params(operator=operator, width=width),
-            universe=digest_cell_library(cell_netlist),
-            space=digest_params(exhaustive=True),
-            method="transfer",
-        )
-        cached = store.get(key)
-        if cached is not None:
-            return cached
-    acc = _Accumulator(_SPECS[operator].names)
+def _transfer_case_counts(operator: str, width: int, cell_netlist: str) -> _CaseMatrix:
+    """Transfer-DP counts of every collapsed fault case.
+
+    :func:`~repro.coverage.transfer.case_flag_counts` gives one row per
+    fault position, indexed ``correct | d1 << 1 | d2 << 2``.
+    """
     space = 1 << (2 * width)
-    for group in collapsed_cell_library(cell_netlist):
-        cell = group.representative
-        # One row per fault position; index correct | d1 << 1 | d2 << 2.
-        for flags in case_flag_counts(operator, width, cell.sum_lut, cell.carry_lut):
-            n_correct = int(flags[1::2].sum())
-            per = {
-                "tech1": (space - int(flags[0] + flags[4]), int(flags[3] + flags[7])),
-                "tech2": (space - int(flags[0] + flags[2]), int(flags[5] + flags[7])),
-                "both": (space - int(flags[0]), int(flags[3] + flags[5] + flags[7])),
-            }
-            acc.update_counts(space, n_correct, per, repeat=group.multiplicity)
-    result = acc.stats(operator, width, "transfer")
-    if store is not None:
-        store.put(key, result)
-    return result
+    groups = collapsed_cell_library(cell_netlist)
+    flags = np.concatenate([
+        case_flag_counts(
+            operator, width, group.representative.sum_lut, group.representative.carry_lut
+        )
+        for group in groups
+    ])
+    counts = np.column_stack([
+        flags[:, 1::2].sum(axis=1),
+        space - flags[:, 0] - flags[:, 4], flags[:, 3] + flags[:, 7],  # tech1
+        space - flags[:, 0] - flags[:, 2], flags[:, 5] + flags[:, 7],  # tech2
+        space - flags[:, 0], flags[:, 3] + flags[:, 5] + flags[:, 7],  # both
+    ])
+    multiplicities = np.repeat([group.multiplicity for group in groups], width)
+    return multiplicities.astype(np.int64), space, counts
 
 
 # ----------------------------------------------------------------------
@@ -683,15 +515,41 @@ def _evaluate(
             f"transfer evaluation reaches width={MAX_TRANSFER_WIDTH} at most, "
             f"got width={width}"
         )
+    if method == "transfer" and operator not in CHAIN_OPERATORS:
+        raise SimulationError(
+            f"transfer evaluation covers {CHAIN_OPERATORS}, not {operator!r}"
+        )
     store = resolve_store(store)
     with obs_span(
         "coverage_evaluate", operator=operator, width=width, method=method
     ):
+        key = None
+        if store is not None:
+            if method == "gate":
+                # The sweep is keyed by its architecture's structure.
+                unit = digest_netlist(table2_architecture(operator, width, cell_netlist).netlist)
+            else:
+                unit = digest_params(operator=operator, width=width)
+            key = CacheKey(
+                kind="coverage",
+                netlist=unit,
+                universe=digest_cell_library(cell_netlist),
+                space=digest_params(exhaustive=True),
+                method=method,
+            )
+            cached = store.get(key)
+            if cached is not None:
+                return cached
         if method == "gate":
-            return _run_gate(operator, width, cell_netlist, store)
-        if method == "transfer":
-            return _run_transfer(operator, width, cell_netlist, store)
-        return _run_functional(operator, width, cell_netlist, store)
+            matrix = _gate_case_counts(operator, width, cell_netlist)
+        elif method == "transfer":
+            matrix = _transfer_case_counts(operator, width, cell_netlist)
+        else:
+            matrix = _functional_case_counts(operator, width, cell_netlist)
+        result = _fold(operator, width, method, matrix)
+        if store is not None:
+            store.put(key, result, {"n_cases": len(matrix[2])})
+        return result
 
 
 def evaluate_adder(

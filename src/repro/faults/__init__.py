@@ -14,7 +14,7 @@ Permanent, transient and intermittent faults are all covered.
   campaigns (:func:`run_gate_level_campaign`,
   :func:`run_sharded_stuck_at_campaign`);
 * :mod:`repro.faults.sharding` -- the in-process, order-preserving
-  shard loop behind the coverage sweeps' span checkpoints;
+  shard loop behind the store's span checkpoints;
 * :mod:`repro.faults.incremental` -- campaign recomputation across
   netlist edits: structural diff, verdict-preservation proofs, and
   store-backed reuse (:func:`incremental_stuck_at_campaign`).

@@ -1,13 +1,12 @@
-"""The shard loop of the Table 1/2 coverage sweeps.
+"""The in-process shard loop behind the store's checkpoint runtime.
 
-A coverage sweep (:mod:`repro.coverage.engine`) computes exact integer
-counts per fault case, so its case range can be cut into contiguous
-spans and the per-span results concatenated in span order with a
-result bit-identical to one uncut run.  The sweeps run one span over
-the whole collapsed case range in the calling process; the store's
-checkpoint runtime (:func:`repro.store.run_checkpointed`) hands its
-missing spans to :func:`run_sharded`, which evaluates them in order
-and reports each one's lifecycle.
+:func:`run_sharded` evaluates a list of argument tuples in order and
+reports each one's lifecycle; the checkpoint runtime
+(:func:`repro.store.run_checkpointed`) hands it its missing spans.  No
+library code calls either any more: the Table 1/2 coverage evaluations
+(:mod:`repro.coverage.engine`) run their whole fault-case range at once,
+without spans.  The module stays while ``perfbench/tracer.py`` wraps
+:func:`run_sharded` by name; it goes together with that wrapper.
 
 Nothing in the library starts a process pool: a 2-process pool over
 the Table 1 ``mul`` n = 8 sweep saved 3.5% of wall time for 20% more

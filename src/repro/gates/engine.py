@@ -543,7 +543,7 @@ def sweep_chunks(
         yield lo, hi, rows, source.valid_words(lo, hi, rows=rows)
 
 
-#: Entries each engine keeps per plan cache (``_rounds``, ``_sweeps``).
+#: Entries each engine keeps in its campaign schedule cache (``_rounds``).
 PLAN_CACHE_ENTRIES = 32
 
 
@@ -698,10 +698,10 @@ class BitParallelEngine:
         # active classes, rows-per-batch) -> batches, each carrying its
         # plan; default-universe rounds only, FIFO-bounded.
         self._rounds: Dict[Tuple[int, Tuple[int, ...], int], Tuple] = {}
-        # Table-sweep plan cache (repro.coverage.engine._gate_case_counts):
-        # (cell netlist, case span, rows-per-batch) -> the span's case
-        # layout and cone batches; FIFO-bounded like _rounds.
-        self._sweeps: Dict[Tuple[str, int, int, int], Tuple] = {}
+        # Table-sweep plan cache (repro.coverage.engine._sweep_plan):
+        # cell netlist -> the sweep's case layout and cone batches; one
+        # entry per cell style, so it needs no bound.
+        self._sweeps: Dict[str, Tuple] = {}
 
     # ------------------------------------------------------------------
     # Packing

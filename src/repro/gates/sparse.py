@@ -40,7 +40,7 @@ Invariants a schedule guarantees (backends rely on them):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -164,15 +164,14 @@ def build_schedule(
     fault_groups: Sequence[FaultGroup],
     fault_chunk: int,
     gate_cones: "GateConeAnalysis",
-    cones: Optional["ConeAnalysis"] = None,
+    cones: "ConeAnalysis",
 ) -> SparseSchedule:
     """Cluster ``fault_groups`` into cone-similar batches.
 
     ``fault_chunk`` bounds the batch size, i.e. the fault-major matrix
     rows of one backend call; each batch's plan is built here, once.
-    With ``cones`` the batches also carry the restricted primary-output
-    id sets; without it every batch reduces over all outputs (still
-    bit-identical, just more XOR/OR work).
+    ``cones`` restricts each batch to the primary outputs its groups
+    reach.
     """
     n_groups = len(fault_groups)
     n_gates = compiled.n_gates
@@ -196,16 +195,13 @@ def build_schedule(
             if pos is None:
                 pos = site_pos[fault.site] = len(site_keys)
                 site_masks.append(fault_cone_mask(compiled, gate_cones, fault))
-                if cones is not None:
-                    site_reach.append(_fault_reach_mask(compiled, cones, fault))
+                site_reach.append(_fault_reach_mask(compiled, cones, fault))
                 level, key = _site_level(compiled, fault)
                 site_levels.append(level)
                 site_keys.append(key)
             flat.append(pos)
     masks = np.zeros((n_groups, gw), dtype=np.uint64)
     reach = np.zeros((n_groups, ow), dtype=np.uint64)
-    if cones is None:
-        reach[:] = np.uint64(0xFFFFFFFFFFFFFFFF)
     levels = np.full(n_groups, compiled.depth + 1, dtype=np.int64)
     sites = np.zeros(n_groups, dtype=np.int64)
     # Empty groups keep the defaults; dropping their (repeated) start
@@ -215,10 +211,7 @@ def build_schedule(
         idx = np.asarray(flat, dtype=np.int64)
         seg = starts[filled]
         masks[filled] = np.bitwise_or.reduceat(np.asarray(site_masks)[idx], seg, axis=0)
-        if cones is not None:
-            reach[filled] = np.bitwise_or.reduceat(
-                np.asarray(site_reach)[idx], seg, axis=0
-            )
+        reach[filled] = np.bitwise_or.reduceat(np.asarray(site_reach)[idx], seg, axis=0)
         levels[filled] = np.minimum.reduceat(np.asarray(site_levels)[idx], seg)
         sites[filled] = np.minimum.reduceat(np.asarray(site_keys)[idx], seg)
 

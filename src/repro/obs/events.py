@@ -10,7 +10,7 @@ the stack import only this module, so the taxonomy lives in one place:
 event                  emitted by
 =====================  ==============================================
 ``shard_submitted``    :func:`repro.faults.sharding.run_sharded`, one
-                       per case span it is handed
+                       per span it is handed
 ``shard_started``      ditto, with the running pid
 ``shard_completed``    ditto, with the span's wall seconds
 ``shard_failed``       ditto, when the span's worker raised

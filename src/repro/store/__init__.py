@@ -13,8 +13,9 @@ few netlists evaluated under the same fault universes again and again
   variable, off by default.
 - :mod:`repro.store.checkpoint` -- :func:`run_checkpointed`: per-span
   checkpoints landing in the store as they complete, so a killed run
-  cut into several case spans resumes by re-running only its missing
-  spans and still merges bit-identically.
+  cut into several spans resumes by re-running only its missing spans
+  and still merges bit-identically.  No library code calls it: the
+  coverage evaluations run whole and write one entry each.
 """
 
 from repro.store.checkpoint import (

@@ -2,20 +2,19 @@
 
 :func:`run_checkpointed` is the bridge between the shard loop
 (:func:`repro.faults.sharding.run_sharded`) and the result store: every
-shard's partial result lands in the store *as it completes*, keyed by
-the coverage sweep's final :class:`~repro.store.hashing.CacheKey`
-scoped to the shard's span (``key.with_shard(lo, hi)``).  A re-run of
-the same sweep -- after a crash, a kill, or on another day -- loads every
-finished shard from the store and executes only the missing ones; the
-caller's order-preserving merge then reproduces the uninterrupted
-result bit-identically, because loaded and freshly computed shards are
-exact round-trips of each other.  The coverage sweeps run one span over
-their whole case range; callers that cut a range into several spans
-(the crash/replay suite, ``tests/test_store_resume.py``) get one
-checkpoint per span.
+shard's partial result lands in the store *as it completes*, under the
+caller's key for that span (typically a final key scoped with
+``key.with_shard(lo, hi)``).  A re-run of the same spans -- after a
+crash, a kill, or on another day -- loads every finished shard from the
+store and executes only the missing ones; the caller's order-preserving
+merge then reproduces the uninterrupted result bit-identically, because
+loaded and freshly computed shards are exact round-trips of each other.
+With ``store=None`` the same entry simply runs every shard.
 
-With ``store=None`` the same entry simply runs every shard, so the
-coverage sweeps have one code path whether or not a store is open.
+No library code calls it any more: the Table 1/2 coverage evaluations
+run whole and write one entry each (:mod:`repro.coverage.engine`).  The
+module stays while ``perfbench/tracer.py`` wraps :func:`run_checkpointed`
+by name; it goes together with that wrapper.
 
 For tests, :func:`shard_hook` installs a callable fired *before* each
 shard executes, so a hook that raises after ``k`` shards simulates a

@@ -21,7 +21,7 @@ module-level import here would cycle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,11 +71,6 @@ def encode(value: object) -> Tuple[str, Arrays, Meta]:
         type(v).__name__ == "CoverageStats" for v in value.values()
     ):
         return _encode_coverage(value)
-    if _is_case_counts(value):
-        return "case_counts", {}, {"counts": [
-            [repeat, count, n_correct, {k: list(v) for k, v in per.items()}]
-            for repeat, count, n_correct, per in value
-        ]}
     if isinstance(value, dict):
         # Plain JSON payload; an ATPG test-table record carries its
         # arrays explicitly under "arrays".
@@ -99,17 +94,6 @@ def decode(
     except KeyError:
         raise SimulationError(f"unknown stored artifact tag {tag!r}") from None
     return decoder(arrays, meta)
-
-
-def _is_case_counts(value: object) -> bool:
-    if not isinstance(value, list) or not value:
-        return False
-    head = value[0]
-    return (
-        isinstance(head, (tuple, list))
-        and len(head) == 4
-        and isinstance(head[3], dict)
-    )
 
 
 # -- campaign results ---------------------------------------------------
@@ -219,19 +203,6 @@ def _decode_coverage(arrays: Arrays, meta: Meta):
     }
 
 
-# -- gate-sweep shard counts (plain integers) ---------------------------
-def _decode_case_counts(arrays: Arrays, meta: Meta) -> List[Tuple]:
-    return [
-        (
-            int(repeat),
-            int(count),
-            int(n_correct),
-            {str(k): (int(v[0]), int(v[1])) for k, v in per.items()},
-        )
-        for repeat, count, n_correct, per in meta["counts"]
-    ]
-
-
 #: Decoders of the artifacts row-aligned with a fault list.  The list
 #: itself is not stored: the key's ``universe`` digest pins it, so the
 #: caller hands back the tuple it digested (``ResultStore.get(faults=)``).
@@ -244,7 +215,6 @@ FAULT_TAGS = frozenset(_FAULT_DECODERS)
 
 _DECODERS = {
     "coverage_stats_map": _decode_coverage,
-    "case_counts": _decode_case_counts,
     "ndarray": lambda arrays, meta: arrays["data"],
     "json": lambda arrays, meta: (
         {**meta["payload"], "arrays": arrays} if arrays else dict(meta["payload"])

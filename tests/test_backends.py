@@ -20,8 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.arch.cell import DEFAULT_CELL_NETLIST, collapsed_cell_library
-from repro.coverage.engine import _Accumulator, _gate_case_counts, evaluate_operator
+from repro.coverage.engine import _gate_case_counts, evaluate_operator
 from repro.errors import SimulationError
 from repro.faults.incremental import incremental_stuck_at_campaign
 from repro.gates import builders
@@ -328,19 +327,16 @@ class TestFaultGroupEquivalence:
     @pytest.mark.parametrize("operator", UNITS)
     def test_gate_case_counts_across_backends(self, operator, cell, use_backend):
         # fused walks each batch's cone; python_loop and reference
-        # evaluate the full matrix.  Two uneven case ranges give each
-        # range its own cone schedule.
-        arch = table2_architecture(operator, 3, cell)
-        n_cases = len(collapsed_cell_library(cell)) * len(arch.positions)
-        cut = n_cases // 3
+        # evaluate the full matrix.  Each backend's engine plans its own
+        # sweep, and every one yields the same per-case count matrix.
         use_backend("python_loop")
-        whole = _gate_case_counts(operator, 3, cell, 0, n_cases)
+        multiplicities, situations, counts = _gate_case_counts(operator, 3, cell)
         for name in ALL_BACKENDS:
             use_backend(name)
-            split = _gate_case_counts(
-                operator, 3, cell, 0, cut
-            ) + _gate_case_counts(operator, 3, cell, cut, n_cases)
-            assert split == whole, name
+            got = _gate_case_counts(operator, 3, cell)
+            assert np.array_equal(got[0], multiplicities), name
+            assert got[1] == situations, name
+            assert np.array_equal(got[2], counts), name
 
     @pytest.mark.parametrize("width", (3, 4))
     def test_coverage_sweep_bit_identical(self, width, use_backend):
@@ -358,27 +354,6 @@ class TestFaultGroupEquivalence:
                 baseline = key
             else:
                 assert key == baseline, name
-
-
-# ----------------------------------------------------------------------
-# Sharding invariance against an oracle backend
-# ----------------------------------------------------------------------
-class TestShardingInvariance:
-    def test_sharded_gate_sweep_matches_unsharded(self, use_backend):
-        # The evaluator sweeps one span on the default backend; three
-        # spans on the oracle, folded the way the evaluator folds its
-        # one span, give the same stats.
-        lone = evaluate_operator("add", 4, method="gate", store=False)
-        use_backend("python_loop")
-        arch = table2_architecture("add", 4)
-        n_cases = len(collapsed_cell_library()) * len(arch.positions)
-        acc = _Accumulator(lone)
-        for lo, hi in ((0, n_cases // 3), (n_cases // 3, n_cases - 1), (n_cases - 1, n_cases)):
-            for repeat, count, n_correct, per in _gate_case_counts(
-                "add", 4, DEFAULT_CELL_NETLIST, lo, hi
-            ):
-                acc.update_counts(count, n_correct, per, repeat=repeat)
-        assert acc.stats("add", 4, "gate") == lone
 
 
 # ----------------------------------------------------------------------

@@ -415,7 +415,7 @@ def test_traced_campaign_bit_identical_and_balanced(tmp_path, monkeypatch):
     trace_path = tmp_path / "campaign.jsonl"
     monkeypatch.setenv(trace.TRACE_ENV, str(trace_path))
     traced = run_sharded_stuck_at_campaign(net, store=False)
-    # The campaign runs no shard loop; the sweep runs one span.
+    # Neither the campaign nor the sweep runs a shard loop.
     traced_sweep = evaluate_adder(3, store=False)
 
     assert np.array_equal(plain.detected, traced.detected)
@@ -424,19 +424,14 @@ def test_traced_campaign_bit_identical_and_balanced(tmp_path, monkeypatch):
     assert traced_sweep == plain_sweep
 
     records = trace.read_trace(str(trace_path))  # strict parse
-    names = [r.get("name") for r in records if r.get("type") == "event"]
-    submitted = names.count(events.SHARD_SUBMITTED)
-    assert submitted == 1
-    assert submitted == names.count(events.SHARD_COMPLETED) + names.count(
-        events.SHARD_FAILED
-    )
-    assert names.count(events.SHARDS_MERGED) == 1
-    span_names = [r["name"] for r in records if r.get("type") == "span"]
-    assert "sharded_campaign" in span_names
+    spans = [r for r in records if r.get("type") == "span"]
+    assert "sharded_campaign" in [r["name"] for r in spans]
+    sweeps = [r for r in spans if r["name"] == "coverage_evaluate"]
+    assert [(r["attrs"]["operator"], r["attrs"]["width"], r["attrs"]["method"])
+            for r in sweeps] == [("add", 3, "gate")]
 
     summary = obs_report.summarize(records)
-    assert summary["shards"]["balanced"] is True
-    assert summary["shards"]["completed"] == 1
+    assert summary["shards"] is None
     campaigns = [
         c for c in summary["campaigns"] if c["span"] == "sharded_campaign"
     ]
@@ -489,13 +484,18 @@ def test_report_cli_renders_trace(tmp_path, monkeypatch, capsys):
     evaluate_adder(3, store=False)
     monkeypatch.delenv(trace.TRACE_ENV)
 
+    records = [
+        r for r in trace.read_trace(str(trace_path)) if r.get("type") in ("span", "event")
+    ]
+    assert [r["name"] for r in records].count("coverage_evaluate") == 1
     assert obs_report.main([str(trace_path)]) == 0
     out = capsys.readouterr().out
-    assert "shards: submitted=1 completed=1" in out
-    assert "balanced=yes" in out
+    assert f"trace: {len(records)} records" in out
+    assert "shards:" not in out  # the sweep runs whole, no shard loop
     assert obs_report.main([str(trace_path), "--json"]) == 0
     decoded = json.loads(capsys.readouterr().out)
-    assert decoded["shards"]["balanced"] is True
+    assert decoded["n_records"] == len(records)
+    assert decoded["shards"] is None
 
 
 def test_live_summary_uses_ring_and_registry():

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.coverage.engine import evaluate_adder
+from repro.coverage.engine import evaluate_adder, evaluate_operator
 from repro.errors import SimulationError, StoreError
 from repro.faults.incremental import incremental_stuck_at_campaign
 from repro.faults.injector import run_sharded_stuck_at_campaign
@@ -261,14 +261,14 @@ class TestRoundTrips:
 
 
 # ----------------------------------------------------------------------
-# Grid invariance: the final artifact key is shard-free
+# Grid invariance: the coverage key names no shard
 # ----------------------------------------------------------------------
 class TestGridInvariance:
     def test_coverage_final_key_hits_from_a_fresh_handle(self, tmp_path):
         first = ResultStore(tmp_path)
         a = evaluate_adder(3, store=first)
-        # A fresh store handle must *hit* the same final entry -- never
-        # recompute, never re-put, never read the span checkpoint.
+        # A fresh store handle must *hit* the same entry -- never
+        # recompute, never re-put.
         second = ResultStore(tmp_path)
         b = evaluate_adder(3, store=second)
         assert second.stats.hits == 1
@@ -452,9 +452,10 @@ class TestStoreMechanics:
 
 class TestOneEntryPerRequest:
     """A store-backed request writes exactly one entry, the artifact it
-    returns: a compact set writes ``compact`` and ATPG writes ``atpg``,
-    while the dictionaries built on the way are not stored.  A direct
-    dictionary request still memoises its own result."""
+    returns: a compact set writes ``compact``, ATPG writes ``atpg`` and a
+    Table coverage evaluation writes ``coverage``, while the
+    dictionaries built on the way are not stored.  A direct dictionary
+    request still memoises its own result."""
 
     @pytest.fixture
     def put_kinds(self, monkeypatch):
@@ -499,6 +500,22 @@ class TestOneEntryPerRequest:
         assert tuple(warm.marginal) == tuple(cold.marginal)
         plain = unit_test_set(unit, width, method=method, store=False)
         assert plain.vectors.tobytes() == cold.vectors.tobytes()
+
+    @pytest.mark.parametrize("operator, width, method", [
+        ("add", 4, "gate"), ("mul", 3, "gate"), ("div", 3, "gate"),
+        ("add", 3, "functional"), ("add", 9, "transfer"),
+    ])
+    def test_coverage_evaluation_writes_one_entry(
+        self, operator, width, method, tmp_path, put_kinds
+    ):
+        store = ResultStore(tmp_path)
+        call = lambda: evaluate_operator(operator, width, method=method, store=store)
+        cold = call()
+        assert put_kinds == ["coverage"]
+        assert len(store) == 1
+        warm = self._warm(store, call)
+        assert put_kinds == ["coverage"]
+        assert warm == cold == evaluate_operator(operator, width, method=method, store=False)
 
     def test_atpg_writes_only_its_discovery_table(self, tmp_path, put_kinds):
         netlist, space = unit_netlist("mul", 4), unit_space("mul", 4)

@@ -1,31 +1,26 @@
-"""Crash/replay hardening of the checkpointed coverage-sweep runtime.
+"""Crash/replay hardening of the checkpoint runtime.
 
-The coverage evaluators run their whole case range as one span; these
-tests cut a sweep into explicit fault-case spans and drive
-:func:`repro.store.run_checkpointed` over them directly, one checkpoint
-per span.  A "crash" is simulated with :func:`repro.store.shard_hook`:
-the hook fires *before* each span executes, so a hook that raises after
-``k`` successful calls kills the run with exactly ``k`` span checkpoints
-on disk.  The replay assertions are the runtime's acceptance bar: the
-resumed run loads those ``k`` spans, re-executes exactly ``n - k``, and
-the merged result is byte-identical to an uninterrupted run.  A
-corrupted checkpoint is detected by its payload checksum, discarded
-with a :class:`StoreCorruptionWarning`, and transparently recomputed.
+:func:`repro.store.run_checkpointed` runs a worker once per span and
+lands each span's result in the store as it completes.  These tests cut
+a synthetic computation (the squares of a range, one uint64 array per
+span) into explicit spans and drive the runtime over them directly, one
+checkpoint per span.  A "crash" is simulated with
+:func:`repro.store.shard_hook`: the hook fires *before* each span
+executes, so a hook that raises after ``k`` successful calls kills the
+run with exactly ``k`` span checkpoints on disk.  The replay assertions
+are the runtime's acceptance bar: the resumed run loads those ``k``
+spans, re-executes exactly ``n - k``, and the merged result is
+byte-identical to an uninterrupted run.  A corrupted checkpoint is
+detected by its payload checksum, discarded with a
+:class:`StoreCorruptionWarning`, and transparently recomputed.
 """
 
 import glob
 import os
 
+import numpy as np
 import pytest
 
-from repro.arch.cell import DEFAULT_CELL_NETLIST, collapsed_cell_library
-from repro.arch.testbench import table2_architecture
-from repro.coverage.engine import (
-    _SPECS,
-    _functional_case_counts,
-    _gate_case_counts,
-    evaluate_adder,
-)
 from repro.store import (
     CacheKey,
     CheckpointReport,
@@ -36,6 +31,8 @@ from repro.store import (
     run_checkpointed,
     shard_hook,
 )
+
+N_ITEMS = 30
 
 
 class Bomb(RuntimeError):
@@ -64,46 +61,44 @@ def counting_hook():
     return hook, fired
 
 
-def span_sweep(method, n_spans):
-    """``run(store)``: the ``add`` n = 3 sweep of ``method`` cut into
-    ``n_spans`` contiguous case spans, checkpointed per span."""
-    if method == "gate":
-        worker = _gate_case_counts
-        n_cases = len(collapsed_cell_library()) * len(
-            table2_architecture("add", 3).positions
-        )
-    else:
-        worker = _functional_case_counts
-        n_cases = len(_SPECS["add"].case_list(3, DEFAULT_CELL_NETLIST))
-    cuts = [n_cases * i // n_spans for i in range(n_spans + 1)]
+def span_squares(lo, hi):
+    """One span's partial result: the squares of ``lo..hi-1``."""
+    return np.arange(lo, hi, dtype=np.uint64) ** 2
+
+
+def span_run(n_spans):
+    """``run(store)``: the squares of ``range(N_ITEMS)`` cut into
+    ``n_spans`` contiguous spans, checkpointed per span."""
+    cuts = [N_ITEMS * i // n_spans for i in range(n_spans + 1)]
     spans = list(zip(cuts, cuts[1:]))
     key = CacheKey(
-        kind="coverage",
-        netlist=digest_params(operator="add", width=3),
-        universe="xor3_majority",
-        space=digest_params(exhaustive=True),
-        method=method,
+        kind="squares",
+        netlist=digest_params(n_items=N_ITEMS),
+        universe="u",
+        space="s",
+        method="span",
     )
 
     def run(store):
         return run_checkpointed(
-            worker,
-            [("add", 3, DEFAULT_CELL_NETLIST) + span for span in spans],
-            [key.with_shard(*span) for span in spans],
-            store,
+            span_squares, spans, [key.with_shard(*span) for span in spans], store
         )
 
-    return run, worker("add", 3, DEFAULT_CELL_NETLIST, 0, n_cases)
+    return run
+
+
+def merged(parts):
+    return np.concatenate(parts).tobytes()
+
+
+WHOLE = span_squares(0, N_ITEMS).tobytes()
 
 
 class TestSpanCrashReplay:
-    """The gate and functional sweeps share one checkpointed path."""
-
-    @pytest.mark.parametrize("method", ["gate", "functional"])
-    def test_killed_sweep_resumes_and_matches_plain_run(self, tmp_path, method):
-        run, whole = span_sweep(method, 3)
+    def test_killed_sweep_resumes_and_matches_plain_run(self, tmp_path):
+        run = span_run(3)
         plain = run(None)
-        assert sum(plain, []) == whole
+        assert merged(plain) == WHOLE
 
         k = 1
         store = ResultStore(tmp_path)
@@ -115,27 +110,14 @@ class TestSpanCrashReplay:
         with shard_hook(hook):
             resumed = run(store)
         assert fired == [1, 2]  # exactly n - k spans re-execute
-        assert resumed == plain
+        assert merged(resumed) == WHOLE
         assert last_checkpoint_report() == CheckpointReport(total=3, loaded=k, executed=2)
-
-
-class TestGateSweepFinalHit:
-    def test_third_run_is_a_pure_final_hit(self, tmp_path):
-        store = ResultStore(tmp_path)
-        with shard_hook(crash_after(0)):
-            with pytest.raises(Bomb):
-                evaluate_adder(3, store=store)
-        resumed = evaluate_adder(3, store=store)
-        hits = store.stats.hits
-        again = evaluate_adder(3, store=store)
-        assert store.stats.hits == hits + 1  # final key, no span traffic
-        assert again == resumed == evaluate_adder(3, store=False)
 
 
 class TestCorruptedCheckpoint:
     def _corrupt_one_checkpoint(self, store, kind):
         payloads = sorted(
-            glob.glob(os.path.join(store.root, "objects", kind, "*.json"))
+            glob.glob(os.path.join(store.root, "objects", kind, "*.npz"))
         )
         assert payloads, "expected span checkpoints on disk"
         with open(payloads[0], "wb") as handle:
@@ -143,15 +125,14 @@ class TestCorruptedCheckpoint:
         return payloads[0]
 
     def test_corrupt_checkpoint_is_discarded_and_recomputed(self, tmp_path):
-        run, _ = span_sweep("gate", 4)
-        reference = run(None)
+        run = span_run(4)
         store = ResultStore(tmp_path)
         k = 2
         with shard_hook(crash_after(k)):
             with pytest.raises(Bomb):
                 run(store)
 
-        corrupted = self._corrupt_one_checkpoint(store, "coverage")
+        corrupted = self._corrupt_one_checkpoint(store, "squares")
         store.clear_lru()  # force the resume through the disk path
 
         with pytest.warns(StoreCorruptionWarning, match="corrupt"):
@@ -160,11 +141,11 @@ class TestCorruptedCheckpoint:
         # One of the k checkpoints was bad: detected, discarded, re-run.
         assert report == CheckpointReport(total=4, loaded=k - 1, executed=4 - k + 1)
         assert store.stats.corrupt == 1
-        assert resumed == reference
+        assert merged(resumed) == WHOLE
         # The corrupt payload was replaced by the recomputed span.
         assert os.path.exists(corrupted)
         store.clear_lru()
         final = run(store)
         assert last_checkpoint_report() == CheckpointReport(total=4, loaded=4, executed=0)
         assert store.stats.corrupt == 1  # no further corruption events
-        assert final == reference
+        assert merged(final) == WHOLE

@@ -6,10 +6,9 @@ fault groups over word-packed exhaustive vectors) and the carry-state
 transfer matrix.  They model the same experiment, so their integer
 situation counts must agree bit-for-bit -- these tests pin that, plus
 the method resolution (exact methods only; a width no default method
-reaches raises), the bit-identical merge of adjacent fault-case spans,
-the gate sweep's plan-once cache on each architecture's engine, its own
-kernel-call geometry, and the closed-form transfer DP against the
-per-position step DP it replaced.
+reaches raises), the gate sweep's plan-once cache on each
+architecture's engine, its own kernel-call geometry, and the
+closed-form transfer DP against the per-position step DP it replaced.
 """
 
 import gc
@@ -23,8 +22,6 @@ from repro.arch.testbench import table2_architecture
 from repro.coverage import engine as coverage_engine
 from repro.coverage import transfer
 from repro.coverage.engine import (
-    _SPECS,
-    _functional_case_counts,
     _gate_case_counts,
     evaluate_adder,
     evaluate_divider,
@@ -37,7 +34,6 @@ from repro.errors import SimulationError
 from repro.gates import sparse
 from repro.gates.backends import fused as fused_backend
 from repro.gates.engine import (
-    PLAN_CACHE_ENTRIES,
     TABLE_FAULT_CHUNK,
     TABLE_WORD_CHUNK,
     engine_for,
@@ -111,6 +107,22 @@ class TestMethodResolution:
         assert stats["tech1"].method == "transfer"
         assert stats["tech1"].situations == 32 * 16 * (1 << 32)
 
+    def test_widest_transfer_totals_stay_exact(self):
+        # 32 * 30 * 4**30 situations outgrow int64, so the class-weighted
+        # totals must be summed in Python integers.  The counts were
+        # produced by the per-case Python-integer loop the fold replaced.
+        width = transfer.MAX_TRANSFER_WIDTH
+        stats = evaluate_adder(width, store=False)
+        assert stats["both"].situations == 32 * width * 4**width
+        assert {
+            name: (s.covered, s.observable_errors, s.detected_while_correct)
+            for name, s in stats.items()
+        } == {
+            "tech1": (1087204978844256698368, 384211091410231754752, 297741978564718231552),
+            "tech2": (1105075262165662826496, 384211091410231754752, 332329623702923640832),
+            "both": (1105363492541814538240, 384211091410231754752, 366629038463903596544),
+        }
+
     def test_gate_method_covers_array_operators(self):
         """Since PR 3 the gate sweep serves mul/div too; only the
         transfer DP remains chain-only (no chain decomposition)."""
@@ -149,37 +161,6 @@ class TestMethodResolution:
             evaluate_adder(11, method="functional", store=False)
 
 
-def _gate_cases(operator, width, cell_netlist="xor3_majority"):
-    arch = table2_architecture(operator, width, cell_netlist)
-    return len(collapsed_cell_library(cell_netlist)) * len(arch.positions)
-
-
-class TestSpanMerge:
-    """Adjacent fault-case spans concatenate to their union's counts --
-    the merge property the store's span checkpoints rely on."""
-
-    @pytest.mark.parametrize("operator,width", [("add", 3), ("mul", 3), ("div", 3)])
-    def test_gate_spans_concatenate(self, operator, width):
-        args = (operator, width, "xor3_majority")
-        n = _gate_cases(operator, width)
-        whole = _gate_case_counts(*args, 0, n)
-        assert len(whole) == n
-        for k in (1, n // 3, n - 1):
-            assert _gate_case_counts(*args, 0, k) + _gate_case_counts(*args, k, n) == whole
-
-    @pytest.mark.parametrize("operator,width", [("add", 3), ("mul", 3), ("div", 3)])
-    def test_functional_spans_concatenate(self, operator, width):
-        args = (operator, width, "xor3_majority")
-        n = len(_SPECS[operator].case_list(width, "xor3_majority"))
-        whole = _functional_case_counts(*args, 0, n)
-        assert len(whole) == n
-        for k in (1, n // 3, n - 1):
-            assert (
-                _functional_case_counts(*args, 0, k)
-                + _functional_case_counts(*args, k, n)
-            ) == whole
-
-
 @pytest.fixture
 def schedule_builds(monkeypatch):
     """Record every :func:`repro.gates.sparse.build_schedule` call."""
@@ -195,7 +176,7 @@ def schedule_builds(monkeypatch):
 
 
 class TestPlanOnce:
-    """The gate sweep keeps each span's plan on the architecture's engine."""
+    """The gate sweep keeps one plan per cell netlist on the architecture's engine."""
 
     def test_repeat_call_builds_no_schedule(self, schedule_builds):
         first = evaluate_operator("mul", 4, store=False)
@@ -204,39 +185,20 @@ class TestPlanOnce:
         assert schedule_builds == []
         assert again == first
 
-    def test_span_and_cell_netlist_get_their_own_entries(self, schedule_builds):
-        n = _gate_cases("mul", 3)
+    def test_one_plan_per_cell_netlist(self, schedule_builds):
         engine = engine_for(table2_architecture("mul", 3, "xor3_majority").netlist)
         engine._sweeps.clear()
-        whole = _gate_case_counts("mul", 3, "xor3_majority", 0, n)
+        whole = _gate_case_counts("mul", 3, "xor3_majority")
         assert len(schedule_builds) == 1
-        assert _gate_case_counts("mul", 3, "xor3_majority", 0, n) == whole
+        again = _gate_case_counts("mul", 3, "xor3_majority")
         assert len(schedule_builds) == 1
-        _gate_case_counts("mul", 3, "xor3_majority", 0, n - 1)
-        assert len(schedule_builds) == 2
-        assert set(engine._sweeps) == {
-            ("xor3_majority", 0, n, TABLE_FAULT_CHUNK),
-            ("xor3_majority", 0, n - 1, TABLE_FAULT_CHUNK),
-        }
+        assert all(np.array_equal(a, b) for a, b in zip(again, whole))
+        assert set(engine._sweeps) == {"xor3_majority"}
         other = engine_for(table2_architecture("mul", 3, "two_xor").netlist)
         other._sweeps.clear()
-        n_other = _gate_cases("mul", 3, "two_xor")
-        _gate_case_counts("mul", 3, "two_xor", 0, n_other)
-        assert len(schedule_builds) == 3
-        assert ("two_xor", 0, n_other, TABLE_FAULT_CHUNK) in other._sweeps
-
-    def test_cache_is_fifo_bounded(self):
-        n = _gate_cases("add", 2)
-        assert n > PLAN_CACHE_ENTRIES
-        engine = engine_for(table2_architecture("add", 2, "xor3_majority").netlist)
-        engine._sweeps.clear()
-        for hi in range(1, n + 1):
-            _gate_case_counts("add", 2, "xor3_majority", 0, hi)
-            assert len(engine._sweeps) <= PLAN_CACHE_ENTRIES
-        # The oldest spans were evicted first.
-        assert [key[2] for key in engine._sweeps] == list(
-            range(n - PLAN_CACHE_ENTRIES + 1, n + 1)
-        )
+        _gate_case_counts("mul", 3, "two_xor")
+        assert len(schedule_builds) == 2
+        assert "two_xor" in other._sweeps
 
 
 class TestCollapsingAndTranslation:
@@ -289,10 +251,14 @@ class TestTableGeometry:
         # (groups per batch, words per chunk): the campaigns' pair, the
         # Table pair, and an odd batch over chunks narrower than the
         # n = 6 sweep (64 words), so batches and chunks both split.
+        # Each pair plans afresh; the engine's own plans return at teardown.
+        engine = engine_for(table2_architecture(operator, width).netlist)
+        monkeypatch.setattr(engine, "_sweeps", {})
         results = []
         for fault_chunk, word_chunk in ((64, 256), (16, 512), (3, 8)):
             monkeypatch.setattr(coverage_engine, "TABLE_FAULT_CHUNK", fault_chunk)
             monkeypatch.setattr(coverage_engine, "TABLE_WORD_CHUNK", word_chunk)
+            engine._sweeps.clear()
             results.append(_key(evaluate_operator(operator, width, method="gate", store=False)))
         assert results[0] == results[1] == results[2]
 
@@ -333,7 +299,7 @@ class TestTableGeometry:
         monkeypatch.setattr(backend, "run_words", tracking)
         gc.disable()
         try:
-            _gate_case_counts(operator, width, "xor3_majority", 0, _gate_cases(operator, width))
+            _gate_case_counts(operator, width, "xor3_majority")
             assert goldens
             assert all(ref() is None for ref in goldens)
             assert backend._golden_cache is None

@@ -24,7 +24,6 @@ from repro.arch.testbench import (
     table2_architecture,
 )
 from repro.coverage.engine import (
-    _gate_case_counts,
     evaluate_divider,
     evaluate_multiplier,
     theoretical_situations,
@@ -237,20 +236,3 @@ class TestEvaluatorParity:
         functional = evaluate_multiplier(3, cell_netlist="two_xor", method="functional")
         assert _stats_key(gate) == _stats_key(functional)
 
-
-class TestWordRangeSharding:
-    """Splitting the sweep by fault-case range merges bit-identically
-    (each span streams the whole word range itself)."""
-
-    @pytest.mark.parametrize("operator,width", [("mul", 4), ("div", 4), ("add", 5)])
-    def test_word_tiles_merge_bit_identically(self, operator, width):
-        arch = table2_architecture(operator, width, "xor3_majority")
-        n_cases = len(collapsed_cell_library()) * len(arch.positions)
-        args = (operator, width, "xor3_majority")
-        full = _gate_case_counts(*args, 0, n_cases)
-        half = n_cases // 2
-        halves = _gate_case_counts(*args, 0, half) + _gate_case_counts(
-            *args, half, n_cases
-        )
-        assert len(full) == n_cases
-        assert halves == full

@@ -614,6 +614,9 @@ class TestMatrixBudget:
         monkeypatch.setattr(gate_engine, "GATE_MATRIX_BUDGET_MAX", 1)
         monkeypatch.setattr(coverage_engine, "TABLE_FAULT_CHUNK", 7)
         monkeypatch.setattr(coverage_engine, "TABLE_WORD_CHUNK", 8)
+        # Plan afresh in 7-group batches; the kept plan returns at teardown.
+        engine = gate_engine.engine_for(table2_architecture("mul", 5).netlist)
+        monkeypatch.setattr(engine, "_sweeps", {})
         tiny = evaluate_multiplier(5, method="gate", store=False)
         assert key(base) == key(tiny)
 
