@@ -2,9 +2,10 @@
 
 :func:`repro.store.run_checkpointed` runs a worker once per span and
 lands each span's result in the store as it completes.  These tests cut
-a synthetic computation (the squares of a range, one uint64 array per
-span) into explicit spans and drive the runtime over them directly, one
-checkpoint per span.  A "crash" is simulated with
+a computation into explicit spans and drive the runtime over them
+directly, one checkpoint per span: the row spans of the gate and
+functional per-case count matrices of the ``add`` n = 3 sweep, and a
+synthetic one (the squares of a range, one uint64 array per span).  A "crash" is simulated with
 :func:`repro.store.shard_hook`: the hook fires *before* each span
 executes, so a hook that raises after ``k`` successful calls kills the
 run with exactly ``k`` span checkpoints on disk.  The replay assertions
@@ -21,6 +22,8 @@ import os
 import numpy as np
 import pytest
 
+from repro.arch.cell import DEFAULT_CELL_NETLIST
+from repro.coverage.engine import _functional_case_counts, _gate_case_counts
 from repro.store import (
     CacheKey,
     CheckpointReport,
@@ -93,12 +96,44 @@ def merged(parts):
 
 WHOLE = span_squares(0, N_ITEMS).tobytes()
 
+_CASE_COUNTS = {"gate": _gate_case_counts, "functional": _functional_case_counts}
+
+
+def count_matrix_run(method, n_spans):
+    """``run(store)`` and the whole matrix: the ``add`` n = 3 per-case
+    count matrix of ``method`` cut into ``n_spans`` contiguous row spans,
+    checkpointed per span."""
+    _, _, counts = _CASE_COUNTS[method]("add", 3, DEFAULT_CELL_NETLIST)
+    n_cases = len(counts)
+    cuts = [n_cases * i // n_spans for i in range(n_spans + 1)]
+    spans = list(zip(cuts, cuts[1:]))
+    key = CacheKey(
+        kind="case_rows",
+        netlist=digest_params(operator="add", width=3),
+        universe="xor3_majority",
+        space=digest_params(exhaustive=True),
+        method=method,
+    )
+
+    def rows(lo, hi):
+        return counts[lo:hi].copy()
+
+    def run(store):
+        return run_checkpointed(
+            rows, spans, [key.with_shard(*span) for span in spans], store
+        )
+
+    return run, counts.tobytes()
+
 
 class TestSpanCrashReplay:
-    def test_killed_sweep_resumes_and_matches_plain_run(self, tmp_path):
-        run = span_run(3)
+    """The gate and functional count matrices share one checkpointed path."""
+
+    @pytest.mark.parametrize("method", ["gate", "functional"])
+    def test_killed_sweep_resumes_and_matches_plain_run(self, tmp_path, method):
+        run, whole = count_matrix_run(method, 3)
         plain = run(None)
-        assert merged(plain) == WHOLE
+        assert merged(plain) == whole
 
         k = 1
         store = ResultStore(tmp_path)
@@ -110,7 +145,7 @@ class TestSpanCrashReplay:
         with shard_hook(hook):
             resumed = run(store)
         assert fired == [1, 2]  # exactly n - k spans re-execute
-        assert merged(resumed) == WHOLE
+        assert merged(resumed) == whole
         assert last_checkpoint_report() == CheckpointReport(total=3, loaded=k, executed=2)
 
 
